@@ -257,6 +257,12 @@ def boundary_analysis(art: ConstructionArtifacts,
     """Boundary codimension inside the closure, and for v3 the component
     count m = deg f (valid over the algebraic closure because f + 1 is
     squarefree, so components biject with its roots)."""
+    dim_ybar, dim_b, m = _boundary(art, caps)
+    return dim_ybar - dim_b, m
+
+
+def _boundary(art: ConstructionArtifacts, caps: ResourceCaps):
+    """(dim Ybar, dim B, m) for boundary_analysis and run_battery."""
     dim_ybar = krull_dimension(art.ybar_ideal, caps=caps)
     try:
         dim_b = krull_dimension(art.b_ideal, caps=caps)
@@ -264,9 +270,8 @@ def boundary_analysis(art: ConstructionArtifacts,
         raise UnitIdealError(
             "empty boundary: the rank bookkeeping needs a nonempty complement"
         ) from None
-    codim = dim_ybar - dim_b
     m = art.spec.f.total_degree() if art.spec.family == "v3" else None
-    return codim, m
+    return dim_ybar, dim_b, m
 
 
 @dataclass(frozen=True)
@@ -376,13 +381,13 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS,
         "boundarySmooth": check_smooth(art.b_ideal, caps=caps),
     }
     dim_x = krull_dimension(art.x_ideal, caps=caps)
-    codim, m = boundary_analysis(art, caps=caps)
-    dim_ybar = krull_dimension(art.ybar_ideal, caps=caps)
+    dim_ybar, dim_b, m = _boundary(art, caps)
+    codim = dim_ybar - dim_b
     dims = Dims(
         x=dim_x,
         quotient=dim_x - 1,  # the group is one-dimensional and acts freely
         ybar=dim_ybar,
-        b=dim_ybar - codim,
+        b=dim_b,
     )
     if spec.family == "v3":
         ranks = k_theory_ranks(m)

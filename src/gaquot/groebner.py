@@ -6,6 +6,14 @@ membership all reduce to reduced Groebner bases computed by Buchberger's
 algorithm with the product and chain pair-discarding criteria and the
 normal selection strategy (smallest lcm first).  Output is deterministic
 for fixed input and order.
+
+Every reduction (S-polynomials and tail reduction in Buchberger, normal
+forms, exact division) runs on one heap-ordered core: the working
+polynomial's monomials sit in a binary heap under the order's descending
+key, so the leading term is popped rather than found by a scan, and a
+term that cancels after it was queued is skipped when popped (after
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007).
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add, le, neg, sub
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -36,10 +45,28 @@ class TermOrder:
     kind is one of "grevlex", "lex", "block"; a block(k) order compares
     the first k exponents grevlex-first (so it eliminates those
     variables), then the rest grevlex.
+
+    Each order carries two sort keys on exponent tuples, built once:
+    `key`, under which a larger key means a larger monomial, and
+    `descending_key`, under which a smaller key means a larger monomial,
+    so a `heapq` min-heap pops the leading monomial first.  Both keys are
+    injective, so ties never fall through to the monomial itself.
     """
 
     kind: str
     block_size: int = 0
+
+    def __post_init__(self):
+        if self.kind == "grevlex":
+            key, descending = grevlex_key, _grevlex_descending
+        elif self.kind == "lex":
+            key, descending = _identity, _lex_descending
+        elif self.kind == "block":
+            key, descending = _block_keys(self.block_size)
+        else:
+            raise ValueError(f"unknown term order {self.kind!r}")
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "descending_key", descending)
 
     @staticmethod
     def grevlex() -> "TermOrder":
@@ -55,14 +82,28 @@ class TermOrder:
             raise ValueError("block size must be nonnegative")
         return TermOrder("block", k)
 
-    def key(self, exps):
-        """Sort key: larger key means larger monomial."""
-        if self.kind == "grevlex":
-            return grevlex_key(exps)
-        if self.kind == "lex":
-            return exps
-        k = self.block_size
+
+def _identity(exps):
+    return exps
+
+
+def _grevlex_descending(exps):
+    return (-sum(exps),) + exps[::-1]
+
+
+def _lex_descending(exps):
+    return tuple(map(neg, exps))
+
+
+def _block_keys(k: int):
+    def key(exps):
         return (grevlex_key(exps[:k]), grevlex_key(exps[k:]))
+
+    def descending(exps):
+        head, tail = exps[:k], exps[k:]
+        return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
+
+    return key, descending
 
 
 # -- ideals and bases ----------------------------------------------------------
@@ -97,11 +138,13 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis (monic, pairwise irreducible) of `source` under `order`."""
+    """Reduced basis (monic, pairwise irreducible) of `source` under `order`;
+    `leading` holds the leading monomial of each basis element."""
 
     order: TermOrder
     basis: tuple
     source: Ideal
+    leading: tuple
 
 
 @dataclass(frozen=True)
@@ -119,39 +162,63 @@ DEFAULT_CAPS = ResourceCaps()
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _reduce_full(work: dict, basis: list, lms: list, key) -> dict:
-    """Full normal form of the term dict `work` against monic `basis`."""
+def _heap(work: dict, descending_key) -> list:
+    """Heap of (descending key, monomial) holding every monomial of `work`."""
+    heap = [(descending_key(m), m) for m in work]
+    heapq.heapify(heap)
+    return heap
+
+
+def _subtract(work: dict, heap: list, descending_key, c, shift, g: dict, lm) -> None:
+    """work -= c * x^shift * (g minus its leading term lm).
+
+    A monomial enters the heap when it first enters `work` and stays in
+    `work`, with coefficient zero if it cancels, until it is popped; so the
+    heap holds each monomial once and a zero pop is a cancelled term."""
+    for gm, gc in g.items():
+        if gm == lm:
+            continue
+        t = _mul(shift, gm)
+        old = work.get(t)
+        if old is None:
+            work[t] = -c * gc
+            heapq.heappush(heap, (descending_key(t), t))
+        else:
+            work[t] = old - c * gc
+
+
+def _reduce_full(work: dict, basis: Sequence, lms: Sequence, descending_key) -> dict:
+    """Full normal form of the term dict `work` against monic `basis`.
+
+    The leading monomial comes off a heap instead of a scan of `work`.
+    Reducing a monomial m only adds monomials smaller than m, so a popped
+    monomial never returns.  The remainder's terms are in descending
+    order, so its first key is its leading monomial.  Consumes `work`."""
+    heap = _heap(work, descending_key)
     remainder: dict = {}
-    while work:
-        m = max(work, key=key)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         for g, lm in zip(basis, lms):
             if _divides(lm, m):
-                shift = _sub(m, lm)
-                for gm, gc in g.items():
-                    if gm == lm:
-                        continue
-                    t = _mul(shift, gm)
-                    val = work.get(t, 0) - c * gc
-                    if val:
-                        work[t] = val
-                    else:
-                        work.pop(t, None)
+                _subtract(work, heap, descending_key, c, _sub(m, lm), g, lm)
                 break
         else:
             remainder[m] = c
@@ -179,18 +246,18 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
                caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, deterministic for fixed input."""
     order = order or TermOrder.grevlex()
-    key = order.key
+    key, descending_key = order.key, order.descending_key
     seeds = [g for g in ideal.generators if not g.is_zero()]
     if not seeds:
-        return GroebnerBasis(order, (), ideal)
+        return GroebnerBasis(order, (), ideal, ())
 
     basis: list = []
     lms: list = []
 
-    def append(term_dict: dict):
-        lm = max(term_dict, key=key)
-        lc = term_dict[lm]
-        basis.append({m: c / lc for m, c in term_dict.items()})
+    def append(reduced: dict):
+        lm = next(iter(reduced))  # remainders list their terms in descending order
+        lc = reduced[lm]
+        basis.append({m: c / lc for m, c in reduced.items()})
         lms.append(lm)
 
     heap: list = []
@@ -202,7 +269,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
             pending.add((i, j))
 
     for g in seeds:
-        reduced = _reduce_full(dict(g.terms), basis, lms, key)
+        reduced = _reduce_full(dict(g.terms), basis, lms, descending_key)
         if reduced:
             append(reduced)
             push_pairs(len(basis) - 1)
@@ -230,7 +297,8 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
                 break
         if skip:
             continue
-        reduced = _reduce_full(_spoly(basis[i], lms[i], basis[j], lms[j]), basis, lms, key)
+        reduced = _reduce_full(_spoly(basis[i], lms[i], basis[j], lms[j]), basis, lms,
+                               descending_key)
         if not reduced:
             continue
         if max(sum(m) for m in reduced) > caps.max_degree:
@@ -252,20 +320,20 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     for idx in kept:
         others = [basis[k] for k in kept if k != idx]
         other_lms = [lms[k] for k in kept if k != idx]
-        final.append((_reduce_full(dict(basis[idx]), others, other_lms, key), lms[idx]))
+        final.append((_reduce_full(dict(basis[idx]), others, other_lms, descending_key),
+                      lms[idx]))
     final.sort(key=lambda pair: key(pair[1]))
     polys = tuple(Polynomial(ideal.ring, terms) for terms, _ in final)
-    return GroebnerBasis(order, polys, ideal)
+    return GroebnerBasis(order, polys, ideal, tuple(lm for _, lm in final))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo the basis; zero iff f is a member."""
     if f.ring != gb.source.ring:
         raise RingMismatchError("polynomial ring differs from basis ring")
-    key = gb.order.key
-    basis = [dict(g.terms) for g in gb.basis]
-    lms = [max(g.terms, key=key) for g in gb.basis]
-    return Polynomial(f.ring, _reduce_full(dict(f.terms), basis, lms, key))
+    basis = [g.terms for g in gb.basis]
+    return Polynomial(f.ring, _reduce_full(dict(f.terms), basis, gb.leading,
+                                           gb.order.descending_key))
 
 
 def ideal_membership(f: Polynomial, ideal: Ideal,
@@ -284,28 +352,23 @@ def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     """Quotient p/d when d divides p exactly (grevlex division), else None."""
     if d.is_zero():
         raise ZeroPolynomialError("division by the zero polynomial")
-    key = grevlex_key
     dterms = d.terms
-    dlm = max(dterms, key=key)
+    dlm = max(dterms, key=grevlex_key)
     dlc = dterms[dlm]
     work = dict(p.terms)
+    heap = _heap(work, _grevlex_descending)
     quotient: dict = {}
-    while work:
-        m = max(work, key=key)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
+            continue
         if not _divides(dlm, m):
             return None
-        c = work.pop(m) / dlc
+        c /= dlc
         shift = _sub(m, dlm)
         quotient[shift] = c
-        for gm, gc in dterms.items():
-            if gm == dlm:
-                continue
-            t = _mul(shift, gm)
-            val = work.get(t, 0) - c * gc
-            if val:
-                work[t] = val
-            else:
-                work.pop(t, None)
+        _subtract(work, heap, _grevlex_descending, c, shift, dterms, dlm)
     return Polynomial(p.ring, quotient)
 
 
@@ -351,11 +414,7 @@ def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     if len(gb.basis) == 1 and gb.basis[0] == 1:
         raise UnitIdealError("the empty set has no dimension")
     n = len(ideal.ring)
-    key = gb.order.key
-    supports = []
-    for g in gb.basis:
-        lm = max(g.terms, key=key)
-        supports.append(frozenset(i for i, e in enumerate(lm) if e))
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading]
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             chosen = set(subset)

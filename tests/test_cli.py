@@ -1,8 +1,14 @@
 """Command-line driver: exit codes, file formats, deterministic reports."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gaquot
 from gaquot import VarSet, parse, subalgebra_membership
 from gaquot.cli import main
 
@@ -26,6 +32,13 @@ PARABOLA_IDEAL = """\
 vars: t x y
 x - t
 y - t^2
+"""
+
+MIXED_IDEAL = """\
+vars: x y z
+x^2 + y*z - 1
+x*y - z^2
+x + y + z - 2
 """
 
 
@@ -239,3 +252,27 @@ def test_kernel_saturation_round_cap_exit(tmp_path):
     code, _ = run(["kernel", "--derivation", str(path), "--method", "saturation",
                    "--max-rounds", "1"])
     assert code == 4
+
+
+# -- determinism across processes -----------------------------------------------------
+
+
+def test_reports_identical_across_hash_seeds(tmp_path):
+    """Byte-identical output of verify and gb under different hash seeds."""
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED_IDEAL, encoding="utf-8")
+    commands = [
+        ["verify", "--family", "v3", "--f=(1+s)*(1+2*s)*(1+3*s) - 1"],
+        ["gb", "--ideal", str(path)],
+        ["gb", "--ideal", str(path), "--order", "elim:1"],
+    ]
+    src = str(Path(gaquot.__file__).resolve().parents[1])
+    for argv in commands:
+        digests = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "gaquot.cli", *argv], env=env,
+                                  capture_output=True, timeout=120, check=True)
+            assert done.stdout.strip()
+            digests.add(hashlib.sha256(done.stdout).hexdigest())
+        assert len(digests) == 1, argv

@@ -350,6 +350,115 @@ def test_divide_exact():
     assert monic(P("2*w1 - 2")) == P("w1 - 1")
 
 
+# -- heap-ordered reduction core against the max-scan reference -------------------
+
+
+def scan_subtract(work, c, shift, g, lm):
+    for gm, gc in g.items():
+        if gm == lm:
+            continue
+        t = tuple(a + b for a, b in zip(shift, gm))
+        val = work.get(t, 0) - c * gc
+        if val:
+            work[t] = val
+        else:
+            work.pop(t, None)
+
+
+def scan_normal_form(f, gb):
+    """Reference normal form: each leading term is found by a scan of the
+    whole working polynomial, and cancelled terms leave it at once."""
+    key = gb.order.key
+    lms = [max(g.terms, key=key) for g in gb.basis]
+    work, remainder = dict(f.terms), {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for g, lm in zip(gb.basis, lms):
+            if all(a <= b for a, b in zip(lm, m)):
+                scan_subtract(work, c, tuple(a - b for a, b in zip(m, lm)), g.terms, lm)
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def scan_divide_exact(p, d):
+    """Reference grevlex exact division by the same scan."""
+    key = TermOrder.grevlex().key
+    dlm = max(d.terms, key=key)
+    work, quotient = dict(p.terms), {}
+    while work:
+        m = max(work, key=key)
+        if not all(a <= b for a, b in zip(dlm, m)):
+            return None
+        c = work.pop(m) / d.terms[dlm]
+        shift = tuple(a - b for a, b in zip(m, dlm))
+        quotient[shift] = c
+        scan_subtract(work, c, shift, d.terms, dlm)
+    return quotient
+
+
+REDUCTION_ORDERS = [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(1),
+                    TermOrder.block(2)]
+
+
+@pytest.mark.parametrize("order", REDUCTION_ORDERS, ids=lambda o: f"{o.kind}{o.block_size}")
+def test_normal_form_matches_scan_reference(order):
+    rng = random.Random(20261017)
+    ring = VarSet(("x", "y", "z", "t"))
+    for _ in range(12):
+        gens = tuple(
+            random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
+                        nonconstant=True)
+            for _ in range(rng.randint(1, 3))
+        )
+        gb = buchberger(Ideal(ring, gens), order)
+        assert gb.leading == tuple(max(g.terms, key=order.key) for g in gb.basis)
+        for _ in range(6):
+            f = random_poly(rng, ring, max_degree=4, max_terms=6)
+            # members of the ideal: every term cancels on the way to zero
+            f_member = sum((random_poly(rng, ring, max_degree=2) * g for g in gens),
+                           ring.zero())
+            for h in (f, f_member, f + f_member):
+                nf = normal_form(h, gb)
+                # same terms in the same (descending) order
+                assert list(nf.terms.items()) == list(scan_normal_form(h, gb).items())
+            assert normal_form(f_member, gb).is_zero()
+
+
+def test_divide_exact_matches_scan_reference():
+    rng = random.Random(20261018)
+    ring = VarSet(("x", "y", "z"))
+    for _ in range(150):
+        d = random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False)
+        q = random_poly(rng, ring, max_degree=3, max_terms=4)
+        r = random_poly(rng, ring, max_degree=3, max_terms=2)
+        for p in (q * d, q * d + r):
+            quotient = divide_exact(p, d)
+            reference = scan_divide_exact(p, d)
+            if reference is None:
+                assert quotient is None
+            else:
+                assert list(quotient.terms.items()) == list(reference.items())
+        assert divide_exact(q * d, d) == q
+
+
+def test_reduction_skips_cancelled_queued_terms():
+    """x*y is queued from the start and cancels when x^2 is reduced."""
+    ring = VarSet(("x", "y", "z"))
+    for order in REDUCTION_ORDERS:
+        gb = buchberger(ideal(ring, "x - y"), order)
+        f = parse("x^2 - x*y + z", ring)
+        assert normal_form(f, gb) == parse("z", ring)
+        g = parse("x^3 - x^2*y - x*y*z + y^2*z + y*z", ring)
+        assert normal_form(g, gb) == parse("y*z", ring)
+        assert list(normal_form(g, gb).terms) == list(scan_normal_form(g, gb))
+    assert divide_exact(parse("x^2 - x*y", ring), parse("x - y", ring)) == parse("x", ring)
+    assert divide_exact(parse("x^3 - x*y^2 + x - y", ring), parse("x - y", ring)) \
+        == parse("x^2 + x*y + 1", ring)
+
+
 # -- contracts on orders, bases, ideals ------------------------------------------
 
 
@@ -363,13 +472,15 @@ def test_term_orders_are_multiplicative_with_one_minimal():
         return tuple(rng.randint(0, 3) for _ in range(n))
 
     for order in orders:
-        key = order.key
+        key, descending = order.key, order.descending_key
         for _ in range(400):
             a, b, c = rand_mono(), rand_mono(), rand_mono()
             ac = tuple(x + y for x, y in zip(a, c))
             bc = tuple(x + y for x, y in zip(b, c))
             # compatibility with multiplication
             assert (key(a) > key(b)) == (key(ac) > key(bc))
+            # the heap key is the same order reversed
+            assert (key(a) > key(b)) == (descending(a) < descending(b))
             # 1 is minimal
             if a != one:
                 assert key(a) > key(one)
