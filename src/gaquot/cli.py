@@ -39,8 +39,16 @@ from .errors import (
     RoundCapError,
     UnknownVariableError,
 )
-from .families import FamilySpec, VerificationReport, run_battery
-from .groebner import Ideal, ResourceCaps, TermOrder, buchberger, load_ideal_file
+from .families import (
+    FAMILIES,
+    FamilySpec,
+    VerificationReport,
+    build_family,
+    invariant_presentation,
+    run_battery,
+    w_restriction,
+)
+from .groebner import ResourceCaps, TermOrder, buchberger, load_ideal_file
 from .poly import VarSet, parse
 
 SCHEMA_VERSION = "1"
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the full check battery")
-    verify.add_argument("--family", choices=("v3", "v4"), required=True)
+    verify.add_argument("--family", choices=tuple(FAMILIES), required=True)
     verify.add_argument("--f", required=True, metavar="POLY",
                         help="shape polynomial (in s for v3; in a,b,c for v4)")
     verify.add_argument("--trivial", type=int, default=0,
@@ -96,10 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="derivation file (lines 'x -> polynomial')")
     kernel.add_argument("--method", choices=("linear", "saturation"),
                         default="linear")
-    kernel.add_argument("--max-degree", type=int, default=2,
-                        help="degree bound for the linear kernel method")
-    kernel.add_argument("--max-pairs", type=int, default=100_000)
-    kernel.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
+    _add_cap_flags(kernel, 2, "degree bound for the linear kernel method")
 
     gb = sub.add_parser("gb", help="reduced basis of an ideal file")
     gb.add_argument("--ideal", type=Path, required=True)
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cap_flags(gb)
 
     present = sub.add_parser("present", help="invariant-ring presentation")
-    present.add_argument("--family", choices=("v3", "v4"), default="v3")
+    present.add_argument("--family", choices=tuple(FAMILIES), default="v3")
     present.add_argument("--f", required=True, metavar="POLY")
     present.add_argument("--trivial", type=int, default=0)
     _add_cap_flags(present)
@@ -121,8 +126,7 @@ def _caps(args) -> ResourceCaps:
 
 
 def _parse_shape(family: str, text: str):
-    ring = VarSet(("s",)) if family == "v3" else VarSet(("a", "b", "c"))
-    return parse(text, ring)
+    return parse(text, VarSet(FAMILIES[family][1]))
 
 
 def report_document(report: VerificationReport, caps: ResourceCaps,
@@ -170,11 +174,7 @@ def render_report(doc: dict) -> str:
 
 
 def _cmd_verify(args, out) -> int:
-    try:
-        f = _parse_shape(args.family, args.f)
-    except (ParseError, UnknownVariableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    f = _parse_shape(args.family, args.f)
     spec = FamilySpec(args.family, f, args.trivial)
     caps = _caps(args)
     report = run_battery(spec, caps=caps)
@@ -244,9 +244,6 @@ def _cmd_present(args, out) -> int:
         print("error: presentation is implemented for the v3 family only",
               file=sys.stderr)
         return EXIT_USAGE
-    from .families import build_family, invariant_presentation, w_restriction
-    from .groebner import buchberger as _buchberger, normal_form
-
     f = _parse_shape(args.family, args.f)
     spec = FamilySpec(args.family, f, args.trivial)
     caps = _caps(args)
@@ -260,11 +257,8 @@ def _cmd_present(args, out) -> int:
         print(f"relation: {r}", file=out)
     # Round trip: plugging the generators back into each relation must give
     # zero on X (here identically zero in the affine coordinates).
-    assignment = {tag: g for tag, g in zip(tags, gens)}
-    ok = all(
-        r.substitute({n: assignment[n] for n in r.variables()}).is_zero()
-        for r in relations.generators if not r.is_zero()
-    )
+    assignment = dict(zip(tags, gens))
+    ok = all(r.substitute(assignment).is_zero() for r in relations.generators)
     print("round-trip: " + ("verified" if ok else "FAILED"), file=out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -16,10 +16,9 @@ from itertools import combinations_with_replacement
 from math import factorial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import (
-    IterationCapError,
     NotLocallyNilpotentError,
     ParseError,
     ResourceCapError,
@@ -42,12 +41,17 @@ from .poly import (
     grevlex_key,
     monic,
     parse,
+    read_spec_file,
     scan_identifiers,
 )
 
 # Iteration budget used when certifying that applying a derivation to a
 # concrete element eventually gives zero.
 NILPOTENCY_STEP_CAP = 256
+
+# Largest coefficient space (monomials of degree <= max_degree) that
+# kernel_linear solves over.
+KERNEL_DIMENSION_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -134,21 +138,13 @@ def lower_triangular_derivation(copies_v: int, trivial: int = 0) -> Derivation:
 def is_locally_nilpotent(derivation: Derivation, max_iter: int) -> bool:
     """True iff every variable dies within max_iter applications.
 
-    Raises IterationCapError when the budget runs out with a nonzero
-    iterate; that outcome means "unknown", not "false".
+    Raises NotLocallyNilpotentError when the budget runs out with a
+    nonzero iterate; that outcome means "unknown", not "false".
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     for name in derivation.ring.names:
-        g = derivation.ring.var(name)
-        for _ in range(max_iter):
-            g = derivation.apply(g)
-            if g.is_zero():
-                break
-        else:
-            raise IterationCapError(
-                f"{name!r} not annihilated within {max_iter} iterations"
-            )
+        _iterates(derivation, derivation.ring.var(name), max_iter)
     return True
 
 
@@ -216,8 +212,20 @@ def _sorted_gens(polys):
     return sorted(polys, key=lambda p: (p.total_degree(), str(p)))
 
 
+def _minimal_generators(candidates, caps: ResourceCaps):
+    """The nonconstant candidates in (degree, text) order, each kept only
+    if it is not in the subalgebra generated by those kept before it."""
+    kept = []
+    for p in _sorted_gens(candidates):
+        if p.is_constant():
+            continue
+        member, _ = subalgebra_membership(p, kept, caps=caps)
+        if not member:
+            kept.append(p)
+    return kept
+
+
 def kernel_linear(derivation: Derivation, max_degree: int,
-                  max_dimension: int = 5000,
                   caps: ResourceCaps = DEFAULT_CAPS):
     """Minimal generating set of the degree-bounded kernel.
 
@@ -229,9 +237,9 @@ def kernel_linear(derivation: Derivation, max_degree: int,
         raise ValueError("max_degree must be at least 1")
     ring = derivation.ring
     monos = _monomials_up_to(ring, max_degree)
-    if len(monos) > max_dimension:
+    if len(monos) > KERNEL_DIMENSION_CAP:
         raise ResourceCapError(
-            f"coefficient space of dimension {len(monos)} exceeds {max_dimension}"
+            f"coefficient space of dimension {len(monos)} exceeds {KERNEL_DIMENSION_CAP}"
         )
     images = [derivation.apply(Polynomial(ring, {m: Fraction(1)})) for m in monos]
     row_monos = sorted({m for img in images for m in img.terms}, key=grevlex_key)
@@ -244,14 +252,7 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     for vec in nullspace(matrix, len(monos)):
         terms = {m: c for m, c in zip(monos, vec) if c}
         solutions.append(monic(Polynomial(ring, terms)))
-    generators = []
-    for p in _sorted_gens(solutions):
-        if p.is_constant():
-            continue
-        member, _ = subalgebra_membership(p, generators, caps=caps)
-        if not member:
-            generators.append(p)
-    return generators
+    return _minimal_generators(solutions, caps)
 
 
 def _dixmier_cleared(derivation: Derivation, data: SliceData, f: Polynomial) -> Polynomial:
@@ -347,16 +348,7 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
 
 
 def load_derivation_file(path: Union[str, Path]) -> Derivation:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    declared: Optional[tuple] = None
-    if lines and lines[0].startswith("vars:"):
-        declared = tuple(lines[0][len("vars:"):].split())
-        lines = lines[1:]
+    declared, lines = read_spec_file(path)
     entries = []
     for line in lines:
         if "->" not in line:
@@ -364,12 +356,9 @@ def load_derivation_file(path: Union[str, Path]) -> Derivation:
         lhs, rhs = line.split("->", 1)
         entries.append((lhs.strip(), rhs.strip()))
     if declared is None:
-        seen = []
-        for lhs, rhs in entries:
-            for name in [lhs] + scan_identifiers(rhs):
-                if name not in seen:
-                    seen.append(name)
-        declared = tuple(seen)
+        declared = tuple(dict.fromkeys(
+            name for lhs, rhs in entries for name in [lhs, *scan_identifiers(rhs)]
+        ))
     ring = VarSet(declared)
     images = {lhs: parse(rhs, ring) for lhs, rhs in entries}
     return Derivation(ring, images)

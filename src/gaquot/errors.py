@@ -50,12 +50,13 @@ class UnitIdealError(GaquotError):
     """A proper ideal was required but the unit ideal was supplied."""
 
 
-class IterationCapError(GaquotError):
-    """Nilpotency could not be certified within the iteration budget."""
-
-
 class NotLocallyNilpotentError(GaquotError):
     """The derivation failed to annihilate an element within the budget."""
+
+
+# One condition, one class: IterationCapError is the older public name for
+# it, kept as an alias so code that imports or catches it still works.
+IterationCapError = NotLocallyNilpotentError
 
 
 class RoundCapError(GaquotError):

@@ -20,9 +20,10 @@ elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .derivations import Derivation, fixed_point_ideal, kernel_linear
+from .derivations import Derivation, _minimal_generators, fixed_point_ideal, kernel_linear
 from .errors import (
     NonzeroConstantError,
     NotHypersurfaceError,
@@ -36,11 +37,12 @@ from .groebner import (
     eliminate,
     is_unit_ideal,
     krull_dimension,
-    subalgebra_membership,
 )
 from .poly import Polynomial, VarSet, fresh_names, is_squarefree, monic
 
-FAMILY_BLOCKS = {"v3": 3, "v4": 4}
+# Family name -> (number of two-dimensional blocks, variables of f).  f has
+# one variable per quadratic invariant, i.e. per pair of non-leading blocks.
+FAMILIES = {"v3": (3, ("s",)), "v4": (4, ("a", "b", "c"))}
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,9 @@ class FamilySpec:
     trivial_summands: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILY_BLOCKS:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        arity = 1 if self.family == "v3" else 3
+        arity = len(FAMILIES[self.family][1])
         if len(self.f.ring) != arity:
             raise ValueError(
                 f"family {self.family} needs f in {arity} variable(s), "
@@ -102,9 +104,7 @@ def _quadratic_invariants(w_ring: VarSet, blocks: int):
         c, d = w_ring.var(f"w{2 * j - 1}"), w_ring.var(f"w{2 * j}")
         return a * d - b * c
 
-    if blocks == 3:
-        return (det(2, 3),)
-    return (det(2, 3), det(2, 4), det(3, 4))
+    return tuple(det(i, j) for i, j in combinations(range(2, blocks + 1), 2))
 
 
 def build_family(spec: FamilySpec, validate: bool = True) -> ConstructionArtifacts:
@@ -115,7 +115,7 @@ def build_family(spec: FamilySpec, validate: bool = True) -> ConstructionArtifac
     """
     if validate:
         validate_family_spec(spec)
-    blocks = FAMILY_BLOCKS[spec.family]
+    blocks = FAMILIES[spec.family][0]
     w_names = tuple(f"w{i}" for i in range(1, 2 * blocks + 1))
     e_names = tuple(f"e{i}" for i in range(1, spec.trivial_summands + 1))
     w_ring = VarSet(w_names + e_names)
@@ -163,7 +163,7 @@ def w_restriction(art: ConstructionArtifacts) -> Derivation:
 
 def nonstable_ideal(art: ConstructionArtifacts) -> Ideal:
     """Vanishing ideal of the non-stable locus: the odd block coordinates."""
-    blocks = FAMILY_BLOCKS[art.spec.family]
+    blocks = FAMILIES[art.spec.family][0]
     gens = tuple(art.w_ring.var(f"w{2 * i - 1}") for i in range(1, blocks + 1))
     return Ideal(art.w_ring, gens)
 
@@ -212,34 +212,26 @@ def check_freeness(art: ConstructionArtifacts,
 
 def _split_hypersurface(ideal: Ideal):
     """Separate coordinate-cutting generators from the hypersurface
-    equation, substituting zero for the cut coordinates."""
+    equation, dropping its terms that involve a cut coordinate."""
     ring = ideal.ring
-    cut = []
+    cut = set()  # indices of the cut coordinates
     rest = []
     for g in ideal.generators:
         if len(g.terms) == 1:
             (exps, _), = g.terms.items()
             if sum(exps) == 1:
-                name = ring.names[exps.index(1)]
-                if name not in cut:
-                    cut.append(name)
+                cut.add(exps.index(1))
                 continue
         rest.append(g)
     if cut:
-        zeros = {name: ring.zero() for name in cut}
-        substituted = []
-        for g in rest:
-            assignment = dict(zeros)
-            for name in g.variables():
-                if name not in assignment:
-                    assignment[name] = ring.var(name)
-            substituted.append(g.substitute(assignment))
-        rest = [g for g in substituted if not g.is_zero()]
+        rest = [Polynomial(ring, {m: c for m, c in g.terms.items()
+                                  if not any(m[i] for i in cut)}) for g in rest]
+        rest = [g for g in rest if not g.is_zero()]
     if len(rest) != 1:
         raise NotHypersurfaceError(
             f"{len(rest)} equations remain after cutting coordinates"
         )
-    keep = [n for n in ring.names if n not in cut]
+    keep = [n for i, n in enumerate(ring.names) if i not in cut]
     return rest[0], keep
 
 
@@ -326,13 +318,7 @@ def invariant_presentation(art: ConstructionArtifacts,
         image = monic(image)
         if image not in restricted:
             restricted.append(image)
-    restricted.sort(key=lambda p: (p.total_degree(), str(p)))
-
-    survivors = []
-    for g in restricted:
-        member, _ = subalgebra_membership(g, survivors, caps=caps)
-        if not member:
-            survivors.append(g)
+    survivors = _minimal_generators(restricted, caps)
 
     tags = fresh_names("y", len(survivors), z_ring.names)
     big = z_ring.extend(tags)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import add, le, neg, sub
 from pathlib import Path
@@ -33,7 +32,15 @@ from .errors import (
     UnitIdealError,
     ZeroPolynomialError,
 )
-from .poly import Polynomial, VarSet, fresh_names, grevlex_key, parse, scan_identifiers
+from .poly import (
+    Polynomial,
+    VarSet,
+    fresh_names,
+    grevlex_key,
+    parse,
+    read_spec_file,
+    scan_identifiers,
+)
 
 # -- term orders ---------------------------------------------------------------
 
@@ -460,25 +467,14 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
 
 
 def load_ideal_file(path: Union[str, Path]) -> Ideal:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    declared, lines = read_spec_file(path)
     if not lines:
-        raise ParseError("ideal file contains no polynomials", 0)
-    if lines[0].startswith("vars:"):
-        names = tuple(lines[0][len("vars:"):].split())
-        lines = lines[1:]
-    else:
-        seen = []
-        for line in lines:
-            for name in scan_identifiers(line):
-                if name not in seen:
-                    seen.append(name)
-        names = tuple(seen)
-    ring = VarSet(names)
-    if not lines:
+        if declared is None:
+            raise ParseError("ideal file contains no polynomials", 0)
         raise ParseError("ideal file declares variables but no polynomials", 0)
+    if declared is None:
+        declared = tuple(dict.fromkeys(
+            name for line in lines for name in scan_identifiers(line)
+        ))
+    ring = VarSet(declared)
     return Ideal(ring, tuple(parse(line, ring) for line in lines))

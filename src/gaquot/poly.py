@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -491,6 +492,22 @@ def scan_identifiers(text: str) -> list:
         if kind == "ident" and value not in seen:
             seen.append(value)
     return seen
+
+
+def read_spec_file(path: Union[str, Path]) -> tuple:
+    """(declared names or None, lines) of an ideal or derivation file.
+
+    '#' starts a comment; blank lines are dropped; a first line
+    "vars: x y ..." declares the ring and is split off from the rest.
+    """
+    lines = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if lines and lines[0].startswith("vars:"):
+        return tuple(lines[0][len("vars:"):].split()), lines[1:]
+    return None, lines
 
 
 def monic(p: Polynomial) -> Polynomial:

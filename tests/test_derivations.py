@@ -8,6 +8,7 @@ import pytest
 from gaquot import (
     Derivation,
     IterationCapError,
+    NotLocallyNilpotentError,
     SliceData,
     VarSet,
     exp_action,
@@ -109,6 +110,10 @@ def test_euler_derivation_never_certifies():
     for cap in (1, 5, 20):
         with pytest.raises(IterationCapError):
             is_locally_nilpotent(euler, cap)
+
+
+def test_iteration_cap_error_is_the_nilpotency_error():
+    assert IterationCapError is NotLocallyNilpotentError
 
 
 def test_zero_derivation_is_nilpotent_immediately():

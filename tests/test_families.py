@@ -87,6 +87,17 @@ def test_build_rejects_nonzero_constant():
         build_family(v4("a + 1"))
 
 
+def test_family_spec_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="unknown family"):
+        FamilySpec("v5", parse("s", S))
+    with pytest.raises(ValueError, match="1 variable"):
+        FamilySpec("v3", parse("a", ABC))
+    with pytest.raises(ValueError, match="3 variable"):
+        FamilySpec("v4", parse("s", S))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FamilySpec("v3", parse("s", S), -1)
+
+
 def test_build_moduli_instance():
     art = build_family(v4("a"))
     assert art.w_ring.names == tuple(f"w{i}" for i in range(1, 9))
