@@ -6,10 +6,19 @@ everywhere by linearity and Leibniz.  Exponentiating a locally nilpotent
 derivation (the series is finite) recovers the group action; kernels are
 the rings of invariant functions and are computed either by an exact
 degree-bounded linear solve or by a slice/saturation cross-check.
+
+Both kernel methods prune generators by subalgebra membership.  When
+every polynomial involved is homogeneous (the kernel of a linear
+derivation is graded), membership is decided one degree at a time by
+exact sparse row reduction against the span of products of generators
+(_GradedSpan); otherwise it falls back to the tag-variable Groebner test
+of groebner.subalgebra_membership, the general route of SAGBI theory
+(Robbiano and Sweedler, LNM 1430, 1990).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -29,6 +38,10 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
+    TermOrder,
+    _heap,
+    _mul,
+    _subtract,
     divide_exact,
     eliminate,
     subalgebra_membership,
@@ -50,8 +63,11 @@ from .poly import (
 NILPOTENCY_STEP_CAP = 256
 
 # Largest coefficient space (monomials of degree <= max_degree) that
-# kernel_linear solves over.
+# kernel_linear solves over, and largest number of monomials one degree
+# piece of a graded subalgebra span may reach.
 KERNEL_DIMENSION_CAP = 5000
+
+_GREVLEX_DESCENDING = TermOrder.grevlex().descending_key
 
 
 @dataclass(frozen=True)
@@ -212,13 +228,119 @@ def _sorted_gens(polys):
     return sorted(polys, key=lambda p: (p.total_degree(), str(p)))
 
 
+def _is_homogeneous(p: Polynomial) -> bool:
+    return len({sum(m) for m in p.terms}) <= 1
+
+
+def _product(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for m, c in f.items():
+        for n, d in g.items():
+            t = _mul(m, n)
+            out[t] = out.get(t, 0) + c * d
+    return out
+
+
+class _GradedSpan:
+    """Degree pieces A_d of the subalgebra generated by homogeneous
+    polynomials, each an echelon basis built when first needed.
+
+    The subalgebra is graded: A_0 holds the constants, and A_d is spanned
+    by the products g*b of a generator g of degree e <= d with b in the
+    basis of A_{d-e}.  A piece keeps monic rows with distinct grevlex
+    leading monomials, so a homogeneous f of degree d is a member exactly
+    when it top-reduces to zero against A_d.  A piece whose rows reach
+    more than KERNEL_DIMENSION_CAP monomials (rows never outnumber them)
+    raises ResourceCapError.
+    """
+
+    def __init__(self, ring: VarSet, generators=()):
+        one = self._one = (0,) * len(ring)
+        self._generators = [(g.total_degree(), dict(g.terms))
+                            for g in generators if not g.is_constant()]
+        # degree -> (rows keyed by leading monomial, monomials of the rows)
+        self._pieces = {0: ({one: {one: Fraction(1)}}, {one})}
+
+    def _top_reduce(self, terms: dict, rows: dict):
+        """Subtract multiples of the monic `rows` (keyed by leading
+        monomial) from `terms` while its leading monomial is a row's.
+
+        Returns None when nothing is left, otherwise (leading monomial,
+        remaining terms) with a leading monomial that no row has.
+        Consumes `terms`."""
+        heap = _heap(terms, _GREVLEX_DESCENDING)
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = terms[m]
+            if not c:
+                del terms[m]
+                continue
+            row = rows.get(m)
+            if row is None:
+                return m, {t: v for t, v in terms.items() if v}
+            del terms[m]
+            _subtract(terms, heap, _GREVLEX_DESCENDING, c, self._one, row, m)
+        return None
+
+    def _piece(self, d: int):
+        piece = self._pieces.get(d)
+        if piece is None:
+            piece = self._pieces[d] = ({}, set())
+            for e, g in self._generators:
+                if e <= d:
+                    for b in self._piece(d - e)[0].values():
+                        self._insert(piece, d, _product(g, b))
+        return piece
+
+    def _insert(self, piece, d: int, terms: dict) -> bool:
+        """Append what is left of `terms` after top reduction as a new row;
+        False if nothing is left."""
+        rows, support = piece
+        reduced = self._top_reduce(terms, rows)
+        if reduced is None:
+            return False
+        lead, rest = reduced
+        lc = rest[lead]
+        rows[lead] = {m: c / lc for m, c in rest.items()}
+        support.update(rest)
+        if len(support) > KERNEL_DIMENSION_CAP:
+            raise ResourceCapError(
+                f"subalgebra span in degree {d} exceeds {KERNEL_DIMENSION_CAP} monomials"
+            )
+        return True
+
+    def contains(self, f: Polynomial) -> bool:
+        """Membership of f, one homogeneous component at a time."""
+        parts: dict = {}
+        for m, c in f.terms.items():
+            parts.setdefault(sum(m), {})[m] = c
+        return all(self._top_reduce(p, self._piece(d)[0]) is None for d, p in parts.items())
+
+    def adjoin(self, f: Polynomial) -> bool:
+        """Keep the homogeneous f as a generator iff it raises the rank of
+        its degree's piece; pieces above that degree are dropped."""
+        d = f.total_degree()
+        if not self._insert(self._piece(d), d, dict(f.terms)):
+            return False
+        self._generators.append((d, dict(f.terms)))
+        for k in [k for k in self._pieces if k > d]:
+            del self._pieces[k]
+        return True
+
+
 def _minimal_generators(candidates, caps: ResourceCaps):
     """The nonconstant candidates in (degree, text) order, each kept only
-    if it is not in the subalgebra generated by those kept before it."""
+    if it is not in the subalgebra generated by those kept before it.
+
+    Homogeneous candidates are tested by graded linear algebra
+    (_GradedSpan); any other candidate list by Groebner subalgebra
+    membership."""
+    ordered = [p for p in _sorted_gens(candidates) if not p.is_constant()]
+    if ordered and all(map(_is_homogeneous, ordered)):
+        span = _GradedSpan(ordered[0].ring)
+        return [p for p in ordered if span.adjoin(p)]
     kept = []
-    for p in _sorted_gens(candidates):
-        if p.is_constant():
-            continue
+    for p in ordered:
         member, _ = subalgebra_membership(p, kept, caps=caps)
         if not member:
             kept.append(p)
@@ -231,7 +353,11 @@ def kernel_linear(derivation: Derivation, max_degree: int,
 
     Solves the exact linear system D(f) = 0 over the coefficient space of
     polynomials of total degree <= max_degree, then removes solutions
-    already generated by the lower ones (subalgebra membership).
+    already generated by the lower ones (subalgebra membership).  For a
+    linear derivation the solutions are homogeneous, and a solution is
+    kept exactly when it raises the rank of its degree's span of products
+    of kept generators; inhomogeneous solutions fall back to Groebner
+    membership.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -313,7 +439,9 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
 
     Tag polynomials p with p(gens) divisible by a are exactly the
     elimination ideal of (a) + (y_i - gens_i); each quotient p(gens)/a is
-    automatically a kernel element.
+    automatically a kernel element.  Membership of h is tested against
+    one graded span of `generators` when they are homogeneous, by Groebner
+    membership otherwise.
     """
     ring = derivation.ring
     tags = fresh_names("y", len(generators), ring.names)
@@ -322,6 +450,7 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
     ideal = Ideal(big, (a.embed(big),) + tuple(gens_big))
     relations = eliminate(ideal, len(ring), caps=caps)
     assignment = {t: g for t, g in zip(tags, generators)}
+    span = _GradedSpan(ring, generators) if all(map(_is_homogeneous, generators)) else None
     new = []
     for p in relations.generators:
         if p.is_zero():
@@ -335,7 +464,10 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
         h = monic(h)
         if h in new:
             continue
-        member, _ = subalgebra_membership(h, generators, caps=caps)
+        if span is not None:
+            member = span.contains(h)
+        else:
+            member, _ = subalgebra_membership(h, generators, caps=caps)
         if not member:
             new.append(h)
     return _sorted_gens(new)

@@ -160,3 +160,37 @@ def assert_same_subalgebra(gens_a, gens_b, caps=None):
     for g in gens_b:
         member, _ = subalgebra_membership(g, list(gens_a), caps=caps)
         assert member, f"{g} not generated by {[str(x) for x in gens_a]}"
+
+
+def brute_graded_subalgebra_membership(f: Polynomial, gens) -> bool:
+    """Is the homogeneous f a linear combination of products of the
+    homogeneous `gens` of total degree deg f?
+
+    Every such product is built outright, one column per multiset of
+    generators, and the rank test is sympy's: a route independent of
+    both Groebner membership and the library's graded spans.
+    """
+    from itertools import combinations_with_replacement
+
+    ring = f.ring
+    if f.is_zero():
+        return True
+    degree = f.total_degree()
+    gens = [g for g in gens if not g.is_constant()]
+    columns = [{(0,) * len(ring): sp.Integer(1)}] if degree == 0 else []
+    for size in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(len(gens)), size):
+            if sum(gens[i].total_degree() for i in combo) != degree:
+                continue
+            prod = ring.one()
+            for i in combo:
+                prod = prod * gens[i]
+            columns.append({e: sp.Rational(c.numerator, c.denominator)
+                            for e, c in prod.terms.items()})
+    target = {e: sp.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+    if not columns:
+        return False
+    rows = sorted(set().union(*[set(c) for c in columns]) | set(target))
+    matrix = sp.Matrix([[col.get(r, sp.Integer(0)) for col in columns] for r in rows])
+    rhs = sp.Matrix([[target.get(r, sp.Integer(0))] for r in rows])
+    return matrix.rank() == matrix.row_join(rhs).rank()

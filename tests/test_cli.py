@@ -258,13 +258,18 @@ def test_kernel_saturation_round_cap_exit(tmp_path):
 
 
 def test_reports_identical_across_hash_seeds(tmp_path):
-    """Byte-identical output of verify and gb under different hash seeds."""
+    """Byte-identical output of verify, gb and kernel under different hash
+    seeds."""
     path = tmp_path / "mixed.txt"
     path.write_text(MIXED_IDEAL, encoding="utf-8")
+    derivation = tmp_path / "derivation.txt"
+    derivation.write_text(V3_DERIVATION, encoding="utf-8")
     commands = [
         ["verify", "--family", "v3", "--f=(1+s)*(1+2*s)*(1+3*s) - 1"],
         ["gb", "--ideal", str(path)],
         ["gb", "--ideal", str(path), "--order", "elim:1"],
+        ["kernel", "--derivation", str(derivation), "--method", "linear"],
+        ["kernel", "--derivation", str(derivation), "--method", "saturation"],
     ]
     src = str(Path(gaquot.__file__).resolve().parents[1])
     for argv in commands:

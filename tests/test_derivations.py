@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,8 @@ from gaquot import (
     Derivation,
     IterationCapError,
     NotLocallyNilpotentError,
+    Polynomial,
+    ResourceCapError,
     SliceData,
     VarSet,
     exp_action,
@@ -19,10 +22,17 @@ from gaquot import (
     kernel_saturation,
     lower_triangular_derivation,
     make_slice,
+    monic,
     parse,
     subalgebra_membership,
 )
-from helpers import assert_same_subalgebra, random_poly
+from gaquot import derivations
+from helpers import (
+    assert_same_subalgebra,
+    brute_graded_subalgebra_membership,
+    random_exponents,
+    random_poly,
+)
 
 D3 = lower_triangular_derivation(3)
 W = D3.ring
@@ -324,3 +334,133 @@ def test_kernel_saturation_round_cap():
     with pytest.raises(RoundCapError):
         kernel_saturation(D3, data, 1)
     assert len(kernel_saturation(D3, data, 2)) == 6
+
+
+# -- graded subalgebra membership -----------------------------------------------
+
+
+def weitzenboeck_kernel(n):
+    """Generators of the invariants of n copies of the two-dimensional
+    block (Weitzenboeck; Freudenburg, Algebraic Theory of Locally Nilpotent
+    Derivations): the odd coordinates and the 2x2 minors, monic, in
+    (degree, text) order."""
+    ring = lower_triangular_derivation(n).ring
+    gens = [ring.var(f"w{2 * i - 1}") for i in range(1, n + 1)]
+    for i, j in combinations(range(1, n + 1), 2):
+        gens.append(monic(parse(f"w{2*i-1}*w{2*j} - w{2*i}*w{2*j-1}", ring)))
+    return sorted(gens, key=lambda p: (p.total_degree(), str(p)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kernel_linear_is_weitzenboeck(n):
+    gens = kernel_linear(lower_triangular_derivation(n), 2)
+    expected = weitzenboeck_kernel(n)
+    assert [str(g) for g in gens] == [str(g) for g in expected]
+    assert gens == expected
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_kernel_saturation_generates_weitzenboeck(n):
+    d = lower_triangular_derivation(n)
+    gens = kernel_saturation(d, make_slice(d, "w2"), 8)
+    expected = weitzenboeck_kernel(n)
+    for g in gens:
+        assert d.apply(g).is_zero()
+    for a, b in ((gens, expected), (expected, gens)):
+        for g in a:
+            assert brute_graded_subalgebra_membership(g, b), str(g)
+    if n <= 4:  # the Groebner span check needs minutes at n = 5
+        assert_same_subalgebra(gens, expected)
+
+
+def groebner_minimal_generators(candidates):
+    """Reference filter: Groebner subalgebra membership for every candidate."""
+    kept = []
+    for p in sorted(candidates, key=lambda p: (p.total_degree(), str(p))):
+        if p.is_constant():
+            continue
+        member, _ = subalgebra_membership(p, kept)
+        if not member:
+            kept.append(p)
+    return kept
+
+
+def random_form(rng, ring, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = ()
+        while sum(exps) != degree:
+            exps = random_exponents(rng, len(ring), degree)
+        terms[exps] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return Polynomial(ring, terms)
+
+
+def homogeneous_candidates(rng, ring, size=8, top=3):
+    """Forms of degree <= top, each fresh or built from earlier ones: a
+    product, a scalar multiple, or a product plus a multiple of a form
+    of the same degree."""
+    cands = [random_form(rng, ring, rng.randint(1, 2)) for _ in range(3)]
+    while len(cands) < size:
+        kind = rng.choice(("product", "scalar", "sum", "fresh"))
+        p, q = rng.choice(cands), rng.choice(cands)
+        degree = p.total_degree() + q.total_degree()
+        if kind == "product" and degree <= top:
+            cands.append(p * q)
+        elif kind == "scalar":
+            cands.append(p * Fraction(rng.choice((-2, 3)), 5))
+        elif kind == "sum" and degree <= top:
+            same = [c for c in cands if c.total_degree() == degree]
+            extra = rng.choice(same) if same else random_form(rng, ring, degree)
+            cands.append(p * q + extra * rng.choice((-1, 2)))
+        elif kind == "fresh":
+            cands.append(random_form(rng, ring, rng.randint(1, top)))
+    return cands
+
+
+def count_groebner_calls(monkeypatch):
+    calls = []
+
+    def counting(f, gens, caps=derivations.DEFAULT_CAPS):
+        calls.append(f)
+        return subalgebra_membership(f, gens, caps=caps)
+
+    monkeypatch.setattr(derivations, "subalgebra_membership", counting)
+    return calls
+
+
+def test_graded_filter_matches_groebner_filter(monkeypatch):
+    rng = random.Random(4417)
+    ring = VarSet(("x", "y", "z"))
+    lists = [homogeneous_candidates(rng, ring) for _ in range(20)]
+    expected = [groebner_minimal_generators(c) for c in lists]
+    calls = count_groebner_calls(monkeypatch)
+    for cands, want in zip(lists, expected):
+        got = derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
+        assert [str(g) for g in got] == [str(g) for g in want]
+    assert not calls  # every list is homogeneous: no Groebner membership
+    assert any(len(want) < len(c) for c, want in zip(lists, expected))
+
+
+def test_filter_falls_back_to_groebner_on_inhomogeneous_input(monkeypatch):
+    ring = VarSet(("x", "y", "z"))
+    cands = homogeneous_candidates(random.Random(8), ring)
+    cands.append(parse("x^2 + y", ring))
+    expected = groebner_minimal_generators(cands)
+    calls = count_groebner_calls(monkeypatch)
+    got = derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
+    assert got == expected
+    assert len(calls) == len(cands)
+
+
+def test_graded_span_obeys_dimension_cap(monkeypatch):
+    monkeypatch.setattr(derivations, "KERNEL_DIMENSION_CAP", 3)
+    cands = [P(t) for t in EXPECTED_KERNEL]
+    # the degree 1 piece spans w1, w3, w5: exactly at the cap
+    with pytest.raises(ResourceCapError, match="degree 2"):
+        derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
+    with pytest.raises(ResourceCapError, match="degree 2"):
+        kernel_saturation(D3, make_slice(D3, "w2"), 2)
+    # one row over two monomials: the monomials count
+    monkeypatch.setattr(derivations, "KERNEL_DIMENSION_CAP", 1)
+    with pytest.raises(ResourceCapError, match="degree 2"):
+        derivations._minimal_generators([P("w1*w4 - w2*w3")], derivations.DEFAULT_CAPS)
