@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Optional
 
 from .derivations import (
+    find_slice,
     kernel_linear,
     kernel_saturation,
     load_derivation_file,
-    make_slice,
 )
 from .errors import (
     GaquotError,
@@ -195,18 +195,11 @@ def _cmd_kernel(args, out) -> int:
     if args.method == "linear":
         gens = kernel_linear(derivation, args.max_degree, caps=caps)
     else:
-        slice_var = next(
-            (name for name in derivation.ring.names
-             if not derivation.apply(derivation.ring.var(name)).is_zero()
-             and derivation.apply(
-                 derivation.apply(derivation.ring.var(name))).is_zero()),
-            None,
-        )
-        if slice_var is None:
+        data = find_slice(derivation)
+        if data is None:
             print("error: no slice variable (need D(s) nonzero with D(D(s)) = 0)",
                   file=sys.stderr)
             return EXIT_USAGE
-        data = make_slice(derivation, slice_var)
         gens = kernel_saturation(derivation, data, args.max_rounds, caps=caps)
         if args.max_rounds == 0:
             print("warning: 0 rounds requested; stabilization not verified",

@@ -7,25 +7,26 @@ derivation (the series is finite) recovers the group action; kernels are
 the rings of invariant functions and are computed either by an exact
 degree-bounded linear solve or by a slice/saturation cross-check.
 
-Both kernel methods prune generators by subalgebra membership.  When
-every polynomial involved is homogeneous (the kernel of a linear
-derivation is graded), membership is decided one degree at a time by
-exact sparse row reduction against the span of products of generators
-(_GradedSpan); otherwise it falls back to the tag-variable Groebner test
-of groebner.subalgebra_membership, the general route of SAGBI theory
-(Robbiano and Sweedler, LNM 1430, 1990).
+Exact linear algebra runs on one sparse echelon (linalg.Echelon).  The
+linear solve reduces the image of each monomial against the images of
+the monomials before it.  Both kernel methods prune generators by
+subalgebra membership: when every polynomial involved is homogeneous
+(the kernel of a linear derivation is graded), membership is decided
+one degree at a time against an echelon of the span of products of
+generators (_GradedSpan); otherwise it falls back to the tag-variable
+Groebner test of groebner.subalgebra_membership, the general route of
+SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from .errors import (
     NotLocallyNilpotentError,
@@ -38,15 +39,12 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
-    TermOrder,
-    _heap,
     _mul,
-    _subtract,
     divide_exact,
     eliminate,
     subalgebra_membership,
 )
-from .linalg import nullspace
+from .linalg import Echelon
 from .poly import (
     Polynomial,
     VarSet,
@@ -66,8 +64,6 @@ NILPOTENCY_STEP_CAP = 256
 # kernel_linear solves over, and largest number of monomials one degree
 # piece of a graded subalgebra span may reach.
 KERNEL_DIMENSION_CAP = 5000
-
-_GREVLEX_DESCENDING = TermOrder.grevlex().descending_key
 
 
 @dataclass(frozen=True)
@@ -119,6 +115,17 @@ def make_slice(derivation: Derivation, var: str) -> SliceData:
     data = SliceData(var, value)
     _check_slice(derivation, data)
     return data
+
+
+def find_slice(derivation: Derivation) -> Optional[SliceData]:
+    """The slice at the first variable, in ring order, that is one; None
+    if no variable is."""
+    for name in derivation.ring.names:
+        try:
+            return make_slice(derivation, name)
+        except ValueError:
+            continue
+    return None
 
 
 def _check_slice(derivation: Derivation, data: SliceData):
@@ -243,66 +250,43 @@ def _product(f: dict, g: dict) -> dict:
 
 class _GradedSpan:
     """Degree pieces A_d of the subalgebra generated by homogeneous
-    polynomials, each an echelon basis built when first needed.
+    polynomials, each an echelon built when first needed.
 
     The subalgebra is graded: A_0 holds the constants, and A_d is spanned
     by the products g*b of a generator g of degree e <= d with b in the
-    basis of A_{d-e}.  A piece keeps monic rows with distinct grevlex
-    leading monomials, so a homogeneous f of degree d is a member exactly
-    when it top-reduces to zero against A_d.  A piece whose rows reach
-    more than KERNEL_DIMENSION_CAP monomials (rows never outnumber them)
+    echelon of A_{d-e}.  A homogeneous f of degree d is a member exactly
+    when it reduces to zero against A_d.  A piece whose rows reach more
+    than KERNEL_DIMENSION_CAP monomials (rows never outnumber them)
     raises ResourceCapError.
     """
 
     def __init__(self, ring: VarSet, generators=()):
-        one = self._one = (0,) * len(ring)
+        one = (0,) * len(ring)
         self._generators = [(g.total_degree(), dict(g.terms))
                             for g in generators if not g.is_constant()]
-        # degree -> (rows keyed by leading monomial, monomials of the rows)
-        self._pieces = {0: ({one: {one: Fraction(1)}}, {one})}
-
-    def _top_reduce(self, terms: dict, rows: dict):
-        """Subtract multiples of the monic `rows` (keyed by leading
-        monomial) from `terms` while its leading monomial is a row's.
-
-        Returns None when nothing is left, otherwise (leading monomial,
-        remaining terms) with a leading monomial that no row has.
-        Consumes `terms`."""
-        heap = _heap(terms, _GREVLEX_DESCENDING)
-        while heap:
-            m = heapq.heappop(heap)[1]
-            c = terms[m]
-            if not c:
-                del terms[m]
-                continue
-            row = rows.get(m)
-            if row is None:
-                return m, {t: v for t, v in terms.items() if v}
-            del terms[m]
-            _subtract(terms, heap, _GREVLEX_DESCENDING, c, self._one, row, m)
-        return None
+        constants = Echelon()
+        constants.insert({one: Fraction(1)})
+        # degree -> (echelon of the piece, monomials of its rows)
+        self._pieces = {0: (constants, {one})}
 
     def _piece(self, d: int):
         piece = self._pieces.get(d)
         if piece is None:
-            piece = self._pieces[d] = ({}, set())
+            piece = self._pieces[d] = (Echelon(), set())
             for e, g in self._generators:
                 if e <= d:
-                    for b in self._piece(d - e)[0].values():
+                    for b in self._piece(d - e)[0].rows.values():
                         self._insert(piece, d, _product(g, b))
         return piece
 
     def _insert(self, piece, d: int, terms: dict) -> bool:
-        """Append what is left of `terms` after top reduction as a new row;
+        """Append what is left of `terms` after reduction as a new row;
         False if nothing is left."""
-        rows, support = piece
-        reduced = self._top_reduce(terms, rows)
-        if reduced is None:
+        echelon, support = piece
+        row = echelon.insert(terms)
+        if row is None:
             return False
-        lead, rest = reduced
-        lc = rest[lead]
-        rows[lead] = {m: c / lc for m, c in rest.items()}
-        support.update(rest)
+        support.update(row)
         if len(support) > KERNEL_DIMENSION_CAP:
             raise ResourceCapError(
                 f"subalgebra span in degree {d} exceeds {KERNEL_DIMENSION_CAP} monomials"
@@ -314,7 +298,7 @@ class _GradedSpan:
         parts: dict = {}
         for m, c in f.terms.items():
             parts.setdefault(sum(m), {})[m] = c
-        return all(self._top_reduce(p, self._piece(d)[0]) is None for d, p in parts.items())
+        return all(self._piece(d)[0].reduce(p) is None for d, p in parts.items())
 
     def adjoin(self, f: Polynomial) -> bool:
         """Keep the homogeneous f as a generator iff it raises the rank of
@@ -351,33 +335,31 @@ def kernel_linear(derivation: Derivation, max_degree: int,
                   caps: ResourceCaps = DEFAULT_CAPS):
     """Minimal generating set of the degree-bounded kernel.
 
-    Solves the exact linear system D(f) = 0 over the coefficient space of
-    polynomials of total degree <= max_degree, then removes solutions
-    already generated by the lower ones (subalgebra membership).  For a
-    linear derivation the solutions are homogeneous, and a solution is
-    kept exactly when it raises the rank of its degree's span of products
-    of kept generators; inhomogeneous solutions fall back to Groebner
-    membership.
+    Solves D(f) = 0 over the polynomials of total degree <= max_degree on
+    one sparse echelon: the image D(m) of each monomial m, in ascending
+    grevlex order, is reduced against the earlier images, each row
+    carrying the polynomial whose image it is.  When D(m) reduces to
+    zero, m minus the carried multiples is a solution, the basis vector
+    that the reduced row echelon form gives for the free column m.
+    Solutions generated by the lower ones are then removed: by graded
+    linear algebra when they are homogeneous (always, for a linear
+    derivation), by Groebner subalgebra membership otherwise.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     ring = derivation.ring
-    monos = _monomials_up_to(ring, max_degree)
-    if len(monos) > KERNEL_DIMENSION_CAP:
+    dimension = comb(len(ring) + max_degree, max_degree)
+    if dimension > KERNEL_DIMENSION_CAP:
         raise ResourceCapError(
-            f"coefficient space of dimension {len(monos)} exceeds {KERNEL_DIMENSION_CAP}"
+            f"coefficient space of dimension {dimension} exceeds {KERNEL_DIMENSION_CAP}"
         )
-    images = [derivation.apply(Polynomial(ring, {m: Fraction(1)})) for m in monos]
-    row_monos = sorted({m for img in images for m in img.terms}, key=grevlex_key)
-    row_index = {m: i for i, m in enumerate(row_monos)}
-    matrix = [[Fraction(0)] * len(monos) for _ in row_monos]
-    for col, img in enumerate(images):
-        for m, c in img.terms.items():
-            matrix[row_index[m]][col] = c
+    images = Echelon()
     solutions = []
-    for vec in nullspace(matrix, len(monos)):
-        terms = {m: c for m, c in zip(monos, vec) if c}
-        solutions.append(monic(Polynomial(ring, terms)))
+    for m in _monomials_up_to(ring, max_degree):
+        f = {m: Fraction(1)}
+        image = derivation.apply(Polynomial(ring, f))
+        if images.insert(dict(image.terms), f) is None:
+            solutions.append(monic(Polynomial(ring, f)))
     return _minimal_generators(solutions, caps)
 
 

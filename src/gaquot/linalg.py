@@ -1,55 +1,70 @@
-"""Exact rational Gaussian elimination for small dense systems.
+"""Exact sparse linear algebra: one row echelon form over the rationals.
 
-Deterministic pivoting (first nonzero entry in row order) so nullspace
-bases are reproducible bit for bit.
+A vector is a term dict {exponent tuple: Fraction}, with monomials as
+coordinates.  The echelon keeps monic rows with distinct grevlex leading
+monomials and reduces on the heap core of the Groebner engine; F4
+(Faugere, J. Pure Appl. Algebra 139, 1999) likewise runs polynomial
+reduction and linear algebra on one sparse echelon.  It serves both the
+kernel solve of a derivation, whose rows carry the polynomial they are
+the image of, and graded subalgebra membership.  Every step is exact and
+pivots are leading monomials, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List
+import heapq
+from typing import Optional
+
+from .groebner import TermOrder, _heap, _subtract
+
+_GREVLEX_DESCENDING = TermOrder.grevlex().descending_key
 
 
-def rref(rows: List[List[Fraction]]):
-    """Reduced row echelon form in place-free copy; returns (rows, pivots)."""
-    matrix = [list(row) for row in rows]
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if matrix[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        scale = matrix[r][c]
-        matrix[r] = [x / scale for x in matrix[r]]
-        for i in range(nrows):
-            if i != r and matrix[i][c] != 0:
-                factor = matrix[i][c]
-                matrix[i] = [x - factor * y for x, y in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return matrix[:r], pivots
+class Echelon:
+    """Monic rows keyed by their distinct grevlex leading monomials.
 
-
-def nullspace(rows: List[List[Fraction]], ncols: int):
-    """Canonical basis of the solution space of rows * x = 0.
-
-    One vector per free column: 1 at the free column, the negated reduced
-    column elsewhere.
+    Each row may carry a term dict that undergoes the same row
+    operations as the row itself.
     """
-    reduced, pivots = rref(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][free]
-        basis.append(vec)
-    return basis
+
+    def __init__(self):
+        self.rows: dict = {}
+        self.carried: dict = {}
+
+    def reduce(self, terms: dict, carried: Optional[dict] = None):
+        """Subtract multiples of the rows from `terms` while its leading
+        monomial is a row's, and the same multiples of their carried dicts
+        from `carried`.
+
+        Returns None when nothing is left, otherwise the leading monomial
+        of what is left, which no row has.  Updates both dicts in place;
+        either may keep zero coefficients."""
+        heap = _heap(terms, _GREVLEX_DESCENDING)
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = terms[m]
+            if not c:
+                del terms[m]
+                continue
+            row = self.rows.get(m)
+            if row is None:
+                return m
+            del terms[m]
+            _subtract(terms, heap, _GREVLEX_DESCENDING, c, (0,) * len(m), row, m)
+            if carried is not None:
+                for t, v in self.carried[m].items():
+                    carried[t] = carried.get(t, 0) - c * v
+        return None
+
+    def insert(self, terms: dict, carried: Optional[dict] = None):
+        """Reduce `terms` and append what is left, made monic, as a new row
+        (with `carried` scaled alike); return that row, or None when
+        nothing is left."""
+        lead = self.reduce(terms, carried)
+        if lead is None:
+            return None
+        lc = terms[lead]
+        row = self.rows[lead] = {m: c / lc for m, c in terms.items() if c}
+        if carried is not None:
+            self.carried[lead] = {m: c / lc for m, c in carried.items() if c}
+        return row

@@ -2,7 +2,8 @@
 
 The oracles deliberately take different routes from the library code:
 univariate gcd by list-based Euclid, ideal membership by a bounded-degree
-linear solve, Groebner bases and resultants via sympy.
+linear solve, Groebner bases, resultants and dense kernel solves via
+sympy.
 """
 
 from __future__ import annotations
@@ -194,3 +195,39 @@ def brute_graded_subalgebra_membership(f: Polynomial, gens) -> bool:
     matrix = sp.Matrix([[col.get(r, sp.Integer(0)) for col in columns] for r in rows])
     rhs = sp.Matrix([[target.get(r, sp.Integer(0))] for r in rows])
     return matrix.rank() == matrix.row_join(rhs).rank()
+
+
+def _exponent_tuples(nvars: int, budget: int):
+    """Every exponent tuple of length nvars and total degree <= budget."""
+    if nvars == 0:
+        yield ()
+        return
+    for e in range(budget + 1):
+        for rest in _exponent_tuples(nvars - 1, budget - e):
+            yield (e,) + rest
+
+
+def sympy_kernel_solutions(derivation, max_degree: int):
+    """Monic basis of {f : D(f) = 0, deg f <= max_degree} from sympy's
+    dense Matrix.nullspace, one vector per free column, with the columns
+    (monomials) in ascending grevlex order.  The images are computed by
+    sympy differentiation, not by Derivation.apply."""
+    from gaquot import monic
+    from gaquot.poly import grevlex_key
+
+    ring = derivation.ring
+    syms = sympy_symbols(ring)
+    images = [to_sympy(derivation.images[name], syms) for name in ring.names]
+    monos = sorted(_exponent_tuples(len(ring), max_degree), key=grevlex_key)
+    columns = []
+    for exps in monos:
+        mono = sp.Mul(*[s ** e for s, e in zip(syms, exps)])
+        image = sp.expand(sum(a * sp.diff(mono, s) for a, s in zip(images, syms)))
+        columns.append(dict(sp.Poly(image, *syms).terms()) if image != 0 else {})
+    rows = sorted({r for col in columns for r in col})
+    matrix = sp.Matrix(len(rows), len(monos), lambda i, j: columns[j].get(rows[i], 0))
+    solutions = []
+    for vec in matrix.nullspace():
+        terms = {e: Fraction(int(c.p), int(c.q)) for e, c in zip(monos, vec) if c}
+        solutions.append(monic(Polynomial(ring, terms)))
+    return solutions

@@ -157,6 +157,23 @@ def test_kernel_saturation_zero_rounds(tmp_path, capsys):
     assert "stabilization not verified" in capsys.readouterr().err
 
 
+def test_kernel_saturation_slice_choice(tmp_path, capsys):
+    chain = tmp_path / "chain.txt"  # z is no slice (D(D(z)) = x), y is
+    chain.write_text("vars: z y x\nz -> y\ny -> x\n", encoding="utf-8")
+    code, text = run(["kernel", "--derivation", str(chain), "--method", "saturation",
+                      "--max-rounds", "4"])
+    assert code == 0
+    derivation = gaquot.load_derivation_file(chain)
+    gens = gaquot.kernel_saturation(derivation, gaquot.make_slice(derivation, "y"), 4)
+    assert text.splitlines() == [str(g) for g in gens]
+    none = tmp_path / "none.txt"  # D(x) = x: D(D(x)) never vanishes
+    none.write_text("x -> x\n", encoding="utf-8")
+    code, text = run(["kernel", "--derivation", str(none), "--method", "saturation"])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == (
+        "error: no slice variable (need D(s) nonzero with D(D(s)) = 0)\n")
+
+
 def test_kernel_missing_file():
     assert run(["kernel", "--derivation", "/nonexistent/d.txt"])[0] == 1
 

@@ -1,5 +1,6 @@
 """Derivations: construction, flows, invariance, fixed points, kernels."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +33,7 @@ from helpers import (
     brute_graded_subalgebra_membership,
     random_exponents,
     random_poly,
+    sympy_kernel_solutions,
 )
 
 D3 = lower_triangular_derivation(3)
@@ -265,6 +267,54 @@ def test_kernel_linear_single_block():
     assert [str(g) for g in gens] == ["w1"]
 
 
+def kernel_ladder():
+    """(id, derivation, max_degree): V1-V4 with 0 or 2 trivial summands at
+    degrees 1-3, V5, V3 with 10 trivial summands, an inhomogeneous and a
+    nonlinear derivation."""
+    for n in range(1, 5):
+        for trivial in (0, 2):
+            for degree in (1, 2, 3):
+                yield f"V{n}+{trivial}-d{degree}", lower_triangular_derivation(n, trivial), degree
+    yield "V5-d2", lower_triangular_derivation(5), 2
+    yield "V3+10-d2", lower_triangular_derivation(3, 10), 2
+    xyz = VarSet(("x", "y", "z"))
+    # solutions such as x*z - y are inhomogeneous: the Groebner filter path
+    yield "inhomogeneous-d3", Derivation(xyz, {"y": xyz.var("x"), "z": xyz.one()}), 3
+    xyzu = VarSet(("x", "y", "z", "u"))
+    nonlinear = {"y": parse("x^2", xyzu), "z": xyzu.var("y"), "u": parse("x*y - 1", xyzu)}
+    yield "nonlinear-d3", Derivation(xyzu, nonlinear), 3
+
+
+@pytest.mark.parametrize("derivation, max_degree",
+                         [case[1:] for case in kernel_ladder()],
+                         ids=[case[0] for case in kernel_ladder()])
+def test_kernel_linear_matches_sympy_nullspace(derivation, max_degree):
+    solutions = sympy_kernel_solutions(derivation, max_degree)
+    expected = derivations._minimal_generators(solutions, derivations.DEFAULT_CAPS)
+    gens = kernel_linear(derivation, max_degree)
+    assert [str(g) for g in gens] == [str(g) for g in expected]
+    assert gens == expected
+
+
+def test_kernel_linear_caps_dimension_before_listing_monomials(monkeypatch):
+    def unreachable(ring, max_degree):
+        raise AssertionError("monomials listed before the dimension check")
+
+    monkeypatch.setattr(derivations, "_monomials_up_to", unreachable)
+    wide = lower_triangular_derivation(10, 10)  # 30 variables
+    with pytest.raises(ResourceCapError, match=f"dimension {math.comb(40, 10)} exceeds"):
+        kernel_linear(wide, 10)
+
+
+def test_kernel_linear_dimension_cap_counts_every_monomial(monkeypatch):
+    dimension = len(derivations._monomials_up_to(W, 3))  # C(9, 3) = 84
+    monkeypatch.setattr(derivations, "KERNEL_DIMENSION_CAP", dimension)
+    assert len(kernel_linear(D3, 3)) == 6
+    monkeypatch.setattr(derivations, "KERNEL_DIMENSION_CAP", dimension - 1)
+    with pytest.raises(ResourceCapError, match=f"dimension {dimension} exceeds {dimension - 1}"):
+        kernel_linear(D3, 3)
+
+
 def test_kernel_monotone_in_degree():
     low = kernel_linear(D3, 1)
     high = kernel_linear(D3, 2)
@@ -297,6 +347,16 @@ def test_kernel_saturation_zero_rounds_returns_seeds():
     ]
     for g in seeds:
         assert D3.apply(g).is_zero()
+
+
+def test_find_slice_takes_first_slice_variable():
+    assert derivations.find_slice(D3) == make_slice(D3, "w2")
+    ring = VarSet(("z", "y", "x"))
+    chain = Derivation(ring, {"z": ring.var("y"), "y": ring.var("x")})
+    assert derivations.find_slice(chain) == make_slice(chain, "y")  # D(D(z)) = x
+    assert derivations.find_slice(Derivation(ring, {})) is None
+    euler = Derivation(ring, {"x": ring.var("x")})
+    assert derivations.find_slice(euler) is None
 
 
 def test_slice_validation():
