@@ -387,11 +387,13 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
 
     Seeds with the cleared slice projections of the variables, then
     repeatedly adjoins kernel elements h with a*h inside the current
-    subalgebra.  Stops when a round adds nothing.  With max_rounds = 0
-    the seed generators are returned unverified; exhausting a positive
-    round budget without stabilizing raises RoundCapError (the invariant
-    ring need not be finitely generated, so silent truncation is never
-    acceptable).
+    subalgebra.  Stops when a round adds nothing, and returns the
+    generators that the ones before them in (degree, text) order do not
+    generate, as kernel_linear does: a seed can lie in the subalgebra of
+    other seeds.  With max_rounds = 0 the seed generators are returned
+    unverified; exhausting a positive round budget without stabilizing
+    raises RoundCapError (the invariant ring need not be finitely
+    generated, so silent truncation is never acceptable).
     """
     _check_slice(derivation, data)
     ring = derivation.ring
@@ -408,11 +410,12 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
     for _ in range(max_rounds):
         new = _saturation_round(derivation, a, generators, caps)
         if not new:
-            return generators
+            break
         generators = _sorted_gens(generators + new)
-    if max_rounds == 0:
-        return generators
-    raise RoundCapError(f"kernel not stabilized within {max_rounds} rounds")
+    else:
+        if max_rounds:
+            raise RoundCapError(f"kernel not stabilized within {max_rounds} rounds")
+    return _minimal_generators(generators, caps)
 
 
 def _saturation_round(derivation: Derivation, a: Polynomial,

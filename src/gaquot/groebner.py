@@ -14,13 +14,29 @@ key, so the leading term is popped rather than found by a scan, and a
 term that cancels after it was queued is skipped when popped (after
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
 and packed exponent vectors", CASC 2007).
+
+Buchberger and normal forms reduce fraction-free, the standard practice
+over the rationals (Becker and Weispfenning, "Groebner Bases", GTM 141).
+Basis rows are primitive integer term dicts: content removed, leading
+coefficient positive.  A reduction step cross-multiplies by the two
+leading coefficients divided by their gcd, and the working polynomial
+keeps the accumulated scale.  Coefficients become Fractions only at the
+edges: an input is cleared of denominators once, a normal form is
+divided by its scale and denominator, and a reduced basis is made monic
+as it is returned, so its output is the unique monic reduced basis.
+Exact division and linalg.Echelon keep Fraction coefficients and monic
+rows, and share the heap core unchanged, since `_subtract` takes either
+coefficient type: their reductions are short, and rational arithmetic is
+a small share of what a kernel solve costs.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from operator import add, le, neg, sub
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -146,12 +162,18 @@ class Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced basis (monic, pairwise irreducible) of `source` under `order`;
-    `leading` holds the leading monomial of each basis element."""
+    `leading` holds the leading monomial of each basis element.
+
+    `rows` holds the same elements as the primitive integer term dicts
+    they were reduced as (content removed, leading coefficient positive),
+    so that normal forms reduce against them without converting the
+    basis again; it takes no part in equality."""
 
     order: TermOrder
     basis: tuple
     source: Ideal
     leading: tuple
+    rows: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -209,15 +231,40 @@ def _subtract(work: dict, heap: list, descending_key, c, shift, g: dict, lm) -> 
             work[t] = old - c * gc
 
 
-def _reduce_full(work: dict, basis: Sequence, lms: Sequence, descending_key) -> dict:
-    """Full normal form of the term dict `work` against monic `basis`.
+def _integer_terms(terms) -> tuple:
+    """(integer term dict, d): the Fraction term dict times the least
+    common multiple d of its denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+
+
+def _primitive(terms: dict, lm) -> dict:
+    """The integer term dict divided by its content, signed so that the
+    coefficient of its leading monomial lm is positive."""
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    if content == 1:
+        return terms
+    return {m: c // content for m, c in terms.items()}
+
+
+def _reduce_full(work: dict, basis: Sequence, lms: Sequence, descending_key) -> tuple:
+    """Full normal form of the integer term dict `work` against the
+    primitive integer `basis`: (remainder, scale), where the remainder is
+    scale * work modulo the basis and scale is a positive integer.
 
     The leading monomial comes off a heap instead of a scan of `work`.
-    Reducing a monomial m only adds monomials smaller than m, so a popped
-    monomial never returns.  The remainder's terms are in descending
-    order, so its first key is its leading monomial.  Consumes `work`."""
+    A popped term c*x^m whose monomial the leading term lc*x^lm of g
+    divides is cancelled without leaving the integers: with h = gcd(c, lc),
+    the working dict and the remainder so far are multiplied by lc/h,
+    then (c/h)*x^(m-lm)*g is subtracted.  Reducing a monomial m only adds
+    monomials smaller than m, so a popped monomial never returns.  The
+    remainder's terms are in descending order, so its first key is its
+    leading monomial.  Consumes `work`."""
     heap = _heap(work, descending_key)
     remainder: dict = {}
+    scale = 1
     while heap:
         m = heapq.heappop(heap)[1]
         c = work.pop(m)
@@ -225,23 +272,35 @@ def _reduce_full(work: dict, basis: Sequence, lms: Sequence, descending_key) -> 
             continue
         for g, lm in zip(basis, lms):
             if _divides(lm, m):
-                _subtract(work, heap, descending_key, c, _sub(m, lm), g, lm)
+                lc = g[lm]
+                h = gcd(c, lc)
+                factor = lc // h
+                if factor != 1:
+                    scale *= factor
+                    for t in work:
+                        work[t] *= factor
+                    for t in remainder:
+                        remainder[t] *= factor
+                _subtract(work, heap, descending_key, c // h, _sub(m, lm), g, lm)
                 break
         else:
             remainder[m] = c
-    return remainder
+    return remainder, scale
 
 
 def _spoly(f: dict, lmf, g: dict, lmg) -> dict:
-    """S-polynomial of two monic term dicts."""
+    """S-polynomial of two primitive integer term dicts, each multiplied
+    by the other's leading coefficient over the gcd of the two."""
     l = _lcm(lmf, lmg)
     sf, sg = _sub(l, lmf), _sub(l, lmg)
+    h = gcd(f[lmf], g[lmg])
+    a, b = g[lmg] // h, f[lmf] // h
     terms: dict = {}
     for m, c in f.items():
-        terms[_mul(sf, m)] = c
+        terms[_mul(sf, m)] = a * c
     for m, c in g.items():
         t = _mul(sg, m)
-        val = terms.get(t, 0) - c
+        val = terms.get(t, 0) - b * c
         if val:
             terms[t] = val
         else:
@@ -256,15 +315,14 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     key, descending_key = order.key, order.descending_key
     seeds = [g for g in ideal.generators if not g.is_zero()]
     if not seeds:
-        return GroebnerBasis(order, (), ideal, ())
+        return GroebnerBasis(order, (), ideal, (), ())
 
     basis: list = []
     lms: list = []
 
     def append(reduced: dict):
         lm = next(iter(reduced))  # remainders list their terms in descending order
-        lc = reduced[lm]
-        basis.append({m: c / lc for m, c in reduced.items()})
+        basis.append(_primitive(reduced, lm))
         lms.append(lm)
 
     heap: list = []
@@ -276,7 +334,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
             pending.add((i, j))
 
     for g in seeds:
-        reduced = _reduce_full(dict(g.terms), basis, lms, descending_key)
+        reduced, _ = _reduce_full(_integer_terms(g.terms)[0], basis, lms, descending_key)
         if reduced:
             append(reduced)
             push_pairs(len(basis) - 1)
@@ -304,8 +362,8 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
                 break
         if skip:
             continue
-        reduced = _reduce_full(_spoly(basis[i], lms[i], basis[j], lms[j]), basis, lms,
-                               descending_key)
+        reduced, _ = _reduce_full(_spoly(basis[i], lms[i], basis[j], lms[j]), basis, lms,
+                                  descending_key)
         if not reduced:
             continue
         if max(sum(m) for m in reduced) > caps.max_degree:
@@ -322,25 +380,28 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
             kept.append(idx)
 
     # Tail-reduce every survivor against the others; leading terms are
-    # pairwise irreducible so monicity and leading monomials are preserved.
+    # pairwise irreducible, so leading monomials are preserved.
     final = []
     for idx in kept:
         others = [basis[k] for k in kept if k != idx]
         other_lms = [lms[k] for k in kept if k != idx]
-        final.append((_reduce_full(dict(basis[idx]), others, other_lms, descending_key),
-                      lms[idx]))
+        reduced, _ = _reduce_full(dict(basis[idx]), others, other_lms, descending_key)
+        final.append((_primitive(reduced, lms[idx]), lms[idx]))
     final.sort(key=lambda pair: key(pair[1]))
-    polys = tuple(Polynomial(ideal.ring, terms) for terms, _ in final)
-    return GroebnerBasis(order, polys, ideal, tuple(lm for _, lm in final))
+    polys = tuple(Polynomial(ideal.ring, {m: Fraction(c, terms[lm]) for m, c in terms.items()})
+                  for terms, lm in final)
+    return GroebnerBasis(order, polys, ideal, tuple(lm for _, lm in final),
+                         tuple(terms for terms, _ in final))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo the basis; zero iff f is a member."""
     if f.ring != gb.source.ring:
         raise RingMismatchError("polynomial ring differs from basis ring")
-    basis = [g.terms for g in gb.basis]
-    return Polynomial(f.ring, _reduce_full(dict(f.terms), basis, gb.leading,
-                                           gb.order.descending_key))
+    work, d = _integer_terms(f.terms)
+    remainder, scale = _reduce_full(work, gb.rows, gb.leading, gb.order.descending_key)
+    d *= scale
+    return Polynomial(f.ring, {m: Fraction(c, d) for m, c in remainder.items()})
 
 
 def ideal_membership(f: Polynomial, ideal: Ideal,

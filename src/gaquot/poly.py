@@ -115,7 +115,8 @@ class Polynomial:
         clean = {}
         width = len(ring)
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if len(exps) != width:

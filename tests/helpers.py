@@ -24,13 +24,17 @@ def random_exponents(rng, nvars, max_degree):
 
 
 def random_poly(rng, ring, max_degree=3, max_terms=4, coeff_bound=5,
-                allow_zero=True, nonconstant=False):
+                allow_zero=True, nonconstant=False, denominator_bound=1):
+    """Random polynomial with coefficients n/d, 0 < |n| <= coeff_bound and
+    1 <= d <= denominator_bound; under the default bound of 1 no
+    denominator is drawn from rng."""
     terms = {}
     for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):
         coeff = 0
         while coeff == 0:
             coeff = rng.randint(-coeff_bound, coeff_bound)
-        terms[random_exponents(rng, len(ring), max_degree)] = Fraction(coeff)
+        denominator = rng.randint(1, denominator_bound) if denominator_bound > 1 else 1
+        terms[random_exponents(rng, len(ring), max_degree)] = Fraction(coeff, denominator)
     poly = Polynomial(ring, terms)
     if not allow_zero and poly.is_zero():
         return ring.one()
@@ -69,7 +73,15 @@ def from_sympy(expr, ring: VarSet) -> Polynomial:
 
 
 def sympy_reduced_gb(gens, ring: VarSet, order: str):
-    """Reduced Groebner basis via sympy, as library polynomials."""
+    """Reduced Groebner basis via sympy, as library polynomials.  The
+    order is "grevlex", "lex" or "elim:K", the last being grevlex on the
+    first K variables with ties broken by grevlex on the rest (the
+    library's block order)."""
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    if order.startswith("elim:"):
+        k = int(order[len("elim:"):])
+        order = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
     syms = sympy_symbols(ring)
     exprs = [to_sympy(g, syms) for g in gens if not g.is_zero()]
     basis = sp.groebner(exprs, *syms, order=order, domain="QQ")

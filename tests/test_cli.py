@@ -41,6 +41,14 @@ x*y - z^2
 x + y + z - 2
 """
 
+KATSURA3_IDEAL = """\
+vars: x0 x1 x2 x3
+x0 + 2*x1 + 2*x2 + 2*x3 - 1
+x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0
+2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1
+2*x0*x2 + x1^2 + 2*x1*x3 - x2
+"""
+
 
 def run(argv):
     out = io.StringIO()
@@ -281,10 +289,13 @@ def test_reports_identical_across_hash_seeds(tmp_path):
     path.write_text(MIXED_IDEAL, encoding="utf-8")
     derivation = tmp_path / "derivation.txt"
     derivation.write_text(V3_DERIVATION, encoding="utf-8")
+    katsura = tmp_path / "katsura3.txt"
+    katsura.write_text(KATSURA3_IDEAL, encoding="utf-8")
     commands = [
         ["verify", "--family", "v3", "--f=(1+s)*(1+2*s)*(1+3*s) - 1"],
         ["gb", "--ideal", str(path)],
         ["gb", "--ideal", str(path), "--order", "elim:1"],
+        ["gb", "--ideal", str(katsura), "--order", "lex"],
         ["kernel", "--derivation", str(derivation), "--method", "linear"],
         ["kernel", "--derivation", str(derivation), "--method", "saturation"],
     ]

@@ -433,6 +433,30 @@ def test_kernel_saturation_generates_weitzenboeck(n):
         assert_same_subalgebra(gens, expected)
 
 
+CHAIN_RING = VarSet(("z", "y", "x"))
+CHAIN = Derivation(CHAIN_RING, {"z": CHAIN_RING.var("y"), "y": CHAIN_RING.var("x")})
+
+
+def test_kernel_saturation_drops_generated_seeds():
+    # the seed y^2*x - 2*z*x^2 is x times the seed y^2 - 2*z*x
+    gens = kernel_saturation(CHAIN, make_slice(CHAIN, "y"), 8)
+    assert [str(g) for g in gens] == ["x", "y^2 - 2*z*x"]
+
+
+@pytest.mark.parametrize("name", ["V2", "V3", "V4", "V5", "chain"])
+def test_kernel_methods_return_minimal_generators(name):
+    """No generator either method returns lies in the subalgebra of the
+    others (sympy rank test)."""
+    if name == "chain":
+        d, data = CHAIN, make_slice(CHAIN, "y")
+    else:
+        d = lower_triangular_derivation(int(name[1:]))
+        data = make_slice(d, "w2")
+    for gens in (kernel_linear(d, 2), kernel_saturation(d, data, 8)):
+        for i, g in enumerate(gens):
+            assert not brute_graded_subalgebra_membership(g, gens[:i] + gens[i + 1:]), str(g)
+
+
 def groebner_minimal_generators(candidates):
     """Reference filter: Groebner subalgebra membership for every candidate."""
     kept = []

@@ -90,19 +90,32 @@ def test_degree_cap_raises():
         buchberger(ideal(XY, "x^2 - y", "x*y - 1"), caps=caps)
 
 
+def assert_rational_leading_coefficients(leading):
+    """The rational cases reach leading coefficients that are negative,
+    integral but not units, and not integral."""
+    assert any(c < 0 for c in leading)
+    assert any(c.denominator == 1 and abs(c) > 1 for c in leading)
+    assert any(c.denominator > 1 for c in leading)
+
+
 def test_spoly_reduction_and_sympy_cross_check():
     """Every S-polynomial of a computed basis reduces to zero, and the
-    reduced basis agrees with an independent implementation."""
+    reduced basis agrees with an independent implementation; the last 20
+    cases have rational coefficients."""
     rng = random.Random(20240810)
     ring = VarSet(("x", "y", "z"))
-    for case in range(40):
+    leading = []
+    for case in range(60):
+        bound = 1 if case < 40 else 6
         gens = [
             random_poly(rng, ring, max_degree=2, max_terms=3, coeff_bound=3,
-                        allow_zero=False, nonconstant=True)
+                        allow_zero=False, nonconstant=True, denominator_bound=bound)
             for _ in range(rng.randint(1, 3))
         ]
         order_name = rng.choice(["grevlex", "lex"])
         order = TermOrder.grevlex() if order_name == "grevlex" else TermOrder.lex()
+        if bound > 1:
+            leading += [g.terms[max(g.terms, key=order.key)] for g in gens]
         gb = buchberger(Ideal(ring, tuple(gens)), order)
         for i in range(len(gb.basis)):
             for j in range(i + 1, len(gb.basis)):
@@ -110,6 +123,40 @@ def test_spoly_reduction_and_sympy_cross_check():
                 assert normal_form(s, gb).is_zero()
         theirs = sympy_reduced_gb(gens, ring, order_name)
         assert sorted(map(str, gb.basis)) == sorted(map(str, theirs))
+    assert_rational_leading_coefficients(leading)
+
+
+KATSURA3 = (VarSet(("x0", "x1", "x2", "x3")), (
+    "x0 + 2*x1 + 2*x2 + 2*x3 - 1",
+    "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0",
+    "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1",
+    "2*x0*x2 + x1^2 + 2*x1*x3 - x2",
+))
+CYCLIC4 = (VarSet(("x0", "x1", "x2", "x3")), (
+    "x0 + x1 + x2 + x3",
+    "x0*x1 + x1*x2 + x2*x3 + x3*x0",
+    "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1",
+    "x0*x1*x2*x3 - 1",
+))
+
+
+@pytest.mark.parametrize("system, order_name", [
+    (KATSURA3, "grevlex"), (KATSURA3, "lex"), (KATSURA3, "elim:1"),
+    (CYCLIC4, "grevlex"), (CYCLIC4, "lex"),
+], ids=["katsura3-grevlex", "katsura3-lex", "katsura3-elim1", "cyclic4-grevlex",
+        "cyclic4-lex"])
+def test_reduced_basis_with_coefficient_growth_matches_sympy(system, order_name):
+    """Systems whose reductions grow large coefficients (the katsura-3 lex
+    basis has 12-digit numerators)."""
+    ring, texts = system
+    order = {"grevlex": TermOrder.grevlex(), "lex": TermOrder.lex(),
+             "elim:1": TermOrder.block(1)}[order_name]
+    gens = tuple(parse(t, ring) for t in texts)
+    gb = buchberger(Ideal(ring, gens), order)
+    theirs = sympy_reduced_gb(gens, ring, order_name)
+    assert sorted(map(str, gb.basis)) == sorted(map(str, theirs))
+    for g in gens:
+        assert normal_form(g, gb).is_zero()
 
 
 def test_basis_invariant_under_generator_permutation():
@@ -405,26 +452,32 @@ REDUCTION_ORDERS = [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(1),
 
 @pytest.mark.parametrize("order", REDUCTION_ORDERS, ids=lambda o: f"{o.kind}{o.block_size}")
 def test_normal_form_matches_scan_reference(order):
+    """The last 6 cases have rational coefficients."""
     rng = random.Random(20261017)
     ring = VarSet(("x", "y", "z", "t"))
-    for _ in range(12):
+    leading = []
+    for case in range(18):
+        bound = 1 if case < 12 else 6
         gens = tuple(
             random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
-                        nonconstant=True)
+                        nonconstant=True, denominator_bound=bound)
             for _ in range(rng.randint(1, 3))
         )
+        if bound > 1:
+            leading += [g.terms[max(g.terms, key=order.key)] for g in gens]
         gb = buchberger(Ideal(ring, gens), order)
         assert gb.leading == tuple(max(g.terms, key=order.key) for g in gb.basis)
         for _ in range(6):
-            f = random_poly(rng, ring, max_degree=4, max_terms=6)
+            f = random_poly(rng, ring, max_degree=4, max_terms=6, denominator_bound=bound)
             # members of the ideal: every term cancels on the way to zero
-            f_member = sum((random_poly(rng, ring, max_degree=2) * g for g in gens),
-                           ring.zero())
+            f_member = sum((random_poly(rng, ring, max_degree=2, denominator_bound=bound) * g
+                            for g in gens), ring.zero())
             for h in (f, f_member, f + f_member):
                 nf = normal_form(h, gb)
                 # same terms in the same (descending) order
                 assert list(nf.terms.items()) == list(scan_normal_form(h, gb).items())
             assert normal_form(f_member, gb).is_zero()
+    assert_rational_leading_coefficients(leading)
 
 
 def test_divide_exact_matches_scan_reference():
