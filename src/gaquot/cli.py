@@ -41,6 +41,7 @@ from .errors import (
 )
 from .families import (
     FAMILIES,
+    KERNEL_DEGREE,
     FamilySpec,
     VerificationReport,
     build_family,
@@ -48,7 +49,7 @@ from .families import (
     run_battery,
     w_restriction,
 )
-from .groebner import ResourceCaps, TermOrder, buchberger, load_ideal_file
+from .groebner import DEFAULT_CAPS, ResourceCaps, TermOrder, buchberger, load_ideal_file
 from .poly import VarSet, parse
 
 SCHEMA_VERSION = "1"
@@ -72,9 +73,10 @@ _RESOURCE_ERRORS = (ResourceCapError, RoundCapError, NotLocallyNilpotentError)
 DEFAULT_MAX_ROUNDS = 8
 
 
-def _add_cap_flags(sub: argparse.ArgumentParser, max_degree_default: int = 60,
+def _add_cap_flags(sub: argparse.ArgumentParser,
+                   max_degree_default: int = DEFAULT_CAPS.max_degree,
                    max_degree_help: str = "total degree cap for basis computations"):
-    sub.add_argument("--max-pairs", type=int, default=100_000,
+    sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS.max_pairs,
                      help="pair budget for basis computations")
     sub.add_argument("--max-degree", type=int, default=max_degree_default,
                      help=max_degree_help)
@@ -241,7 +243,7 @@ def _cmd_present(args, out) -> int:
     spec = FamilySpec(args.family, f, args.trivial)
     caps = _caps(args)
     art = build_family(spec)
-    kernel = kernel_linear(w_restriction(art), 2, caps=caps)
+    kernel = kernel_linear(w_restriction(art), KERNEL_DEGREE, caps=caps)
     gens, relations = invariant_presentation(art, kernel, caps=caps)
     tags = relations.ring.names
     for tag, g in zip(tags, gens):

@@ -39,6 +39,7 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
+    _graph_ideal,
     _mul,
     divide_exact,
     eliminate,
@@ -48,8 +49,7 @@ from .linalg import Echelon
 from .poly import (
     Polynomial,
     VarSet,
-    fresh_names,
-    grevlex_key,
+    _grevlex_descending,
     monic,
     parse,
     read_spec_file,
@@ -227,7 +227,7 @@ def _monomials_up_to(ring: VarSet, max_degree: int):
             for i in combo:
                 exps[i] += 1
             monos.append(tuple(exps))
-    monos.sort(key=grevlex_key)
+    monos.sort(key=_grevlex_descending, reverse=True)
     return monos
 
 
@@ -429,12 +429,8 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
     membership otherwise.
     """
     ring = derivation.ring
-    tags = fresh_names("y", len(generators), ring.names)
-    big = ring.extend(tags)
-    gens_big = [big.var(t) - g.embed(big) for t, g in zip(tags, generators)]
-    ideal = Ideal(big, (a.embed(big),) + tuple(gens_big))
-    relations = eliminate(ideal, len(ring), caps=caps)
-    assignment = {t: g for t, g in zip(tags, generators)}
+    relations = eliminate(_graph_ideal(ring, generators, extra=(a,)), len(ring), caps=caps)
+    assignment = dict(zip(relations.ring.names, generators))
     span = _GradedSpan(ring, generators) if all(map(_is_homogeneous, generators)) else None
     new = []
     for p in relations.generators:

@@ -34,15 +34,22 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
+    _graph_ideal,
     eliminate,
     is_unit_ideal,
     krull_dimension,
 )
-from .poly import Polynomial, VarSet, fresh_names, is_squarefree, monic
+from .poly import Polynomial, VarSet, is_squarefree, monic
 
 # Family name -> (number of two-dimensional blocks, variables of f).  f has
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
 FAMILIES = {"v3": (3, ("s",)), "v4": (4, ("a", "b", "c"))}
+
+# Degree bound of the linear kernel solve behind the invariant presentation.
+# Degree 2 is enough: the Weitzenboeck kernel of the two-dimensional blocks
+# is generated in degree <= 2 (the leading block coordinates and the 2x2
+# determinants pairing the blocks).
+KERNEL_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -320,12 +327,7 @@ def invariant_presentation(art: ConstructionArtifacts,
             restricted.append(image)
     survivors = _minimal_generators(restricted, caps)
 
-    tags = fresh_names("y", len(survivors), z_ring.names)
-    big = z_ring.extend(tags)
-    graph_ideal = Ideal(
-        big, tuple(big.var(t) - g.embed(big) for t, g in zip(tags, survivors))
-    )
-    relations = eliminate(graph_ideal, len(z_ring), caps=caps)
+    relations = eliminate(_graph_ideal(z_ring, survivors), len(z_ring), caps=caps)
     return tuple(survivors), relations
 
 
@@ -353,8 +355,7 @@ class VerificationReport:
     passed: bool
 
 
-def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS,
-                kernel_degree: int = 2) -> VerificationReport:
+def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> VerificationReport:
     """Build the instance and run every check; individual check failures
     are recorded in the report, construction errors propagate."""
     art = build_family(spec)
@@ -377,7 +378,7 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS,
     )
     if spec.family == "v3":
         ranks = k_theory_ranks(m)
-        kernel = kernel_linear(w_restriction(art), kernel_degree, caps=caps)
+        kernel = kernel_linear(w_restriction(art), KERNEL_DEGREE, caps=caps)
         presentation = invariant_presentation(art, kernel, caps=caps)
     else:
         ranks = None

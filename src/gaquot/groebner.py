@@ -5,7 +5,11 @@ Krull dimension via leading-term independent sets, and subalgebra
 membership all reduce to reduced Groebner bases computed by Buchberger's
 algorithm with the product and chain pair-discarding criteria and the
 normal selection strategy (smallest lcm first).  Output is deterministic
-for fixed input and order.
+for fixed input and order; a reduced basis is listed in ascending order
+of leading monomial.  Each term order is one descending sort key, built
+on the one grevlex key of `poly`.  The tag-variable graph ideal of
+subalgebra membership, the saturation kernel method and the invariant
+presentation has one builder, `_graph_ideal`.
 
 Every reduction (S-polynomials and tail reduction in Buchberger, normal
 forms, exact division) runs on one heap-ordered core: the working
@@ -51,8 +55,8 @@ from .errors import (
 from .poly import (
     Polynomial,
     VarSet,
+    _grevlex_descending,
     fresh_names,
-    grevlex_key,
     parse,
     read_spec_file,
     scan_identifiers,
@@ -69,11 +73,12 @@ class TermOrder:
     the first k exponents grevlex-first (so it eliminates those
     variables), then the rest grevlex.
 
-    Each order carries two sort keys on exponent tuples, built once:
-    `key`, under which a larger key means a larger monomial, and
+    Each order carries one sort key on exponent tuples, built once:
     `descending_key`, under which a smaller key means a larger monomial,
-    so a `heapq` min-heap pops the leading monomial first.  Both keys are
-    injective, so ties never fall through to the monomial itself.
+    so a `heapq` min-heap pops the leading monomial first, `min` finds
+    the leading monomial and `sorted` lists monomials from the largest.
+    The key is injective, so ties never fall through to the monomial
+    itself.  grevlex is defined once, as `poly._grevlex_descending`.
     """
 
     kind: str
@@ -81,14 +86,13 @@ class TermOrder:
 
     def __post_init__(self):
         if self.kind == "grevlex":
-            key, descending = grevlex_key, _grevlex_descending
+            descending = _grevlex_descending
         elif self.kind == "lex":
-            key, descending = _identity, _lex_descending
+            descending = _lex_descending
         elif self.kind == "block":
-            key, descending = _block_keys(self.block_size)
+            descending = _block_descending(self.block_size)
         else:
             raise ValueError(f"unknown term order {self.kind!r}")
-        object.__setattr__(self, "key", key)
         object.__setattr__(self, "descending_key", descending)
 
     @staticmethod
@@ -106,27 +110,12 @@ class TermOrder:
         return TermOrder("block", k)
 
 
-def _identity(exps):
-    return exps
-
-
-def _grevlex_descending(exps):
-    return (-sum(exps),) + exps[::-1]
-
-
 def _lex_descending(exps):
     return tuple(map(neg, exps))
 
 
-def _block_keys(k: int):
-    def key(exps):
-        return (grevlex_key(exps[:k]), grevlex_key(exps[k:]))
-
-    def descending(exps):
-        head, tail = exps[:k], exps[k:]
-        return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
-
-    return key, descending
+def _block_descending(k: int):
+    return lambda exps: _grevlex_descending(exps[:k]) + _grevlex_descending(exps[k:])
 
 
 # -- ideals and bases ----------------------------------------------------------
@@ -312,7 +301,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
                caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, deterministic for fixed input."""
     order = order or TermOrder.grevlex()
-    key, descending_key = order.key, order.descending_key
+    descending_key = order.descending_key
     seeds = [g for g in ideal.generators if not g.is_zero()]
     if not seeds:
         return GroebnerBasis(order, (), ideal, (), ())
@@ -330,7 +319,9 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
 
     def push_pairs(j: int):
         for i in range(j):
-            heapq.heappush(heap, (key(_lcm(lms[i], lms[j])), i, j))
+            l = _lcm(lms[i], lms[j])
+            # negated, the descending key puts the smallest lcm first
+            heapq.heappush(heap, (tuple(map(neg, descending_key(l))), i, j))
             pending.add((i, j))
 
     for g in seeds:
@@ -342,8 +333,6 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     processed = 0
     while heap:
         _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         processed += 1
         if processed > caps.max_pairs:
@@ -372,8 +361,9 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
         push_pairs(len(basis) - 1)
 
     # Minimalize: keep only elements whose leading monomial no other kept
-    # leading monomial divides; process in ascending order for determinism.
-    ordering = sorted(range(len(basis)), key=lambda t: (key(lms[t]), t))
+    # leading monomial divides; process in ascending order for determinism
+    # (leading monomials are distinct, so there are no ties).
+    ordering = sorted(range(len(basis)), key=lambda t: descending_key(lms[t]), reverse=True)
     kept: list = []
     for idx in ordering:
         if not any(_divides(lms[k], lms[idx]) for k in kept):
@@ -387,7 +377,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
         other_lms = [lms[k] for k in kept if k != idx]
         reduced, _ = _reduce_full(dict(basis[idx]), others, other_lms, descending_key)
         final.append((_primitive(reduced, lms[idx]), lms[idx]))
-    final.sort(key=lambda pair: key(pair[1]))
+    final.sort(key=lambda pair: descending_key(pair[1]), reverse=True)
     polys = tuple(Polynomial(ideal.ring, {m: Fraction(c, terms[lm]) for m, c in terms.items()})
                   for terms, lm in final)
     return GroebnerBasis(order, polys, ideal, tuple(lm for _, lm in final),
@@ -421,7 +411,7 @@ def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     if d.is_zero():
         raise ZeroPolynomialError("division by the zero polynomial")
     dterms = d.terms
-    dlm = max(dterms, key=grevlex_key)
+    dlm = min(dterms, key=_grevlex_descending)
     dlc = dterms[dlm]
     work = dict(p.terms)
     heap = _heap(work, _grevlex_descending)
@@ -491,6 +481,17 @@ def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     raise AssertionError("unreachable: the empty set is always independent")
 
 
+def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
+    """The graph ideal (extra) + (y_i - gens_i) over `ring` followed by
+    fresh tags y1..ym, one per generator, with the `extra` generators
+    (over `ring`) first.  Eliminating `ring` leaves the tag polynomials
+    p with p(gens) in (extra)."""
+    tags = fresh_names("y", len(gens), ring.names)
+    big = ring.extend(tags)
+    return Ideal(big, tuple(e.embed(big) for e in extra)
+                 + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
+
+
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
                           caps: ResourceCaps = DEFAULT_CAPS):
     """Decide membership in the subalgebra generated by `gens`.
@@ -504,16 +505,13 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("subalgebra generators over the wrong ring")
-    internal = fresh_names("y", len(gens), ring.names)
-    big = ring.extend(internal)
     n = len(ring)
-    relations = [big.var(t) - g.embed(big) for t, g in zip(internal, gens)]
     witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
-    if relations:
-        gb = buchberger(Ideal(big, tuple(relations)), TermOrder.block(n), caps=caps)
-        nf = normal_form(f.embed(big), gb)
+    if gens:
+        gb = buchberger(_graph_ideal(ring, gens), TermOrder.block(n), caps=caps)
+        nf = normal_form(f.embed(gb.source.ring), gb)
     else:
-        nf = f.embed(big)
+        nf = f
     if any(any(e != 0 for e in exps[:n]) for exps in nf.terms):
         return False, None
     witness = Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})

@@ -15,9 +15,8 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from .groebner import TermOrder, _heap, _subtract
-
-_GREVLEX_DESCENDING = TermOrder.grevlex().descending_key
+from .groebner import _heap, _subtract
+from .poly import _grevlex_descending
 
 
 class Echelon:
@@ -39,7 +38,7 @@ class Echelon:
         Returns None when nothing is left, otherwise the leading monomial
         of what is left, which no row has.  Updates both dicts in place;
         either may keep zero coefficients."""
-        heap = _heap(terms, _GREVLEX_DESCENDING)
+        heap = _heap(terms, _grevlex_descending)
         while heap:
             m = heapq.heappop(heap)[1]
             c = terms[m]
@@ -50,7 +49,7 @@ class Echelon:
             if row is None:
                 return m
             del terms[m]
-            _subtract(terms, heap, _GREVLEX_DESCENDING, c, (0,) * len(m), row, m)
+            _subtract(terms, heap, _grevlex_descending, c, (0,) * len(m), row, m)
             if carried is not None:
                 for t, v in self.carried[m].items():
                     carried[t] = carried.get(t, 0) - c * v

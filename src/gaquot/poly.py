@@ -38,9 +38,10 @@ Scalar = Union[int, Fraction]
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-def grevlex_key(exps: Exponents):
-    """Sort key under which larger means grevlex-greater."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+def _grevlex_descending(exps: Exponents):
+    """The one definition of grevlex, as an injective sort key under which
+    smaller means grevlex-greater."""
+    return (-sum(exps),) + exps[::-1]
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,7 @@ class Polynomial:
             return "0"
         names = self.ring.names
         chunks = []
-        items = sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
+        items = sorted(self.terms.items(), key=lambda kv: _grevlex_descending(kv[0]))
         for pos, (exps, coeff) in enumerate(items):
             factors = []
             for i, e in enumerate(exps):
@@ -515,7 +516,7 @@ def monic(p: Polynomial) -> Polynomial:
     """Rescale so the grevlex-leading coefficient is 1."""
     if p.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no leading coefficient")
-    lead = max(p.terms, key=grevlex_key)
+    lead = min(p.terms, key=_grevlex_descending)
     lc = p.terms[lead]
     return Polynomial(p.ring, {m: c / lc for m, c in p.terms.items()})
 

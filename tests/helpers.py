@@ -43,6 +43,28 @@ def random_poly(rng, ring, max_degree=3, max_terms=4, coeff_bound=5,
     return poly
 
 
+# -- reference term orders ----------------------------------------------------
+
+
+def _reference_grevlex(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def reference_key(order):
+    """Ascending sort key of a TermOrder, written out from the textbook
+    definitions apart from the library: a larger key is a larger monomial.
+    grevlex compares total degree, then prefers the smaller exponent in
+    the last variable where two monomials differ; lex compares exponent
+    tuples; block(k) compares the first k exponents by grevlex, then the
+    rest by grevlex."""
+    if order.kind == "grevlex":
+        return _reference_grevlex
+    if order.kind == "lex":
+        return tuple
+    k = order.block_size
+    return lambda exps: (_reference_grevlex(exps[:k]), _reference_grevlex(exps[k:]))
+
+
 # -- sympy bridge -------------------------------------------------------------
 
 
@@ -225,12 +247,11 @@ def sympy_kernel_solutions(derivation, max_degree: int):
     (monomials) in ascending grevlex order.  The images are computed by
     sympy differentiation, not by Derivation.apply."""
     from gaquot import monic
-    from gaquot.poly import grevlex_key
 
     ring = derivation.ring
     syms = sympy_symbols(ring)
     images = [to_sympy(derivation.images[name], syms) for name in ring.names]
-    monos = sorted(_exponent_tuples(len(ring), max_degree), key=grevlex_key)
+    monos = sorted(_exponent_tuples(len(ring), max_degree), key=_reference_grevlex)
     columns = []
     for exps in monos:
         mono = sp.Mul(*[s ** e for s, e in zip(syms, exps)])

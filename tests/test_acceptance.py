@@ -37,7 +37,7 @@ from gaquot import (
     w_restriction,
 )
 from gaquot.cli import main as cli_main
-from helpers import assert_same_subalgebra, from_sympy, random_poly
+from helpers import assert_same_subalgebra, from_sympy, random_poly, reference_key
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -308,7 +308,7 @@ def test_criterion_7c_exponential_action():
 
 
 def _spoly(f, g, order):
-    key = order.key
+    key = reference_key(order)
     lf = max(f.terms, key=key)
     lg = max(g.terms, key=key)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -502,10 +503,12 @@ def homogeneous_candidates(rng, ring, size=8, top=3):
 
 
 def count_groebner_calls(monkeypatch):
+    """Records each Groebner subalgebra membership test made in derivations
+    as (name of the calling function, f)."""
     calls = []
 
     def counting(f, gens, caps=derivations.DEFAULT_CAPS):
-        calls.append(f)
+        calls.append((sys._getframe(1).f_code.co_name, f))
         return subalgebra_membership(f, gens, caps=caps)
 
     monkeypatch.setattr(derivations, "subalgebra_membership", counting)
@@ -534,6 +537,16 @@ def test_filter_falls_back_to_groebner_on_inhomogeneous_input(monkeypatch):
     got = derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
     assert got == expected
     assert len(calls) == len(cands)
+
+
+def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(monkeypatch):
+    ring = VarSet(("x", "y", "z"))
+    d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + 1", ring)})
+    calls = count_groebner_calls(monkeypatch)
+    gens = kernel_saturation(d, derivations.find_slice(d), 8)
+    assert [str(g) for g in gens] == ["x", "y^2 - 2*x*z + 2*y"]
+    assert gens == kernel_linear(d, 4)
+    assert "_saturation_round" in {caller for caller, _ in calls}
 
 
 def test_graded_span_obeys_dimension_cap(monkeypatch):

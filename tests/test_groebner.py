@@ -26,6 +26,7 @@ from gaquot import (
 from helpers import (
     brute_ideal_membership,
     random_poly,
+    reference_key,
     sympy_reduced_gb,
     sympy_resultant,
 )
@@ -45,7 +46,7 @@ def ideal(ring, *texts):
 
 def spoly(f, g, order):
     """Test-local S-polynomial built from public pieces."""
-    key = order.key
+    key = reference_key(order)
     lf = max(f.terms, key=key)
     lg = max(g.terms, key=key)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
@@ -115,7 +116,7 @@ def test_spoly_reduction_and_sympy_cross_check():
         order_name = rng.choice(["grevlex", "lex"])
         order = TermOrder.grevlex() if order_name == "grevlex" else TermOrder.lex()
         if bound > 1:
-            leading += [g.terms[max(g.terms, key=order.key)] for g in gens]
+            leading += [g.terms[max(g.terms, key=reference_key(order))] for g in gens]
         gb = buchberger(Ideal(ring, tuple(gens)), order)
         for i in range(len(gb.basis)):
             for j in range(i + 1, len(gb.basis)):
@@ -415,7 +416,7 @@ def scan_subtract(work, c, shift, g, lm):
 def scan_normal_form(f, gb):
     """Reference normal form: each leading term is found by a scan of the
     whole working polynomial, and cancelled terms leave it at once."""
-    key = gb.order.key
+    key = reference_key(gb.order)
     lms = [max(g.terms, key=key) for g in gb.basis]
     work, remainder = dict(f.terms), {}
     while work:
@@ -432,7 +433,7 @@ def scan_normal_form(f, gb):
 
 def scan_divide_exact(p, d):
     """Reference grevlex exact division by the same scan."""
-    key = TermOrder.grevlex().key
+    key = reference_key(TermOrder.grevlex())
     dlm = max(d.terms, key=key)
     work, quotient = dict(p.terms), {}
     while work:
@@ -464,9 +465,9 @@ def test_normal_form_matches_scan_reference(order):
             for _ in range(rng.randint(1, 3))
         )
         if bound > 1:
-            leading += [g.terms[max(g.terms, key=order.key)] for g in gens]
+            leading += [g.terms[max(g.terms, key=reference_key(order))] for g in gens]
         gb = buchberger(Ideal(ring, gens), order)
-        assert gb.leading == tuple(max(g.terms, key=order.key) for g in gb.basis)
+        assert gb.leading == tuple(max(g.terms, key=reference_key(order)) for g in gb.basis)
         for _ in range(6):
             f = random_poly(rng, ring, max_degree=4, max_terms=6, denominator_bound=bound)
             # members of the ideal: every term cancels on the way to zero
@@ -512,12 +513,36 @@ def test_reduction_skips_cancelled_queued_terms():
         == parse("x^2 + x*y + 1", ring)
 
 
+@pytest.mark.parametrize("order", REDUCTION_ORDERS, ids=lambda o: f"{o.kind}{o.block_size}")
+def test_basis_ascends_by_leading_monomial(order):
+    """The basis, as the gb command prints it, is listed in strictly
+    ascending order of leading monomial."""
+    rng = random.Random(20261019)
+    ring = VarSet(("x", "y", "z", "t"))
+    key = reference_key(order)
+    systems = [tuple(parse(t, KATSURA3[0]) for t in KATSURA3[1]),
+               tuple(parse(t, CYCLIC4[0]) for t in CYCLIC4[1])]
+    systems += [tuple(random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
+                                  nonconstant=True) for _ in range(rng.randint(2, 3)))
+                for _ in range(20)]
+    longest = 0
+    for gens in systems:
+        gb = buchberger(Ideal(gens[0].ring, gens), order)
+        assert gb.leading == tuple(max(g.terms, key=key) for g in gb.basis)
+        keys = [key(lm) for lm in gb.leading]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        longest = max(longest, len(keys))
+    assert longest >= 4
+
+
 # -- contracts on orders, bases, ideals ------------------------------------------
 
 
 def test_term_orders_are_multiplicative_with_one_minimal():
+    """Each order's descending key, under which smaller is larger, against
+    the reference key of the tests."""
     rng = random.Random(20240816)
-    orders = [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(2)]
+    orders = [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(1), TermOrder.block(2)]
     n = 4
     one = (0,) * n
 
@@ -525,25 +550,26 @@ def test_term_orders_are_multiplicative_with_one_minimal():
         return tuple(rng.randint(0, 3) for _ in range(n))
 
     for order in orders:
-        key, descending = order.key, order.descending_key
+        key, descending = reference_key(order), order.descending_key
         for _ in range(400):
             a, b, c = rand_mono(), rand_mono(), rand_mono()
             ac = tuple(x + y for x, y in zip(a, c))
             bc = tuple(x + y for x, y in zip(b, c))
-            # compatibility with multiplication
-            assert (key(a) > key(b)) == (key(ac) > key(bc))
-            # the heap key is the same order reversed
+            # the reference order, reversed and injective
             assert (key(a) > key(b)) == (descending(a) < descending(b))
+            assert (descending(a) == descending(b)) == (a == b)
+            # compatibility with multiplication
+            assert (descending(a) < descending(b)) == (descending(ac) < descending(bc))
             # 1 is minimal
             if a != one:
-                assert key(a) > key(one)
+                assert descending(a) < descending(one)
 
 
 def test_block_order_eliminates_first_block():
-    key = TermOrder.block(2).key
+    descending = TermOrder.block(2).descending_key
     # any monomial touching the first block beats any monomial that does not
-    assert key((1, 0, 0, 0)) > key((0, 0, 5, 7))
-    assert key((0, 1, 0, 0)) > key((0, 0, 9, 0))
+    assert descending((1, 0, 0, 0)) < descending((0, 0, 5, 7))
+    assert descending((0, 1, 0, 0)) < descending((0, 0, 9, 0))
 
 
 def test_reduced_basis_contract():
@@ -558,7 +584,7 @@ def test_reduced_basis_contract():
             for _ in range(rng.randint(2, 3))
         )
         gb = buchberger(Ideal(ring, gens))
-        key = order.key
+        key = reference_key(order)
         lms = [max(g.terms, key=key) for g in gb.basis]
         for i, g in enumerate(gb.basis):
             assert g.terms[lms[i]] == 1  # monic
