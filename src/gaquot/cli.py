@@ -77,7 +77,7 @@ def _add_cap_flags(sub: argparse.ArgumentParser,
                    max_degree_default: int = DEFAULT_CAPS.max_degree,
                    max_degree_help: str = "total degree cap for basis computations"):
     sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS.max_pairs,
-                     help="pair budget for basis computations")
+                     help="S-polynomials each basis computation may reduce")
     sub.add_argument("--max-degree", type=int, default=max_degree_default,
                      help=max_degree_help)
     sub.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,

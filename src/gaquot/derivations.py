@@ -424,7 +424,8 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
 
     Tag polynomials p with p(gens) divisible by a are exactly the
     elimination ideal of (a) + (y_i - gens_i); each quotient p(gens)/a is
-    automatically a kernel element.  Membership of h is tested against
+    automatically a kernel element.  A candidate h already among
+    `generators` is skipped; membership of any other is tested against
     one graded span of `generators` when they are homogeneous, by Groebner
     membership otherwise.
     """
@@ -443,7 +444,7 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
         if h is None or h.is_zero() or h.is_constant():
             continue
         h = monic(h)
-        if h in new:
+        if h in new or h in generators:
             continue
         if span is not None:
             member = span.contains(h)

@@ -3,13 +3,21 @@
 Ideal membership, unit-ideal emptiness tests, elimination, saturation,
 Krull dimension via leading-term independent sets, and subalgebra
 membership all reduce to reduced Groebner bases computed by Buchberger's
-algorithm with the product and chain pair-discarding criteria and the
-normal selection strategy (smallest lcm first).  Output is deterministic
-for fixed input and order; a reduced basis is listed in ascending order
-of leading monomial.  Each term order is one descending sort key, built
-on the one grevlex key of `poly`.  The tag-variable graph ideal of
-subalgebra membership, the saturation kernel method and the invariant
-presentation has one builder, `_graph_ideal`.
+algorithm with the normal selection strategy (smallest lcm first).  Pairs
+are pruned when they are formed, by the update of Gebauer and Moeller
+("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
+UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
+time an element joins the basis: criteria M and F and the product
+criterion on the new pairs, criterion B on the queued ones.  The update
+also retires every element whose leading monomial the new one divides,
+and S-polynomials are reduced against the active elements only; since a
+retired leading monomial is a multiple of an active one, remainders are
+still full normal forms.  Output is deterministic for fixed input and
+order; a reduced basis is listed in ascending order of leading monomial.
+Each term order is one descending sort key, built on the one grevlex key
+of `poly`.  The tag-variable graph ideal of subalgebra membership, the
+saturation kernel method and the invariant presentation has one builder,
+`_graph_ideal`.
 
 Every reduction (S-polynomials and tail reduction in Buchberger, normal
 forms, exact division) runs on one heap-ordered core: the working
@@ -37,6 +45,7 @@ a small share of what a kernel solve costs.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -167,7 +176,10 @@ class GroebnerBasis:
 
 @dataclass(frozen=True)
 class ResourceCaps:
-    """Budget converting runaway computations into clean errors."""
+    """Budget converting runaway computations into clean errors: a
+    Buchberger run reduces at most `max_pairs` S-polynomials (the pairs
+    that survive pruning) and adds no remainder of one above total degree
+    `max_degree`."""
 
     max_pairs: int = 100_000
     max_degree: int = 60
@@ -277,10 +289,10 @@ def _reduce_full(work: dict, basis: Sequence, lms: Sequence, descending_key) -> 
     return remainder, scale
 
 
-def _spoly(f: dict, lmf, g: dict, lmg) -> dict:
-    """S-polynomial of two primitive integer term dicts, each multiplied
-    by the other's leading coefficient over the gcd of the two."""
-    l = _lcm(lmf, lmg)
+def _spoly(f: dict, lmf, g: dict, lmg, l) -> dict:
+    """S-polynomial, at the lcm l of the two leading monomials, of two
+    primitive integer term dicts, each multiplied by the other's leading
+    coefficient over the gcd of the two."""
     sf, sg = _sub(l, lmf), _sub(l, lmg)
     h = gcd(f[lmf], g[lmg])
     a, b = g[lmg] // h, f[lmf] // h
@@ -297,9 +309,53 @@ def _spoly(f: dict, lmf, g: dict, lmg) -> dict:
     return terms
 
 
+def _update(pairs: list, lms: list, active: list, descending_key) -> list:
+    """Gebauer-Moeller update for the element just appended, the last of
+    `lms`: prunes the queued `pairs` in place, queues the new pairs that
+    survive, and returns the new active indices.
+
+    Queued pairs are (negated descending key of lcm, i, j, lcm).  With h
+    the new leading monomial:
+    - criterion B drops a queued pair whose lcm h divides unless h joined
+      with either element gives that same lcm;
+    - of the new pairs (g, h), g active, criterion M drops one whose lcm
+      another new lcm properly divides (that one is of lower degree),
+      criterion F keeps one pair per lcm (the first), and the product
+      criterion drops every pair whose lcm is also that of a pair with
+      coprime leading monomials;
+    - every active element whose leading monomial h divides retires.
+    """
+    j = len(lms) - 1
+    h = lms[j]
+    kept = [p for p in pairs
+            if not _divides(h, p[3]) or _lcm(lms[p[1]], h) == p[3] or _lcm(lms[p[2]], h) == p[3]]
+    if len(kept) < len(pairs):
+        pairs[:] = kept
+        heapq.heapify(pairs)
+    first: dict = {}  # lcm -> first active index giving it, None if any pair is coprime
+    for i in active:
+        l = _lcm(lms[i], h)
+        if l == _mul(lms[i], h):
+            first[l] = None
+        else:
+            first.setdefault(l, i)
+    lcms = sorted(first, key=sum)
+    degrees = [sum(l) for l in lcms]
+    for k, l in enumerate(lcms):
+        i = first[l]
+        if i is None or any(_divides(lcms[t], l) for t in range(bisect_left(degrees, degrees[k]))):
+            continue
+        # negated, the descending key puts the smallest lcm first
+        heapq.heappush(pairs, (tuple(map(neg, descending_key(l))), i, j, l))
+    return [i for i in active if not _divides(h, lms[i])] + [j]
+
+
 def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
                caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal, deterministic for fixed input."""
+    """Reduced Groebner basis of the ideal, deterministic for fixed input.
+
+    `caps.max_pairs` bounds the S-polynomials reduced, which are the pairs
+    that survive the pruning of `_update`."""
     order = order or TermOrder.grevlex()
     descending_key = order.descending_key
     seeds = [g for g in ideal.generators if not g.is_zero()]
@@ -308,76 +364,53 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
 
     basis: list = []
     lms: list = []
+    pairs: list = []
+    active: list = []
+    # Reducers: the active elements.  A retired element's leading monomial
+    # is a multiple of an active one, so remainders are full normal forms.
+    rows: list = []
+    row_lms: list = []
 
     def append(reduced: dict):
+        nonlocal active
         lm = next(iter(reduced))  # remainders list their terms in descending order
         basis.append(_primitive(reduced, lm))
         lms.append(lm)
-
-    heap: list = []
-    pending = set()
-
-    def push_pairs(j: int):
-        for i in range(j):
-            l = _lcm(lms[i], lms[j])
-            # negated, the descending key puts the smallest lcm first
-            heapq.heappush(heap, (tuple(map(neg, descending_key(l))), i, j))
-            pending.add((i, j))
+        active = _update(pairs, lms, active, descending_key)
+        rows[:] = [basis[k] for k in active]
+        row_lms[:] = [lms[k] for k in active]
 
     for g in seeds:
-        reduced, _ = _reduce_full(_integer_terms(g.terms)[0], basis, lms, descending_key)
+        reduced, _ = _reduce_full(_integer_terms(g.terms)[0], rows, row_lms, descending_key)
         if reduced:
             append(reduced)
-            push_pairs(len(basis) - 1)
 
-    processed = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        processed += 1
-        if processed > caps.max_pairs:
+    reductions = 0
+    while pairs:
+        _, i, j, l = heapq.heappop(pairs)
+        reductions += 1
+        if reductions > caps.max_pairs:
             raise ResourceCapError(f"pair budget {caps.max_pairs} exhausted")
-        l = _lcm(lms[i], lms[j])
-        if l == _mul(lms[i], lms[j]):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lms[k], l):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True  # chain criterion: both companion pairs treated
-                break
-        if skip:
-            continue
-        reduced, _ = _reduce_full(_spoly(basis[i], lms[i], basis[j], lms[j]), basis, lms,
+        reduced, _ = _reduce_full(_spoly(basis[i], lms[i], basis[j], lms[j], l), rows, row_lms,
                                   descending_key)
         if not reduced:
             continue
         if max(sum(m) for m in reduced) > caps.max_degree:
             raise ResourceCapError(f"degree budget {caps.max_degree} exhausted")
         append(reduced)
-        push_pairs(len(basis) - 1)
 
-    # Minimalize: keep only elements whose leading monomial no other kept
-    # leading monomial divides; process in ascending order for determinism
-    # (leading monomials are distinct, so there are no ties).
-    ordering = sorted(range(len(basis)), key=lambda t: descending_key(lms[t]), reverse=True)
-    kept: list = []
-    for idx in ordering:
-        if not any(_divides(lms[k], lms[idx]) for k in kept):
-            kept.append(idx)
-
-    # Tail-reduce every survivor against the others; leading terms are
-    # pairwise irreducible, so leading monomials are preserved.
+    # No active leading monomial divides another, so the active elements
+    # form a minimal basis.  Tail-reduce each against the others, in
+    # ascending order of leading monomial for determinism (leading
+    # monomials are distinct, so there are no ties); leading monomials
+    # are preserved.
+    kept = sorted(active, key=lambda t: descending_key(lms[t]), reverse=True)
     final = []
     for idx in kept:
         others = [basis[k] for k in kept if k != idx]
         other_lms = [lms[k] for k in kept if k != idx]
         reduced, _ = _reduce_full(dict(basis[idx]), others, other_lms, descending_key)
         final.append((_primitive(reduced, lms[idx]), lms[idx]))
-    final.sort(key=lambda pair: descending_key(pair[1]), reverse=True)
     polys = tuple(Polynomial(ideal.ring, {m: Fraction(c, terms[lm]) for m, c in terms.items()})
                   for terms, lm in final)
     return GroebnerBasis(order, polys, ideal, tuple(lm for _, lm in final),

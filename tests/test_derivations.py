@@ -420,7 +420,7 @@ def test_kernel_linear_is_weitzenboeck(n):
     assert gens == expected
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_kernel_saturation_generates_weitzenboeck(n):
     d = lower_triangular_derivation(n)
     gens = kernel_saturation(d, make_slice(d, "w2"), 8)
@@ -547,6 +547,19 @@ def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(mon
     assert [str(g) for g in gens] == ["x", "y^2 - 2*x*z + 2*y"]
     assert gens == kernel_linear(d, 4)
     assert "_saturation_round" in {caller for caller, _ in calls}
+
+
+def test_saturation_round_skips_known_generators(monkeypatch):
+    """Round 2 re-derives y^2 - 2*x*z + 2*y, found in round 1; it is
+    already a generator, so it is not tested for membership again.  The
+    other three calls are the final minimality filter."""
+    ring = VarSet(("x", "y", "z"))
+    d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + 1", ring)})
+    calls = count_groebner_calls(monkeypatch)
+    kernel_saturation(d, derivations.find_slice(d), 8)
+    assert calls == [("_saturation_round", parse("y^2 - 2*x*z + 2*y", ring))] + [
+        ("_minimal_generators", parse(t, ring))
+        for t in ("x", "y^2 - 2*x*z + 2*y", "x*y^2 - 2*x^2*z + 2*x*y")]
 
 
 def test_graded_span_obeys_dimension_cap(monkeypatch):

@@ -1,11 +1,14 @@
 """Groebner engine: bases, membership, elimination, saturation, dimension."""
 
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from gaquot import (
     Ideal,
+    Polynomial,
     ResourceCapError,
     ResourceCaps,
     TermOrder,
@@ -23,6 +26,7 @@ from gaquot import (
     saturate,
     subalgebra_membership,
 )
+from gaquot import groebner
 from helpers import (
     brute_ideal_membership,
     random_poly,
@@ -80,9 +84,19 @@ def test_zero_ideal_basis_empty():
 
 
 def test_pair_cap_raises():
+    """The cap counts S-polynomials reduced: the pair (x^2, x*y) survives
+    pruning, so a budget of 0 stops at it."""
     caps = ResourceCaps(max_pairs=0)
     with pytest.raises(ResourceCapError):
-        buchberger(ideal(W, "w1", "w3", "w5", "w1 - 1 - (w3*w6 - w4*w5)"), caps=caps)
+        buchberger(ideal(XY, "x^2 - y", "x*y - 1"), caps=caps)
+
+
+def test_pair_cap_ignores_pruned_pairs():
+    """Every pair of this ideal is pruned when it is formed (coprime
+    leading monomials, then the unit), so no S-polynomial is reduced."""
+    caps = ResourceCaps(max_pairs=0)
+    gb = buchberger(ideal(W, "w1", "w3", "w5", "w1 - 1 - (w3*w6 - w4*w5)"), caps=caps)
+    assert gb.basis == (W.one(),)
 
 
 def test_degree_cap_raises():
@@ -533,6 +547,84 @@ def test_basis_ascends_by_leading_monomial(order):
         assert all(a < b for a, b in zip(keys, keys[1:]))
         longest = max(longest, len(keys))
     assert longest >= 4
+
+
+# -- pair pruning against textbook Buchberger ---------------------------------------
+
+
+def textbook_buchberger(gens, order):
+    """Buchberger's algorithm with no criterion: every pair is reduced, in
+    the order formed, against the whole basis so far by the scan
+    reference; then the basis is minimalized, tail-reduced and made monic.
+    Returns (reduced basis in ascending order of leading monomial,
+    number of S-polynomials reduced)."""
+    key = reference_key(order)
+    ring = gens[0].ring
+
+    def lead(g):
+        return max(g.terms, key=key)
+
+    def monic_under_order(g):
+        return g * ring.const(1 / g.terms[lead(g)])
+
+    def remainder(f, basis):
+        return Polynomial(ring, scan_normal_form(f, SimpleNamespace(order=order, basis=basis)))
+
+    basis = [monic_under_order(g) for g in gens if not g.is_zero()]
+    pairs = list(combinations(range(len(basis)), 2))
+    reduced = 0
+    while pairs:
+        i, j = pairs.pop(0)
+        reduced += 1
+        r = remainder(spoly(basis[i], basis[j], order), basis)
+        if not r.is_zero():
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(monic_under_order(r))
+    basis.sort(key=lambda g: key(lead(g)))
+    minimal = []
+    for g in basis:
+        if not any(all(a <= b for a, b in zip(lead(h), lead(g))) for h in minimal):
+            minimal.append(g)
+    return [monic_under_order(remainder(g, [h for h in minimal if h is not g]))
+            for g in minimal], reduced
+
+
+@pytest.mark.parametrize("order", REDUCTION_ORDERS, ids=lambda o: f"{o.kind}{o.block_size}")
+def test_pruned_buchberger_matches_textbook_reference(order):
+    """Pruning pairs and reducing against the active elements only leaves
+    the reduced basis unchanged.  Under grevlex every pair of leading
+    monomials of the first system has the lcm x*y*z, so criterion F must
+    keep one pair of each lcm."""
+    rng = random.Random(20261020)
+    ring = VarSet(("x", "y", "z"))
+    key = reference_key(order)
+    systems = [tuple(parse(t, ring) for t in ("x*y - z", "x*z - y", "y*z - x"))]
+    systems += [tuple(random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
+                                  nonconstant=True) for _ in range(rng.randint(2, 3)))
+                for _ in range(30)]
+    for gens in systems:
+        expected, _ = textbook_buchberger(gens, order)
+        gb = buchberger(Ideal(ring, gens), order)
+        assert gb.basis == tuple(expected)
+        assert gb.leading == tuple(max(g.terms, key=key) for g in expected)
+
+
+@pytest.mark.parametrize("system", [KATSURA3, CYCLIC4], ids=["katsura3", "cyclic4"])
+def test_pruning_reduces_fewer_spolynomials(system, monkeypatch):
+    ring, texts = system
+    gens = tuple(parse(t, ring) for t in texts)
+    expected, reference_count = textbook_buchberger(gens, TermOrder.grevlex())
+    calls = []
+    spoly_core = groebner._spoly
+
+    def counting(*args):
+        calls.append(args)
+        return spoly_core(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", counting)
+    gb = buchberger(Ideal(ring, gens))
+    assert gb.basis == tuple(expected)
+    assert 0 < len(calls) < reference_count
 
 
 # -- contracts on orders, bases, ideals ------------------------------------------
