@@ -19,27 +19,36 @@ of `poly`.  The tag-variable graph ideal of subalgebra membership, the
 saturation kernel method and the invariant presentation has one builder,
 `_graph_ideal`.
 
-Every reduction (S-polynomials and tail reduction in Buchberger, normal
-forms, exact division) runs on one heap-ordered core: the working
-polynomial's monomials sit in a binary heap under the order's descending
-key, so the leading term is popped rather than found by a scan, and a
-term that cancels after it was queued is skipped when popped (after
+Buchberger and normal forms reduce on packed monomials: inside the
+core a monomial is one Python int, linear in its exponent vector (after
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors", CASC 2007).
+and packed exponent vectors", CASC 2007).  One packing per term order and
+number of variables, `_packing`, lays out, from the top: the order's
+descending key as signed fields, a total-degree field, and the exponents,
+each in a 32-bit field whose top bit is a guard.  A product of monomials
+is a sum of ints, a comparison under the order is a comparison of ints
+(smaller is larger, as with the descending key), divisibility is one
+subtraction and one mask of the guard bits, and the degree is a shift and
+a mask.  The working polynomial's monomials sit in a binary heap of bare
+ints, so the leading term is popped rather than found by a scan, and a
+term that cancels after it was queued is skipped when popped.  Inputs are
+packed once and outputs unpacked once; every exponent must stay below
+2**31, and an input or a reduction that passes that bound raises
+`ResourceCapError` before it can be mis-ordered.
 
 Buchberger and normal forms reduce fraction-free, the standard practice
 over the rationals (Becker and Weispfenning, "Groebner Bases", GTM 141).
-Basis rows are primitive integer term dicts: content removed, leading
+Basis rows are primitive integer polynomials: content removed, leading
 coefficient positive.  A reduction step cross-multiplies by the two
 leading coefficients divided by their gcd, and the working polynomial
 keeps the accumulated scale.  Coefficients become Fractions only at the
 edges: an input is cleared of denominators once, a normal form is
 divided by its scale and denominator, and a reduced basis is made monic
 as it is returned, so its output is the unique monic reduced basis.
-Exact division and linalg.Echelon keep Fraction coefficients and monic
-rows, and share the heap core unchanged, since `_subtract` takes either
-coefficient type: their reductions are short, and rational arithmetic is
-a small share of what a kernel solve costs.
+Exact division and linalg.Echelon keep Fraction coefficients, monic rows
+and exponent tuples, reduced on a heap of (descending key, monomial)
+pairs by `_heap` and `_subtract`: their reductions are short, and their
+rows are read as tuples by the kernel methods.
 """
 
 from __future__ import annotations
@@ -48,10 +57,12 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 from pathlib import Path
+from struct import Struct
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -162,9 +173,12 @@ class GroebnerBasis:
     """Reduced basis (monic, pairwise irreducible) of `source` under `order`;
     `leading` holds the leading monomial of each basis element.
 
-    `rows` holds the same elements as the primitive integer term dicts
-    they were reduced as (content removed, leading coefficient positive),
-    so that normal forms reduce against them without converting the
+    `rows` holds the same elements as the packed rows they were reduced
+    as, under `_packing(order, number of variables)`: each is a triple
+    (leading monomial, leading coefficient, tail), the polynomial
+    primitive over the integers with positive leading coefficient and
+    the tail its other (monomial, coefficient) pairs in descending
+    order.  Normal forms reduce against them without converting the
     basis again; it takes no part in equality."""
 
     order: TermOrder
@@ -232,48 +246,118 @@ def _subtract(work: dict, heap: list, descending_key, c, shift, g: dict, lm) -> 
             work[t] = old - c * gc
 
 
-def _integer_terms(terms) -> tuple:
-    """(integer term dict, d): the Fraction term dict times the least
-    common multiple d of its denominators."""
+# -- packed monomials ------------------------------------------------------------
+
+_EXPONENT_BITS = 32
+_EXPONENT_BOUND = 1 << (_EXPONENT_BITS - 1)  # the top bit of each field is its guard
+
+
+class _Packing:
+    """Monomials of an n-variable ring under one term order as ints.
+
+    pack(e) = sum of e_i * weight_i, so the packing is linear: the
+    product of monomials is the sum of their packed ints.  The weight of
+    the i-th unit vector places, from the most significant field down,
+    the order's descending key of that vector (one signed field per key
+    entry), a 1 in the total-degree field and a 1 in the i-th 32-bit
+    exponent field.  Key and degree fields are 32 + n.bit_length() bits
+    wide, which holds any value they take while every exponent is below
+    2**32, so no field carries into the next and comparing packed ints
+    compares descending keys: a smaller int is a larger monomial.
+
+    Exponents of packed inputs and of every monomial the core keeps are
+    below 2**31 (`_EXPONENT_BOUND`), so their guard bits are clear; a
+    product of two such monomials stays below 2**32 in each field, and
+    its guard bits show whether it passed the bound.  For two monomials
+    below the bound, b divides a iff (a - b) & guard == 0: a negative
+    field difference borrows and sets its guard bit."""
+
+    def __init__(self, order: TermOrder, n: int):
+        width = _EXPONENT_BITS + n.bit_length()
+        self._degree_shift = _EXPONENT_BITS * n
+        self._degree_mask = (1 << width) - 1
+        weights = []
+        for i in range(n):
+            key = order.descending_key((0,) * i + (1,) + (0,) * (n - 1 - i))
+            top = self._degree_shift + width * len(key)  # where the first key field starts
+            weights.append(sum(k << (top - width * f) for f, k in enumerate(key) if k)
+                           + (1 << self._degree_shift) + (1 << (_EXPONENT_BITS * i)))
+        self._weights = tuple(weights)
+        self.guard = sum(_EXPONENT_BOUND << (_EXPONENT_BITS * i) for i in range(n))
+        self._low_mask = (1 << self._degree_shift) - 1
+        self._low_bytes = _EXPONENT_BITS // 8 * n
+        self._fields = Struct(f"<{n}I")
+
+    def pack(self, exps) -> int:
+        if max(exps, default=0) >= _EXPONENT_BOUND:
+            raise ResourceCapError(f"exponent {max(exps)} is at or above the bound 2**31")
+        return sum(map(mul, exps, self._weights))
+
+    def unpack(self, m: int) -> tuple:
+        return self._fields.unpack((m & self._low_mask).to_bytes(self._low_bytes, "little"))
+
+    def degree(self, m: int) -> int:
+        return m >> self._degree_shift & self._degree_mask
+
+
+# One entry per term order and ring size in use; kernel-width, the widest
+# benchmark workload, uses about 120.
+@lru_cache(maxsize=256)
+def _packing(order: TermOrder, n: int) -> _Packing:
+    return _Packing(order, n)
+
+
+def _integer_terms(terms, pack) -> tuple:
+    """(packed integer term dict, d): the Fraction term dict times the
+    least common multiple d of its denominators."""
     d = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+    return {pack(m): c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
-def _primitive(terms: dict, lm) -> dict:
-    """The integer term dict divided by its content, signed so that the
-    coefficient of its leading monomial lm is positive."""
+def _row(terms: dict) -> tuple:
+    """The packed row (lm, lc, tail) of a nonzero integer term dict that
+    lists its terms in descending order, divided by its content and
+    signed so that lc is positive."""
+    items = iter(terms.items())
+    lm, lc = next(items)
     content = gcd(*terms.values())
-    if terms[lm] < 0:
+    if lc < 0:
         content = -content
     if content == 1:
-        return terms
-    return {m: c // content for m, c in terms.items()}
+        return lm, lc, tuple(items)
+    return lm, lc // content, tuple((m, c // content) for m, c in items)
 
 
-def _reduce_full(work: dict, basis: Sequence, lms: Sequence, descending_key) -> tuple:
-    """Full normal form of the integer term dict `work` against the
-    primitive integer `basis`: (remainder, scale), where the remainder is
-    scale * work modulo the basis and scale is a positive integer.
+def _reduce_full(work: dict, rows: Sequence, guard: int) -> tuple:
+    """Full normal form of the packed integer term dict `work` against
+    the packed `rows`: (remainder, scale), where the remainder is
+    scale * work modulo the rows and scale is a positive integer.
 
-    The leading monomial comes off a heap instead of a scan of `work`.
-    A popped term c*x^m whose monomial the leading term lc*x^lm of g
-    divides is cancelled without leaving the integers: with h = gcd(c, lc),
-    the working dict and the remainder so far are multiplied by lc/h,
-    then (c/h)*x^(m-lm)*g is subtracted.  Reducing a monomial m only adds
-    monomials smaller than m, so a popped monomial never returns.  The
-    remainder's terms are in descending order, so its first key is its
-    leading monomial.  Consumes `work`."""
-    heap = _heap(work, descending_key)
+    The leading monomial comes off a heap of packed ints instead of a
+    scan of `work`.  A popped term c*x^m whose monomial the leading term
+    lc*x^lm of a row divides is cancelled without leaving the integers:
+    with h = gcd(c, lc), the working dict and the remainder so far are
+    multiplied by lc/h, then (c/h)*x^(m-lm) times the row's tail is
+    subtracted.  Reducing a monomial m only adds monomials smaller than
+    m, so a popped monomial never returns.  The remainder's terms are in
+    descending order, so its first key is its leading monomial.  A popped
+    monomial with a guard bit set has passed the exponent bound, and
+    raises.  Consumes `work`."""
+    heap = list(work)
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     remainder: dict = {}
     scale = 1
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        for g, lm in zip(basis, lms):
-            if _divides(lm, m):
-                lc = g[lm]
+        if m & guard:
+            raise ResourceCapError("a reduction passed the exponent bound 2**31")
+        for lm, lc, tail in rows:
+            shift = m - lm
+            if not shift & guard:
                 h = gcd(c, lc)
                 factor = lc // h
                 if factor != 1:
@@ -282,25 +366,33 @@ def _reduce_full(work: dict, basis: Sequence, lms: Sequence, descending_key) -> 
                         work[t] *= factor
                     for t in remainder:
                         remainder[t] *= factor
-                _subtract(work, heap, descending_key, c // h, _sub(m, lm), g, lm)
+                c = -c // h
+                for gm, gc in tail:
+                    t = shift + gm
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = c * gc
+                        heappush(heap, t)
+                    else:
+                        work[t] = old + c * gc
                 break
         else:
             remainder[m] = c
     return remainder, scale
 
 
-def _spoly(f: dict, lmf, g: dict, lmg, l) -> dict:
-    """S-polynomial, at the lcm l of the two leading monomials, of two
-    primitive integer term dicts, each multiplied by the other's leading
-    coefficient over the gcd of the two."""
-    sf, sg = _sub(l, lmf), _sub(l, lmg)
-    h = gcd(f[lmf], g[lmg])
-    a, b = g[lmg] // h, f[lmf] // h
-    terms: dict = {}
-    for m, c in f.items():
-        terms[_mul(sf, m)] = a * c
-    for m, c in g.items():
-        t = _mul(sg, m)
+def _spoly(f: tuple, g: tuple, l: int) -> dict:
+    """S-polynomial, at the packed lcm l of the two leading monomials, of
+    two packed rows, each multiplied by the other's leading coefficient
+    over the gcd of the two; the leading terms cancel and are left out."""
+    lmf, lcf, tailf = f
+    lmg, lcg, tailg = g
+    sf, sg = l - lmf, l - lmg
+    h = gcd(lcf, lcg)
+    a, b = lcg // h, lcf // h
+    terms = {sf + m: a * c for m, c in tailf}
+    for m, c in tailg:
+        t = sg + m
         val = terms.get(t, 0) - b * c
         if val:
             terms[t] = val
@@ -309,12 +401,12 @@ def _spoly(f: dict, lmf, g: dict, lmg, l) -> dict:
     return terms
 
 
-def _update(pairs: list, lms: list, active: list, descending_key) -> list:
+def _update(pairs: list, lms: list, active: list, pack) -> list:
     """Gebauer-Moeller update for the element just appended, the last of
     `lms`: prunes the queued `pairs` in place, queues the new pairs that
     survive, and returns the new active indices.
 
-    Queued pairs are (negated descending key of lcm, i, j, lcm).  With h
+    Queued pairs are (negated packed lcm, i, j, lcm).  With h
     the new leading monomial:
     - criterion B drops a queued pair whose lcm h divides unless h joined
       with either element gives that same lcm;
@@ -345,8 +437,8 @@ def _update(pairs: list, lms: list, active: list, descending_key) -> list:
         i = first[l]
         if i is None or any(_divides(lcms[t], l) for t in range(bisect_left(degrees, degrees[k]))):
             continue
-        # negated, the descending key puts the smallest lcm first
-        heapq.heappush(pairs, (tuple(map(neg, descending_key(l))), i, j, l))
+        # negated, the packed lcm puts the smallest lcm first
+        heapq.heappush(pairs, (-pack(l), i, j, l))
     return [i for i in active if not _divides(h, lms[i])] + [j]
 
 
@@ -355,47 +447,46 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     """Reduced Groebner basis of the ideal, deterministic for fixed input.
 
     `caps.max_pairs` bounds the S-polynomials reduced, which are the pairs
-    that survive the pruning of `_update`."""
+    that survive the pruning of `_update`.  Every exponent of the input
+    and of the terms the reduction reaches must stay below 2**31.  Passing
+    a cap or that bound raises ResourceCapError."""
     order = order or TermOrder.grevlex()
-    descending_key = order.descending_key
     seeds = [g for g in ideal.generators if not g.is_zero()]
     if not seeds:
         return GroebnerBasis(order, (), ideal, (), ())
+    packing = _packing(order, len(ideal.ring))
+    guard = packing.guard
 
-    basis: list = []
-    lms: list = []
+    basis: list = []  # packed rows
+    lms: list = []  # their leading monomials as exponent tuples, for _update
     pairs: list = []
     active: list = []
     # Reducers: the active elements.  A retired element's leading monomial
     # is a multiple of an active one, so remainders are full normal forms.
     rows: list = []
-    row_lms: list = []
 
     def append(reduced: dict):
         nonlocal active
-        lm = next(iter(reduced))  # remainders list their terms in descending order
-        basis.append(_primitive(reduced, lm))
-        lms.append(lm)
-        active = _update(pairs, lms, active, descending_key)
+        basis.append(_row(reduced))  # remainders list their terms in descending order
+        lms.append(packing.unpack(basis[-1][0]))
+        active = _update(pairs, lms, active, packing.pack)
         rows[:] = [basis[k] for k in active]
-        row_lms[:] = [lms[k] for k in active]
 
     for g in seeds:
-        reduced, _ = _reduce_full(_integer_terms(g.terms)[0], rows, row_lms, descending_key)
+        reduced, _ = _reduce_full(_integer_terms(g.terms, packing.pack)[0], rows, guard)
         if reduced:
             append(reduced)
 
     reductions = 0
     while pairs:
-        _, i, j, l = heapq.heappop(pairs)
+        l, i, j, _ = heapq.heappop(pairs)
         reductions += 1
         if reductions > caps.max_pairs:
             raise ResourceCapError(f"pair budget {caps.max_pairs} exhausted")
-        reduced, _ = _reduce_full(_spoly(basis[i], lms[i], basis[j], lms[j], l), rows, row_lms,
-                                  descending_key)
+        reduced, _ = _reduce_full(_spoly(basis[i], basis[j], -l), rows, guard)
         if not reduced:
             continue
-        if max(sum(m) for m in reduced) > caps.max_degree:
+        if max(map(packing.degree, reduced)) > caps.max_degree:
             raise ResourceCapError(f"degree budget {caps.max_degree} exhausted")
         append(reduced)
 
@@ -404,27 +495,34 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     # ascending order of leading monomial for determinism (leading
     # monomials are distinct, so there are no ties); leading monomials
     # are preserved.
-    kept = sorted(active, key=lambda t: descending_key(lms[t]), reverse=True)
+    kept = sorted(active, key=lambda t: basis[t][0], reverse=True)
     final = []
     for idx in kept:
-        others = [basis[k] for k in kept if k != idx]
-        other_lms = [lms[k] for k in kept if k != idx]
-        reduced, _ = _reduce_full(dict(basis[idx]), others, other_lms, descending_key)
-        final.append((_primitive(reduced, lms[idx]), lms[idx]))
-    polys = tuple(Polynomial(ideal.ring, {m: Fraction(c, terms[lm]) for m, c in terms.items()})
-                  for terms, lm in final)
-    return GroebnerBasis(order, polys, ideal, tuple(lm for _, lm in final),
-                         tuple(terms for terms, _ in final))
+        lm, lc, tail = basis[idx]
+        work = dict(tail)
+        work[lm] = lc
+        reduced, _ = _reduce_full(work, [basis[k] for k in kept if k != idx], guard)
+        final.append(_row(reduced))
+    unpack = packing.unpack
+    polys = tuple(Polynomial(ideal.ring,
+                             {unpack(m): Fraction(c, lc) for m, c in ((lm, lc),) + tail})
+                  for lm, lc, tail in final)
+    return GroebnerBasis(order, polys, ideal, tuple(unpack(lm) for lm, _, _ in final),
+                         tuple(final))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Unique remainder of f modulo the basis; zero iff f is a member."""
+    """Unique remainder of f modulo the basis; zero iff f is a member.
+    Raises ResourceCapError if an exponent of f or of a term the
+    reduction reaches is 2**31 or more."""
     if f.ring != gb.source.ring:
         raise RingMismatchError("polynomial ring differs from basis ring")
-    work, d = _integer_terms(f.terms)
-    remainder, scale = _reduce_full(work, gb.rows, gb.leading, gb.order.descending_key)
+    packing = _packing(gb.order, len(f.ring))
+    work, d = _integer_terms(f.terms, packing.pack)
+    remainder, scale = _reduce_full(work, gb.rows, packing.guard)
     d *= scale
-    return Polynomial(f.ring, {m: Fraction(c, d) for m, c in remainder.items()})
+    unpack = packing.unpack
+    return Polynomial(f.ring, {unpack(m): Fraction(c, d) for m, c in remainder.items()})
 
 
 def ideal_membership(f: Polynomial, ideal: Ideal,

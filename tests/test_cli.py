@@ -221,6 +221,15 @@ def test_gb_variable_inference(tmp_path):
     assert text.strip()
 
 
+def test_gb_exponent_bound_is_a_resource_cap(tmp_path):
+    """Exponents must stay below 2**31; the largest allowed one passes."""
+    path = tmp_path / "huge.txt"
+    path.write_text("x^2147483648 - 1\n", encoding="utf-8")
+    assert run(["gb", "--ideal", str(path)])[0] == 4
+    path.write_text("x^2147483647 - 1\n", encoding="utf-8")
+    assert run(["gb", "--ideal", str(path)]) == (0, "x^2147483647 - 1\n")
+
+
 def test_gb_unknown_order(tmp_path):
     path = tmp_path / "single.txt"
     path.write_text("x\n", encoding="utf-8")

@@ -333,6 +333,33 @@ def test_kernel_saturation_cross_check():
     assert_same_subalgebra(gens, [P(t) for t in EXPECTED_KERNEL])
 
 
+def linear_ladder_with_slice():
+    """The kernel-ladder inputs whose derivation is linear (so both kernels
+    are homogeneous) and has a slice."""
+    return [case for case in kernel_ladder()
+            if all(sum(m) == 1 for image in case[1].images.values() for m in image.terms)
+            and derivations.find_slice(case[1]) is not None]
+
+
+@pytest.mark.parametrize("derivation, max_degree",
+                         [case[1:] for case in linear_ladder_with_slice()],
+                         ids=[case[0] for case in linear_ladder_with_slice()])
+def test_kernel_methods_generate_the_same_subalgebra(derivation, max_degree):
+    """kernel_saturation against kernel_linear, run to the ladder degree or
+    to the top degree of the saturation output if that is higher: the
+    graded spans of the two outputs have equal rank in every degree up to
+    that top degree, and each output lies in the other's subalgebra.  The
+    lists may differ, since the greedy filter depends on the candidates."""
+    saturated = kernel_saturation(derivation, derivations.find_slice(derivation), 8)
+    top = max(g.total_degree() for g in saturated)
+    linear = kernel_linear(derivation, max(max_degree, top))
+    spans = [derivations._GradedSpan(derivation.ring, gens) for gens in (linear, saturated)]
+    ranks = [[len(span._piece(d)[0].rows) for d in range(top + 1)] for span in spans]
+    assert ranks[0] == ranks[1]
+    assert all(spans[1].contains(g) for g in linear)
+    assert all(spans[0].contains(g) for g in saturated)
+
+
 def test_kernel_saturation_single_block():
     d = lower_triangular_derivation(1)
     gens = kernel_saturation(d, make_slice(d, "w2"), 3)

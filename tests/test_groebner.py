@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from operator import add, le
 from types import SimpleNamespace
 
 import pytest
@@ -512,6 +513,32 @@ def test_divide_exact_matches_scan_reference():
         assert divide_exact(q * d, d) == q
 
 
+def fq_presentation_case():
+    """The largest normal form of the deg-12 battery's invariant
+    presentation: f(q), with f + 1 = prod over k of (1 - sign_k * k * s)
+    and q = z3*z4 - z2*z5, modulo the graph ideal of [z2, z4, q] under
+    block(5), the membership test of f(q) in the subalgebra of the rest."""
+    z = VarSet(("z1", "z2", "z3", "z4", "z5"))
+    q = parse("z3*z4 - z2*z5", z)
+    rng = random.Random(11)
+    product = z.one()
+    for k in range(1, 13):
+        product = product * (z.one() - q * (rng.choice((1, -1)) * k))
+    fq = product - z.one()
+    gb = buchberger(groebner._graph_ideal(z, [z.var("z2"), z.var("z4"), q]),
+                    TermOrder.block(len(z)))
+    return fq.embed(gb.source.ring), gb
+
+
+def test_presentation_normal_form_matches_scan_reference():
+    fq, gb = fq_presentation_case()
+    assert len(fq.terms) == 90 and len(gb.basis) == 3
+    nf = normal_form(fq, gb)
+    assert list(nf.terms.items()) == list(scan_normal_form(fq, gb).items())
+    # f(q) is a polynomial in the tag of q
+    assert nf.variables() == ("y3",)
+
+
 def test_reduction_skips_cancelled_queued_terms():
     """x*y is queued from the start and cancels when x^2 is reduced."""
     ring = VarSet(("x", "y", "z"))
@@ -609,6 +636,32 @@ def test_pruned_buchberger_matches_textbook_reference(order):
         assert gb.leading == tuple(max(g.terms, key=key) for g in expected)
 
 
+# The ambient ring of v3 with 10 trivial summands, as wide as the rings of
+# the kernel-width benchmark.
+WIDE = VarSet(("u", "v", "w1", "w2", "w3", "w4", "w5", "w6")
+              + tuple(f"e{i}" for i in range(1, 11)))
+
+
+@pytest.mark.parametrize("order", [TermOrder.grevlex(), TermOrder.block(2)],
+                         ids=lambda o: f"{o.kind}{o.block_size}")
+def test_wide_sparse_buchberger_matches_textbook_reference(order):
+    """Sparse systems in 18 variables, each generator in at most three of
+    them, against textbook Buchberger."""
+    rng = random.Random(20261021)
+    key = reference_key(order)
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            names = rng.sample(WIDE.names, 3)
+            sub = VarSet(tuple(sorted(names, key=WIDE.index)))
+            gens.append(random_poly(rng, sub, max_degree=2, max_terms=3, allow_zero=False,
+                                    nonconstant=True).embed(WIDE))
+        expected, _ = textbook_buchberger(tuple(gens), order)
+        gb = buchberger(Ideal(WIDE, tuple(gens)), order)
+        assert gb.basis == tuple(expected)
+        assert gb.leading == tuple(max(g.terms, key=key) for g in expected)
+
+
 @pytest.mark.parametrize("system", [KATSURA3, CYCLIC4], ids=["katsura3", "cyclic4"])
 def test_pruning_reduces_fewer_spolynomials(system, monkeypatch):
     ring, texts = system
@@ -625,6 +678,79 @@ def test_pruning_reduces_fewer_spolynomials(system, monkeypatch):
     gb = buchberger(Ideal(ring, gens))
     assert gb.basis == tuple(expected)
     assert 0 < len(calls) < reference_count
+
+
+# -- packed monomials -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 4, 18])
+def test_packing_agrees_with_exponent_tuples(n):
+    """Each packing against exponent tuples, with exponents up to the
+    largest allowed, 2**31 - 1, and products up to twice that."""
+    rng = random.Random(20261022 + n)
+    top = groebner._EXPONENT_BOUND - 1
+
+    def rand_mono():
+        return tuple(rng.choice((0, rng.randint(1, 3), rng.randint(0, top), top))
+                     for _ in range(n))
+
+    def near_divisor(a):
+        """A divisor of a; half the time one field is raised by one, so
+        that it no longer divides a unless that field is at the bound."""
+        b = [rng.choice((e, rng.randint(0, e))) for e in a]
+        if rng.random() < 0.5:
+            i = rng.randrange(n)
+            b[i] = min(a[i] + 1, top)
+        return tuple(b)
+
+    divides = []
+
+    for order in [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(1),
+                  TermOrder.block(2), TermOrder.block(n)]:
+        packing = groebner._packing(order, n)
+        descending = order.descending_key
+        for _ in range(300):
+            a, c = rand_mono(), rand_mono()
+            b = near_divisor(a)
+            pa, pb, pc = packing.pack(a), packing.pack(b), packing.pack(c)
+            for x, px in ((a, pa), (b, pb)):
+                assert packing.unpack(px) == x
+                assert packing.degree(px) == sum(x)
+                assert not px & packing.guard
+            assert (pa < pb) == (descending(a) < descending(b))
+            assert (pa < pc) == (descending(a) < descending(c))
+            assert (pa == pb) == (a == b)
+            divides.append(all(map(le, b, a)))
+            assert (not (pa - pb) & packing.guard) == divides[-1]
+            # products: linear, ordered and measured even past the bound,
+            # which exactly the guard bits flag
+            ab, bc = tuple(map(add, a, b)), tuple(map(add, b, c))
+            assert (pa + pb < pb + pc) == (descending(ab) < descending(bc))
+            assert packing.degree(pa + pb) == sum(ab)
+            assert bool((pa + pb) & packing.guard) == (max(ab) > top)
+            if max(ab) <= top:
+                assert pa + pb == packing.pack(ab)
+        with pytest.raises(ResourceCapError):
+            packing.pack((top + 1,) + (0,) * (n - 1))
+    assert 0.3 < sum(divides) / len(divides) < 0.7
+    assert groebner._packing(TermOrder.lex(), n) is groebner._packing(TermOrder.lex(), n)
+
+
+def test_exponent_bound_is_checked():
+    """2**31 - 1 is the largest exponent an input or a reduction may reach;
+    under lex, reducing x^2 by x - y^(2**30) climbs to y^(2**31)."""
+    top = groebner._EXPONENT_BOUND - 1
+    with pytest.raises(ResourceCapError):
+        buchberger(ideal(XY, f"x^{top + 1} - 1"))
+    assert buchberger(ideal(XY, f"x^{top} - y")).basis == (parse(f"x^{top} - y", XY),)
+    gb = buchberger(ideal(XY, "x - y^1073741824"), TermOrder.lex())
+    assert normal_form(parse("x", XY), gb) == parse("y^1073741824", XY)
+    with pytest.raises(ResourceCapError):
+        normal_form(parse("x^2", XY), gb)
+    with pytest.raises(ResourceCapError):
+        buchberger(ideal(XY, "x - y^1073741824", "x^2 - 1"), TermOrder.lex())
+    with pytest.raises(ResourceCapError):
+        normal_form(parse(f"x^{top + 1}", XY), gb)
 
 
 # -- contracts on orders, bases, ideals ------------------------------------------

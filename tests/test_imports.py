@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private module-level definition is used somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,39 @@ def unused_imports(source: str) -> list:
     return sorted(name for name in imported if name not in used)
 
 
+def private_definitions(source: str) -> list:
+    """Private functions, classes and constants defined at module level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def referenced_names(source: str) -> set:
+    """Names read, attributes taken and names imported anywhere in a module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """(module, name) of each private definition no module refers to."""
+    referenced = set().union(*map(referenced_names, sources.values()))
+    return sorted((module, name) for module, source in sources.items()
+                  for name in private_definitions(source) if name not in referenced)
+
+
 def test_sources_found():
     assert {"cli.py", "groebner.py", "poly.py"} <= {path.name for path in SOURCES}
 
@@ -37,3 +71,19 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     assert unused_imports("import os\nfrom typing import List, Sequence\nx: List\n") \
         == ["Sequence", "os"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert sum(len(private_definitions(source)) for source in sources.values()) > 40
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_detects_unreferenced_private_definition():
+    sources = {
+        "a.py": "_LIMIT = 3\n_dead: int = 0\ndef _used():\n    return _LIMIT\n"
+                "class _Gone:\n    pass\ndef _unused(n):\n    return n\n",
+        "b.py": "from .a import _used\n_used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == [
+        ("a.py", "_Gone"), ("a.py", "_dead"), ("a.py", "_unused")]
