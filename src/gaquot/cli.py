@@ -41,13 +41,11 @@ from .errors import (
 )
 from .families import (
     FAMILIES,
-    KERNEL_DEGREE,
     FamilySpec,
     VerificationReport,
     build_family,
     invariant_presentation,
     run_battery,
-    w_restriction,
 )
 from .groebner import DEFAULT_CAPS, ResourceCaps, TermOrder, buchberger, load_ideal_file
 from .poly import VarSet, parse
@@ -80,8 +78,6 @@ def _add_cap_flags(sub: argparse.ArgumentParser,
                      help="S-polynomials each basis computation may reduce")
     sub.add_argument("--max-degree", type=int, default=max_degree_default,
                      help=max_degree_help)
-    sub.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
-                     help="round budget for the saturation kernel method")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,12 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grevlex, lex, or elim:K (eliminate the first K variables)")
     _add_cap_flags(gb)
 
-    present = sub.add_parser("present", help="invariant-ring presentation")
-    present.add_argument("--family", choices=tuple(FAMILIES), default="v3")
-    present.add_argument("--f", required=True, metavar="POLY")
+    present = sub.add_parser("present", help="invariant-ring presentation (v3 family)")
+    present.add_argument("--f", required=True, metavar="POLY", help="shape polynomial in s")
     present.add_argument("--trivial", type=int, default=0)
     _add_cap_flags(present)
 
+    # verify records the round budget in its report; kernel spends it
+    for rounds in (verify, kernel):
+        rounds.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
+                            help="round budget for the saturation kernel method")
     return parser
 
 
@@ -213,19 +212,23 @@ def _cmd_kernel(args, out) -> int:
     return EXIT_OK
 
 
-def _parse_order(text: str) -> TermOrder:
+def _parse_order(text: str, width: int) -> TermOrder:
+    """grevlex, lex, or elim:K with 0 <= K <= width (the ring size)."""
     if text == "grevlex":
         return TermOrder.grevlex()
     if text == "lex":
         return TermOrder.lex()
     if text.startswith("elim:"):
-        return TermOrder.block(int(text[len("elim:"):]))
+        k = int(text[len("elim:"):])
+        if k > width:
+            raise ValueError("elimination count out of range")
+        return TermOrder.block(k)
     raise ValueError(f"unknown order {text!r}")
 
 
 def _cmd_gb(args, out) -> int:
     ideal = load_ideal_file(args.ideal)
-    order = _parse_order(args.order)
+    order = _parse_order(args.order, len(ideal.ring))
     gb = buchberger(ideal, order, caps=_caps(args))
     if not gb.basis:
         print("0", file=out)
@@ -235,16 +238,8 @@ def _cmd_gb(args, out) -> int:
 
 
 def _cmd_present(args, out) -> int:
-    if args.family != "v3":
-        print("error: presentation is implemented for the v3 family only",
-              file=sys.stderr)
-        return EXIT_USAGE
-    f = _parse_shape(args.family, args.f)
-    spec = FamilySpec(args.family, f, args.trivial)
-    caps = _caps(args)
-    art = build_family(spec)
-    kernel = kernel_linear(w_restriction(art), KERNEL_DEGREE, caps=caps)
-    gens, relations = invariant_presentation(art, kernel, caps=caps)
+    spec = FamilySpec("v3", _parse_shape("v3", args.f), args.trivial)
+    gens, relations = invariant_presentation(build_family(spec), caps=_caps(args))
     tags = relations.ring.names
     for tag, g in zip(tags, gens):
         print(f"{tag} = {g}", file=out)

@@ -40,7 +40,6 @@ from .groebner import (
     Ideal,
     ResourceCaps,
     _graph_ideal,
-    _mul,
     divide_exact,
     eliminate,
     subalgebra_membership,
@@ -50,6 +49,7 @@ from .poly import (
     Polynomial,
     VarSet,
     _grevlex_descending,
+    _product,
     monic,
     parse,
     read_spec_file,
@@ -237,15 +237,6 @@ def _sorted_gens(polys):
 
 def _is_homogeneous(p: Polynomial) -> bool:
     return len({sum(m) for m in p.terms}) <= 1
-
-
-def _product(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for m, c in f.items():
-        for n, d in g.items():
-            t = _mul(m, n)
-            out[t] = out.get(t, 0) + c * d
-    return out
 
 
 class _GradedSpan:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .derivations import Derivation, _minimal_generators, fixed_point_ideal, kernel_linear
 from .errors import (
@@ -292,34 +292,29 @@ def k_theory_ranks(m: int) -> KTheoryRanks:
 
 
 def invariant_presentation(art: ConstructionArtifacts,
-                           kernel_gens: Sequence[Polynomial],
                            caps: ResourceCaps = DEFAULT_CAPS):
     """Present the invariant ring of X by generators and relations.
 
-    Restricts the kernel generators along the graph equation, rewriting
-    everything in affine coordinates z1, z2, ... (the closed immersion of
-    X), drops generators lying in the subalgebra of the others, and
-    eliminates the ambient coordinates from the tag-variable graph ideal.
-    Returns (restricted generators, relation ideal in tags).
+    Computes the kernel of the derivation up to KERNEL_DEGREE and
+    restricts each generator to X with one substitution, w1 -> 1 + f(quads)
+    and every other coordinate to itself; the image no longer involves w1,
+    so w2, w3, ... are read as the affine coordinates z1, z2, ... of X (the
+    closed immersion).  Drops generators lying in the subalgebra of the
+    others and eliminates the ambient coordinates from the tag-variable
+    graph ideal.  Returns (restricted generators, relation ideal in tags).
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
     w_ring = art.w_ring
     z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(w_ring))))
-    substitution = {}
-    for i, name in enumerate(w_ring.names[1:], start=1):
-        substitution[name] = z_ring.var(f"z{i}")
-    graph = w_ring.var("w1") - art.x_ideal.generators[0]  # 1 + f(quads)
-    substitution["w1"] = graph.substitute(
-        {n: substitution[n] for n in graph.variables()}
-    )
+    restriction = {name: w_ring.var(name) for name in w_ring.names}
+    restriction["w1"] = w_ring.var("w1") - art.x_ideal.generators[0]  # 1 + f(quads)
 
     restricted = []
-    for g in kernel_gens:
-        image = g.embed(w_ring).substitute(
-            {n: substitution[n] for n in g.variables()}
-        ) if g.variables() else z_ring.const(g.constant_term())
-        image = image - image.constant_term()  # constants never matter
+    for g in kernel_linear(w_restriction(art), KERNEL_DEGREE, caps=caps):
+        image = g.substitute(restriction)
+        # w1 is gone: read w2, w3, ... as z1, z2, ...; constants never matter
+        image = Polynomial(z_ring, {m[1:]: c for m, c in image.terms.items() if any(m)})
         if image.is_zero():
             continue
         image = monic(image)
@@ -378,8 +373,7 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
     )
     if spec.family == "v3":
         ranks = k_theory_ranks(m)
-        kernel = kernel_linear(w_restriction(art), KERNEL_DEGREE, caps=caps)
-        presentation = invariant_presentation(art, kernel, caps=caps)
+        presentation = invariant_presentation(art, caps=caps)
     else:
         ranks = None
         presentation = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -42,6 +43,22 @@ def _grevlex_descending(exps: Exponents):
     """The one definition of grevlex, as an injective sort key under which
     smaller means grevlex-greater."""
     return (-sum(exps),) + exps[::-1]
+
+
+def _product(f: Mapping, g: Mapping) -> dict:
+    """Term dict of the product of two term dicts without zero coefficients;
+    the one product loop behind `*`, `substitute` and graded subalgebra
+    spans."""
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(add, e1, e2))
+            val = out.get(key, 0) + c1 * c2
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,16 +222,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                val = terms.get(key, 0) + c1 * c2
-                if val:
-                    terms[key] = val
-                else:
-                    del terms[key]
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -258,7 +266,9 @@ class Polynomial:
         """Ring-homomorphism image under variable -> polynomial.
 
         Every variable occurring in self must be assigned; all images must
-        share one target ring.
+        share one target ring.  Works on term dicts: each term's image is
+        the product of the cached powers of its variables' images, all
+        terms are summed into one dict, and one Polynomial is built.
         """
         target = None
         for name in sorted(assignment, key=self.ring.index):  # rejects unknown keys
@@ -267,28 +277,30 @@ class Polynomial:
                 target = image.ring
             elif image.ring != target:
                 raise RingMismatchError("substitution images live over different rings")
-        occurring = self.variables()
-        for name in occurring:
+        for name in self.variables():
             if name not in assignment:
                 raise MissingAssignmentError(f"no image for variable {name!r}")
         if target is None:
             target = self.ring  # empty assignment on a constant
-        powers = {name: {0: target.one()} for name in occurring}
+        one = (0,) * len(target)
+        names = self.ring.names
+        powers: dict = {}  # variable index -> [image^0, image^1, ...] as term dicts
 
-        def power(name: str, e: int) -> Polynomial:
-            cache = powers[name]
-            if e not in cache:
-                cache[e] = assignment[name] ** e
+        def power(i: int, e: int) -> dict:
+            cache = powers.setdefault(i, [{one: 1}])
+            while len(cache) <= e:
+                cache.append(_product(cache[-1], assignment[names[i]].terms))
             return cache[e]
 
-        result = target.zero()
+        total: dict = {}
         for exps, coeff in self.terms.items():
-            term = target.const(coeff)
+            term = {one: coeff}
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power(self.ring.names[i], e)
-            result = result + term
-        return result
+                    term = _product(term, power(i, e))
+            for m, c in term.items():
+                total[m] = total.get(m, 0) + c
+        return Polynomial(target, total)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point covering all occurring variables."""

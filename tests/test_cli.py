@@ -236,6 +236,27 @@ def test_gb_unknown_order(tmp_path):
     assert run(["gb", "--ideal", str(path), "--order", "mystery"])[0] == 1
 
 
+def test_gb_elimination_count_beyond_ring_size(tmp_path, capsys):
+    """elim:K needs K <= the number of variables; K = the ring size is valid."""
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED_IDEAL, encoding="utf-8")
+    for order in ("elim:4", "elim:99"):
+        assert run(["gb", "--ideal", str(path), "--order", order]) == (1, "")
+        assert "elimination count out of range" in capsys.readouterr().err
+    code, text = run(["gb", "--ideal", str(path), "--order", "elim:3"])
+    assert code == 0
+    assert text.strip()
+
+
+def test_max_rounds_only_where_read(tmp_path, capsys):
+    """--max-rounds belongs to verify and kernel; gb and present reject it."""
+    path = tmp_path / "single.txt"
+    path.write_text("x\n", encoding="utf-8")
+    assert run(["gb", "--ideal", str(path), "--max-rounds", "5"])[0] == 1
+    assert run(["present", "--f", "s", "--max-rounds", "0"])[0] == 1
+    capsys.readouterr()
+
+
 # -- present ------------------------------------------------------------------------
 
 
@@ -246,6 +267,29 @@ def test_present_identity_instance():
     assert sum(1 for l in lines if l.startswith("y")) == 5
     assert sum(1 for l in lines if l.startswith("relation:")) == 1
     assert lines[-1] == "round-trip: verified"
+
+
+PRESENT_CUBIC_TRIVIAL_1 = """\
+y1 = z2
+y2 = z4
+y3 = z6
+y4 = z3*z4 - z2*z5
+y5 = z3^3*z4^3*z5 - 3*z2*z3^2*z4^2*z5^2 + 3*z2^2*z3*z4*z5^3 - z2^3*z5^4 \
+- 11/6*z3^2*z4^2*z5 + 11/3*z2*z3*z4*z5^2 - 11/6*z2^2*z5^3 + z3*z4*z5 - z2*z5^2 \
++ 1/6*z1*z4 - 1/6*z5
+y6 = z3^4*z4^3 - 3*z2*z3^3*z4^2*z5 + 3*z2^2*z3^2*z4*z5^2 - z2^3*z3*z5^3 \
+- 11/6*z3^3*z4^2 + 11/3*z2*z3^2*z4*z5 - 11/6*z2^2*z3*z5^2 + z3^2*z4 - z2*z3*z5 \
++ 1/6*z1*z2 - 1/6*z3
+relation: y4^4 - 11/6*y4^3 + y4^2 + y1*y5 - y2*y6 - 1/6*y4
+round-trip: verified
+"""
+
+
+def test_present_cubic_with_trivial_summand_output():
+    """Exact output for a cubic shape next to one trivial coordinate (z6)."""
+    code, text = run(["present", "--f", "(1+s)*(1+2*s)*(1+3*s) - 1", "--trivial", "1"])
+    assert code == 0
+    assert text == PRESENT_CUBIC_TRIVIAL_1
 
 
 def test_present_rejects_moduli_family():

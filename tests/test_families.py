@@ -24,7 +24,6 @@ from gaquot import (
     invariant_presentation,
     is_squarefree,
     k_theory_ranks,
-    kernel_linear,
     normal_form,
     buchberger,
     parse,
@@ -211,7 +210,7 @@ def test_rank_arithmetic():
 
 def test_presentation_identity_instance():
     art = build_family(v3("s"))
-    gens, relations = invariant_presentation(art, kernel_linear(w_restriction(art), 2))
+    gens, relations = invariant_presentation(art)
     assert len(gens) == 5
     assert len(relations.generators) == 1
     relation = relations.generators[0]
@@ -223,9 +222,13 @@ def test_presentation_identity_instance():
     assert relation == parse("y3^2 + y1*y4 - y2*y5 - y3", relations.ring)
 
 
-def test_presentation_round_trip_reduces_to_zero():
-    art = build_family(v3("s"))
-    gens, relations = invariant_presentation(art, kernel_linear(w_restriction(art), 2))
+@pytest.mark.parametrize("trivial", [0, 1])
+@pytest.mark.parametrize("shape", ["s", "(1+s)*(1+2*s)*(1+3*s) - 1"], ids=["s", "cubic"])
+def test_presentation_round_trip_reduces_to_zero(shape, trivial):
+    """A linear and a non-linear graph, each with and without a trivial
+    coordinate next to the dropped w1."""
+    art = build_family(v3(shape, trivial))
+    gens, relations = invariant_presentation(art)
     assignment = {f"y{i + 1}": g for i, g in enumerate(gens)}
     # back in the representation coordinates, reduce modulo the graph ideal
     w_ring = art.w_ring
@@ -244,7 +247,7 @@ def test_presentation_round_trip_reduces_to_zero():
 def test_presentation_requires_v3():
     art = build_family(v4("a"))
     with pytest.raises(ValueError):
-        invariant_presentation(art, [])
+        invariant_presentation(art)
 
 
 # -- battery ------------------------------------------------------------------------------

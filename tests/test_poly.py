@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from gaquot import (
     MissingAssignmentError,
@@ -19,7 +20,14 @@ from gaquot import (
     jacobian,
     parse,
 )
-from helpers import coeff_list, euclid_gcd_coeffs, random_poly
+from helpers import (
+    coeff_list,
+    euclid_gcd_coeffs,
+    from_sympy,
+    random_poly,
+    sympy_symbols,
+    to_sympy,
+)
 
 W = VarSet(("w1", "w2", "w3", "w4", "w5", "w6"))
 S = VarSet(("s",))
@@ -159,6 +167,27 @@ def test_substitute_is_homomorphism_randomized():
         }
         assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
         assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
+
+
+def test_product_and_substitute_match_sympy():
+    """p * q and p.substitute(images) against sympy's expand, on rational
+    coefficients, with zero, constant and variable images among random ones."""
+    rng = random.Random(20261018)
+    ring = VarSet(("x", "y", "z"))
+    target = VarSet(("a", "b"))
+    syms = dict(zip(ring.names, sympy_symbols(ring)))
+    fixed = [target.zero(), target.const(Fraction(-3, 2)), target.var("b")]
+    for _ in range(60):
+        p = random_poly(rng, ring, max_degree=4, max_terms=5, denominator_bound=4)
+        q = random_poly(rng, ring, max_degree=3, max_terms=4, denominator_bound=4)
+        assert p * q == from_sympy(sp.expand(to_sympy(p) * to_sympy(q)), ring)
+        pool = [random_poly(rng, target, max_degree=2, denominator_bound=3) for _ in ring.names]
+        images = dict(zip(ring.names, rng.sample(pool + fixed, len(ring.names))))
+        expected = sp.expand(to_sympy(p).subs(
+            {syms[n]: to_sympy(image) for n, image in images.items()}, simultaneous=True))
+        assert p.substitute(images) == from_sympy(expected, target)
+    images = {"x": parse("a + b", target), "y": parse("a + b", target)}
+    assert parse("x - y", ring).substitute(images) == target.zero()
 
 
 def test_substitute_missing_assignment():
