@@ -71,6 +71,7 @@ from .groebner import (
     normal_form,
     saturate,
     subalgebra_membership,
+    subalgebra_presentation,
 )
 from .poly import (
     Polynomial,

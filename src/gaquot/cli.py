@@ -69,13 +69,16 @@ _REJECTION_ERRORS = (RepeatedRootsError, NonzeroConstantError)
 _RESOURCE_ERRORS = (ResourceCapError, RoundCapError, NotLocallyNilpotentError)
 
 DEFAULT_MAX_ROUNDS = 8
+DEFAULT_KERNEL_DEGREE = 2  # degree bound of `kernel --method linear`
 
 
 def _add_cap_flags(sub: argparse.ArgumentParser,
-                   max_degree_default: int = DEFAULT_CAPS.max_degree,
+                   max_degree_default: Optional[int] = DEFAULT_CAPS.max_degree,
                    max_degree_help: str = "total degree cap for basis computations"):
     sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS.max_pairs,
-                     help="S-polynomials each basis computation may reduce")
+                     help="S-polynomials each basis computation may reduce; the "
+                          "invariant presentation's subalgebra filter and elimination "
+                          "are one basis computation and share this budget")
     sub.add_argument("--max-degree", type=int, default=max_degree_default,
                      help=max_degree_help)
 
@@ -102,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="derivation file (lines 'x -> polynomial')")
     kernel.add_argument("--method", choices=("linear", "saturation"),
                         default="linear")
-    _add_cap_flags(kernel, 2, "degree bound for the linear kernel method")
+    _add_cap_flags(kernel, None, f"degree bound of the linear method (default "
+                                 f"{DEFAULT_KERNEL_DEGREE}); the saturation method rejects it")
 
     gb = sub.add_parser("gb", help="reduced basis of an ideal file")
     gb.add_argument("--ideal", type=Path, required=True)
@@ -191,10 +195,13 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_kernel(args, out) -> int:
+    if args.method == "saturation" and args.max_degree is not None:
+        raise ValueError("--max-degree is the degree bound of the linear method only")
     derivation = load_derivation_file(args.derivation)
     caps = ResourceCaps(max_pairs=args.max_pairs)
     if args.method == "linear":
-        gens = kernel_linear(derivation, args.max_degree, caps=caps)
+        degree = DEFAULT_KERNEL_DEGREE if args.max_degree is None else args.max_degree
+        gens = kernel_linear(derivation, degree, caps=caps)
     else:
         data = find_slice(derivation)
         if data is None:

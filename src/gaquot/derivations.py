@@ -14,8 +14,12 @@ subalgebra membership: when every polynomial involved is homogeneous
 (the kernel of a linear derivation is graded), membership is decided
 one degree at a time against an echelon of the span of products of
 generators (_GradedSpan); otherwise it falls back to the tag-variable
-Groebner test of groebner.subalgebra_membership, the general route of
-SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).
+Groebner test (Shannon and Sweedler, J. Symb. Comp. 6, 1988), the
+general route of SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).
+A candidate list is filtered by one incremental Buchberger run over the
+graph ideal of all candidates (groebner.subalgebra_presentation), and
+the candidates of one saturation round are reduced against one basis
+of the graph ideal of the round's generators.
 """
 
 from __future__ import annotations
@@ -39,10 +43,12 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
+    _graph_basis,
     _graph_ideal,
+    _tag_form,
     divide_exact,
     eliminate,
-    subalgebra_membership,
+    subalgebra_presentation,
 )
 from .linalg import Echelon
 from .poly import (
@@ -308,18 +314,15 @@ def _minimal_generators(candidates, caps: ResourceCaps):
     if it is not in the subalgebra generated by those kept before it.
 
     Homogeneous candidates are tested by graded linear algebra
-    (_GradedSpan); any other candidate list by Groebner subalgebra
-    membership."""
+    (_GradedSpan); any other candidate list by one incremental Groebner
+    run over the graph ideal of all of them (subalgebra_presentation)."""
     ordered = [p for p in _sorted_gens(candidates) if not p.is_constant()]
-    if ordered and all(map(_is_homogeneous, ordered)):
+    if not ordered:
+        return []
+    if all(map(_is_homogeneous, ordered)):
         span = _GradedSpan(ordered[0].ring)
         return [p for p in ordered if span.adjoin(p)]
-    kept = []
-    for p in ordered:
-        member, _ = subalgebra_membership(p, kept, caps=caps)
-        if not member:
-            kept.append(p)
-    return kept
+    return subalgebra_presentation(ordered[0].ring, ordered, caps)[0]
 
 
 def kernel_linear(derivation: Derivation, max_degree: int,
@@ -417,13 +420,15 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
     elimination ideal of (a) + (y_i - gens_i); each quotient p(gens)/a is
     automatically a kernel element.  A candidate h already among
     `generators` is skipped; membership of any other is tested against
-    one graded span of `generators` when they are homogeneous, by Groebner
-    membership otherwise.
+    one graded span of `generators` when they are homogeneous, otherwise
+    by its normal form against one block-order basis of their graph
+    ideal, built when the first candidate needs it.
     """
     ring = derivation.ring
     relations = eliminate(_graph_ideal(ring, generators, extra=(a,)), len(ring), caps=caps)
     assignment = dict(zip(relations.ring.names, generators))
     span = _GradedSpan(ring, generators) if all(map(_is_homogeneous, generators)) else None
+    basis = None
     new = []
     for p in relations.generators:
         if p.is_zero():
@@ -440,7 +445,9 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
         if span is not None:
             member = span.contains(h)
         else:
-            member, _ = subalgebra_membership(h, generators, caps=caps)
+            if basis is None:
+                basis = _graph_basis(ring, generators, caps)
+            member = _tag_form(h, basis) is not None
         if not member:
             new.append(h)
     return _sorted_gens(new)

@@ -14,7 +14,8 @@ invariants.  The battery certifies, by exact ideal computations:
 
 and derives the forced ranks of the K-theory groups from the component
 count, plus a presentation of the invariant ring by tag-variable
-elimination.
+elimination, computed together with its minimal generators in one
+Groebner run.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .derivations import Derivation, _minimal_generators, fixed_point_ideal, kernel_linear
+from .derivations import Derivation, _sorted_gens, fixed_point_ideal, kernel_linear
 from .errors import (
     NonzeroConstantError,
     NotHypersurfaceError,
@@ -34,10 +35,9 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
-    _graph_ideal,
-    eliminate,
     is_unit_ideal,
     krull_dimension,
+    subalgebra_presentation,
 )
 from .poly import Polynomial, VarSet, is_squarefree, monic
 
@@ -299,9 +299,13 @@ def invariant_presentation(art: ConstructionArtifacts,
     restricts each generator to X with one substitution, w1 -> 1 + f(quads)
     and every other coordinate to itself; the image no longer involves w1,
     so w2, w3, ... are read as the affine coordinates z1, z2, ... of X (the
-    closed immersion).  Drops generators lying in the subalgebra of the
-    others and eliminates the ambient coordinates from the tag-variable
-    graph ideal.  Returns (restricted generators, relation ideal in tags).
+    closed immersion).  One incremental Groebner run over the tag-variable
+    graph ideal of the restricted generators, in (degree, text) order,
+    drops each generator lying in the subalgebra of those before it and
+    eliminates the affine coordinates from the graph ideal of the rest
+    (groebner.subalgebra_presentation); the filter and the elimination
+    share one `caps` budget.  Returns (restricted generators, relation
+    ideal in tags).
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
@@ -320,9 +324,7 @@ def invariant_presentation(art: ConstructionArtifacts,
         image = monic(image)
         if image not in restricted:
             restricted.append(image)
-    survivors = _minimal_generators(restricted, caps)
-
-    relations = eliminate(_graph_ideal(z_ring, survivors), len(z_ring), caps=caps)
+    survivors, relations = subalgebra_presentation(z_ring, _sorted_gens(restricted), caps)
     return tuple(survivors), relations
 
 

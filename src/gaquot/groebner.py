@@ -3,7 +3,12 @@
 Ideal membership, unit-ideal emptiness tests, elimination, saturation,
 Krull dimension via leading-term independent sets, and subalgebra
 membership all reduce to reduced Groebner bases computed by Buchberger's
-algorithm with the normal selection strategy (smallest lcm first).  Pairs
+algorithm with the normal selection strategy (smallest lcm first).  One
+run state, `_Run`, holds the rows, the pair queue and the pair loop;
+`buchberger` seeds it once, and `subalgebra_presentation` grows it one
+candidate at a time, so a list of subalgebra candidates is filtered, and
+the relations among the survivors eliminated, in one incremental run
+over the graph ideal of all of them.  Pairs
 are pruned when they are formed, by the update of Gebauer and Moeller
 ("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
 UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
@@ -442,6 +447,74 @@ def _update(pairs: list, lms: list, active: list, pack) -> list:
     return [i for i in active if not _divides(h, lms[i])] + [j]
 
 
+class _Run:
+    """The state of one Buchberger run under one packing: the packed rows
+    added so far, the pair queue and active indices of `_update`, and the
+    S-polynomials reduced, counted against `caps.max_pairs` across every
+    `complete` of the run.
+
+    Reducers are the active rows.  A retired row's leading monomial is a
+    multiple of an active one, so remainders are full normal forms."""
+
+    def __init__(self, packing: _Packing, caps: ResourceCaps):
+        self.packing = packing
+        self.caps = caps
+        self.basis: list = []  # packed rows
+        self.lms: list = []  # their leading monomials as exponent tuples, for _update
+        self.pairs: list = []
+        self.active: list = []
+        self.rows: list = []  # the active rows
+        self.reductions = 0
+
+    def reduce(self, work: dict) -> dict:
+        """Normal form of the packed integer term dict `work` against the
+        active rows, up to a positive integer scale; consumes `work`."""
+        return _reduce_full(work, self.rows, self.packing.guard)[0]
+
+    def append(self, reduced: dict) -> None:
+        """Add a nonzero remainder as a row and update the pairs."""
+        self.basis.append(_row(reduced))  # remainders list their terms in descending order
+        self.lms.append(self.packing.unpack(self.basis[-1][0]))
+        self.active = _update(self.pairs, self.lms, self.active, self.packing.pack)
+        self.rows = [self.basis[k] for k in self.active]
+
+    def complete(self) -> None:
+        """Reduce queued S-polynomials until none is left; the active rows
+        are then a Groebner basis of everything appended."""
+        pairs, basis, caps = self.pairs, self.basis, self.caps
+        while pairs:
+            l, i, j, _ = heapq.heappop(pairs)
+            self.reductions += 1
+            if self.reductions > caps.max_pairs:
+                raise ResourceCapError(f"pair budget {caps.max_pairs} exhausted")
+            reduced = self.reduce(_spoly(basis[i], basis[j], -l))
+            if not reduced:
+                continue
+            if max(map(self.packing.degree, reduced)) > caps.max_degree:
+                raise ResourceCapError(f"degree budget {caps.max_degree} exhausted")
+            self.append(reduced)
+
+    def interreduced(self) -> list:
+        """The reduced basis of a completed run as packed rows, in
+        ascending order of leading monomial.
+
+        No active leading monomial divides another, so the active rows
+        form a minimal basis.  Each is tail-reduced against the others, in
+        ascending order of leading monomial for determinism (leading
+        monomials are distinct, so there are no ties); leading monomials
+        are preserved."""
+        basis, guard = self.basis, self.packing.guard
+        kept = sorted(self.active, key=lambda t: basis[t][0], reverse=True)
+        final = []
+        for idx in kept:
+            lm, lc, tail = basis[idx]
+            work = dict(tail)
+            work[lm] = lc
+            reduced, _ = _reduce_full(work, [basis[k] for k in kept if k != idx], guard)
+            final.append(_row(reduced))
+        return final
+
+
 def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
                caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, deterministic for fixed input.
@@ -455,54 +528,13 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     if not seeds:
         return GroebnerBasis(order, (), ideal, (), ())
     packing = _packing(order, len(ideal.ring))
-    guard = packing.guard
-
-    basis: list = []  # packed rows
-    lms: list = []  # their leading monomials as exponent tuples, for _update
-    pairs: list = []
-    active: list = []
-    # Reducers: the active elements.  A retired element's leading monomial
-    # is a multiple of an active one, so remainders are full normal forms.
-    rows: list = []
-
-    def append(reduced: dict):
-        nonlocal active
-        basis.append(_row(reduced))  # remainders list their terms in descending order
-        lms.append(packing.unpack(basis[-1][0]))
-        active = _update(pairs, lms, active, packing.pack)
-        rows[:] = [basis[k] for k in active]
-
+    run = _Run(packing, caps)
     for g in seeds:
-        reduced, _ = _reduce_full(_integer_terms(g.terms, packing.pack)[0], rows, guard)
+        reduced = run.reduce(_integer_terms(g.terms, packing.pack)[0])
         if reduced:
-            append(reduced)
-
-    reductions = 0
-    while pairs:
-        l, i, j, _ = heapq.heappop(pairs)
-        reductions += 1
-        if reductions > caps.max_pairs:
-            raise ResourceCapError(f"pair budget {caps.max_pairs} exhausted")
-        reduced, _ = _reduce_full(_spoly(basis[i], basis[j], -l), rows, guard)
-        if not reduced:
-            continue
-        if max(map(packing.degree, reduced)) > caps.max_degree:
-            raise ResourceCapError(f"degree budget {caps.max_degree} exhausted")
-        append(reduced)
-
-    # No active leading monomial divides another, so the active elements
-    # form a minimal basis.  Tail-reduce each against the others, in
-    # ascending order of leading monomial for determinism (leading
-    # monomials are distinct, so there are no ties); leading monomials
-    # are preserved.
-    kept = sorted(active, key=lambda t: basis[t][0], reverse=True)
-    final = []
-    for idx in kept:
-        lm, lc, tail = basis[idx]
-        work = dict(tail)
-        work[lm] = lc
-        reduced, _ = _reduce_full(work, [basis[k] for k in kept if k != idx], guard)
-        final.append(_row(reduced))
+            run.append(reduced)
+    run.complete()
+    final = run.interreduced()
     unpack = packing.unpack
     polys = tuple(Polynomial(ideal.ring,
                              {unpack(m): Fraction(c, lc) for m, c in ((lm, lc),) + tail})
@@ -623,6 +655,25 @@ def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
                  + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
 
 
+def _graph_basis(ring: VarSet, gens: Sequence[Polynomial],
+                 caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
+    """Reduced basis of the graph ideal of the nonempty `gens` under the
+    block order eliminating `ring`, for `_tag_form`."""
+    return buchberger(_graph_ideal(ring, gens), TermOrder.block(len(ring)), caps=caps)
+
+
+def _tag_form(f: Polynomial, gb: GroebnerBasis) -> Optional[Polynomial]:
+    """The normal form of f against `gb`, a `_graph_basis` over f's ring,
+    when that normal form mentions only the tags: then f lies in the
+    subalgebra and the form is a tag polynomial p with p(gens) = f.
+    None when f is not a member."""
+    n = len(f.ring)
+    nf = normal_form(f.embed(gb.source.ring), gb)
+    if any(any(exps[:n]) for exps in nf.terms):
+        return None
+    return nf
+
+
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
                           caps: ResourceCaps = DEFAULT_CAPS):
     """Decide membership in the subalgebra generated by `gens`.
@@ -639,14 +690,67 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
     n = len(ring)
     witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
     if gens:
-        gb = buchberger(_graph_ideal(ring, gens), TermOrder.block(n), caps=caps)
-        nf = normal_form(f.embed(gb.source.ring), gb)
+        nf = _tag_form(f, _graph_basis(ring, gens, caps))
     else:
-        nf = f
-    if any(any(e != 0 for e in exps[:n]) for exps in nf.terms):
+        nf = f if f.is_constant() else None
+    if nf is None:
         return False, None
     witness = Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})
     return True, witness
+
+
+def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
+                            caps: ResourceCaps = DEFAULT_CAPS):
+    """(survivors, relations): the candidates, in the order given, each
+    kept only if it is not in the subalgebra generated by those kept
+    before it, and the ideal of relations among the survivors, over the
+    tags `_graph_ideal(ring, survivors)` gives them.
+
+    One Buchberger run over the graph ideal of all candidates, under the
+    block order eliminating `ring`, serves both.  Each candidate p_i has
+    its own tag y_i from the start, so the packing never changes.  In
+    turn, its seed y_i - p_i is fully reduced against the basis of the
+    seeds kept so far; y_i is in no leading monomial, so the remainder
+    is y_i minus the unique normal form of p_i, and mentions only tags
+    (one mask of the ring's exponent fields) exactly when
+    subalgebra_membership would call p_i a member.  A member is dropped;
+    any other remainder joins the basis, whose pairs are then completed.
+    The relations are the rows of the final reduced basis free of ring
+    variables: the elimination ideal of the survivors' graph ideal.  A
+    dropped candidate's tag is a zero column, on which grevlex ties, so
+    that reduced basis is the one `eliminate` computes on the survivors
+    alone, listed in the same order.
+
+    The whole run shares one `caps` budget, as one basis computation.
+    With no survivors (every candidate constant) the relation ideal is
+    the zero ideal of the empty tag ring; an empty candidate list raises
+    ValueError, as an ideal with no generators does."""
+    for g in candidates:
+        if g.ring != ring:
+            raise RingMismatchError("subalgebra candidates over the wrong ring")
+    n = len(ring)
+    graph = _graph_ideal(ring, candidates)
+    packing = _packing(TermOrder.block(n), len(graph.ring))
+    ring_fields = (1 << _EXPONENT_BITS * n) - 1  # the exponents of `ring` are the lowest fields
+    run = _Run(packing, caps)
+    kept = []
+    for i, seed in enumerate(graph.generators):
+        reduced = run.reduce(_integer_terms(seed.terms, packing.pack)[0])
+        if any(m & ring_fields for m in reduced):
+            kept.append(i)
+            run.append(reduced)
+            run.complete()
+    tags = VarSet(fresh_names("y", len(kept), ring.names))
+    columns = [n + i for i in kept]
+    unpack = packing.unpack
+    relations = []
+    for lm, lc, tail in run.interreduced():
+        if lm & ring_fields:
+            continue  # under the block order, a row with ring variables leads with one
+        relations.append(Polynomial(tags, {
+            tuple(map(unpack(m).__getitem__, columns)): Fraction(c, lc)
+            for m, c in ((lm, lc),) + tail}))
+    return [candidates[i] for i in kept], Ideal(tags, tuple(relations) or (tags.zero(),))
 
 
 # -- ideal files -----------------------------------------------------------------

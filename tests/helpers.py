@@ -197,6 +197,22 @@ def assert_same_subalgebra(gens_a, gens_b, caps=None):
         assert member, f"{g} not generated by {[str(x) for x in gens_a]}"
 
 
+def groebner_minimal_generators(candidates):
+    """Reference filter: the nonconstant candidates in (degree, text)
+    order, each kept unless one Groebner subalgebra membership test, run
+    from scratch, puts it in the subalgebra of those kept before it."""
+    from gaquot import subalgebra_membership
+
+    kept = []
+    for p in sorted(candidates, key=lambda p: (p.total_degree(), str(p))):
+        if p.is_constant():
+            continue
+        member, _ = subalgebra_membership(p, kept)
+        if not member:
+            kept.append(p)
+    return kept
+
+
 def brute_graded_subalgebra_membership(f: Polynomial, gens) -> bool:
     """Is the homogeneous f a linear combination of products of the
     homogeneous `gens` of total degree deg f?

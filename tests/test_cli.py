@@ -147,6 +147,19 @@ def test_kernel_linear_output(tmp_path):
         assert member
 
 
+def test_kernel_max_degree_defaults_to_two_and_is_linear_only(tmp_path, capsys):
+    path = tmp_path / "derivation.txt"
+    path.write_text(V3_DERIVATION, encoding="utf-8")
+    default = run(["kernel", "--derivation", str(path)])
+    assert default == run(["kernel", "--derivation", str(path), "--max-degree", "2"])
+    assert default[0] == 0 and len(default[1].splitlines()) == 6
+    for degree in ("1", "99"):
+        code, text = run(["kernel", "--derivation", str(path), "--method", "saturation",
+                          "--max-degree", degree])
+        assert (code, text) == (1, "")
+        assert "linear method only" in capsys.readouterr().err
+
+
 def test_kernel_zero_derivation(tmp_path):
     path = tmp_path / "zero.txt"
     path.write_text("vars: x y z\n", encoding="utf-8")
@@ -298,6 +311,12 @@ def test_present_rejects_moduli_family():
 
 def test_present_rejects_repeated_roots():
     assert run(["present", "--f", "(1+s)^2 - 1"])[0] == 3
+
+
+def test_present_pair_budget_covers_filter_and_elimination():
+    """The subalgebra filter and the elimination are one basis
+    computation under one --max-pairs budget."""
+    assert run(["present", "--f=s", "--max-pairs", "1"])[0] == 4
 
 
 def test_present_deterministic():

@@ -28,10 +28,11 @@ from gaquot import (
     parse,
     subalgebra_membership,
 )
-from gaquot import derivations
+from gaquot import derivations, groebner
 from helpers import (
     assert_same_subalgebra,
     brute_graded_subalgebra_membership,
+    groebner_minimal_generators,
     random_exponents,
     random_poly,
     sympy_kernel_solutions,
@@ -485,18 +486,6 @@ def test_kernel_methods_return_minimal_generators(name):
             assert not brute_graded_subalgebra_membership(g, gens[:i] + gens[i + 1:]), str(g)
 
 
-def groebner_minimal_generators(candidates):
-    """Reference filter: Groebner subalgebra membership for every candidate."""
-    kept = []
-    for p in sorted(candidates, key=lambda p: (p.total_degree(), str(p))):
-        if p.is_constant():
-            continue
-        member, _ = subalgebra_membership(p, kept)
-        if not member:
-            kept.append(p)
-    return kept
-
-
 def random_form(rng, ring, degree):
     terms = {}
     for _ in range(rng.randint(1, 3)):
@@ -530,15 +519,22 @@ def homogeneous_candidates(rng, ring, size=8, top=3):
 
 
 def count_groebner_calls(monkeypatch):
-    """Records each Groebner subalgebra membership test made in derivations
-    as (name of the calling function, f)."""
+    """Records each Groebner subalgebra test made in derivations as (name
+    of the calling function, what it tests): the candidate list of one
+    subalgebra_presentation run, or the polynomial of one normal form
+    against a graph-ideal basis (_tag_form)."""
     calls = []
 
-    def counting(f, gens, caps=derivations.DEFAULT_CAPS):
-        calls.append((sys._getframe(1).f_code.co_name, f))
-        return subalgebra_membership(f, gens, caps=caps)
+    def presentation(ring, candidates, caps=derivations.DEFAULT_CAPS):
+        calls.append((sys._getframe(1).f_code.co_name, list(candidates)))
+        return groebner.subalgebra_presentation(ring, candidates, caps)
 
-    monkeypatch.setattr(derivations, "subalgebra_membership", counting)
+    def tag_form(f, gb):
+        calls.append((sys._getframe(1).f_code.co_name, f))
+        return groebner._tag_form(f, gb)
+
+    monkeypatch.setattr(derivations, "subalgebra_presentation", presentation)
+    monkeypatch.setattr(derivations, "_tag_form", tag_form)
     return calls
 
 
@@ -556,6 +552,8 @@ def test_graded_filter_matches_groebner_filter(monkeypatch):
 
 
 def test_filter_falls_back_to_groebner_on_inhomogeneous_input(monkeypatch):
+    """One incremental Groebner run filters the whole list, in (degree,
+    text) order, and keeps what one membership run per candidate keeps."""
     ring = VarSet(("x", "y", "z"))
     cands = homogeneous_candidates(random.Random(8), ring)
     cands.append(parse("x^2 + y", ring))
@@ -563,7 +561,7 @@ def test_filter_falls_back_to_groebner_on_inhomogeneous_input(monkeypatch):
     calls = count_groebner_calls(monkeypatch)
     got = derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
     assert got == expected
-    assert len(calls) == len(cands)
+    assert calls == [("_minimal_generators", derivations._sorted_gens(cands))]
 
 
 def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(monkeypatch):
@@ -579,14 +577,42 @@ def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(mon
 def test_saturation_round_skips_known_generators(monkeypatch):
     """Round 2 re-derives y^2 - 2*x*z + 2*y, found in round 1; it is
     already a generator, so it is not tested for membership again.  The
-    other three calls are the final minimality filter."""
+    last call is the final minimality filter, one run over the three
+    generators."""
     ring = VarSet(("x", "y", "z"))
     d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + 1", ring)})
     calls = count_groebner_calls(monkeypatch)
-    kernel_saturation(d, derivations.find_slice(d), 8)
-    assert calls == [("_saturation_round", parse("y^2 - 2*x*z + 2*y", ring))] + [
-        ("_minimal_generators", parse(t, ring))
-        for t in ("x", "y^2 - 2*x*z + 2*y", "x*y^2 - 2*x^2*z + 2*x*y")]
+    got = kernel_saturation(d, derivations.find_slice(d), 8)
+    generators = [parse(t, ring) for t in ("x", "y^2 - 2*x*z + 2*y", "x*y^2 - 2*x^2*z + 2*x*y")]
+    assert calls == [("_saturation_round", parse("y^2 - 2*x*z + 2*y", ring)),
+                     ("_minimal_generators", generators)]
+    assert got == groebner_minimal_generators(generators)
+
+
+def test_saturation_round_builds_one_basis_per_round(monkeypatch):
+    """Each round reduces its candidates against one graph-ideal basis of
+    the round's generators, built once (one membership run per candidate
+    used to build 8 bases over the 4 rounds)."""
+    ring = VarSet(("x", "y", "z", "u"))
+    d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + x^2", ring),
+                          "u": parse("z + 1", ring)})
+    calls = count_groebner_calls(monkeypatch)
+    bases = []
+
+    def counting(ring, gens, caps):
+        bases.append(tuple(gens))
+        return groebner._graph_basis(ring, gens, caps)
+
+    monkeypatch.setattr(derivations, "_graph_basis", counting)
+    got = kernel_saturation(d, derivations.find_slice(d), 8)
+    assert [str(g) for g in got] == [
+        "x", "x^2*y + 1/2*y^2 - x*z", "x^2*y^2 + 2/3*y^3 - 2*x*y*z + 2*x^2*u - 2*x*y",
+        "x^4*y^3 + 39/32*x^2*y^4 - 3*x^3*y^2*z - 3*x^3*y^2 + 3/8*y^5 - 15/8*x*y^3*z"
+        " + 3*x^2*y*z^2 - 9/8*x^2*y^2*u - 15/8*x*y^3 + 6*x^2*y*z + 3/8*y^2*z^2 - x*z^3"
+        " - 3/4*y^3*u + 9/4*x*y*z*u - 9/8*x^2*u^2 + 3/4*y^2*z - 3*x*z^2 + 9/4*x*y*u"
+        " - 9/8*y^2"]
+    assert sum(caller == "_saturation_round" for caller, _ in calls) == 8
+    assert len(bases) == len(set(bases)) == 4
 
 
 def test_graded_span_obeys_dimension_cap(monkeypatch):

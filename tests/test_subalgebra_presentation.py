@@ -1,0 +1,132 @@
+"""subalgebra_presentation against the route it replaces: one Groebner
+subalgebra membership run per candidate, then a from-scratch elimination
+of the survivors' graph ideal; survivors and relations must agree string
+for string, tag names included."""
+
+import hashlib
+import io
+import random
+
+import pytest
+
+from gaquot import VarSet, eliminate, parse
+from gaquot import families
+from gaquot.cli import main
+from gaquot.derivations import _sorted_gens
+from gaquot.families import FamilySpec, build_family, invariant_presentation
+from gaquot.groebner import _graph_ideal, subalgebra_presentation
+from helpers import groebner_minimal_generators, random_poly
+
+
+def reference(ring, candidates):
+    survivors = groebner_minimal_generators(candidates)
+    relations = eliminate(_graph_ideal(ring, survivors), len(ring))
+    return ([str(g) for g in survivors], relations.ring.names,
+            [str(r) for r in relations.generators])
+
+
+def presented(ring, candidates):
+    survivors, relations = subalgebra_presentation(ring, _sorted_gens(candidates))
+    return ([str(g) for g in survivors], relations.ring.names,
+            [str(r) for r in relations.generators])
+
+
+def inhomogeneous_candidates(rng, ring):
+    """Random polynomials with constant terms, members of the subalgebra
+    they generate (sums, products and scalings of them), and constants."""
+    base = [random_poly(rng, ring, max_degree=2, max_terms=3, nonconstant=True)
+            + rng.choice((1, -2, 3)) for _ in range(rng.randint(2, 3))]
+    cands = list(base)
+    for _ in range(rng.randint(2, 4)):
+        p, q = rng.choice(base), rng.choice(base)
+        kind = rng.choice(("product", "sum", "scalar"))
+        if kind == "product":
+            cands.append(p * q + rng.choice((-1, 2)))
+        elif kind == "sum":
+            cands.append(p * rng.choice((2, -3)) + q)
+        else:
+            cands.append(p * rng.choice((-1, 3)) + 5)
+    cands.append(ring.const(rng.choice((1, -7))))
+    cands.append(random_poly(rng, ring, max_degree=2, max_terms=2, nonconstant=True))
+    rng.shuffle(cands)
+    return cands
+
+
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("x", "y1", "z"), ("y3", "x")],
+                         ids=["xyz", "taken-y1", "taken-y3"])
+def test_matches_membership_then_elimination_on_seeded_lists(names):
+    ring = VarSet(names)
+    rng = random.Random(f"presentation:{names}")
+    dropped = 0
+    for _ in range(6):
+        cands = inhomogeneous_candidates(rng, ring)
+        want = reference(ring, cands)
+        assert presented(ring, cands) == want
+        dropped += len(cands) - len(want[0])
+    assert dropped > 12  # the constants, and members beyond them
+
+
+def test_tags_are_named_for_the_survivors():
+    """With y3 taken, two survivors are tagged y1, y2 although five
+    candidates would need yy1..yy5; with y1 taken, tags are yy1, yy2, ..."""
+    ring = VarSet(("y3", "x"))
+    cands = [parse(t, ring) for t in ("x + 1", "y3", "x^2 + 2*x", "y3*x + y3", "7")]
+    survivors, relations = subalgebra_presentation(ring, _sorted_gens(cands))
+    assert [str(g) for g in survivors] == ["x + 1", "y3"]
+    assert relations.ring.names == ("y1", "y2")
+    assert relations.is_zero()
+    ring = VarSet(("x", "y1"))
+    cands = [parse(t, ring) for t in ("y1", "x^2", "x^3", "x^4*y1 - x^2")]
+    survivors, relations = subalgebra_presentation(ring, cands)
+    assert [str(g) for g in survivors] == ["y1", "x^2", "x^3"]
+    assert relations.ring.names == ("yy1", "yy2", "yy3")
+    assert [str(r) for r in relations.generators] == ["yy2^3 - yy3^2"]
+
+
+def test_only_constants_and_no_candidates():
+    ring = VarSet(("x",))
+    survivors, relations = subalgebra_presentation(ring, [ring.const(3), ring.one()])
+    assert survivors == [] and relations.ring.names == ()
+    assert relations.is_zero()
+    with pytest.raises(ValueError):
+        subalgebra_presentation(ring, [])
+
+
+def signed_shape(rng, degree):
+    """f with f + 1 = prod (1 +- k*s), k = 1..degree: distinct roots, so
+    f + 1 is squarefree."""
+    factors = "*".join(f"(1 {rng.choice('+-')} {k}*s)" for k in range(1, degree + 1))
+    return f"{factors} - 1"
+
+
+_SHAPES = random.Random(12)
+V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
+            + [(f"triv{t}", "-3/2*s", t) for t in range(11)])
+
+
+@pytest.mark.parametrize("label, shape, trivial", V3_CASES, ids=[c[0] for c in V3_CASES])
+def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label, shape, trivial):
+    seen = []
+
+    def recording(ring, candidates, caps):
+        seen.append((ring, list(candidates)))
+        return subalgebra_presentation(ring, candidates, caps)
+
+    monkeypatch.setattr(families, "subalgebra_presentation", recording)
+    spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
+    survivors, relations = invariant_presentation(build_family(spec))
+    [(ring, candidates)] = seen
+    assert ([str(g) for g in survivors], relations.ring.names,
+            [str(r) for r in relations.generators]) == reference(ring, candidates)
+
+
+def test_present_degree_20_output_is_pinned():
+    """The exact output of `present` for a degree-20 shape, as the
+    membership-then-elimination route printed it."""
+    shape = "*".join(f"(1 {'+' if k % 2 else '-'} {k}*s)" for k in range(1, 21)) + " - 1"
+    out = io.StringIO()
+    assert main(["present", f"--f={shape}"], out=out) == 0
+    text = out.getvalue()
+    assert text.endswith("round-trip: verified\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d3686c8f2a07d41e10020b90a06f277caf7b12fd8f848023657b20807682afef"
