@@ -24,22 +24,24 @@ of `poly`.  The tag-variable graph ideal of subalgebra membership, the
 saturation kernel method and the invariant presentation has one builder,
 `_graph_ideal`.
 
-Buchberger and normal forms reduce on packed monomials: inside the
-core a monomial is one Python int, linear in its exponent vector (after
-Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors", CASC 2007).  One packing per term order and
-number of variables, `_packing`, lays out, from the top: the order's
-descending key as signed fields, a total-degree field, and the exponents,
-each in a 32-bit field whose top bit is a guard.  A product of monomials
-is a sum of ints, a comparison under the order is a comparison of ints
-(smaller is larger, as with the descending key), divisibility is one
-subtraction and one mask of the guard bits, and the degree is a shift and
-a mask.  The working polynomial's monomials sit in a binary heap of bare
-ints, so the leading term is popped rather than found by a scan, and a
-term that cancels after it was queued is skipped when popped.  Inputs are
-packed once and outputs unpacked once; every exponent must stay below
-2**31, and an input or a reduction that passes that bound raises
-`ResourceCapError` before it can be mis-ordered.
+Buchberger, normal forms, the pair update and exact division work on
+packed monomials: inside the engine a monomial is one Python int, linear
+in its exponent vector (after Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+One packing per term order and number of variables, `_packing`, lays
+out, from the top: the order's descending key as signed fields, a
+total-degree field, and the exponents, each in a 32-bit field whose top
+bit is a guard.  A product of monomials is a sum of ints, a comparison
+under the order is a comparison of ints (smaller is larger, as with the
+descending key), divisibility is one subtraction and one mask of the
+guard bits, an lcm is a field-wise max of the exponent fields, and the
+degree is a shift and a mask.  The working polynomial's monomials sit in
+a binary heap of bare ints, so the leading term is popped rather than
+found by a scan, and a term that cancels after it was queued is skipped
+when popped.  Exponent tuples enter only through `_Packing.pack` and
+leave only through `_Packing.unpack`; every exponent must stay below
+2**31, and an input, a reduction or a division that passes that bound
+raises `ResourceCapError` before it can be mis-ordered.
 
 Buchberger and normal forms reduce fraction-free, the standard practice
 over the rationals (Becker and Weispfenning, "Groebner Bases", GTM 141).
@@ -50,22 +52,18 @@ keeps the accumulated scale.  Coefficients become Fractions only at the
 edges: an input is cleared of denominators once, a normal form is
 divided by its scale and denominator, and a reduced basis is made monic
 as it is returned, so its output is the unique monic reduced basis.
-Exact division and linalg.Echelon keep Fraction coefficients, monic rows
-and exponent tuples, reduced on a heap of (descending key, monomial)
-pairs by `_heap` and `_subtract`: their reductions are short, and their
-rows are read as tuples by the kernel methods.
+Exact division keeps Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, le, mul, neg, sub
+from operator import mul, neg
 from pathlib import Path
 from struct import Struct
 from typing import Optional, Sequence, Union
@@ -207,50 +205,6 @@ class ResourceCaps:
 DEFAULT_CAPS = ResourceCaps()
 
 
-# -- low-level monomial helpers (dense exponent tuples) -------------------------
-
-
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def _sub(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def _lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _heap(work: dict, descending_key) -> list:
-    """Heap of (descending key, monomial) holding every monomial of `work`."""
-    heap = [(descending_key(m), m) for m in work]
-    heapq.heapify(heap)
-    return heap
-
-
-def _subtract(work: dict, heap: list, descending_key, c, shift, g: dict, lm) -> None:
-    """work -= c * x^shift * (g minus its leading term lm).
-
-    A monomial enters the heap when it first enters `work` and stays in
-    `work`, with coefficient zero if it cancels, until it is popped; so the
-    heap holds each monomial once and a zero pop is a cancelled term."""
-    for gm, gc in g.items():
-        if gm == lm:
-            continue
-        t = _mul(shift, gm)
-        old = work.get(t)
-        if old is None:
-            work[t] = -c * gc
-            heapq.heappush(heap, (descending_key(t), t))
-        else:
-            work[t] = old - c * gc
-
-
 # -- packed monomials ------------------------------------------------------------
 
 _EXPONENT_BITS = 32
@@ -275,7 +229,8 @@ class _Packing:
     product of two such monomials stays below 2**32 in each field, and
     its guard bits show whether it passed the bound.  For two monomials
     below the bound, b divides a iff (a - b) & guard == 0: a negative
-    field difference borrows and sets its guard bit."""
+    field difference borrows and sets its guard bit.  The exponent fields
+    are the lowest, `low` masks them, and `lcm` works on them alone."""
 
     def __init__(self, order: TermOrder, n: int):
         width = _EXPONENT_BITS + n.bit_length()
@@ -289,7 +244,7 @@ class _Packing:
                            + (1 << self._degree_shift) + (1 << (_EXPONENT_BITS * i)))
         self._weights = tuple(weights)
         self.guard = sum(_EXPONENT_BOUND << (_EXPONENT_BITS * i) for i in range(n))
-        self._low_mask = (1 << self._degree_shift) - 1
+        self.low = (1 << self._degree_shift) - 1
         self._low_bytes = _EXPONENT_BITS // 8 * n
         self._fields = Struct(f"<{n}I")
 
@@ -299,14 +254,25 @@ class _Packing:
         return sum(map(mul, exps, self._weights))
 
     def unpack(self, m: int) -> tuple:
-        return self._fields.unpack((m & self._low_mask).to_bytes(self._low_bytes, "little"))
+        return self._fields.unpack((m & self.low).to_bytes(self._low_bytes, "little"))
 
     def degree(self, m: int) -> int:
         return m >> self._degree_shift & self._degree_mask
 
+    def lcm(self, a: int, b: int) -> int:
+        """The exponent fields of the lcm of two monomials below the bound,
+        a field-wise max (SWAR): a field of (a | guard) - b keeps its guard
+        bit iff a's exponent is at least b's, and that bit is spread into
+        an all-ones mask over the field, selecting a's exponent there.  So
+        a and b are coprime iff their lcm is (a + b) & low."""
+        a &= self.low
+        b &= self.low
+        ge = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & ((ge << 1) - (ge >> (_EXPONENT_BITS - 1))))
+
 
 # One entry per term order and ring size in use; kernel-width, the widest
-# benchmark workload, uses about 120.
+# benchmark workload, uses 27 at seed 11 (battery-degree 5, cli-mix 15).
 @lru_cache(maxsize=256)
 def _packing(order: TermOrder, n: int) -> _Packing:
     return _Packing(order, n)
@@ -406,45 +372,45 @@ def _spoly(f: tuple, g: tuple, l: int) -> dict:
     return terms
 
 
-def _update(pairs: list, lms: list, active: list, pack) -> list:
-    """Gebauer-Moeller update for the element just appended, the last of
-    `lms`: prunes the queued `pairs` in place, queues the new pairs that
+def _update(pairs: list, basis: list, active: list, packing: _Packing) -> list:
+    """Gebauer-Moeller update for the row just appended, the last of
+    `basis`: prunes the queued `pairs` in place, queues the new pairs that
     survive, and returns the new active indices.
 
-    Queued pairs are (negated packed lcm, i, j, lcm).  With h
-    the new leading monomial:
+    Queued pairs are (negated packed lcm, i, j); the low fields of the
+    packed lcm are its exponents.  With h the new leading monomial:
     - criterion B drops a queued pair whose lcm h divides unless h joined
       with either element gives that same lcm;
     - of the new pairs (g, h), g active, criterion M drops one whose lcm
-      another new lcm properly divides (that one is of lower degree),
-      criterion F keeps one pair per lcm (the first), and the product
-      criterion drops every pair whose lcm is also that of a pair with
-      coprime leading monomials;
+      another new lcm properly divides, criterion F keeps one pair per lcm
+      (the first), and the product criterion drops every pair whose lcm is
+      also that of a pair with coprime leading monomials;
     - every active element whose leading monomial h divides retires.
     """
-    j = len(lms) - 1
-    h = lms[j]
+    guard, low, lcm = packing.guard, packing.low, packing.lcm
+    j = len(basis) - 1
+    h = basis[j][0]
     kept = [p for p in pairs
-            if not _divides(h, p[3]) or _lcm(lms[p[1]], h) == p[3] or _lcm(lms[p[2]], h) == p[3]]
+            if (-p[0] - h) & guard or lcm(basis[p[1]][0], h) == -p[0] & low
+            or lcm(basis[p[2]][0], h) == -p[0] & low]
     if len(kept) < len(pairs):
         pairs[:] = kept
         heapq.heapify(pairs)
-    first: dict = {}  # lcm -> first active index giving it, None if any pair is coprime
+    first: dict = {}  # lcm exponents -> first active index, None if any pair is coprime
     for i in active:
-        l = _lcm(lms[i], h)
-        if l == _mul(lms[i], h):
+        g = basis[i][0]
+        l = lcm(g, h)
+        if l == (g + h) & low:
             first[l] = None
         else:
             first.setdefault(l, i)
-    lcms = sorted(first, key=sum)
-    degrees = [sum(l) for l in lcms]
-    for k, l in enumerate(lcms):
-        i = first[l]
-        if i is None or any(_divides(lcms[t], l) for t in range(bisect_left(degrees, degrees[k]))):
+    for l, i in first.items():
+        # a proper divisor of l is a smaller int, so t < l filters cheaply first
+        if i is None or any(t < l and not (l - t) & guard for t in first):
             continue
         # negated, the packed lcm puts the smallest lcm first
-        heapq.heappush(pairs, (-pack(l), i, j, l))
-    return [i for i in active if not _divides(h, lms[i])] + [j]
+        heapq.heappush(pairs, (-packing.pack(packing.unpack(l)), i, j))
+    return [i for i in active if (basis[i][0] - h) & guard] + [j]
 
 
 class _Run:
@@ -460,7 +426,6 @@ class _Run:
         self.packing = packing
         self.caps = caps
         self.basis: list = []  # packed rows
-        self.lms: list = []  # their leading monomials as exponent tuples, for _update
         self.pairs: list = []
         self.active: list = []
         self.rows: list = []  # the active rows
@@ -474,8 +439,7 @@ class _Run:
     def append(self, reduced: dict) -> None:
         """Add a nonzero remainder as a row and update the pairs."""
         self.basis.append(_row(reduced))  # remainders list their terms in descending order
-        self.lms.append(self.packing.unpack(self.basis[-1][0]))
-        self.active = _update(self.pairs, self.lms, self.active, self.packing.pack)
+        self.active = _update(self.pairs, self.basis, self.active, self.packing)
         self.rows = [self.basis[k] for k in self.active]
 
     def complete(self) -> None:
@@ -483,7 +447,7 @@ class _Run:
         are then a Groebner basis of everything appended."""
         pairs, basis, caps = self.pairs, self.basis, self.caps
         while pairs:
-            l, i, j, _ = heapq.heappop(pairs)
+            l, i, j = heapq.heappop(pairs)
             self.reductions += 1
             if self.reductions > caps.max_pairs:
                 raise ResourceCapError(f"pair budget {caps.max_pairs} exhausted")
@@ -570,27 +534,47 @@ def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 
 
 def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
-    """Quotient p/d when d divides p exactly (grevlex division), else None."""
+    """Quotient p/d when d divides p exactly (grevlex division), else None.
+
+    Runs on grevlex-packed monomials with Fraction coefficients, returning
+    None as soon as the leading monomial of d fails to divide the leading
+    one left.  Raises RingMismatchError when p and d lie in different
+    rings, and ResourceCapError when an exponent of p or d, or of a term
+    the division reaches, is 2**31 or more."""
     if d.is_zero():
         raise ZeroPolynomialError("division by the zero polynomial")
-    dterms = d.terms
-    dlm = min(dterms, key=_grevlex_descending)
-    dlc = dterms[dlm]
-    work = dict(p.terms)
-    heap = _heap(work, _grevlex_descending)
+    if p.ring != d.ring:
+        raise RingMismatchError("divisor ring differs from dividend ring")
+    packing = _packing(TermOrder.grevlex(), len(p.ring))
+    pack, guard = packing.pack, packing.guard
+    tail = {pack(m): c for m, c in d.terms.items()}
+    dlm = min(tail)
+    dlc = tail.pop(dlm)
+    work = {pack(m): c for m, c in p.terms.items()}
+    heap = list(work)
+    heapq.heapify(heap)
     quotient: dict = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heapq.heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        if not _divides(dlm, m):
+        if m & guard:
+            raise ResourceCapError("a division passed the exponent bound 2**31")
+        shift = m - dlm
+        if shift & guard:
             return None
         c /= dlc
-        shift = _sub(m, dlm)
         quotient[shift] = c
-        _subtract(work, heap, _grevlex_descending, c, shift, dterms, dlm)
-    return Polynomial(p.ring, quotient)
+        for gm, gc in tail.items():
+            t = shift + gm
+            old = work.get(t)
+            if old is None:
+                work[t] = -c * gc
+                heapq.heappush(heap, t)
+            else:
+                work[t] = old - c * gc
+    return Polynomial(p.ring, {packing.unpack(m): c for m, c in quotient.items()})
 
 
 # -- elimination, saturation, dimension -----------------------------------------

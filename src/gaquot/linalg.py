@@ -2,12 +2,15 @@
 
 A vector is a term dict {exponent tuple: Fraction}, with monomials as
 coordinates.  The echelon keeps monic rows with distinct grevlex leading
-monomials and reduces on the heap core of the Groebner engine; F4
-(Faugere, J. Pure Appl. Algebra 139, 1999) likewise runs polynomial
-reduction and linear algebra on one sparse echelon.  It serves both the
-kernel solve of a derivation, whose rows carry the polynomial they are
-the image of, and graded subalgebra membership.  Every step is exact and
-pivots are leading monomials, so results are reproducible bit for bit.
+monomials and reduces a vector on a heap of its monomials, so the pivot
+is popped rather than found by a scan; F4 (Faugere, J. Pure Appl. Algebra
+139, 1999) likewise runs polynomial reduction and linear algebra on one
+sparse echelon.  It serves both the kernel solve of a derivation, whose
+rows carry the polynomial they are the image of, and graded subalgebra
+membership, and both read its rows as tuple-keyed term dicts, so it keeps
+exponent tuples rather than the packed monomials of the Groebner engine.
+Every step is exact and pivots are leading monomials, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from .groebner import _heap, _subtract
 from .poly import _grevlex_descending
 
 
@@ -37,8 +39,12 @@ class Echelon:
 
         Returns None when nothing is left, otherwise the leading monomial
         of what is left, which no row has.  Updates both dicts in place;
-        either may keep zero coefficients."""
-        heap = _heap(terms, _grevlex_descending)
+        either may keep zero coefficients.  A monomial enters the heap
+        when it first enters `terms` and stays in `terms`, with coefficient
+        zero if it cancels, until it is popped; so the heap holds each
+        monomial once and a zero pop is a cancelled term."""
+        heap = [(_grevlex_descending(m), m) for m in terms]
+        heapq.heapify(heap)
         while heap:
             m = heapq.heappop(heap)[1]
             c = terms[m]
@@ -49,7 +55,15 @@ class Echelon:
             if row is None:
                 return m
             del terms[m]
-            _subtract(terms, heap, _grevlex_descending, c, (0,) * len(m), row, m)
+            for t, v in row.items():
+                if t == m:
+                    continue
+                old = terms.get(t)
+                if old is None:
+                    terms[t] = -c * v
+                    heapq.heappush(heap, (_grevlex_descending(t), t))
+                else:
+                    terms[t] = old - c * v
             if carried is not None:
                 for t, v in self.carried[m].items():
                     carried[t] = carried.get(t, 0) - c * v

@@ -8,10 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 from gaquot import (
+    FamilySpec,
     Ideal,
     Polynomial,
     ResourceCapError,
     ResourceCaps,
+    RingMismatchError,
     TermOrder,
     UnitIdealError,
     VarSet,
@@ -24,6 +26,7 @@ from gaquot import (
     monic,
     normal_form,
     parse,
+    run_battery,
     saturate,
     subalgebra_membership,
 )
@@ -411,6 +414,12 @@ def test_divide_exact():
     assert divide_exact(p, P("w1")) == P("w3*w6 - w4*w5")
     assert divide_exact(P("w1 + 1"), P("w1")) is None
     assert monic(P("2*w1 - 2")) == P("w1 - 1")
+    # positions name different variables in (x, y) and (y, x), and a ring
+    # of another size packs differently: neither is divided
+    with pytest.raises(RingMismatchError):
+        divide_exact(parse("x^2", XY), parse("y", VarSet(("y", "x"))))
+    with pytest.raises(RingMismatchError):
+        divide_exact(parse("x^2", XY), parse("x", VarSet(("x",))))
 
 
 # -- heap-ordered reduction core against the max-scan reference -------------------
@@ -680,13 +689,59 @@ def test_pruning_reduces_fewer_spolynomials(system, monkeypatch):
     assert 0 < len(calls) < reference_count
 
 
+def spolynomials_per_run(monkeypatch, compute) -> list:
+    """The S-polynomials each Buchberger run made by `compute` reduced."""
+    runs = []
+
+    class Counted(groebner._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(groebner, "_Run", Counted)
+    compute()
+    return [run.reductions for run in runs]
+
+
+@pytest.mark.parametrize("system, order, expected", [
+    (KATSURA3, TermOrder.grevlex(), [8]),
+    (KATSURA3, TermOrder.lex(), [27]),
+    (KATSURA3, TermOrder.block(1), [8]),
+    (CYCLIC4, TermOrder.grevlex(), [8]),
+    (CYCLIC4, TermOrder.lex(), [16]),
+], ids=["katsura3-grevlex", "katsura3-lex", "katsura3-elim1", "cyclic4-grevlex",
+        "cyclic4-lex"])
+def test_spolynomial_counts_are_pinned(system, order, expected, monkeypatch):
+    """The pair pruning reduces exactly as many S-polynomials as when the
+    counts were recorded; a change in them is a change in the pruning."""
+    ring, texts = system
+    gens = tuple(parse(t, ring) for t in texts)
+    assert spolynomials_per_run(monkeypatch, lambda: buchberger(Ideal(ring, gens), order)) \
+        == expected
+
+
+def test_battery_spolynomial_counts_are_pinned(monkeypatch):
+    """Per Buchberger run of the v3 battery at deg f = 12, f + 1 the product
+    of (1 - sign_k * k * s) with seeded signs: stability, freeness, the two
+    smoothness checks, the three dimensions and the invariant presentation."""
+    s = VarSet(("s",))
+    rng = random.Random(11)
+    product = s.one()
+    for k in range(1, 13):
+        product = product * (s.one() - s.var("s") * (rng.choice((1, -1)) * k))
+    spec = FamilySpec("v3", product - s.one())
+    assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) \
+        == [1, 1, 40, 40, 0, 0, 0, 7]
+
+
 # -- packed monomials -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 4, 18])
 def test_packing_agrees_with_exponent_tuples(n):
     """Each packing against exponent tuples, with exponents up to the
-    largest allowed, 2**31 - 1, and products up to twice that."""
+    largest allowed, 2**31 - 1, and products up to twice that; lcms are
+    taken of c and, half the time, of c cleared on the support of a."""
     rng = random.Random(20261022 + n)
     top = groebner._EXPONENT_BOUND - 1
 
@@ -703,7 +758,7 @@ def test_packing_agrees_with_exponent_tuples(n):
             b[i] = min(a[i] + 1, top)
         return tuple(b)
 
-    divides = []
+    divides, coprime = [], []
 
     for order in [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(1),
                   TermOrder.block(2), TermOrder.block(n)]:
@@ -730,9 +785,18 @@ def test_packing_agrees_with_exponent_tuples(n):
             assert bool((pa + pb) & packing.guard) == (max(ab) > top)
             if max(ab) <= top:
                 assert pa + pb == packing.pack(ab)
+            # lcm: the packed field-wise max, on the exponent fields alone;
+            # it is the sum of those fields exactly for disjoint supports
+            d = c if rng.random() < 0.5 else tuple(0 if x else y for x, y in zip(a, c))
+            pd = packing.pack(d)
+            l = packing.lcm(pa, pd)
+            assert l == packing.lcm(pd, pa) == packing.pack(tuple(map(max, a, d))) & packing.low
+            coprime.append(not any(x and y for x, y in zip(a, d)))
+            assert (l == (pa + pd) & packing.low) == coprime[-1]
         with pytest.raises(ResourceCapError):
             packing.pack((top + 1,) + (0,) * (n - 1))
     assert 0.3 < sum(divides) / len(divides) < 0.7
+    assert 0.3 < sum(coprime) / len(coprime) < 0.9
     assert groebner._packing(TermOrder.lex(), n) is groebner._packing(TermOrder.lex(), n)
 
 
@@ -751,6 +815,13 @@ def test_exponent_bound_is_checked():
         buchberger(ideal(XY, "x - y^1073741824", "x^2 - 1"), TermOrder.lex())
     with pytest.raises(ResourceCapError):
         normal_form(parse(f"x^{top + 1}", XY), gb)
+    # exact division: dividing x^top*y^2 by x*y^2 + x^2 queues x^(top + 1)
+    with pytest.raises(ResourceCapError):
+        divide_exact(parse(f"x^{top}*y^2", XY), parse("x*y^2 + x^2", XY))
+    with pytest.raises(ResourceCapError):
+        divide_exact(parse(f"x^{top + 1}", XY), parse("x", XY))
+    assert divide_exact(parse(f"x^{top}*y^2", XY), parse("x*y^2", XY)) \
+        == parse(f"x^{top - 1}", XY)
 
 
 # -- contracts on orders, bases, ideals ------------------------------------------
