@@ -279,6 +279,8 @@ def main(argv: Optional[list] = None, out=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     handler = _HANDLERS[args.command]
     try:
+        if getattr(args, "max_rounds", 0) < 0:  # verify and kernel take it
+            raise ValueError("max_rounds must be nonnegative")
         return handler(args, out)
     except _REJECTION_ERRORS as exc:
         print(f"rejected: {exc}", file=sys.stderr)

@@ -10,16 +10,16 @@ degree-bounded linear solve or by a slice/saturation cross-check.
 Exact linear algebra runs on one sparse echelon (linalg.Echelon).  The
 linear solve reduces the image of each monomial against the images of
 the monomials before it.  Both kernel methods prune generators by
-subalgebra membership: when every polynomial involved is homogeneous
-(the kernel of a linear derivation is graded), membership is decided
-one degree at a time against an echelon of the span of products of
-generators (_GradedSpan); otherwise it falls back to the tag-variable
-Groebner test (Shannon and Sweedler, J. Symb. Comp. 6, 1988), the
-general route of SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).
-A candidate list is filtered by one incremental Buchberger run over the
-graph ideal of all candidates (groebner.subalgebra_presentation), and
-the candidates of one saturation round are reduced against one basis
-of the graph ideal of the round's generators.
+subalgebra membership, through one interface (`adjoin`, `contains`)
+whose engine one function, `_span`, chooses: when every generator is
+homogeneous (the kernel of a linear derivation is graded), an echelon
+of products of generators one degree at a time (_GradedSpan); otherwise
+one incremental Buchberger run of the tag-variable test (Shannon and
+Sweedler, J. Symb. Comp. 6, 1988) over the graph ideal of all of them
+(groebner._GraphSpan), the general route of SAGBI theory (Robbiano and
+Sweedler, LNM 1430, 1990).  A saturation round tests its candidates
+against one span of its generators, and the span of the round that
+adds nothing is the final filter.
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
-    _graph_basis,
     _graph_ideal,
-    _tag_form,
+    _GraphSpan,
     divide_exact,
     eliminate,
-    subalgebra_presentation,
 )
 from .linalg import Echelon
 from .poly import (
@@ -241,10 +239,6 @@ def _sorted_gens(polys):
     return sorted(polys, key=lambda p: (p.total_degree(), str(p)))
 
 
-def _is_homogeneous(p: Polynomial) -> bool:
-    return len({sum(m) for m in p.terms}) <= 1
-
-
 class _GradedSpan:
     """Degree pieces A_d of the subalgebra generated by homogeneous
     polynomials, each an echelon built when first needed.
@@ -257,10 +251,9 @@ class _GradedSpan:
     raises ResourceCapError.
     """
 
-    def __init__(self, ring: VarSet, generators=()):
+    def __init__(self, ring: VarSet):
         one = (0,) * len(ring)
-        self._generators = [(g.total_degree(), dict(g.terms))
-                            for g in generators if not g.is_constant()]
+        self._generators = []  # (degree, terms) of each kept generator
         constants = Echelon()
         constants.insert({one: Fraction(1)})
         # degree -> (echelon of the piece, monomials of its rows)
@@ -309,20 +302,22 @@ class _GradedSpan:
         return True
 
 
+def _span(ring: VarSet, polys, caps: ResourceCaps):
+    """An empty membership structure to adjoin `polys` to, in order: a
+    _GradedSpan when every one is homogeneous, else a _GraphSpan."""
+    if all(len({sum(m) for m in p.terms}) <= 1 for p in polys):
+        return _GradedSpan(ring)
+    return _GraphSpan(ring, polys, caps)
+
+
 def _minimal_generators(candidates, caps: ResourceCaps):
     """The nonconstant candidates in (degree, text) order, each kept only
-    if it is not in the subalgebra generated by those kept before it.
-
-    Homogeneous candidates are tested by graded linear algebra
-    (_GradedSpan); any other candidate list by one incremental Groebner
-    run over the graph ideal of all of them (subalgebra_presentation)."""
+    if it is not in the subalgebra generated by those kept before it."""
     ordered = [p for p in _sorted_gens(candidates) if not p.is_constant()]
     if not ordered:
         return []
-    if all(map(_is_homogeneous, ordered)):
-        span = _GradedSpan(ordered[0].ring)
-        return [p for p in ordered if span.adjoin(p)]
-    return subalgebra_presentation(ordered[0].ring, ordered, caps)[0]
+    span = _span(ordered[0].ring, ordered, caps)
+    return [p for p in ordered if span.adjoin(p)]
 
 
 def kernel_linear(derivation: Derivation, max_degree: int,
@@ -381,14 +376,17 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
 
     Seeds with the cleared slice projections of the variables, then
     repeatedly adjoins kernel elements h with a*h inside the current
-    subalgebra.  Stops when a round adds nothing, and returns the
-    generators that the ones before them in (degree, text) order do not
-    generate, as kernel_linear does: a seed can lie in the subalgebra of
-    other seeds.  With max_rounds = 0 the seed generators are returned
-    unverified; exhausting a positive round budget without stabilizing
-    raises RoundCapError (the invariant ring need not be finitely
-    generated, so silent truncation is never acceptable).
+    subalgebra.  Stops when a round adds nothing, and returns what that
+    round kept: the generators that the ones before them in (degree,
+    text) order do not generate, as kernel_linear does (a seed can lie in
+    the subalgebra of other seeds).  With max_rounds = 0 the seeds are
+    filtered so and returned unverified; exhausting a positive round
+    budget raises RoundCapError (the invariant ring need not be finitely
+    generated, so silent truncation is never acceptable), and a negative
+    one ValueError.
     """
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be nonnegative")
     _check_slice(derivation, data)
     ring = derivation.ring
     seeds = []
@@ -400,57 +398,46 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
         if cleared not in seeds:
             seeds.append(cleared)
     generators = _sorted_gens(seeds)
-    a = data.value
+    if not max_rounds:
+        return _minimal_generators(generators, caps)
     for _ in range(max_rounds):
-        new = _saturation_round(derivation, a, generators, caps)
+        new, kept = _saturation_round(derivation, data.value, generators, caps)
         if not new:
-            break
+            return kept
         generators = _sorted_gens(generators + new)
-    else:
-        if max_rounds:
-            raise RoundCapError(f"kernel not stabilized within {max_rounds} rounds")
-    return _minimal_generators(generators, caps)
+    raise RoundCapError(f"kernel not stabilized within {max_rounds} rounds")
 
 
 def _saturation_round(derivation: Derivation, a: Polynomial,
                       generators, caps: ResourceCaps):
-    """Kernel elements h with a*h in the current subalgebra but h outside.
+    """(new, kept): the kernel elements h outside the subalgebra of the
+    sorted nonconstant `generators` with a*h inside it, in (degree, text)
+    order, and the generators not generated by those before them.
 
     Tag polynomials p with p(gens) divisible by a are exactly the
     elimination ideal of (a) + (y_i - gens_i); each quotient p(gens)/a is
-    automatically a kernel element.  A candidate h already among
-    `generators` is skipped; membership of any other is tested against
-    one graded span of `generators` when they are homogeneous, otherwise
-    by its normal form against one block-order basis of their graph
-    ideal, built when the first candidate needs it.
+    automatically a kernel element.  The generators are adjoined in order
+    to one `_span`, which tests each candidate not among them.  So when
+    `new` is empty, `kept` is `_minimal_generators(generators)`: the same
+    list, adjoined to the same engine in the same order.
     """
     ring = derivation.ring
     relations = eliminate(_graph_ideal(ring, generators, extra=(a,)), len(ring), caps=caps)
     assignment = dict(zip(relations.ring.names, generators))
-    span = _GradedSpan(ring, generators) if all(map(_is_homogeneous, generators)) else None
-    basis = None
+    span = _span(ring, generators, caps)
+    kept = [g for g in generators if span.adjoin(g)]
     new = []
     for p in relations.generators:
-        if p.is_zero():
-            continue
         b = p.substitute(assignment) if p.variables() else ring.const(p.constant_term())
         if b.is_zero():
             continue
         h = divide_exact(b, a)
-        if h is None or h.is_zero() or h.is_constant():
+        if h is None or h.is_constant():
             continue
         h = monic(h)
-        if h in new or h in generators:
-            continue
-        if span is not None:
-            member = span.contains(h)
-        else:
-            if basis is None:
-                basis = _graph_basis(ring, generators, caps)
-            member = _tag_form(h, basis) is not None
-        if not member:
+        if h not in new and h not in generators and not span.contains(h):
             new.append(h)
-    return _sorted_gens(new)
+    return _sorted_gens(new), kept
 
 
 # -- derivation files --------------------------------------------------------------

@@ -5,10 +5,9 @@ Krull dimension via leading-term independent sets, and subalgebra
 membership all reduce to reduced Groebner bases computed by Buchberger's
 algorithm with the normal selection strategy (smallest lcm first).  One
 run state, `_Run`, holds the rows, the pair queue and the pair loop;
-`buchberger` seeds it once, and `subalgebra_presentation` grows it one
-candidate at a time, so a list of subalgebra candidates is filtered, and
-the relations among the survivors eliminated, in one incremental run
-over the graph ideal of all of them.  Pairs
+`buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
+candidate at a time over the graph ideal of all of them, deciding
+membership and eliminating the relations among the survivors.  Pairs
 are pruned when they are formed, by the update of Gebauer and Moeller
 ("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
 UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
@@ -20,9 +19,7 @@ retired leading monomial is a multiple of an active one, remainders are
 still full normal forms.  Output is deterministic for fixed input and
 order; a reduced basis is listed in ascending order of leading monomial.
 Each term order is one descending sort key, built on the one grevlex key
-of `poly`.  The tag-variable graph ideal of subalgebra membership, the
-saturation kernel method and the invariant presentation has one builder,
-`_graph_ideal`.
+of `poly`.  The tag-variable graph ideal has one builder, `_graph_ideal`.
 
 Buchberger, normal forms, the pair update and exact division work on
 packed monomials: inside the engine a monomial is one Python int, linear
@@ -196,10 +193,16 @@ class ResourceCaps:
     """Budget converting runaway computations into clean errors: a
     Buchberger run reduces at most `max_pairs` S-polynomials (the pairs
     that survive pruning) and adds no remainder of one above total degree
-    `max_degree`."""
+    `max_degree`.  A negative budget raises ValueError."""
 
     max_pairs: int = 100_000
     max_degree: int = 60
+
+    def __post_init__(self):
+        if self.max_pairs < 0:
+            raise ValueError("max_pairs must be nonnegative")
+        if self.max_degree < 0:
+            raise ValueError("max_degree must be nonnegative")
 
 
 DEFAULT_CAPS = ResourceCaps()
@@ -639,28 +642,76 @@ def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
                  + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
 
 
-def _graph_basis(ring: VarSet, gens: Sequence[Polynomial],
-                 caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
-    """Reduced basis of the graph ideal of the nonempty `gens` under the
-    block order eliminating `ring`, for `_tag_form`."""
-    return buchberger(_graph_ideal(ring, gens), TermOrder.block(len(ring)), caps=caps)
+class _GraphSpan:
+    """The subalgebra of candidates adjoined one at a time, in the order
+    given, as one incremental Buchberger run over their graph ideal under
+    the block order eliminating `ring`: the Groebner counterpart, for any
+    polynomials, of `derivations._GradedSpan`.  Each candidate has its tag
+    of `_graph_ideal(ring, candidates)` from the start, so the packing
+    never changes, and the whole run shares one `caps` budget.  No tag
+    leads a row, so the normal form of a polynomial of `ring` mentions
+    only tags (one mask of the ring's exponent fields, the lowest ones)
+    exactly when subalgebra_membership calls it a member of the kept
+    candidates' subalgebra.  An empty candidate list raises ValueError."""
 
+    def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
+                 caps: ResourceCaps = DEFAULT_CAPS):
+        for g in candidates:
+            if g.ring != ring:
+                raise RingMismatchError("subalgebra candidates over the wrong ring")
+        graph = _graph_ideal(ring, candidates)
+        self._ring, self._graph_ring = ring, graph.ring
+        self._seeds = enumerate(zip(candidates, graph.generators))
+        self._run = _Run(_packing(TermOrder.block(len(ring)), len(graph.ring)), caps)
+        self._ring_fields = (1 << _EXPONENT_BITS * len(ring)) - 1
+        self._kept = []  # indices of the kept candidates
 
-def _tag_form(f: Polynomial, gb: GroebnerBasis) -> Optional[Polynomial]:
-    """The normal form of f against `gb`, a `_graph_basis` over f's ring,
-    when that normal form mentions only the tags: then f lies in the
-    subalgebra and the form is a tag polynomial p with p(gens) = f.
-    None when f is not a member."""
-    n = len(f.ring)
-    nf = normal_form(f.embed(gb.source.ring), gb)
-    if any(any(exps[:n]) for exps in nf.terms):
-        return None
-    return nf
+    def _tag_only_form(self, f: Polynomial) -> tuple:
+        """(packed normal form of f, up to scale; whether it is tag-only)."""
+        run = self._run
+        reduced = run.reduce(_integer_terms(f.terms, run.packing.pack)[0])
+        return reduced, not any(m & self._ring_fields for m in reduced)
+
+    def adjoin(self, p: Polynomial) -> bool:
+        """Keep p, the next candidate, iff its seed y_i - p, reduced to y_i
+        minus the normal form of p (y_i leads no row), is not tag-only;
+        a kept remainder joins the basis, whose pairs are completed."""
+        i, (candidate, seed) = next(self._seeds)
+        if p != candidate:
+            raise ValueError("subalgebra candidates are adjoined in the order given")
+        reduced, member = self._tag_only_form(seed)
+        if not member:
+            self._kept.append(i)
+            self._run.append(reduced)
+            self._run.complete()
+        return not member
+
+    def contains(self, f: Polynomial) -> bool:
+        """Membership of f, over `ring`, in the kept candidates' subalgebra."""
+        return self._tag_only_form(f.embed(self._graph_ring))[1]
+
+    def relations(self) -> Ideal:
+        """The reduced basis rows free of ring variables, over the tags of
+        `_graph_ideal(ring, kept)`: as a dropped tag is a zero column, on
+        which grevlex ties, they are what `eliminate` gives on the kept
+        candidates' graph ideal, in order (the zero ideal if none is)."""
+        tags = VarSet(fresh_names("y", len(self._kept), self._ring.names))
+        columns = [len(self._ring) + i for i in self._kept]
+        unpack = self._run.packing.unpack
+        relations = []
+        for lm, lc, tail in self._run.interreduced():
+            if lm & self._ring_fields:
+                continue  # under the block order, a row with ring variables leads with one
+            relations.append(Polynomial(tags, {
+                tuple(map(unpack(m).__getitem__, columns)): Fraction(c, lc)
+                for m, c in ((lm, lc),) + tail}))
+        return Ideal(tags, tuple(relations) or (tags.zero(),))
 
 
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
                           caps: ResourceCaps = DEFAULT_CAPS):
-    """Decide membership in the subalgebra generated by `gens`.
+    """Decide membership in the subalgebra generated by `gens`, by one
+    basis computed from scratch.
 
     Tag variables y_i are adjoined with relations y_i - gens_i; under a
     block order eliminating the original variables the normal form of f
@@ -672,15 +723,14 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
         if g.ring != ring:
             raise RingMismatchError("subalgebra generators over the wrong ring")
     n = len(ring)
-    witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
+    nf = f
     if gens:
-        nf = _tag_form(f, _graph_basis(ring, gens, caps))
-    else:
-        nf = f if f.is_constant() else None
-    if nf is None:
+        graph = _graph_ideal(ring, gens)
+        nf = normal_form(f.embed(graph.ring), buchberger(graph, TermOrder.block(n), caps=caps))
+    if any(any(exps[:n]) for exps in nf.terms):
         return False, None
-    witness = Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})
-    return True, witness
+    witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
+    return True, Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})
 
 
 def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
@@ -688,53 +738,12 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
-    tags `_graph_ideal(ring, survivors)` gives them.
-
-    One Buchberger run over the graph ideal of all candidates, under the
-    block order eliminating `ring`, serves both.  Each candidate p_i has
-    its own tag y_i from the start, so the packing never changes.  In
-    turn, its seed y_i - p_i is fully reduced against the basis of the
-    seeds kept so far; y_i is in no leading monomial, so the remainder
-    is y_i minus the unique normal form of p_i, and mentions only tags
-    (one mask of the ring's exponent fields) exactly when
-    subalgebra_membership would call p_i a member.  A member is dropped;
-    any other remainder joins the basis, whose pairs are then completed.
-    The relations are the rows of the final reduced basis free of ring
-    variables: the elimination ideal of the survivors' graph ideal.  A
-    dropped candidate's tag is a zero column, on which grevlex ties, so
-    that reduced basis is the one `eliminate` computes on the survivors
-    alone, listed in the same order.
-
-    The whole run shares one `caps` budget, as one basis computation.
-    With no survivors (every candidate constant) the relation ideal is
-    the zero ideal of the empty tag ring; an empty candidate list raises
-    ValueError, as an ideal with no generators does."""
-    for g in candidates:
-        if g.ring != ring:
-            raise RingMismatchError("subalgebra candidates over the wrong ring")
-    n = len(ring)
-    graph = _graph_ideal(ring, candidates)
-    packing = _packing(TermOrder.block(n), len(graph.ring))
-    ring_fields = (1 << _EXPONENT_BITS * n) - 1  # the exponents of `ring` are the lowest fields
-    run = _Run(packing, caps)
-    kept = []
-    for i, seed in enumerate(graph.generators):
-        reduced = run.reduce(_integer_terms(seed.terms, packing.pack)[0])
-        if any(m & ring_fields for m in reduced):
-            kept.append(i)
-            run.append(reduced)
-            run.complete()
-    tags = VarSet(fresh_names("y", len(kept), ring.names))
-    columns = [n + i for i in kept]
-    unpack = packing.unpack
-    relations = []
-    for lm, lc, tail in run.interreduced():
-        if lm & ring_fields:
-            continue  # under the block order, a row with ring variables leads with one
-        relations.append(Polynomial(tags, {
-            tuple(map(unpack(m).__getitem__, columns)): Fraction(c, lc)
-            for m, c in ((lm, lc),) + tail}))
-    return [candidates[i] for i in kept], Ideal(tags, tuple(relations) or (tags.zero(),))
+    tags `_graph_ideal(ring, survivors)` gives them.  Each candidate is
+    adjoined to one `_GraphSpan`, whose `relations()` follow, so the
+    filter and the elimination are one run sharing one `caps` budget.
+    An empty candidate list raises ValueError."""
+    span = _GraphSpan(ring, candidates, caps)
+    return [p for p in candidates if span.adjoin(p)], span.relations()
 
 
 # -- ideal files -----------------------------------------------------------------

@@ -184,6 +184,23 @@ def coeff_list(p: Polynomial, var: str):
     return out
 
 
+def spolynomials_per_run(monkeypatch, compute) -> list:
+    """The S-polynomials each Buchberger run made by `compute` reduced, in
+    the order the runs were started."""
+    from gaquot import groebner
+
+    runs = []
+
+    class Counted(groebner._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(groebner, "_Run", Counted)
+    compute()
+    return [run.reductions for run in runs]
+
+
 def assert_same_subalgebra(gens_a, gens_b, caps=None):
     """Mutual subalgebra membership in both directions."""
     from gaquot import DEFAULT_CAPS, subalgebra_membership

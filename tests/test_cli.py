@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gaquot
 from gaquot import VarSet, parse, subalgebra_membership
 from gaquot.cli import main
@@ -268,6 +270,31 @@ def test_max_rounds_only_where_read(tmp_path, capsys):
     assert run(["gb", "--ideal", str(path), "--max-rounds", "5"])[0] == 1
     assert run(["present", "--f", "s", "--max-rounds", "0"])[0] == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--method", "saturation", "--max-rounds", "-1"], "max_rounds"),
+    (["kernel", "--max-rounds", "-5"], "max_rounds"),
+    (["kernel", "--max-pairs", "-3"], "max_pairs"),
+    (["verify", "--family", "v3", "--f=s", "--max-rounds", "-7"], "max_rounds"),
+    (["verify", "--family", "v3", "--f=s", "--max-pairs", "-3"], "max_pairs"),
+    (["verify", "--family", "v3", "--f=s", "--max-degree", "-2"], "max_degree"),
+    (["gb", "--max-pairs", "-3"], "max_pairs"),
+    (["gb", "--max-degree", "-2"], "max_degree"),
+    (["present", "--f=s", "--max-pairs", "-3"], "max_pairs"),
+    (["present", "--f=s", "--max-degree", "-2"], "max_degree"),
+], ids=lambda case: " ".join(case) if isinstance(case, list) else case)
+def test_negative_budgets_are_usage_errors(argv, message, tmp_path, capsys):
+    """A negative budget exits 1 before any work, and verify writes no
+    report that records it."""
+    derivation = tmp_path / "derivation.txt"
+    derivation.write_text(V3_DERIVATION, encoding="utf-8")
+    ideal = tmp_path / "parabola.txt"
+    ideal.write_text(PARABOLA_IDEAL, encoding="utf-8")
+    inputs = {"kernel": ["--derivation", str(derivation)], "gb": ["--ideal", str(ideal)]}
+    code, text = run(argv[:1] + inputs.get(argv[0], []) + argv[1:])
+    assert (code, text) == (1, "")
+    assert f"{message} must be nonnegative" in capsys.readouterr().err
 
 
 # -- present ------------------------------------------------------------------------

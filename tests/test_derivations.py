@@ -35,6 +35,7 @@ from helpers import (
     groebner_minimal_generators,
     random_exponents,
     random_poly,
+    spolynomials_per_run,
     sympy_kernel_solutions,
 )
 
@@ -354,7 +355,9 @@ def test_kernel_methods_generate_the_same_subalgebra(derivation, max_degree):
     saturated = kernel_saturation(derivation, derivations.find_slice(derivation), 8)
     top = max(g.total_degree() for g in saturated)
     linear = kernel_linear(derivation, max(max_degree, top))
-    spans = [derivations._GradedSpan(derivation.ring, gens) for gens in (linear, saturated)]
+    spans = [derivations._GradedSpan(derivation.ring) for _ in (linear, saturated)]
+    for span, gens in zip(spans, (linear, saturated)):
+        assert [span.adjoin(g) for g in gens] == [True] * len(gens)  # both are minimal
     ranks = [[len(span._piece(d)[0].rows) for d in range(top + 1)] for span in spans]
     assert ranks[0] == ranks[1]
     assert all(spans[1].contains(g) for g in linear)
@@ -519,22 +522,22 @@ def homogeneous_candidates(rng, ring, size=8, top=3):
 
 
 def count_groebner_calls(monkeypatch):
-    """Records each Groebner subalgebra test made in derivations as (name
-    of the calling function, what it tests): the candidate list of one
-    subalgebra_presentation run, or the polynomial of one normal form
-    against a graph-ideal basis (_tag_form)."""
+    """Records the Groebner subalgebra work of derivations as (name of
+    the function that asked for it, what it is): the candidate list of
+    each Groebner membership run built (groebner._GraphSpan, built by
+    _span), or the polynomial of each membership test made on one."""
     calls = []
 
-    def presentation(ring, candidates, caps=derivations.DEFAULT_CAPS):
-        calls.append((sys._getframe(1).f_code.co_name, list(candidates)))
-        return groebner.subalgebra_presentation(ring, candidates, caps)
+    class Recorded(groebner._GraphSpan):
+        def __init__(self, ring, candidates, caps):
+            calls.append((sys._getframe(2).f_code.co_name, list(candidates)))
+            super().__init__(ring, candidates, caps)
 
-    def tag_form(f, gb):
-        calls.append((sys._getframe(1).f_code.co_name, f))
-        return groebner._tag_form(f, gb)
+        def contains(self, f):
+            calls.append((sys._getframe(1).f_code.co_name, f))
+            return super().contains(f)
 
-    monkeypatch.setattr(derivations, "subalgebra_presentation", presentation)
-    monkeypatch.setattr(derivations, "_tag_form", tag_form)
+    monkeypatch.setattr(derivations, "_GraphSpan", Recorded)
     return calls
 
 
@@ -576,34 +579,34 @@ def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(mon
 
 def test_saturation_round_skips_known_generators(monkeypatch):
     """Round 2 re-derives y^2 - 2*x*z + 2*y, found in round 1; it is
-    already a generator, so it is not tested for membership again.  The
-    last call is the final minimality filter, one run over the three
-    generators."""
+    already a generator, so it is not tested for membership again.  Each
+    round builds one run over its generators, and the second round's run
+    is the final minimality filter: no other run follows."""
     ring = VarSet(("x", "y", "z"))
     d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + 1", ring)})
     calls = count_groebner_calls(monkeypatch)
     got = kernel_saturation(d, derivations.find_slice(d), 8)
+    seeds = [parse(t, ring) for t in ("x", "x*y^2 - 2*x^2*z + 2*x*y")]
     generators = [parse(t, ring) for t in ("x", "y^2 - 2*x*z + 2*y", "x*y^2 - 2*x^2*z + 2*x*y")]
-    assert calls == [("_saturation_round", parse("y^2 - 2*x*z + 2*y", ring)),
-                     ("_minimal_generators", generators)]
+    assert calls == [("_saturation_round", seeds),
+                     ("_saturation_round", parse("y^2 - 2*x*z + 2*y", ring)),
+                     ("_saturation_round", generators)]
     assert got == groebner_minimal_generators(generators)
 
 
-def test_saturation_round_builds_one_basis_per_round(monkeypatch):
-    """Each round reduces its candidates against one graph-ideal basis of
-    the round's generators, built once (one membership run per candidate
-    used to build 8 bases over the 4 rounds)."""
+def four_round_derivation():
+    """An inhomogeneous derivation whose saturation takes four rounds."""
     ring = VarSet(("x", "y", "z", "u"))
-    d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + x^2", ring),
-                          "u": parse("z + 1", ring)})
+    return Derivation(ring, {"y": parse("x", ring), "z": parse("y + x^2", ring),
+                             "u": parse("z + 1", ring)})
+
+
+def test_saturation_round_builds_one_basis_per_round(monkeypatch):
+    """Each round tests its candidates against one Groebner membership run
+    over the round's generators, and the last round's run is also the
+    final filter: 8 tests on 4 runs, and no fifth run."""
+    d = four_round_derivation()
     calls = count_groebner_calls(monkeypatch)
-    bases = []
-
-    def counting(ring, gens, caps):
-        bases.append(tuple(gens))
-        return groebner._graph_basis(ring, gens, caps)
-
-    monkeypatch.setattr(derivations, "_graph_basis", counting)
     got = kernel_saturation(d, derivations.find_slice(d), 8)
     assert [str(g) for g in got] == [
         "x", "x^2*y + 1/2*y^2 - x*z", "x^2*y^2 + 2/3*y^3 - 2*x*y*z + 2*x^2*u - 2*x*y",
@@ -611,8 +614,83 @@ def test_saturation_round_builds_one_basis_per_round(monkeypatch):
         " + 3*x^2*y*z^2 - 9/8*x^2*y^2*u - 15/8*x*y^3 + 6*x^2*y*z + 3/8*y^2*z^2 - x*z^3"
         " - 3/4*y^3*u + 9/4*x*y*z*u - 9/8*x^2*u^2 + 3/4*y^2*z - 3*x*z^2 + 9/4*x*y*u"
         " - 9/8*y^2"]
-    assert sum(caller == "_saturation_round" for caller, _ in calls) == 8
-    assert len(bases) == len(set(bases)) == 4
+    assert {caller for caller, _ in calls} == {"_saturation_round"}
+    runs = [tuple(what) for _, what in calls if isinstance(what, list)]
+    assert len(calls) - len(runs) == 8
+    assert len(runs) == len(set(runs)) == 4
+
+
+@pytest.mark.parametrize("derivation, expected", [
+    (four_round_derivation(), [0, 3, 4, 2, 8, 8, 80, 24]),
+    (lower_triangular_derivation(4), [10, 130]),
+], ids=["four-round", "V4"])
+def test_kernel_saturation_spolynomial_counts_are_pinned(derivation, expected, monkeypatch):
+    """Per Buchberger run of kernel_saturation: each round's elimination
+    of (a) + the graph ideal, then, on inhomogeneous generators, its
+    membership run.  The eliminations reduce what they did when each
+    round still built its membership basis from scratch and the output
+    was filtered again (0, 4, 8, 80 and 10, 130); the membership runs are
+    incremental, and no run follows the last round."""
+    data = derivations.find_slice(derivation)
+    assert spolynomials_per_run(monkeypatch, lambda: kernel_saturation(derivation, data, 8)) \
+        == expected
+
+
+def saturation_oracle_cases():
+    ring = VarSet(("x", "y", "z"))
+    yield "y->x,z->y+1", Derivation(ring, {"y": parse("x", ring), "z": parse("y + 1", ring)})
+    yield "y->x,z->1", Derivation(ring, {"y": ring.var("x"), "z": ring.one()})
+    yield "four-round", four_round_derivation()
+    for n in (3, 4, 5):
+        yield f"V{n}", lower_triangular_derivation(n)
+    rng = random.Random(20261018)
+    seeded = 0
+    while seeded < 12:
+        d = random_triangular_derivation(rng, ring)
+        if derivations.find_slice(d) is not None:
+            yield f"triangular-{seeded}", d
+            seeded += 1
+
+
+@pytest.mark.parametrize("derivation",
+                         [case[1] for case in saturation_oracle_cases()],
+                         ids=[case[0] for case in saturation_oracle_cases()])
+def test_kernel_saturation_returns_the_last_rounds_filter(derivation, monkeypatch):
+    """The output is what the reference filter, one from-scratch Groebner
+    membership run per candidate, keeps of the generators of the round
+    that adds nothing: that round's span is the final filter."""
+    rounds = []
+    saturation_round = derivations._saturation_round
+
+    def recording(derivation, a, generators, caps):
+        rounds.append(list(generators))
+        return saturation_round(derivation, a, generators, caps)
+
+    monkeypatch.setattr(derivations, "_saturation_round", recording)
+    got = kernel_saturation(derivation, derivations.find_slice(derivation), 8)
+    assert got == groebner_minimal_generators(rounds[-1])
+
+
+def test_kernel_saturation_filters_from_scratch_only_without_rounds(monkeypatch):
+    calls = []
+    minimal_generators = derivations._minimal_generators
+
+    def recording(candidates, caps):
+        calls.append(list(candidates))
+        return minimal_generators(candidates, caps)
+
+    monkeypatch.setattr(derivations, "_minimal_generators", recording)
+    data = make_slice(D3, "w2")
+    assert len(kernel_saturation(D3, data, 8)) == 6
+    assert not calls
+    assert kernel_saturation(D3, data, 0) == minimal_generators(calls[0], derivations.DEFAULT_CAPS)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rounds", [-1, -7])
+def test_kernel_saturation_rejects_a_negative_round_budget(rounds):
+    with pytest.raises(ValueError, match="max_rounds must be nonnegative"):
+        kernel_saturation(D3, make_slice(D3, "w2"), rounds)
 
 
 def test_graded_span_obeys_dimension_cap(monkeypatch):

@@ -35,6 +35,7 @@ from helpers import (
     brute_ideal_membership,
     random_poly,
     reference_key,
+    spolynomials_per_run,
     sympy_reduced_gb,
     sympy_resultant,
 )
@@ -101,6 +102,13 @@ def test_pair_cap_ignores_pruned_pairs():
     caps = ResourceCaps(max_pairs=0)
     gb = buchberger(ideal(W, "w1", "w3", "w5", "w1 - 1 - (w3*w6 - w4*w5)"), caps=caps)
     assert gb.basis == (W.one(),)
+
+
+@pytest.mark.parametrize("budget", ["max_pairs", "max_degree"])
+def test_negative_caps_are_rejected(budget):
+    with pytest.raises(ValueError, match=f"{budget} must be nonnegative"):
+        ResourceCaps(**{budget: -1})
+    assert getattr(ResourceCaps(**{budget: 0}), budget) == 0
 
 
 def test_degree_cap_raises():
@@ -687,20 +695,6 @@ def test_pruning_reduces_fewer_spolynomials(system, monkeypatch):
     gb = buchberger(Ideal(ring, gens))
     assert gb.basis == tuple(expected)
     assert 0 < len(calls) < reference_count
-
-
-def spolynomials_per_run(monkeypatch, compute) -> list:
-    """The S-polynomials each Buchberger run made by `compute` reduced."""
-    runs = []
-
-    class Counted(groebner._Run):
-        def __init__(self, *args):
-            super().__init__(*args)
-            runs.append(self)
-
-    monkeypatch.setattr(groebner, "_Run", Counted)
-    compute()
-    return [run.reductions for run in runs]
 
 
 @pytest.mark.parametrize("system, order, expected", [
