@@ -9,6 +9,7 @@ present (invariant-ring presentation).  Exit codes partition outcomes:
   2  a mathematical check failed
   3  spec rejected (repeated roots, nonzero constant term)
   4  resource cap exceeded
+  5  internal error (any other exception: a bug, not a usage error)
 
 Reports serialize deterministically: identical inputs give byte-identical
 output.
@@ -57,6 +58,7 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_REJECTED = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 _USAGE_ERRORS = (
     ParseError,
@@ -294,6 +296,12 @@ def main(argv: Optional[list] = None, out=None) -> int:
     except GaquotError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except Exception as exc:  # a bug, not a usage error: keep its traceback
+        import traceback  # only on this path, off the import time of every run
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

@@ -25,7 +25,6 @@ adds nothing is the final filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
 from pathlib import Path
@@ -52,6 +51,7 @@ from .linalg import Echelon
 from .poly import (
     Polynomial,
     VarSet,
+    _exact_quotient,
     _grevlex_descending,
     _product,
     monic,
@@ -202,7 +202,7 @@ def exp_action(derivation: Derivation, f: Polynomial,
     t = extended.var(parameter)
     result = extended.zero()
     for i, g in enumerate(chain):
-        result = result + g.embed(extended) * t ** i * Fraction(1, factorial(i))
+        result = result + g.embed(extended) * t ** i * _exact_quotient(1, factorial(i))
     return result
 
 
@@ -255,7 +255,7 @@ class _GradedSpan:
         one = (0,) * len(ring)
         self._generators = []  # (degree, terms) of each kept generator
         constants = Echelon()
-        constants.insert({one: Fraction(1)})
+        constants.insert({one: 1})
         # degree -> (echelon of the piece, monomials of its rows)
         self._pieces = {0: (constants, {one})}
 
@@ -345,7 +345,7 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     images = Echelon()
     solutions = []
     for m in _monomials_up_to(ring, max_degree):
-        f = {m: Fraction(1)}
+        f = {m: 1}
         image = derivation.apply(Polynomial(ring, f))
         if images.insert(dict(image.terms), f) is None:
             solutions.append(monic(Polynomial(ring, f)))
@@ -366,7 +366,7 @@ def _dixmier_cleared(derivation: Derivation, data: SliceData, f: Polynomial) -> 
     result = derivation.ring.zero()
     for i, g in enumerate(chain):
         sign = -1 if i % 2 else 1
-        result = result + g * s ** i * a ** (n - i) * Fraction(sign, factorial(i))
+        result = result + g * s ** i * a ** (n - i) * _exact_quotient(sign, factorial(i))
     return result
 
 

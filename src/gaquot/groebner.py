@@ -45,18 +45,19 @@ over the rationals (Becker and Weispfenning, "Groebner Bases", GTM 141).
 Basis rows are primitive integer polynomials: content removed, leading
 coefficient positive.  A reduction step cross-multiplies by the two
 leading coefficients divided by their gcd, and the working polynomial
-keeps the accumulated scale.  Coefficients become Fractions only at the
-edges: an input is cleared of denominators once, a normal form is
-divided by its scale and denominator, and a reduced basis is made monic
-as it is returned, so its output is the unique monic reduced basis.
-Exact division keeps Fraction coefficients.
+keeps the accumulated scale.  Coefficients are divided only at the
+edges, through `poly._exact_quotient`, so they stay ints where the
+quotient is integral and become Fractions only where it is not: an
+input is cleared of denominators once, a normal form is divided by its
+scale and denominator, and a reduced basis is made monic as it is
+returned, so its output is the unique monic reduced basis.  Exact
+division divides by the divisor's leading coefficient the same way.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -75,6 +76,7 @@ from .errors import (
 from .poly import (
     Polynomial,
     VarSet,
+    _exact_quotient,
     _grevlex_descending,
     fresh_names,
     parse,
@@ -282,7 +284,7 @@ def _packing(order: TermOrder, n: int) -> _Packing:
 
 
 def _integer_terms(terms, pack) -> tuple:
-    """(packed integer term dict, d): the Fraction term dict times the
+    """(packed integer term dict, d): the rational term dict times the
     least common multiple d of its denominators."""
     d = lcm(*(c.denominator for c in terms.values()))
     return {pack(m): c.numerator * (d // c.denominator) for m, c in terms.items()}, d
@@ -504,7 +506,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     final = run.interreduced()
     unpack = packing.unpack
     polys = tuple(Polynomial(ideal.ring,
-                             {unpack(m): Fraction(c, lc) for m, c in ((lm, lc),) + tail})
+                             {unpack(m): _exact_quotient(c, lc) for m, c in ((lm, lc),) + tail})
                   for lm, lc, tail in final)
     return GroebnerBasis(order, polys, ideal, tuple(unpack(lm) for lm, _, _ in final),
                          tuple(final))
@@ -521,7 +523,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     remainder, scale = _reduce_full(work, gb.rows, packing.guard)
     d *= scale
     unpack = packing.unpack
-    return Polynomial(f.ring, {unpack(m): Fraction(c, d) for m, c in remainder.items()})
+    return Polynomial(f.ring, {unpack(m): _exact_quotient(c, d) for m, c in remainder.items()})
 
 
 def ideal_membership(f: Polynomial, ideal: Ideal,
@@ -539,7 +541,7 @@ def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     """Quotient p/d when d divides p exactly (grevlex division), else None.
 
-    Runs on grevlex-packed monomials with Fraction coefficients, returning
+    Runs on grevlex-packed monomials with rational coefficients, returning
     None as soon as the leading monomial of d fails to divide the leading
     one left.  Raises RingMismatchError when p and d lie in different
     rings, and ResourceCapError when an exponent of p or d, or of a term
@@ -567,7 +569,7 @@ def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
         shift = m - dlm
         if shift & guard:
             return None
-        c /= dlc
+        c = _exact_quotient(c, dlc)
         quotient[shift] = c
         for gm, gc in tail.items():
             t = shift + gm
@@ -703,7 +705,7 @@ class _GraphSpan:
             if lm & self._ring_fields:
                 continue  # under the block order, a row with ring variables leads with one
             relations.append(Polynomial(tags, {
-                tuple(map(unpack(m).__getitem__, columns)): Fraction(c, lc)
+                tuple(map(unpack(m).__getitem__, columns)): _exact_quotient(c, lc)
                 for m, c in ((lm, lc),) + tail}))
         return Ideal(tags, tuple(relations) or (tags.zero(),))
 

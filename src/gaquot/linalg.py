@@ -1,16 +1,18 @@
 """Exact sparse linear algebra: one row echelon form over the rationals.
 
-A vector is a term dict {exponent tuple: Fraction}, with monomials as
-coordinates.  The echelon keeps monic rows with distinct grevlex leading
-monomials and reduces a vector on a heap of its monomials, so the pivot
-is popped rather than found by a scan; F4 (Faugere, J. Pure Appl. Algebra
-139, 1999) likewise runs polynomial reduction and linear algebra on one
-sparse echelon.  It serves both the kernel solve of a derivation, whose
-rows carry the polynomial they are the image of, and graded subalgebra
-membership, and both read its rows as tuple-keyed term dicts, so it keeps
-exponent tuples rather than the packed monomials of the Groebner engine.
-Every step is exact and pivots are leading monomials, so results are
-reproducible bit for bit.
+A vector is a term dict {exponent tuple: rational coefficient}, with
+monomials as coordinates; row coefficients are in the canonical form of
+`poly` (an int when integral, else a Fraction), which division by
+`poly._exact_quotient` keeps.  The echelon keeps monic rows with distinct
+grevlex leading monomials and reduces a vector on a heap of its monomials,
+so the pivot is popped rather than found by a scan; F4 (Faugere, J. Pure
+Appl. Algebra 139, 1999) likewise runs polynomial reduction and linear
+algebra on one sparse echelon.  It serves both the kernel solve of a
+derivation, whose rows carry the polynomial they are the image of, and
+graded subalgebra membership, and both read its rows as tuple-keyed term
+dicts, so it keeps exponent tuples rather than the packed monomials of
+the Groebner engine.  Every step is exact and pivots are leading
+monomials, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from .poly import _grevlex_descending
+from .poly import _exact_quotient, _grevlex_descending
 
 
 class Echelon:
@@ -77,7 +79,7 @@ class Echelon:
         if lead is None:
             return None
         lc = terms[lead]
-        row = self.rows[lead] = {m: c / lc for m, c in terms.items() if c}
+        row = self.rows[lead] = {m: _exact_quotient(c, lc) for m, c in terms.items() if c}
         if carried is not None:
-            self.carried[lead] = {m: c / lc for m, c in carried.items() if c}
+            self.carried[lead] = {m: _exact_quotient(c, lc) for m, c in carried.items() if c}
         return row

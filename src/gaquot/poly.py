@@ -1,13 +1,20 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to nonzero Fraction
+A polynomial is a map from exponent tuples to nonzero rational
 coefficients, tied to an ordered variable set.  All arithmetic is exact;
-no floating point appears anywhere.  Values are immutable after
+no floating point appears anywhere, and a float or any other
+non-rational coefficient raises TypeError.  Values are immutable after
 construction and safe to share between threads.
 
-Canonical form: zero coefficients are never stored, the zero polynomial
-has an empty term map, and printing lists terms in descending
-graded-reverse-lexicographic order, so equal polynomials print equally.
+Canonical form: zero coefficients are never stored, a coefficient is a
+Python int when its value is integral and a Fraction with denominator
+above 1 otherwise, the zero polynomial has an empty term map, and
+printing lists terms in descending graded-reverse-lexicographic order,
+so equal polynomials print equally.  An int and the Fraction of the same
+value compare, hash and print alike, so the form is invisible outside;
+it keeps the integral coefficients of the common case off `Fraction`
+arithmetic.  Every division of coefficients goes through
+`_exact_quotient`, which keeps that form.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from operator import add
 from pathlib import Path
 from types import MappingProxyType
@@ -43,6 +51,26 @@ def _grevlex_descending(exps: Exponents):
     """The one definition of grevlex, as an injective sort key under which
     smaller means grevlex-greater."""
     return (-sum(exps),) + exps[::-1]
+
+
+def _coefficient(value) -> Scalar:
+    """The canonical form of a rational coefficient: an int when it is
+    integral, else a Fraction; TypeError for anything not rational."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        if not isinstance(value, Rational):
+            raise TypeError(f"coefficient {value!r} is not rational")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _exact_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b in canonical form; the one division of coefficients."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coefficient(a / b)
 
 
 def _product(f: Mapping, g: Mapping) -> dict:
@@ -95,10 +123,10 @@ class VarSet:
     def var(self, name: str) -> "Polynomial":
         exps = [0] * len(self.names)
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def const(self, value: Scalar) -> "Polynomial":
-        return Polynomial(self, {(0,) * len(self.names): Fraction(value)})
+        return Polynomial(self, {(0,) * len(self.names): value})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -133,9 +161,9 @@ class Polynomial:
         clean = {}
         width = len(ring)
         for exps, coeff in terms.items():
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            if coeff == 0:
+            if type(coeff) is not int:
+                coeff = _coefficient(coeff)
+            if not coeff:
                 continue
             if len(exps) != width:
                 raise ValueError(f"exponent tuple {exps} has wrong arity for ring {ring.names}")
@@ -154,8 +182,8 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * len(self.ring), 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -302,23 +330,25 @@ class Polynomial:
                 total[m] = total.get(m, 0) + c
         return Polynomial(target, total)
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point covering all occurring variables."""
+    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
+        """Exact value, in canonical form, at a rational point covering all
+        occurring variables; TypeError for a coordinate that is not
+        rational."""
         for name in point:
             self.ring.index(name)
         values = {}
         for name in self.variables():
             if name not in point:
                 raise MissingAssignmentError(f"no value for variable {name!r}")
-            values[self.ring.index(name)] = Fraction(point[name])
-        total = Fraction(0)
+            values[self.ring.index(name)] = _coefficient(point[name])
+        total = 0
         for exps, coeff in self.terms.items():
             val = coeff
             for i, e in enumerate(exps):
                 if e:
                     val *= values[i] ** e
             total += val
-        return total
+        return _coefficient(total)
 
     def embed(self, target: VarSet) -> "Polynomial":
         """Image in a larger (or reordered) ring, matching variables by name."""
@@ -476,7 +506,7 @@ class _Parser:
                 self.advance()
                 if int(value3) == 0:
                     raise ParseError("zero denominator", pos3)
-                return self.ring.const(Fraction(numerator, int(value3)))
+                return self.ring.const(_exact_quotient(numerator, int(value3)))
             return self.ring.const(numerator)
         if kind == "ident":
             if value not in self.ring:
@@ -530,7 +560,7 @@ def monic(p: Polynomial) -> Polynomial:
         raise ZeroPolynomialError("the zero polynomial has no leading coefficient")
     lead = min(p.terms, key=_grevlex_descending)
     lc = p.terms[lead]
-    return Polynomial(p.ring, {m: c / lc for m, c in p.terms.items()})
+    return Polynomial(p.ring, {m: _exact_quotient(c, lc) for m, c in p.terms.items()})
 
 
 # -- matrix of partials ------------------------------------------------------
@@ -561,13 +591,13 @@ def _single_variable(*polys: Polynomial) -> Union[str, None]:
 
 
 def _to_coeffs(p: Polynomial, index: int) -> list:
-    coeffs = [Fraction(0)] * (p.degree_in(p.ring.names[index]) + 1)
+    coeffs = [0] * (p.degree_in(p.ring.names[index]) + 1)
     for exps, coeff in p.terms.items():
         coeffs[exps[index]] = coeff
     return coeffs
 
 
-def _from_coeffs(coeffs: Sequence[Fraction], ring: VarSet, index: int) -> Polynomial:
+def _from_coeffs(coeffs: Sequence[Scalar], ring: VarSet, index: int) -> Polynomial:
     width = len(ring)
     terms = {}
     for e, c in enumerate(coeffs):
@@ -580,14 +610,14 @@ def _from_coeffs(coeffs: Sequence[Fraction], ring: VarSet, index: int) -> Polyno
 
 def _coeff_divmod(num: list, den: list):
     num = list(num)
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
     while len(num) >= len(den) and any(num):
         while num and num[-1] == 0:
             num.pop()
         if len(num) < len(den):
             break
         shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
+        factor = _exact_quotient(num[-1], den[-1])
         quot[shift] = factor
         for i, c in enumerate(den):
             num[shift + i] -= factor * c
@@ -615,7 +645,7 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     while b:
         _, r = _coeff_divmod(a, b)
         a, b = b, r
-    monic = [c / a[-1] for c in a]
+    monic = [_exact_quotient(c, a[-1]) for c in a]
     return _from_coeffs(monic, p.ring, index)
 
 

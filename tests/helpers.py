@@ -164,14 +164,14 @@ def euclid_gcd_coeffs(a, b):
         while len(trim(r)) >= len(b):
             r = trim(r)
             shift = len(r) - len(b)
-            factor = r[-1] / b[-1]
+            factor = Fraction(r[-1]) / b[-1]
             for i, c in enumerate(b):
                 r[shift + i] -= factor * c
             r = trim(r)
             if not r:
                 break
         a, b = b, trim(r)
-    return [c / a[-1] for c in a] if a else []
+    return [Fraction(c) / a[-1] for c in a] if a else []
 
 
 def coeff_list(p: Polynomial, var: str):

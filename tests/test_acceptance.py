@@ -9,6 +9,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -312,8 +313,8 @@ def _spoly(f, g, order):
     lf = max(f.terms, key=key)
     lg = max(g.terms, key=key)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = Polynomial(f.ring, {tuple(l - a for l, a in zip(lcm, lf)): 1 / f.terms[lf]})
-    mg = Polynomial(g.ring, {tuple(l - a for l, a in zip(lcm, lg)): 1 / g.terms[lg]})
+    mf = Polynomial(f.ring, {tuple(l - a for l, a in zip(lcm, lf)): Fraction(1) / f.terms[lf]})
+    mg = Polynomial(g.ring, {tuple(l - a for l, a in zip(lcm, lg)): Fraction(1) / g.terms[lg]})
     return mf * f - mg * g
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import gaquot
 from gaquot import VarSet, parse, subalgebra_membership
+from gaquot import cli
 from gaquot.cli import main
 
 V3_DERIVATION = """\
@@ -332,6 +333,90 @@ def test_present_cubic_with_trivial_summand_output():
     assert text == PRESENT_CUBIC_TRIVIAL_1
 
 
+# -- rational pins: printing of int and Fraction coefficients, monic scaling ----------
+
+PRESENT_RATIONAL_TRIVIAL_1 = """\
+y1 = z2
+y2 = z4
+y3 = z6
+y4 = z3*z4 - z2*z5
+y5 = z3^2*z4^2*z5 - 2*z2*z3*z4*z5^2 + z2^2*z5^3 - 7/3*z3*z4*z5 + 7/3*z2*z5^2 - 7*z1*z4 + 7*z5
+y6 = z3^3*z4^2 - 2*z2*z3^2*z4*z5 + z2^2*z3*z5^2 - 7/3*z3^2*z4 + 7/3*z2*z3*z5 - 7*z1*z2 + 7*z3
+relation: y4^3 - 7/3*y4^2 + y1*y5 - y2*y6 + 7*y4
+round-trip: verified
+"""
+
+VERIFY_V4_RATIONAL = """\
+{
+  "schemaVersion": "1",
+  "family": "v4",
+  "f": "1/2*a + 3*b - 1/5*c",
+  "trivialSummands": 0,
+  "dims": {
+    "X": 7,
+    "quotient": 6,
+    "Ybar": 9,
+    "B": 7
+  },
+  "checks": {
+    "invariant": true,
+    "affineSpace": true,
+    "stable": true,
+    "free": true,
+    "ybarSmooth": true,
+    "boundarySmooth": true
+  },
+  "boundaryCodim": 2,
+  "m": null,
+  "k0Ranks": null,
+  "presentation": null,
+  "capsUsed": {
+    "maxPairs": 100000,
+    "maxDegree": 60,
+    "maxRounds": 8
+  }
+}
+"""
+
+GB_RATIONAL_LEX = """\
+z^3 - 186691/102900*z^2 - 2263/2205*z + 19/27
+5145/6709*z^2 + y - 139231/134180*z - 16023/13418
+-735/6709*z^2 + x + 1078491/939260*z - 19969/40254
+"""
+
+GB_RATIONAL_ELIM_1 = """\
+z^2 + 6709/5145*y - 139231/102900*z - 109/70
+y*z - 113/245*y + 1051/14700*z + 1/90
+y^2 - 151/105*y - 71/2100*z - 7/90
+x + 1/7*y + z - 2/3
+"""
+
+FRACTION_IDEAL = """\
+vars: x y z
+1/2*x^2 + 2/3*y - 1
+3*x*y - 1/5*z
+x + 1/7*y + z - 2/3
+"""
+
+
+def test_present_rational_shape_output():
+    assert run(["present", "--f", "1/3*s + 1/7*s^2", "--trivial", "1"]) == \
+        (0, PRESENT_RATIONAL_TRIVIAL_1)
+
+
+def test_verify_rational_moduli_output():
+    assert run(["verify", "--family", "v4", "--f", "1/2*a + 3*b - 1/5*c"]) == \
+        (0, VERIFY_V4_RATIONAL)
+
+
+@pytest.mark.parametrize("order, expected", [("lex", GB_RATIONAL_LEX),
+                                             ("elim:1", GB_RATIONAL_ELIM_1)])
+def test_gb_rational_ideal_output(order, expected, tmp_path):
+    path = tmp_path / "fractions.txt"
+    path.write_text(FRACTION_IDEAL)
+    assert run(["gb", "--ideal", str(path), "--order", order]) == (0, expected)
+
+
 def test_present_rejects_moduli_family():
     assert run(["present", "--family", "v4", "--f", "a"])[0] == 1
 
@@ -408,3 +493,15 @@ def test_reports_identical_across_hash_seeds(tmp_path):
             assert done.stdout.strip()
             digests.add(hashlib.sha256(done.stdout).hexdigest())
         assert len(digests) == 1, argv
+
+
+def test_internal_errors_exit_five(monkeypatch, capsys):
+    """An exception outside gaquot's error families is a bug: it exits 5,
+    not the usage code 1 that Python gives an escaping exception."""
+    def broken(args, out):
+        raise TypeError("coefficient 0.1 is not rational")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", broken)
+    assert run(["verify", "--family", "v3", "--f", "s"]) == (cli.EXIT_INTERNAL, "")
+    assert cli.EXIT_INTERNAL == 5
+    assert "internal error: TypeError: coefficient 0.1 is not rational" in capsys.readouterr().err

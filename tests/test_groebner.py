@@ -1,6 +1,7 @@
 """Groebner engine: bases, membership, elimination, saturation, dimension."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from operator import add, le
 from types import SimpleNamespace
@@ -59,8 +60,8 @@ def spoly(f, g, order):
     lf = max(f.terms, key=key)
     lg = max(g.terms, key=key)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = type(f)(f.ring, {tuple(l - a for l, a in zip(lcm, lf)): 1 / f.terms[lf]})
-    mg = type(g)(g.ring, {tuple(l - a for l, a in zip(lcm, lg)): 1 / g.terms[lg]})
+    mf = type(f)(f.ring, {tuple(l - a for l, a in zip(lcm, lf)): Fraction(1) / f.terms[lf]})
+    mg = type(g)(g.ring, {tuple(l - a for l, a in zip(lcm, lg)): Fraction(1) / g.terms[lg]})
     return mf * f - mg * g
 
 
@@ -472,7 +473,7 @@ def scan_divide_exact(p, d):
         m = max(work, key=key)
         if not all(a <= b for a, b in zip(dlm, m)):
             return None
-        c = work.pop(m) / d.terms[dlm]
+        c = Fraction(work.pop(m)) / d.terms[dlm]
         shift = tuple(a - b for a, b in zip(m, dlm))
         quotient[shift] = c
         scan_subtract(work, c, shift, d.terms, dlm)
@@ -609,7 +610,7 @@ def textbook_buchberger(gens, order):
         return max(g.terms, key=key)
 
     def monic_under_order(g):
-        return g * ring.const(1 / g.terms[lead(g)])
+        return g * ring.const(Fraction(1) / g.terms[lead(g)])
 
     def remainder(f, basis):
         return Polynomial(ring, scan_normal_form(f, SimpleNamespace(order=order, basis=basis)))

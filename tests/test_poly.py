@@ -7,19 +7,30 @@ import pytest
 import sympy as sp
 
 from gaquot import (
+    FamilySpec,
+    Ideal,
     MissingAssignmentError,
     NotUnivariateError,
     ParseError,
     Polynomial,
     RingMismatchError,
+    TermOrder,
     UnknownVariableError,
     VarSet,
     ZeroPolynomialError,
+    buchberger,
+    divide_exact,
     gcd_univariate,
     is_squarefree,
     jacobian,
+    kernel_linear,
+    lower_triangular_derivation,
+    monic,
+    normal_form,
     parse,
+    run_battery,
 )
+from gaquot.linalg import Echelon
 from helpers import (
     coeff_list,
     euclid_gcd_coeffs,
@@ -334,8 +345,88 @@ def test_evaluate_constant_term_normalization():
 
 def test_evaluate_rational_point():
     assert parse("s^2", S).evaluate({"s": Fraction(3, 2)}) == Fraction(9, 4)
+    value = parse("s^2 - 1/4", S).evaluate({"s": Fraction(5, 2)})
+    assert value == 6 and type(value) is int
+    with pytest.raises(TypeError):
+        parse("s^2 + 1", S).evaluate({"s": 0.1})
 
 
 def test_evaluate_missing_assignment():
     with pytest.raises(MissingAssignmentError):
         P("w1 + w2").evaluate({"w1": 1})
+
+
+# -- canonical coefficients --------------------------------------------------------
+
+
+def assert_canonical(terms):
+    """Every coefficient is an int (not a bool) when integral, else a
+    Fraction with denominator above 1."""
+    for c in terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def test_coefficients_stay_canonical_through_every_layer():
+    rng = random.Random(20261018)
+    xyz = VarSet(("x", "y", "z"))
+    x, y, z = (xyz.var(n) for n in xyz.names)
+    images = {"x": y + Fraction(1, 2), "y": 3 * z, "z": x * y - 1}
+    outputs = []
+    for trial in range(40):
+        bound = 1 if trial % 2 else 4  # integer inputs, then rational ones
+        p = random_poly(rng, xyz, max_degree=2, max_terms=3, denominator_bound=bound)
+        q = random_poly(rng, xyz, max_degree=2, max_terms=3, denominator_bound=bound,
+                        allow_zero=False)
+        outputs += [p, p * q, p + q, p - q, -p, p ** 2, p.partial("x"), p.substitute(images),
+                    monic(q)]
+        quotient = divide_exact(p * q, q)
+        assert quotient == p
+        outputs.append(quotient)
+        for order in (TermOrder.grevlex(), TermOrder.lex()):
+            gb = buchberger(Ideal(xyz, (p, q)), order)
+            outputs += list(gb.basis)
+            outputs.append(normal_form(p * p + x, gb))
+        u = random_poly(rng, S, max_degree=4, max_terms=4, denominator_bound=bound)
+        v = random_poly(rng, S, max_degree=3, max_terms=3, denominator_bound=bound)
+        outputs.append(gcd_univariate(u * v, v * v))
+    echelon = Echelon()
+    for _ in range(30):
+        vector = random_poly(rng, xyz, max_degree=2, max_terms=4, denominator_bound=3)
+        echelon.insert(dict(vector.terms), dict(random_poly(rng, xyz, denominator_bound=3).terms))
+    for row in list(echelon.rows.values()) + list(echelon.carried.values()):
+        assert_canonical(row)
+    outputs += kernel_linear(lower_triangular_derivation(3), 3)
+    generators, relations = run_battery(
+        FamilySpec("v3", parse("1/3*s + 1/7*s^2", S), 1)).presentation
+    outputs += list(generators) + list(relations.generators)
+    assert any(type(c) is Fraction for p in outputs for c in p.terms.values())
+    for p in outputs:
+        assert_canonical(p.terms)
+
+
+def test_int_and_fraction_build_the_same_polynomial():
+    ring = VarSet(("x", "y"))
+    for value in (2, -7, 0, 1, True):
+        a = Polynomial(ring, {(1, 0): value, (0, 0): 3})
+        b = Polynomial(ring, {(1, 0): Fraction(value), (0, 0): Fraction(6, 2)})
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert_canonical(a.terms)
+        assert_canonical(b.terms)
+    half = Polynomial(ring, {(0, 1): Fraction(2, 4)})
+    assert half.terms == {(0, 1): Fraction(1, 2)}
+    assert ring.const(Fraction(4, 2)) == 2 and type(ring.const(Fraction(4, 2)).terms[(0, 0)]) is int
+    assert type(P("w1 + 4/2").constant_term()) is int
+
+
+def test_non_rational_coefficients_are_rejected():
+    ring = VarSet(("x",))
+    for value in (0.1, 1.0, complex(1, 0), "1"):
+        with pytest.raises(TypeError):
+            Polynomial(ring, {(1,): value})
+    with pytest.raises(TypeError):
+        ring.const(0.5)
+
+
+def test_constant_term_defaults_to_int_zero():
+    c = P("w1*w2").constant_term()
+    assert c == 0 and type(c) is int
