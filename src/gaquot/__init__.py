@@ -64,7 +64,9 @@ from .groebner import (
     buchberger,
     divide_exact,
     eliminate,
+    gcd_univariate,
     ideal_membership,
+    is_squarefree,
     is_unit_ideal,
     krull_dimension,
     load_ideal_file,
@@ -76,8 +78,6 @@ from .groebner import (
 from .poly import (
     Polynomial,
     VarSet,
-    gcd_univariate,
-    is_squarefree,
     jacobian,
     monic,
     parse,

@@ -414,18 +414,22 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
     sorted nonconstant `generators` with a*h inside it, in (degree, text)
     order, and the generators not generated by those before them.
 
-    Tag polynomials p with p(gens) divisible by a are exactly the
-    elimination ideal of (a) + (y_i - gens_i); each quotient p(gens)/a is
-    automatically a kernel element.  The generators are adjoined in order
-    to one `_span`, which tests each candidate not among them.  So when
-    `new` is empty, `kept` is `_minimal_generators(generators)`: the same
-    list, adjoined to the same engine in the same order.
+    The generators are adjoined in order to one `_span`, which tests each
+    candidate not among them.  So when `new` is empty, `kept` is
+    `_minimal_generators(generators)`: the same list, adjoined to the
+    same engine in the same order.  Tag polynomials p with p(kept)
+    divisible by a are exactly the elimination ideal of (a) +
+    (y_i - kept_i); each quotient p(kept)/a is automatically a kernel
+    element.  `kept` generates what `generators` do, so the quotients
+    span the same kernel elements, and a generator the span found
+    redundant gets no tag: tagging those can make the elimination run
+    far longer than the rest of the round.
     """
     ring = derivation.ring
-    relations = eliminate(_graph_ideal(ring, generators, extra=(a,)), len(ring), caps=caps)
-    assignment = dict(zip(relations.ring.names, generators))
     span = _span(ring, generators, caps)
     kept = [g for g in generators if span.adjoin(g)]
+    relations = eliminate(_graph_ideal(ring, kept, extra=(a,)), len(ring), caps=caps)
+    assignment = dict(zip(relations.ring.names, kept))
     new = []
     for p in relations.generators:
         b = p.substitute(assignment) if p.variables() else ring.const(p.constant_term())

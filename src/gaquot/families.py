@@ -35,11 +35,12 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
+    is_squarefree,
     is_unit_ideal,
     krull_dimension,
     subalgebra_presentation,
 )
-from .poly import Polynomial, VarSet, is_squarefree, monic
+from .poly import Polynomial, VarSet, monic
 
 # Family name -> (number of two-dimensional blocks, variables of f).  f has
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
@@ -96,8 +97,7 @@ class ConstructionArtifacts:
 def validate_family_spec(spec: FamilySpec):
     """Reject f with nonzero constant term, and for v3 a repeated root of
     f + 1 (that would make the boundary singular)."""
-    origin = {name: 0 for name in spec.f.ring.names}
-    if spec.f.evaluate(origin) != 0:
+    if spec.f.constant_term() != 0:
         raise NonzeroConstantError("f must vanish at the origin")
     if spec.family == "v3":
         if not is_squarefree(spec.f + 1):

@@ -1,8 +1,9 @@
 """Groebner-basis engine: the decision procedures behind the geometry.
 
 Ideal membership, unit-ideal emptiness tests, elimination, saturation,
-Krull dimension via leading-term independent sets, and subalgebra
-membership all reduce to reduced Groebner bases computed by Buchberger's
+Krull dimension via leading-term independent sets, subalgebra
+membership, and the univariate gcd with the squarefreeness test built on
+it all reduce to reduced Groebner bases computed by Buchberger's
 algorithm with the normal selection strategy (smallest lcm first).  One
 run state, `_Run`, holds the rows, the pair queue and the pair loop;
 `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
@@ -67,6 +68,7 @@ from struct import Struct
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    NotUnivariateError,
     ParseError,
     ResourceCapError,
     RingMismatchError,
@@ -580,6 +582,54 @@ def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
             else:
                 work[t] = old - c * gc
     return Polynomial(p.ring, {packing.unpack(m): c for m, c in quotient.items()})
+
+
+# -- univariate gcd and squarefreeness -------------------------------------------
+
+
+def _single_variable(*polys: Polynomial) -> Union[str, None]:
+    """The unique variable the polynomials involve, or None if constant."""
+    used = set()
+    for p in polys:
+        used.update(p.variables())
+    if len(used) > 1:
+        raise NotUnivariateError(f"polynomials involve several variables: {sorted(used)}")
+    return next(iter(used)) if used else None
+
+
+def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic gcd of two polynomials in a single common variable.
+
+    gcd(p, 0) is the monic scaling of p; gcd(0, 0) is 0.  In one variable
+    the reduced basis of (p, q) is the monic gcd, and the fraction-free
+    Buchberger run that computes it is Euclid on primitive integer
+    pseudo-remainders, the primitive PRS (Collins, JACM 14, 1967; Brown,
+    JACM 18, 1971): each remainder's content is divided out, so its
+    coefficients do not swell as in Euclid over the rationals.  No
+    remainder has a degree above the larger input degree, which is the
+    run's degree cap.
+    """
+    if p.ring != q.ring:
+        raise RingMismatchError("gcd operands live over different rings")
+    _single_variable(p, q)
+    if p.is_zero() and q.is_zero():
+        return p.ring.zero()
+    caps = ResourceCaps(max_degree=max(p.total_degree(), q.total_degree()))
+    return buchberger(Ideal(p.ring, (p, q)), caps=caps).basis[0]
+
+
+def is_squarefree(p: Polynomial) -> bool:
+    """True iff a nonzero univariate polynomial has no repeated roots.
+
+    Over the rationals this is exactly gcd(p, p') being constant, which
+    certifies distinct roots over the algebraic closure.
+    """
+    if p.is_zero():
+        raise ZeroPolynomialError("squarefreeness is undefined for 0")
+    name = _single_variable(p)
+    if name is None:
+        return True  # nonzero constants have no roots at all
+    return gcd_univariate(p, p.partial(name)).is_constant()
 
 
 # -- elimination, saturation, dimension -----------------------------------------

@@ -14,7 +14,9 @@ so equal polynomials print equally.  An int and the Fraction of the same
 value compare, hash and print alike, so the form is invisible outside;
 it keeps the integral coefficients of the common case off `Fraction`
 arithmetic.  Every division of coefficients goes through
-`_exact_quotient`, which keeps that form.
+`_exact_quotient`, which keeps that form.  Division of polynomials,
+including the univariate gcd, belongs to the one reduction engine in
+`groebner`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     MissingAssignmentError,
-    NotUnivariateError,
     ParseError,
     RingMismatchError,
     UnknownVariableError,
@@ -575,89 +576,3 @@ def jacobian(polys: Sequence[Polynomial], names: Sequence[str]) -> list:
         if p.ring != ring:
             raise RingMismatchError("jacobian rows live over different rings")
     return [[p.partial(name) for name in names] for p in polys]
-
-
-# -- univariate helpers -------------------------------------------------------
-
-
-def _single_variable(*polys: Polynomial) -> Union[str, None]:
-    """The unique variable the polynomials involve, or None if constant."""
-    used = set()
-    for p in polys:
-        used.update(p.variables())
-    if len(used) > 1:
-        raise NotUnivariateError(f"polynomials involve several variables: {sorted(used)}")
-    return next(iter(used)) if used else None
-
-
-def _to_coeffs(p: Polynomial, index: int) -> list:
-    coeffs = [0] * (p.degree_in(p.ring.names[index]) + 1)
-    for exps, coeff in p.terms.items():
-        coeffs[exps[index]] = coeff
-    return coeffs
-
-
-def _from_coeffs(coeffs: Sequence[Scalar], ring: VarSet, index: int) -> Polynomial:
-    width = len(ring)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            key = [0] * width
-            key[index] = e
-            terms[tuple(key)] = c
-    return Polynomial(ring, terms)
-
-
-def _coeff_divmod(num: list, den: list):
-    num = list(num)
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = _exact_quotient(num[-1], den[-1])
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials in a single common variable.
-
-    gcd(p, 0) is the monic scaling of p; gcd(0, 0) is 0.
-    """
-    if p.ring != q.ring:
-        raise RingMismatchError("gcd operands live over different rings")
-    name = _single_variable(p, q)
-    if p.is_zero() and q.is_zero():
-        return p.ring.zero()
-    if name is None:
-        return p.ring.one()  # both constants, not both zero
-    index = p.ring.index(name)
-    a = _to_coeffs(p, index) if not p.is_zero() else []
-    b = _to_coeffs(q, index) if not q.is_zero() else []
-    while b:
-        _, r = _coeff_divmod(a, b)
-        a, b = b, r
-    monic = [_exact_quotient(c, a[-1]) for c in a]
-    return _from_coeffs(monic, p.ring, index)
-
-
-def is_squarefree(p: Polynomial) -> bool:
-    """True iff a nonzero univariate polynomial has no repeated roots.
-
-    Over the rationals this is exactly gcd(p, p') being constant, which
-    certifies distinct roots over the algebraic closure.
-    """
-    if p.is_zero():
-        raise ZeroPolynomialError("squarefreeness is undefined for 0")
-    name = _single_variable(p)
-    if name is None:
-        return True  # nonzero constants have no roots at all
-    return gcd_univariate(p, p.partial(name)).is_constant()

@@ -717,8 +717,9 @@ def test_spolynomial_counts_are_pinned(system, order, expected, monkeypatch):
 
 def test_battery_spolynomial_counts_are_pinned(monkeypatch):
     """Per Buchberger run of the v3 battery at deg f = 12, f + 1 the product
-    of (1 - sign_k * k * s) with seeded signs: stability, freeness, the two
-    smoothness checks, the three dimensions and the invariant presentation."""
+    of (1 - sign_k * k * s) with seeded signs: the squarefreeness gcd of
+    f + 1 and its derivative, stability, freeness, the two smoothness
+    checks, the three dimensions and the invariant presentation."""
     s = VarSet(("s",))
     rng = random.Random(11)
     product = s.one()
@@ -726,7 +727,7 @@ def test_battery_spolynomial_counts_are_pinned(monkeypatch):
         product = product * (s.one() - s.var("s") * (rng.choice((1, -1)) * k))
     spec = FamilySpec("v3", product - s.one())
     assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) \
-        == [1, 1, 40, 40, 0, 0, 0, 7]
+        == [11, 1, 1, 40, 40, 0, 0, 0, 7]
 
 
 # -- packed monomials -------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level definition is used somewhere in the library."""
+"""Every name a library module imports is used in that module, every
+private module-level definition is used somewhere in the library, and
+each module imports only from the modules below it in the layering."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,31 @@ SOURCES = sorted(
     path for path in (Path(__file__).resolve().parent.parent / "src" / "gaquot").glob("*.py")
     if path.name != "__init__.py"
 )
+
+
+# The library's layers, lowest first; a module may import only from layers below it.
+LAYERS = ("errors", "poly", "linalg", "groebner", "derivations", "families", "cli")
+
+
+def package_imports(source: str) -> set:
+    """Names of the sibling modules a module imports, at any depth; the
+    library imports its own modules only relatively."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                modules.add(node.module.split(".")[0])
+            else:
+                modules.update(alias.name for alias in node.names)
+    return modules
+
+
+def layering_violations(sources: dict) -> list:
+    """(importer, imported) for each import of a module not below the importer."""
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    return sorted((module, imported) for module, source in sources.items()
+                  for imported in package_imports(source)
+                  if rank.get(imported, len(LAYERS)) >= rank[module])
 
 
 def unused_imports(source: str) -> list:
@@ -71,6 +97,27 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     assert unused_imports("import os\nfrom typing import List, Sequence\nx: List\n") \
         == ["Sequence", "os"]
+
+
+def test_modules_import_only_lower_layers():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert set(sources) == set(LAYERS)
+    assert layering_violations(sources) == []
+
+
+def test_detects_layering_violation():
+    sources = {
+        "errors": "",
+        "poly": "from .errors import ParseError\n",
+        "linalg": "def f():\n    from .groebner import buchberger\n",
+        "groebner": "from . import poly, derivations\n",
+        "derivations": "from .families import run_battery\n",
+        "families": "from .families import FAMILIES\n",
+        "cli": "from .families import run_battery\n",
+    }
+    assert layering_violations(sources) == [
+        ("derivations", "families"), ("families", "families"),
+        ("groebner", "derivations"), ("linalg", "groebner")]
 
 
 def test_no_unreferenced_private_definitions():

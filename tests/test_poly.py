@@ -1,7 +1,9 @@
-"""Polynomial core: parsing, arithmetic, calculus, univariate utilities."""
+"""Polynomial core: parsing, arithmetic, calculus, and the univariate gcd
+and squarefreeness test that `groebner` runs on Buchberger."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy as sp
@@ -287,18 +289,29 @@ def test_gcd_divides_and_is_divided_randomized():
     from gaquot import divide_exact
 
     rng = random.Random(20240805)
-    for _ in range(60):
-        common = random_poly(rng, S, max_degree=2, max_terms=3, allow_zero=False)
-        a = random_poly(rng, S, max_degree=2, max_terms=3, allow_zero=False)
-        b = random_poly(rng, S, max_degree=2, max_terms=3, allow_zero=False)
-        p, q = common * a, common * b
-        g = gcd_univariate(p, q)
-        assert divide_exact(p, g) is not None
-        assert divide_exact(q, g) is not None
-        # any common divisor divides the gcd
-        assert divide_exact(g, gcd_univariate(common, g)) is not None
-        oracle = euclid_gcd_coeffs(coeff_list(p, "s"), coeff_list(q, "s"))
-        assert coeff_list(g, "s") == oracle
+    # s alone, then s inside a ring whose other variables stay unused
+    for ring in (S, VarSet(("t", "s", "u"))):
+        for _ in range(60):
+            common, a, b = (random_poly(rng, S, max_degree=2, max_terms=3,
+                                        allow_zero=False).embed(ring) for _ in range(3))
+            p, q = common * a, common * b
+            g = gcd_univariate(p, q)
+            assert g.ring == ring
+            assert divide_exact(p, g) is not None
+            assert divide_exact(q, g) is not None
+            # any common divisor divides the gcd
+            assert divide_exact(g, gcd_univariate(common, g)) is not None
+            oracle = euclid_gcd_coeffs(coeff_list(p, "s"), coeff_list(q, "s"))
+            assert coeff_list(g, "s") == oracle
+
+
+def test_gcd_above_the_default_degree_cap():
+    """The run's degree cap is the larger input degree, not DEFAULT_CAPS:
+    the remainders of the second pair reach degree 65, above its 60."""
+    assert gcd_univariate(parse("(s+1)^70", S), parse("(s+1)^35*(s-1)", S)) \
+        == parse("(s+1)^35", S)
+    assert gcd_univariate(parse("(s+1)^70", S), parse("(s+1)^65*(s-1)", S)) \
+        == parse("(s+1)^65", S)
 
 
 def test_squarefree_three_distinct_roots():
@@ -318,6 +331,33 @@ def test_squarefree_errors():
         is_squarefree(S.zero())
     with pytest.raises(NotUnivariateError):
         is_squarefree(P("w1*w2"))
+
+
+def signed_roots_factors(degree: int, seed: int) -> list:
+    """The factors (1 - sign_k * k * s), k = 1..degree with seeded signs,
+    whose product is f + 1 of the benchmark's signed-roots shape."""
+    rng = random.Random(seed)
+    return [S.one() - S.var("s") * (rng.choice((1, -1)) * k) for k in range(1, degree + 1)]
+
+
+def sympy_monic_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    return from_sympy(sp.monic(sp.gcd(to_sympy(p), to_sympy(q)), sp.Symbol("s")), S)
+
+
+def test_squarefree_high_degree_agrees_with_sympy():
+    f1 = prod(signed_roots_factors(30, 7), start=S.one())
+    assert sympy_monic_gcd(f1, f1.partial("s")) == S.one()
+    assert is_squarefree(f1)
+
+
+def test_squarefree_high_degree_rejects_a_doubled_root():
+    """The deg-30 shape with the root of its first factor replaced by
+    that of its last, so the last root is doubled."""
+    factors = signed_roots_factors(30, 7)
+    f1 = prod(factors[1:] + factors[-1:], start=S.one())
+    assert gcd_univariate(f1, f1.partial("s")) == sympy_monic_gcd(f1, f1.partial("s")) \
+        == monic(factors[-1])
+    assert not is_squarefree(f1)
 
 
 def test_square_never_squarefree_randomized():
