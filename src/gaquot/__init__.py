@@ -53,7 +53,6 @@ from .families import (
     k_theory_ranks,
     run_battery,
     validate_family_spec,
-    w_restriction,
 )
 from .groebner import (
     DEFAULT_CAPS,

@@ -6,10 +6,12 @@ present (invariant-ring presentation).  Exit codes partition outcomes:
 
   0  success / all checks passed
   1  usage or parse error
-  2  a mathematical check failed
+  2  a mathematical check failed (a failed battery check, or an empty
+     boundary at f = 0)
   3  spec rejected (repeated roots, nonzero constant term)
   4  resource cap exceeded
-  5  internal error (any other exception: a bug, not a usage error)
+  5  internal error (any other exception, gaquot's own included: a bug,
+     not a usage error)
 
 Reports serialize deterministically: identical inputs give byte-identical
 output.
@@ -30,14 +32,13 @@ from .derivations import (
     load_derivation_file,
 )
 from .errors import (
-    GaquotError,
     NonzeroConstantError,
     NotLocallyNilpotentError,
     ParseError,
     RepeatedRootsError,
     ResourceCapError,
-    RingMismatchError,
     RoundCapError,
+    UnitIdealError,
     UnknownVariableError,
 )
 from .families import (
@@ -63,7 +64,6 @@ EXIT_INTERNAL = 5
 _USAGE_ERRORS = (
     ParseError,
     UnknownVariableError,
-    RingMismatchError,
     FileNotFoundError,
     ValueError,
 )
@@ -293,7 +293,7 @@ def main(argv: Optional[list] = None, out=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GaquotError as exc:
+    except UnitIdealError as exc:  # the empty boundary at f = 0
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except Exception as exc:  # a bug, not a usage error: keep its traceback

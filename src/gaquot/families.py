@@ -3,7 +3,11 @@
 A family instance is a hypersurface X inside a linear representation W of
 the additive group (three or four two-dimensional blocks plus optional
 trivial summands), cut out by w1 = 1 + f applied to the quadratic
-invariants.  The battery certifies, by exact ideal computations:
+invariants.  Each object is built once, in the coordinates it lives in:
+the action is the lower triangular derivation of W, X and the boundary B
+(the closure at u = v = 0) are hypersurfaces of W, and only the closure
+Ybar adds the two coordinates (u, v).  The battery certifies, by exact
+ideal computations:
 
   * the defining equation and the quadratic forms are invariant,
   * X is a coordinate graph, hence affine space,
@@ -24,7 +28,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .derivations import Derivation, _sorted_gens, fixed_point_ideal, kernel_linear
+from .derivations import (
+    Derivation,
+    _sorted_gens,
+    fixed_point_ideal,
+    kernel_linear,
+    lower_triangular_derivation,
+)
 from .errors import (
     NonzeroConstantError,
     NotHypersurfaceError,
@@ -79,9 +89,12 @@ class FamilySpec:
 class ConstructionArtifacts:
     """Everything the checks consume.
 
-    The derivation acts on the full ambient ring (u, v, blocks, trivial
-    coordinates) with u fixed and v flowing to u; X lives in the subring
-    without (u, v).
+    `derivation` is the action on W, `lower_triangular_derivation` of
+    the blocks and trivial summands, and `w_ring` is its ring.  X
+    (`x_ideal`) and the boundary B (`b_ideal`, the principal ideal of
+    -1 - f(quads)) are hypersurfaces of W.  The closure Ybar
+    (`ybar_ideal`) lives over `ambient_ring`, which is (u, v) followed by
+    the coordinates of W.
     """
 
     spec: FamilySpec
@@ -123,9 +136,8 @@ def build_family(spec: FamilySpec, validate: bool = True) -> ConstructionArtifac
     if validate:
         validate_family_spec(spec)
     blocks = FAMILIES[spec.family][0]
-    w_names = tuple(f"w{i}" for i in range(1, 2 * blocks + 1))
-    e_names = tuple(f"e{i}" for i in range(1, spec.trivial_summands + 1))
-    w_ring = VarSet(w_names + e_names)
+    derivation = lower_triangular_derivation(blocks, spec.trivial_summands)
+    w_ring = derivation.ring
     ambient = VarSet(("u", "v") + w_ring.names)
 
     quads = _quadratic_invariants(w_ring, blocks)
@@ -133,19 +145,12 @@ def build_family(spec: FamilySpec, validate: bool = True) -> ConstructionArtifac
         {name: q for name, q in zip(spec.f.ring.names, quads)}
     ) if not spec.f.is_zero() else w_ring.zero()
 
-    x_gen = w_ring.var("w1") - 1 - f_of_q
-    x_ideal = Ideal(w_ring, (x_gen,))
-
+    x_ideal = Ideal(w_ring, (w_ring.var("w1") - 1 - f_of_q,))
     ybar_gen = (ambient.var("u") * ambient.var("w2")
                 - ambient.var("v") * ambient.var("w1")
                 - 1 - f_of_q.embed(ambient))
     ybar_ideal = Ideal(ambient, (ybar_gen,))
-    b_ideal = ybar_ideal + Ideal(ambient, (ambient.var("u"), ambient.var("v")))
-
-    images = {"v": ambient.var("u")}
-    for i in range(1, blocks + 1):
-        images[f"w{2 * i}"] = ambient.var(f"w{2 * i - 1}")
-    derivation = Derivation(ambient, images)
+    b_ideal = Ideal(w_ring, (-1 - f_of_q,))  # ybar_gen at u = v = 0
 
     return ConstructionArtifacts(
         spec=spec,
@@ -157,15 +162,6 @@ def build_family(spec: FamilySpec, validate: bool = True) -> ConstructionArtifac
         b_ideal=b_ideal,
         quad_invariants=quads,
     )
-
-
-def w_restriction(art: ConstructionArtifacts) -> Derivation:
-    """The derivation restricted to the representation coordinates."""
-    images = {
-        name: art.derivation.images[name].embed(art.w_ring)
-        for name in art.w_ring.names
-    }
-    return Derivation(art.w_ring, images)
 
 
 def nonstable_ideal(art: ConstructionArtifacts) -> Ideal:
@@ -191,10 +187,10 @@ def check_affine_space(art: ConstructionArtifacts) -> bool:
 def check_invariance(art: ConstructionArtifacts) -> bool:
     """The defining equation and every quadratic invariant must be killed
     by the derivation."""
-    dw = w_restriction(art)
-    if not all(dw.apply(q).is_zero() for q in art.quad_invariants):
+    d = art.derivation
+    if not all(d.apply(q).is_zero() for q in art.quad_invariants):
         return False
-    return all(dw.apply(g).is_zero() for g in art.x_ideal.generators)
+    return all(d.apply(g).is_zero() for g in art.x_ideal.generators)
 
 
 def check_stability(art: ConstructionArtifacts,
@@ -211,57 +207,33 @@ def check_freeness(art: ConstructionArtifacts,
     In characteristic zero unipotent stabilizers are connected, so an
     empty fixed locus on X certifies a scheme-theoretically free action.
     """
-    fixed = fixed_point_ideal(w_restriction(art))
+    fixed = fixed_point_ideal(art.derivation)
     if fixed.is_zero():
         return False  # everything is fixed; degenerate derivation
     return is_unit_ideal(art.x_ideal + fixed, caps=caps)
 
 
-def _split_hypersurface(ideal: Ideal):
-    """Separate coordinate-cutting generators from the hypersurface
-    equation, dropping its terms that involve a cut coordinate."""
-    ring = ideal.ring
-    cut = set()  # indices of the cut coordinates
-    rest = []
-    for g in ideal.generators:
-        if len(g.terms) == 1:
-            (exps, _), = g.terms.items()
-            if sum(exps) == 1:
-                cut.add(exps.index(1))
-                continue
-        rest.append(g)
-    if cut:
-        rest = [Polynomial(ring, {m: c for m, c in g.terms.items()
-                                  if not any(m[i] for i in cut)}) for g in rest]
-        rest = [g for g in rest if not g.is_zero()]
-    if len(rest) != 1:
-        raise NotHypersurfaceError(
-            f"{len(rest)} equations remain after cutting coordinates"
-        )
-    keep = [n for i, n in enumerate(ring.names) if i not in cut]
-    return rest[0], keep
-
-
 def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
-    """Jacobian criterion for a hypersurface (possibly inside a coordinate
-    subspace): smooth iff the equation and its partials generate the unit
-    ideal, i.e. the singular locus is empty."""
-    equation, names = _split_hypersurface(ideal)
-    gens = [equation] + [equation.partial(n) for n in names]
-    return is_unit_ideal(Ideal(ideal.ring, tuple(gens)), caps=caps)
+    """Jacobian criterion for a hypersurface: smooth iff its one equation
+    and the partials in every variable of `ideal.ring` generate the unit
+    ideal, i.e. the singular locus is empty.  Raises NotHypersurfaceError
+    unless the ideal has exactly one generator."""
+    if len(ideal.generators) != 1:
+        raise NotHypersurfaceError(
+            f"{len(ideal.generators)} generators; a hypersurface has one equation"
+        )
+    (equation,) = ideal.generators
+    gens = (equation,) + tuple(equation.partial(n) for n in ideal.ring.names)
+    return is_unit_ideal(Ideal(ideal.ring, gens), caps=caps)
 
 
 def boundary_analysis(art: ConstructionArtifacts,
                       caps: ResourceCaps = DEFAULT_CAPS):
-    """Boundary codimension inside the closure, and for v3 the component
-    count m = deg f (valid over the algebraic closure because f + 1 is
-    squarefree, so components biject with its roots)."""
-    dim_ybar, dim_b, m = _boundary(art, caps)
-    return dim_ybar - dim_b, m
-
-
-def _boundary(art: ConstructionArtifacts, caps: ResourceCaps):
-    """(dim Ybar, dim B, m) for boundary_analysis and run_battery."""
+    """(dim Ybar, dim B, m): the boundary codimension inside the closure is
+    dim Ybar - dim B, and for v3 the component count is m = deg f (valid
+    over the algebraic closure because f + 1 is squarefree, so components
+    biject with its roots); m is None for v4.  An empty boundary raises
+    UnitIdealError."""
     dim_ybar = krull_dimension(art.ybar_ideal, caps=caps)
     try:
         dim_b = krull_dimension(art.b_ideal, caps=caps)
@@ -315,7 +287,7 @@ def invariant_presentation(art: ConstructionArtifacts,
     restriction["w1"] = w_ring.var("w1") - art.x_ideal.generators[0]  # 1 + f(quads)
 
     restricted = []
-    for g in kernel_linear(w_restriction(art), KERNEL_DEGREE, caps=caps):
+    for g in kernel_linear(art.derivation, KERNEL_DEGREE, caps=caps):
         image = g.substitute(restriction)
         # w1 is gone: read w2, w3, ... as z1, z2, ...; constants never matter
         image = Polynomial(z_ring, {m[1:]: c for m, c in image.terms.items() if any(m)})
@@ -365,7 +337,7 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
         "boundarySmooth": check_smooth(art.b_ideal, caps=caps),
     }
     dim_x = krull_dimension(art.x_ideal, caps=caps)
-    dim_ybar, dim_b, m = _boundary(art, caps)
+    dim_ybar, dim_b, m = boundary_analysis(art, caps=caps)
     codim = dim_ybar - dim_b
     dims = Dims(
         x=dim_x,

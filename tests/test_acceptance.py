@@ -35,7 +35,6 @@ from gaquot import (
     parse,
     run_battery,
     subalgebra_membership,
-    w_restriction,
 )
 from gaquot.cli import main as cli_main
 from helpers import assert_same_subalgebra, from_sympy, random_poly, reference_key

@@ -442,6 +442,27 @@ def test_verify_empty_boundary_is_math_failure():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--family", "v3", "--f=s"],
+     "b1f68df704cc86ab2055e269fac317fe779b384600f71b0b44878c829a8362f0"),
+    (["--family", "v3", "--f=s", "--trivial", "2"],
+     "7e8fa00f0f1976b9f17b19f8ad0fc97443e42c86228f4453f6ef0c1a7ce38886"),
+    (["--family", "v3", "--f=(1+s)*(1+2*s)*(1+3*s) - 1"],
+     "7a6ee02e6a57415b85aff525b03322b7d1920f0e360a597363fd9ad7d03d2e11"),
+    (["--family", "v4", "--f=a"],
+     "42afcc1fbadf23351f43c04985be06a96d6735ec2cf05c0e60687ae6610271b3"),
+    (["--family", "v4", "--f=a+2*b-c"],
+     "8eaad32ea7bd3083264f536cb85e76ff65ba7311c281d1b7822c3dae58830a68"),
+], ids=["v3-s", "v3-s-trivial2", "v3-cubic", "v4-a", "v4-linear"])
+def test_verify_report_is_pinned(argv, digest):
+    """The exact `verify` report of small v3 and v4 instances, with and
+    without trivial summands: a change in any byte is a change in the
+    report."""
+    code, text = run(["verify", *argv])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_verify_with_trivial_summands():
     code, text = run(["verify", "--family", "v3", "--f", "s", "--trivial", "2"])
     assert code == 0
@@ -505,3 +526,16 @@ def test_internal_errors_exit_five(monkeypatch, capsys):
     assert run(["verify", "--family", "v3", "--f", "s"]) == (cli.EXIT_INTERNAL, "")
     assert cli.EXIT_INTERNAL == 5
     assert "internal error: TypeError: coefficient 0.1 is not rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [gaquot.RingMismatchError, gaquot.MissingAssignmentError])
+def test_library_errors_outside_the_mapping_exit_five(error, monkeypatch, capsys):
+    """Every input is parsed over one ring and every substitution is total,
+    so these errors mean a bug: they exit 5, not 1 (usage) or 2 (a failed
+    check)."""
+    def broken(args, out):
+        raise error("raised by a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", broken)
+    assert run(["verify", "--family", "v3", "--f", "s"]) == (cli.EXIT_INTERNAL, "")
+    assert f"internal error: {error.__name__}: raised by a bug" in capsys.readouterr().err

@@ -21,15 +21,17 @@ from gaquot import (
     check_invariance,
     check_smooth,
     check_stability,
+    fixed_point_ideal,
     invariant_presentation,
     is_squarefree,
     k_theory_ranks,
+    lower_triangular_derivation,
     normal_form,
     buchberger,
     parse,
     run_battery,
-    w_restriction,
 )
+from gaquot.families import nonstable_ideal
 from helpers import random_poly
 
 S = VarSet(("s",))
@@ -70,7 +72,7 @@ def test_build_identity_instance():
     assert art.ybar_ideal.generators == (
         parse("u*w2 - v*w1 - 1 - (w3*w6 - w4*w5)", art.ambient_ring),
     )
-    assert len(art.b_ideal.generators) == 3
+    assert art.b_ideal.generators == (parse("-1 - (w3*w6 - w4*w5)", art.w_ring),)
     assert art.quad_invariants == (parse("w3*w6 - w4*w5", art.w_ring),)
 
 
@@ -112,8 +114,26 @@ def test_build_moduli_instance():
 def test_trivial_summands_extend_rings():
     art = build_family(v3("s", trivial=2))
     assert art.w_ring.names[-2:] == ("e1", "e2")
-    dw = w_restriction(art)
-    assert dw.images["e1"].is_zero() and dw.images["e2"].is_zero()
+    d = art.derivation
+    assert d.images["e1"].is_zero() and d.images["e2"].is_zero()
+
+
+@pytest.mark.parametrize("trivial", [0, 2])
+@pytest.mark.parametrize("make, f, blocks", [(v3, "s", 3), (v4, "a", 4)], ids=["v3", "v4"])
+def test_construction_identities(make, f, blocks, trivial):
+    """Each object is the one it stands for, built in its own ring: the
+    action is the Weitzenboeck derivation of the blocks and trivial
+    summands, B is Ybar at u = v = 0 written over W, and the zeros of the
+    action are the non-stable locus."""
+    art = build_family(make(f, trivial))
+    assert art.derivation == lower_triangular_derivation(blocks, trivial)
+    w_ring = art.w_ring
+    to_w = {name: w_ring.var(name) for name in w_ring.names}
+    to_w.update(u=w_ring.zero(), v=w_ring.zero())
+    (ybar_gen,) = art.ybar_ideal.generators
+    assert art.b_ideal.generators == (ybar_gen.substitute(to_w),)
+    assert art.b_ideal.ring == w_ring
+    assert fixed_point_ideal(art.derivation) == nonstable_ideal(art)
 
 
 # -- individual checks --------------------------------------------------------------
@@ -151,7 +171,7 @@ def test_freeness_check():
     assert check_freeness(build_family(v3("s")))
     assert check_freeness(build_family(v4("a")))
     art = build_family(v3("s"))
-    degenerate = replace(art, derivation=Derivation(art.ambient_ring, {}))
+    degenerate = replace(art, derivation=Derivation(art.w_ring, {}))
     assert not check_freeness(degenerate)
 
 
@@ -174,21 +194,25 @@ def test_smoothness_requires_hypersurface():
     bad = art.x_ideal + Ideal(art.w_ring, (parse("w2*w3 - 1", art.w_ring),))
     with pytest.raises(NotHypersurfaceError):
         check_smooth(bad)
+    ambient = art.ambient_ring
+    cut = art.ybar_ideal + Ideal(ambient, (ambient.var("u"), ambient.var("v")))
+    with pytest.raises(NotHypersurfaceError):
+        check_smooth(cut)
 
 
 # -- boundary and ranks ----------------------------------------------------------------
 
 
 def test_boundary_identity_instance():
-    assert boundary_analysis(build_family(v3("s"))) == (2, 1)
+    assert boundary_analysis(build_family(v3("s"))) == (7, 5, 1)
 
 
 def test_boundary_cubic_instance():
-    assert boundary_analysis(build_family(v3("(1+s)*(1+2*s)*(1+3*s) - 1"))) == (2, 3)
+    assert boundary_analysis(build_family(v3("(1+s)*(1+2*s)*(1+3*s) - 1"))) == (7, 5, 3)
 
 
 def test_boundary_moduli_instance():
-    assert boundary_analysis(build_family(v4("a"))) == (2, None)
+    assert boundary_analysis(build_family(v4("a"))) == (9, 7, None)
 
 
 def test_boundary_empty_rejected():
@@ -294,8 +318,8 @@ def test_randomized_family_checks():
         assert check_affine_space(art)
         assert check_stability(art)
         assert check_freeness(art)
-        codim, m = boundary_analysis(art)
-        assert codim == 2
+        dim_ybar, dim_b, m = boundary_analysis(art)
+        assert dim_ybar - dim_b == 2
         assert m == spec.f.total_degree()
         from gaquot import krull_dimension
 
@@ -314,8 +338,8 @@ def test_randomized_family_checks():
         assert check_affine_space(art)
         assert check_stability(art)
         assert check_freeness(art)
-        codim, m = boundary_analysis(art)
-        assert codim == 2 and m is None
+        dim_ybar, dim_b, m = boundary_analysis(art)
+        assert dim_ybar - dim_b == 2 and m is None
 
 
 def test_ranks_track_component_count_randomized():
