@@ -13,17 +13,27 @@ ideal computations:
   * X is a coordinate graph, hence affine space,
   * X avoids the non-stable locus (unit ideal test),
   * the fundamental vector field has no zeros on X (free action),
-  * the closure Ybar and the boundary B are smooth (Jacobian criterion),
+  * the closure Ybar and the boundary B are smooth,
   * the boundary has codimension 2, with one component per root of f + 1,
 
 and derives the forced ranks of the K-theory groups from the component
 count, plus a presentation of the invariant ring by tag-variable
 elimination, computed together with its minimal generators in one
 Groebner run.
+
+Stability and freeness test one ideal, since the zeros of the action are
+the non-stable locus, so the battery runs that unit-ideal test once.
+Smoothness is the Jacobian criterion (`check_smooth`), except that for v3
+two polynomial identities certify it with no Groebner run
+(`_jacobian_identities`): they put 1 + f(q) and q*f'(q) in the Jacobian
+ideal, and these are coprime because f(0) = 0 and f + 1 is squarefree,
+which the construction has validated.  A ResourceCapError raised by the
+battery names the stage, by its report key, in front of the cap.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -39,6 +49,7 @@ from .errors import (
     NonzeroConstantError,
     NotHypersurfaceError,
     RepeatedRootsError,
+    ResourceCapError,
     UnitIdealError,
 )
 from .groebner import (
@@ -227,6 +238,46 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     return is_unit_ideal(Ideal(ideal.ring, gens), caps=caps)
 
 
+def _jacobian_identities(art: ConstructionArtifacts):
+    """(Ybar, B): whether each v3 equation is certified smooth without a
+    Groebner run; (False, False) for v4, which has no certificate.
+
+    With q the quadratic invariant, g = u*w2 - v*w1 - 1 - f(q) satisfies
+
+        -g + u*dg/du + v*dg/dv = 1 + f(q),
+        sum over i = 3..6 of w_i*dg/dw_i = -2*q*f'(q)   (Euler: q is a quadric),
+
+    and B's equation h = -1 - f(q) the same identities with u = v = 0.
+    Both right-hand sides are polynomials in q, and gcd(1 + f, s*f') = 1
+    in Q[s] because f(0) = 0 and f + 1 is squarefree, so Bezout and s -> q
+    put 1 in the Jacobian ideal.  This only checks the two identities:
+    coprimality is the premise that build_family's validation certifies,
+    and an unvalidated spec with a repeated root passes the identities
+    while being singular.
+    """
+    if art.spec.family != "v3":
+        return False, False
+    (q,) = art.quad_invariants
+    f = art.spec.f
+    (name,) = f.ring.names
+    one_plus_f = 1 + f.substitute({name: q})
+    minus_2q_f_prime = -2 * q * f.partial(name).substitute({name: q})
+
+    def holds(ideal: Ideal) -> bool:
+        (equation,) = ideal.generators
+        ring = ideal.ring
+        radial = -equation
+        for n in ("u", "v"):
+            if n in ring:
+                radial = radial + ring.var(n) * equation.partial(n)
+        euler = ring.zero()
+        for n in q.variables():  # w3, w4, w5, w6
+            euler = euler + ring.var(n) * equation.partial(n)
+        return radial == one_plus_f.embed(ring) and euler == minus_2q_f_prime.embed(ring)
+
+    return holds(art.ybar_ideal), holds(art.b_ideal)
+
+
 def boundary_analysis(art: ConstructionArtifacts,
                       caps: ResourceCaps = DEFAULT_CAPS):
     """(dim Ybar, dim B, m): the boundary codimension inside the closure is
@@ -324,20 +375,39 @@ class VerificationReport:
     passed: bool
 
 
+@contextmanager
+def _stage(key: str):
+    """Prefix a ResourceCapError raised in one battery stage with the
+    stage's report key."""
+    try:
+        yield
+    except ResourceCapError as exc:
+        raise ResourceCapError(f"{key}: {exc}") from exc
+
+
 def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> VerificationReport:
     """Build the instance and run every check; individual check failures
     are recorded in the report, construction errors propagate."""
-    art = build_family(spec)
+    art = build_family(spec)  # validates f(0) = 0 and, for v3, f + 1 squarefree
     checks = {
         "invariant": check_invariance(art),
         "affineSpace": check_affine_space(art),
-        "stable": check_stability(art, caps=caps),
-        "free": check_freeness(art, caps=caps),
-        "ybarSmooth": check_smooth(art.ybar_ideal, caps=caps),
-        "boundarySmooth": check_smooth(art.b_ideal, caps=caps),
     }
-    dim_x = krull_dimension(art.x_ideal, caps=caps)
-    dim_ybar, dim_b, m = boundary_analysis(art, caps=caps)
+    with _stage("stable"):
+        checks["stable"] = check_stability(art, caps=caps)
+    if fixed_point_ideal(art.derivation) == nonstable_ideal(art):
+        checks["free"] = checks["stable"]  # the same unit-ideal test
+    else:
+        with _stage("free"):
+            checks["free"] = check_freeness(art, caps=caps)
+    ybar_certified, b_certified = _jacobian_identities(art)
+    with _stage("ybarSmooth"):
+        checks["ybarSmooth"] = ybar_certified or check_smooth(art.ybar_ideal, caps=caps)
+    with _stage("boundarySmooth"):
+        checks["boundarySmooth"] = b_certified or check_smooth(art.b_ideal, caps=caps)
+    with _stage("dims"):
+        dim_x = krull_dimension(art.x_ideal, caps=caps)
+        dim_ybar, dim_b, m = boundary_analysis(art, caps=caps)
     codim = dim_ybar - dim_b
     dims = Dims(
         x=dim_x,
@@ -347,7 +417,8 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
     )
     if spec.family == "v3":
         ranks = k_theory_ranks(m)
-        presentation = invariant_presentation(art, caps=caps)
+        with _stage("presentation"):
+            presentation = invariant_presentation(art, caps=caps)
     else:
         ranks = None
         presentation = None

@@ -8,7 +8,9 @@ sympy.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import prod
 
 import sympy as sp
 
@@ -297,3 +299,21 @@ def sympy_kernel_solutions(derivation, max_degree: int):
         terms = {e: Fraction(int(c.p), int(c.q)) for e, c in zip(monos, vec) if c}
         solutions.append(monic(Polynomial(ring, terms)))
     return solutions
+
+
+# -- the signed-roots shapes ---------------------------------------------------
+
+
+def signed_roots_factors(degree: int, seed: int) -> list:
+    """The factors (1 - sign_k * k * s), k = 1..degree with seeded signs,
+    whose product is f + 1 of the benchmark's signed-roots shape."""
+    s = VarSet(("s",))
+    rng = random.Random(seed)
+    return [s.one() - s.var("s") * (rng.choice((1, -1)) * k) for k in range(1, degree + 1)]
+
+
+def signed_roots_shape(degree: int, seed: int) -> Polynomial:
+    """f of degree `degree` with f(0) = 0 and f + 1 the product of the
+    signed-roots factors: a valid v3 shape."""
+    factors = signed_roots_factors(degree, seed)
+    return prod(factors, start=factors[0].ring.one()) - 1

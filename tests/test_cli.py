@@ -14,6 +14,7 @@ import gaquot
 from gaquot import VarSet, parse, subalgebra_membership
 from gaquot import cli
 from gaquot.cli import main
+from helpers import signed_roots_shape
 
 V3_DERIVATION = """\
 # lower triangular action on three two-dimensional blocks
@@ -95,6 +96,27 @@ def test_verify_rejects_wrong_arity():
 def test_verify_resource_cap_exit():
     code, _ = run(["verify", "--family", "v3", "--f", "s", "--max-pairs", "0"])
     assert code == 4
+
+
+def test_resource_cap_names_the_stage(capsys):
+    """A cap hit inside the battery is reported under the stage's report
+    key: for f = s the first Groebner run above one pair is the
+    presentation's."""
+    code, text = run(["verify", "--family", "v3", "--f=s", "--max-pairs", "1"])
+    assert (code, text) == (4, "")
+    assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
+
+
+def test_verify_above_degree_31_passes(tmp_path):
+    """At deg 32 the Jacobian Groebner runs passed the default degree cap;
+    the v3 smoothness identities need no Groebner run."""
+    target = tmp_path / "report.json"
+    f = signed_roots_shape(32, 7)
+    code, text = run(["verify", "--family", "v3", f"--f={f}", "--out", str(target)])
+    assert (code, text) == (0, f"pass: report written to {target}\n")
+    doc = json.loads(target.read_text())
+    assert all(doc["checks"].values())
+    assert doc["m"] == 32 and doc["boundaryCodim"] == 2
 
 
 def test_verify_reports_are_byte_identical():

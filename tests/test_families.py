@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+import sympy as sp
 
 from gaquot import (
     Derivation,
@@ -11,6 +12,7 @@ from gaquot import (
     Ideal,
     NonzeroConstantError,
     NotHypersurfaceError,
+    Polynomial,
     RepeatedRootsError,
     UnitIdealError,
     VarSet,
@@ -31,8 +33,9 @@ from gaquot import (
     parse,
     run_battery,
 )
-from gaquot.families import nonstable_ideal
-from helpers import random_poly
+from gaquot import families
+from gaquot.families import _jacobian_identities, nonstable_ideal
+from helpers import random_poly, signed_roots_shape, to_sympy
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -184,9 +187,17 @@ def test_smoothness_of_closure_and_boundary():
 
 
 def test_smoothness_fails_on_repeated_root():
-    forced = build_family(v3("(1+s)^2 - 1"), validate=False)
+    """With a repeated root of f + 1, built without validation, both
+    equations are singular, yet both smoothness identities still hold: the
+    identities certify smoothness only together with gcd(1 + f, s*f') = 1,
+    which the battery's validated construction supplies."""
+    spec = v3("(1+s)^2 - 1")
+    forced = build_family(spec, validate=False)
     assert not check_smooth(forced.b_ideal)
     assert not check_smooth(forced.ybar_ideal)
+    assert _jacobian_identities(forced) == (True, True)
+    with pytest.raises(RepeatedRootsError):
+        run_battery(spec)
 
 
 def test_smoothness_requires_hypersurface():
@@ -198,6 +209,81 @@ def test_smoothness_requires_hypersurface():
     cut = art.ybar_ideal + Ideal(ambient, (ambient.var("u"), ambient.var("v")))
     with pytest.raises(NotHypersurfaceError):
         check_smooth(cut)
+
+
+# -- the v3 smoothness certificate --------------------------------------------------
+
+# The v3 signed-roots shapes of deg 1..12 (seed 7), and f = s with 0..3
+# trivial summands.
+CERTIFIED_SPECS = (
+    [pytest.param(FamilySpec("v3", signed_roots_shape(d, 7)), id=f"signed-deg{d}")
+     for d in range(1, 13)]
+    + [pytest.param(v3("s", trivial), id=f"s-triv{trivial}") for trivial in range(4)]
+)
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
+    """The identities certify both v3 equations wherever the Jacobian
+    criterion does, and the battery's report does not depend on which of
+    the two proves smoothness."""
+    art = build_family(spec)
+    assert _jacobian_identities(art) == (True, True)
+    assert check_smooth(art.ybar_ideal) and check_smooth(art.b_ideal)
+    certified = run_battery(spec)
+    monkeypatch.setattr(families, "_jacobian_identities", lambda art: (False, False))
+    assert run_battery(spec) == certified
+
+
+def test_jacobian_identities_reject_a_changed_coefficient():
+    """Doubling any one coefficient of the constant or of f(q) in either
+    equation breaks an identity; doubling that of u*w2 or v*w1 keeps both,
+    and the equation is then still smooth, so the certificate stays sound.
+    Raising the coefficient of u*w3 in Ybar's equation from 0 to 1 keeps
+    the first identity (u*w3 is linear in u, v) and breaks only the
+    second."""
+    art = build_family(FamilySpec("v3", signed_roots_shape(3, 7)))
+    ambient = art.ambient_ring
+
+    def exponents(text):
+        (exps,) = parse(text, ambient).terms
+        return exps
+
+    kept = {exponents("u*w2"), exponents("v*w1")}
+    mutations = [(field, index, exps, 2 * coeff)
+                 for field, index in (("ybar_ideal", 0), ("b_ideal", 1))
+                 for exps, coeff in getattr(art, field).generators[0].terms.items()]
+    mutations.append(("ybar_ideal", 0, exponents("u*w3"), 1))
+    for field, index, exps, coeff in mutations:
+        ideal = getattr(art, field)
+        changed = dict(ideal.generators[0].terms)
+        changed[exps] = coeff
+        mutated = Ideal(ideal.ring, (Polynomial(ideal.ring, changed),))
+        verdict = _jacobian_identities(replace(art, **{field: mutated}))[index]
+        assert verdict == (exps in kept), (field, exps)
+        if verdict:
+            assert check_smooth(mutated)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_jacobian_identities_hold_in_sympy(seed):
+    """Each identity, expanded by sympy from the equations built here, on
+    seeded signed-roots shapes with a seeded number of trivial summands."""
+    rng = random.Random(seed)
+    spec = FamilySpec("v3", signed_roots_shape(rng.randint(1, 8), seed), rng.randint(0, 2))
+    art = build_family(spec)
+    u, v, w1, w2, w3, w4, w5, w6 = sp.symbols("u v w1 w2 w3 w4 w5 w6")
+    s = sp.Symbol("s")
+    q = w3 * w6 - w4 * w5
+    f = to_sympy(spec.f, [s])
+    one_plus_f = 1 + f.subs(s, q)
+    minus_2q_f_prime = -2 * q * sp.diff(f, s).subs(s, q)
+    for ideal, radial in ((art.ybar_ideal, (u, v)), (art.b_ideal, ())):
+        (equation,) = ideal.generators
+        g = to_sympy(equation, sp.symbols(list(ideal.ring.names)))
+        assert sp.expand(-g + sum(x * sp.diff(g, x) for x in radial) - one_plus_f) == 0
+        assert sp.expand(sum(x * sp.diff(g, x) for x in (w3, w4, w5, w6)) - minus_2q_f_prime) == 0
+    assert _jacobian_identities(art) == (True, True)
 
 
 # -- boundary and ranks ----------------------------------------------------------------

@@ -36,6 +36,7 @@ from helpers import (
     brute_ideal_membership,
     random_poly,
     reference_key,
+    signed_roots_shape,
     spolynomials_per_run,
     sympy_reduced_gb,
     sympy_resultant,
@@ -718,16 +719,13 @@ def test_spolynomial_counts_are_pinned(system, order, expected, monkeypatch):
 def test_battery_spolynomial_counts_are_pinned(monkeypatch):
     """Per Buchberger run of the v3 battery at deg f = 12, f + 1 the product
     of (1 - sign_k * k * s) with seeded signs: the squarefreeness gcd of
-    f + 1 and its derivative, stability, freeness, the two smoothness
-    checks, the three dimensions and the invariant presentation."""
-    s = VarSet(("s",))
-    rng = random.Random(11)
-    product = s.one()
-    for k in range(1, 13):
-        product = product * (s.one() - s.var("s") * (rng.choice((1, -1)) * k))
-    spec = FamilySpec("v3", product - s.one())
+    f + 1 and its derivative, the one unit-ideal run behind stability and
+    freeness, the three dimensions and the invariant presentation.  The
+    two smoothness checks make no run: polynomial identities certify them,
+    and the squarefree gcd is still the only univariate run."""
+    spec = FamilySpec("v3", signed_roots_shape(12, 11))
     assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) \
-        == [11, 1, 1, 40, 40, 0, 0, 0, 7]
+        == [11, 1, 0, 0, 0, 7]
 
 
 # -- packed monomials -------------------------------------------------------------

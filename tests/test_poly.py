@@ -38,6 +38,7 @@ from helpers import (
     euclid_gcd_coeffs,
     from_sympy,
     random_poly,
+    signed_roots_factors,
     sympy_symbols,
     to_sympy,
 )
@@ -331,13 +332,6 @@ def test_squarefree_errors():
         is_squarefree(S.zero())
     with pytest.raises(NotUnivariateError):
         is_squarefree(P("w1*w2"))
-
-
-def signed_roots_factors(degree: int, seed: int) -> list:
-    """The factors (1 - sign_k * k * s), k = 1..degree with seeded signs,
-    whose product is f + 1 of the benchmark's signed-roots shape."""
-    rng = random.Random(seed)
-    return [S.one() - S.var("s") * (rng.choice((1, -1)) * k) for k in range(1, degree + 1)]
 
 
 def sympy_monic_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
