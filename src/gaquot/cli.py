@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -126,6 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
         rounds.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
                             help="round budget for the saturation kernel method")
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing leaves it
+    unchanged, and building it takes far longer than a parse."""
+    return build_parser()
 
 
 def _caps(args) -> ResourceCaps:
@@ -272,9 +280,8 @@ _HANDLERS = {
 
 def main(argv: Optional[list] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems; fold the
         # latter into the documented usage code.

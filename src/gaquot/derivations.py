@@ -7,19 +7,22 @@ derivation (the series is finite) recovers the group action; kernels are
 the rings of invariant functions and are computed either by an exact
 degree-bounded linear solve or by a slice/saturation cross-check.
 
-Exact linear algebra runs on one sparse echelon (linalg.Echelon).  The
-linear solve reduces the image of each monomial against the images of
-the monomials before it.  Both kernel methods prune generators by
-subalgebra membership, through one interface (`adjoin`, `contains`)
-whose engine one function, `_span`, chooses: when every generator is
-homogeneous (the kernel of a linear derivation is graded), an echelon
-of products of generators one degree at a time (_GradedSpan); otherwise
-one incremental Buchberger run of the tag-variable test (Shannon and
-Sweedler, J. Symb. Comp. 6, 1988) over the graph ideal of all of them
-(groebner._GraphSpan), the general route of SAGBI theory (Robbiano and
-Sweedler, LNM 1430, 1990).  A saturation round tests its candidates
-against one span of its generators, and the span of the round that
-adds nothing is the final filter.
+A derivation keeps the terms of its nonzero images in a table built
+once and applies Leibniz on term dicts (`Derivation._apply_terms`);
+`apply` wraps the result in one Polynomial.  Exact linear algebra runs
+on one sparse echelon (linalg.Echelon).  The linear solve reduces the
+image of each monomial, a term dict straight from that table, against
+the images of the monomials before it.  Both kernel methods prune
+generators by subalgebra membership, through one interface (`adjoin`,
+`contains`) whose engine one function, `_span`, chooses: when every
+generator is homogeneous (the kernel of a linear derivation is graded),
+an echelon of products of generators one degree at a time
+(_GradedSpan); otherwise one incremental Buchberger run of the
+tag-variable test (Shannon and Sweedler, J. Symb. Comp. 6, 1988) over
+the graph ideal of all of them (groebner._GraphSpan), the general route
+of SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).  A saturation
+round tests its candidates against one span of its generators, and the
+span of the round that adds nothing is the final filter.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, factorial
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
@@ -90,17 +94,39 @@ class Derivation:
         for name in self.images:
             self.ring.index(name)
         object.__setattr__(self, "images", MappingProxyType(complete))
+        # (variable index, term items of its image) for each nonzero image
+        object.__setattr__(self, "_image_terms", tuple(
+            (i, tuple(image.terms.items()))
+            for i, image in enumerate(complete.values()) if not image.is_zero()))
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Leibniz extension: sum of images[x] * df/dx."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial ring differs from derivation ring")
-        result = self.ring.zero()
-        for name in f.variables():
-            image = self.images[name]
-            if not image.is_zero():
-                result = result + image * f.partial(name)
-        return result
+        return Polynomial(self.ring, self._apply_terms(f.terms))
+
+    def _apply_terms(self, terms: Mapping) -> dict:
+        """Term dict of the image of the term dict `terms`, without zero
+        coefficients (an integral one may be a Fraction; Polynomial and
+        Echelon rows canonicalize): each term c*x^m contributes
+        c*m_i*x^(m - e_i) times the image of x_i for every variable x_i
+        of m with a nonzero image."""
+        out: dict = {}
+        for m, c in terms.items():
+            for i, image in self._image_terms:
+                e = m[i]
+                if not e:
+                    continue
+                base = m[:i] + (e - 1,) + m[i + 1:]
+                scaled = c * e
+                for im, ic in image:
+                    key = tuple(map(add, base, im))
+                    val = out.get(key, 0) + scaled * ic
+                    if val:
+                        out[key] = val
+                    else:
+                        del out[key]
+        return out
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -253,6 +279,7 @@ class _GradedSpan:
 
     def __init__(self, ring: VarSet):
         one = (0,) * len(ring)
+        self._ring = ring
         self._generators = []  # (degree, terms) of each kept generator
         constants = Echelon()
         constants.insert({one: 1})
@@ -285,6 +312,8 @@ class _GradedSpan:
 
     def contains(self, f: Polynomial) -> bool:
         """Membership of f, one homogeneous component at a time."""
+        if f.ring != self._ring:
+            raise RingMismatchError("polynomial ring differs from subalgebra span ring")
         parts: dict = {}
         for m, c in f.terms.items():
             parts.setdefault(sum(m), {})[m] = c
@@ -327,12 +356,15 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     Solves D(f) = 0 over the polynomials of total degree <= max_degree on
     one sparse echelon: the image D(m) of each monomial m, in ascending
     grevlex order, is reduced against the earlier images, each row
-    carrying the polynomial whose image it is.  When D(m) reduces to
-    zero, m minus the carried multiples is a solution, the basis vector
-    that the reduced row echelon form gives for the free column m.
-    Solutions generated by the lower ones are then removed: by graded
-    linear algebra when they are homogeneous (always, for a linear
-    derivation), by Groebner subalgebra membership otherwise.
+    carrying the polynomial whose image it is.  Images enter the echelon
+    as term dicts (`Derivation._apply_terms`), so no Polynomial is built
+    per monomial.  When D(m) reduces to zero, m minus the carried
+    multiples is a solution, the basis vector that the reduced row
+    echelon form gives for the free column m; the carried monomials are
+    earlier, so m leads it with coefficient 1.  Solutions generated by
+    the lower ones are then removed: by graded linear algebra when they
+    are homogeneous (always, for a linear derivation), by Groebner
+    subalgebra membership otherwise.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -346,9 +378,8 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     solutions = []
     for m in _monomials_up_to(ring, max_degree):
         f = {m: 1}
-        image = derivation.apply(Polynomial(ring, f))
-        if images.insert(dict(image.terms), f) is None:
-            solutions.append(monic(Polynomial(ring, f)))
+        if images.insert(derivation._apply_terms(f), f) is None:
+            solutions.append(Polynomial(ring, f))
     return _minimal_generators(solutions, caps)
 
 

@@ -152,9 +152,7 @@ def build_family(spec: FamilySpec, validate: bool = True) -> ConstructionArtifac
     ambient = VarSet(("u", "v") + w_ring.names)
 
     quads = _quadratic_invariants(w_ring, blocks)
-    f_of_q = spec.f.substitute(
-        {name: q for name, q in zip(spec.f.ring.names, quads)}
-    ) if not spec.f.is_zero() else w_ring.zero()
+    f_of_q = spec.f.substitute(dict(zip(spec.f.ring.names, quads)))
 
     x_ideal = Ideal(w_ring, (w_ring.var("w1") - 1 - f_of_q,))
     ybar_gen = (ambient.var("u") * ambient.var("w2")

@@ -20,7 +20,10 @@ retired leading monomial is a multiple of an active one, remainders are
 still full normal forms.  Output is deterministic for fixed input and
 order; a reduced basis is listed in ascending order of leading monomial.
 Each term order is one descending sort key, built on the one grevlex key
-of `poly`.  The tag-variable graph ideal has one builder, `_graph_ideal`.
+of `poly`.  The tag-variable graph ideal is defined twice, as a pair:
+`_graph_ideal` builds its polynomials over the ring extended by the
+tags, for elimination and one-shot membership, and `_GraphSpan._seed`
+packs the same generators straight from the candidates' terms.
 
 Buchberger, normal forms, the pair update and exact division work on
 packed monomials: inside the engine a monomial is one Python int, linear
@@ -222,7 +225,10 @@ class _Packing:
     """Monomials of an n-variable ring under one term order as ints.
 
     pack(e) = sum of e_i * weight_i, so the packing is linear: the
-    product of monomials is the sum of their packed ints.  The weight of
+    product of monomials is the sum of their packed ints, and a tuple of
+    the first k < n exponents packs as the monomial with the others zero,
+    which is how a polynomial packs into a ring that appends variables
+    to its own.  `weights` holds the packed unit vectors: the weight of
     the i-th unit vector places, from the most significant field down,
     the order's descending key of that vector (one signed field per key
     entry), a 1 in the total-degree field and a 1 in the i-th 32-bit
@@ -249,7 +255,7 @@ class _Packing:
             top = self._degree_shift + width * len(key)  # where the first key field starts
             weights.append(sum(k << (top - width * f) for f, k in enumerate(key) if k)
                            + (1 << self._degree_shift) + (1 << (_EXPONENT_BITS * i)))
-        self._weights = tuple(weights)
+        self.weights = tuple(weights)
         self.guard = sum(_EXPONENT_BOUND << (_EXPONENT_BITS * i) for i in range(n))
         self.low = (1 << self._degree_shift) - 1
         self._low_bytes = _EXPONENT_BITS // 8 * n
@@ -258,7 +264,7 @@ class _Packing:
     def pack(self, exps) -> int:
         if max(exps, default=0) >= _EXPONENT_BOUND:
             raise ResourceCapError(f"exponent {max(exps)} is at or above the bound 2**31")
-        return sum(map(mul, exps, self._weights))
+        return sum(map(mul, exps, self.weights))
 
     def unpack(self, m: int) -> tuple:
         return self._fields.unpack((m & self.low).to_bytes(self._low_bytes, "little"))
@@ -687,7 +693,8 @@ def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
     """The graph ideal (extra) + (y_i - gens_i) over `ring` followed by
     fresh tags y1..ym, one per generator, with the `extra` generators
     (over `ring`) first.  Eliminating `ring` leaves the tag polynomials
-    p with p(gens) in (extra)."""
+    p with p(gens) in (extra).  `_GraphSpan._seed` packs the same
+    generators y_i - gens_i without building this ring."""
     tags = fresh_names("y", len(gens), ring.names)
     big = ring.extend(tags)
     return Ideal(big, tuple(e.embed(big) for e in extra)
@@ -698,40 +705,57 @@ class _GraphSpan:
     """The subalgebra of candidates adjoined one at a time, in the order
     given, as one incremental Buchberger run over their graph ideal under
     the block order eliminating `ring`: the Groebner counterpart, for any
-    polynomials, of `derivations._GradedSpan`.  Each candidate has its tag
-    of `_graph_ideal(ring, candidates)` from the start, so the packing
-    never changes, and the whole run shares one `caps` budget.  No tag
-    leads a row, so the normal form of a polynomial of `ring` mentions
-    only tags (one mask of the ring's exponent fields, the lowest ones)
-    exactly when subalgebra_membership calls it a member of the kept
-    candidates' subalgebra.  An empty candidate list raises ValueError."""
+    polynomials, of `derivations._GradedSpan`.  The run's packing covers
+    `ring` and one tag per candidate from the start, so it never changes,
+    and the whole run shares one `caps` budget.  Packing is linear and
+    `ring` holds the first variables, so a polynomial of `ring` packs
+    from its own terms: a candidate's seed, the generator y_i - p of
+    `_graph_ideal(ring, candidates)`, is its packed negated terms plus
+    the packed tag y_i (`_seed`), and `contains` packs its argument the
+    same way; no polynomial over the big ring is built.  No tag leads a
+    row, so the normal form of a polynomial of `ring` mentions only tags
+    (one mask of the ring's exponent fields, the lowest ones) exactly
+    when subalgebra_membership calls it a member of the kept candidates'
+    subalgebra.  An empty candidate list raises ValueError."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
                  caps: ResourceCaps = DEFAULT_CAPS):
         for g in candidates:
             if g.ring != ring:
                 raise RingMismatchError("subalgebra candidates over the wrong ring")
-        graph = _graph_ideal(ring, candidates)
-        self._ring, self._graph_ring = ring, graph.ring
-        self._seeds = enumerate(zip(candidates, graph.generators))
-        self._run = _Run(_packing(TermOrder.block(len(ring)), len(graph.ring)), caps)
-        self._ring_fields = (1 << _EXPONENT_BITS * len(ring)) - 1
+        if not candidates:
+            raise ValueError("a subalgebra span needs at least one candidate")
+        n = len(ring)
+        self._ring = ring
+        self._candidates = enumerate(candidates)
+        packing = _packing(TermOrder.block(n), n + len(candidates))
+        self._tags = packing.weights[n:]  # the packed tag y_i of each candidate
+        self._run = _Run(packing, caps)
+        self._ring_fields = (1 << _EXPONENT_BITS * n) - 1
         self._kept = []  # indices of the kept candidates
 
-    def _tag_only_form(self, f: Polynomial) -> tuple:
-        """(packed normal form of f, up to scale; whether it is tag-only)."""
-        run = self._run
-        reduced = run.reduce(_integer_terms(f.terms, run.packing.pack)[0])
+    def _seed(self, i: int, p: Polynomial) -> dict:
+        """The packed integer term dict of y_i - p, the i-th generator of
+        `_graph_ideal(ring, candidates)`, times the lcm of p's denominators."""
+        work, d = _integer_terms(p.terms, self._run.packing.pack)
+        seed = {m: -c for m, c in work.items()}
+        seed[self._tags[i]] = d
+        return seed
+
+    def _tag_only_form(self, work: dict) -> tuple:
+        """(normal form of the packed integer term dict `work`, up to
+        scale; whether it is tag-only)."""
+        reduced = self._run.reduce(work)
         return reduced, not any(m & self._ring_fields for m in reduced)
 
     def adjoin(self, p: Polynomial) -> bool:
         """Keep p, the next candidate, iff its seed y_i - p, reduced to y_i
         minus the normal form of p (y_i leads no row), is not tag-only;
         a kept remainder joins the basis, whose pairs are completed."""
-        i, (candidate, seed) = next(self._seeds)
+        i, candidate = next(self._candidates)
         if p != candidate:
             raise ValueError("subalgebra candidates are adjoined in the order given")
-        reduced, member = self._tag_only_form(seed)
+        reduced, member = self._tag_only_form(self._seed(i, p))
         if not member:
             self._kept.append(i)
             self._run.append(reduced)
@@ -740,7 +764,9 @@ class _GraphSpan:
 
     def contains(self, f: Polynomial) -> bool:
         """Membership of f, over `ring`, in the kept candidates' subalgebra."""
-        return self._tag_only_form(f.embed(self._graph_ring))[1]
+        if f.ring != self._ring:
+            raise RingMismatchError("polynomial ring differs from subalgebra span ring")
+        return self._tag_only_form(_integer_terms(f.terms, self._run.packing.pack)[0])[1]
 
     def relations(self) -> Ideal:
         """The reduced basis rows free of ring variables, over the tags of

@@ -107,6 +107,28 @@ def test_resource_cap_names_the_stage(capsys):
     assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
 
 
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    """main reuses one parser per process; options of one call do not
+    carry into the next."""
+    code, text = run(["verify", "--family", "v3", "--f=s", "--max-pairs", "1"])
+    assert (code, text) == (4, "")
+    code, text = run(["verify", "--family", "v3", "--f=s"])
+    assert code == 0
+    assert json.loads(text)["capsUsed"]["maxPairs"] == 100000
+    path = tmp_path / "derivation.txt"
+    path.write_text(V3_DERIVATION, encoding="utf-8")
+    code, text = run(["kernel", "--derivation", str(path), "--method", "saturation",
+                      "--max-degree", "3"])
+    assert (code, text) == (1, "")
+    capsys.readouterr()
+    code, text = run(["kernel", "--derivation", str(path), "--method", "linear"])
+    assert code == 0
+    assert text.splitlines() == ["w1", "w3", "w5", "w2*w3 - w1*w4", "w2*w5 - w1*w6",
+                                 "w4*w5 - w3*w6"]
+    assert capsys.readouterr().err == ""
+    assert cli._parser() is cli._parser()
+
+
 def test_verify_above_degree_31_passes(tmp_path):
     """At deg 32 the Jacobian Groebner runs passed the default degree cap;
     the v3 smoothness identities need no Groebner run."""

@@ -1,5 +1,6 @@
 """Derivations: construction, flows, invariance, fixed points, kernels."""
 
+import hashlib
 import math
 import random
 import sys
@@ -15,6 +16,7 @@ from gaquot import (
     Polynomial,
     ResourceCapError,
     ResourceCaps,
+    RingMismatchError,
     SliceData,
     VarSet,
     exp_action,
@@ -111,6 +113,47 @@ def test_apply_leibniz_randomized():
         f = random_poly(rng, ring)
         g = random_poly(rng, ring)
         assert d.apply(f * g) == f * d.apply(g) + g * d.apply(f)
+
+
+def reference_apply(d, f):
+    """D(f) by the Leibniz loop in Polynomial arithmetic: the sum of
+    images[x] * df/dx over the variables x of f."""
+    result = d.ring.zero()
+    for name in f.variables():
+        result = result + d.images[name] * f.partial(name)
+    return result
+
+
+def test_apply_matches_the_polynomial_reference():
+    """Derivation.apply and the term dicts kernel_linear feeds its
+    echelon, against the Polynomial loop: nonlinear images, Fraction
+    coefficients, and images that are zero or left out."""
+    rng = random.Random(20261018)
+    ring = VarSet(("x", "y", "z", "u"))
+    for _ in range(200):
+        images = {}
+        for name in ring.names:
+            roll = rng.random()
+            if roll < 0.2:
+                continue
+            images[name] = (ring.zero() if roll < 0.35 else
+                            random_poly(rng, ring, max_degree=3, max_terms=4,
+                                        denominator_bound=4))
+        d = Derivation(ring, images)
+        f = random_poly(rng, ring, max_degree=4, max_terms=5, denominator_bound=6)
+        expected = reference_apply(d, f)
+        got = d.apply(f)
+        assert got == expected
+        assert str(got) == str(expected)
+        terms = d._apply_terms(f.terms)
+        assert terms == dict(expected.terms)
+        assert all(terms.values())
+    # terms that cancel leave no zero coefficient behind
+    assert D3._apply_terms(P("w3*w6 - w4*w5 + w1").terms) == {}
+    with pytest.raises(RingMismatchError):
+        d.apply(parse("x", VarSet(("x", "y", "z"))))
+    with pytest.raises(RingMismatchError):
+        d.apply(parse("x", VarSet(("u", "z", "y", "x"))))
 
 
 # -- nilpotency -------------------------------------------------------------------
@@ -269,6 +312,42 @@ def test_kernel_linear_zero_derivation():
 def test_kernel_linear_single_block():
     gens = kernel_linear(lower_triangular_derivation(1), 2)
     assert [str(g) for g in gens] == ["w1"]
+
+
+# sha256 of the generators of kernel_linear, one per line, as recorded
+# before images entered the echelon as term dicts; the kernel counterpart
+# of test_cli.test_verify_report_is_pinned.
+KERNEL_LINEAR_DIGESTS = {
+    (2, 0): "f467861e20e186a774fccbab69e6f2e47142a5a3e9f0c5905994e458caf942e0",
+    (2, 2): "3a417caf54ca4cf485c85b1cf84d775c8835d33e8a97003085d2bc7fecc6e735",
+    (3, 0): "87dc61de34e91e73775e31447e6a67b7bc17dfcf653e863ea7acd712fc565392",
+    (3, 2): "f3056b092bc1b3ee13a93937bd5e37da1bfe2f2fd4876bf32e1861a847e3e141",
+    (4, 0): "47736c2c59b044f3438ade6c5b87309d6a5fa77fcea35acadca1852b5a22eb22",
+    (4, 2): "8267292281f346f2a7192353fce94eb660935823a790f1ed0049763e36a60a79",
+    (5, 0): "d3a5ae7d115b7b71fc9f85a76f6cd1d7c3863b42b91e324676bb7926eccab884",
+    (5, 2): "10102450484e7cdef04894996343dda6012287add147aed0662bf2cea121dba8",
+}
+
+
+def kernel_digest(gens) -> str:
+    return hashlib.sha256("\n".join(map(str, gens)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("n, trivial", sorted(KERNEL_LINEAR_DIGESTS))
+def test_kernel_linear_output_is_pinned(n, trivial, degree):
+    """V2-V5 with 0 and 2 trivial summands: the Weitzenboeck kernel is
+    generated in degree 2, so degrees 2 and 3 list the same generators."""
+    gens = kernel_linear(lower_triangular_derivation(n, trivial), degree)
+    assert kernel_digest(gens) == KERNEL_LINEAR_DIGESTS[n, trivial]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kernel_saturation_output_is_pinned(n):
+    """Slice w2 on V3-V5: the same lists as kernel_linear."""
+    d = lower_triangular_derivation(n)
+    gens = kernel_saturation(d, make_slice(d, "w2"), 8)
+    assert kernel_digest(gens) == KERNEL_LINEAR_DIGESTS[n, 0]
 
 
 def kernel_ladder():
@@ -704,6 +783,17 @@ def test_kernel_saturation_filters_from_scratch_only_without_rounds(monkeypatch)
 def test_kernel_saturation_rejects_a_negative_round_budget(rounds):
     with pytest.raises(ValueError, match="max_rounds must be nonnegative"):
         kernel_saturation(D3, make_slice(D3, "w2"), rounds)
+
+
+def test_graded_span_contains_checks_the_ring():
+    """Polynomials of another ring raise, even with the same number of
+    variables, as with the Groebner span."""
+    span = derivations._GradedSpan(W)
+    assert span.adjoin(P("w1"))
+    assert span.contains(P("w1^2"))
+    for ring in (VarSet(W.names[::-1]), VarSet(("w1",))):
+        with pytest.raises(RingMismatchError):
+            span.contains(ring.var("w1"))
 
 
 def test_graded_span_obeys_dimension_cap(monkeypatch):

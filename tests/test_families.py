@@ -302,8 +302,13 @@ def test_boundary_moduli_instance():
 
 
 def test_boundary_empty_rejected():
+    """At f = 0, f(q) is the zero polynomial of W: X is w1 = 1 and B is
+    the empty set -1 = 0."""
+    art = build_family(v3("0"))
+    assert art.x_ideal.generators == (art.w_ring.var("w1") - 1,)
+    assert art.b_ideal.generators == (art.w_ring.const(-1),)
     with pytest.raises(UnitIdealError):
-        boundary_analysis(build_family(v3("0")))
+        boundary_analysis(art)
 
 
 def test_rank_arithmetic():

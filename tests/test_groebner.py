@@ -416,6 +416,35 @@ def test_subalgebra_constants_and_empty_generators():
     assert not member
 
 
+def test_graph_span_seeds_are_the_packed_graph_ideal():
+    """The seed _GraphSpan packs for each candidate from its terms is the
+    packed generator of _graph_ideal(ring, candidates), under the packing
+    of that ideal's ring: the two definitions of the graph ideal agree."""
+    rng = random.Random(20261019)
+    for _ in range(40):
+        ring = VarSet(("x", "y", "z")[:rng.randint(1, 3)])
+        cands = [random_poly(rng, ring, max_terms=4, denominator_bound=6, nonconstant=True)
+                 for _ in range(rng.randint(1, 5))]
+        span = groebner._GraphSpan(ring, cands)
+        graph = groebner._graph_ideal(ring, cands)
+        packing = groebner._packing(TermOrder.block(len(ring)), len(graph.ring))
+        assert span._run.packing is packing
+        for i, (p, g) in enumerate(zip(cands, graph.generators)):
+            assert span._seed(i, p) == groebner._integer_terms(g.terms, packing.pack)[0]
+
+
+def test_graph_span_contains_checks_the_ring():
+    """A polynomial of another ring raises instead of being embedded by
+    name, as the constructor and subalgebra_membership do."""
+    span = groebner._GraphSpan(XY, [parse("x", XY), parse("x*y + y", XY)])
+    assert span.adjoin(parse("x", XY))
+    assert span.contains(parse("x^2 + 1", XY))
+    assert not span.contains(parse("y", XY))
+    for ring in (VarSet(("x",)), VarSet(("y", "x"))):
+        with pytest.raises(RingMismatchError):
+            span.contains(ring.var("x"))
+
+
 # -- exact division helper -----------------------------------------------------------------
 
 
