@@ -13,16 +13,18 @@ once and applies Leibniz on term dicts (`Derivation._apply_terms`);
 on one sparse echelon (linalg.Echelon).  The linear solve reduces the
 image of each monomial, a term dict straight from that table, against
 the images of the monomials before it.  Both kernel methods prune
-generators by subalgebra membership, through one interface (`adjoin`,
-`contains`) whose engine one function, `_span`, chooses: when every
-generator is homogeneous (the kernel of a linear derivation is graded),
-an echelon of products of generators one degree at a time
-(_GradedSpan); otherwise one incremental Buchberger run of the
-tag-variable test (Shannon and Sweedler, J. Symb. Comp. 6, 1988) over
-the graph ideal of all of them (groebner._GraphSpan), the general route
-of SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).  A saturation
-round tests its candidates against one span of its generators, and the
-span of the round that adds nothing is the final filter.
+generators by subalgebra membership through one function, `_span`: it
+sorts a candidate list and builds one span of it, a value exposing the
+candidates it keeps (`kept`) and a membership test (`contains`).  When
+every candidate is homogeneous (the kernel of a linear derivation is
+graded) the engine is an echelon of products of generators one degree
+at a time (_GradedSpan); otherwise it is one incremental Buchberger run
+of the tag-variable test (Shannon and Sweedler, J. Symb. Comp. 6, 1988)
+over the graph ideal of all of them (groebner._GraphSpan), the general
+route of SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).  A
+saturation round tests its candidates against the span of its
+generators, and the span of the round that adds nothing is the final
+filter.
 """
 
 from __future__ import annotations
@@ -266,25 +268,36 @@ def _sorted_gens(polys):
 
 
 class _GradedSpan:
-    """Degree pieces A_d of the subalgebra generated by homogeneous
-    polynomials, each an echelon built when first needed.
+    """The homogeneous candidates, adjoined in ascending degree (a stable
+    sort), each kept only if it is not in the subalgebra generated by
+    those kept before it (`kept`), with the degree pieces A_d of that
+    subalgebra, each an echelon built when first needed.
 
     The subalgebra is graded: A_0 holds the constants, and A_d is spanned
-    by the products g*b of a generator g of degree e <= d with b in the
+    by the products g*b of a kept g of degree e <= d with b in the
     echelon of A_{d-e}.  A homogeneous f of degree d is a member exactly
-    when it reduces to zero against A_d.  A piece whose rows reach more
-    than KERNEL_DIMENSION_CAP monomials (rows never outnumber them)
-    raises ResourceCapError.
+    when it reduces to zero against A_d, and a candidate is kept iff it
+    raises the rank of its degree's piece.  Candidates come in ascending
+    degree, so no piece above a candidate's degree exists when it is
+    kept, and every piece ever built spans products of all of `kept`.
+    A piece whose rows reach more than KERNEL_DIMENSION_CAP monomials
+    (rows never outnumber them) raises ResourceCapError.
     """
 
-    def __init__(self, ring: VarSet):
+    def __init__(self, ring: VarSet, candidates):
         one = (0,) * len(ring)
         self._ring = ring
-        self._generators = []  # (degree, terms) of each kept generator
+        self._generators = []  # (degree, terms) of each kept candidate
         constants = Echelon()
         constants.insert({one: 1})
         # degree -> (echelon of the piece, monomials of its rows)
         self._pieces = {0: (constants, {one})}
+        self.kept = []
+        for f in sorted(candidates, key=Polynomial.total_degree):
+            d = f.total_degree()
+            if self._insert(self._piece(d), d, dict(f.terms)):
+                self._generators.append((d, dict(f.terms)))
+                self.kept.append(f)
 
     def _piece(self, d: int):
         piece = self._pieces.get(d)
@@ -319,34 +332,16 @@ class _GradedSpan:
             parts.setdefault(sum(m), {})[m] = c
         return all(self._piece(d)[0].reduce(p) is None for d, p in parts.items())
 
-    def adjoin(self, f: Polynomial) -> bool:
-        """Keep the homogeneous f as a generator iff it raises the rank of
-        its degree's piece; pieces above that degree are dropped."""
-        d = f.total_degree()
-        if not self._insert(self._piece(d), d, dict(f.terms)):
-            return False
-        self._generators.append((d, dict(f.terms)))
-        for k in [k for k in self._pieces if k > d]:
-            del self._pieces[k]
-        return True
 
-
-def _span(ring: VarSet, polys, caps: ResourceCaps):
-    """An empty membership structure to adjoin `polys` to, in order: a
-    _GradedSpan when every one is homogeneous, else a _GraphSpan."""
-    if all(len({sum(m) for m in p.terms}) <= 1 for p in polys):
-        return _GradedSpan(ring)
-    return _GraphSpan(ring, polys, caps)
-
-
-def _minimal_generators(candidates, caps: ResourceCaps):
-    """The nonconstant candidates in (degree, text) order, each kept only
-    if it is not in the subalgebra generated by those kept before it."""
-    ordered = [p for p in _sorted_gens(candidates) if not p.is_constant()]
-    if not ordered:
-        return []
-    span = _span(ordered[0].ring, ordered, caps)
-    return [p for p in ordered if span.adjoin(p)]
+def _span(ring: VarSet, candidates, caps: ResourceCaps):
+    """The candidates in (degree, text) order, each kept only if it is
+    not in the subalgebra of those kept before it: a _GradedSpan when
+    every one is homogeneous, else a _GraphSpan.  Neither keeps a
+    constant."""
+    ordered = _sorted_gens(candidates)
+    if all(len({sum(m) for m in p.terms}) <= 1 for p in ordered):
+        return _GradedSpan(ring, ordered)
+    return _GraphSpan(ring, ordered, caps)
 
 
 def kernel_linear(derivation: Derivation, max_degree: int,
@@ -361,10 +356,11 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     per monomial.  When D(m) reduces to zero, m minus the carried
     multiples is a solution, the basis vector that the reduced row
     echelon form gives for the free column m; the carried monomials are
-    earlier, so m leads it with coefficient 1.  Solutions generated by
-    the lower ones are then removed: by graded linear algebra when they
-    are homogeneous (always, for a linear derivation), by Groebner
-    subalgebra membership otherwise.
+    earlier, so m leads it with coefficient 1.  One `_span` of the
+    solutions then drops the constant 1 and each solution generated by
+    the lower ones: by graded linear algebra when they are homogeneous
+    (always, for a linear derivation), by Groebner subalgebra membership
+    otherwise.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -380,7 +376,7 @@ def kernel_linear(derivation: Derivation, max_degree: int,
         f = {m: 1}
         if images.insert(derivation._apply_terms(f), f) is None:
             solutions.append(Polynomial(ring, f))
-    return _minimal_generators(solutions, caps)
+    return _span(ring, solutions, caps).kept
 
 
 def _dixmier_cleared(derivation: Derivation, data: SliceData, f: Polynomial) -> Polynomial:
@@ -407,11 +403,14 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
 
     Seeds with the cleared slice projections of the variables, then
     repeatedly adjoins kernel elements h with a*h inside the current
-    subalgebra.  Stops when a round adds nothing, and returns what that
-    round kept: the generators that the ones before them in (degree,
-    text) order do not generate, as kernel_linear does (a seed can lie in
-    the subalgebra of other seeds).  With max_rounds = 0 the seeds are
-    filtered so and returned unverified; exhausting a positive round
+    subalgebra.  Each subalgebra is one `_span`, which keeps the
+    generators that the ones before them in (degree, text) order do not
+    generate, as kernel_linear does (a seed can lie in the subalgebra of
+    other seeds); the next round's span is built from its kept
+    generators plus the new elements, since a dropped generator stays in
+    the subalgebra of the kept ones before it.  Stops when a round adds
+    nothing and returns that span's kept generators; with max_rounds = 0
+    the seeds' span is returned unverified.  Exhausting a positive round
     budget raises RoundCapError (the invariant ring need not be finitely
     generated, so silent truncation is never acceptable), and a negative
     one ValueError.
@@ -428,37 +427,31 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
         cleared = monic(cleared)
         if cleared not in seeds:
             seeds.append(cleared)
-    generators = _sorted_gens(seeds)
-    if not max_rounds:
-        return _minimal_generators(generators, caps)
+    span = _span(ring, seeds, caps)
     for _ in range(max_rounds):
-        new, kept = _saturation_round(derivation, data.value, generators, caps)
+        new = _saturation_round(derivation, data.value, span, caps)
         if not new:
-            return kept
-        generators = _sorted_gens(generators + new)
-    raise RoundCapError(f"kernel not stabilized within {max_rounds} rounds")
+            return span.kept
+        span = _span(ring, span.kept + new, caps)
+    if max_rounds:
+        raise RoundCapError(f"kernel not stabilized within {max_rounds} rounds")
+    return span.kept
 
 
-def _saturation_round(derivation: Derivation, a: Polynomial,
-                      generators, caps: ResourceCaps):
-    """(new, kept): the kernel elements h outside the subalgebra of the
-    sorted nonconstant `generators` with a*h inside it, in (degree, text)
-    order, and the generators not generated by those before them.
+def _saturation_round(derivation: Derivation, a: Polynomial, span, caps: ResourceCaps):
+    """The kernel elements h outside the subalgebra of `span` (a `_span`)
+    with a*h inside it, each once.
 
-    The generators are adjoined in order to one `_span`, which tests each
-    candidate not among them.  So when `new` is empty, `kept` is
-    `_minimal_generators(generators)`: the same list, adjoined to the
-    same engine in the same order.  Tag polynomials p with p(kept)
-    divisible by a are exactly the elimination ideal of (a) +
-    (y_i - kept_i); each quotient p(kept)/a is automatically a kernel
-    element.  `kept` generates what `generators` do, so the quotients
-    span the same kernel elements, and a generator the span found
-    redundant gets no tag: tagging those can make the elimination run
-    far longer than the rest of the round.
+    Tag polynomials p with p(kept) divisible by a are exactly the
+    elimination ideal of (a) + (y_i - kept_i), over the span's kept
+    generators only: they generate the subalgebra, and a tag for a
+    generator the span dropped can make the elimination run far longer
+    than the rest of the round.  Each quotient p(kept)/a is
+    automatically a kernel element.  With nothing kept the graph ideal
+    has no tags, and each relation is a constant.
     """
     ring = derivation.ring
-    span = _span(ring, generators, caps)
-    kept = [g for g in generators if span.adjoin(g)]
+    kept = span.kept
     relations = eliminate(_graph_ideal(ring, kept, extra=(a,)), len(ring), caps=caps)
     assignment = dict(zip(relations.ring.names, kept))
     new = []
@@ -470,9 +463,9 @@ def _saturation_round(derivation: Derivation, a: Polynomial,
         if h is None or h.is_constant():
             continue
         h = monic(h)
-        if h not in new and h not in generators and not span.contains(h):
+        if h not in new and h not in kept and not span.contains(h):
             new.append(h)
-    return _sorted_gens(new), kept
+    return new
 
 
 # -- derivation files --------------------------------------------------------------

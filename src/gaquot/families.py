@@ -138,14 +138,16 @@ def _quadratic_invariants(w_ring: VarSet, blocks: int):
     return tuple(det(i, j) for i, j in combinations(range(2, blocks + 1), 2))
 
 
-def build_family(spec: FamilySpec, validate: bool = True) -> ConstructionArtifacts:
-    """Assemble rings, derivation, and the defining ideals.
+def build_family(spec: FamilySpec) -> ConstructionArtifacts:
+    """Assemble rings, derivation, and the defining ideals of a spec that
+    validate_family_spec accepts."""
+    validate_family_spec(spec)
+    return _build_family(spec)
 
-    validate=False is a test hook that skips the spec invariants so the
-    battery's failure paths can be exercised.
-    """
-    if validate:
-        validate_family_spec(spec)
+
+def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
+    """build_family without validation, so that tests can build the
+    invalid specs the battery's failure paths are about."""
     blocks = FAMILIES[spec.family][0]
     derivation = lower_triangular_derivation(blocks, spec.trivial_summands)
     w_ring = derivation.ring

@@ -702,9 +702,10 @@ def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
 
 
 class _GraphSpan:
-    """The subalgebra of candidates adjoined one at a time, in the order
-    given, as one incremental Buchberger run over their graph ideal under
-    the block order eliminating `ring`: the Groebner counterpart, for any
+    """The candidates, in the order given, each kept only if it is not in
+    the subalgebra generated by those kept before it (`kept`), as one
+    incremental Buchberger run over their graph ideal under the block
+    order eliminating `ring`: the Groebner counterpart, for any
     polynomials, of `derivations._GradedSpan`.  The run's packing covers
     `ring` and one tag per candidate from the start, so it never changes,
     and the whole run shares one `caps` budget.  Packing is linear and
@@ -716,7 +717,10 @@ class _GraphSpan:
     row, so the normal form of a polynomial of `ring` mentions only tags
     (one mask of the ring's exponent fields, the lowest ones) exactly
     when subalgebra_membership calls it a member of the kept candidates'
-    subalgebra.  An empty candidate list raises ValueError."""
+    subalgebra.  A candidate is kept iff its seed, reduced to y_i minus
+    the normal form of p (y_i leads no row), is not tag-only; the kept
+    remainder joins the basis, whose pairs are completed before the next
+    candidate.  An empty candidate list raises ValueError."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
                  caps: ResourceCaps = DEFAULT_CAPS):
@@ -727,12 +731,19 @@ class _GraphSpan:
             raise ValueError("a subalgebra span needs at least one candidate")
         n = len(ring)
         self._ring = ring
-        self._candidates = enumerate(candidates)
         packing = _packing(TermOrder.block(n), n + len(candidates))
         self._tags = packing.weights[n:]  # the packed tag y_i of each candidate
         self._run = _Run(packing, caps)
         self._ring_fields = (1 << _EXPONENT_BITS * n) - 1
-        self._kept = []  # indices of the kept candidates
+        self._columns = []  # exponent column of each kept candidate's tag
+        self.kept = []
+        for i, p in enumerate(candidates):
+            reduced, member = self._tag_only_form(self._seed(i, p))
+            if not member:
+                self._columns.append(n + i)
+                self.kept.append(p)
+                self._run.append(reduced)
+                self._run.complete()
 
     def _seed(self, i: int, p: Polynomial) -> dict:
         """The packed integer term dict of y_i - p, the i-th generator of
@@ -748,20 +759,6 @@ class _GraphSpan:
         reduced = self._run.reduce(work)
         return reduced, not any(m & self._ring_fields for m in reduced)
 
-    def adjoin(self, p: Polynomial) -> bool:
-        """Keep p, the next candidate, iff its seed y_i - p, reduced to y_i
-        minus the normal form of p (y_i leads no row), is not tag-only;
-        a kept remainder joins the basis, whose pairs are completed."""
-        i, candidate = next(self._candidates)
-        if p != candidate:
-            raise ValueError("subalgebra candidates are adjoined in the order given")
-        reduced, member = self._tag_only_form(self._seed(i, p))
-        if not member:
-            self._kept.append(i)
-            self._run.append(reduced)
-            self._run.complete()
-        return not member
-
     def contains(self, f: Polynomial) -> bool:
         """Membership of f, over `ring`, in the kept candidates' subalgebra."""
         if f.ring != self._ring:
@@ -773,15 +770,14 @@ class _GraphSpan:
         `_graph_ideal(ring, kept)`: as a dropped tag is a zero column, on
         which grevlex ties, they are what `eliminate` gives on the kept
         candidates' graph ideal, in order (the zero ideal if none is)."""
-        tags = VarSet(fresh_names("y", len(self._kept), self._ring.names))
-        columns = [len(self._ring) + i for i in self._kept]
+        tags = VarSet(fresh_names("y", len(self.kept), self._ring.names))
         unpack = self._run.packing.unpack
         relations = []
         for lm, lc, tail in self._run.interreduced():
             if lm & self._ring_fields:
                 continue  # under the block order, a row with ring variables leads with one
             relations.append(Polynomial(tags, {
-                tuple(map(unpack(m).__getitem__, columns)): _exact_quotient(c, lc)
+                tuple(map(unpack(m).__getitem__, self._columns)): _exact_quotient(c, lc)
                 for m, c in ((lm, lc),) + tail}))
         return Ideal(tags, tuple(relations) or (tags.zero(),))
 
@@ -816,12 +812,12 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
-    tags `_graph_ideal(ring, survivors)` gives them.  Each candidate is
-    adjoined to one `_GraphSpan`, whose `relations()` follow, so the
-    filter and the elimination are one run sharing one `caps` budget.
-    An empty candidate list raises ValueError."""
+    tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
+    keeps the survivors and its `relations()` follow, so the filter and
+    the elimination are one run sharing one `caps` budget.  An empty
+    candidate list raises ValueError."""
     span = _GraphSpan(ring, candidates, caps)
-    return [p for p in candidates if span.adjoin(p)], span.relations()
+    return span.kept, span.relations()
 
 
 # -- ideal files -----------------------------------------------------------------

@@ -37,6 +37,7 @@ from gaquot import (
     subalgebra_membership,
 )
 from gaquot.cli import main as cli_main
+from gaquot.families import _build_family
 from helpers import assert_same_subalgebra, from_sympy, random_poly, reference_key
 
 S = VarSet(("s",))
@@ -186,9 +187,7 @@ def test_criterion_4_rejection_path():
         code, text = run_cli(["verify", "--family", "v3", "--f", "(1+s)^2 - 1"])
         assert code == 3
         assert text == ""  # no battery ran
-        forced = build_family(
-            FamilySpec("v3", parse("(1+s)^2 - 1", S)), validate=False
-        )
+        forced = _build_family(FamilySpec("v3", parse("(1+s)^2 - 1", S)))
         assert not check_smooth(forced.b_ideal)
     report(4, "repeated roots: exit 3 without a battery; forced check is singular")
 
@@ -404,7 +403,7 @@ def test_criterion_8_stability_and_freeness():
             art = build_family(spec)
             assert check_stability(art)
             assert check_freeness(art)
-        # test hook: f(0) != 0 chosen so the equation's constant term is 0
-        invalid = build_family(FamilySpec("v3", parse("s - 1", S)), validate=False)
+        # unvalidated: f(0) != 0 chosen so the equation's constant term is 0
+        invalid = _build_family(FamilySpec("v3", parse("s - 1", S)))
         assert not check_stability(invalid)
     report(8, "20 randomized specs stable and free; invalid spec rejected")

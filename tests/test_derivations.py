@@ -373,7 +373,7 @@ def kernel_ladder():
                          ids=[case[0] for case in kernel_ladder()])
 def test_kernel_linear_matches_sympy_nullspace(derivation, max_degree):
     solutions = sympy_kernel_solutions(derivation, max_degree)
-    expected = derivations._minimal_generators(solutions, derivations.DEFAULT_CAPS)
+    expected = derivations._span(derivation.ring, solutions, derivations.DEFAULT_CAPS).kept
     gens = kernel_linear(derivation, max_degree)
     assert [str(g) for g in gens] == [str(g) for g in expected]
     assert gens == expected
@@ -435,9 +435,9 @@ def test_kernel_methods_generate_the_same_subalgebra(derivation, max_degree):
     saturated = kernel_saturation(derivation, derivations.find_slice(derivation), 8)
     top = max(g.total_degree() for g in saturated)
     linear = kernel_linear(derivation, max(max_degree, top))
-    spans = [derivations._GradedSpan(derivation.ring) for _ in (linear, saturated)]
+    spans = [derivations._GradedSpan(derivation.ring, gens) for gens in (linear, saturated)]
     for span, gens in zip(spans, (linear, saturated)):
-        assert [span.adjoin(g) for g in gens] == [True] * len(gens)  # both are minimal
+        assert span.kept == gens  # both are minimal
     ranks = [[len(span._piece(d)[0].rows) for d in range(top + 1)] for span in spans]
     assert ranks[0] == ranks[1]
     assert all(spans[1].contains(g) for g in linear)
@@ -628,7 +628,7 @@ def test_graded_filter_matches_groebner_filter(monkeypatch):
     expected = [groebner_minimal_generators(c) for c in lists]
     calls = count_groebner_calls(monkeypatch)
     for cands, want in zip(lists, expected):
-        got = derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
+        got = derivations._span(ring, cands, derivations.DEFAULT_CAPS).kept
         assert [str(g) for g in got] == [str(g) for g in want]
     assert not calls  # every list is homogeneous: no Groebner membership
     assert any(len(want) < len(c) for c, want in zip(lists, expected))
@@ -642,9 +642,9 @@ def test_filter_falls_back_to_groebner_on_inhomogeneous_input(monkeypatch):
     cands.append(parse("x^2 + y", ring))
     expected = groebner_minimal_generators(cands)
     calls = count_groebner_calls(monkeypatch)
-    got = derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
+    got = derivations._span(ring, cands, derivations.DEFAULT_CAPS).kept
     assert got == expected
-    assert calls == [("_minimal_generators", derivations._sorted_gens(cands))]
+    assert [what for _, what in calls] == [derivations._sorted_gens(cands)]
 
 
 def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(monkeypatch):
@@ -660,17 +660,18 @@ def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(mon
 def test_saturation_round_skips_known_generators(monkeypatch):
     """Round 2 re-derives y^2 - 2*x*z + 2*y, found in round 1; it is
     already a generator, so it is not tested for membership again.  Each
-    round builds one run over its generators, and the second round's run
-    is the final minimality filter: no other run follows."""
+    round tests against one run over the previous run's kept generators
+    plus the new ones, and the second round's run is the final minimality
+    filter: no other run follows."""
     ring = VarSet(("x", "y", "z"))
     d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + 1", ring)})
     calls = count_groebner_calls(monkeypatch)
     got = kernel_saturation(d, derivations.find_slice(d), 8)
     seeds = [parse(t, ring) for t in ("x", "x*y^2 - 2*x^2*z + 2*x*y")]
     generators = [parse(t, ring) for t in ("x", "y^2 - 2*x*z + 2*y", "x*y^2 - 2*x^2*z + 2*x*y")]
-    assert calls == [("_saturation_round", seeds),
+    assert calls == [("kernel_saturation", seeds),
                      ("_saturation_round", parse("y^2 - 2*x*z + 2*y", ring)),
-                     ("_saturation_round", generators)]
+                     ("kernel_saturation", generators)]
     assert got == groebner_minimal_generators(generators)
 
 
@@ -683,8 +684,11 @@ def four_round_derivation():
 
 def test_saturation_round_builds_one_basis_per_round(monkeypatch):
     """Each round tests its candidates against one Groebner membership run
-    over the round's generators, and the last round's run is also the
-    final filter: 5 tests on 4 runs, and no fifth run."""
+    over the round's generators, built by kernel_saturation, and the last
+    round's run is also the final filter: 6 tests on 4 runs, and no fifth
+    run.  The sixth test is of the degree-8 element found in round 2:
+    round 4's run drops it for the degree-7 one found in round 3, so it
+    is not among the kept generators when round 4 derives it again."""
     d = four_round_derivation()
     calls = count_groebner_calls(monkeypatch)
     got = kernel_saturation(d, derivations.find_slice(d), 8)
@@ -694,9 +698,9 @@ def test_saturation_round_builds_one_basis_per_round(monkeypatch):
         " + 3*x^2*y*z^2 - 9/8*x^2*y^2*u - 15/8*x*y^3 + 6*x^2*y*z + 3/8*y^2*z^2 - x*z^3"
         " - 3/4*y^3*u + 9/4*x*y*z*u - 9/8*x^2*u^2 + 3/4*y^2*z - 3*x*z^2 + 9/4*x*y*u"
         " - 9/8*y^2"]
-    assert {caller for caller, _ in calls} == {"_saturation_round"}
-    runs = [tuple(what) for _, what in calls if isinstance(what, list)]
-    assert len(calls) - len(runs) == 5
+    runs = [tuple(what) for caller, what in calls if caller == "kernel_saturation"]
+    assert {caller for caller, _ in calls} == {"kernel_saturation", "_saturation_round"}
+    assert len(calls) - len(runs) == 6
     assert len(runs) == len(set(runs)) == 4
 
 
@@ -751,32 +755,77 @@ def test_kernel_saturation_returns_the_last_rounds_filter(derivation, monkeypatc
     """The output is what the reference filter, one from-scratch Groebner
     membership run per candidate, keeps of the generators of the round
     that adds nothing: that round's span is the final filter."""
-    rounds = []
-    saturation_round = derivations._saturation_round
-
-    def recording(derivation, a, generators, caps):
-        rounds.append(list(generators))
-        return saturation_round(derivation, a, generators, caps)
-
-    monkeypatch.setattr(derivations, "_saturation_round", recording)
+    rounds = record_spans(monkeypatch)
     got = kernel_saturation(derivation, derivations.find_slice(derivation), 8)
     assert got == groebner_minimal_generators(rounds[-1])
 
 
+def record_spans(monkeypatch):
+    """Records the candidate list of each span derivations builds."""
+    spans = []
+    span = derivations._span
+
+    def recording(ring, candidates, caps):
+        spans.append(list(candidates))
+        return span(ring, candidates, caps)
+
+    monkeypatch.setattr(derivations, "_span", recording)
+    return spans
+
+
+def refiltering_saturation(derivation, data, max_rounds):
+    """kernel_saturation with each round's span built over every
+    generator found so far plus the new ones, kept or not."""
+    ring = derivation.ring
+    seeds = []
+    for name in ring.names:
+        cleared = derivations._dixmier_cleared(derivation, data, ring.var(name))
+        if cleared.is_zero() or cleared.is_constant():
+            continue
+        cleared = monic(cleared)
+        if cleared not in seeds:
+            seeds.append(cleared)
+    generators = seeds
+    for _ in range(max_rounds):
+        span = derivations._span(ring, generators, derivations.DEFAULT_CAPS)
+        new = derivations._saturation_round(derivation, data.value, span,
+                                            derivations.DEFAULT_CAPS)
+        if not new:
+            return span.kept
+        generators = generators + new
+    raise AssertionError("round budget exhausted")
+
+
+def refiltering_cases():
+    for n in range(2, 7):
+        d = lower_triangular_derivation(n)
+        yield f"V{n}-slice-w2", d, make_slice(d, "w2")
+    for name, d in saturation_oracle_cases():
+        yield name, d, derivations.find_slice(d)
+
+
+@pytest.mark.parametrize("derivation, data",
+                         [case[1:] for case in refiltering_cases()],
+                         ids=[case[0] for case in refiltering_cases()])
+def test_kernel_saturation_matches_the_refiltering_loop(derivation, data):
+    """Carrying only what a span kept into the next round keeps what
+    re-filtering every generator keeps: a dropped generator lies in the
+    subalgebra of kept ones that sort before it."""
+    assert kernel_saturation(derivation, data, 8) == refiltering_saturation(derivation, data, 8)
+
+
 def test_kernel_saturation_filters_from_scratch_only_without_rounds(monkeypatch):
-    calls = []
-    minimal_generators = derivations._minimal_generators
-
-    def recording(candidates, caps):
-        calls.append(list(candidates))
-        return minimal_generators(candidates, caps)
-
-    monkeypatch.setattr(derivations, "_minimal_generators", recording)
+    """With no rounds the output is the seeds' span, the first span a
+    run with rounds builds, and nothing else is built."""
+    spans = record_spans(monkeypatch)
     data = make_slice(D3, "w2")
     assert len(kernel_saturation(D3, data, 8)) == 6
-    assert not calls
-    assert kernel_saturation(D3, data, 0) == minimal_generators(calls[0], derivations.DEFAULT_CAPS)
-    assert len(calls) == 1
+    seeds = spans[0]
+    assert len(spans) == 2
+    del spans[:]
+    got = kernel_saturation(D3, data, 0)
+    assert spans == [seeds]
+    assert got == groebner_minimal_generators(seeds)
 
 
 @pytest.mark.parametrize("rounds", [-1, -7])
@@ -788,8 +837,8 @@ def test_kernel_saturation_rejects_a_negative_round_budget(rounds):
 def test_graded_span_contains_checks_the_ring():
     """Polynomials of another ring raise, even with the same number of
     variables, as with the Groebner span."""
-    span = derivations._GradedSpan(W)
-    assert span.adjoin(P("w1"))
+    span = derivations._GradedSpan(W, [P("w1")])
+    assert span.kept == [P("w1")]
     assert span.contains(P("w1^2"))
     for ring in (VarSet(W.names[::-1]), VarSet(("w1",))):
         with pytest.raises(RingMismatchError):
@@ -801,10 +850,57 @@ def test_graded_span_obeys_dimension_cap(monkeypatch):
     cands = [P(t) for t in EXPECTED_KERNEL]
     # the degree 1 piece spans w1, w3, w5: exactly at the cap
     with pytest.raises(ResourceCapError, match="degree 2"):
-        derivations._minimal_generators(cands, derivations.DEFAULT_CAPS)
+        derivations._span(W, cands, derivations.DEFAULT_CAPS)
     with pytest.raises(ResourceCapError, match="degree 2"):
         kernel_saturation(D3, make_slice(D3, "w2"), 2)
     # one row over two monomials: the monomials count
     monkeypatch.setattr(derivations, "KERNEL_DIMENSION_CAP", 1)
     with pytest.raises(ResourceCapError, match="degree 2"):
-        derivations._minimal_generators([P("w1*w4 - w2*w3")], derivations.DEFAULT_CAPS)
+        derivations._span(W, [P("w1*w4 - w2*w3")], derivations.DEFAULT_CAPS)
+
+
+def test_spans_keep_no_constant():
+    XY = VarSet(("x", "y"))
+    graded = derivations._GradedSpan(W, [W.const(3), P("w1"), W.one(), P("w1^2")])
+    assert graded.kept == [P("w1")]
+    graph = groebner._GraphSpan(XY, [XY.const(2), parse("x + 1", XY), XY.const(-5)])
+    assert graph.kept == [parse("x + 1", XY)]
+    assert groebner._GraphSpan(XY, [XY.one()]).kept == []
+    for cands in ([W.one()], [W.const(7), P("w1 + 1")]):
+        assert all(not g.is_constant() for g in derivations._span(
+            W, cands, derivations.DEFAULT_CAPS).kept)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["graded", "groebner"])
+def test_span_keeps_the_same_list_in_any_order(homogeneous):
+    rng = random.Random(3301)
+    ring = VarSet(("x", "y", "z"))
+    cands = homogeneous_candidates(rng, ring)
+    if not homogeneous:
+        cands.append(parse("x^2 + y", ring))
+    want = derivations._span(ring, derivations._sorted_gens(cands), derivations.DEFAULT_CAPS).kept
+    assert len(want) < len(cands)
+    for _ in range(4):
+        rng.shuffle(cands)
+        assert derivations._span(ring, cands, derivations.DEFAULT_CAPS).kept == want
+
+
+def test_graded_span_answers_alike_in_any_degree_order():
+    """Given a degree-2 candidate before w1, the span still holds w1^2:
+    no piece is built before every candidate of its degree and below is
+    kept."""
+    cands = [P("w1*w4 - w2*w3"), P("w3"), P("w1")]
+    probes = [P("w1^2"), P("w1*w3"), P("w1^2*w4 - w1*w2*w3"), P("w3^3"), P("w2"), P("w1*w2")]
+    shuffled = derivations._GradedSpan(W, cands)
+    ordered = derivations._GradedSpan(W, derivations._sorted_gens(cands))
+    assert [shuffled.contains(f) for f in probes] == [ordered.contains(f) for f in probes] \
+        == [True, True, True, True, False, False]
+    rng = random.Random(3302)
+    ring = VarSet(("x", "y", "z"))
+    for _ in range(10):
+        cands = homogeneous_candidates(rng, ring)
+        probes = [p * q for p in cands for q in cands] + [random_form(rng, ring, 3)]
+        ordered = derivations._GradedSpan(ring, derivations._sorted_gens(cands))
+        rng.shuffle(cands)
+        shuffled = derivations._GradedSpan(ring, cands)
+        assert [shuffled.contains(f) for f in probes] == [ordered.contains(f) for f in probes]

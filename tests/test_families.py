@@ -34,7 +34,7 @@ from gaquot import (
     run_battery,
 )
 from gaquot import families
-from gaquot.families import _jacobian_identities, nonstable_ideal
+from gaquot.families import _build_family, _jacobian_identities, nonstable_ideal
 from helpers import random_poly, signed_roots_shape, to_sympy
 
 S = VarSet(("s",))
@@ -166,7 +166,7 @@ def test_invariance_check():
 def test_stability_check():
     assert check_stability(build_family(v3("s")))
     # constant term zero in the hypersurface equation keeps the origin side
-    forced = build_family(v3("s - 1"), validate=False)
+    forced = _build_family(v3("s - 1"))
     assert not check_stability(forced)
 
 
@@ -192,7 +192,7 @@ def test_smoothness_fails_on_repeated_root():
     identities certify smoothness only together with gcd(1 + f, s*f') = 1,
     which the battery's validated construction supplies."""
     spec = v3("(1+s)^2 - 1")
-    forced = build_family(spec, validate=False)
+    forced = _build_family(spec)
     assert not check_smooth(forced.b_ideal)
     assert not check_smooth(forced.ybar_ideal)
     assert _jacobian_identities(forced) == (True, True)
