@@ -30,9 +30,9 @@ filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import comb, factorial
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
@@ -57,6 +57,7 @@ from .linalg import Echelon
 from .poly import (
     Polynomial,
     VarSet,
+    _degree_and_leading_text,
     _exact_quotient,
     _grevlex_descending,
     _product,
@@ -264,7 +265,16 @@ def _monomials_up_to(ring: VarSet, max_degree: int):
 
 
 def _sorted_gens(polys):
-    return sorted(polys, key=lambda p: (p.total_degree(), str(p)))
+    """`polys` sorted by (total degree, printed text), stably.  The text
+    is printed in full only within a run of equal degree and equal
+    leading text: where those differ, the leading texts already order
+    the printed ones (`poly._degree_and_leading_text`)."""
+    keyed = sorted(((_degree_and_leading_text(p), p) for p in polys), key=itemgetter(0))
+    ordered = []
+    for _, run in groupby(keyed, key=itemgetter(0)):
+        run = [p for _, p in run]
+        ordered.extend(sorted(run, key=str) if len(run) > 1 else run)
+    return ordered
 
 
 class _GradedSpan:

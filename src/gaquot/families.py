@@ -27,8 +27,14 @@ Smoothness is the Jacobian criterion (`check_smooth`), except that for v3
 two polynomial identities certify it with no Groebner run
 (`_jacobian_identities`): they put 1 + f(q) and q*f'(q) in the Jacobian
 ideal, and these are coprime because f(0) = 0 and f + 1 is squarefree,
-which the construction has validated.  A ResourceCapError raised by the
-battery names the stage, by its report key, in front of the cap.
+which the construction has validated.  Both identities apply Euler
+operators, which scale each term of an equation by a weight, so each is
+one pass over the equation's terms.  X, Ybar and B are hypersurfaces,
+whose dimensions `krull_dimension` reads off their one equation, so the
+battery's Buchberger runs are the squarefree gcd, the stability and
+freeness run, the presentation, and for v4 the Jacobian criterion.  A
+ResourceCapError raised by the battery names the stage, by its report
+key, in front of the cap.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from .groebner import (
     krull_dimension,
     subalgebra_presentation,
 )
-from .poly import Polynomial, VarSet, monic
+from .poly import Polynomial, VarSet, _product, monic
 
 # Family name -> (number of two-dimensional blocks, variables of f).  f has
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
@@ -254,26 +260,46 @@ def _jacobian_identities(art: ConstructionArtifacts):
     coprimality is the premise that build_family's validation certifies,
     and an unvalidated spec with a repeated root passes the identities
     while being singular.
+
+    Both operators are Euler operators, diagonal on monomials: the first
+    maps a term c*x^m to (m_u + m_v - 1)*c*x^m, the second to
+    (m_3 + ... + m_6)*c*x^m.  So each identity is one pass over the
+    equation's terms, and a term in u or v of nonzero weight fails it,
+    since the right-hand sides live in the coordinates of W.  Those are
+    built from spec.f and one table of powers of q, not read off the
+    equations, which would make the check circular.
     """
     if art.spec.family != "v3":
         return False, False
     (q,) = art.quad_invariants
-    f = art.spec.f
-    (name,) = f.ring.names
-    one_plus_f = 1 + f.substitute({name: q})
-    minus_2q_f_prime = -2 * q * f.partial(name).substitute({name: q})
+    w_ring = art.w_ring
+    euler_at = [w_ring.index(n) for n in q.variables()]  # w3..w6
+    f = {k: c for (k,), c in art.spec.f.terms.items()}  # s^k -> its coefficient
+    one_plus_f, minus_2q_f_prime = {}, {}
+    power = {(0,) * len(w_ring): 1}  # q^k, of degree 2k: no two k share a term
+    for k in range(max(f, default=0) + 1):
+        if k:
+            power = _product(power, q.terms)
+        for target, c in ((one_plus_f, (k == 0) + f.get(k, 0)),
+                          (minus_2q_f_prime, -2 * k * f.get(k, 0))):
+            if c:
+                target.update((m, c * d) for m, d in power.items())
 
     def holds(ideal: Ideal) -> bool:
         (equation,) = ideal.generators
-        ring = ideal.ring
-        radial = -equation
-        for n in ("u", "v"):
-            if n in ring:
-                radial = radial + ring.var(n) * equation.partial(n)
-        euler = ring.zero()
-        for n in q.variables():  # w3, w4, w5, w6
-            euler = euler + ring.var(n) * equation.partial(n)
-        return radial == one_plus_f.embed(ring) and euler == minus_2q_f_prime.embed(ring)
+        radial_vars = len(ideal.ring) - len(w_ring)  # u, v lead the ambient ring
+        radial, euler = {}, {}
+        for exps, c in equation.terms.items():
+            w = exps[radial_vars:]
+            euler_weight = sum(w[i] for i in euler_at)
+            if any(exps[:radial_vars]):
+                if sum(exps[:radial_vars]) != 1 or euler_weight:
+                    return False
+                continue
+            radial[w] = -c
+            if euler_weight:
+                euler[w] = euler_weight * c
+        return radial == one_plus_f and euler == minus_2q_f_prime
 
     return holds(art.ybar_ideal), holds(art.b_ideal)
 
@@ -283,8 +309,9 @@ def boundary_analysis(art: ConstructionArtifacts,
     """(dim Ybar, dim B, m): the boundary codimension inside the closure is
     dim Ybar - dim B, and for v3 the component count is m = deg f (valid
     over the algebraic closure because f + 1 is squarefree, so components
-    biject with its roots); m is None for v4.  An empty boundary raises
-    UnitIdealError."""
+    biject with its roots); m is None for v4.  Ybar and B are
+    hypersurfaces, so both dimensions are read off their one equation
+    with no Groebner run.  An empty boundary raises UnitIdealError."""
     dim_ybar = krull_dimension(art.ybar_ideal, caps=caps)
     try:
         dim_b = krull_dimension(art.b_ideal, caps=caps)

@@ -4,7 +4,9 @@ Ideal membership, unit-ideal emptiness tests, elimination, saturation,
 Krull dimension via leading-term independent sets, subalgebra
 membership, and the univariate gcd with the squarefreeness test built on
 it all reduce to reduced Groebner bases computed by Buchberger's
-algorithm with the normal selection strategy (smallest lcm first).  One
+algorithm with the normal selection strategy (smallest lcm first); only
+the dimension of a principal ideal, a hypersurface, is read off its one
+generator with no run.  One
 run state, `_Run`, holds the rows, the pair queue and the pair loop;
 `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
 candidate at a time over the graph ideal of all of them, deciding
@@ -674,12 +676,27 @@ def saturate(ideal: Ideal, f: Polynomial,
 
 
 def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
-    """Dimension of the vanishing set by the standard independent-set
-    criterion on the leading-term ideal."""
+    """Dimension of the vanishing set.
+
+    A principal ideal is read off its one generator with no Groebner run:
+    the zero ideal gives n, a nonzero constant raises UnitIdealError and
+    a nonconstant f gives n - 1, since f cuts out a hypersurface (Cox,
+    Little and O'Shea, "Ideals, Varieties, and Algorithms", ch. 9); the
+    rule below returns the same n - 1 on the one-element basis.  Two or
+    more generators run Buchberger and take the largest set of variables
+    containing the support of no leading monomial (the independent-set
+    criterion, Becker and Weispfenning, GTM 141, 9.3)."""
+    n = len(ideal.ring)
+    if len(ideal.generators) == 1:
+        (g,) = ideal.generators
+        if g.is_zero():
+            return n
+        if g.is_constant():
+            raise UnitIdealError("the empty set has no dimension")
+        return n - 1
     gb = buchberger(ideal, caps=caps)
     if len(gb.basis) == 1 and gb.basis[0] == 1:
         raise UnitIdealError("the empty set has no dimension")
-    n = len(ideal.ring)
     supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading]
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):

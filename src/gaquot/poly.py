@@ -90,6 +90,33 @@ def _product(f: Mapping, g: Mapping) -> dict:
     return out
 
 
+def _term_text(names, exps: Exponents, coeff: Scalar, first: bool) -> str:
+    """One term as `str` prints it: signed if it leads, else joined to
+    the text before it by " + " or " - "."""
+    factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+    mag = abs(coeff)
+    if not factors:
+        body = str(mag)
+    elif mag == 1:
+        body = factors
+    else:
+        body = f"{mag}*{factors}"
+    if first:
+        return f"-{body}" if coeff < 0 else body
+    return f" - {body}" if coeff < 0 else f" + {body}"
+
+
+def _degree_and_leading_text(p: "Polynomial") -> tuple:
+    """(total degree of p, the text str(p) starts with): the leading term
+    under grevlex, with its sign, whose degree is the total degree;
+    (-1, "0") for the zero polynomial.  The rest of str(p) is empty or
+    starts with a space, which sorts below every character of a term."""
+    if not p.terms:
+        return -1, "0"
+    exps = min(p.terms, key=_grevlex_descending) if len(p.terms) > 1 else next(iter(p.terms))
+    return sum(exps), _term_text(p.ring.names, exps, p.terms[exps], True)
+
+
 @dataclass(frozen=True)
 class VarSet:
     """Ordered, immutable collection of distinct variable names."""
@@ -378,27 +405,9 @@ class Polynomial:
         if not self.terms:
             return "0"
         names = self.ring.names
-        chunks = []
         items = sorted(self.terms.items(), key=lambda kv: _grevlex_descending(kv[0]))
-        for pos, (exps, coeff) in enumerate(items):
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{mag}*" + "*".join(factors)
-            if pos == 0:
-                chunks.append(f"-{body}" if coeff < 0 else body)
-            else:
-                chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(chunks)
+        return "".join(_term_text(names, exps, coeff, pos == 0)
+                       for pos, (exps, coeff) in enumerate(items))
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r}, ring={self.ring.names})"

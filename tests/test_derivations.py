@@ -904,3 +904,28 @@ def test_graded_span_answers_alike_in_any_degree_order():
         rng.shuffle(cands)
         shuffled = derivations._GradedSpan(ring, cands)
         assert [shuffled.contains(f) for f in probes] == [ordered.contains(f) for f in probes]
+
+
+def test_sorted_gens_orders_by_degree_then_printed_text():
+    """`_sorted_gens` lists polynomials exactly as a stable sort by
+    (total degree, str) does, though it prints in full only those that
+    share a degree and a leading text.  The seeded lists draw repeated
+    polynomials, many with one leading term and different tails, in
+    variables named like prefixes of each other (z3, z30, z), with
+    negative and fractional coefficients and constants."""
+    rng = random.Random(20261018)
+    ring = VarSet(("z", "z3", "z30", "w1", "w10"))
+    leads = [parse(text, ring) for text in
+             ("z3", "z30", "-z3", "z3^2", "z*z3", "2*z30", "1/2*z3", "-3/4*w10", "w1", "7", "-1")]
+    for _ in range(300):
+        polys = []
+        for _ in range(rng.randint(0, 10)):
+            if polys and rng.random() < 0.15:
+                polys.append(rng.choice(polys))  # the same object again
+                continue
+            tail = random_poly(rng, ring, max_degree=1, max_terms=2, denominator_bound=3)
+            polys.append(rng.choice(leads) + tail if rng.random() < 0.7
+                         else random_poly(rng, ring, max_degree=2, max_terms=3,
+                                          denominator_bound=3))
+        want = sorted(polys, key=lambda p: (p.total_degree(), str(p)))
+        assert [id(p) for p in derivations._sorted_gens(polys)] == [id(p) for p in want]

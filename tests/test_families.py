@@ -241,7 +241,10 @@ def test_jacobian_identities_reject_a_changed_coefficient():
     and the equation is then still smooth, so the certificate stays sound.
     Raising the coefficient of u*w3 in Ybar's equation from 0 to 1 keeps
     the first identity (u*w3 is linear in u, v) and breaks only the
-    second."""
+    second.  Adding u^2*w2 (a term in u alone, of radial weight 1) or
+    v*w3*w6 (a term in v, of Euler weight 2) breaks one; adding u*w2^2
+    keeps both, as its two weights are 0, and the Jacobian criterion
+    confirms that equation smooth."""
     art = build_family(FamilySpec("v3", signed_roots_shape(3, 7)))
     ambient = art.ambient_ring
 
@@ -249,11 +252,12 @@ def test_jacobian_identities_reject_a_changed_coefficient():
         (exps,) = parse(text, ambient).terms
         return exps
 
-    kept = {exponents("u*w2"), exponents("v*w1")}
+    kept = {exponents("u*w2"), exponents("v*w1"), exponents("u*w2^2")}
     mutations = [(field, index, exps, 2 * coeff)
                  for field, index in (("ybar_ideal", 0), ("b_ideal", 1))
                  for exps, coeff in getattr(art, field).generators[0].terms.items()]
-    mutations.append(("ybar_ideal", 0, exponents("u*w3"), 1))
+    mutations += [("ybar_ideal", 0, exponents(text), 1)
+                  for text in ("u*w3", "u^2*w2", "v*w3*w6", "u*w2^2")]
     for field, index, exps, coeff in mutations:
         ideal = getattr(art, field)
         changed = dict(ideal.generators[0].terms)
@@ -263,6 +267,62 @@ def test_jacobian_identities_reject_a_changed_coefficient():
         assert verdict == (exps in kept), (field, exps)
         if verdict:
             assert check_smooth(mutated)
+
+
+def polynomial_identities(art):
+    """The two v3 identities checked with Polynomial partials, products
+    and sums, as the battery once checked them: an independent reference
+    for the term-dict check of `_jacobian_identities`."""
+    (q,) = art.quad_invariants
+    f = art.spec.f
+    one_plus_f = 1 + f.substitute({"s": q})
+    minus_2q_f_prime = -2 * q * f.partial("s").substitute({"s": q})
+
+    def holds(ideal):
+        (equation,) = ideal.generators
+        ring = ideal.ring
+        radial = -equation
+        for n in ("u", "v"):
+            if n in ring:
+                radial = radial + ring.var(n) * equation.partial(n)
+        euler = ring.zero()
+        for n in q.variables():
+            euler = euler + ring.var(n) * equation.partial(n)
+        return radial == one_plus_f.embed(ring) and euler == minus_2q_f_prime.embed(ring)
+
+    return holds(art.ybar_ideal), holds(art.b_ideal)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jacobian_identities_agree_with_polynomial_arithmetic(seed):
+    """On seeded v3 specs (deg f 1 to 12, 0 to 2 trivial summands), the
+    term-dict check and the Polynomial reference give the same verdicts,
+    on both equations as built and after seeded changes of the
+    coefficient of one monomial of degree at most 2 in each variable."""
+    rng = random.Random(seed)
+    for _ in range(4):
+        spec = FamilySpec("v3", signed_roots_shape(rng.randint(1, 12), seed), rng.randint(0, 2))
+        art = build_family(spec)
+        assert _jacobian_identities(art) == polynomial_identities(art) == (True, True)
+        for field in ("ybar_ideal", "b_ideal"):
+            ideal = getattr(art, field)
+            for _ in range(8):
+                changed = dict(ideal.generators[0].terms)
+                exps = tuple(rng.choice((0, 0, 1, 2)) for _ in ideal.ring.names)
+                changed[exps] = rng.choice((-2, 0, 1, 3))
+                mutated = replace(art, **{field: Ideal(ideal.ring,
+                                                       (Polynomial(ideal.ring, changed),))})
+                assert _jacobian_identities(mutated) == polynomial_identities(mutated), \
+                    (field, exps)
+
+
+@pytest.mark.parametrize("text", ["0", "-1", "-1 + s", "(1+s)^2 - 1", "1/2*s^3 - s"])
+def test_jacobian_identities_agree_on_unvalidated_shapes(text):
+    """Shapes the validation rejects or that sit at its edges (f = 0, a
+    constant term, a repeated root of f + 1) get the same verdicts from
+    both checks, from f's table of coefficients down to its empty one."""
+    art = _build_family(v3(text))
+    assert _jacobian_identities(art) == polynomial_identities(art)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])

@@ -376,6 +376,54 @@ def test_hypersurface_dimension_law_randomized():
         assert krull_dimension(Ideal(ring, (p,))) == n - 1
 
 
+def independent_set_dimension(n, leading):
+    """The largest set of variables containing the support of no leading
+    monomial: the dimension rule krull_dimension runs on a basis."""
+    supports = [{i for i, e in enumerate(lm) if e} for lm in leading]
+    return max(size for size in range(n + 1) for subset in combinations(range(n), size)
+               if not any(support <= set(subset) for support in supports))
+
+
+def dimension_or_unit(ideal):
+    try:
+        return krull_dimension(ideal)
+    except UnitIdealError:
+        return "unit"
+
+
+def test_principal_dimension_agrees_with_independent_sets(monkeypatch):
+    """The dimension of a principal ideal, read off its generator, equals
+    the independent-set rule on its reduced basis over 1 to 9 variables,
+    for the zero ideal, nonzero constants (the unit ideal) and nonconstant
+    polynomials, and reading it starts no Buchberger run.  A nonzero
+    generator listed twice takes the Buchberger path to the same answer
+    (zero generators are dropped, so the zero ideal stays principal)."""
+    rng = random.Random(20261018)
+    ideals, expected = [], []
+    for trial in range(135):
+        n = trial % 9 + 1
+        ring = VarSet(tuple(f"x{i}" for i in range(n)))
+        kind = trial // 9 % 3
+        if kind == 0:
+            p = ring.zero()
+        elif kind == 1:
+            p = ring.const(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
+        else:
+            p = random_poly(rng, ring, max_degree=3, max_terms=3, allow_zero=False,
+                            nonconstant=True, denominator_bound=3)
+        gb = buchberger(Ideal(ring, (p,)))
+        want = "unit" if gb.basis == (ring.one(),) else independent_set_dimension(n, gb.leading)
+        assert want == (n, "unit", n - 1)[kind]
+        assert dimension_or_unit(Ideal(ring, (p, p))) == want
+        ideals.append(Ideal(ring, (p,)))
+        expected.append(want)
+    got = []
+    runs = spolynomials_per_run(monkeypatch,
+                                lambda: got.extend(map(dimension_or_unit, ideals)))
+    assert got == expected
+    assert runs == []
+
+
 # -- subalgebra membership ----------------------------------------------------------------
 
 
@@ -750,12 +798,14 @@ def test_battery_spolynomial_counts_are_pinned(monkeypatch):
     """Per Buchberger run of the v3 battery at deg f = 12, f + 1 the product
     of (1 - sign_k * k * s) with seeded signs: the squarefreeness gcd of
     f + 1 and its derivative, the one unit-ideal run behind stability and
-    freeness, the three dimensions and the invariant presentation.  The
-    two smoothness checks make no run: polynomial identities certify them,
-    and the squarefree gcd is still the only univariate run."""
+    freeness, and the invariant presentation.  The two smoothness checks
+    make no run: polynomial identities certify them.  Nor do the three
+    dimensions, of the hypersurfaces X, Ybar and B, each read off its one
+    equation (until they were, each made a run of 0 S-polynomials, and
+    the pin read [11, 1, 0, 0, 0, 7])."""
     spec = FamilySpec("v3", signed_roots_shape(12, 11))
     assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) \
-        == [11, 1, 0, 0, 0, 7]
+        == [11, 1, 7]
 
 
 # -- packed monomials -------------------------------------------------------------
