@@ -34,6 +34,7 @@ from .errors import (
     RoundCapError,
     UnitIdealError,
     UnknownVariableError,
+    UsageError,
     ZeroPolynomialError,
 )
 from .families import (

@@ -41,6 +41,7 @@ from .errors import (
     RoundCapError,
     UnitIdealError,
     UnknownVariableError,
+    UsageError,
 )
 from .families import (
     FAMILIES,
@@ -66,7 +67,7 @@ _USAGE_ERRORS = (
     ParseError,
     UnknownVariableError,
     FileNotFoundError,
-    ValueError,
+    UsageError,
 )
 _REJECTION_ERRORS = (RepeatedRootsError, NonzeroConstantError)
 _RESOURCE_ERRORS = (ResourceCapError, RoundCapError, NotLocallyNilpotentError)
@@ -206,7 +207,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_kernel(args, out) -> int:
     if args.method == "saturation" and args.max_degree is not None:
-        raise ValueError("--max-degree is the degree bound of the linear method only")
+        raise UsageError("--max-degree is the degree bound of the linear method only")
     derivation = load_derivation_file(args.derivation)
     caps = ResourceCaps(max_pairs=args.max_pairs)
     if args.method == "linear":
@@ -236,11 +237,14 @@ def _parse_order(text: str, width: int) -> TermOrder:
     if text == "lex":
         return TermOrder.lex()
     if text.startswith("elim:"):
-        k = int(text[len("elim:"):])
-        if k > width:
-            raise ValueError("elimination count out of range")
+        try:
+            k = int(text[len("elim:"):])
+        except ValueError:
+            raise UsageError(f"unknown order {text!r}") from None
+        if not 0 <= k <= width:
+            raise UsageError("elimination count out of range")
         return TermOrder.block(k)
-    raise ValueError(f"unknown order {text!r}")
+    raise UsageError(f"unknown order {text!r}")
 
 
 def _cmd_gb(args, out) -> int:
@@ -289,7 +293,7 @@ def main(argv: Optional[list] = None, out=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         if getattr(args, "max_rounds", 0) < 0:  # verify and kernel take it
-            raise ValueError("max_rounds must be nonnegative")
+            raise UsageError("max_rounds must be nonnegative")
         return handler(args, out)
     except _REJECTION_ERRORS as exc:
         print(f"rejected: {exc}", file=sys.stderr)

@@ -12,19 +12,21 @@ once and applies Leibniz on term dicts (`Derivation._apply_terms`);
 `apply` wraps the result in one Polynomial.  Exact linear algebra runs
 on one sparse echelon (linalg.Echelon).  The linear solve reduces the
 image of each monomial, a term dict straight from that table, against
-the images of the monomials before it.  Both kernel methods prune
-generators by subalgebra membership through one function, `_span`: it
-sorts a candidate list and builds one span of it, a value exposing the
-candidates it keeps (`kept`) and a membership test (`contains`).  When
-every candidate is homogeneous (the kernel of a linear derivation is
-graded) the engine is an echelon of products of generators one degree
-at a time (_GradedSpan); otherwise it is one incremental Buchberger run
-of the tag-variable test (Shannon and Sweedler, J. Symb. Comp. 6, 1988)
-over the graph ideal of all of them (groebner._GraphSpan), the general
-route of SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).  A
-saturation round tests its candidates against the span of its
-generators, and the span of the round that adds nothing is the final
-filter.
+the images of the monomials before it.  It first splits off the free
+variables (image zero, in no image: a trivial summand), since ker D is
+the kernel of D on the other variables with the free ones adjoined.
+Both kernel methods prune generators by subalgebra membership through
+one function, `_span`: it sorts a candidate list and builds one span of
+it, a value exposing the candidates it keeps (`kept`) and a membership
+test (`contains`).  When every candidate is homogeneous (the kernel of a
+linear derivation is graded) the engine is an echelon of products of
+generators one degree at a time (_GradedSpan); otherwise it is one
+incremental Buchberger run of the tag-variable test (Shannon and
+Sweedler, J. Symb. Comp. 6, 1988) over the graph ideal of all of them
+(groebner._GraphSpan), the general route of SAGBI theory (Robbiano and
+Sweedler, LNM 1430, 1990).  A saturation round tests its candidates
+against the span of its generators, and the span of the round that adds
+nothing is the final filter.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
     ResourceCapError,
     RingMismatchError,
     RoundCapError,
+    UsageError,
 )
 from .groebner import (
     DEFAULT_CAPS,
@@ -156,7 +159,7 @@ def find_slice(derivation: Derivation) -> Optional[SliceData]:
     for name in derivation.ring.names:
         try:
             return make_slice(derivation, name)
-        except ValueError:
+        except UsageError:
             continue
     return None
 
@@ -164,11 +167,11 @@ def find_slice(derivation: Derivation) -> Optional[SliceData]:
 def _check_slice(derivation: Derivation, data: SliceData):
     a = data.value
     if a.is_zero():
-        raise ValueError(f"D({data.var}) vanishes; not a slice")
+        raise UsageError(f"D({data.var}) vanishes; not a slice")
     if derivation.apply(derivation.ring.var(data.var)) != a:
-        raise ValueError("slice value is not the image of the slice variable")
+        raise UsageError("slice value is not the image of the slice variable")
     if not derivation.apply(a).is_zero():
-        raise ValueError("slice image is not in the kernel")
+        raise UsageError("slice image is not in the kernel")
 
 
 def lower_triangular_derivation(copies_v: int, trivial: int = 0) -> Derivation:
@@ -371,15 +374,41 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     the lower ones: by graded linear algebra when they are homogeneous
     (always, for a linear derivation), by Groebner subalgebra membership
     otherwise.
+
+    A free variable, one whose image is zero and that occurs in no image
+    (a trivial summand), is split off before the solve: the solve and
+    the span run on the restriction D' of D to the other variables, and
+    the free variables join its generators, in `_sorted_gens` order.
+    This is exact, since ker D = (ker D')[e] for the free variables e
+    (Freudenburg, "Algebraic Theory of Locally Nilpotent Derivations",
+    2nd ed., 2017): D(m'e^a) = e^a D'(m') with D'(m') free of e, so the
+    echelon splits into one block per e-exponent a, the block of a is
+    e^a times the solve of D' in degree <= max_degree - |a|, and the span
+    keeps each free e and drops every e^a times a lower solution.  The
+    coefficient space is capped on the whole ring, before the split.
     """
     if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+        raise UsageError("max_degree must be at least 1")
     ring = derivation.ring
     dimension = comb(len(ring) + max_degree, max_degree)
     if dimension > KERNEL_DIMENSION_CAP:
         raise ResourceCapError(
             f"coefficient space of dimension {dimension} exceeds {KERNEL_DIMENSION_CAP}"
         )
+    touched = set()  # variables with a nonzero image or in one
+    for i, image in derivation._image_terms:
+        touched.add(i)
+        for m, _ in image:
+            touched.update(k for k, e in enumerate(m) if e)
+    if len(touched) < len(ring):
+        columns = sorted(touched)
+        inner = VarSet(tuple(ring.names[i] for i in columns))
+        restricted = Derivation(inner, {
+            ring.names[i]: Polynomial(inner, {tuple(m[k] for k in columns): c for m, c in image})
+            for i, image in derivation._image_terms})
+        gens = [g.embed(ring) for g in kernel_linear(restricted, max_degree, caps)]
+        free = [ring.var(name) for i, name in enumerate(ring.names) if i not in touched]
+        return _sorted_gens(gens + free)
     images = Echelon()
     solutions = []
     for m in _monomials_up_to(ring, max_degree):
@@ -423,10 +452,10 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
     the seeds' span is returned unverified.  Exhausting a positive round
     budget raises RoundCapError (the invariant ring need not be finitely
     generated, so silent truncation is never acceptable), and a negative
-    one ValueError.
+    one UsageError.
     """
     if max_rounds < 0:
-        raise ValueError("max_rounds must be nonnegative")
+        raise UsageError("max_rounds must be nonnegative")
     _check_slice(derivation, data)
     ring = derivation.ring
     seeds = []

@@ -1,13 +1,20 @@
 """Exception types shared across the library.
 
 Every failure mode that callers are expected to branch on gets its own
-class; plain ValueError is reserved for programming errors (bad arguments
-that no well-formed caller produces).
+class.  Bad input that a command-line call can supply (a negative
+budget, an unknown order, an invalid variable name, a variable that is
+no slice) raises UsageError, which is also a ValueError for callers that
+catch that; plain ValueError is reserved for programming errors (bad
+arguments that no well-formed caller produces).
 """
 
 
 class GaquotError(Exception):
     """Base class for all library errors."""
+
+
+class UsageError(GaquotError, ValueError):
+    """An argument or input value outside what the operation accepts."""
 
 
 class ParseError(GaquotError):

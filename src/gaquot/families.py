@@ -57,6 +57,7 @@ from .errors import (
     RepeatedRootsError,
     ResourceCapError,
     UnitIdealError,
+    UsageError,
 )
 from .groebner import (
     DEFAULT_CAPS,
@@ -91,15 +92,15 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise UsageError(f"unknown family {self.family!r}")
         arity = len(FAMILIES[self.family][1])
         if len(self.f.ring) != arity:
-            raise ValueError(
+            raise UsageError(
                 f"family {self.family} needs f in {arity} variable(s), "
                 f"got ring {self.f.ring.names}"
             )
         if self.trivial_summands < 0:
-            raise ValueError("trivial summand count must be nonnegative")
+            raise UsageError("trivial summand count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -304,17 +305,17 @@ def _jacobian_identities(art: ConstructionArtifacts):
     return holds(art.ybar_ideal), holds(art.b_ideal)
 
 
-def boundary_analysis(art: ConstructionArtifacts,
-                      caps: ResourceCaps = DEFAULT_CAPS):
+def boundary_analysis(art: ConstructionArtifacts):
     """(dim Ybar, dim B, m): the boundary codimension inside the closure is
     dim Ybar - dim B, and for v3 the component count is m = deg f (valid
     over the algebraic closure because f + 1 is squarefree, so components
     biject with its roots); m is None for v4.  Ybar and B are
     hypersurfaces, so both dimensions are read off their one equation
-    with no Groebner run.  An empty boundary raises UnitIdealError."""
-    dim_ybar = krull_dimension(art.ybar_ideal, caps=caps)
+    with no Groebner run, and the analysis takes no caps.  An empty
+    boundary raises UnitIdealError."""
+    dim_ybar = krull_dimension(art.ybar_ideal)
     try:
-        dim_b = krull_dimension(art.b_ideal, caps=caps)
+        dim_b = krull_dimension(art.b_ideal)
     except UnitIdealError:
         raise UnitIdealError(
             "empty boundary: the rank bookkeeping needs a nonempty complement"
@@ -432,9 +433,8 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
         checks["ybarSmooth"] = ybar_certified or check_smooth(art.ybar_ideal, caps=caps)
     with _stage("boundarySmooth"):
         checks["boundarySmooth"] = b_certified or check_smooth(art.b_ideal, caps=caps)
-    with _stage("dims"):
-        dim_x = krull_dimension(art.x_ideal, caps=caps)
-        dim_ybar, dim_b, m = boundary_analysis(art, caps=caps)
+    dim_x = krull_dimension(art.x_ideal)  # X, Ybar and B are principal: no Groebner run
+    dim_ybar, dim_b, m = boundary_analysis(art)
     codim = dim_ybar - dim_b
     dims = Dims(
         x=dim_x,

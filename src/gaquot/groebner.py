@@ -63,6 +63,7 @@ division divides by the divisor's leading coefficient the same way.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -78,6 +79,7 @@ from .errors import (
     ResourceCapError,
     RingMismatchError,
     UnitIdealError,
+    UsageError,
     ZeroPolynomialError,
 )
 from .poly import (
@@ -202,16 +204,16 @@ class ResourceCaps:
     """Budget converting runaway computations into clean errors: a
     Buchberger run reduces at most `max_pairs` S-polynomials (the pairs
     that survive pruning) and adds no remainder of one above total degree
-    `max_degree`.  A negative budget raises ValueError."""
+    `max_degree`.  A negative budget raises UsageError."""
 
     max_pairs: int = 100_000
     max_degree: int = 60
 
     def __post_init__(self):
         if self.max_pairs < 0:
-            raise ValueError("max_pairs must be nonnegative")
+            raise UsageError("max_pairs must be nonnegative")
         if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+            raise UsageError("max_degree must be nonnegative")
 
 
 DEFAULT_CAPS = ResourceCaps()
@@ -832,9 +834,61 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
     keeps the survivors and its `relations()` follow, so the filter and
     the elimination are one run sharing one `caps` budget.  An empty
-    candidate list raises ValueError."""
-    span = _GraphSpan(ring, candidates, caps)
-    return span.kept, span.relations()
+    candidate list raises ValueError.
+
+    A lone candidate, a single term c*x of degree 1 whose variable x
+    occurs in no other candidate (a trivial summand), is split off: the
+    span runs over the ring without the lone variables, on the other
+    candidates only, and each relation's tags are renamed by position to
+    the survivors' tags.  This is exact: the map x -> 0 fixes every other
+    candidate, so c*x is kept and no other candidate's membership
+    changes; the lone tags are free over the rest, so the relation ideal
+    is the rest's, extended, and grevlex on a subsequence of the tags is
+    grevlex, so its reduced basis is the same.  The pairs of a lone seed
+    have coprime leading monomials, which the product criterion prunes,
+    so the run reduces the same S-polynomials."""
+    for g in candidates:
+        if g.ring != ring:
+            raise RingMismatchError("subalgebra candidates over the wrong ring")
+    single = {}  # candidate index -> variable index, for each single term c*x
+    for i, p in enumerate(candidates):
+        if len(p.terms) == 1:
+            (m,) = p.terms
+            if sum(m) == 1:
+                single[i] = m.index(1)
+    owners = Counter(single.values())
+    others = [m for i, p in enumerate(candidates) if i not in single for m in p.terms]
+    used = {k for k, column in enumerate(zip(*others)) if any(column)}
+    lone = {i: k for i, k in single.items() if owners[k] == 1 and k not in used}
+    if not lone:
+        span = _GraphSpan(ring, candidates, caps)
+        return span.kept, span.relations()
+    rest = [i for i in range(len(candidates)) if i not in lone]
+    dropped = set(lone.values())
+    columns = [k for k in range(len(ring)) if k not in dropped]
+    inner = VarSet(tuple(ring.names[k] for k in columns))
+    kept = set(lone)
+    rows = ()
+    if rest:
+        span = _GraphSpan(inner, [Polynomial(inner, {
+            tuple(m[k] for k in columns): c for m, c in candidates[i].terms.items()})
+            for i in rest], caps)
+        # the span's tag column of its i-th candidate is len(inner) + i
+        kept.update(rest[column - len(inner)] for column in span._columns)
+        rows = span.relations().generators
+    survivors = [p for i, p in enumerate(candidates) if i in kept]
+    tags = VarSet(fresh_names("y", len(survivors), ring.names))
+    at = [k for k, i in enumerate(sorted(kept)) if i not in lone]  # tag of each span survivor
+    relations = []
+    for r in rows:
+        terms = {}
+        for m, c in r.terms.items():
+            widened = [0] * len(tags)
+            for k, e in zip(at, m):
+                widened[k] = e
+            terms[tuple(widened)] = c
+        relations.append(Polynomial(tags, terms))
+    return survivors, Ideal(tags, tuple(relations) or (tags.zero(),))
 
 
 # -- ideal files -----------------------------------------------------------------

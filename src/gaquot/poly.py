@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     RingMismatchError,
     UnknownVariableError,
+    UsageError,
     ZeroPolynomialError,
 )
 
@@ -127,10 +128,10 @@ class VarSet:
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
+            raise UsageError(f"duplicate variable names in {names}")
         for name in names:
             if not _IDENT_RE.match(name):
-                raise ValueError(f"invalid variable name {name!r}")
+                raise UsageError(f"invalid variable name {name!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     def __len__(self) -> int:
@@ -553,9 +554,14 @@ def read_spec_file(path: Union[str, Path]) -> tuple:
 
     '#' starts a comment; blank lines are dropped; a first line
     "vars: x y ..." declares the ring and is split off from the rest.
+    A file that is not UTF-8 text raises ParseError at its first bad byte.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("file is not UTF-8 text", exc.start) from None
     lines = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)

@@ -301,6 +301,24 @@ def sympy_kernel_solutions(derivation, max_degree: int):
     return solutions
 
 
+def unsplit_kernel_linear(derivation, max_degree: int):
+    """kernel_linear as it was before free variables were split off: one
+    echelon solve over every monomial of the whole ring up to max_degree
+    and one span of all its solutions, free variables included."""
+    from gaquot.derivations import _monomials_up_to, _span
+    from gaquot.groebner import DEFAULT_CAPS
+    from gaquot.linalg import Echelon
+
+    ring = derivation.ring
+    images = Echelon()
+    solutions = []
+    for m in _monomials_up_to(ring, max_degree):
+        f = {m: 1}
+        if images.insert(derivation._apply_terms(f), f) is None:
+            solutions.append(Polynomial(ring, f))
+    return _span(ring, solutions, DEFAULT_CAPS).kept
+
+
 # -- the signed-roots shapes ---------------------------------------------------
 
 

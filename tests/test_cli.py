@@ -93,6 +93,17 @@ def test_verify_rejects_wrong_arity():
     assert code == 1
 
 
+def test_verify_passes_with_forty_trivial_summands():
+    code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "40"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["dims"] == {"X": 45, "quotient": 44, "Ybar": 47, "B": 45}
+    assert len(doc["presentation"]["generators"]) == 45
+    assert {f"z{i}" for i in range(6, 46)} <= set(doc["presentation"]["generators"])
+    # the one relation, its tags placed among the 40 trivial ones
+    assert doc["presentation"]["relations"] == ["y43^2 + y11*y44 - y32*y45 - y43"]
+
+
 def test_verify_resource_cap_exit():
     code, _ = run(["verify", "--family", "v3", "--f", "s", "--max-pairs", "0"])
     assert code == 4
@@ -547,6 +558,8 @@ def test_reports_identical_across_hash_seeds(tmp_path):
         ["gb", "--ideal", str(katsura), "--order", "lex"],
         ["kernel", "--derivation", str(derivation), "--method", "linear"],
         ["kernel", "--derivation", str(derivation), "--method", "saturation"],
+        ["verify", "--family", "v3", "--f=(1+s)*(1+2*s)*(1+3*s) - 1", "--trivial", "3"],
+        ["present", "--f=(1+s)*(1+2*s)*(1+3*s) - 1", "--trivial", "2"],
     ]
     src = str(Path(gaquot.__file__).resolve().parents[1])
     for argv in commands:
@@ -570,6 +583,35 @@ def test_internal_errors_exit_five(monkeypatch, capsys):
     assert run(["verify", "--family", "v3", "--f", "s"]) == (cli.EXIT_INTERNAL, "")
     assert cli.EXIT_INTERNAL == 5
     assert "internal error: TypeError: coefficient 0.1 is not rational" in capsys.readouterr().err
+
+
+def test_plain_value_errors_exit_five(monkeypatch, capsys):
+    """Bad input raises UsageError (exit 1); a plain ValueError is a bug."""
+    def broken(args, out):
+        raise ValueError("raised by a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", broken)
+    assert run(["verify", "--family", "v3", "--f", "s"]) == (cli.EXIT_INTERNAL, "")
+    assert "internal error: ValueError: raised by a bug" in capsys.readouterr().err
+    assert issubclass(gaquot.UsageError, gaquot.GaquotError)
+    assert issubclass(gaquot.UsageError, ValueError)
+
+
+@pytest.mark.parametrize("order, message", [("elim:x", "unknown order 'elim:x'"),
+                                            ("elim:-1", "elimination count out of range")])
+def test_gb_malformed_elimination_count(order, message, tmp_path, capsys):
+    path = tmp_path / "single.txt"
+    path.write_text("x\n", encoding="utf-8")
+    assert run(["gb", "--ideal", str(path), "--order", order]) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gb --ideal", "kernel --derivation"])
+def test_input_files_that_are_not_utf8_are_usage_errors(command, tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"x -> y\n\xff\n")
+    assert run(command.split() + [str(path)]) == (1, "")
+    assert capsys.readouterr().err == "error: file is not UTF-8 text (at position 7)\n"
 
 
 @pytest.mark.parametrize("error", [gaquot.RingMismatchError, gaquot.MissingAssignmentError])

@@ -40,6 +40,7 @@ from helpers import (
     random_poly,
     spolynomials_per_run,
     sympy_kernel_solutions,
+    unsplit_kernel_linear,
 )
 
 D3 = lower_triangular_derivation(3)
@@ -396,6 +397,74 @@ def test_kernel_linear_dimension_cap_counts_every_monomial(monkeypatch):
     monkeypatch.setattr(derivations, "KERNEL_DIMENSION_CAP", dimension - 1)
     with pytest.raises(ResourceCapError, match=f"dimension {dimension} exceeds {dimension - 1}"):
         kernel_linear(D3, 3)
+
+
+def derivation_with_free_variables(rng):
+    """A derivation on 2-7 variables in seeded order: a triangular core
+    with nonlinear, often inhomogeneous images; 1-3 free variables (zero
+    image, in no image); and, in most cases, a silent variable, whose
+    image is zero but which occurs in a core image, so it is not free."""
+    core = [f"x{i}" for i in range(rng.randint(1, 3))]
+    free = [f"e{i}" for i in range(rng.randint(1, 3))]
+    silent = ["s"] if rng.random() < 0.7 else []
+    names = core + free + silent
+    rng.shuffle(names)
+    ring = VarSet(tuple(names))
+    images = {}
+    for i, name in enumerate(core):
+        lower = silent + core[:i]
+        if not lower:
+            continue
+        sub = VarSet(tuple(lower))
+        image = random_poly(rng, sub, max_degree=2, max_terms=3)
+        if silent and i == len(core) - 1:
+            image = image + sub.var("s") * rng.choice((1, -2, Fraction(1, 3)))
+        images[name] = image.embed(ring)
+    return Derivation(ring, images)
+
+
+def test_kernel_linear_splits_off_free_variables_exactly(monkeypatch):
+    """kernel_linear solves only on the variables a derivation touches and
+    adjoins the free ones; on 150 seeded derivations that gives exactly
+    the generators of the solve over the whole ring."""
+    rng = random.Random(2107)
+    listed = []
+    real = derivations._monomials_up_to
+
+    def recording(ring, max_degree):
+        listed.append(ring)
+        return real(ring, max_degree)
+
+    splits = silent = inhomogeneous = 0
+    for _ in range(150):
+        d = derivation_with_free_variables(rng)
+        degree = rng.randint(1, 3)
+        while math.comb(len(d.ring) + degree, degree) > 120:
+            degree -= 1
+        expected = unsplit_kernel_linear(d, degree)
+        monkeypatch.setattr(derivations, "_monomials_up_to", recording)
+        listed.clear()
+        gens = kernel_linear(d, degree)
+        monkeypatch.setattr(derivations, "_monomials_up_to", real)
+        assert [str(g) for g in gens] == [str(g) for g in expected]
+        assert gens == expected
+        in_images = {n for image in d.images.values() for n in image.variables()}
+        touched = {n for n in d.ring.names if not d.images[n].is_zero()} | in_images
+        [solved] = listed
+        assert solved.names == tuple(n for n in d.ring.names if n in touched)
+        splits += len(solved) < len(d.ring)
+        silent += "s" in in_images and d.images["s"].is_zero()
+        inhomogeneous += any(len({sum(m) for m in g.terms}) > 1 for g in gens)
+    assert splits == 150 and silent > 60 and inhomogeneous > 20
+
+
+def test_kernel_linear_with_forty_trivial_summands_is_pinned():
+    """The three odd block coordinates and minors of V3, with e1..e40
+    adjoined, in (degree, text) order."""
+    gens = kernel_linear(lower_triangular_derivation(3, 40), 2)
+    degree_one = sorted([f"e{i}" for i in range(1, 41)] + ["w1", "w3", "w5"])
+    assert [str(g) for g in gens] == degree_one + [
+        "w2*w3 - w1*w4", "w2*w5 - w1*w6", "w4*w5 - w3*w6"]
 
 
 def test_kernel_monotone_in_degree():

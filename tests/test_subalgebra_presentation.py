@@ -6,16 +6,18 @@ for string, tag names included."""
 import hashlib
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
 from gaquot import VarSet, eliminate, parse
+from gaquot.poly import scan_identifiers
 from gaquot import families
 from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation
-from gaquot.groebner import _graph_ideal, subalgebra_presentation
-from helpers import groebner_minimal_generators, random_poly
+from gaquot.groebner import _graph_ideal, _GraphSpan, subalgebra_presentation
+from helpers import groebner_minimal_generators, random_poly, spolynomials_per_run
 
 
 def reference(ring, candidates):
@@ -90,6 +92,75 @@ def test_only_constants_and_no_candidates():
     assert relations.is_zero()
     with pytest.raises(ValueError):
         subalgebra_presentation(ring, [])
+
+
+def unsplit(ring, candidates):
+    """The presentation as one span over the whole ring, lone candidates
+    included."""
+    span = _GraphSpan(ring, candidates)
+    relations = span.relations()
+    return ([str(g) for g in span.kept], relations.ring.names,
+            [str(r) for r in relations.generators])
+
+
+def assert_split_is_exact(monkeypatch, ring, candidates):
+    """subalgebra_presentation agrees with membership-then-elimination and
+    with the unsplit span, string for string, and reduces as many
+    S-polynomials as the unsplit span."""
+    ordered = _sorted_gens(candidates)
+    got = presented(ring, candidates)
+    assert got == reference(ring, candidates)
+    assert got == unsplit(ring, ordered)
+    split_runs = spolynomials_per_run(monkeypatch, lambda: subalgebra_presentation(ring, ordered))
+    unsplit_runs = spolynomials_per_run(monkeypatch, lambda: unsplit(ring, ordered))
+    assert sum(split_runs) == sum(unsplit_runs)
+    return got
+
+
+@pytest.mark.parametrize("texts, survivors, relations", [
+    # x occurs in two candidates, so neither is lone
+    (["x", "-2/3*x", "y*z + 1", "y^2"], ["-2/3*x", "y*z + 1", "y^2"], []),
+    # e occurs in e*x + 1 as well
+    (["e", "e*x + 1", "x^2", "e^2*x^2 + 2*e*x"], ["e", "e*x + 1", "x^2"],
+     ["y1^2*y3 - y2^2 + 2*y2 - 1"]),
+    # every candidate lone
+    (["2*x", "-y", "1/3*z"], ["-y", "1/3*z", "2*x"], []),
+    (["x"], ["x"], []),
+    # lone e and y1 after the dropped 7 and b, and a relation to rename
+    (["7", "2*b", "b", "e", "y1", "a^2", "a^3", "a^4", "a^2*b"],
+     ["2*b", "e", "y1", "a^2", "a^3"], ["yy4^3 - yy5^2"]),
+], ids=["scaled-twice", "in-another", "all-lone", "single", "lone-after-dropped"])
+def test_lone_candidates_are_split_off_exactly(monkeypatch, texts, survivors, relations):
+    names = sorted({n for t in texts for n in scan_identifiers(t)})
+    ring = VarSet(tuple(names))
+    got = assert_split_is_exact(monkeypatch, ring, [parse(t, ring) for t in texts])
+    assert got[0] == survivors and got[2] == (relations or ["0"])
+
+
+def test_lone_candidates_in_seeded_lists(monkeypatch):
+    """Seeded inhomogeneous lists with single-term degree-1 candidates in
+    fresh variables (one named y1, a tag name) at random places; some
+    such variable also occurs in a second candidate, or twice scaled."""
+    rng = random.Random("lone")
+    lone_seen = 0
+    for _ in range(25):
+        extra = ["y1", "e1", "e2", "e3"][:rng.randint(1, 4)]
+        ring = VarSet(("x", "y", "z") + tuple(extra))
+        base = VarSet(("x", "y", "z"))
+        cands = [p.embed(ring) for p in inhomogeneous_candidates(rng, base)]
+        for name in extra:
+            e = ring.var(name)
+            cands.append(e * rng.choice((1, -2, Fraction(2, 3))))
+            kind = rng.random()
+            if kind < 0.2:
+                cands.append(e * rng.choice((3, Fraction(-1, 2))))
+            elif kind < 0.4:
+                cands.append(e * rng.choice(cands[:3]) + 1)
+            else:
+                lone_seen += 1
+        rng.shuffle(cands)
+        assert_split_is_exact(monkeypatch, ring, cands)
+    assert lone_seen > 20
 
 
 def signed_shape(rng, degree):
