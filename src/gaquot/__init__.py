@@ -11,8 +11,6 @@ from .derivations import (
     SliceData,
     exp_action,
     fixed_point_ideal,
-    is_invariant,
-    is_locally_nilpotent,
     kernel_linear,
     kernel_saturation,
     load_derivation_file,
@@ -21,7 +19,6 @@ from .derivations import (
 )
 from .errors import (
     GaquotError,
-    IterationCapError,
     MissingAssignmentError,
     NonzeroConstantError,
     NotHypersurfaceError,
@@ -65,13 +62,11 @@ from .groebner import (
     divide_exact,
     eliminate,
     gcd_univariate,
-    ideal_membership,
     is_squarefree,
     is_unit_ideal,
     krull_dimension,
     load_ideal_file,
     normal_form,
-    saturate,
     subalgebra_membership,
     subalgebra_presentation,
 )

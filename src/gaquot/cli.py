@@ -5,7 +5,8 @@ generators of a derivation file), gb (reduced basis of an ideal file),
 present (invariant-ring presentation).  Exit codes partition outcomes:
 
   0  success / all checks passed
-  1  usage or parse error
+  1  usage or parse error, or an input or output path that cannot be
+     read or written
   2  a mathematical check failed (a failed battery check, or an empty
      boundary at f = 0)
   3  spec rejected (repeated roots, nonzero constant term)
@@ -66,7 +67,7 @@ EXIT_INTERNAL = 5
 _USAGE_ERRORS = (
     ParseError,
     UnknownVariableError,
-    FileNotFoundError,
+    OSError,  # the only I/O: reading the input files and writing --out
     UsageError,
 )
 _REJECTION_ERRORS = (RepeatedRootsError, NonzeroConstantError)

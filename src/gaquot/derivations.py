@@ -5,7 +5,11 @@ A derivation is stored by its images on the ring variables and extended
 everywhere by linearity and Leibniz.  Exponentiating a locally nilpotent
 derivation (the series is finite) recovers the group action; kernels are
 the rings of invariant functions and are computed either by an exact
-degree-bounded linear solve or by a slice/saturation cross-check.
+degree-bounded linear solve or by a slice/saturation cross-check.  An
+element f is invariant iff `apply(f)` is zero.  Local nilpotency is never
+certified for a whole derivation: the flow and the slice projection
+iterate D on the one element they need and raise
+NotLocallyNilpotentError if it survives NILPOTENCY_STEP_CAP steps.
 
 A derivation keeps the terms of its nonzero images in a table built
 once and applies Leibniz on term dicts (`Derivation._apply_terms`);
@@ -134,9 +138,6 @@ class Derivation:
                         del out[key]
         return out
 
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images.values())
-
 
 @dataclass(frozen=True)
 class SliceData:
@@ -194,30 +195,17 @@ def lower_triangular_derivation(copies_v: int, trivial: int = 0) -> Derivation:
     return Derivation(ring, images)
 
 
-def is_locally_nilpotent(derivation: Derivation, max_iter: int) -> bool:
-    """True iff every variable dies within max_iter applications.
-
-    Raises NotLocallyNilpotentError when the budget runs out with a
-    nonzero iterate; that outcome means "unknown", not "false".
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    for name in derivation.ring.names:
-        _iterates(derivation, derivation.ring.var(name), max_iter)
-    return True
-
-
-def _iterates(derivation: Derivation, f: Polynomial, cap: int = NILPOTENCY_STEP_CAP):
+def _iterates(derivation: Derivation, f: Polynomial):
     """[f, D(f), D^2(f), ...] down to (and excluding) the first zero."""
     chain = [f]
     g = f
-    for _ in range(cap):
+    for _ in range(NILPOTENCY_STEP_CAP):
         g = derivation.apply(g)
         if g.is_zero():
             return chain
         chain.append(g)
     raise NotLocallyNilpotentError(
-        f"derivation failed to annihilate within {cap} steps"
+        f"derivation failed to annihilate within {NILPOTENCY_STEP_CAP} steps"
     )
 
 
@@ -236,11 +224,6 @@ def exp_action(derivation: Derivation, f: Polynomial,
     for i, g in enumerate(chain):
         result = result + g.embed(extended) * t ** i * _exact_quotient(1, factorial(i))
     return result
-
-
-def is_invariant(derivation: Derivation, f: Polynomial) -> bool:
-    """True iff D(f) = 0, equivalently the group action fixes f."""
-    return derivation.apply(f).is_zero()
 
 
 def fixed_point_ideal(derivation: Derivation) -> Ideal:

@@ -1,11 +1,12 @@
 """Exception types shared across the library.
 
-Every failure mode that callers are expected to branch on gets its own
-class.  Bad input that a command-line call can supply (a negative
-budget, an unknown order, an invalid variable name, a variable that is
-no slice) raises UsageError, which is also a ValueError for callers that
-catch that; plain ValueError is reserved for programming errors (bad
-arguments that no well-formed caller produces).
+Every failure mode that callers are expected to branch on gets one
+class under one name, with no aliases.  Bad input that a command-line
+call can supply (a negative budget, an unknown order, an invalid
+variable name, a variable that is no slice) raises UsageError, which is
+also a ValueError for callers that catch that; plain ValueError is
+reserved for programming errors (bad arguments that no well-formed
+caller produces).
 """
 
 
@@ -34,7 +35,7 @@ class RingMismatchError(GaquotError):
 
 
 class MissingAssignmentError(GaquotError):
-    """A substitution or evaluation left an occurring variable unassigned."""
+    """A substitution left an occurring variable unassigned."""
 
 
 class NotUnivariateError(GaquotError):
@@ -59,11 +60,6 @@ class UnitIdealError(GaquotError):
 
 class NotLocallyNilpotentError(GaquotError):
     """The derivation failed to annihilate an element within the budget."""
-
-
-# One condition, one class: IterationCapError is the older public name for
-# it, kept as an alias so code that imports or catches it still works.
-IterationCapError = NotLocallyNilpotentError
 
 
 class RoundCapError(GaquotError):

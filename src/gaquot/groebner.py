@@ -1,14 +1,13 @@
 """Groebner-basis engine: the decision procedures behind the geometry.
 
-Ideal membership, unit-ideal emptiness tests, elimination, saturation,
-Krull dimension via leading-term independent sets, subalgebra
-membership, and the univariate gcd with the squarefreeness test built on
-it all reduce to reduced Groebner bases computed by Buchberger's
-algorithm with the normal selection strategy (smallest lcm first); only
-the dimension of a principal ideal, a hypersurface, is read off its one
-generator with no run.  One
-run state, `_Run`, holds the rows, the pair queue and the pair loop;
-`buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
+Normal forms, unit-ideal emptiness tests, elimination, Krull dimension
+via leading-term independent sets, subalgebra membership, and the
+univariate gcd with the squarefreeness test built on it all reduce to
+reduced Groebner bases computed by Buchberger's algorithm with the
+normal selection strategy (smallest lcm first); only the dimension of a
+principal ideal, a hypersurface, is read off its one generator with no
+run.  One run state, `_Run`, holds the rows, the pair queue and the pair
+loop; `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
 candidate at a time over the graph ideal of all of them, deciding
 membership and eliminating the relations among the survivors.  Pairs
 are pruned when they are formed, by the update of Gebauer and Moeller
@@ -538,12 +537,6 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(f.ring, {unpack(m): _exact_quotient(c, d) for m, c in remainder.items()})
 
 
-def ideal_membership(f: Polynomial, ideal: Ideal,
-                     caps: ResourceCaps = DEFAULT_CAPS) -> bool:
-    """True iff f lies in the ideal."""
-    return normal_form(f, buchberger(ideal, caps=caps)).is_zero()
-
-
 def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """True iff the reduced basis is [1], i.e. the vanishing set is empty."""
     gb = buchberger(ideal, caps=caps)
@@ -642,7 +635,7 @@ def is_squarefree(p: Polynomial) -> bool:
     return gcd_univariate(p, p.partial(name)).is_constant()
 
 
-# -- elimination, saturation, dimension -----------------------------------------
+# -- elimination, dimension -----------------------------------------------------
 
 
 def eliminate(ideal: Ideal, first_k: int,
@@ -660,21 +653,6 @@ def eliminate(ideal: Ideal, first_k: int,
     if not kept:
         kept = [small.zero()]
     return Ideal(small, tuple(kept))
-
-
-def saturate(ideal: Ideal, f: Polynomial,
-             caps: ResourceCaps = DEFAULT_CAPS) -> Ideal:
-    """The saturation (ideal : f^infinity) by the tag-variable trick:
-    adjoin y, add 1 - y*f, eliminate y."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot saturate by the zero polynomial")
-    if f.ring != ideal.ring:
-        raise RingMismatchError("saturating polynomial over the wrong ring")
-    tag = fresh_names("y", 1, ideal.ring.names)[0]
-    big = VarSet((tag,) + ideal.ring.names)
-    gens = [g.embed(big) for g in ideal.generators]
-    gens.append(big.one() - big.var(tag) * f.embed(big))
-    return eliminate(Ideal(big, tuple(gens)), 1, caps=caps)
 
 
 def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:

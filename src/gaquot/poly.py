@@ -220,12 +220,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self.ring.index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def variables(self) -> tuple:
         """Names of the variables actually occurring, in ring order."""
         used = set()
@@ -358,26 +352,6 @@ class Polynomial:
             for m, c in term.items():
                 total[m] = total.get(m, 0) + c
         return Polynomial(target, total)
-
-    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        """Exact value, in canonical form, at a rational point covering all
-        occurring variables; TypeError for a coordinate that is not
-        rational."""
-        for name in point:
-            self.ring.index(name)
-        values = {}
-        for name in self.variables():
-            if name not in point:
-                raise MissingAssignmentError(f"no value for variable {name!r}")
-            values[self.ring.index(name)] = _coefficient(point[name])
-        total = 0
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    val *= values[i] ** e
-            total += val
-        return _coefficient(total)
 
     def embed(self, target: VarSet) -> "Polynomial":
         """Image in a larger (or reordered) ring, matching variables by name."""

@@ -1,9 +1,8 @@
 """Shared test utilities: random inputs and independent oracles.
 
 The oracles deliberately take different routes from the library code:
-univariate gcd by list-based Euclid, ideal membership by a bounded-degree
-linear solve, Groebner bases, resultants and dense kernel solves via
-sympy.
+univariate gcd by list-based Euclid, Groebner bases, resultants and dense
+kernel solves via sympy.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from math import prod
 
 import sympy as sp
 
-from gaquot import Polynomial, VarSet
+from gaquot import Ideal, Polynomial, VarSet, buchberger, normal_form
 
 
 def random_exponents(rng, nvars, max_degree):
@@ -120,34 +119,10 @@ def sympy_resultant(p: Polynomial, q: Polynomial, var: str,
     return from_sympy(sp.expand(res), target)
 
 
-def brute_ideal_membership(f: Polynomial, gens, degree_bound: int) -> bool:
-    """Does f = sum h_i g_i admit a solution with deg(h_i g_i) <= bound?
-
-    Solved as an exact linear system over the monomial coefficients of
-    the h_i, a route independent of any normal-form computation: one
-    column per (generator, cofactor monomial), one row per product
-    monomial, solvable iff augmenting with f keeps the rank.
-    """
-    from sympy.polys.monomials import itermonomials
-
-    ring = f.ring
-    syms = sympy_symbols(ring)
-    columns = []
-    for g in gens:
-        room = degree_bound - max(g.total_degree(), 0)
-        if room < 0:
-            continue
-        gexpr = to_sympy(g, syms)
-        for mono in sorted(itermonomials(syms, room), key=sp.default_sort_key):
-            prod = sp.Poly(sp.expand(mono * gexpr), *syms, domain="QQ")
-            columns.append({tuple(e): sp.Rational(c) for e, c in prod.terms()})
-    if not columns:
-        return f.is_zero()
-    target = {e: sp.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
-    rows = sorted(set().union(*[set(c) for c in columns]) | set(target))
-    matrix = sp.Matrix([[col.get(r, sp.Integer(0)) for col in columns] for r in rows])
-    rhs = sp.Matrix([[target.get(r, sp.Integer(0))] for r in rows])
-    return matrix.rank() == matrix.row_join(rhs).rank()
+def in_ideal(f: Polynomial, ideal: Ideal) -> bool:
+    """Membership by the library's own normal form; not an oracle, for
+    tests whose independent check lies elsewhere."""
+    return normal_form(f, buchberger(ideal)).is_zero()
 
 
 def euclid_gcd_coeffs(a, b):
@@ -178,9 +153,8 @@ def euclid_gcd_coeffs(a, b):
 
 def coeff_list(p: Polynomial, var: str):
     """Ascending coefficient list of a univariate polynomial."""
-    deg = p.degree_in(var)
-    out = [Fraction(0)] * (deg + 1)
     idx = p.ring.index(var)
+    out = [Fraction(0)] * (max(e[idx] for e in p.terms) + 1)
     for exps, coeff in p.terms.items():
         out[exps[idx]] = coeff
     return out

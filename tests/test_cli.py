@@ -257,6 +257,18 @@ def test_kernel_missing_file():
     assert run(["kernel", "--derivation", "/nonexistent/d.txt"])[0] == 1
 
 
+@pytest.mark.parametrize("command", [["kernel", "--derivation"], ["gb", "--ideal"],
+                                     ["verify", "--family", "v3", "--f", "s", "--out"]],
+                         ids=["kernel", "gb", "verify"])
+def test_directory_paths_are_usage_errors(command, tmp_path, capsys):
+    """A path that cannot be read or written is a usage error, not a bug."""
+    code, _ = run(command + [str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # -- gb ---------------------------------------------------------------------------
 
 

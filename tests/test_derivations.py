@@ -11,7 +11,6 @@ import pytest
 
 from gaquot import (
     Derivation,
-    IterationCapError,
     NotLocallyNilpotentError,
     Polynomial,
     ResourceCapError,
@@ -21,8 +20,6 @@ from gaquot import (
     VarSet,
     exp_action,
     fixed_point_ideal,
-    is_invariant,
-    is_locally_nilpotent,
     kernel_linear,
     kernel_saturation,
     lower_triangular_derivation,
@@ -157,29 +154,6 @@ def test_apply_matches_the_polynomial_reference():
         d.apply(parse("x", VarSet(("u", "z", "y", "x"))))
 
 
-# -- nilpotency -------------------------------------------------------------------
-
-
-def test_nilpotency_of_block_derivation():
-    assert is_locally_nilpotent(D3, 2)
-
-
-def test_euler_derivation_never_certifies():
-    ring = VarSet(("x",))
-    euler = Derivation(ring, {"x": ring.var("x")})
-    for cap in (1, 5, 20):
-        with pytest.raises(IterationCapError):
-            is_locally_nilpotent(euler, cap)
-
-
-def test_iteration_cap_error_is_the_nilpotency_error():
-    assert IterationCapError is NotLocallyNilpotentError
-
-
-def test_zero_derivation_is_nilpotent_immediately():
-    assert is_locally_nilpotent(Derivation(W, {}), 1)
-
-
 # -- exponential action -----------------------------------------------------------
 
 
@@ -234,11 +208,11 @@ def test_exp_group_law_on_generators():
 
 
 def test_hypersurface_equation_invariant():
-    assert is_invariant(D3, P("w1 - 1 - (w3*w6 - w4*w5)"))
+    assert D3.apply(P("w1 - 1 - (w3*w6 - w4*w5)")).is_zero()
 
 
 def test_even_coordinate_not_invariant():
-    assert not is_invariant(D3, W.var("w2"))
+    assert not D3.apply(W.var("w2")).is_zero()
 
 
 def test_odd_coordinate_polynomials_invariant_randomized():
@@ -246,7 +220,7 @@ def test_odd_coordinate_polynomials_invariant_randomized():
     odd = VarSet(("w1", "w3", "w5"))
     for _ in range(50):
         p = random_poly(rng, odd, max_degree=3).embed(W)
-        assert is_invariant(D3, p)
+        assert D3.apply(p).is_zero()
 
 
 def test_invariance_matches_fixed_flow():
@@ -256,12 +230,12 @@ def test_invariance_matches_fixed_flow():
         invariant = W.one()
         for _ in range(2):
             invariant = invariant * rng.choice(kernel6)
-        assert is_invariant(D3, invariant)
+        assert D3.apply(invariant).is_zero()
         assert exp_action(D3, invariant) == invariant.embed(
             exp_action(D3, invariant).ring
         )
         noninvariant = invariant + W.var("w2")
-        assert not is_invariant(D3, noninvariant)
+        assert not D3.apply(noninvariant).is_zero()
         assert exp_action(D3, noninvariant) != noninvariant.embed(
             exp_action(D3, noninvariant).ring
         )
@@ -783,7 +757,7 @@ def test_saturation_round_tags_only_the_kept_generators():
                           "u": parse("-3*y*z + 2", ring)})
     gens = kernel_saturation(d, make_slice(d, "y"), 8, caps=ResourceCaps(max_degree=8))
     assert len(gens) == 4
-    assert all(is_invariant(d, g) for g in gens)
+    assert all(d.apply(g).is_zero() for g in gens)
 
 
 @pytest.mark.parametrize("derivation, expected", [

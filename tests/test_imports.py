@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private module-level definition is used somewhere in the library, and
-each module imports only from the modules below it in the layering."""
+private module-level definition is used somewhere in the library, every
+public one is used by the library or the acceptance tests, and each
+module imports only from the modules below it in the layering."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,11 @@ SOURCES = sorted(
     path for path in (Path(__file__).resolve().parent.parent / "src" / "gaquot").glob("*.py")
     if path.name != "__init__.py"
 )
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+# Public definitions kept with no referrer yet: the Jacobian matrix is
+# the rank certificate of the closed-form v3 presentation (ROADMAP item 2).
+UNREFERENCED_PUBLIC_ALLOWED = {("poly.py", "jacobian")}
 
 
 # The library's layers, lowest first; a module may import only from layers below it.
@@ -52,8 +58,8 @@ def unused_imports(source: str) -> list:
     return sorted(name for name in imported if name not in used)
 
 
-def private_definitions(source: str) -> list:
-    """Private functions, classes and constants defined at module level."""
+def module_definitions(source: str) -> list:
+    """Functions, classes and constants defined at module level."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,7 +68,18 @@ def private_definitions(source: str) -> list:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def private_definitions(source: str) -> list:
+    """Private functions, classes and constants defined at module level."""
+    return [name for name in module_definitions(source)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def public_definitions(source: str) -> list:
+    """Public functions, classes and constants defined at module level."""
+    return [name for name in module_definitions(source) if not name.startswith("_")]
 
 
 def referenced_names(source: str) -> set:
@@ -83,6 +100,14 @@ def unreferenced_private_definitions(sources: dict) -> list:
     referenced = set().union(*map(referenced_names, sources.values()))
     return sorted((module, name) for module, source in sources.items()
                   for name in private_definitions(source) if name not in referenced)
+
+
+def unreferenced_public_definitions(sources: dict, acceptance: str) -> list:
+    """(module, name) of each public definition that no module and not
+    the acceptance tests refer to."""
+    referenced = set().union(referenced_names(acceptance), *map(referenced_names, sources.values()))
+    return sorted((module, name) for module, source in sources.items()
+                  for name in public_definitions(source) if name not in referenced)
 
 
 def test_sources_found():
@@ -134,3 +159,22 @@ def test_detects_unreferenced_private_definition():
     }
     assert unreferenced_private_definitions(sources) == [
         ("a.py", "_Gone"), ("a.py", "_dead"), ("a.py", "_unused")]
+
+
+def test_no_unreferenced_public_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert sum(len(public_definitions(source)) for source in sources.values()) > 40
+    unreferenced = unreferenced_public_definitions(sources, ACCEPTANCE.read_text(encoding="utf-8"))
+    assert set(unreferenced) == UNREFERENCED_PUBLIC_ALLOWED
+
+
+def test_detects_unreferenced_public_definition():
+    sources = {
+        "a.py": "LIMIT = 3\ndead: int = 0\ndef used():\n    return LIMIT\n"
+                "class Gone:\n    pass\ndef unused(n):\n    return n\n"
+                "def checked():\n    pass\n_private = 1\n",
+        "b.py": "from .a import used\nused()\n",
+    }
+    acceptance = "from gaquot import checked\n"
+    assert unreferenced_public_definitions(sources, acceptance) == [
+        ("a.py", "Gone"), ("a.py", "dead"), ("a.py", "unused")]

@@ -365,31 +365,6 @@ def test_square_never_squarefree_randomized():
     assert is_squarefree(product)
 
 
-# -- evaluation --------------------------------------------------------------------
-
-
-def test_evaluate_at_ones():
-    assert P("w3*w6 - w4*w5").evaluate({n: 1 for n in W.names}) == 0
-
-
-def test_evaluate_constant_term_normalization():
-    f = S.var("s")  # f(0) = 0
-    assert (1 + f).evaluate({"s": 0}) == 1
-
-
-def test_evaluate_rational_point():
-    assert parse("s^2", S).evaluate({"s": Fraction(3, 2)}) == Fraction(9, 4)
-    value = parse("s^2 - 1/4", S).evaluate({"s": Fraction(5, 2)})
-    assert value == 6 and type(value) is int
-    with pytest.raises(TypeError):
-        parse("s^2 + 1", S).evaluate({"s": 0.1})
-
-
-def test_evaluate_missing_assignment():
-    with pytest.raises(MissingAssignmentError):
-        P("w1 + w2").evaluate({"w1": 1})
-
-
 # -- canonical coefficients --------------------------------------------------------
 
 
