@@ -19,7 +19,8 @@ ideal computations:
 and derives the forced ranks of the K-theory groups from the component
 count, plus a presentation of the invariant ring by tag-variable
 elimination, computed together with its minimal generators in one
-Groebner run.
+Groebner run, whose seeds name the tag of the quadratic invariant
+instead of expanding its powers.
 
 Stability and freeness test one ideal, since the zeros of the action are
 the non-stable locus, so the battery runs that unit-ideal test once.
@@ -42,6 +43,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Optional
 
 from .derivations import (
@@ -63,12 +65,13 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
+    _tag_ring,
     is_squarefree,
     is_unit_ideal,
     krull_dimension,
     subalgebra_presentation,
 )
-from .poly import Polynomial, VarSet, _product, monic
+from .poly import Polynomial, VarSet, _exact_quotient, _grevlex_descending, _product
 
 # Family name -> (number of two-dimensional blocks, variables of f).  f has
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
@@ -347,35 +350,84 @@ def invariant_presentation(art: ConstructionArtifacts,
     """Present the invariant ring of X by generators and relations.
 
     Computes the kernel of the derivation up to KERNEL_DEGREE and
-    restricts each generator to X with one substitution, w1 -> 1 + f(quads)
-    and every other coordinate to itself; the image no longer involves w1,
-    so w2, w3, ... are read as the affine coordinates z1, z2, ... of X (the
-    closed immersion).  One incremental Groebner run over the tag-variable
-    graph ideal of the restricted generators, in (degree, text) order,
-    drops each generator lying in the subalgebra of those before it and
-    eliminates the affine coordinates from the graph ideal of the rest
+    restricts each generator g to X, w1 -> 1 + f(q) with q the quadratic
+    invariant; the image no longer involves w1, so w2, w3, ... are read
+    as the affine coordinates z1, z2, ... of X (the closed immersion),
+    constant terms are dropped and each image is made monic.  One
+    incremental Groebner run over the tag-variable graph ideal of the
+    restricted generators, in (degree, text) order, drops each generator
+    lying in the subalgebra of those before it and eliminates the affine
+    coordinates from the graph ideal of the rest
     (groebner.subalgebra_presentation); the filter and the elimination
     share one `caps` budget.  Returns (restricted generators, relation
     ideal in tags).
+
+    q is free of w1, so its image is c times its monic candidate q' for
+    a scalar c.  Each generator g is restricted through its seed form
+    g(w1 -> 1 + f(c*y), w_k -> z_(k-1)), with y the tag of q': one term
+    map over the cached powers of 1 + f(c*y).  Its image is the form at
+    y -> q', expanded over the cached powers of q', and the form is
+    scaled and stripped of its constant like the image, so it equals the
+    candidate by construction.  Seeded through the forms, the run never
+    reduces expanded powers of q back to powers of its tag: w1's own
+    image has a tag-only form and is dropped at once, and the minors
+    w1*w4 - w2*w3 and w1*w6 - w2*w5 are seeded with deg f + 3 terms
+    each.  Duplicate candidates are dropped through a dict.
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
     w_ring = art.w_ring
     z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(w_ring))))
-    restriction = {name: w_ring.var(name) for name in w_ring.names}
-    restriction["w1"] = w_ring.var("w1") - art.x_ideal.generators[0]  # 1 + f(quads)
+    (q,) = art.quad_invariants
+    q_image = {m[1:]: a for m, a in q.terms.items()}  # q is free of w1
+    c = q_image[min(q_image, key=_grevlex_descending)]
+    q_monic = Polynomial(z_ring, {m: _exact_quotient(a, c) for m, a in q_image.items()})  # q = c*q'
+    # A form's terms are keyed by the exponents of z1, z2, ... and then of y.
+    one = (0,) * (len(z_ring) + 1)
+    one_plus_f = {one[:-1] + (k,): a * c ** k for (k,), a in art.spec.f.terms.items()}
+    one_plus_f[one] = 1  # f(0) = 0
+    w1_powers = [{one: 1}]  # (1 + f(c*y))^e, the form of w1^e
+    q_powers = [{one[:-1]: 1}]  # q'^k
 
-    restricted = []
+    def expand(form: dict) -> dict:
+        """The form at y -> q', over z."""
+        out: dict = {}
+        for m, a in form.items():
+            while len(q_powers) <= m[-1]:
+                q_powers.append(_product(q_powers[-1], q_monic.terms))
+            for t, b in q_powers[m[-1]].items():
+                key = tuple(map(add, m, t))  # map stops before y, at the end of t
+                out[key] = out.get(key, 0) + a * b
+        return out
+
+    forms = {}  # candidate -> its form as a term dict, None for the candidate itself
     for g in kernel_linear(art.derivation, KERNEL_DEGREE, caps=caps):
-        image = g.substitute(restriction)
-        # w1 is gone: read w2, w3, ... as z1, z2, ...; constants never matter
-        image = Polynomial(z_ring, {m[1:]: c for m, c in image.terms.items() if any(m)})
-        if image.is_zero():
+        form: dict = {}
+        for m, a in g.terms.items():
+            while len(w1_powers) <= m[0]:
+                w1_powers.append(_product(w1_powers[-1], one_plus_f))
+            rest = m[1:] + (0,)
+            for t, b in w1_powers[m[0]].items():
+                key = tuple(map(add, rest, t))
+                form[key] = form.get(key, 0) + a * b
+        image = {m: a for m, a in expand(form).items() if a and any(m)}  # constants never matter
+        if not image:
             continue
-        image = monic(image)
-        if image not in restricted:
-            restricted.append(image)
-    survivors, relations = subalgebra_presentation(z_ring, _sorted_gens(restricted), caps)
+        lc = image[min(image, key=_grevlex_descending)]
+        candidate = Polynomial(z_ring, {m: _exact_quotient(a, lc) for m, a in image.items()})
+        if any(m[0] for m in g.terms):
+            forms.setdefault(candidate, {m: _exact_quotient(a, lc) for m, a in form.items()
+                                         if a and any(m)})
+        else:
+            forms[candidate] = None  # its own form, which wins over a duplicate's
+    ordered = _sorted_gens(list(forms))
+    # q' is a kernel generator and not in the subalgebra of the linear ones
+    at, tags = ordered.index(q_monic), len(ordered)
+    big = _tag_ring(z_ring, tags)
+    seeds = [p if forms[p] is None else Polynomial(big, {
+        m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in forms[p].items()})
+        for p in ordered]
+    survivors, relations = subalgebra_presentation(z_ring, ordered, caps, seeds)
     return tuple(survivors), relations
 
 

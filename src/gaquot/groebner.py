@@ -23,8 +23,9 @@ order; a reduced basis is listed in ascending order of leading monomial.
 Each term order is one descending sort key, built on the one grevlex key
 of `poly`.  The tag-variable graph ideal is defined twice, as a pair:
 `_graph_ideal` builds its polynomials over the ring extended by the
-tags, for elimination and one-shot membership, and `_GraphSpan._seed`
-packs the same generators straight from the candidates' terms.
+tags (`_tag_ring`), for elimination and one-shot membership, and
+`_GraphSpan._seed` packs the same generators straight from the
+candidates' terms, or congruent ones from the candidates' seed forms.
 
 Buchberger, normal forms, the pair update and exact division work on
 packed monomials: inside the engine a monomial is one Python int, linear
@@ -686,16 +687,53 @@ def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     raise AssertionError("unreachable: the empty set is always independent")
 
 
+def _tag_ring(ring: VarSet, count: int) -> VarSet:
+    """`ring` followed by fresh tags y1..y<count>, one per generator of a
+    graph ideal."""
+    return ring.extend(fresh_names("y", count, ring.names))
+
+
 def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
-    """The graph ideal (extra) + (y_i - gens_i) over `ring` followed by
-    fresh tags y1..ym, one per generator, with the `extra` generators
-    (over `ring`) first.  Eliminating `ring` leaves the tag polynomials
-    p with p(gens) in (extra).  `_GraphSpan._seed` packs the same
-    generators y_i - gens_i without building this ring."""
-    tags = fresh_names("y", len(gens), ring.names)
-    big = ring.extend(tags)
+    """The graph ideal (extra) + (y_i - gens_i) over `_tag_ring(ring, m)`,
+    one tag y_i per generator, with the `extra` generators (over `ring`)
+    first.  Eliminating `ring` leaves the tag polynomials p with p(gens)
+    in (extra).  `_GraphSpan._seed` packs the same generators
+    y_i - gens_i without building this ring."""
+    big = _tag_ring(ring, len(gens))
+    tags = big.names[len(ring):]
     return Ideal(big, tuple(e.embed(big) for e in extra)
                  + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
+
+
+def _check_forms(ring: VarSet, candidates: Sequence[Polynomial],
+                 forms: Optional[Sequence[Polynomial]]) -> Sequence[Polynomial]:
+    """The seed forms of a span of `candidates` over `ring`, the
+    candidates themselves if `forms` is None.  Raises RingMismatchError
+    for a candidate not over `ring` or a form over neither `ring` nor
+    `_tag_ring(ring, len(candidates))`, and ValueError unless there is
+    one form per candidate."""
+    for g in candidates:
+        if g.ring != ring:
+            raise RingMismatchError("subalgebra candidates over the wrong ring")
+    if forms is None:
+        return candidates
+    if len(forms) != len(candidates):
+        raise ValueError("a subalgebra span needs one form per candidate")
+    big = _tag_ring(ring, len(candidates))
+    for form in forms:
+        if form.ring not in (ring, big):
+            raise RingMismatchError("candidate forms over the wrong ring")
+    return forms
+
+
+def _moved_form(form: Polynomial, candidate: Polynomial, source: Sequence[int],
+                target: VarSet) -> Polynomial:
+    """The seed form over `target` whose k-th variable is variable
+    source[k] of the form's ring, or `candidate` if the form involves a
+    variable outside `source`."""
+    if any(sum(m) != sum(m[k] for k in source) for m in form.terms):
+        return candidate
+    return Polynomial(target, {tuple(m[k] for k in source): c for m, c in form.terms.items()})
 
 
 class _GraphSpan:
@@ -707,23 +745,36 @@ class _GraphSpan:
     `ring` and one tag per candidate from the start, so it never changes,
     and the whole run shares one `caps` budget.  Packing is linear and
     `ring` holds the first variables, so a polynomial of `ring` packs
-    from its own terms: a candidate's seed, the generator y_i - p of
-    `_graph_ideal(ring, candidates)`, is its packed negated terms plus
-    the packed tag y_i (`_seed`), and `contains` packs its argument the
-    same way; no polynomial over the big ring is built.  No tag leads a
-    row, so the normal form of a polynomial of `ring` mentions only tags
-    (one mask of the ring's exponent fields, the lowest ones) exactly
-    when subalgebra_membership calls it a member of the kept candidates'
-    subalgebra.  A candidate is kept iff its seed, reduced to y_i minus
-    the normal form of p (y_i leads no row), is not tag-only; the kept
-    remainder joins the basis, whose pairs are completed before the next
-    candidate.  An empty candidate list raises ValueError."""
+    from its own terms, and `contains` packs its argument that way; no
+    polynomial over the big ring is built.  No tag leads a row, so the
+    normal form of a polynomial of `ring` mentions only tags (one mask of
+    the ring's exponent fields, the lowest ones) exactly when
+    subalgebra_membership calls it a member of the kept candidates'
+    subalgebra.
+
+    Candidate i is seeded with y_i - form_i (`_seed`), where form_i is a
+    polynomial over `ring` or over `_tag_ring(ring, len(candidates))`
+    that equals candidate i once each tag y_j in it is replaced by
+    candidate j.  The default form is the candidate itself, which makes
+    the seed the generator y_i - p of `_graph_ideal(ring, candidates)`.
+    A form may name only the tags of candidates kept before i; one that
+    names any other tag is replaced by its candidate.  For every kept j
+    the run already holds y_j - candidate_j, so the two seeds are
+    congruent modulo the ideal the rows are a Groebner basis of, and
+    have the same normal form up to a positive scale: the same
+    membership verdict and, once `_row` divides out the content, the
+    same row.  A form only saves reduction work: for instance, with a
+    candidate that expands a power of another, naming that other's tag
+    leaves the reduction nothing to rebuild.  A candidate is kept iff its
+    seed, reduced to y_i minus a normal form free of y_i (y_i leads no
+    row), is not tag-only; the kept remainder joins the basis, whose
+    pairs are completed before the next candidate.  An empty candidate
+    list raises ValueError."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
-                 caps: ResourceCaps = DEFAULT_CAPS):
-        for g in candidates:
-            if g.ring != ring:
-                raise RingMismatchError("subalgebra candidates over the wrong ring")
+                 caps: ResourceCaps = DEFAULT_CAPS,
+                 forms: Optional[Sequence[Polynomial]] = None):
+        forms = _check_forms(ring, candidates, forms)
         if not candidates:
             raise ValueError("a subalgebra span needs at least one candidate")
         n = len(ring)
@@ -734,18 +785,23 @@ class _GraphSpan:
         self._ring_fields = (1 << _EXPONENT_BITS * n) - 1
         self._columns = []  # exponent column of each kept candidate's tag
         self.kept = []
-        for i, p in enumerate(candidates):
-            reduced, member = self._tag_only_form(self._seed(i, p))
+        for i, (p, form) in enumerate(zip(candidates, forms)):
+            if form is not p:
+                named = {n + k for exps in form.terms for k, e in enumerate(exps[n:]) if e}
+                if not named <= set(self._columns):
+                    form = p  # it names a later, dropped or its own candidate's tag
+            reduced, member = self._tag_only_form(self._seed(i, form))
             if not member:
                 self._columns.append(n + i)
                 self.kept.append(p)
                 self._run.append(reduced)
                 self._run.complete()
 
-    def _seed(self, i: int, p: Polynomial) -> dict:
-        """The packed integer term dict of y_i - p, the i-th generator of
-        `_graph_ideal(ring, candidates)`, times the lcm of p's denominators."""
-        work, d = _integer_terms(p.terms, self._run.packing.pack)
+    def _seed(self, i: int, form: Polynomial) -> dict:
+        """The packed integer term dict of y_i - form, times the lcm of
+        the form's denominators; with the candidate as its form, the i-th
+        generator of `_graph_ideal(ring, candidates)`."""
+        work, d = _integer_terms(form.terms, self._run.packing.pack)
         seed = {m: -c for m, c in work.items()}
         seed[self._tags[i]] = d
         return seed
@@ -805,14 +861,18 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
 
 
 def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
-                            caps: ResourceCaps = DEFAULT_CAPS):
+                            caps: ResourceCaps = DEFAULT_CAPS,
+                            forms: Optional[Sequence[Polynomial]] = None):
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
     tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
     keeps the survivors and its `relations()` follow, so the filter and
-    the elimination are one run sharing one `caps` budget.  An empty
-    candidate list raises ValueError.
+    the elimination are one run sharing one `caps` budget.  `forms`, one
+    per candidate and by default the candidates themselves, are the
+    span's seed forms over `_tag_ring(ring, len(candidates))`; they change
+    the reduction work, never the result.  An empty candidate list raises
+    ValueError.
 
     A lone candidate, a single term c*x of degree 1 whose variable x
     occurs in no other candidate (a trivial summand), is split off: the
@@ -824,10 +884,11 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     is the rest's, extended, and grevlex on a subsequence of the tags is
     grevlex, so its reduced basis is the same.  The pairs of a lone seed
     have coprime leading monomials, which the product criterion prunes,
-    so the run reduces the same S-polynomials."""
-    for g in candidates:
-        if g.ring != ring:
-            raise RingMismatchError("subalgebra candidates over the wrong ring")
+    so the run reduces the same S-polynomials.  The forms of the other
+    candidates are re-indexed to the inner span's columns; a form that
+    names a lone variable or a lone candidate's tag is replaced by its
+    candidate."""
+    forms = _check_forms(ring, candidates, forms)
     single = {}  # candidate index -> variable index, for each single term c*x
     for i, p in enumerate(candidates):
         if len(p.terms) == 1:
@@ -839,7 +900,7 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     used = {k for k, column in enumerate(zip(*others)) if any(column)}
     lone = {i: k for i, k in single.items() if owners[k] == 1 and k not in used}
     if not lone:
-        span = _GraphSpan(ring, candidates, caps)
+        span = _GraphSpan(ring, candidates, caps, forms)
         return span.kept, span.relations()
     rest = [i for i in range(len(candidates)) if i not in lone]
     dropped = set(lone.values())
@@ -848,9 +909,14 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     kept = set(lone)
     rows = ()
     if rest:
-        span = _GraphSpan(inner, [Polynomial(inner, {
+        inner_candidates = [Polynomial(inner, {
             tuple(m[k] for k in columns): c for m, c in candidates[i].terms.items()})
-            for i in rest], caps)
+            for i in rest]
+        source = columns + [len(ring) + i for i in rest]  # the big-ring column of each inner one
+        inner_big = _tag_ring(inner, len(rest))
+        inner_forms = [p if forms[i].ring == ring else _moved_form(forms[i], p, source, inner_big)
+                       for i, p in zip(rest, inner_candidates)]
+        span = _GraphSpan(inner, inner_candidates, caps, inner_forms)
         # the span's tag column of its i-th candidate is len(inner) + i
         kept.update(rest[column - len(inner)] for column in span._columns)
         rows = span.relations().generators

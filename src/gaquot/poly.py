@@ -297,7 +297,9 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring.names, frozenset(self.terms.items())))
+        # Equal polynomials have equal supports, and the support's tuples of
+        # ints hash without the modular inverse that a Fraction's hash takes.
+        return hash((self.ring.names, frozenset(self.terms)))
 
     # -- calculus and substitution ----------------------------------------
 

@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
 import sympy as sp
 
 from gaquot import (
@@ -21,7 +20,6 @@ from gaquot import (
     Polynomial,
     TermOrder,
     VarSet,
-    boundary_analysis,
     buchberger,
     build_family,
     check_freeness,
@@ -29,7 +27,6 @@ from gaquot import (
     check_stability,
     exp_action,
     is_squarefree,
-    kernel_linear,
     lower_triangular_derivation,
     normal_form,
     parse,
@@ -176,7 +173,15 @@ def test_criterion_3_component_count():
         assert rep.m == 3
         assert (rep.ranks.rank_z, rep.ranks.rank_closure,
                 rep.ranks.rank_quotient) == (3, 4, 1)
-    report(3, "cubic instance: m = deg f = 3, ranks (3,4,1)")
+        # w1 = 1 + f(q) on X, so f(q) lies in the presented subalgebra; the
+        # from-scratch membership engine confirms it and its witness
+        gens, _ = rep.presentation
+        z = gens[0].ring
+        f_of_q = f.substitute({"s": parse("z2*z5 - z3*z4", z)})  # q = w3*w6 - w4*w5
+        member, witness = subalgebra_membership(f_of_q, list(gens))
+        assert member
+        assert witness.substitute({f"y{i + 1}": g for i, g in enumerate(gens)}) == f_of_q
+    report(3, "cubic instance: m = deg f = 3, ranks (3,4,1), f(q) in the presented subalgebra")
 
 
 # -- criterion 4: rejection path -------------------------------------------------------

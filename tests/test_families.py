@@ -35,7 +35,7 @@ from gaquot import (
 )
 from gaquot import families
 from gaquot.families import _build_family, _jacobian_identities, nonstable_ideal
-from helpers import random_poly, signed_roots_shape, to_sympy
+from helpers import signed_roots_shape, to_sympy
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))

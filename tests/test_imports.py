@@ -1,18 +1,19 @@
-"""Every name a library module imports is used in that module, every
-private module-level definition is used somewhere in the library, every
-public one is used by the library or the acceptance tests, and each
-module imports only from the modules below it in the layering."""
+"""Every name a library or test module imports is used in that module,
+every private module-level definition is used somewhere in the library,
+every public one is used by the library or the acceptance tests, and
+each module imports only from the modules below it in the layering."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parent.parent / "src" / "gaquot").glob("*.py")
-    if path.name != "__init__.py"
+    path for path in (ROOT / "src" / "gaquot").glob("*.py") if path.name != "__init__.py"
 )
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # Public definitions kept with no referrer yet: the Jacobian matrix is
 # the rank certificate of the closed-form v3 presentation (ROADMAP item 2).
@@ -112,9 +113,11 @@ def unreferenced_public_definitions(sources: dict, acceptance: str) -> list:
 
 def test_sources_found():
     assert {"cli.py", "groebner.py", "poly.py"} <= {path.name for path in SOURCES}
+    assert {"helpers.py", "test_acceptance.py", "test_imports.py"} <= {path.name for path in TESTS}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=lambda path: path.name if path in SOURCES else f"tests/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

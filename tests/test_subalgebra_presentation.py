@@ -10,14 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from gaquot import VarSet, eliminate, parse
+from gaquot import RingMismatchError, VarSet, eliminate, parse
 from gaquot.poly import scan_identifiers
-from gaquot import families
+from gaquot import families, groebner
 from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation
-from gaquot.groebner import _graph_ideal, _GraphSpan, subalgebra_presentation
-from helpers import groebner_minimal_generators, random_poly, spolynomials_per_run
+from gaquot.groebner import _graph_ideal, _GraphSpan, _tag_ring, subalgebra_presentation
+from helpers import (groebner_minimal_generators, random_poly, signed_roots_shape,
+                     spolynomials_per_run)
 
 
 def reference(ring, candidates):
@@ -175,20 +176,41 @@ V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
             + [(f"triv{t}", "-3/2*s", t) for t in range(11)])
 
 
-@pytest.mark.parametrize("label, shape, trivial", V3_CASES, ids=[c[0] for c in V3_CASES])
-def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label, shape, trivial):
+def presentation_input(monkeypatch, spec):
+    """((ring, candidates, forms) that invariant_presentation hands to
+    subalgebra_presentation, the presentation it returns) for `spec`."""
     seen = []
 
-    def recording(ring, candidates, caps):
-        seen.append((ring, list(candidates)))
-        return subalgebra_presentation(ring, candidates, caps)
+    def recording(ring, candidates, caps, forms):
+        seen.append((ring, list(candidates), list(forms)))
+        return subalgebra_presentation(ring, candidates, caps, forms)
 
     monkeypatch.setattr(families, "subalgebra_presentation", recording)
+    presentation = invariant_presentation(build_family(spec))
+    [found] = seen
+    return found, presentation
+
+
+def v3_span_input(monkeypatch, degree, trivial, seed):
+    """(ring, candidates, forms) of the signed-roots shape of `degree`."""
+    spec = FamilySpec("v3", signed_roots_shape(degree, seed), trivial)
+    return presentation_input(monkeypatch, spec)[0]
+
+
+@pytest.mark.parametrize("label, shape, trivial", V3_CASES, ids=[c[0] for c in V3_CASES])
+def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label, shape, trivial):
+    """The presentation equals the reference on the candidates it spans,
+    and each seed form equals its candidate once its tags are replaced
+    by the candidates they tag."""
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
-    survivors, relations = invariant_presentation(build_family(spec))
-    [(ring, candidates)] = seen
+    (ring, candidates, forms), (survivors, relations) = presentation_input(monkeypatch, spec)
     assert ([str(g) for g in survivors], relations.ring.names,
             [str(r) for r in relations.generators]) == reference(ring, candidates)
+    expand = dict(zip(_tag_ring(ring, len(candidates)).names,
+                      [ring.var(n) for n in ring.names] + candidates))
+    assert [form.substitute({n: expand[n] for n in form.ring.names}) for form in forms] \
+        == candidates
+    assert any(form.ring != ring for form in forms)
 
 
 def test_present_degree_20_output_is_pinned():
@@ -201,3 +223,115 @@ def test_present_degree_20_output_is_pinned():
     assert text.endswith("round-trip: verified\n")
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "d3686c8f2a07d41e10020b90a06f277caf7b12fd8f848023657b20807682afef"
+
+
+# -- seed forms ----------------------------------------------------------------
+
+
+def span_state(span):
+    """Everything a span computes: the survivors, the relations, the rows
+    in the order they were added, and the S-polynomials reduced."""
+    return (span.kept, span.relations(), span._run.basis, span._run.reductions)
+
+
+def test_forms_leave_v3_spans_unchanged(monkeypatch):
+    """On seeded v3 shapes of degree 1-20 with 0-2 trivial summands, the
+    span seeded through the forms keeps the same candidates, adds the same
+    rows and reduces the same S-polynomials as the span seeded with the
+    candidates, and so does the presentation through the lone split."""
+    rng = random.Random("forms")
+    for degree in range(1, 21):
+        for trivial in range(3):
+            ring, candidates, forms = v3_span_input(monkeypatch, degree, trivial,
+                                                    rng.randrange(1000))
+            assert span_state(_GraphSpan(ring, candidates, forms=forms)) \
+                == span_state(_GraphSpan(ring, candidates))
+            assert subalgebra_presentation(ring, candidates, forms=forms) \
+                == subalgebra_presentation(ring, candidates)
+
+
+@pytest.mark.parametrize("trivial", [0, 1, 2])
+def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
+    """At degree 12 the images of w1 and of the two minors with w1 expand
+    to 91, 93 and 93 terms, which reduce to 13, 15 and 15; seeded
+    through their forms, the reduction starts from those 13, 15 and 15
+    terms, also past the split of the trivial summands."""
+    ring, candidates, forms = v3_span_input(monkeypatch, 12, trivial, 7)
+    sizes = []
+
+    class Recorded(_GraphSpan):
+        def _tag_only_form(self, work):
+            sizes.append(len(work))
+            reduced, member = super()._tag_only_form(work)
+            sizes.append(len(reduced))
+            return reduced, member
+
+    monkeypatch.setattr(groebner, "_GraphSpan", Recorded)
+    subalgebra_presentation(ring, candidates, forms=forms)
+    assert sizes == [2, 2, 2, 2, 3, 3, 13, 13, 15, 15, 15, 15]
+    sizes.clear()
+    subalgebra_presentation(ring, candidates)
+    assert sizes == [2, 2, 2, 2, 3, 3, 91, 13, 93, 15, 93, 15]
+
+
+FORM_RING = VarSet(("a", "b", "c"))
+FORM_TAGS = _tag_ring(FORM_RING, 4)
+
+
+def tagged(text):
+    return parse(text, FORM_TAGS)
+
+
+@pytest.mark.parametrize("candidates, form_index, form", [
+    # a names the later candidate a + b: y2 - b
+    (["a", "a + b", "b^2", "a*b"], 0, "y2 - b"),
+    # a^2*b + c names the dropped a^2: y2*y3 + c
+    (["a", "a^2", "b", "a^2*b + c"], 3, "y2*y3 + c"),
+    # a*b + c names its own tag: y3
+    (["a", "b", "a*b + c"], 2, "y3"),
+], ids=["later", "dropped", "own"])
+def test_forms_naming_other_tags_fall_back_to_the_candidate(candidates, form_index, form):
+    """A form that names a later, dropped or its own candidate's tag seeds
+    the candidate instead; seeded as written, each would keep a wrong row
+    or drop a candidate that is not a member."""
+    cands = [parse(t, FORM_RING) for t in candidates]
+    forms = list(cands)
+    forms[form_index] = tagged(form).embed(_tag_ring(FORM_RING, len(cands)))
+    assert span_state(_GraphSpan(FORM_RING, cands, forms=forms)) \
+        == span_state(_GraphSpan(FORM_RING, cands))
+
+
+def test_forms_through_the_lone_split(monkeypatch):
+    """Forms are re-indexed past the lone candidate e; a form that names
+    e's tag or e itself seeds its candidate instead.  Either way the inner
+    span adds the same rows as without forms."""
+    ring = VarSet(("x", "e", "z"))
+    cands = [parse(t, ring) for t in
+             ("e", "x^2", "z", "x^3 + x*z", "x^4*z + x^2", "x^6 + 2*x^4*z + x^2*z^2")]
+    big = _tag_ring(ring, len(cands))
+    spans = []
+
+    class Recorded(_GraphSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(span_state(self))
+
+    monkeypatch.setattr(groebner, "_GraphSpan", Recorded)
+    plain = subalgebra_presentation(ring, cands)
+    assert [str(r) for r in plain[1].generators] == ["y2^3 + 2*y2^2*y3 + y2*y3^2 - y4^2"]
+    for texts in (("x^3 + y3*x", "y2^2*y3 + y2", "y4^2"),  # named past the split
+                  ("x^3 + y3*x + y1 - e", "y2^2*y3 + y2", "y4^2 + e*x - y1*x")):
+        forms = cands[:3] + [parse(t, big) for t in texts]
+        assert subalgebra_presentation(ring, cands, forms=forms) == plain
+    assert len(spans) == 3 and spans[1] == spans[2] == spans[0]
+
+
+def test_forms_are_checked():
+    cands = [parse("a", FORM_RING), parse("b", FORM_RING)]
+    with pytest.raises(ValueError):
+        _GraphSpan(FORM_RING, cands, forms=cands[:1])
+    for ring in (FORM_TAGS, VarSet(("a", "b"))):  # tags for 4 candidates, not 2; another ring
+        with pytest.raises(RingMismatchError):
+            _GraphSpan(FORM_RING, cands, forms=[cands[0], ring.var("a")])
+        with pytest.raises(RingMismatchError):
+            subalgebra_presentation(FORM_RING, cands, forms=[cands[0], ring.var("a")])
