@@ -36,12 +36,23 @@ battery's Buchberger runs are the squarefree gcd, the stability and
 freeness run, the presentation, and for v4 the Jacobian criterion.  A
 ResourceCapError raised by the battery names the stage, by its report
 key, in front of the cap.
+
+What depends on the representation W alone is built once per process
+and per (family, trivial summands), in two bounded caches: W's
+derivation, the ambient ring, the quadratic invariants
+(`_representation`) and the degree-<= 2 W-invariants that the
+presentation restricts to X (`_w_invariants`).  Everything that depends
+on f or on the caps (f(q), X, Ybar, B, the checks, the presentation's
+Groebner run) is built per call, so reports are byte-identical whether
+the caches are cold or warm.  A long-lived caller that sweeps f over
+one W gains; one `gaquot verify` per process builds W once either way.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import add
 from typing import Optional
@@ -155,23 +166,63 @@ def build_family(spec: FamilySpec) -> ConstructionArtifacts:
     return _build_family(spec)
 
 
+# One entry per representation W in use; kernel-width, the benchmark
+# workload with the most, uses 11 (v3 with 0..10 trivial summands).
+@lru_cache(maxsize=64)
+def _representation(family: str, trivial: int):
+    """(derivation, ambient ring, quadratic invariants) of the
+    representation W of `family` with `trivial` trivial summands, built
+    once per process: the action `lower_triangular_derivation(blocks,
+    trivial)` (its ring is the ring of W), the ring (u, v) followed by
+    the coordinates of W, and the quadratic invariants of W.  Nothing
+    here depends on f, and every value is immutable, so one entry serves
+    every instance on W, from any thread."""
+    blocks = FAMILIES[family][0]
+    derivation = lower_triangular_derivation(blocks, trivial)
+    ambient = VarSet(("u", "v") + derivation.ring.names)
+    return derivation, ambient, _quadratic_invariants(derivation.ring, blocks)
+
+
+@lru_cache(maxsize=64)
+def _w_invariants(family: str, trivial: int) -> tuple:
+    """The minimal generators of the W-invariants of degree <= KERNEL_DEGREE,
+    `kernel_linear` of the derivation of `_representation(family,
+    trivial)`, solved once per process.
+
+    The key leaves out the caps: the derivation of W is linear, so
+    `kernel_linear` spans its homogeneous kernel by graded linear
+    algebra (`_GradedSpan`) and never reads them.  It also leaves out
+    `derivations.KERNEL_DIMENSION_CAP`, which the solve checks first, so
+    a test that changes that constant must `cache_clear()` this function
+    before it runs a battery.  `lru_cache` stores no exception, so a cap
+    error is raised again on every call, inside the caller's battery
+    stage.
+    """
+    return tuple(kernel_linear(_representation(family, trivial)[0], KERNEL_DEGREE))
+
+
 def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     """build_family without validation, so that tests can build the
-    invalid specs the battery's failure paths are about."""
-    blocks = FAMILIES[spec.family][0]
-    derivation = lower_triangular_derivation(blocks, spec.trivial_summands)
+    invalid specs the battery's failure paths are about.  Only f(q), X,
+    Ybar and B are built here; the objects of W come from
+    `_representation`."""
+    derivation, ambient, quads = _representation(spec.family, spec.trivial_summands)
     w_ring = derivation.ring
-    ambient = VarSet(("u", "v") + w_ring.names)
+    f_of_q = spec.f.substitute(dict(zip(spec.f.ring.names, quads))).terms
 
-    quads = _quadratic_invariants(w_ring, blocks)
-    f_of_q = spec.f.substitute(dict(zip(spec.f.ring.names, quads)))
+    def minus_one_minus_f(lead: Polynomial) -> Polynomial:
+        """lead - 1 - f(q), summed in one term dict; lead's ring ends
+        with the coordinates of W."""
+        pad = (0,) * (len(lead.ring) - len(w_ring))
+        terms = dict(lead.terms)
+        for m, c in (((0,) * len(w_ring), 1), *f_of_q.items()):
+            terms[pad + m] = terms.get(pad + m, 0) - c
+        return Polynomial(lead.ring, terms)
 
-    x_ideal = Ideal(w_ring, (w_ring.var("w1") - 1 - f_of_q,))
-    ybar_gen = (ambient.var("u") * ambient.var("w2")
-                - ambient.var("v") * ambient.var("w1")
-                - 1 - f_of_q.embed(ambient))
-    ybar_ideal = Ideal(ambient, (ybar_gen,))
-    b_ideal = Ideal(w_ring, (-1 - f_of_q,))  # ybar_gen at u = v = 0
+    u, v, w1, w2 = map(ambient.var, ("u", "v", "w1", "w2"))
+    x_ideal = Ideal(w_ring, (minus_one_minus_f(w_ring.var("w1")),))
+    ybar_ideal = Ideal(ambient, (minus_one_minus_f(u * w2 - v * w1),))
+    b_ideal = Ideal(w_ring, (minus_one_minus_f(w_ring.zero()),))  # Ybar's equation at u = v = 0
 
     return ConstructionArtifacts(
         spec=spec,
@@ -349,8 +400,9 @@ def invariant_presentation(art: ConstructionArtifacts,
                            caps: ResourceCaps = DEFAULT_CAPS):
     """Present the invariant ring of X by generators and relations.
 
-    Computes the kernel of the derivation up to KERNEL_DEGREE and
-    restricts each generator g to X, w1 -> 1 + f(q) with q the quadratic
+    Takes the kernel of the derivation up to KERNEL_DEGREE, which
+    `_w_invariants` solves once per representation W, and restricts each
+    generator g to X, w1 -> 1 + f(q) with q the quadratic
     invariant; the image no longer involves w1, so w2, w3, ... are read
     as the affine coordinates z1, z2, ... of X (the closed immersion),
     constant terms are dropped and each image is made monic.  One
@@ -401,7 +453,7 @@ def invariant_presentation(art: ConstructionArtifacts,
         return out
 
     forms = {}  # candidate -> its form as a term dict, None for the candidate itself
-    for g in kernel_linear(art.derivation, KERNEL_DEGREE, caps=caps):
+    for g in _w_invariants(art.spec.family, art.spec.trivial_summands):
         form: dict = {}
         for m, a in g.terms.items():
             while len(w1_powers) <= m[0]:

@@ -12,7 +12,7 @@ import pytest
 
 import gaquot
 from gaquot import VarSet, parse, subalgebra_membership
-from gaquot import cli
+from gaquot import cli, families
 from gaquot.cli import main
 from helpers import signed_roots_shape
 
@@ -116,6 +116,25 @@ def test_resource_cap_names_the_stage(capsys):
     code, text = run(["verify", "--family", "v3", "--f=s", "--max-pairs", "1"])
     assert (code, text) == (4, "")
     assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
+
+
+def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
+    """The W-invariants are cached per process, but a cap error is not:
+    it is raised again, under its stage, on every call."""
+    families._representation.cache_clear()
+    families._w_invariants.cache_clear()
+    for _ in range(2):
+        code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "100"])
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == (
+            "resource cap: presentation: coefficient space of dimension 5778 exceeds 5000\n")
+    assert families._w_invariants.cache_info().currsize == 0
+    for warm in (False, True):  # the first call fills the cache, past the kernel solve
+        hits = families._w_invariants.cache_info().hits
+        code, text = run(["verify", "--family", "v3", "--f=s", "--max-pairs", "1"])
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
+        assert families._w_invariants.cache_info().hits == hits + warm
 
 
 def test_successive_calls_share_no_state(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Family construction and the verification battery."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 import sympy as sp
 
 from gaquot import (
+    DEFAULT_CAPS,
     Derivation,
     FamilySpec,
     Ideal,
@@ -33,7 +37,7 @@ from gaquot import (
     parse,
     run_battery,
 )
-from gaquot import families
+from gaquot import cli, families
 from gaquot.families import _build_family, _jacobian_identities, nonstable_ideal
 from helpers import signed_roots_shape, to_sympy
 
@@ -456,6 +460,68 @@ def test_battery_moduli_instance_reports_absent_ranks():
     assert report.m is None and report.ranks is None and report.presentation is None
     assert report.boundary_codim == 2
     assert (report.dims.x, report.dims.quotient) == (7, 6)
+
+
+# -- the representation caches -----------------------------------------------------------
+
+
+def clear_representation_caches():
+    families._representation.cache_clear()
+    families._w_invariants.cache_clear()
+
+
+def rendered_report(spec):
+    report = run_battery(spec)
+    return cli.render_report(cli.report_document(report, DEFAULT_CAPS, cli.DEFAULT_MAX_ROUNDS))
+
+
+CACHE_CASES = ([(f"v3-deg{d}-triv{t}", "v3", signed_roots_shape(d, 7), t)
+                for d in range(1, 13) for t in range(3)]
+               + [(f"v4-{f}", "v4", parse(f, ABC), 0)
+                  for f in ("a", "2*a - b + 3*c", "-1/2*a + 2*b - c")])
+
+
+@pytest.mark.parametrize("label, family, f, trivial", CACHE_CASES,
+                         ids=[case[0] for case in CACHE_CASES])
+def test_cold_and_warm_caches_give_identical_reports(label, family, f, trivial):
+    """A battery on a warm cache renders the same bytes as on a cold
+    one; the warm run takes W and, for v3, its invariants from the cache."""
+    spec = FamilySpec(family, f, trivial)
+    clear_representation_caches()
+    cold = rendered_report(spec)
+    before = (families._representation.cache_info().hits,
+              families._w_invariants.cache_info().hits)
+    warm = rendered_report(spec)
+    after = (families._representation.cache_info().hits,
+             families._w_invariants.cache_info().hits)
+    assert warm == cold
+    assert (after[0] - before[0], after[1] - before[1]) == (1, family == "v3")
+
+
+def test_threads_on_a_cold_cache_give_equal_reports():
+    """More threads than cores start together on one W from a cold
+    cache, switching as often as the interpreter allows; every report
+    equals the one a single cold call renders."""
+    spec = v3("s^3 - 2*s", trivial=1)
+    clear_representation_caches()
+    expected = rendered_report(spec)
+    clear_representation_caches()
+    threads = 4
+    start = threading.Barrier(threads)
+
+    def battery():
+        start.wait(timeout=30)
+        return rendered_report(spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            jobs = [pool.submit(battery) for _ in range(threads)]
+            reports = [job.result(timeout=60) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [expected] * threads
 
 
 def test_randomized_family_checks():

@@ -1,7 +1,8 @@
 """Every name a library or test module imports is used in that module,
 every private module-level definition is used somewhere in the library,
-every public one is used by the library or the acceptance tests, and
-each module imports only from the modules below it in the layering."""
+every public one is used by the library or the acceptance tests, each
+module imports only from the modules below it in the layering, and every
+process cache is private and bounded."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,29 @@ def layering_violations(sources: dict) -> list:
     return sorted((module, imported) for module, source in sources.items()
                   for imported in package_imports(source)
                   if rank.get(imported, len(LAYERS)) >= rank[module])
+
+
+def process_caches(source: str) -> list:
+    """(name, bounded) of each definition decorated with `lru_cache` or
+    `cache`, plain or through `functools`: bounded iff it is private and
+    the decorator passes an int maxsize."""
+    caches = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name not in ("lru_cache", "cache"):
+                continue
+            sizes = [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+            if call and call.args:
+                sizes.append(call.args[0])
+            bounded = (name == "lru_cache" and len(sizes) == 1
+                       and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int)
+            caches.append((node.name, bounded and node.name.startswith("_")))
+    return caches
 
 
 def unused_imports(source: str) -> list:
@@ -146,6 +170,30 @@ def test_detects_layering_violation():
     assert layering_violations(sources) == [
         ("derivations", "families"), ("families", "families"),
         ("groebner", "derivations"), ("linalg", "groebner")]
+
+
+def test_process_caches_are_private_and_bounded():
+    caches = {(path.stem, name): bounded for path in SOURCES
+              for name, bounded in process_caches(path.read_text(encoding="utf-8"))}
+    assert set(caches) == {("groebner", "_packing"), ("cli", "_parser"),
+                           ("families", "_representation"), ("families", "_w_invariants")}
+    assert all(caches.values())
+
+
+def test_detects_unbounded_process_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=None)\ndef table(n):\n    return n\n"
+              "@lru_cache(maxsize=None)\ndef _table(n):\n    return n\n"
+              "@functools.lru_cache(maxsize=8)\ndef public(n):\n    return n\n"
+              "@lru_cache\ndef _default(n):\n    return n\n"
+              "@functools.cache\ndef _forever(n):\n    return n\n"
+              "@cache\ndef _also_forever(n):\n    return n\n"
+              "@lru_cache(16)\ndef _positional(n):\n    return n\n"
+              "@functools.lru_cache(maxsize=4)\ndef _bounded(n):\n    return n\n")
+    assert process_caches(source) == [
+        ("table", False), ("_table", False), ("public", False), ("_default", False),
+        ("_forever", False), ("_also_forever", False), ("_positional", True),
+        ("_bounded", True)]
 
 
 def test_no_unreferenced_private_definitions():
