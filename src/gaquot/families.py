@@ -23,7 +23,10 @@ Groebner run, whose seeds name the tag of the quadratic invariant
 instead of expanding its powers.
 
 Stability and freeness test one ideal, since the zeros of the action are
-the non-stable locus, so the battery runs that unit-ideal test once.
+the non-stable locus, so the battery runs that unit-ideal test once; it
+makes no Groebner run, as `is_unit_ideal` sets the non-stable
+coordinates w1, w3, w5 (and w7) to zero, which leaves X's equation at
+-1 - f(0) = -1.
 Smoothness is the Jacobian criterion (`check_smooth`), except that for v3
 two polynomial identities certify it with no Groebner run
 (`_jacobian_identities`): they put 1 + f(q) and q*f'(q) in the Jacobian
@@ -31,9 +34,10 @@ ideal, and these are coprime because f(0) = 0 and f + 1 is squarefree,
 which the construction has validated.  Both identities apply Euler
 operators, which scale each term of an equation by a weight, so each is
 one pass over the equation's terms.  X, Ybar and B are hypersurfaces,
-whose dimensions `krull_dimension` reads off their one equation, so the
-battery's Buchberger runs are the squarefree gcd, the stability and
-freeness run, the presentation, and for v4 the Jacobian criterion.  A
+whose dimensions `krull_dimension` reads off their one equation.  The
+validation's squarefree test of f + 1 is a modular certificate, with the
+gcd over Q only as its fallback.  So the battery's Buchberger runs are
+the presentation and, for v4, the Jacobian criterion.  A
 ResourceCapError raised by the battery names the stage, by its report
 key, in front of the cap.
 

@@ -2,11 +2,15 @@
 
 Normal forms, unit-ideal emptiness tests, elimination, Krull dimension
 via leading-term independent sets, subalgebra membership, and the
-univariate gcd with the squarefreeness test built on it all reduce to
-reduced Groebner bases computed by Buchberger's algorithm with the
-normal selection strategy (smallest lcm first); only the dimension of a
-principal ideal, a hypersurface, is read off its one generator with no
-run.  One run state, `_Run`, holds the rows, the pair queue and the pair
+univariate gcd all reduce to reduced Groebner bases computed by
+Buchberger's algorithm with the normal selection strategy (smallest lcm
+first).  Three questions are settled without a run whenever an exact
+shortcut decides them, with Buchberger as the fallback: the dimension
+of a principal ideal, a hypersurface, is read off its one generator; a
+unit-ideal test first sets each lone variable, a generator c*x_k, to
+zero in the others; and the squarefreeness test first looks for a
+modular certificate that p and p' are coprime, before the gcd over Q
+decides.  One run state, `_Run`, holds the rows, the pair queue and the pair
 loop; `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
 candidate at a time over the graph ideal of all of them, deciding
 membership and eliminating the relations among the survivors.  Pairs
@@ -475,17 +479,21 @@ class _Run:
                 raise ResourceCapError(f"degree budget {caps.max_degree} exhausted")
             self.append(reduced)
 
-    def interreduced(self) -> list:
-        """The reduced basis of a completed run as packed rows, in
-        ascending order of leading monomial.
+    def interreduced(self, indices: Sequence[int]) -> list:
+        """The rows of the reduced basis of a completed run whose leading
+        monomials are those of the active rows `indices`, as packed rows
+        in ascending order of leading monomial.
 
         No active leading monomial divides another, so the active rows
-        form a minimal basis.  Each is tail-reduced against the others, in
-        ascending order of leading monomial for determinism (leading
-        monomials are distinct, so there are no ties); leading monomials
-        are preserved."""
+        form a minimal basis.  Each row of `indices` is tail-reduced
+        against the others of `indices`, in ascending order of leading
+        monomial for determinism (leading monomials are distinct, so there
+        are no ties); leading monomials are preserved.  Given every active
+        row, this is the whole reduced basis.  Given fewer, the rows left
+        out are left out as reducers too, which is exact when none of
+        their leading monomials divides a term of the rows given."""
         basis, guard = self.basis, self.packing.guard
-        kept = sorted(self.active, key=lambda t: basis[t][0], reverse=True)
+        kept = sorted(indices, key=lambda t: basis[t][0], reverse=True)
         final = []
         for idx in kept:
             lm, lc, tail = basis[idx]
@@ -515,7 +523,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
         if reduced:
             run.append(reduced)
     run.complete()
-    final = run.interreduced()
+    final = run.interreduced(run.active)
     unpack = packing.unpack
     polys = tuple(Polynomial(ideal.ring,
                              {unpack(m): _exact_quotient(c, lc) for m, c in ((lm, lc),) + tail})
@@ -539,8 +547,29 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
-    """True iff the reduced basis is [1], i.e. the vanishing set is empty."""
-    gb = buchberger(ideal, caps=caps)
+    """True iff the ideal is the whole ring, i.e. its vanishing set is empty.
+
+    A lone-variable generator, a single term c*x_k of degree 1, is settled
+    by substitution first: the ideal is the unit ideal iff its image in
+    Q[x]/(x_k), a polynomial ring in the other variables, is, so x_k is set
+    to 0 in every generator, and again for each lone variable that
+    appears, until none does.  A nonzero constant left is the unit ideal
+    and no generator left is a proper ideal, with no Groebner run;
+    otherwise the reduced basis of what is left, under `caps`, is [1]
+    exactly for the unit ideal."""
+    gens = [g.terms for g in ideal.generators if not g.is_zero()]
+    while True:
+        lone = {m.index(1) for t in gens if len(t) == 1 for m in t if sum(m) == 1}
+        if not lone:
+            break
+        gens = [r for r in ({m: c for m, c in t.items() if not any(m[k] for k in lone)}
+                            for t in gens) if r]
+    one = (0,) * len(ideal.ring)
+    if any(t.keys() == {one} for t in gens):
+        return True
+    if not gens:
+        return False
+    gb = buchberger(Ideal(ideal.ring, tuple(Polynomial(ideal.ring, t) for t in gens)), caps=caps)
     return len(gb.basis) == 1 and gb.basis[0] == 1
 
 
@@ -622,17 +651,63 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     return buchberger(Ideal(p.ring, (p, q)), caps=caps).basis[0]
 
 
+# Fixed primes of the modular coprimality certificate, tried in order, so
+# every verdict is deterministic: the Mersenne primes 2**31 - 1 and 2**61 - 1.
+_SQUAREFREE_PRIMES = (2**31 - 1, 2**61 - 1)
+
+
+def _coprime_mod(a: list, b: list, prime: int) -> bool:
+    """Whether gcd(a mod prime, b mod prime) is a nonzero constant, for
+    integer coefficient lists in ascending degree, a's last entry (its
+    leading coefficient) prime to `prime`: Euclid on dense lists of
+    residues, each step cancelling the leading entry, which is popped."""
+    a = [c % prime for c in a]
+    b = [c % prime for c in b]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inverse, body = pow(b[-1], -1, prime), b[:-1]
+        shift = len(a) - len(b)
+        while shift >= 0:
+            q = a.pop() * inverse % prime
+            for k, c in enumerate(body, shift):
+                a[k] = (a[k] - q * c) % prime
+            while a and not a[-1]:
+                a.pop()
+            shift = len(a) - len(b)
+        a, b = b, a
+    return len(a) == 1
+
+
 def is_squarefree(p: Polynomial) -> bool:
     """True iff a nonzero univariate polynomial has no repeated roots.
 
     Over the rationals this is exactly gcd(p, p') being constant, which
     certifies distinct roots over the algebraic closure.
+
+    A modular certificate decides most inputs with no Groebner run (von
+    zur Gathen and Gerhard, "Modern Computer Algebra", ch. 6).  With a
+    the integer polynomial d*p, d the lcm of the denominators, and b = a',
+    take a prime of `_SQUAREFREE_PRIMES` that does not divide lc(a); if
+    a and b are coprime mod that prime, they are coprime over Q.  For a
+    nonconstant common factor of a and b can be taken primitive in Z[x],
+    where it divides a, so its leading coefficient divides lc(a) and it
+    keeps its degree mod the prime.  A common factor mod the prime proves
+    nothing, so when no prime certifies, gcd_univariate decides.
     """
     if p.is_zero():
         raise ZeroPolynomialError("squarefreeness is undefined for 0")
     name = _single_variable(p)
     if name is None:
         return True  # nonzero constants have no roots at all
+    k = p.ring.index(name)
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    a = [0] * (p.total_degree() + 1)
+    for m, c in p.terms.items():
+        a[m[k]] = c.numerator * (d // c.denominator)
+    b = [e * c for e, c in enumerate(a)][1:]
+    if any(a[-1] % prime and _coprime_mod(a, b, prime) for prime in _SQUAREFREE_PRIMES):
+        return True
     return gcd_univariate(p, p.partial(name)).is_constant()
 
 
@@ -824,15 +899,16 @@ class _GraphSpan:
         which grevlex ties, they are what `eliminate` gives on the kept
         candidates' graph ideal, in order (the zero ideal if none is)."""
         tags = VarSet(fresh_names("y", len(self.kept), self._ring.names))
-        unpack = self._run.packing.unpack
-        relations = []
-        for lm, lc, tail in self._run.interreduced():
-            if lm & self._ring_fields:
-                continue  # under the block order, a row with ring variables leads with one
-            relations.append(Polynomial(tags, {
-                tuple(map(unpack(m).__getitem__, self._columns)): _exact_quotient(c, lc)
-                for m, c in ((lm, lc),) + tail}))
-        return Ideal(tags, tuple(relations) or (tags.zero(),))
+        run = self._run
+        unpack = run.packing.unpack
+        # A tag-only row has a tag-only tail under the block order, and no
+        # leading monomial with a ring variable divides a tag-only monomial,
+        # so the tag-only rows are interreduced among themselves alone.
+        tag_only = [k for k in run.active if not run.basis[k][0] & self._ring_fields]
+        relations = tuple(Polynomial(tags, {
+            tuple(map(unpack(m).__getitem__, self._columns)): _exact_quotient(c, lc)
+            for m, c in ((lm, lc),) + tail}) for lm, lc, tail in run.interreduced(tag_only))
+        return Ideal(tags, relations or (tags.zero(),))
 
 
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],

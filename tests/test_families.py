@@ -39,7 +39,7 @@ from gaquot import (
 )
 from gaquot import cli, families
 from gaquot.families import _build_family, _jacobian_identities, nonstable_ideal
-from helpers import signed_roots_shape, to_sympy
+from helpers import signed_roots_shape, spolynomials_per_run, to_sympy
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -172,6 +172,18 @@ def test_stability_check():
     # constant term zero in the hypersurface equation keeps the origin side
     forced = _build_family(v3("s - 1"))
     assert not check_stability(forced)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("v3", signed_roots_shape(12, 11)),
+                                  v4("a^2 + b*c - 3*c")], ids=["v3-deg12", "v4"])
+def test_stability_and_freeness_make_no_groebner_run(spec, monkeypatch):
+    """The non-stable ideal is generated by the odd block coordinates, all
+    lone variables; set to zero, they leave X's equation at -1 - f(0) = -1."""
+    art = build_family(spec)
+    verdicts = []
+    runs = spolynomials_per_run(monkeypatch, lambda: verdicts.extend(
+        (check_stability(art), check_freeness(art))))
+    assert (runs, verdicts) == ([], [True, True])
 
 
 def test_freeness_check():

@@ -246,6 +246,47 @@ def test_unit_ideal_examples():
     assert not is_unit_ideal(ideal(S, "s^2 + 1"))  # no rational point, still proper
 
 
+def is_unit_by_buchberger(src):
+    gb = buchberger(src)
+    return len(gb.basis) == 1 and gb.basis[0] == 1
+
+
+@pytest.mark.parametrize("texts, unit, runs", [
+    (("w1 - w3", "w3", "w1*w2 - 1"), True, 0),  # w3, then w1: the constant -1 appears last
+    (("w3", "2 + w3*w4"), True, 0),
+    (("w1 - w3", "w3", "w2*w4 - w1"), False, 1),  # w2*w4 is left for the run
+    (("w1", "w2", "w3", "w4", "w5", "w6"), False, 0),
+    (("w1", "w1 - w1*w2", "3*w3"), False, 0),
+])
+def test_unit_ideal_shortcut_cases(texts, unit, runs, monkeypatch):
+    """Lone variables are set to zero, round after round; a nonzero
+    constant or no generator left decides with no Groebner run."""
+    src = ideal(W, *texts)
+    assert is_unit_by_buchberger(src) == unit
+    verdicts = []
+    made = spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_unit_ideal(src)))
+    assert (verdicts, len(made)) == ([unit], runs)
+
+
+def test_unit_ideal_shortcut_agrees_with_buchberger_on_seeded_ideals():
+    """Random generators next to lone-variable ones c*x_k: the verdict is
+    the plain Buchberger run's on the whole ideal."""
+    rng = random.Random(20261018)
+    ring = VarSet(("x1", "x2", "x3", "x4", "x5"))
+    verdicts = []
+    for _ in range(80):
+        lone = [ring.var(n) * rng.choice((1, -2, 3))
+                for n in rng.sample(ring.names, rng.randint(1, 3))]
+        others = [random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False)
+                  for _ in range(rng.randint(1, 3))]
+        gens = others + lone
+        rng.shuffle(gens)
+        src = Ideal(ring, tuple(gens))
+        verdicts.append(is_unit_ideal(src))
+        assert verdicts[-1] == is_unit_by_buchberger(src)
+    assert 10 < sum(verdicts) < 70  # both verdicts occur
+
+
 def test_unit_iff_one_is_member():
     rng = random.Random(20240813)
     ring = VarSet(("x", "y"))
@@ -747,16 +788,29 @@ def test_spolynomial_counts_are_pinned(system, order, expected, monkeypatch):
 
 def test_battery_spolynomial_counts_are_pinned(monkeypatch):
     """Per Buchberger run of the v3 battery at deg f = 12, f + 1 the product
-    of (1 - sign_k * k * s) with seeded signs: the squarefreeness gcd of
-    f + 1 and its derivative, the one unit-ideal run behind stability and
-    freeness, and the invariant presentation.  The two smoothness checks
-    make no run: polynomial identities certify them.  Nor do the three
-    dimensions, of the hypersurfaces X, Ybar and B, each read off its one
-    equation (until they were, each made a run of 0 S-polynomials, and
-    the pin read [11, 1, 0, 0, 0, 7])."""
+    of (1 - sign_k * k * s) with seeded signs: the invariant presentation
+    is the one run.  The squarefreeness of f + 1 is certified modulo a
+    prime, and the unit-ideal test behind stability and freeness by
+    setting its lone variables w1, w3, w5 to zero, which leaves the
+    constant -1; the two smoothness checks are certified by polynomial
+    identities, and the three dimensions, of the hypersurfaces X, Ybar and
+    B, are each read off its one equation.  Each of these once made a run:
+    the pin read [11, 1, 0, 0, 0, 7] until the dimensions were read off,
+    then [11, 1, 7] (the squarefree gcd, the stability run, the
+    presentation) until the two shortcuts removed the first two runs."""
     spec = FamilySpec("v3", signed_roots_shape(12, 11))
-    assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) \
-        == [11, 1, 7]
+    assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) == [7]
+
+
+def test_high_degree_battery_makes_only_the_presentation_run(monkeypatch):
+    """The seed-7 signed-roots v3 battery at deg f = 30 passes, and its one
+    Buchberger run is the presentation's: validation, stability and
+    freeness, smoothness and the dimensions are all decided without one."""
+    spec = FamilySpec("v3", signed_roots_shape(30, 7))
+    reports = []
+    runs = spolynomials_per_run(monkeypatch, lambda: reports.append(run_battery(spec)))
+    assert reports[0].passed
+    assert len(runs) == 1
 
 
 # -- packed monomials -------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Polynomial core: parsing, arithmetic, calculus, and the univariate gcd
-and squarefreeness test that `groebner` runs on Buchberger."""
+"""Polynomial core: parsing, arithmetic, calculus, the univariate gcd that
+`groebner` runs on Buchberger, and the squarefreeness test with its
+modular certificate."""
 
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from gaquot import (
     parse,
     run_battery,
 )
+from gaquot import groebner
 from gaquot.linalg import Echelon
 from helpers import (
     coeff_list,
@@ -39,6 +41,7 @@ from helpers import (
     from_sympy,
     random_poly,
     signed_roots_factors,
+    spolynomials_per_run,
     sympy_symbols,
     to_sympy,
 )
@@ -352,6 +355,94 @@ def test_squarefree_high_degree_rejects_a_doubled_root():
     assert gcd_univariate(f1, f1.partial("s")) == sympy_monic_gcd(f1, f1.partial("s")) \
         == monic(factors[-1])
     assert not is_squarefree(f1)
+
+
+def sympy_squarefree(p: Polynomial) -> bool:
+    return all(k == 1 for _, k in sp.sqf_list(to_sympy(p))[1])
+
+
+def test_squarefree_agrees_with_sympy_on_signed_roots():
+    """Every signed-roots product of deg 1..30 is squarefree, and stays so
+    under the modular certificate; with one factor doubled it is not, and
+    the fallback gcd says so."""
+    rng = random.Random(20261018)
+    for degree in range(1, 31):
+        factors = signed_roots_factors(degree, degree)
+        p = prod(factors, start=S.one())
+        doubled = p * rng.choice(factors)
+        for q in (p, doubled):
+            assert is_squarefree(q) == sympy_squarefree(q) \
+                == gcd_univariate(q, q.partial("s")).is_constant()
+        assert is_squarefree(p)
+
+
+def test_squarefree_agrees_with_sympy_on_rational_coefficients():
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(60):
+        p = random_poly(rng, S, max_degree=6, max_terms=5, coeff_bound=9,
+                        allow_zero=False, nonconstant=True, denominator_bound=12)
+        if rng.random() < 0.3:
+            p = p * random_poly(rng, S, max_degree=2, max_terms=2, allow_zero=False,
+                                nonconstant=True) ** 2
+        verdicts.append(is_squarefree(p))
+        assert verdicts[-1] == sympy_squarefree(p)
+    assert 5 < verdicts.count(False) < 55
+
+
+SQUAREFREE_PRIMES = groebner._SQUAREFREE_PRIMES
+
+
+def dense(p: Polynomial) -> list:
+    """Integer coefficients in ascending degree, as the certificate takes them."""
+    return [int(c) for c in coeff_list(p, "s")]
+
+
+@pytest.mark.parametrize("prime", SQUAREFREE_PRIMES)
+def test_squarefree_over_q_but_square_mod_a_prime(prime, monkeypatch):
+    """(s - 1)*(s - 1 - P) has distinct roots over Q but is (s - 1)^2 mod
+    P: that prime cannot certify it, the other one does, with no run."""
+    p = parse(f"(s - 1)*(s - 1 - {prime})", S)
+    assert not groebner._coprime_mod(dense(p), dense(p.partial("s")), prime)
+    verdicts = []
+    assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) == []
+    assert verdicts == [True]
+
+
+def test_squarefree_mod_no_prime_falls_back_to_the_gcd(monkeypatch):
+    """A square mod every prime of the tuple, squarefree over Q: the
+    fallback gcd decides."""
+    p = parse(f"(s - 1)*(s - 1 - {prod(SQUAREFREE_PRIMES)})", S)
+    verdicts = []
+    assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) != []
+    assert verdicts == [True] == [sympy_squarefree(p)]
+
+
+def test_squarefree_skips_a_prime_dividing_the_leading_coefficient():
+    """(P*s + 1)^2*(s + 2) is s + 2 mod P, and its derivative is 1, so P
+    would wrongly certify it; P divides the leading coefficient, so it is
+    skipped, and the next prime sees the square."""
+    first, second = SQUAREFREE_PRIMES
+    p = parse(f"({first}*s + 1)^2*(s + 2)", S)
+    assert [c % first for c in dense(p)] == [2, 1, 0, 0]
+    assert [c % first for c in dense(p.partial("s"))] == [1, 0, 0]
+    assert not groebner._coprime_mod(dense(p), dense(p.partial("s")), second)
+    assert not is_squarefree(p)
+    assert is_squarefree(parse(f"{first}*s^2 - {first}", S))
+
+
+def test_repeated_root_is_rejected_through_the_fallback(monkeypatch):
+    p = parse("(1+s)^2*(1+2*s)", S)
+    verdicts = []
+    assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) != []
+    assert verdicts == [False]
+
+
+def test_squarefree_at_degree_30_makes_no_run(monkeypatch):
+    p = prod(signed_roots_factors(30, 7), start=S.one())
+    verdicts = []
+    assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) == []
+    assert verdicts == [True]
 
 
 def test_square_never_squarefree_randomized():

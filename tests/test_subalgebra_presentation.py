@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaquot import RingMismatchError, VarSet, eliminate, parse
+from gaquot import Polynomial, RingMismatchError, VarSet, eliminate, parse
 from gaquot.poly import scan_identifiers
 from gaquot import families, groebner
 from gaquot.cli import main
@@ -211,6 +211,32 @@ def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label,
     assert [form.substitute({n: expand[n] for n in form.ring.names}) for form in forms] \
         == candidates
     assert any(form.ring != ring for form in forms)
+
+
+def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
+    """relations() interreduces the tag-only rows alone; they are the
+    tag-only rows of the whole reduced basis, on shifted monomials, whose
+    subalgebras have several relations, and on v3 spans."""
+    rng = random.Random("tag-only")
+    ring = VarSet(("x", "y", "z"))
+    monomials = [m for m in (tuple(rng.randint(0, 3) for _ in ring) for _ in range(200))
+                 if 2 <= sum(m) <= 3]
+    spans = []
+    for _ in range(8):
+        candidates = [Polynomial(ring, {m: 1, (0, 0, 0): rng.choice((0, 1, -2))})
+                      for m in rng.sample(monomials, 5)]
+        spans.append(_GraphSpan(ring, _sorted_gens(candidates)))
+    for degree in (1, 3, 7, 12):
+        v3_ring, candidates, forms = v3_span_input(monkeypatch, degree, 1, degree)
+        spans.append(_GraphSpan(v3_ring, candidates, forms=forms))
+    relations = []
+    for span in spans:
+        run = span._run
+        tag_only = [k for k in run.active if not run.basis[k][0] & span._ring_fields]
+        whole = [row for row in run.interreduced(run.active) if not row[0] & span._ring_fields]
+        assert run.interreduced(tag_only) == whole
+        relations.append(len(whole))
+    assert max(relations) >= 4 and min(relations) >= 1
 
 
 def test_present_degree_20_output_is_pinned():
