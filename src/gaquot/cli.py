@@ -124,10 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     present.add_argument("--trivial", type=int, default=0)
     _add_cap_flags(present)
 
-    # verify records the round budget in its report; kernel spends it
-    for rounds in (verify, kernel):
-        rounds.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
-                            help="round budget for the saturation kernel method")
+    kernel.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
+                        help="round budget for the saturation kernel method")
     return parser
 
 
@@ -195,7 +193,7 @@ def _cmd_verify(args, out) -> int:
     spec = FamilySpec(args.family, f, args.trivial)
     caps = _caps(args)
     report = run_battery(spec, caps=caps)
-    doc = report_document(report, caps, args.max_rounds)
+    doc = report_document(report, caps, DEFAULT_MAX_ROUNDS)  # no battery stage spends rounds
     text = render_report(doc)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
@@ -207,6 +205,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_kernel(args, out) -> int:
+    if args.max_rounds < 0:
+        raise UsageError("max_rounds must be nonnegative")
     if args.method == "saturation" and args.max_degree is not None:
         raise UsageError("--max-degree is the degree bound of the linear method only")
     derivation = load_derivation_file(args.derivation)
@@ -293,8 +293,6 @@ def main(argv: Optional[list] = None, out=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     handler = _HANDLERS[args.command]
     try:
-        if getattr(args, "max_rounds", 0) < 0:  # verify and kernel take it
-            raise UsageError("max_rounds must be nonnegative")
         return handler(args, out)
     except _REJECTION_ERRORS as exc:
         print(f"rejected: {exc}", file=sys.stderr)

@@ -20,7 +20,9 @@ and derives the forced ranks of the K-theory groups from the component
 count, plus a presentation of the invariant ring by tag-variable
 elimination, computed together with its minimal generators in one
 Groebner run, whose seeds name the tag of the quadratic invariant
-instead of expanding its powers.
+instead of expanding its powers.  The run spans only the generators
+free of the trivial summands' coordinates, which Ga fixes; those join
+the presentation afterwards as free generators.
 
 Stability and freeness test one ideal, since the zeros of the action are
 the non-stable locus, so the battery runs that unit-ideal test once; it
@@ -80,13 +82,14 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
+    _EXPONENT_BOUND,
     _tag_ring,
     is_squarefree,
     is_unit_ideal,
     krull_dimension,
     subalgebra_presentation,
 )
-from .poly import Polynomial, VarSet, _exact_quotient, _grevlex_descending, _product
+from .poly import Polynomial, VarSet, _exact_quotient, _grevlex_descending, _product, fresh_names
 
 # Family name -> (number of two-dimensional blocks, variables of f).  f has
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
@@ -145,9 +148,14 @@ class ConstructionArtifacts:
 
 def validate_family_spec(spec: FamilySpec):
     """Reject f with nonzero constant term, and for v3 a repeated root of
-    f + 1 (that would make the boundary singular)."""
+    f + 1 (that would make the boundary singular).  An exponent of f at
+    or above the Groebner engine's bound 2**31 raises ResourceCapError
+    first, before the squarefree test or f(q) can expand it."""
     if spec.f.constant_term() != 0:
         raise NonzeroConstantError("f must vanish at the origin")
+    top = max((e for m in spec.f.terms for e in m), default=0)
+    if top >= _EXPONENT_BOUND:
+        raise ResourceCapError(f"exponent {top} is at or above the bound 2**31")
     if spec.family == "v3":
         if not is_squarefree(spec.f + 1):
             raise RepeatedRootsError("f + 1 has a repeated root")
@@ -409,14 +417,20 @@ def invariant_presentation(art: ConstructionArtifacts,
     generator g to X, w1 -> 1 + f(q) with q the quadratic
     invariant; the image no longer involves w1, so w2, w3, ... are read
     as the affine coordinates z1, z2, ... of X (the closed immersion),
-    constant terms are dropped and each image is made monic.  One
-    incremental Groebner run over the tag-variable graph ideal of the
-    restricted generators, in (degree, text) order, drops each generator
-    lying in the subalgebra of those before it and eliminates the affine
-    coordinates from the graph ideal of the rest
-    (groebner.subalgebra_presentation); the filter and the elimination
-    share one `caps` budget.  Returns (restricted generators, relation
-    ideal in tags).
+    constant terms are dropped and each image is made monic.  Ga fixes
+    the trivial summands' coordinates e_i, so the invariant ring is that
+    of W without summands with them adjoined (ker D = (ker D')[e],
+    Freudenburg, "Algebraic Theory of Locally Nilpotent Derivations",
+    2nd ed., 2017); `kernel_linear` returns each e_i as a generator of
+    its own, and one that mixes e_i with other coordinates raises
+    ValueError.  One incremental Groebner run over the tag-variable graph
+    ideal of the other generators, restricted into z1..z5, in (degree,
+    text) order, drops each lying in the subalgebra of those before it
+    and eliminates the affine coordinates from the graph ideal of the
+    rest (groebner.subalgebra_presentation, under one `caps` budget).
+    z6, z7, ... then join its survivors, in (degree, text) order, and
+    each relation's tags are renamed by survivor position.  Returns
+    (restricted generators, relation ideal in tags).
 
     q is free of w1, so its image is c times its monic candidate q' for
     a scalar c.  Each generator g is restricted through its seed form
@@ -432,21 +446,21 @@ def invariant_presentation(art: ConstructionArtifacts,
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
-    w_ring = art.w_ring
-    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(w_ring))))
+    width = 2 * FAMILIES[art.spec.family][0]  # the coordinates of W without summands
+    core = VarSet(tuple(f"z{i}" for i in range(1, width)))
     (q,) = art.quad_invariants
-    q_image = {m[1:]: a for m, a in q.terms.items()}  # q is free of w1
+    q_image = {m[1:width]: a for m, a in q.terms.items()}  # q is free of w1
     c = q_image[min(q_image, key=_grevlex_descending)]
-    q_monic = Polynomial(z_ring, {m: _exact_quotient(a, c) for m, a in q_image.items()})  # q = c*q'
-    # A form's terms are keyed by the exponents of z1, z2, ... and then of y.
-    one = (0,) * (len(z_ring) + 1)
+    q_monic = Polynomial(core, {m: _exact_quotient(a, c) for m, a in q_image.items()})  # q = c*q'
+    # A form's terms are keyed by the exponents of z1..z5 and then of y.
+    one = (0,) * width
     one_plus_f = {one[:-1] + (k,): a * c ** k for (k,), a in art.spec.f.terms.items()}
     one_plus_f[one] = 1  # f(0) = 0
     w1_powers = [{one: 1}]  # (1 + f(c*y))^e, the form of w1^e
     q_powers = [{one[:-1]: 1}]  # q'^k
 
     def expand(form: dict) -> dict:
-        """The form at y -> q', over z."""
+        """The form at y -> q', over z1..z5."""
         out: dict = {}
         for m, a in form.items():
             while len(q_powers) <= m[-1]:
@@ -456,13 +470,20 @@ def invariant_presentation(art: ConstructionArtifacts,
                 out[key] = out.get(key, 0) + a * b
         return out
 
+    trivial = []  # the W column of each trivial coordinate
     forms = {}  # candidate -> its form as a term dict, None for the candidate itself
     for g in _w_invariants(art.spec.family, art.spec.trivial_summands):
+        if any(any(m[width:]) for m in g.terms):
+            m = next(iter(g.terms))
+            if len(g.terms) != 1 or sum(m) != 1:
+                raise ValueError(f"W-invariant {g} involves a trivial coordinate but is not one")
+            trivial.append(m.index(1))
+            continue
         form: dict = {}
         for m, a in g.terms.items():
             while len(w1_powers) <= m[0]:
                 w1_powers.append(_product(w1_powers[-1], one_plus_f))
-            rest = m[1:] + (0,)
+            rest = m[1:width] + (0,)
             for t, b in w1_powers[m[0]].items():
                 key = tuple(map(add, rest, t))
                 form[key] = form.get(key, 0) + a * b
@@ -470,7 +491,7 @@ def invariant_presentation(art: ConstructionArtifacts,
         if not image:
             continue
         lc = image[min(image, key=_grevlex_descending)]
-        candidate = Polynomial(z_ring, {m: _exact_quotient(a, lc) for m, a in image.items()})
+        candidate = Polynomial(core, {m: _exact_quotient(a, lc) for m, a in image.items()})
         if any(m[0] for m in g.terms):
             forms.setdefault(candidate, {m: _exact_quotient(a, lc) for m, a in form.items()
                                          if a and any(m)})
@@ -479,12 +500,21 @@ def invariant_presentation(art: ConstructionArtifacts,
     ordered = _sorted_gens(list(forms))
     # q' is a kernel generator and not in the subalgebra of the linear ones
     at, tags = ordered.index(q_monic), len(ordered)
-    big = _tag_ring(z_ring, tags)
+    big = _tag_ring(core, tags)
     seeds = [p if forms[p] is None else Polynomial(big, {
         m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in forms[p].items()})
         for p in ordered]
-    survivors, relations = subalgebra_presentation(z_ring, ordered, caps, seeds)
-    return tuple(survivors), relations
+    survivors, relations = subalgebra_presentation(core, ordered, caps, seeds)
+    if not trivial:
+        return tuple(survivors), relations
+    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(art.w_ring))))
+    spanned = [p.embed(z_ring) for p in survivors]
+    merged = _sorted_gens(spanned + [z_ring.var(z_ring.names[k - 1]) for k in trivial])
+    y_ring = VarSet(fresh_names("y", len(merged), z_ring.names))
+    position = {p: k for k, p in enumerate(merged)}
+    renamed = VarSet(tuple(y_ring.names[position[p]] for p in spanned))  # each survivor's new tag
+    return tuple(merged), Ideal(y_ring, tuple(Polynomial(renamed, r.terms).embed(y_ring)
+                                              for r in relations.generators))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ division divides by the divisor's leading coefficient the same way.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -801,16 +800,6 @@ def _check_forms(ring: VarSet, candidates: Sequence[Polynomial],
     return forms
 
 
-def _moved_form(form: Polynomial, candidate: Polynomial, source: Sequence[int],
-                target: VarSet) -> Polynomial:
-    """The seed form over `target` whose k-th variable is variable
-    source[k] of the form's ring, or `candidate` if the form involves a
-    variable outside `source`."""
-    if any(sum(m) != sum(m[k] for k in source) for m in form.terms):
-        return candidate
-    return Polynomial(target, {tuple(m[k] for k in source): c for m, c in form.terms.items()})
-
-
 class _GraphSpan:
     """The candidates, in the order given, each kept only if it is not in
     the subalgebra generated by those kept before it (`kept`), as one
@@ -943,72 +932,14 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
     tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
-    keeps the survivors and its `relations()` follow, so the filter and
-    the elimination are one run sharing one `caps` budget.  `forms`, one
-    per candidate and by default the candidates themselves, are the
-    span's seed forms over `_tag_ring(ring, len(candidates))`; they change
-    the reduction work, never the result.  An empty candidate list raises
-    ValueError.
-
-    A lone candidate, a single term c*x of degree 1 whose variable x
-    occurs in no other candidate (a trivial summand), is split off: the
-    span runs over the ring without the lone variables, on the other
-    candidates only, and each relation's tags are renamed by position to
-    the survivors' tags.  This is exact: the map x -> 0 fixes every other
-    candidate, so c*x is kept and no other candidate's membership
-    changes; the lone tags are free over the rest, so the relation ideal
-    is the rest's, extended, and grevlex on a subsequence of the tags is
-    grevlex, so its reduced basis is the same.  The pairs of a lone seed
-    have coprime leading monomials, which the product criterion prunes,
-    so the run reduces the same S-polynomials.  The forms of the other
-    candidates are re-indexed to the inner span's columns; a form that
-    names a lone variable or a lone candidate's tag is replaced by its
-    candidate."""
-    forms = _check_forms(ring, candidates, forms)
-    single = {}  # candidate index -> variable index, for each single term c*x
-    for i, p in enumerate(candidates):
-        if len(p.terms) == 1:
-            (m,) = p.terms
-            if sum(m) == 1:
-                single[i] = m.index(1)
-    owners = Counter(single.values())
-    others = [m for i, p in enumerate(candidates) if i not in single for m in p.terms]
-    used = {k for k, column in enumerate(zip(*others)) if any(column)}
-    lone = {i: k for i, k in single.items() if owners[k] == 1 and k not in used}
-    if not lone:
-        span = _GraphSpan(ring, candidates, caps, forms)
-        return span.kept, span.relations()
-    rest = [i for i in range(len(candidates)) if i not in lone]
-    dropped = set(lone.values())
-    columns = [k for k in range(len(ring)) if k not in dropped]
-    inner = VarSet(tuple(ring.names[k] for k in columns))
-    kept = set(lone)
-    rows = ()
-    if rest:
-        inner_candidates = [Polynomial(inner, {
-            tuple(m[k] for k in columns): c for m, c in candidates[i].terms.items()})
-            for i in rest]
-        source = columns + [len(ring) + i for i in rest]  # the big-ring column of each inner one
-        inner_big = _tag_ring(inner, len(rest))
-        inner_forms = [p if forms[i].ring == ring else _moved_form(forms[i], p, source, inner_big)
-                       for i, p in zip(rest, inner_candidates)]
-        span = _GraphSpan(inner, inner_candidates, caps, inner_forms)
-        # the span's tag column of its i-th candidate is len(inner) + i
-        kept.update(rest[column - len(inner)] for column in span._columns)
-        rows = span.relations().generators
-    survivors = [p for i, p in enumerate(candidates) if i in kept]
-    tags = VarSet(fresh_names("y", len(survivors), ring.names))
-    at = [k for k, i in enumerate(sorted(kept)) if i not in lone]  # tag of each span survivor
-    relations = []
-    for r in rows:
-        terms = {}
-        for m, c in r.terms.items():
-            widened = [0] * len(tags)
-            for k, e in zip(at, m):
-                widened[k] = e
-            terms[tuple(widened)] = c
-        relations.append(Polynomial(tags, terms))
-    return survivors, Ideal(tags, tuple(relations) or (tags.zero(),))
+    over all the candidates keeps the survivors and its `relations()`
+    follow, so the filter and the elimination are one run sharing one
+    `caps` budget.  `forms`, one per candidate and by default the
+    candidates themselves, are the span's seed forms over
+    `_tag_ring(ring, len(candidates))`; they change the reduction work,
+    never the result.  An empty candidate list raises ValueError."""
+    span = _GraphSpan(ring, candidates, caps, forms)
+    return span.kept, span.relations()
 
 
 # -- ideal files -----------------------------------------------------------------

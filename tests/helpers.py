@@ -293,6 +293,45 @@ def unsplit_kernel_linear(derivation, max_degree: int):
     return _span(ring, solutions, DEFAULT_CAPS).kept
 
 
+# -- the v3 presentation without the summand split ----------------------------
+
+
+def restricted_w_invariants(f: Polynomial, trivial: int):
+    """(z-ring of X, candidates): every generator of the W-invariants of
+    v3 with `trivial` trivial summands, the trivial coordinates included,
+    restricted to X by substitution (w1 -> 1 + f(q) with q = w3*w6 -
+    w4*w5, w_k -> z_(k-1)), without its constant term, made monic, with
+    duplicates dropped and in `_sorted_gens` order."""
+    from gaquot import monic
+    from gaquot.derivations import _sorted_gens
+    from gaquot.families import _w_invariants
+
+    gens = _w_invariants("v3", trivial)
+    w_ring = gens[0].ring
+    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(w_ring))))
+    z = [z_ring.var(name) for name in z_ring.names]
+    w1 = z_ring.one() + f.substitute({"s": z[1] * z[4] - z[2] * z[3]})
+    assignment = dict(zip(w_ring.names, [w1] + z))
+    candidates = []
+    for g in gens:
+        image = g.substitute(assignment)
+        image = image - image.constant_term()
+        if not image.is_zero() and monic(image) not in candidates:
+            candidates.append(monic(image))
+    return z_ring, _sorted_gens(candidates)
+
+
+def unsplit_v3_presentation(f: Polynomial, trivial: int):
+    """(survivors, relations) of the v3 invariant presentation as one
+    `_GraphSpan` over the whole z-ring of X, with no seed forms, on every
+    restricted W-invariant: the trivial coordinates are spanned with the
+    rest instead of being adjoined afterwards."""
+    from gaquot.groebner import _GraphSpan
+
+    span = _GraphSpan(*restricted_w_invariants(f, trivial))
+    return span.kept, span.relations()
+
+
 # -- the signed-roots shapes ---------------------------------------------------
 
 

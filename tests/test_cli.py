@@ -332,6 +332,19 @@ def test_gb_exponent_bound_is_a_resource_cap(tmp_path):
     assert run(["gb", "--ideal", str(path)]) == (0, "x^2147483647 - 1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "v3", "--f=s^99999999999"],
+    ["verify", "--family", "v4", "--f=a^99999999999"],
+    ["present", "--f=s^99999999999"],
+], ids=["verify-v3", "verify-v4", "present"])
+def test_shape_exponent_bound_is_a_resource_cap(argv, capsys):
+    """An exponent of f at or above 2**31 exits 4 at validation, before
+    the squarefree test or f(q) could expand it."""
+    assert run(argv) == (4, "")
+    assert capsys.readouterr().err == \
+        "resource cap: exponent 99999999999 is at or above the bound 2**31\n"
+
+
 def test_gb_unknown_order(tmp_path):
     path = tmp_path / "single.txt"
     path.write_text("x\n", encoding="utf-8")
@@ -351,9 +364,11 @@ def test_gb_elimination_count_beyond_ring_size(tmp_path, capsys):
 
 
 def test_max_rounds_only_where_read(tmp_path, capsys):
-    """--max-rounds belongs to verify and kernel; gb and present reject it."""
+    """--max-rounds belongs to kernel, which spends it; verify, gb and
+    present reject it."""
     path = tmp_path / "single.txt"
     path.write_text("x\n", encoding="utf-8")
+    assert run(["verify", "--family", "v3", "--f=s", "--max-rounds", "8"]) == (1, "")
     assert run(["gb", "--ideal", str(path), "--max-rounds", "5"])[0] == 1
     assert run(["present", "--f", "s", "--max-rounds", "0"])[0] == 1
     capsys.readouterr()
@@ -363,7 +378,6 @@ def test_max_rounds_only_where_read(tmp_path, capsys):
     (["kernel", "--method", "saturation", "--max-rounds", "-1"], "max_rounds"),
     (["kernel", "--max-rounds", "-5"], "max_rounds"),
     (["kernel", "--max-pairs", "-3"], "max_pairs"),
-    (["verify", "--family", "v3", "--f=s", "--max-rounds", "-7"], "max_rounds"),
     (["verify", "--family", "v3", "--f=s", "--max-pairs", "-3"], "max_pairs"),
     (["verify", "--family", "v3", "--f=s", "--max-degree", "-2"], "max_degree"),
     (["gb", "--max-pairs", "-3"], "max_pairs"),

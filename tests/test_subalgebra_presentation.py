@@ -6,6 +6,7 @@ for string, tag names included."""
 import hashlib
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation
 from gaquot.groebner import _graph_ideal, _GraphSpan, _tag_ring, subalgebra_presentation
-from helpers import (groebner_minimal_generators, random_poly, signed_roots_shape,
-                     spolynomials_per_run)
+from helpers import (groebner_minimal_generators, random_poly, restricted_w_invariants,
+                     signed_roots_shape, spolynomials_per_run, unsplit_v3_presentation)
 
 
 def reference(ring, candidates):
@@ -28,10 +29,13 @@ def reference(ring, candidates):
             [str(r) for r in relations.generators])
 
 
-def presented(ring, candidates):
-    survivors, relations = subalgebra_presentation(ring, _sorted_gens(candidates))
+def printed(survivors, relations):
     return ([str(g) for g in survivors], relations.ring.names,
             [str(r) for r in relations.generators])
+
+
+def presented(ring, candidates):
+    return printed(*subalgebra_presentation(ring, _sorted_gens(candidates)))
 
 
 def inhomogeneous_candidates(rng, ring):
@@ -95,26 +99,22 @@ def test_only_constants_and_no_candidates():
         subalgebra_presentation(ring, [])
 
 
-def unsplit(ring, candidates):
-    """The presentation as one span over the whole ring, lone candidates
-    included."""
-    span = _GraphSpan(ring, candidates)
-    relations = span.relations()
-    return ([str(g) for g in span.kept], relations.ring.names,
-            [str(r) for r in relations.generators])
-
-
-def assert_split_is_exact(monkeypatch, ring, candidates):
-    """subalgebra_presentation agrees with membership-then-elimination and
-    with the unsplit span, string for string, and reduces as many
-    S-polynomials as the unsplit span."""
+def assert_lone_candidates_are_exact(monkeypatch, ring, candidates):
+    """subalgebra_presentation agrees with membership-then-elimination,
+    string for string, and its lone candidates, single terms c*x of
+    degree 1 whose x occurs in no other candidate, cost no S-polynomial:
+    the product criterion prunes their seeds' pairs, so the run reduces
+    as many as on the other candidates alone."""
     ordered = _sorted_gens(candidates)
     got = presented(ring, candidates)
     assert got == reference(ring, candidates)
-    assert got == unsplit(ring, ordered)
-    split_runs = spolynomials_per_run(monkeypatch, lambda: subalgebra_presentation(ring, ordered))
-    unsplit_runs = spolynomials_per_run(monkeypatch, lambda: unsplit(ring, ordered))
-    assert sum(split_runs) == sum(unsplit_runs)
+    used = Counter(name for p in ordered for name in p.variables())
+    rest = [p for p in ordered
+            if len(p.terms) != 1 or p.total_degree() != 1 or used[p.variables()[0]] != 1]
+    runs = spolynomials_per_run(monkeypatch, lambda: subalgebra_presentation(ring, ordered))
+    rest_runs = spolynomials_per_run(monkeypatch, lambda: subalgebra_presentation(ring, rest)) \
+        if rest else []
+    assert sum(runs) == sum(rest_runs)
     return got
 
 
@@ -131,10 +131,10 @@ def assert_split_is_exact(monkeypatch, ring, candidates):
     (["7", "2*b", "b", "e", "y1", "a^2", "a^3", "a^4", "a^2*b"],
      ["2*b", "e", "y1", "a^2", "a^3"], ["yy4^3 - yy5^2"]),
 ], ids=["scaled-twice", "in-another", "all-lone", "single", "lone-after-dropped"])
-def test_lone_candidates_are_split_off_exactly(monkeypatch, texts, survivors, relations):
+def test_lone_candidates_match_the_reference(monkeypatch, texts, survivors, relations):
     names = sorted({n for t in texts for n in scan_identifiers(t)})
     ring = VarSet(tuple(names))
-    got = assert_split_is_exact(monkeypatch, ring, [parse(t, ring) for t in texts])
+    got = assert_lone_candidates_are_exact(monkeypatch, ring, [parse(t, ring) for t in texts])
     assert got[0] == survivors and got[2] == (relations or ["0"])
 
 
@@ -160,7 +160,7 @@ def test_lone_candidates_in_seeded_lists(monkeypatch):
             else:
                 lone_seen += 1
         rng.shuffle(cands)
-        assert_split_is_exact(monkeypatch, ring, cands)
+        assert_lone_candidates_are_exact(monkeypatch, ring, cands)
     assert lone_seen > 20
 
 
@@ -178,17 +178,19 @@ V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
 
 def presentation_input(monkeypatch, spec):
     """((ring, candidates, forms) that invariant_presentation hands to
-    subalgebra_presentation, the presentation it returns) for `spec`."""
+    subalgebra_presentation, what that returns, the presentation
+    invariant_presentation returns) for `spec`."""
     seen = []
 
     def recording(ring, candidates, caps, forms):
-        seen.append((ring, list(candidates), list(forms)))
-        return subalgebra_presentation(ring, candidates, caps, forms)
+        spanned = subalgebra_presentation(ring, candidates, caps, forms)
+        seen.append(((ring, list(candidates), list(forms)), spanned))
+        return spanned
 
     monkeypatch.setattr(families, "subalgebra_presentation", recording)
     presentation = invariant_presentation(build_family(spec))
-    [found] = seen
-    return found, presentation
+    [(found, spanned)] = seen
+    return found, spanned, presentation
 
 
 def v3_span_input(monkeypatch, degree, trivial, seed):
@@ -199,18 +201,52 @@ def v3_span_input(monkeypatch, degree, trivial, seed):
 
 @pytest.mark.parametrize("label, shape, trivial", V3_CASES, ids=[c[0] for c in V3_CASES])
 def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label, shape, trivial):
-    """The presentation equals the reference on the candidates it spans,
-    and each seed form equals its candidate once its tags are replaced
-    by the candidates they tag."""
+    """The span equals the reference on the candidates it is handed, the
+    presentation equals it on every restricted W-invariant, trivial
+    coordinates included, and each seed form equals its candidate once
+    its tags are replaced by the candidates they tag."""
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
-    (ring, candidates, forms), (survivors, relations) = presentation_input(monkeypatch, spec)
-    assert ([str(g) for g in survivors], relations.ring.names,
-            [str(r) for r in relations.generators]) == reference(ring, candidates)
+    (ring, candidates, forms), spanned, presentation = presentation_input(monkeypatch, spec)
+    assert printed(*spanned) == reference(ring, candidates)
+    assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
     expand = dict(zip(_tag_ring(ring, len(candidates)).names,
                       [ring.var(n) for n in ring.names] + candidates))
     assert [form.substitute({n: expand[n] for n in form.ring.names}) for form in forms] \
         == candidates
     assert any(form.ring != ring for form in forms)
+
+
+@pytest.mark.parametrize("trivial, degrees", [
+    (0, range(1, 13)), (1, range(1, 13)), (2, range(1, 13)), (5, range(1, 13)),
+    (10, range(1, 13)), (40, (3,)),
+], ids=["t0", "t1", "t2", "t5", "t10", "t40"])
+def test_v3_presentation_matches_the_unsplit_span(monkeypatch, trivial, degrees):
+    """invariant_presentation spans only the candidates free of trivial
+    coordinates and adjoins those coordinates after; it matches one span
+    of every restricted W-invariant string for string, with as many
+    S-polynomials, on seeded signed-roots shapes."""
+    for degree in degrees:
+        f = signed_roots_shape(degree, 100 * trivial + degree)
+        art = build_family(FamilySpec("v3", f, trivial))
+        got, want = [], []
+        runs = spolynomials_per_run(monkeypatch, lambda: got.append(invariant_presentation(art)))
+        unsplit_runs = spolynomials_per_run(
+            monkeypatch, lambda: want.append(unsplit_v3_presentation(f, trivial)))
+        assert printed(*got[0]) == printed(*want[0])
+        assert sum(runs) == sum(unsplit_runs)
+
+
+@pytest.mark.parametrize("mixed", ["w1 + e1", "w3*e1", "e1^2"])
+def test_a_trivial_coordinate_mixed_with_others_is_a_bug(monkeypatch, mixed):
+    """invariant_presentation adjoins each trivial coordinate that
+    kernel_linear returns on its own; a W-invariant that mixes one with
+    other coordinates, or a power of one, raises ValueError (exit 5)."""
+    art = build_family(FamilySpec("v3", parse("s", VarSet(("s",))), 1))
+    gens = families._w_invariants("v3", 1)
+    extra = parse(mixed, gens[0].ring)
+    monkeypatch.setattr(families, "_w_invariants", lambda family, trivial: gens + (extra,))
+    with pytest.raises(ValueError, match="involves a trivial coordinate but is not one"):
+        invariant_presentation(art)
 
 
 def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
@@ -264,7 +300,7 @@ def test_forms_leave_v3_spans_unchanged(monkeypatch):
     """On seeded v3 shapes of degree 1-20 with 0-2 trivial summands, the
     span seeded through the forms keeps the same candidates, adds the same
     rows and reduces the same S-polynomials as the span seeded with the
-    candidates, and so does the presentation through the lone split."""
+    candidates, and so does the presentation."""
     rng = random.Random("forms")
     for degree in range(1, 21):
         for trivial in range(3):
@@ -281,7 +317,7 @@ def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
     """At degree 12 the images of w1 and of the two minors with w1 expand
     to 91, 93 and 93 terms, which reduce to 13, 15 and 15; seeded
     through their forms, the reduction starts from those 13, 15 and 15
-    terms, also past the split of the trivial summands."""
+    terms, also with trivial summands, which are adjoined after the span."""
     ring, candidates, forms = v3_span_input(monkeypatch, 12, trivial, 7)
     sizes = []
 
@@ -327,29 +363,22 @@ def test_forms_naming_other_tags_fall_back_to_the_candidate(candidates, form_ind
         == span_state(_GraphSpan(FORM_RING, cands))
 
 
-def test_forms_through_the_lone_split(monkeypatch):
-    """Forms are re-indexed past the lone candidate e; a form that names
-    e's tag or e itself seeds its candidate instead.  Either way the inner
-    span adds the same rows as without forms."""
+def test_forms_next_to_a_lone_candidate():
+    """Next to the lone candidate e, forms that name earlier kept tags,
+    e's tag y1 or e itself leave the presentation and the span's rows
+    as they are without forms."""
     ring = VarSet(("x", "e", "z"))
     cands = [parse(t, ring) for t in
              ("e", "x^2", "z", "x^3 + x*z", "x^4*z + x^2", "x^6 + 2*x^4*z + x^2*z^2")]
     big = _tag_ring(ring, len(cands))
-    spans = []
-
-    class Recorded(_GraphSpan):
-        def __init__(self, *args):
-            super().__init__(*args)
-            spans.append(span_state(self))
-
-    monkeypatch.setattr(groebner, "_GraphSpan", Recorded)
     plain = subalgebra_presentation(ring, cands)
     assert [str(r) for r in plain[1].generators] == ["y2^3 + 2*y2^2*y3 + y2*y3^2 - y4^2"]
-    for texts in (("x^3 + y3*x", "y2^2*y3 + y2", "y4^2"),  # named past the split
+    for texts in (("x^3 + y3*x", "y2^2*y3 + y2", "y4^2"),
                   ("x^3 + y3*x + y1 - e", "y2^2*y3 + y2", "y4^2 + e*x - y1*x")):
         forms = cands[:3] + [parse(t, big) for t in texts]
         assert subalgebra_presentation(ring, cands, forms=forms) == plain
-    assert len(spans) == 3 and spans[1] == spans[2] == spans[0]
+        assert span_state(_GraphSpan(ring, cands, forms=forms)) \
+            == span_state(_GraphSpan(ring, cands))
 
 
 def test_forms_are_checked():
