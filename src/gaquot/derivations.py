@@ -340,6 +340,15 @@ def _span(ring: VarSet, candidates, caps: ResourceCaps):
     return _GraphSpan(ring, ordered, caps)
 
 
+def _check_coefficient_space(variables: int, max_degree: int):
+    """Raise ResourceCapError if the polynomials of degree <= max_degree in
+    `variables` variables have more than KERNEL_DIMENSION_CAP coefficients."""
+    dimension = comb(variables + max_degree, max_degree)
+    if dimension > KERNEL_DIMENSION_CAP:
+        raise ResourceCapError(f"coefficient space of dimension {dimension} exceeds "
+                               f"{KERNEL_DIMENSION_CAP}")
+
+
 def kernel_linear(derivation: Derivation, max_degree: int,
                   caps: ResourceCaps = DEFAULT_CAPS):
     """Minimal generating set of the degree-bounded kernel.
@@ -373,11 +382,7 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     if max_degree < 1:
         raise UsageError("max_degree must be at least 1")
     ring = derivation.ring
-    dimension = comb(len(ring) + max_degree, max_degree)
-    if dimension > KERNEL_DIMENSION_CAP:
-        raise ResourceCapError(
-            f"coefficient space of dimension {dimension} exceeds {KERNEL_DIMENSION_CAP}"
-        )
+    _check_coefficient_space(len(ring), max_degree)
     touched = set()  # variables with a nonzero image or in one
     for i, image in derivation._image_terms:
         touched.add(i)
@@ -493,21 +498,24 @@ def _saturation_round(derivation: Derivation, a: Polynomial, span, caps: Resourc
 # -- derivation files --------------------------------------------------------------
 #
 # Optional "vars: ..." line, then lines "x -> polynomial"; variables not
-# listed on any left-hand side map to zero.
+# listed on any left-hand side map to zero, and one listed on two is a
+# ParseError.
 
 
 def load_derivation_file(path: Union[str, Path]) -> Derivation:
     declared, lines = read_spec_file(path)
-    entries = []
+    entries = {}
     for line in lines:
         if "->" not in line:
             raise ParseError(f"expected 'x -> polynomial' in line {line!r}", 0)
-        lhs, rhs = line.split("->", 1)
-        entries.append((lhs.strip(), rhs.strip()))
+        lhs, rhs = (side.strip() for side in line.split("->", 1))
+        if lhs in entries:
+            raise ParseError(f"variable {lhs!r} is assigned twice", 0)
+        entries[lhs] = rhs
     if declared is None:
         declared = tuple(dict.fromkeys(
-            name for lhs, rhs in entries for name in [lhs, *scan_identifiers(rhs)]
+            name for lhs, rhs in entries.items() for name in [lhs, *scan_identifiers(rhs)]
         ))
     ring = VarSet(declared)
-    images = {lhs: parse(rhs, ring) for lhs, rhs in entries}
+    images = {lhs: parse(rhs, ring) for lhs, rhs in entries.items()}
     return Derivation(ring, images)

@@ -29,24 +29,27 @@ the non-stable locus, so the battery runs that unit-ideal test once; it
 makes no Groebner run, as `is_unit_ideal` sets the non-stable
 coordinates w1, w3, w5 (and w7) to zero, which leaves X's equation at
 -1 - f(0) = -1.
-Smoothness is the Jacobian criterion (`check_smooth`), except that for v3
-two polynomial identities certify it with no Groebner run
+Ybar's equation is u*w2 - v*w1 plus B's, which is free of u, v, w1 and
+w2, so Ybar is the cone over B and smooth iff B is
+(`_check_cone_over_boundary` checks the identity); smoothness is decided
+on B alone.  That is the Jacobian criterion (`check_smooth`), except that
+for v3 two polynomial identities certify it with no Groebner run
 (`_jacobian_identities`): they put 1 + f(q) and q*f'(q) in the Jacobian
 ideal, and these are coprime because f(0) = 0 and f + 1 is squarefree,
-which the construction has validated.  Both identities apply Euler
-operators, which scale each term of an equation by a weight, so each is
-one pass over the equation's terms.  X, Ybar and B are hypersurfaces,
-whose dimensions `krull_dimension` reads off their one equation.  The
-validation's squarefree test of f + 1 is a modular certificate, with the
-gcd over Q only as its fallback.  So the battery's Buchberger runs are
-the presentation and, for v4, the Jacobian criterion.  A
-ResourceCapError raised by the battery names the stage, by its report
-key, in front of the cap.
+which the construction has validated.  The Euler operator of the second
+scales each term by a weight, so each identity is one pass over B's
+terms.  X, Ybar and B are hypersurfaces, whose dimensions
+`krull_dimension` reads off their one equation.  The validation's
+squarefree test of f + 1 is a modular certificate, with the gcd over Q
+only as its fallback.  So the battery's Buchberger runs are the
+presentation and, for v4, B's Jacobian criterion.  A ResourceCapError
+raised by the battery names the stage, by its report key, in front of
+the cap.
 
-What depends on the representation W alone is built once per process
-and per (family, trivial summands), in two bounded caches: W's
-derivation, the ambient ring, the quadratic invariants
-(`_representation`) and the degree-<= 2 W-invariants that the
+What depends on W alone is built once per process, in two bounded
+caches: W's derivation, the ambient ring and the quadratic invariants
+per (family, trivial summands) (`_representation`), and per family the
+degree-<= 2 invariants of W without trivial summands, which the
 presentation restricts to X (`_w_invariants`).  Everything that depends
 on f or on the caps (f(q), X, Ybar, B, the checks, the presentation's
 Groebner run) is built per call, so reports are byte-identical whether
@@ -65,6 +68,7 @@ from typing import Optional
 
 from .derivations import (
     Derivation,
+    _check_coefficient_space,
     _sorted_gens,
     fixed_point_ideal,
     kernel_linear,
@@ -195,22 +199,20 @@ def _representation(family: str, trivial: int):
     return derivation, ambient, _quadratic_invariants(derivation.ring, blocks)
 
 
-@lru_cache(maxsize=64)
-def _w_invariants(family: str, trivial: int) -> tuple:
-    """The minimal generators of the W-invariants of degree <= KERNEL_DEGREE,
-    `kernel_linear` of the derivation of `_representation(family,
-    trivial)`, solved once per process.
+@lru_cache(maxsize=2)  # one entry per family
+def _w_invariants(family: str) -> tuple:
+    """The minimal generators of degree <= KERNEL_DEGREE of the invariants
+    of W without trivial summands, `kernel_linear` of
+    `lower_triangular_derivation(blocks)`, solved once per process and
+    family.  Those of W with t trivial summands are these and the t
+    trivial coordinates, since Ga fixes them (ker D = (ker D')[e]), so
+    no count t is solved for.
 
     The key leaves out the caps: the derivation of W is linear, so
     `kernel_linear` spans its homogeneous kernel by graded linear
-    algebra (`_GradedSpan`) and never reads them.  It also leaves out
-    `derivations.KERNEL_DIMENSION_CAP`, which the solve checks first, so
-    a test that changes that constant must `cache_clear()` this function
-    before it runs a battery.  `lru_cache` stores no exception, so a cap
-    error is raised again on every call, inside the caller's battery
-    stage.
+    algebra (`_GradedSpan`) and never reads them.
     """
-    return tuple(kernel_linear(_representation(family, trivial)[0], KERNEL_DEGREE))
+    return tuple(kernel_linear(lower_triangular_derivation(FAMILIES[family][0]), KERNEL_DEGREE))
 
 
 def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
@@ -311,16 +313,15 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     return is_unit_ideal(Ideal(ideal.ring, gens), caps=caps)
 
 
-def _jacobian_identities(art: ConstructionArtifacts):
-    """(Ybar, B): whether each v3 equation is certified smooth without a
-    Groebner run; (False, False) for v4, which has no certificate.
+def _jacobian_identities(art: ConstructionArtifacts) -> bool:
+    """Whether B's equation is certified smooth without a Groebner run;
+    False for v4, which has no certificate.
 
-    With q the quadratic invariant, g = u*w2 - v*w1 - 1 - f(q) satisfies
+    With q the quadratic invariant, B's equation h = -1 - f(q) satisfies
 
-        -g + u*dg/du + v*dg/dv = 1 + f(q),
-        sum over i = 3..6 of w_i*dg/dw_i = -2*q*f'(q)   (Euler: q is a quadric),
+        -h = 1 + f(q),
+        sum over i = 3..6 of w_i*dh/dw_i = -2*q*f'(q)   (Euler: q is a quadric).
 
-    and B's equation h = -1 - f(q) the same identities with u = v = 0.
     Both right-hand sides are polynomials in q, and gcd(1 + f, s*f') = 1
     in Q[s] because f(0) = 0 and f + 1 is squarefree, so Bezout and s -> q
     put 1 in the Jacobian ideal.  This only checks the two identities:
@@ -328,16 +329,14 @@ def _jacobian_identities(art: ConstructionArtifacts):
     and an unvalidated spec with a repeated root passes the identities
     while being singular.
 
-    Both operators are Euler operators, diagonal on monomials: the first
-    maps a term c*x^m to (m_u + m_v - 1)*c*x^m, the second to
-    (m_3 + ... + m_6)*c*x^m.  So each identity is one pass over the
-    equation's terms, and a term in u or v of nonzero weight fails it,
-    since the right-hand sides live in the coordinates of W.  Those are
-    built from spec.f and one table of powers of q, not read off the
-    equations, which would make the check circular.
+    The Euler operator is diagonal on monomials: it maps a term c*x^m to
+    (m_3 + ... + m_6)*c*x^m.  So both identities are one pass over the
+    equation's terms.  The right-hand sides are built from spec.f and one
+    table of powers of q, not read off the equation, which would make the
+    check circular.
     """
     if art.spec.family != "v3":
-        return False, False
+        return False
     (q,) = art.quad_invariants
     w_ring = art.w_ring
     euler_at = [w_ring.index(n) for n in q.variables()]  # w3..w6
@@ -351,24 +350,24 @@ def _jacobian_identities(art: ConstructionArtifacts):
                           (minus_2q_f_prime, -2 * k * f.get(k, 0))):
             if c:
                 target.update((m, c * d) for m, d in power.items())
+    (h,) = art.b_ideal.generators
+    euler = {w: e * c for w, c in h.terms.items() if (e := sum(w[i] for i in euler_at))}
+    return {w: -c for w, c in h.terms.items()} == one_plus_f and euler == minus_2q_f_prime
 
-    def holds(ideal: Ideal) -> bool:
-        (equation,) = ideal.generators
-        radial_vars = len(ideal.ring) - len(w_ring)  # u, v lead the ambient ring
-        radial, euler = {}, {}
-        for exps, c in equation.terms.items():
-            w = exps[radial_vars:]
-            euler_weight = sum(w[i] for i in euler_at)
-            if any(exps[:radial_vars]):
-                if sum(exps[:radial_vars]) != 1 or euler_weight:
-                    return False
-                continue
-            radial[w] = -c
-            if euler_weight:
-                euler[w] = euler_weight * c
-        return radial == one_plus_f and euler == minus_2q_f_prime
 
-    return holds(art.ybar_ideal), holds(art.b_ideal)
+def _check_cone_over_boundary(art: ConstructionArtifacts):
+    """Raise ValueError (a bug of `_build_family`) unless Ybar's equation
+    is g = u*w2 - v*w1 + h with h, B's equation, free of w1 and w2.  Then
+    Ybar is smooth iff B is: h = g - u*dg/du - v*dg/dv and dg/dw_i =
+    dh/dw_i for i >= 3, so B's Jacobian ideal lies in Ybar's; and a
+    singular point w of B with w1 = w2 = 0 gives Ybar's singular point
+    (0, 0, w)."""
+    (g,), (h,) = art.ybar_ideal.generators, art.b_ideal.generators
+    u, v, w1, w2 = map(g.ring.var, ("u", "v", "w1", "w2"))
+    cone = (u * w2 - v * w1).terms | {(0, 0) + m: c for m, c in h.terms.items()}  # h lacks u, v
+    if (g.ring.names != ("u", "v") + h.ring.names or {"w1", "w2"} & set(h.variables())
+            or g.terms != cone):
+        raise ValueError("Ybar's equation is not u*w2 - v*w1 plus B's equation")
 
 
 def boundary_analysis(art: ConstructionArtifacts):
@@ -412,24 +411,25 @@ def invariant_presentation(art: ConstructionArtifacts,
                            caps: ResourceCaps = DEFAULT_CAPS):
     """Present the invariant ring of X by generators and relations.
 
-    Takes the kernel of the derivation up to KERNEL_DEGREE, which
-    `_w_invariants` solves once per representation W, and restricts each
-    generator g to X, w1 -> 1 + f(q) with q the quadratic
+    Takes the kernel up to KERNEL_DEGREE of the derivation of W without
+    trivial summands, which `_w_invariants` solves once per family, and
+    restricts each generator g to X, w1 -> 1 + f(q) with q the quadratic
     invariant; the image no longer involves w1, so w2, w3, ... are read
     as the affine coordinates z1, z2, ... of X (the closed immersion),
     constant terms are dropped and each image is made monic.  Ga fixes
-    the trivial summands' coordinates e_i, so the invariant ring is that
-    of W without summands with them adjoined (ker D = (ker D')[e],
-    Freudenburg, "Algebraic Theory of Locally Nilpotent Derivations",
-    2nd ed., 2017); `kernel_linear` returns each e_i as a generator of
-    its own, and one that mixes e_i with other coordinates raises
-    ValueError.  One incremental Groebner run over the tag-variable graph
-    ideal of the other generators, restricted into z1..z5, in (degree,
-    text) order, drops each lying in the subalgebra of those before it
-    and eliminates the affine coordinates from the graph ideal of the
-    rest (groebner.subalgebra_presentation, under one `caps` budget).
-    z6, z7, ... then join its survivors, in (degree, text) order, and
-    each relation's tags are renamed by survivor position.  Returns
+    the trivial summands' coordinates e_i, W's columns 6..5+t, so the
+    invariant ring is that of W without summands with them adjoined
+    (ker D = (ker D')[e], Freudenburg, "Algebraic Theory of Locally
+    Nilpotent Derivations", 2nd ed., 2017).  A solve on all of W would
+    be capped (`derivations.KERNEL_DIMENSION_CAP`), and so is t, as the
+    result lives in 5 + t variables.  One incremental Groebner run over
+    the tag-variable graph ideal of the restricted generators, in z1..z5
+    and in (degree, text) order, drops each lying in the subalgebra of
+    those before it and eliminates the affine coordinates from the graph
+    ideal of the rest (groebner.subalgebra_presentation, under one
+    `caps` budget).  z6, z7, ... then join its survivors, in (degree,
+    text) order, and each relation's tags are renamed by survivor
+    position.  Returns
     (restricted generators, relation ideal in tags).
 
     q is free of w1, so its image is c times its monic candidate q' for
@@ -446,6 +446,7 @@ def invariant_presentation(art: ConstructionArtifacts,
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
+    _check_coefficient_space(len(art.w_ring), KERNEL_DEGREE)
     width = 2 * FAMILIES[art.spec.family][0]  # the coordinates of W without summands
     core = VarSet(tuple(f"z{i}" for i in range(1, width)))
     (q,) = art.quad_invariants
@@ -470,15 +471,8 @@ def invariant_presentation(art: ConstructionArtifacts,
                 out[key] = out.get(key, 0) + a * b
         return out
 
-    trivial = []  # the W column of each trivial coordinate
     forms = {}  # candidate -> its form as a term dict, None for the candidate itself
-    for g in _w_invariants(art.spec.family, art.spec.trivial_summands):
-        if any(any(m[width:]) for m in g.terms):
-            m = next(iter(g.terms))
-            if len(g.terms) != 1 or sum(m) != 1:
-                raise ValueError(f"W-invariant {g} involves a trivial coordinate but is not one")
-            trivial.append(m.index(1))
-            continue
+    for g in _w_invariants(art.spec.family):
         form: dict = {}
         for m, a in g.terms.items():
             while len(w1_powers) <= m[0]:
@@ -505,11 +499,9 @@ def invariant_presentation(art: ConstructionArtifacts,
         m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in forms[p].items()})
         for p in ordered]
     survivors, relations = subalgebra_presentation(core, ordered, caps, seeds)
-    if not trivial:
-        return tuple(survivors), relations
     z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(art.w_ring))))
     spanned = [p.embed(z_ring) for p in survivors]
-    merged = _sorted_gens(spanned + [z_ring.var(z_ring.names[k - 1]) for k in trivial])
+    merged = _sorted_gens(spanned + [z_ring.var(n) for n in z_ring.names[width - 1:]])
     y_ring = VarSet(fresh_names("y", len(merged), z_ring.names))
     position = {p: k for k, p in enumerate(merged)}
     renamed = VarSet(tuple(y_ring.names[position[p]] for p in spanned))  # each survivor's new tag
@@ -566,11 +558,10 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
     else:
         with _stage("free"):
             checks["free"] = check_freeness(art, caps=caps)
-    ybar_certified, b_certified = _jacobian_identities(art)
-    with _stage("ybarSmooth"):
-        checks["ybarSmooth"] = ybar_certified or check_smooth(art.ybar_ideal, caps=caps)
+    _check_cone_over_boundary(art)
     with _stage("boundarySmooth"):
-        checks["boundarySmooth"] = b_certified or check_smooth(art.b_ideal, caps=caps)
+        b_smooth = _jacobian_identities(art) or check_smooth(art.b_ideal, caps=caps)
+    checks["ybarSmooth"] = checks["boundarySmooth"] = b_smooth  # Ybar is the cone over B
     dim_x = krull_dimension(art.x_ideal)  # X, Ybar and B are principal: no Groebner run
     dim_ybar, dim_b, m = boundary_analysis(art)
     codim = dim_ybar - dim_b

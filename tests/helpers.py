@@ -302,11 +302,10 @@ def restricted_w_invariants(f: Polynomial, trivial: int):
     restricted to X by substitution (w1 -> 1 + f(q) with q = w3*w6 -
     w4*w5, w_k -> z_(k-1)), without its constant term, made monic, with
     duplicates dropped and in `_sorted_gens` order."""
-    from gaquot import monic
+    from gaquot import kernel_linear, lower_triangular_derivation, monic
     from gaquot.derivations import _sorted_gens
-    from gaquot.families import _w_invariants
 
-    gens = _w_invariants("v3", trivial)
+    gens = kernel_linear(lower_triangular_derivation(3, trivial), 2)
     w_ring = gens[0].ring
     z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(w_ring))))
     z = [z_ring.var(name) for name in z_ring.names]

@@ -119,8 +119,9 @@ def test_resource_cap_names_the_stage(capsys):
 
 
 def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
-    """The W-invariants are cached per process, but a cap error is not:
-    it is raised again, under its stage, on every call."""
+    """The W-invariants are cached per family, and the bound on the
+    trivial summands is checked outside the cache, so its cap error is
+    raised again, under its stage, on every call and fills no entry."""
     families._representation.cache_clear()
     families._w_invariants.cache_clear()
     for _ in range(2):
@@ -135,6 +136,20 @@ def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
         assert families._w_invariants.cache_info().hits == hits + warm
+
+
+def test_trivial_summands_are_bounded_by_the_kernel_cap(capsys):
+    """The presentation takes t trivial summands while a kernel solve on
+    all of W, in 6 + t variables up to degree 2, stays within the cap:
+    t = 92 passes, and t = 93 exits 4, as does a far larger t, at once."""
+    code, text = run(["present", "--f=s", "--trivial", "92"])
+    assert code == 0 and text
+    for trivial, dimension in (("93", 5050), ("10000", 50075028)):
+        code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", trivial])
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == (
+            f"resource cap: presentation: coefficient space of dimension {dimension} "
+            "exceeds 5000\n")
 
 
 def test_successive_calls_share_no_state(tmp_path, capsys):
@@ -270,6 +285,15 @@ def test_kernel_saturation_slice_choice(tmp_path, capsys):
     assert code == 1 and text == ""
     assert capsys.readouterr().err == (
         "error: no slice variable (need D(s) nonzero with D(D(s)) = 0)\n")
+
+
+def test_kernel_rejects_a_variable_assigned_twice(tmp_path, capsys):
+    """A derivation file that gives one variable two images is a usage
+    error naming it; no line silently wins."""
+    path = tmp_path / "twice.txt"
+    path.write_text("x -> y\nx -> 1\n", encoding="utf-8")
+    assert run(["kernel", "--derivation", str(path), "--method", "linear"]) == (1, "")
+    assert "variable 'x' is assigned twice" in capsys.readouterr().err
 
 
 def test_kernel_missing_file():
@@ -588,8 +612,9 @@ def test_kernel_saturation_round_cap_exit(tmp_path):
 
 
 def test_reports_identical_across_hash_seeds(tmp_path):
-    """Byte-identical output of verify, gb and kernel under different hash
-    seeds."""
+    """Byte-identical output and exit codes of verify, present, gb and
+    kernel under different hash seeds, v4 and a singular v4 control (exit
+    2) included."""
     path = tmp_path / "mixed.txt"
     path.write_text(MIXED_IDEAL, encoding="utf-8")
     derivation = tmp_path / "derivation.txt"
@@ -605,6 +630,8 @@ def test_reports_identical_across_hash_seeds(tmp_path):
         ["kernel", "--derivation", str(derivation), "--method", "saturation"],
         ["verify", "--family", "v3", "--f=(1+s)*(1+2*s)*(1+3*s) - 1", "--trivial", "3"],
         ["present", "--f=(1+s)*(1+2*s)*(1+3*s) - 1", "--trivial", "2"],
+        ["verify", "--family", "v4", "--f=a^2 + b*c"],
+        ["verify", "--family", "v4", "--f=a^2 - 2*a + b^2 + c^2"],
     ]
     src = str(Path(gaquot.__file__).resolve().parents[1])
     for argv in commands:
@@ -612,9 +639,9 @@ def test_reports_identical_across_hash_seeds(tmp_path):
         for seed in ("1", "2", "3"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             done = subprocess.run([sys.executable, "-m", "gaquot.cli", *argv], env=env,
-                                  capture_output=True, timeout=120, check=True)
-            assert done.stdout.strip()
-            digests.add(hashlib.sha256(done.stdout).hexdigest())
+                                  capture_output=True, timeout=120)
+            assert done.returncode in (0, 2) and done.stdout.strip(), done.stderr
+            digests.add((done.returncode, hashlib.sha256(done.stdout).hexdigest()))
         assert len(digests) == 1, argv
 
 

@@ -1,5 +1,7 @@
 """Family construction and the verification battery."""
 
+import io
+import json
 import random
 import sys
 import threading
@@ -38,8 +40,9 @@ from gaquot import (
     run_battery,
 )
 from gaquot import cli, families
-from gaquot.families import _build_family, _jacobian_identities, nonstable_ideal
-from helpers import signed_roots_shape, spolynomials_per_run, to_sympy
+from gaquot.families import (_build_family, _check_cone_over_boundary, _jacobian_identities,
+                             nonstable_ideal)
+from helpers import random_poly, signed_roots_shape, spolynomials_per_run, to_sympy
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -204,14 +207,16 @@ def test_smoothness_of_closure_and_boundary():
 
 def test_smoothness_fails_on_repeated_root():
     """With a repeated root of f + 1, built without validation, both
-    equations are singular, yet both smoothness identities still hold: the
+    equations are singular, yet B's smoothness identities still hold: the
     identities certify smoothness only together with gcd(1 + f, s*f') = 1,
-    which the battery's validated construction supplies."""
+    which the battery's validated construction supplies.  Ybar is still
+    the cone over B, so it is singular with B."""
     spec = v3("(1+s)^2 - 1")
     forced = _build_family(spec)
     assert not check_smooth(forced.b_ideal)
     assert not check_smooth(forced.ybar_ideal)
-    assert _jacobian_identities(forced) == (True, True)
+    assert _jacobian_identities(forced) is True
+    _check_cone_over_boundary(forced)
     with pytest.raises(RepeatedRootsError):
         run_battery(spec)
 
@@ -240,102 +245,72 @@ CERTIFIED_SPECS = (
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
 def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
-    """The identities certify both v3 equations wherever the Jacobian
-    criterion does, and the battery's report does not depend on which of
-    the two proves smoothness."""
+    """The identities certify B wherever the Jacobian criterion does, and
+    the battery's report does not depend on which of the two proves
+    smoothness."""
     art = build_family(spec)
-    assert _jacobian_identities(art) == (True, True)
-    assert check_smooth(art.ybar_ideal) and check_smooth(art.b_ideal)
+    assert _jacobian_identities(art) is True
+    assert check_smooth(art.b_ideal)
     certified = run_battery(spec)
-    monkeypatch.setattr(families, "_jacobian_identities", lambda art: (False, False))
+    monkeypatch.setattr(families, "_jacobian_identities", lambda art: False)
     assert run_battery(spec) == certified
 
 
 def test_jacobian_identities_reject_a_changed_coefficient():
-    """Doubling any one coefficient of the constant or of f(q) in either
-    equation breaks an identity; doubling that of u*w2 or v*w1 keeps both,
-    and the equation is then still smooth, so the certificate stays sound.
-    Raising the coefficient of u*w3 in Ybar's equation from 0 to 1 keeps
-    the first identity (u*w3 is linear in u, v) and breaks only the
-    second.  Adding u^2*w2 (a term in u alone, of radial weight 1) or
-    v*w3*w6 (a term in v, of Euler weight 2) breaks one; adding u*w2^2
-    keeps both, as its two weights are 0, and the Jacobian criterion
-    confirms that equation smooth."""
+    """Doubling any one coefficient of B's equation, the constant or one of
+    f(q), or adding a term of Euler weight 0 (w2) or 2 (w1*w3*w6), breaks
+    an identity."""
     art = build_family(FamilySpec("v3", signed_roots_shape(3, 7)))
-    ambient = art.ambient_ring
-
-    def exponents(text):
-        (exps,) = parse(text, ambient).terms
-        return exps
-
-    kept = {exponents("u*w2"), exponents("v*w1"), exponents("u*w2^2")}
-    mutations = [(field, index, exps, 2 * coeff)
-                 for field, index in (("ybar_ideal", 0), ("b_ideal", 1))
-                 for exps, coeff in getattr(art, field).generators[0].terms.items()]
-    mutations += [("ybar_ideal", 0, exponents(text), 1)
-                  for text in ("u*w3", "u^2*w2", "v*w3*w6", "u*w2^2")]
-    for field, index, exps, coeff in mutations:
-        ideal = getattr(art, field)
-        changed = dict(ideal.generators[0].terms)
+    (h,) = art.b_ideal.generators
+    mutations = [(exps, 2 * coeff) for exps, coeff in h.terms.items()]
+    mutations += [(next(iter(parse(text, art.w_ring).terms)), 1) for text in ("w1*w3*w6", "w2")]
+    for exps, coeff in mutations:
+        changed = dict(h.terms)
         changed[exps] = coeff
-        mutated = Ideal(ideal.ring, (Polynomial(ideal.ring, changed),))
-        verdict = _jacobian_identities(replace(art, **{field: mutated}))[index]
-        assert verdict == (exps in kept), (field, exps)
-        if verdict:
-            assert check_smooth(mutated)
+        mutated = Ideal(art.w_ring, (Polynomial(art.w_ring, changed),))
+        assert not _jacobian_identities(replace(art, b_ideal=mutated)), exps
 
 
 def polynomial_identities(art):
-    """The two v3 identities checked with Polynomial partials, products
-    and sums, as the battery once checked them: an independent reference
-    for the term-dict check of `_jacobian_identities`."""
+    """The two v3 identities on B checked with Polynomial partials,
+    products and sums, as the battery once checked them: an independent
+    reference for the term-dict check of `_jacobian_identities`."""
     (q,) = art.quad_invariants
     f = art.spec.f
     one_plus_f = 1 + f.substitute({"s": q})
     minus_2q_f_prime = -2 * q * f.partial("s").substitute({"s": q})
-
-    def holds(ideal):
-        (equation,) = ideal.generators
-        ring = ideal.ring
-        radial = -equation
-        for n in ("u", "v"):
-            if n in ring:
-                radial = radial + ring.var(n) * equation.partial(n)
-        euler = ring.zero()
-        for n in q.variables():
-            euler = euler + ring.var(n) * equation.partial(n)
-        return radial == one_plus_f.embed(ring) and euler == minus_2q_f_prime.embed(ring)
-
-    return holds(art.ybar_ideal), holds(art.b_ideal)
+    (h,) = art.b_ideal.generators
+    ring = art.b_ideal.ring
+    euler = ring.zero()
+    for n in q.variables():
+        euler = euler + ring.var(n) * h.partial(n)
+    return -h == one_plus_f.embed(ring) and euler == minus_2q_f_prime.embed(ring)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_jacobian_identities_agree_with_polynomial_arithmetic(seed):
     """On seeded v3 specs (deg f 1 to 12, 0 to 2 trivial summands), the
-    term-dict check and the Polynomial reference give the same verdicts,
-    on both equations as built and after seeded changes of the
-    coefficient of one monomial of degree at most 2 in each variable."""
+    term-dict check and the Polynomial reference give the same verdict,
+    on B's equation as built and after seeded changes of the coefficient
+    of one monomial of degree at most 2 in each variable."""
     rng = random.Random(seed)
     for _ in range(4):
         spec = FamilySpec("v3", signed_roots_shape(rng.randint(1, 12), seed), rng.randint(0, 2))
         art = build_family(spec)
-        assert _jacobian_identities(art) == polynomial_identities(art) == (True, True)
-        for field in ("ybar_ideal", "b_ideal"):
-            ideal = getattr(art, field)
-            for _ in range(8):
-                changed = dict(ideal.generators[0].terms)
-                exps = tuple(rng.choice((0, 0, 1, 2)) for _ in ideal.ring.names)
-                changed[exps] = rng.choice((-2, 0, 1, 3))
-                mutated = replace(art, **{field: Ideal(ideal.ring,
-                                                       (Polynomial(ideal.ring, changed),))})
-                assert _jacobian_identities(mutated) == polynomial_identities(mutated), \
-                    (field, exps)
+        assert _jacobian_identities(art) is polynomial_identities(art) is True
+        ring = art.b_ideal.ring
+        for _ in range(8):
+            changed = dict(art.b_ideal.generators[0].terms)
+            exps = tuple(rng.choice((0, 0, 1, 2)) for _ in ring.names)
+            changed[exps] = rng.choice((-2, 0, 1, 3))
+            mutated = replace(art, b_ideal=Ideal(ring, (Polynomial(ring, changed),)))
+            assert _jacobian_identities(mutated) == polynomial_identities(mutated), exps
 
 
 @pytest.mark.parametrize("text", ["0", "-1", "-1 + s", "(1+s)^2 - 1", "1/2*s^3 - s"])
 def test_jacobian_identities_agree_on_unvalidated_shapes(text):
     """Shapes the validation rejects or that sit at its edges (f = 0, a
-    constant term, a repeated root of f + 1) get the same verdicts from
+    constant term, a repeated root of f + 1) get the same verdict from
     both checks, from f's table of coefficients down to its empty one."""
     art = _build_family(v3(text))
     assert _jacobian_identities(art) == polynomial_identities(art)
@@ -343,23 +318,84 @@ def test_jacobian_identities_agree_on_unvalidated_shapes(text):
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
 def test_jacobian_identities_hold_in_sympy(seed):
-    """Each identity, expanded by sympy from the equations built here, on
+    """Each identity, expanded by sympy from B's equation as built, on
     seeded signed-roots shapes with a seeded number of trivial summands."""
     rng = random.Random(seed)
     spec = FamilySpec("v3", signed_roots_shape(rng.randint(1, 8), seed), rng.randint(0, 2))
     art = build_family(spec)
-    u, v, w1, w2, w3, w4, w5, w6 = sp.symbols("u v w1 w2 w3 w4 w5 w6")
+    w3, w4, w5, w6 = sp.symbols("w3 w4 w5 w6")
     s = sp.Symbol("s")
     q = w3 * w6 - w4 * w5
     f = to_sympy(spec.f, [s])
-    one_plus_f = 1 + f.subs(s, q)
-    minus_2q_f_prime = -2 * q * sp.diff(f, s).subs(s, q)
-    for ideal, radial in ((art.ybar_ideal, (u, v)), (art.b_ideal, ())):
-        (equation,) = ideal.generators
-        g = to_sympy(equation, sp.symbols(list(ideal.ring.names)))
-        assert sp.expand(-g + sum(x * sp.diff(g, x) for x in radial) - one_plus_f) == 0
-        assert sp.expand(sum(x * sp.diff(g, x) for x in (w3, w4, w5, w6)) - minus_2q_f_prime) == 0
-    assert _jacobian_identities(art) == (True, True)
+    (equation,) = art.b_ideal.generators
+    h = to_sympy(equation, sp.symbols(list(art.b_ideal.ring.names)))
+    assert sp.expand(-h - 1 - f.subs(s, q)) == 0
+    assert sp.expand(sum(x * sp.diff(h, x) for x in (w3, w4, w5, w6))
+                     + 2 * q * sp.diff(f, s).subs(s, q)) == 0
+    assert _jacobian_identities(art) is True
+
+
+# -- Ybar is the cone over B ---------------------------------------------------------
+
+SINGULAR_V4 = ["a^2 - 2*a + b^2 + c^2", "a*b - a - b", "a^2*b^2 - 2*a*b + c^2"]
+
+
+def transfer_specs():
+    """v3 signed-roots shapes of deg 1..12 with 0..2 trivial summands,
+    seeded v4 shapes of degree <= 3, and the singular v4 controls."""
+    rng = random.Random("cone")
+    specs = [pytest.param(FamilySpec("v3", signed_roots_shape(d, 7 + t), t),
+                          id=f"v3-deg{d}-triv{t}")
+             for d in range(1, 13) for t in range(3)]
+    shapes = []
+    while len(shapes) < 8:
+        f = random_poly(rng, ABC, max_degree=3, max_terms=4)
+        if not (f - f.constant_term()).is_zero():
+            shapes.append(f - f.constant_term())
+    specs += [pytest.param(FamilySpec("v4", f), id=f"v4-{f}") for f in shapes]
+    return specs + [pytest.param(v4(text), id=f"v4-{text}") for text in SINGULAR_V4]
+
+
+@pytest.mark.parametrize("spec", transfer_specs())
+def test_smoothness_is_decided_on_b_and_transferred_to_ybar(spec):
+    """Oracle: the battery's verdicts, both decided on B, equal the Jacobian
+    criterion on each of Ybar and B."""
+    art = build_family(spec)
+    checks = run_battery(spec).checks
+    assert checks["ybarSmooth"] == check_smooth(art.ybar_ideal)
+    assert checks["boundarySmooth"] == check_smooth(art.b_ideal)
+
+
+@pytest.mark.parametrize("text", SINGULAR_V4)
+def test_singular_v4_controls_exit_two(text):
+    """Each singular v4 control fails through the CLI, with both smoothness
+    keys false and the other checks true."""
+    out = io.StringIO()
+    assert cli.main(["verify", "--family", "v4", f"--f={text}"], out=out) == 2
+    checks = json.loads(out.getvalue())["checks"]
+    assert checks.pop("ybarSmooth") is checks.pop("boundarySmooth") is False
+    assert all(checks.values())
+
+
+def test_a_ybar_not_the_cone_over_b_is_a_bug(monkeypatch, capsys):
+    """Any change of one coefficient of Ybar's equation, or a term in u, v,
+    w1 or w2 added to it or to B's, breaks the identity g = u*w2 - v*w1 + h:
+    the check raises ValueError, and through the battery the CLI exits 5."""
+    art = build_family(FamilySpec("v3", signed_roots_shape(3, 7), 1))
+    ambient, w_ring = art.ambient_ring, art.w_ring
+    (g,), (h,) = art.ybar_ideal.generators, art.b_ideal.generators
+    mutated = [Polynomial(ambient, {**g.terms, exps: 2 * c}) for exps, c in g.terms.items()]
+    mutated += [g + parse(text, ambient) for text in ("u*w3", "v", "u*w2", "w1*w3*w6")]
+    arts = [replace(art, ybar_ideal=Ideal(ambient, (p,))) for p in mutated]
+    arts += [replace(art, ybar_ideal=Ideal(ambient, (g + parse(text, ambient),)),
+                     b_ideal=Ideal(w_ring, (h + parse(text, w_ring),)))
+             for text in ("w1", "w2*w3")]
+    for broken in arts:
+        with pytest.raises(ValueError, match="Ybar's equation is not"):
+            _check_cone_over_boundary(broken)
+    monkeypatch.setattr(families, "_build_family", lambda spec: arts[0])
+    assert cli.main(["verify", "--family", "v3", "--f=s"], out=io.StringIO()) == 5
+    assert "internal error: ValueError: Ybar's equation is not" in capsys.readouterr().err
 
 
 # -- boundary and ranks ----------------------------------------------------------------

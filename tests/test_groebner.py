@@ -792,14 +792,29 @@ def test_battery_spolynomial_counts_are_pinned(monkeypatch):
     is the one run.  The squarefreeness of f + 1 is certified modulo a
     prime, and the unit-ideal test behind stability and freeness by
     setting its lone variables w1, w3, w5 to zero, which leaves the
-    constant -1; the two smoothness checks are certified by polynomial
-    identities, and the three dimensions, of the hypersurfaces X, Ybar and
-    B, are each read off its one equation.  Each of these once made a run:
-    the pin read [11, 1, 0, 0, 0, 7] until the dimensions were read off,
-    then [11, 1, 7] (the squarefree gcd, the stability run, the
-    presentation) until the two shortcuts removed the first two runs."""
+    constant -1; B's smoothness is certified by polynomial identities and
+    Ybar's is B's, as Ybar is the cone over B; and the three dimensions,
+    of the hypersurfaces X, Ybar and B, are each read off its one
+    equation.  Each of these once made a run: the pin read
+    [11, 1, 0, 0, 0, 7] until the dimensions were read off, then
+    [11, 1, 7] (the squarefree gcd, the stability run, the presentation)
+    until the two shortcuts removed the first two runs."""
     spec = FamilySpec("v3", signed_roots_shape(12, 11))
     assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) == [7]
+
+
+@pytest.mark.parametrize("f, expected", [
+    ("a^2 + b*c", [9]),
+    ("a*b - a - b", [13]),
+    ("a^2 - 2*a + b^2 + c^2", [58]),
+])
+def test_v4_battery_spolynomial_counts_are_pinned(f, expected, monkeypatch):
+    """The one Buchberger run of a v4 battery is B's Jacobian criterion;
+    Ybar's smoothness is B's.  Each pin read [n, n] while Ybar's Jacobian
+    criterion ran too, as the lone-variable step of `is_unit_ideal` turns
+    Ybar's Jacobian ideal into B's.  The last two shapes are singular."""
+    spec = FamilySpec("v4", parse(f, VarSet(("a", "b", "c"))))
+    assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) == expected
 
 
 def test_high_degree_battery_makes_only_the_presentation_run(monkeypatch):

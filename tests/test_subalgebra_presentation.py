@@ -236,19 +236,6 @@ def test_v3_presentation_matches_the_unsplit_span(monkeypatch, trivial, degrees)
         assert sum(runs) == sum(unsplit_runs)
 
 
-@pytest.mark.parametrize("mixed", ["w1 + e1", "w3*e1", "e1^2"])
-def test_a_trivial_coordinate_mixed_with_others_is_a_bug(monkeypatch, mixed):
-    """invariant_presentation adjoins each trivial coordinate that
-    kernel_linear returns on its own; a W-invariant that mixes one with
-    other coordinates, or a power of one, raises ValueError (exit 5)."""
-    art = build_family(FamilySpec("v3", parse("s", VarSet(("s",))), 1))
-    gens = families._w_invariants("v3", 1)
-    extra = parse(mixed, gens[0].ring)
-    monkeypatch.setattr(families, "_w_invariants", lambda family, trivial: gens + (extra,))
-    with pytest.raises(ValueError, match="involves a trivial coordinate but is not one"):
-        invariant_presentation(art)
-
-
 def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
     """relations() interreduces the tag-only rows alone; they are the
     tag-only rows of the whole reduced basis, on shifted monomials, whose
