@@ -347,3 +347,57 @@ def signed_roots_shape(degree: int, seed: int) -> Polynomial:
     signed-roots factors: a valid v3 shape."""
     factors = signed_roots_factors(degree, seed)
     return prod(factors, start=factors[0].ring.one()) - 1
+
+
+# -- the expanded v3 smoothness identities and the cone over B -----------------
+
+
+def jacobian_identities(art, h=None) -> bool:
+    """Whether B's equation h (by default as built, expanded) satisfies the
+    two v3 identities that put 1 + f(q) and q*f'(q) in its Jacobian ideal;
+    False for v4.  With q the quadratic invariant:
+
+        -h = 1 + f(q),
+        sum over i = 3..6 of w_i*dh/dw_i = -2*q*f'(q)   (Euler: q is a quadric).
+
+    An oracle on the expanded equation for the battery's smoothness
+    certificate, which reads f and q instead.  The Euler operator maps a
+    term c*x^m to (m_3 + ... + m_6)*c*x^m, so both identities are one
+    pass over h's terms; the right-hand sides come from f and one table
+    of powers of q.
+    """
+    from gaquot.poly import _product
+
+    if art.spec.family != "v3":
+        return False
+    (q,) = art.quad_invariants
+    w_ring = art.w_ring
+    euler_at = [w_ring.index(n) for n in q.variables()]  # w3..w6
+    f = {k: c for (k,), c in art.spec.f.terms.items()}  # s^k -> its coefficient
+    one_plus_f, minus_2q_f_prime = {}, {}
+    power = {(0,) * len(w_ring): 1}  # q^k, of degree 2k: no two k share a term
+    for k in range(max(f, default=0) + 1):
+        if k:
+            power = _product(power, q.terms)
+        for target, c in ((one_plus_f, (k == 0) + f.get(k, 0)),
+                          (minus_2q_f_prime, -2 * k * f.get(k, 0))):
+            if c:
+                target.update((m, c * d) for m, d in power.items())
+    (h,) = art.b_ideal.generators if h is None else (h,)
+    euler = {w: e * c for w, c in h.terms.items() if (e := sum(w[i] for i in euler_at))}
+    return {w: -c for w, c in h.terms.items()} == one_plus_f and euler == minus_2q_f_prime
+
+
+def check_cone_over_boundary(art, g=None, h=None):
+    """Raise ValueError unless Ybar's equation g is u*w2 - v*w1 + h with h,
+    B's equation, free of w1 and w2 (by default both as built).  Then Ybar
+    is smooth iff B is: h = g - u*dg/du - v*dg/dv and dg/dw_i = dh/dw_i
+    for i >= 3, so B's Jacobian ideal lies in Ybar's; and a singular point
+    w of B with w1 = w2 = 0 gives Ybar's singular point (0, 0, w)."""
+    (g,) = art.ybar_ideal.generators if g is None else (g,)
+    (h,) = art.b_ideal.generators if h is None else (h,)
+    u, v, w1, w2 = map(g.ring.var, ("u", "v", "w1", "w2"))
+    cone = (u * w2 - v * w1).terms | {(0, 0) + m: c for m, c in h.terms.items()}  # h lacks u, v
+    if (g.ring.names != ("u", "v") + h.ring.names or {"w1", "w2"} & set(h.variables())
+            or g.terms != cone):
+        raise ValueError("Ybar's equation is not u*w2 - v*w1 plus B's equation")

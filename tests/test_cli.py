@@ -152,6 +152,19 @@ def test_trivial_summands_are_bounded_by_the_kernel_cap(capsys):
             "exceeds 5000\n")
 
 
+def test_trivial_summands_past_the_cap_build_no_representation(capsys):
+    """verify checks the presentation's bound on t before W is built: a
+    count past it leaves the representation cache as it was and prints
+    the same cap error."""
+    families._representation.cache_clear()
+    code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "100000"])
+    assert (code, text) == (4, "")
+    assert families._representation.cache_info().currsize == 0
+    assert capsys.readouterr().err == (
+        "resource cap: presentation: coefficient space of dimension 5000750028 "
+        "exceeds 5000\n")
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     """main reuses one parser per process; options of one call do not
     carry into the next."""
@@ -613,8 +626,8 @@ def test_kernel_saturation_round_cap_exit(tmp_path):
 
 def test_reports_identical_across_hash_seeds(tmp_path):
     """Byte-identical output and exit codes of verify, present, gb and
-    kernel under different hash seeds, v4 and a singular v4 control (exit
-    2) included."""
+    kernel under different hash seeds, v4, a singular v4 control (exit 2)
+    and a deg-30 v3 shape decided from f composed with q included."""
     path = tmp_path / "mixed.txt"
     path.write_text(MIXED_IDEAL, encoding="utf-8")
     derivation = tmp_path / "derivation.txt"
@@ -632,6 +645,7 @@ def test_reports_identical_across_hash_seeds(tmp_path):
         ["present", "--f=(1+s)*(1+2*s)*(1+3*s) - 1", "--trivial", "2"],
         ["verify", "--family", "v4", "--f=a^2 + b*c"],
         ["verify", "--family", "v4", "--f=a^2 - 2*a + b^2 + c^2"],
+        ["verify", "--family", "v3", f"--f={signed_roots_shape(30, 7)}", "--trivial", "2"],
     ]
     src = str(Path(gaquot.__file__).resolve().parents[1])
     for argv in commands:

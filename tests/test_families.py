@@ -33,6 +33,7 @@ from gaquot import (
     invariant_presentation,
     is_squarefree,
     k_theory_ranks,
+    krull_dimension,
     lower_triangular_derivation,
     normal_form,
     buchberger,
@@ -40,9 +41,9 @@ from gaquot import (
     run_battery,
 )
 from gaquot import cli, families
-from gaquot.families import (_build_family, _check_cone_over_boundary, _jacobian_identities,
-                             nonstable_ideal)
-from helpers import random_poly, signed_roots_shape, spolynomials_per_run, to_sympy
+from gaquot.families import _build_family, _checks, nonstable_ideal
+from helpers import (check_cone_over_boundary, jacobian_identities, random_poly,
+                     signed_roots_shape, spolynomials_per_run, to_sympy)
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -150,13 +151,16 @@ def test_construction_identities(make, f, blocks, trivial):
 
 
 def test_affine_space_check():
+    """X is a graph over w2, w3, ... when the quadrics are free of w1; a
+    quadric in w1 puts w1 into f(q), and X's equation w1 - 1 - q is then
+    no graph in w1."""
     assert check_affine_space(build_family(v3("s")))
     assert check_affine_space(build_family(v4("a*b + c^2")))
     art = build_family(v3("s"))
-    doctored = replace(
-        art, x_ideal=Ideal(art.w_ring, (parse("w1^2 - 1", art.w_ring),))
-    )
+    doctored = replace(art, quad_invariants=(parse("w1*w6 - w4*w5", art.w_ring),))
     assert not check_affine_space(doctored)
+    (equation,) = doctored.x_ideal.generators
+    assert "w1" in (art.w_ring.var("w1") - equation).variables()
 
 
 def test_invariance_check():
@@ -209,14 +213,17 @@ def test_smoothness_fails_on_repeated_root():
     """With a repeated root of f + 1, built without validation, both
     equations are singular, yet B's smoothness identities still hold: the
     identities certify smoothness only together with gcd(1 + f, s*f') = 1,
-    which the battery's validated construction supplies.  Ybar is still
-    the cone over B, so it is singular with B."""
+    which the battery's certificate checks and this shape fails, so the
+    Jacobian criterion decides.  Ybar is still the cone over B, so it is
+    singular with B."""
     spec = v3("(1+s)^2 - 1")
     forced = _build_family(spec)
     assert not check_smooth(forced.b_ideal)
     assert not check_smooth(forced.ybar_ideal)
-    assert _jacobian_identities(forced) is True
-    _check_cone_over_boundary(forced)
+    assert jacobian_identities(forced) is True
+    check_cone_over_boundary(forced)
+    assert families._smoothness_certificate(forced) is False
+    assert _checks(forced)["boundarySmooth"] is False
     with pytest.raises(RepeatedRootsError):
         run_battery(spec)
 
@@ -245,14 +252,15 @@ CERTIFIED_SPECS = (
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
 def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
-    """The identities certify B wherever the Jacobian criterion does, and
-    the battery's report does not depend on which of the two proves
-    smoothness."""
+    """The identities and the battery's coprimality certificate certify B
+    wherever the Jacobian criterion does, and the battery's report does
+    not depend on which of them proves smoothness."""
     art = build_family(spec)
-    assert _jacobian_identities(art) is True
+    assert jacobian_identities(art) is True
+    assert families._smoothness_certificate(art) is True
     assert check_smooth(art.b_ideal)
     certified = run_battery(spec)
-    monkeypatch.setattr(families, "_jacobian_identities", lambda art: False)
+    monkeypatch.setattr(families, "_smoothness_certificate", lambda art: False)
     assert run_battery(spec) == certified
 
 
@@ -267,19 +275,18 @@ def test_jacobian_identities_reject_a_changed_coefficient():
     for exps, coeff in mutations:
         changed = dict(h.terms)
         changed[exps] = coeff
-        mutated = Ideal(art.w_ring, (Polynomial(art.w_ring, changed),))
-        assert not _jacobian_identities(replace(art, b_ideal=mutated)), exps
+        assert not jacobian_identities(art, Polynomial(art.w_ring, changed)), exps
 
 
-def polynomial_identities(art):
+def polynomial_identities(art, h=None):
     """The two v3 identities on B checked with Polynomial partials,
     products and sums, as the battery once checked them: an independent
-    reference for the term-dict check of `_jacobian_identities`."""
+    reference for the term-dict check of `jacobian_identities`."""
     (q,) = art.quad_invariants
     f = art.spec.f
     one_plus_f = 1 + f.substitute({"s": q})
     minus_2q_f_prime = -2 * q * f.partial("s").substitute({"s": q})
-    (h,) = art.b_ideal.generators
+    (h,) = art.b_ideal.generators if h is None else (h,)
     ring = art.b_ideal.ring
     euler = ring.zero()
     for n in q.variables():
@@ -297,14 +304,14 @@ def test_jacobian_identities_agree_with_polynomial_arithmetic(seed):
     for _ in range(4):
         spec = FamilySpec("v3", signed_roots_shape(rng.randint(1, 12), seed), rng.randint(0, 2))
         art = build_family(spec)
-        assert _jacobian_identities(art) is polynomial_identities(art) is True
+        assert jacobian_identities(art) is polynomial_identities(art) is True
         ring = art.b_ideal.ring
         for _ in range(8):
             changed = dict(art.b_ideal.generators[0].terms)
             exps = tuple(rng.choice((0, 0, 1, 2)) for _ in ring.names)
             changed[exps] = rng.choice((-2, 0, 1, 3))
-            mutated = replace(art, b_ideal=Ideal(ring, (Polynomial(ring, changed),)))
-            assert _jacobian_identities(mutated) == polynomial_identities(mutated), exps
+            mutated = Polynomial(ring, changed)
+            assert jacobian_identities(art, mutated) == polynomial_identities(art, mutated), exps
 
 
 @pytest.mark.parametrize("text", ["0", "-1", "-1 + s", "(1+s)^2 - 1", "1/2*s^3 - s"])
@@ -313,7 +320,7 @@ def test_jacobian_identities_agree_on_unvalidated_shapes(text):
     constant term, a repeated root of f + 1) get the same verdict from
     both checks, from f's table of coefficients down to its empty one."""
     art = _build_family(v3(text))
-    assert _jacobian_identities(art) == polynomial_identities(art)
+    assert jacobian_identities(art) == polynomial_identities(art)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
@@ -332,7 +339,7 @@ def test_jacobian_identities_hold_in_sympy(seed):
     assert sp.expand(-h - 1 - f.subs(s, q)) == 0
     assert sp.expand(sum(x * sp.diff(h, x) for x in (w3, w4, w5, w6))
                      + 2 * q * sp.diff(f, s).subs(s, q)) == 0
-    assert _jacobian_identities(art) is True
+    assert jacobian_identities(art) is True
 
 
 # -- Ybar is the cone over B ---------------------------------------------------------
@@ -359,11 +366,12 @@ def transfer_specs():
 @pytest.mark.parametrize("spec", transfer_specs())
 def test_smoothness_is_decided_on_b_and_transferred_to_ybar(spec):
     """Oracle: the battery's verdicts, both decided on B, equal the Jacobian
-    criterion on each of Ybar and B."""
+    criterion on each of Ybar and B, and Ybar as built is the cone over B."""
     art = build_family(spec)
     checks = run_battery(spec).checks
     assert checks["ybarSmooth"] == check_smooth(art.ybar_ideal)
     assert checks["boundarySmooth"] == check_smooth(art.b_ideal)
+    check_cone_over_boundary(art)
 
 
 @pytest.mark.parametrize("text", SINGULAR_V4)
@@ -377,25 +385,130 @@ def test_singular_v4_controls_exit_two(text):
     assert all(checks.values())
 
 
-def test_a_ybar_not_the_cone_over_b_is_a_bug(monkeypatch, capsys):
+def test_a_ybar_not_the_cone_over_b_is_a_bug():
     """Any change of one coefficient of Ybar's equation, or a term in u, v,
     w1 or w2 added to it or to B's, breaks the identity g = u*w2 - v*w1 + h:
-    the check raises ValueError, and through the battery the CLI exits 5."""
+    the oracle raises ValueError."""
     art = build_family(FamilySpec("v3", signed_roots_shape(3, 7), 1))
     ambient, w_ring = art.ambient_ring, art.w_ring
     (g,), (h,) = art.ybar_ideal.generators, art.b_ideal.generators
     mutated = [Polynomial(ambient, {**g.terms, exps: 2 * c}) for exps, c in g.terms.items()]
     mutated += [g + parse(text, ambient) for text in ("u*w3", "v", "u*w2", "w1*w3*w6")]
-    arts = [replace(art, ybar_ideal=Ideal(ambient, (p,))) for p in mutated]
-    arts += [replace(art, ybar_ideal=Ideal(ambient, (g + parse(text, ambient),)),
-                     b_ideal=Ideal(w_ring, (h + parse(text, w_ring),)))
-             for text in ("w1", "w2*w3")]
-    for broken in arts:
+    pairs = [(p, h) for p in mutated]
+    pairs += [(g + parse(text, ambient), h + parse(text, w_ring)) for text in ("w1", "w2*w3")]
+    for broken_g, broken_h in pairs:
         with pytest.raises(ValueError, match="Ybar's equation is not"):
-            _check_cone_over_boundary(broken)
-    monkeypatch.setattr(families, "_build_family", lambda spec: arts[0])
-    assert cli.main(["verify", "--family", "v3", "--f=s"], out=io.StringIO()) == 5
-    assert "internal error: ValueError: Ybar's equation is not" in capsys.readouterr().err
+            check_cone_over_boundary(art, broken_g, broken_h)
+
+
+# -- the composed battery against the expanded objects ---------------------------------
+
+UNVALIDATED = [v3("(1+s)^2 - 1"), v3("s - 1"), v3("s + 5"), v3("0")]
+
+
+def expanded_verdicts(art):
+    """Each battery verdict decided on the expanded equations: D applied to
+    X's equation, X's equation a graph in w1, the unit-ideal tests, the
+    Jacobian criterion on B and Ybar, and the dimensions of X, Ybar and B
+    (None for a B with no points)."""
+    (x_equation,) = art.x_ideal.generators
+    try:
+        dim_b = krull_dimension(art.b_ideal)
+    except UnitIdealError:
+        dim_b = None
+    return ({"invariant": art.derivation.apply(x_equation).is_zero(),
+             "affineSpace": "w1" not in (art.w_ring.var("w1") - x_equation).variables(),
+             "stable": check_stability(art),
+             "free": check_freeness(art),
+             "ybarSmooth": check_smooth(art.ybar_ideal),
+             "boundarySmooth": check_smooth(art.b_ideal)},
+            (krull_dimension(art.x_ideal), krull_dimension(art.ybar_ideal), dim_b))
+
+
+@pytest.mark.parametrize("spec", transfer_specs() + [
+    pytest.param(spec, id=f"unvalidated-{spec.f}") for spec in UNVALIDATED])
+def test_composed_verdicts_match_the_expanded_objects(spec):
+    """Oracle: every verdict the battery decides from f, the quadrics and
+    W's derivation equals the verdict on the expanded equations, on valid
+    specs and on specs the validation rejects (a repeated root, which is
+    not smooth; f(0) = -1, not stable; f(0) = 5, stable; f = 0, whose
+    boundary is empty)."""
+    art = _build_family(spec)
+    composed = _checks(art)
+    checks, (dim_x, dim_ybar, dim_b) = expanded_verdicts(_build_family(spec))
+    assert (composed, list(composed)) == (checks, list(checks))  # with the report's key order
+    if dim_b is None:
+        with pytest.raises(UnitIdealError, match="empty boundary"):
+            boundary_analysis(art)
+    else:
+        assert boundary_analysis(art)[:2] == (dim_ybar, dim_b)
+    assert len(art.w_ring) - 1 == dim_x
+    if spec not in UNVALIDATED:
+        assert run_battery(spec).dims.x == dim_x
+
+
+@pytest.mark.parametrize("trivial", ["0", "100"])
+def test_empty_boundary_exits_two(trivial, capsys):
+    """f = 0 fails on its empty boundary, before the presentation's bound
+    on the trivial summands is reached."""
+    argv = ["verify", "--family", "v3", "--f=0", "--trivial", trivial]
+    assert cli.main(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err == (
+        "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n")
+
+
+def recorded_artifacts(monkeypatch) -> list:
+    """The artifacts each battery builds from now on, as it builds them."""
+    built = []
+
+    def record(spec):
+        built.append(original(spec))
+        return built[-1]
+
+    original = families._build_family
+    monkeypatch.setattr(families, "_build_family", record)
+    return built
+
+
+EXPANDED = ("x_ideal", "ybar_ideal", "b_ideal")
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("v3", signed_roots_shape(d, 7), t)
+                                  for d in (1, 12, 30) for t in (0, 2)])
+def test_v3_battery_expands_no_f_of_q(spec, monkeypatch):
+    """A passing v3 battery decides every check without X, Ybar or B: none
+    of the lazy ideals has been built when it returns."""
+    built = recorded_artifacts(monkeypatch)
+    assert run_battery(spec).passed
+    (art,) = built
+    assert [name for name in EXPANDED if name in vars(art)] == []
+
+
+@pytest.mark.parametrize("text", ["a", "a^2 + b*c"] + SINGULAR_V4)
+def test_v4_battery_expands_only_b(text, monkeypatch):
+    built = recorded_artifacts(monkeypatch)
+    run_battery(v4(text))
+    (art,) = built
+    assert [name for name in EXPANDED if name in vars(art)] == ["b_ideal"]
+
+
+def test_a_quadric_off_the_nonstable_coordinates_is_a_bug():
+    """The stability certificate needs an odd block coordinate in every
+    term of every quadric; a term without one raises ValueError."""
+    art = build_family(v3("s"))
+    for text in ("w3*w6 - w4*w6", "w2*w4", "w3*w6 - w4*w5 + w2"):
+        broken = replace(art, quad_invariants=(parse(text, art.w_ring),))
+        with pytest.raises(ValueError, match="free of the non-stable coordinates"):
+            families._stability_certificate(broken)
+
+
+def test_smoothness_certificate_needs_a_quadric():
+    """Euler's identity needs q homogeneous of degree 2: otherwise the
+    certificate does not apply, and the Jacobian criterion decides."""
+    art = build_family(v3("s"))
+    assert families._smoothness_certificate(art) is True
+    broken = replace(art, quad_invariants=(parse("w3*w6 - w4*w5 + w3", art.w_ring),))
+    assert families._smoothness_certificate(broken) is False
 
 
 # -- boundary and ranks ----------------------------------------------------------------
@@ -586,8 +699,6 @@ def test_randomized_family_checks():
         dim_ybar, dim_b, m = boundary_analysis(art)
         assert dim_ybar - dim_b == 2
         assert m == spec.f.total_degree()
-        from gaquot import krull_dimension
-
         assert krull_dimension(art.ybar_ideal) == len(art.ambient_ring) - 1
         assert krull_dimension(art.x_ideal) == len(art.w_ring) - 1
     for _ in range(4):

@@ -390,7 +390,7 @@ def test_squarefree_agrees_with_sympy_on_rational_coefficients():
     assert 5 < verdicts.count(False) < 55
 
 
-SQUAREFREE_PRIMES = groebner._SQUAREFREE_PRIMES
+COPRIME_PRIMES = groebner._COPRIME_PRIMES
 
 
 def dense(p: Polynomial) -> list:
@@ -398,7 +398,7 @@ def dense(p: Polynomial) -> list:
     return [int(c) for c in coeff_list(p, "s")]
 
 
-@pytest.mark.parametrize("prime", SQUAREFREE_PRIMES)
+@pytest.mark.parametrize("prime", COPRIME_PRIMES)
 def test_squarefree_over_q_but_square_mod_a_prime(prime, monkeypatch):
     """(s - 1)*(s - 1 - P) has distinct roots over Q but is (s - 1)^2 mod
     P: that prime cannot certify it, the other one does, with no run."""
@@ -412,7 +412,7 @@ def test_squarefree_over_q_but_square_mod_a_prime(prime, monkeypatch):
 def test_squarefree_mod_no_prime_falls_back_to_the_gcd(monkeypatch):
     """A square mod every prime of the tuple, squarefree over Q: the
     fallback gcd decides."""
-    p = parse(f"(s - 1)*(s - 1 - {prod(SQUAREFREE_PRIMES)})", S)
+    p = parse(f"(s - 1)*(s - 1 - {prod(COPRIME_PRIMES)})", S)
     verdicts = []
     assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) != []
     assert verdicts == [True] == [sympy_squarefree(p)]
@@ -422,7 +422,7 @@ def test_squarefree_skips_a_prime_dividing_the_leading_coefficient():
     """(P*s + 1)^2*(s + 2) is s + 2 mod P, and its derivative is 1, so P
     would wrongly certify it; P divides the leading coefficient, so it is
     skipped, and the next prime sees the square."""
-    first, second = SQUAREFREE_PRIMES
+    first, second = COPRIME_PRIMES
     p = parse(f"({first}*s + 1)^2*(s + 2)", S)
     assert [c % first for c in dense(p)] == [2, 1, 0, 0]
     assert [c % first for c in dense(p.partial("s"))] == [1, 0, 0]
