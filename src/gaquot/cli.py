@@ -48,7 +48,7 @@ from .families import (
     FAMILIES,
     FamilySpec,
     VerificationReport,
-    build_family,
+    _build_within_bound,
     invariant_presentation,
     run_battery,
 )
@@ -261,7 +261,8 @@ def _cmd_gb(args, out) -> int:
 
 def _cmd_present(args, out) -> int:
     spec = FamilySpec("v3", _parse_shape("v3", args.f), args.trivial)
-    gens, relations = invariant_presentation(build_family(spec), caps=_caps(args))
+    art = _build_within_bound(spec, bounded=True)
+    gens, relations = invariant_presentation(art, caps=_caps(args))
     tags = relations.ring.names
     for tag, g in zip(tags, gens):
         print(f"{tag} = {g}", file=out)

@@ -16,13 +16,12 @@ once and applies Leibniz on term dicts (`Derivation._apply_terms`);
 `apply` wraps the result in one Polynomial.  Exact linear algebra runs
 on one sparse echelon (linalg.Echelon).  The linear solve reduces the
 image of each monomial, a term dict straight from that table, against
-the images of the monomials before it.  It first splits off the free
-variables (image zero, in no image: a trivial summand), since ker D is
-the kernel of D on the other variables with the free ones adjoined.
-Both kernel methods prune generators by subalgebra membership through
-one function, `_span`: it sorts a candidate list and builds one span of
-it, a value exposing the candidates it keeps (`kept`) and a membership
-test (`contains`).  When every candidate is homogeneous (the kernel of a
+the images of the monomials before it, over every variable, free ones
+included (the v3 presentation adjoins the trivial summands' coordinates
+itself).  Both kernel methods prune generators by subalgebra membership
+through one function, `_span`: it sorts a candidate list and builds one
+span of it, a value exposing the candidates it keeps (`kept`) and a
+membership test (`contains`).  When every candidate is homogeneous (the kernel of a
 linear derivation is graded) the engine is an echelon of products of
 generators one degree at a time (_GradedSpan); otherwise it is one
 incremental Buchberger run of the tag-variable test (Shannon and
@@ -365,38 +364,12 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     solutions then drops the constant 1 and each solution generated by
     the lower ones: by graded linear algebra when they are homogeneous
     (always, for a linear derivation), by Groebner subalgebra membership
-    otherwise.
-
-    A free variable, one whose image is zero and that occurs in no image
-    (a trivial summand), is split off before the solve: the solve and
-    the span run on the restriction D' of D to the other variables, and
-    the free variables join its generators, in `_sorted_gens` order.
-    This is exact, since ker D = (ker D')[e] for the free variables e
-    (Freudenburg, "Algebraic Theory of Locally Nilpotent Derivations",
-    2nd ed., 2017): D(m'e^a) = e^a D'(m') with D'(m') free of e, so the
-    echelon splits into one block per e-exponent a, the block of a is
-    e^a times the solve of D' in degree <= max_degree - |a|, and the span
-    keeps each free e and drops every e^a times a lower solution.  The
-    coefficient space is capped on the whole ring, before the split.
+    otherwise.  The coefficient space is capped before the solve.
     """
     if max_degree < 1:
         raise UsageError("max_degree must be at least 1")
     ring = derivation.ring
     _check_coefficient_space(len(ring), max_degree)
-    touched = set()  # variables with a nonzero image or in one
-    for i, image in derivation._image_terms:
-        touched.add(i)
-        for m, _ in image:
-            touched.update(k for k, e in enumerate(m) if e)
-    if len(touched) < len(ring):
-        columns = sorted(touched)
-        inner = VarSet(tuple(ring.names[i] for i in columns))
-        restricted = Derivation(inner, {
-            ring.names[i]: Polynomial(inner, {tuple(m[k] for k in columns): c for m, c in image})
-            for i, image in derivation._image_terms})
-        gens = [g.embed(ring) for g in kernel_linear(restricted, max_degree, caps)]
-        free = [ring.var(name) for i, name in enumerate(ring.names) if i not in touched]
-        return _sorted_gens(gens + free)
     images = Echelon()
     solutions = []
     for m in _monomials_up_to(ring, max_degree):

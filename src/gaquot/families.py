@@ -33,7 +33,8 @@ W's derivation D, with no expansion of f(q).  The certificates:
     coordinate (w1, w3, w5, and w7), so setting those to zero, as
     `is_unit_ideal` would, leaves X's equation at -1 - f(0), which must
     be a nonzero constant; freeness is the same question, since the zeros
-    of the action are the non-stable locus;
+    of the action are the non-stable locus, an identity checked once per
+    W (`_representation`);
   * smoothness: Ybar's equation is u*w2 - v*w1 plus B's, which is free of
     u, v, w1 and w2, so Ybar is the cone over B and smooth iff B is.  For
     v3, gcd(1 + f, s*f') = 1 in Q[s], certified modulo a prime
@@ -42,13 +43,13 @@ W's derivation D, with no expansion of f(q).  The certificates:
   * dimensions: X, Ybar and B are hypersurfaces with nonconstant
     equations when f is nonconstant, so each has dimension n - 1.
 
-The fallbacks expand: the Jacobian criterion on B (`check_smooth`),
-which decides every v4 spec and any v3 spec the certificate leaves open,
-and `check_freeness`, if the fixed locus of D were not the non-stable
-locus.  `check_stability` is the expanded form of the stability
-certificate.  X, Ybar and B are expanded on first use only
-(`ConstructionArtifacts`), so a v3 battery expands f(q) nowhere but in
-the presentation, and a v4 battery only for B.  The validation's
+The one fallback expands: the Jacobian criterion on B (`check_smooth`)
+decides every v4 spec and any v3 spec the certificate leaves open.
+`check_stability` and `check_freeness` are the expanded forms of the
+stability and freeness verdicts; the battery calls neither.  X and B
+are expanded on first use only (`ConstructionArtifacts`), and Ybar
+never, so a v3 battery expands f(q) nowhere but in the presentation,
+and a v4 battery only for B.  The validation's
 squarefree test of f + 1 is the same modular certificate, with the gcd
 over Q as its fallback.  So the battery's Buchberger runs are the
 presentation and, for v4, B's Jacobian criterion.  A ResourceCapError
@@ -57,19 +58,19 @@ the cap; the presentation's bound on the trivial summands is checked
 before W is built.
 
 What depends on W alone is built once per process, in two bounded
-caches: W's derivation, the ambient ring and the quadratic invariants
-per (family, trivial summands) (`_representation`), and per family the
-degree-<= 2 invariants of W without trivial summands, which the
-presentation restricts to X (`_w_invariants`).  Everything that depends
-on f or on the caps (X, Ybar and B when expanded, the checks, the
-presentation's Groebner run) is built per call, so reports are byte-identical whether
+caches: W's derivation and quadratic invariants per (family, trivial
+summands) (`_representation`), and per family the degree-<= 2
+invariants of W without trivial summands, which the presentation
+restricts to X (`_w_invariants`).  Everything that depends on f or on
+the caps (X and B when expanded, the checks, the presentation's
+Groebner run) is built per call, so reports are byte-identical whether
 the caches are cold or warm.  A long-lived caller that sweeps f over
 one W gains; one `gaquot verify` per process builds W once either way.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -145,19 +146,17 @@ class ConstructionArtifacts:
 
     `derivation` is the action on W, `lower_triangular_derivation` of
     the blocks and trivial summands, and `w_ring` is its ring.  X
-    (`x_ideal`) and the boundary B (`b_ideal`, the principal ideal of
-    h = -1 - f(quads)) are hypersurfaces of W.  The closure Ybar
-    (`ybar_ideal`, the principal ideal of u*w2 - v*w1 + h) lives over
-    `ambient_ring`, which is (u, v) followed by the coordinates of W.
+    (`x_ideal`, the principal ideal of w1 + h) and the boundary B
+    (`b_ideal`, that of h = -1 - f(quads)) are hypersurfaces of W.  The
+    closure Ybar, cut out by u*w2 - v*w1 + h over (u, v) and W, is the
+    cone over B, so no check builds it.
 
-    The three ideals expand f(quads), so each is built on first use and
-    then kept; the battery's certificates read f and the quadrics
-    instead, and only v4's Jacobian criterion on B and the fallbacks
-    expand.
+    Both ideals expand f(quads), so each is built on first use and then
+    kept; the battery's certificates read f and the quadrics instead,
+    and only v4's Jacobian criterion on B expands.
     """
 
     spec: FamilySpec
-    ambient_ring: VarSet
     w_ring: VarSet
     derivation: Derivation
     quad_invariants: tuple
@@ -170,24 +169,10 @@ class ConstructionArtifacts:
             terms[m] = terms.get(m, 0) - c
         return Ideal(self.w_ring, (Polynomial(self.w_ring, terms),))
 
-    def _plus_h(self, lead: Polynomial) -> Ideal:
-        """The principal ideal of lead + h, summed in one term dict; lead's
-        ring ends with the coordinates of W."""
-        (h,) = self.b_ideal.generators
-        pad = (0,) * (len(lead.ring) - len(self.w_ring))
-        terms = dict(lead.terms)
-        for m, c in h.terms.items():
-            terms[pad + m] = terms.get(pad + m, 0) + c
-        return Ideal(lead.ring, (Polynomial(lead.ring, terms),))
-
     @cached_property
     def x_ideal(self) -> Ideal:
-        return self._plus_h(self.w_ring.var("w1"))
-
-    @cached_property
-    def ybar_ideal(self) -> Ideal:
-        u, v, w1, w2 = map(self.ambient_ring.var, ("u", "v", "w1", "w2"))
-        return self._plus_h(u * w2 - v * w1)
+        (h,) = self.b_ideal.generators
+        return Ideal(self.w_ring, (self.w_ring.var("w1") + h,))
 
 
 def validate_family_spec(spec: FamilySpec):
@@ -218,25 +203,25 @@ def _quadratic_invariants(w_ring: VarSet, blocks: int):
 def build_family(spec: FamilySpec) -> ConstructionArtifacts:
     """Assemble rings, derivation, and the defining ideals of a spec that
     validate_family_spec accepts."""
-    validate_family_spec(spec)
-    return _build_family(spec)
+    return _build_within_bound(spec, bounded=False)
 
 
 # One entry per representation W in use; kernel-width, the benchmark
 # workload with the most, uses 11 (v3 with 0..10 trivial summands).
 @lru_cache(maxsize=64)
 def _representation(family: str, trivial: int):
-    """(derivation, ambient ring, quadratic invariants) of the
-    representation W of `family` with `trivial` trivial summands, built
-    once per process: the action `lower_triangular_derivation(blocks,
-    trivial)` (its ring is the ring of W), the ring (u, v) followed by
-    the coordinates of W, and the quadratic invariants of W.  Nothing
+    """(derivation, quadratic invariants) of the representation W of
+    `family` with `trivial` trivial summands, built once per process:
+    the action `lower_triangular_derivation(blocks, trivial)`, whose
+    ring is the ring of W, and the quadratic invariants of W.  Nothing
     here depends on f, and every value is immutable, so one entry serves
-    every instance on W, from any thread."""
-    blocks = FAMILIES[family][0]
-    derivation = lower_triangular_derivation(blocks, trivial)
-    ambient = VarSet(("u", "v") + derivation.ring.names)
-    return derivation, ambient, _quadratic_invariants(derivation.ring, blocks)
+    every instance on W, from any thread.  Raises ValueError, a bug, unless
+    the zeros of the action are the non-stable locus, the identity that
+    makes the battery's freeness verdict its stability verdict."""
+    derivation = lower_triangular_derivation(FAMILIES[family][0], trivial)
+    if fixed_point_ideal(derivation) != _odd_block_coordinates(derivation.ring, family):
+        raise ValueError("the zeros of the action are not the non-stable locus")
+    return derivation, _quadratic_invariants(derivation.ring, FAMILIES[family][0])
 
 
 @lru_cache(maxsize=2)  # one entry per family
@@ -260,21 +245,35 @@ def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     invalid specs the battery's failure paths are about.  The objects of
     W come from `_representation`; f(q) is expanded only when one of the
     artifacts' ideals is first read."""
-    derivation, ambient, quads = _representation(spec.family, spec.trivial_summands)
+    derivation, quads = _representation(spec.family, spec.trivial_summands)
     return ConstructionArtifacts(
         spec=spec,
-        ambient_ring=ambient,
         w_ring=derivation.ring,
         derivation=derivation,
         quad_invariants=quads,
     )
 
 
+def _build_within_bound(spec: FamilySpec, bounded: bool,
+                        key: Optional[str] = None) -> ConstructionArtifacts:
+    """Validate the spec, then, if `bounded`, check the v3 presentation's
+    bound on the trivial summands (a cap names `key` first, if given),
+    then build W: a count past the bound builds no W."""
+    validate_family_spec(spec)  # f(0) = 0 and, for v3, f + 1 squarefree
+    if bounded:
+        with _stage(key) if key else nullcontext():
+            _check_coefficient_space(2 * FAMILIES["v3"][0] + spec.trivial_summands, KERNEL_DEGREE)
+    return _build_family(spec)
+
+
+def _odd_block_coordinates(w_ring: VarSet, family: str) -> Ideal:
+    gens = tuple(w_ring.var(f"w{2 * i - 1}") for i in range(1, FAMILIES[family][0] + 1))
+    return Ideal(w_ring, gens)
+
+
 def nonstable_ideal(art: ConstructionArtifacts) -> Ideal:
     """Vanishing ideal of the non-stable locus: the odd block coordinates."""
-    blocks = FAMILIES[art.spec.family][0]
-    gens = tuple(art.w_ring.var(f"w{2 * i - 1}") for i in range(1, blocks + 1))
-    return Ideal(art.w_ring, gens)
+    return _odd_block_coordinates(art.w_ring, art.spec.family)
 
 
 # -- the individual checks --------------------------------------------------------
@@ -385,7 +384,7 @@ def boundary_analysis(art: ConstructionArtifacts):
     of v3; for v4 the 2x2 minors of a 2x3 matrix, which take every value
     with a nonzero first coordinate), and a constant h is -1 - f(0)."""
     f, w_ring = art.spec.f, art.w_ring
-    dim_ybar = len(art.ambient_ring) - 1
+    dim_ybar = len(art.w_ring) + 1  # Ybar lives over (u, v) and W
     h = w_ring.const(-1 - f.constant_term()) if f.is_constant() else None
     try:
         dim_b = len(w_ring) - 1 if h is None else krull_dimension(Ideal(w_ring, (h,)))
@@ -553,18 +552,16 @@ def _stage(key: str):
 
 def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS) -> dict:
     """The battery's checks, by report key, decided from f, the quadratic
-    invariants and W's derivation; the expanded equations are read only
-    by the fallbacks `check_freeness` and `check_smooth`."""
+    invariants and W's derivation; B's expanded equation is read only by
+    the fallback `check_smooth`."""
+    stable = _stability_certificate(art)
     checks = {
         "invariant": check_invariance(art),
         "affineSpace": check_affine_space(art),
-        "stable": _stability_certificate(art),
+        "stable": stable,
+        # the zeros of the action are the non-stable locus (`_representation`)
+        "free": stable,
     }
-    if fixed_point_ideal(art.derivation) == nonstable_ideal(art):
-        checks["free"] = checks["stable"]  # the same unit-ideal question
-    else:
-        with _stage("free"):
-            checks["free"] = check_freeness(art, caps=caps)
     with _stage("boundarySmooth"):
         b_smooth = _smoothness_certificate(art) or check_smooth(art.b_ideal, caps=caps)
     # Ybar's equation is u*w2 - v*w1 + h with h, B's, free of u, v, w1 and
@@ -579,11 +576,8 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
     presentation's bound on the trivial summands is checked before W is
     built, so a count past it costs nothing; f = 0 reports its empty
     boundary first, as the presentation is never reached."""
-    validate_family_spec(spec)  # f(0) = 0 and, for v3, f + 1 squarefree
-    if spec.family == "v3" and not spec.f.is_zero():
-        with _stage("presentation"):
-            _check_coefficient_space(2 * FAMILIES["v3"][0] + spec.trivial_summands, KERNEL_DEGREE)
-    art = _build_family(spec)
+    bounded = spec.family == "v3" and not spec.f.is_zero()
+    art = _build_within_bound(spec, bounded, "presentation")
     checks = _checks(art, caps)
     dim_ybar, dim_b, m = boundary_analysis(art)
     codim = dim_ybar - dim_b

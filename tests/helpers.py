@@ -275,24 +275,6 @@ def sympy_kernel_solutions(derivation, max_degree: int):
     return solutions
 
 
-def unsplit_kernel_linear(derivation, max_degree: int):
-    """kernel_linear as it was before free variables were split off: one
-    echelon solve over every monomial of the whole ring up to max_degree
-    and one span of all its solutions, free variables included."""
-    from gaquot.derivations import _monomials_up_to, _span
-    from gaquot.groebner import DEFAULT_CAPS
-    from gaquot.linalg import Echelon
-
-    ring = derivation.ring
-    images = Echelon()
-    solutions = []
-    for m in _monomials_up_to(ring, max_degree):
-        f = {m: 1}
-        if images.insert(derivation._apply_terms(f), f) is None:
-            solutions.append(Polynomial(ring, f))
-    return _span(ring, solutions, DEFAULT_CAPS).kept
-
-
 # -- the v3 presentation without the summand split ----------------------------
 
 
@@ -388,13 +370,24 @@ def jacobian_identities(art, h=None) -> bool:
     return {w: -c for w, c in h.terms.items()} == one_plus_f and euler == minus_2q_f_prime
 
 
+def ybar_ideal(art):
+    """The closure Ybar of a family instance, which the library never
+    builds: the principal ideal of u*w2 - v*w1 + h, with h B's equation,
+    over ("u", "v") followed by the coordinates of W."""
+    ring = VarSet(("u", "v") + art.w_ring.names)
+    u, v, w1, w2 = map(ring.var, ("u", "v", "w1", "w2"))
+    (h,) = art.b_ideal.generators
+    return Ideal(ring, (u * w2 - v * w1 + h.embed(ring),))
+
+
 def check_cone_over_boundary(art, g=None, h=None):
     """Raise ValueError unless Ybar's equation g is u*w2 - v*w1 + h with h,
-    B's equation, free of w1 and w2 (by default both as built).  Then Ybar
-    is smooth iff B is: h = g - u*dg/du - v*dg/dv and dg/dw_i = dh/dw_i
-    for i >= 3, so B's Jacobian ideal lies in Ybar's; and a singular point
-    w of B with w1 = w2 = 0 gives Ybar's singular point (0, 0, w)."""
-    (g,) = art.ybar_ideal.generators if g is None else (g,)
+    B's equation, free of w1 and w2 (by default, g from `ybar_ideal` and
+    h as built).  Then Ybar is smooth iff B is: h = g - u*dg/du - v*dg/dv
+    and dg/dw_i = dh/dw_i for i >= 3, so B's Jacobian ideal lies in
+    Ybar's; and a singular point w of B with w1 = w2 = 0 gives Ybar's
+    singular point (0, 0, w)."""
+    (g,) = ybar_ideal(art).generators if g is None else (g,)
     (h,) = art.b_ideal.generators if h is None else (h,)
     u, v, w1, w2 = map(g.ring.var, ("u", "v", "w1", "w2"))
     cone = (u * w2 - v * w1).terms | {(0, 0) + m: c for m, c in h.terms.items()}  # h lacks u, v

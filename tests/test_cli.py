@@ -165,6 +165,18 @@ def test_trivial_summands_past_the_cap_build_no_representation(capsys):
         "exceeds 5000\n")
 
 
+@pytest.mark.parametrize("shape", ["s", "0"])
+def test_present_past_the_cap_builds_no_representation(shape, capsys):
+    """present checks the same bound in the same place, for f = 0 too,
+    whose presentation it computes; its cap error names no stage."""
+    families._representation.cache_clear()
+    code, text = run(["present", f"--f={shape}", "--trivial", "100000"])
+    assert (code, text) == (4, "")
+    assert families._representation.cache_info().currsize == 0
+    assert capsys.readouterr().err == (
+        "resource cap: coefficient space of dimension 5000750028 exceeds 5000\n")
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     """main reuses one parser per process; options of one call do not
     carry into the next."""

@@ -43,7 +43,7 @@ from gaquot import (
 from gaquot import cli, families
 from gaquot.families import _build_family, _checks, nonstable_ideal
 from helpers import (check_cone_over_boundary, jacobian_identities, random_poly,
-                     signed_roots_shape, spolynomials_per_run, to_sympy)
+                     signed_roots_shape, spolynomials_per_run, to_sympy, ybar_ideal)
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -76,12 +76,13 @@ def random_valid_f(rng, min_degree=1, max_degree=4):
 def test_build_identity_instance():
     art = build_family(v3("s"))
     assert art.w_ring.names == ("w1", "w2", "w3", "w4", "w5", "w6")
-    assert art.ambient_ring.names == ("u", "v") + art.w_ring.names
+    ybar = ybar_ideal(art)
+    assert ybar.ring.names == ("u", "v") + art.w_ring.names
     assert art.x_ideal.generators == (
         parse("w1 - 1 - (w3*w6 - w4*w5)", art.w_ring),
     )
-    assert art.ybar_ideal.generators == (
-        parse("u*w2 - v*w1 - 1 - (w3*w6 - w4*w5)", art.ambient_ring),
+    assert ybar.generators == (
+        parse("u*w2 - v*w1 - 1 - (w3*w6 - w4*w5)", ybar.ring),
     )
     assert art.b_ideal.generators == (parse("-1 - (w3*w6 - w4*w5)", art.w_ring),)
     assert art.quad_invariants == (parse("w3*w6 - w4*w5", art.w_ring),)
@@ -141,7 +142,7 @@ def test_construction_identities(make, f, blocks, trivial):
     w_ring = art.w_ring
     to_w = {name: w_ring.var(name) for name in w_ring.names}
     to_w.update(u=w_ring.zero(), v=w_ring.zero())
-    (ybar_gen,) = art.ybar_ideal.generators
+    (ybar_gen,) = ybar_ideal(art).generators
     assert art.b_ideal.generators == (ybar_gen.substitute(to_w),)
     assert art.b_ideal.ring == w_ring
     assert fixed_point_ideal(art.derivation) == nonstable_ideal(art)
@@ -203,7 +204,7 @@ def test_freeness_check():
 
 def test_smoothness_of_closure_and_boundary():
     art = build_family(v3("s"))
-    assert check_smooth(art.ybar_ideal)
+    assert check_smooth(ybar_ideal(art))
     assert check_smooth(art.b_ideal)
     cubic = build_family(v3("(1+s)*(1+2*s)*(1+3*s) - 1"))
     assert check_smooth(cubic.b_ideal)
@@ -219,7 +220,7 @@ def test_smoothness_fails_on_repeated_root():
     spec = v3("(1+s)^2 - 1")
     forced = _build_family(spec)
     assert not check_smooth(forced.b_ideal)
-    assert not check_smooth(forced.ybar_ideal)
+    assert not check_smooth(ybar_ideal(forced))
     assert jacobian_identities(forced) is True
     check_cone_over_boundary(forced)
     assert families._smoothness_certificate(forced) is False
@@ -233,8 +234,9 @@ def test_smoothness_requires_hypersurface():
     bad = art.x_ideal + Ideal(art.w_ring, (parse("w2*w3 - 1", art.w_ring),))
     with pytest.raises(NotHypersurfaceError):
         check_smooth(bad)
-    ambient = art.ambient_ring
-    cut = art.ybar_ideal + Ideal(ambient, (ambient.var("u"), ambient.var("v")))
+    ybar = ybar_ideal(art)
+    ambient = ybar.ring
+    cut = ybar + Ideal(ambient, (ambient.var("u"), ambient.var("v")))
     with pytest.raises(NotHypersurfaceError):
         check_smooth(cut)
 
@@ -369,7 +371,7 @@ def test_smoothness_is_decided_on_b_and_transferred_to_ybar(spec):
     criterion on each of Ybar and B, and Ybar as built is the cone over B."""
     art = build_family(spec)
     checks = run_battery(spec).checks
-    assert checks["ybarSmooth"] == check_smooth(art.ybar_ideal)
+    assert checks["ybarSmooth"] == check_smooth(ybar_ideal(art))
     assert checks["boundarySmooth"] == check_smooth(art.b_ideal)
     check_cone_over_boundary(art)
 
@@ -390,8 +392,9 @@ def test_a_ybar_not_the_cone_over_b_is_a_bug():
     w1 or w2 added to it or to B's, breaks the identity g = u*w2 - v*w1 + h:
     the oracle raises ValueError."""
     art = build_family(FamilySpec("v3", signed_roots_shape(3, 7), 1))
-    ambient, w_ring = art.ambient_ring, art.w_ring
-    (g,), (h,) = art.ybar_ideal.generators, art.b_ideal.generators
+    ybar, w_ring = ybar_ideal(art), art.w_ring
+    ambient = ybar.ring
+    (g,), (h,) = ybar.generators, art.b_ideal.generators
     mutated = [Polynomial(ambient, {**g.terms, exps: 2 * c}) for exps, c in g.terms.items()]
     mutated += [g + parse(text, ambient) for text in ("u*w3", "v", "u*w2", "w1*w3*w6")]
     pairs = [(p, h) for p in mutated]
@@ -412,6 +415,7 @@ def expanded_verdicts(art):
     Jacobian criterion on B and Ybar, and the dimensions of X, Ybar and B
     (None for a B with no points)."""
     (x_equation,) = art.x_ideal.generators
+    ybar = ybar_ideal(art)
     try:
         dim_b = krull_dimension(art.b_ideal)
     except UnitIdealError:
@@ -420,9 +424,9 @@ def expanded_verdicts(art):
              "affineSpace": "w1" not in (art.w_ring.var("w1") - x_equation).variables(),
              "stable": check_stability(art),
              "free": check_freeness(art),
-             "ybarSmooth": check_smooth(art.ybar_ideal),
+             "ybarSmooth": check_smooth(ybar),
              "boundarySmooth": check_smooth(art.b_ideal)},
-            (krull_dimension(art.x_ideal), krull_dimension(art.ybar_ideal), dim_b))
+            (krull_dimension(art.x_ideal), krull_dimension(ybar), dim_b))
 
 
 @pytest.mark.parametrize("spec", transfer_specs() + [
@@ -470,14 +474,14 @@ def recorded_artifacts(monkeypatch) -> list:
     return built
 
 
-EXPANDED = ("x_ideal", "ybar_ideal", "b_ideal")
+EXPANDED = ("x_ideal", "b_ideal")
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("v3", signed_roots_shape(d, 7), t)
                                   for d in (1, 12, 30) for t in (0, 2)])
 def test_v3_battery_expands_no_f_of_q(spec, monkeypatch):
-    """A passing v3 battery decides every check without X, Ybar or B: none
-    of the lazy ideals has been built when it returns."""
+    """A passing v3 battery decides every check without X or B: neither
+    lazy ideal has been built when it returns."""
     built = recorded_artifacts(monkeypatch)
     assert run_battery(spec).passed
     (art,) = built
@@ -500,6 +504,29 @@ def test_a_quadric_off_the_nonstable_coordinates_is_a_bug():
         broken = replace(art, quad_invariants=(parse(text, art.w_ring),))
         with pytest.raises(ValueError, match="free of the non-stable coordinates"):
             families._stability_certificate(broken)
+
+
+def test_a_fixed_locus_off_the_nonstable_locus_is_a_bug(monkeypatch, request, capsys):
+    """The battery's freeness verdict is its stability verdict because the
+    zeros of the action are the non-stable locus.  With D(w2) = w1*w3 the
+    zeros are w3 = w5 = 0 and meet X, so the action is not free though X
+    is stable; W is then rejected as it is built: `_build_family` raises
+    ValueError, and `verify` exits 5, as on any bug."""
+    def off_locus(blocks, trivial=0):
+        d = lower_triangular_derivation(blocks, trivial)
+        return Derivation(d.ring, {**d.images, "w2": d.ring.var("w1") * d.ring.var("w3")})
+
+    art = replace(build_family(v3("s")), derivation=off_locus(3))
+    assert (families._stability_certificate(art), check_freeness(art)) == (True, False)
+    clear_representation_caches()
+    request.addfinalizer(clear_representation_caches)
+    monkeypatch.setattr(families, "lower_triangular_derivation", off_locus)
+    for spec in (v3("s"), v4("a")):
+        with pytest.raises(ValueError, match="not the non-stable locus"):
+            _build_family(spec)
+    assert cli.main(["verify", "--family", "v3", "--f=s"], out=io.StringIO()) == 5
+    assert capsys.readouterr().err.startswith(
+        "internal error: ValueError: the zeros of the action are not the non-stable locus\n")
 
 
 def test_smoothness_certificate_needs_a_quadric():
@@ -699,7 +726,8 @@ def test_randomized_family_checks():
         dim_ybar, dim_b, m = boundary_analysis(art)
         assert dim_ybar - dim_b == 2
         assert m == spec.f.total_degree()
-        assert krull_dimension(art.ybar_ideal) == len(art.ambient_ring) - 1
+        ybar = ybar_ideal(art)
+        assert krull_dimension(ybar) == len(ybar.ring) - 1
         assert krull_dimension(art.x_ideal) == len(art.w_ring) - 1
     for _ in range(4):
         coeffs = {(1, 0, 0): rng.randint(1, 3), (0, 1, 0): rng.randint(-3, 3),

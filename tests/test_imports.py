@@ -1,6 +1,7 @@
 """Every name a library or test module imports is used in that module,
 every private module-level definition is used somewhere in the library,
-every public one is used by the library or the acceptance tests, each
+every public one, and every public member of a library class, is used
+by the library or the acceptance tests, each
 module imports only from the modules below it in the layering, and every
 process cache is private and bounded."""
 
@@ -17,7 +18,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # Public definitions kept with no referrer yet: the Jacobian matrix is
-# the rank certificate of the closed-form v3 presentation (ROADMAP item 2).
+# the rank certificate of the closed-form v3 presentation (ROADMAP item 1).
 UNREFERENCED_PUBLIC_ALLOWED = {("poly.py", "jacobian")}
 
 
@@ -107,6 +108,24 @@ def public_definitions(source: str) -> list:
     return [name for name in module_definitions(source) if not name.startswith("_")]
 
 
+def public_members(source: str) -> list:
+    """"Class.member" for each public method, property and annotated field
+    of the classes defined at module level."""
+    members = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.append(f"{node.name}.{name}")
+    return members
+
+
 def referenced_names(source: str) -> set:
     """Names read, attributes taken and names imported anywhere in a module."""
     names = set()
@@ -128,11 +147,14 @@ def unreferenced_private_definitions(sources: dict) -> list:
 
 
 def unreferenced_public_definitions(sources: dict, acceptance: str) -> list:
-    """(module, name) of each public definition that no module and not
-    the acceptance tests refer to."""
+    """(module, name) of each public definition, and (module,
+    "Class.member") of each public class member, that no module and not
+    the acceptance tests refer to; a member counts as referenced when its
+    name is."""
     referenced = set().union(referenced_names(acceptance), *map(referenced_names, sources.values()))
     return sorted((module, name) for module, source in sources.items()
-                  for name in public_definitions(source) if name not in referenced)
+                  for name in public_definitions(source) + public_members(source)
+                  if name.rpartition(".")[2] not in referenced)
 
 
 def test_sources_found():
@@ -215,6 +237,7 @@ def test_detects_unreferenced_private_definition():
 def test_no_unreferenced_public_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert sum(len(public_definitions(source)) for source in sources.values()) > 40
+    assert sum(len(public_members(source)) for source in sources.values()) > 40
     unreferenced = unreferenced_public_definitions(sources, ACCEPTANCE.read_text(encoding="utf-8"))
     assert set(unreferenced) == UNREFERENCED_PUBLIC_ALLOWED
 
@@ -223,9 +246,14 @@ def test_detects_unreferenced_public_definition():
     sources = {
         "a.py": "LIMIT = 3\ndead: int = 0\ndef used():\n    return LIMIT\n"
                 "class Gone:\n    pass\ndef unused(n):\n    return n\n"
-                "def checked():\n    pass\n_private = 1\n",
-        "b.py": "from .a import used\nused()\n",
+                "def checked():\n    pass\n_private = 1\n"
+                "class Kept:\n    field: int\n    stale: int = 0\n    counter = 0\n"
+                "    def method(self):\n        return self.field\n"
+                "    @property\n    def orphan(self):\n        return 1\n"
+                "    def _helper(self):\n        pass\n    def accepted(self):\n        pass\n",
+        "b.py": "from .a import Kept, used\nused()\nKept().method()\n",
     }
-    acceptance = "from gaquot import checked\n"
+    acceptance = "from gaquot import checked\nchecked().accepted()\n"
     assert unreferenced_public_definitions(sources, acceptance) == [
-        ("a.py", "Gone"), ("a.py", "dead"), ("a.py", "unused")]
+        ("a.py", "Gone"), ("a.py", "Kept.orphan"), ("a.py", "Kept.stale"), ("a.py", "dead"),
+        ("a.py", "unused")]
