@@ -42,9 +42,7 @@ from .families import (
     VerificationReport,
     boundary_analysis,
     build_family,
-    check_affine_space,
     check_freeness,
-    check_invariance,
     check_smooth,
     check_stability,
     invariant_presentation,

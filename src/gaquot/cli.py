@@ -217,9 +217,7 @@ def _cmd_kernel(args, out) -> int:
     else:
         data = find_slice(derivation)
         if data is None:
-            print("error: no slice variable (need D(s) nonzero with D(D(s)) = 0)",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("no slice variable (need D(s) nonzero with D(D(s)) = 0)")
         gens = kernel_saturation(derivation, data, args.max_rounds, caps=caps)
         if args.max_rounds == 0:
             print("warning: 0 rounds requested; stabilization not verified",

@@ -9,9 +9,9 @@ the action is the lower triangular derivation of W, X and the boundary B
 Ybar adds the two coordinates (u, v).  The battery certifies, by exact
 computations:
 
-  * the defining equation and the quadratic forms are invariant,
+  * the defining equation is invariant,
   * X is a coordinate graph, hence affine space,
-  * X avoids the non-stable locus (unit ideal test),
+  * X avoids the non-stable locus,
   * the fundamental vector field has no zeros on X (free action),
   * the closure Ybar and the boundary B are smooth,
   * the boundary has codimension 2, with one component per root of f + 1,
@@ -24,17 +24,19 @@ instead of expanding its powers.  The run spans only the generators
 free of the trivial summands' coordinates, which Ga fixes; those join
 the presentation afterwards as free generators.
 
-The battery decides every check from f, the quadratic invariants q and
-W's derivation D, with no expansion of f(q).  The certificates:
+W is certified once, where it is built (`_representation`), by the
+Weitzenboeck identities (Freudenburg, "Algebraic Theory of Locally
+Nilpotent Derivations", 2nd ed., 2017) that the verdicts not reading f
+rest on.  D kills w1 and the quadrics q, so it kills X's equation w1 - 1
+- f(q) by Leibniz; the quadrics are free of w1, so X is a graph in w1;
+they are homogeneous quadrics, for Euler's identity below; each of their
+terms has a non-stable coordinate (w1, w3, w5, and w7); and the zeros of
+D are the non-stable locus.  The battery then decides only what depends
+on f, with no expansion of f(q):
 
-  * invariance: D(w1) = 0 and D(q) = 0 for each quadric (Leibniz);
-  * affine space: every quadric is free of w1;
-  * stability: every term of every quadric contains a non-stable
-    coordinate (w1, w3, w5, and w7), so setting those to zero, as
-    `is_unit_ideal` would, leaves X's equation at -1 - f(0), which must
-    be a nonzero constant; freeness is the same question, since the zeros
-    of the action are the non-stable locus, an identity checked once per
-    W (`_representation`);
+  * stability and freeness: setting the non-stable coordinates to zero
+    leaves X's equation at -1 - f(0), which must be nonzero, and the
+    zeros of the action are those of the non-stable coordinates;
   * smoothness: Ybar's equation is u*w2 - v*w1 plus B's, which is free of
     u, v, w1 and w2, so Ybar is the cone over B and smooth iff B is.  For
     v3, gcd(1 + f, s*f') = 1 in Q[s], certified modulo a prime
@@ -102,7 +104,6 @@ from .groebner import (
     _tag_ring,
     is_squarefree,
     is_unit_ideal,
-    krull_dimension,
     subalgebra_presentation,
 )
 from .poly import Polynomial, VarSet, _exact_quotient, _grevlex_descending, _product, fresh_names
@@ -152,8 +153,9 @@ class ConstructionArtifacts:
     cone over B, so no check builds it.
 
     Both ideals expand f(quads), so each is built on first use and then
-    kept; the battery's certificates read f and the quadrics instead,
-    and only v4's Jacobian criterion on B expands.
+    kept; the battery's certificates read f instead, and only v4's
+    Jacobian criterion on B expands.  The battery takes the derivation
+    and the quadrics as `_representation` certified them.
     """
 
     spec: FamilySpec
@@ -215,13 +217,26 @@ def _representation(family: str, trivial: int):
     the action `lower_triangular_derivation(blocks, trivial)`, whose
     ring is the ring of W, and the quadratic invariants of W.  Nothing
     here depends on f, and every value is immutable, so one entry serves
-    every instance on W, from any thread.  Raises ValueError, a bug, unless
-    the zeros of the action are the non-stable locus, the identity that
-    makes the battery's freeness verdict its stability verdict."""
-    derivation = lower_triangular_derivation(FAMILIES[family][0], trivial)
-    if fixed_point_ideal(derivation) != _odd_block_coordinates(derivation.ring, family):
+    every instance on W, from any thread.  Raises ValueError, a bug,
+    unless W has each identity the battery's verdicts rest on (see the
+    module docstring); no other code checks them."""
+    blocks = FAMILIES[family][0]
+    derivation = lower_triangular_derivation(blocks, trivial)
+    ring = derivation.ring
+    quads = _quadratic_invariants(ring, blocks)
+    odd = _odd_block_coordinates(ring, family)
+    if not all(derivation.apply(p).is_zero() for p in (ring.var("w1"), *quads)):
+        raise ValueError("the action does not kill w1 and every quadratic invariant")
+    if any(sum(m) != 2 for q in quads for m in q.terms):
+        raise ValueError("a quadratic invariant is not a homogeneous quadric")
+    if any("w1" in q.variables() for q in quads):
+        raise ValueError("a quadratic invariant involves w1")
+    columns = [ring.index(n) for g in odd.generators for n in g.variables()]
+    if any(not any(m[i] for i in columns) for q in quads for m in q.terms):
+        raise ValueError("a quadratic invariant has a term free of the non-stable coordinates")
+    if fixed_point_ideal(derivation) != odd:
         raise ValueError("the zeros of the action are not the non-stable locus")
-    return derivation, _quadratic_invariants(derivation.ring, FAMILIES[family][0])
+    return derivation, quads
 
 
 @lru_cache(maxsize=2)  # one entry per family
@@ -279,41 +294,12 @@ def nonstable_ideal(art: ConstructionArtifacts) -> Ideal:
 # -- the individual checks --------------------------------------------------------
 
 
-def check_affine_space(art: ConstructionArtifacts) -> bool:
-    """X is a graph over the remaining coordinates: its equation is w1 -
-    1 - f(quads), which is w1 minus a polynomial not involving w1 when
-    every quadratic invariant is free of w1."""
-    return all("w1" not in q.variables() for q in art.quad_invariants)
-
-
-def check_invariance(art: ConstructionArtifacts) -> bool:
-    """The defining equation w1 - 1 - f(quads) is killed by the
-    derivation D when w1 and every quadratic invariant are: by Leibniz,
-    D(f(quads)) is the sum of df/ds_i(quads)*D(quad_i)."""
-    d = art.derivation
-    return all(d.apply(p).is_zero() for p in (art.w_ring.var("w1"), *art.quad_invariants))
-
-
 def check_stability(art: ConstructionArtifacts,
                     caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """X misses the non-stable locus iff their combined ideal is the unit
     ideal (the equation forces 1 = 0 on the intersection).  Decided on X's
-    expanded equation; the battery takes `_stability_certificate`."""
+    expanded equation; the battery reads -1 - f(0) instead (`_checks`)."""
     return is_unit_ideal(art.x_ideal + nonstable_ideal(art), caps=caps)
-
-
-def _stability_certificate(art: ConstructionArtifacts) -> bool:
-    """check_stability without expanding f(q).  Every term of every
-    quadratic invariant contains a non-stable coordinate (an odd block
-    coordinate), so setting those to zero, as `is_unit_ideal` does with
-    lone variables, sends each quadric to 0 and X's equation w1 - 1 -
-    f(q) to the constant -1 - f(0): X misses the non-stable locus iff
-    that constant is nonzero.  Raises ValueError, a bug of the
-    construction, if a quadric has a term off those coordinates."""
-    odd = [art.w_ring.index(n) for g in nonstable_ideal(art).generators for n in g.variables()]
-    if any(not any(m[i] for i in odd) for q in art.quad_invariants for m in q.terms):
-        raise ValueError("a quadratic invariant has a term free of the non-stable coordinates")
-    return -1 - art.spec.f.constant_term() != 0
 
 
 def check_freeness(art: ConstructionArtifacts,
@@ -345,11 +331,11 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 
 def _smoothness_certificate(art: ConstructionArtifacts) -> bool:
     """Whether B is certified smooth without expanding f(q) or a Groebner
-    run; False when no certificate applies (v4, or the premise fails),
-    and then the Jacobian criterion decides.
+    run; False when no certificate applies (v4, or the gcd below is not
+    certified), and then the Jacobian criterion decides.
 
-    For v3 with q the quadratic invariant, homogeneous of degree 2, B's
-    equation h = -1 - f(q) satisfies
+    For v3 with q the quadratic invariant, a homogeneous quadric
+    (`_representation`), B's equation h = -1 - f(q) satisfies
 
         -h = 1 + f(q),
         sum over all i of w_i*dh/dw_i = -2*q*f'(q)   (Euler: q is a quadric),
@@ -362,11 +348,9 @@ def _smoothness_certificate(art: ConstructionArtifacts) -> bool:
     """
     if art.spec.family != "v3":
         return False
-    (q,) = art.quad_invariants
-    if any(sum(m) != 2 for m in q.terms):
-        return False
     f = art.spec.f
-    return _coprime_certificate(f + 1, f.ring.var("s") * f.partial("s"))
+    (s,) = f.ring.names  # f's own variable, whatever its name
+    return _coprime_certificate(f + 1, f.ring.var(s) * f.partial(s))
 
 
 def boundary_analysis(art: ConstructionArtifacts):
@@ -376,22 +360,21 @@ def boundary_analysis(art: ConstructionArtifacts):
     biject with its roots); m is None for v4.  An empty boundary raises
     UnitIdealError.
 
-    Ybar and B are hypersurfaces, so both dimensions are `krull_dimension`
-    of their one equation, read off f with no expansion of f(q) and no
-    Groebner run.  Ybar's equation u*w2 - v*w1 + h is nonconstant, as h
-    is free of u.  B's h = -1 - f(q) is constant iff f is, since the
-    quadratic invariants are algebraically independent (the one quadric
-    of v3; for v4 the 2x2 minors of a 2x3 matrix, which take every value
-    with a nonzero first coordinate), and a constant h is -1 - f(0)."""
+    Ybar and B are hypersurfaces, so both dimensions are read off f,
+    with no expansion of f(q) and no Groebner run.  Ybar's equation
+    u*w2 - v*w1 + h is nonconstant, as h is free of u.  B's h = -1 - f(q)
+    is constant iff f is, since the quadratic invariants are
+    algebraically independent (the one quadric of v3; for v4 the 2x2
+    minors of a 2x3 matrix, which take every value with a nonzero first
+    coordinate), and a constant h is -1 - f(0)."""
     f, w_ring = art.spec.f, art.w_ring
-    dim_ybar = len(art.w_ring) + 1  # Ybar lives over (u, v) and W
-    h = w_ring.const(-1 - f.constant_term()) if f.is_constant() else None
-    try:
-        dim_b = len(w_ring) - 1 if h is None else krull_dimension(Ideal(w_ring, (h,)))
-    except UnitIdealError:
-        raise UnitIdealError(
-            "empty boundary: the rank bookkeeping needs a nonempty complement"
-        ) from None
+    dim_ybar = len(w_ring) + 1  # Ybar lives over (u, v) and W
+    if not f.is_constant():
+        dim_b = len(w_ring) - 1
+    elif -1 - f.constant_term():  # h is a nonzero constant
+        raise UnitIdealError("empty boundary: the rank bookkeeping needs a nonempty complement")
+    else:
+        dim_b = len(w_ring)  # h = 0 cuts out all of W
     m = art.spec.f.total_degree() if art.spec.family == "v3" else None
     return dim_ybar, dim_b, m
 
@@ -462,8 +445,7 @@ def invariant_presentation(art: ConstructionArtifacts,
     q_monic = Polynomial(core, {m: _exact_quotient(a, c) for m, a in q_image.items()})  # q = c*q'
     # A form's terms are keyed by the exponents of z1..z5 and then of y.
     one = (0,) * width
-    one_plus_f = {one[:-1] + (k,): a * c ** k for (k,), a in art.spec.f.terms.items()}
-    one_plus_f[one] = 1  # f(0) = 0
+    one_plus_f = {one[:-1] + (k,): a * c ** k for (k,), a in (art.spec.f + 1).terms.items()}
     w1_powers = [{one: 1}]  # (1 + f(c*y))^e, the form of w1^e
     q_powers = [{one[:-1]: 1}]  # q'^k
 
@@ -551,16 +533,18 @@ def _stage(key: str):
 
 
 def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS) -> dict:
-    """The battery's checks, by report key, decided from f, the quadratic
-    invariants and W's derivation; B's expanded equation is read only by
-    the fallback `check_smooth`."""
-    stable = _stability_certificate(art)
+    """The battery's checks, by report key.  W is certified where it is
+    built (`_representation`), so only what depends on f is decided here:
+    `stable` and `free` from -1 - f(0), smoothness from the v3 certificate
+    or, as the fallback, B's expanded Jacobian criterion `check_smooth`."""
+    stable = -1 - art.spec.f.constant_term() != 0
     checks = {
-        "invariant": check_invariance(art),
-        "affineSpace": check_affine_space(art),
+        # D kills w1 and the quadrics, which are free of w1: X's equation
+        # w1 - 1 - f(q) is invariant and a graph in w1 for every f
+        "invariant": True,
+        "affineSpace": True,
         "stable": stable,
-        # the zeros of the action are the non-stable locus (`_representation`)
-        "free": stable,
+        "free": stable,  # the zeros of the action are the non-stable locus
     }
     with _stage("boundarySmooth"):
         b_smooth = _smoothness_certificate(art) or check_smooth(art.b_ideal, caps=caps)

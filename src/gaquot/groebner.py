@@ -4,13 +4,12 @@ Normal forms, unit-ideal emptiness tests, elimination, Krull dimension
 via leading-term independent sets, subalgebra membership, and the
 univariate gcd all reduce to reduced Groebner bases computed by
 Buchberger's algorithm with the normal selection strategy (smallest lcm
-first).  Three questions are settled without a run whenever an exact
-shortcut decides them, with Buchberger as the fallback: the dimension
-of a principal ideal, a hypersurface, is read off its one generator; a
-unit-ideal test first sets each lone variable, a generator c*x_k, to
-zero in the others; and the squarefreeness test first looks for a
-modular certificate that p and p' are coprime, before the gcd over Q
-decides.  One run state, `_Run`, holds the rows, the pair queue and the pair
+first).  Two questions are settled without a run whenever an exact
+shortcut decides them, with Buchberger as the fallback: a unit-ideal
+test first sets each lone variable, a generator c*x_k, to zero in the
+others; and the squarefreeness test first looks for a modular
+certificate that p and p' are coprime, before the gcd over Q decides.
+One run state, `_Run`, holds the rows, the pair queue and the pair
 loop; `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
 candidate at a time over the graph ideal of all of them, deciding
 membership and eliminating the relations among the survivors.  Pairs
@@ -744,24 +743,13 @@ def eliminate(ideal: Ideal, first_k: int,
 
 
 def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
-    """Dimension of the vanishing set.
-
-    A principal ideal is read off its one generator with no Groebner run:
-    the zero ideal gives n, a nonzero constant raises UnitIdealError and
-    a nonconstant f gives n - 1, since f cuts out a hypersurface (Cox,
-    Little and O'Shea, "Ideals, Varieties, and Algorithms", ch. 9); the
-    rule below returns the same n - 1 on the one-element basis.  Two or
-    more generators run Buchberger and take the largest set of variables
-    containing the support of no leading monomial (the independent-set
-    criterion, Becker and Weispfenning, GTM 141, 9.3)."""
+    """Dimension of the vanishing set: Buchberger, then the largest set of
+    variables containing the support of no leading monomial (the
+    independent-set criterion, Becker and Weispfenning, GTM 141, 9.3).
+    The unit ideal raises UnitIdealError.  So the zero ideal gives n and
+    a nonconstant principal ideal n - 1, a hypersurface (Cox, Little and
+    O'Shea, "Ideals, Varieties, and Algorithms", ch. 9)."""
     n = len(ideal.ring)
-    if len(ideal.generators) == 1:
-        (g,) = ideal.generators
-        if g.is_zero():
-            return n
-        if g.is_constant():
-            raise UnitIdealError("the empty set has no dimension")
-        return n - 1
     gb = buchberger(ideal, caps=caps)
     if len(gb.basis) == 1 and gb.basis[0] == 1:
         raise UnitIdealError("the empty set has no dimension")

@@ -24,9 +24,7 @@ from gaquot import (
     VarSet,
     boundary_analysis,
     build_family,
-    check_affine_space,
     check_freeness,
-    check_invariance,
     check_smooth,
     check_stability,
     fixed_point_ideal,
@@ -151,28 +149,67 @@ def test_construction_identities(make, f, blocks, trivial):
 # -- individual checks --------------------------------------------------------------
 
 
-def test_affine_space_check():
-    """X is a graph over w2, w3, ... when the quadrics are free of w1; a
-    quadric in w1 puts w1 into f(q), and X's equation w1 - 1 - q is then
-    no graph in w1."""
-    assert check_affine_space(build_family(v3("s")))
-    assert check_affine_space(build_family(v4("a*b + c^2")))
+def broken_representation_is_a_bug(monkeypatch, request, capsys, attribute, broken,
+                                   message, trivial=0):
+    """Replace the builder `attribute` of W in `families` by `broken`: W is
+    then rejected where it is built, for v3 and v4, with ValueError
+    `message`, and `verify` exits 5, as on any bug."""
+    clear_representation_caches()
+    request.addfinalizer(clear_representation_caches)
+    monkeypatch.setattr(families, attribute, broken)
+    for spec in (v3("s", trivial), v4("a", trivial)):
+        with pytest.raises(ValueError, match=message):
+            _build_family(spec)
+    argv = ["verify", "--family", "v3", "--f=s", "--trivial", str(trivial)]
+    assert cli.main(argv, out=io.StringIO()) == 5
+    assert capsys.readouterr().err.startswith(f"internal error: ValueError: {message}\n")
+
+
+def with_first_quadric_plus(text):
+    """`_quadratic_invariants` with `text` added to the first quadric."""
+    original = families._quadratic_invariants
+
+    def broken(w_ring, blocks):
+        first, *rest = original(w_ring, blocks)
+        return (first + parse(text, w_ring), *rest)
+
+    return broken
+
+
+def test_affine_space_check(monkeypatch, request, capsys):
+    """X is a graph over w2, w3, ... because the quadrics are free of w1,
+    which W certifies as it is built: adding w1*w3, invariant, a quadric
+    and with a non-stable coordinate, to a quadric makes W a bug, and X's
+    equation w1 - 1 - q is then no graph in w1."""
     art = build_family(v3("s"))
-    doctored = replace(art, quad_invariants=(parse("w1*w6 - w4*w5", art.w_ring),))
-    assert not check_affine_space(doctored)
+    (equation,) = art.x_ideal.generators
+    assert "w1" not in (art.w_ring.var("w1") - equation).variables()
+    doctored = replace(art, quad_invariants=(parse("w3*w6 - w4*w5 + w1*w3", art.w_ring),))
     (equation,) = doctored.x_ideal.generators
     assert "w1" in (art.w_ring.var("w1") - equation).variables()
+    broken_representation_is_a_bug(monkeypatch, request, capsys, "_quadratic_invariants",
+                                   with_first_quadric_plus("w1*w3"),
+                                   "a quadratic invariant involves w1")
 
 
-def test_invariance_check():
-    assert check_invariance(build_family(v3("s")))
-    assert check_invariance(build_family(v4("a*b + c^2")))
+def test_invariance_check(monkeypatch, request, capsys):
+    """D kills X's equation w1 - 1 - f(q) because it kills w1 and every
+    quadric, which W certifies as it is built.  D(w1) = w3, or a term
+    w3*w4 added to a quadric (D(w3*w4) = w3^2), makes W a bug."""
     art = build_family(v3("s"))
-    broken = replace(
-        art,
-        quad_invariants=(parse("w4*w6 - w4*w5", art.w_ring),),
-    )
-    assert not check_invariance(broken)
+    (equation,) = art.x_ideal.generators
+    assert art.derivation.apply(equation).is_zero()
+
+    def moving_w1(blocks, trivial=0):
+        d = lower_triangular_derivation(blocks, trivial)
+        return Derivation(d.ring, {**d.images, "w1": d.ring.var("w3")})
+
+    for attribute, broken in (("lower_triangular_derivation", moving_w1),
+                              ("_quadratic_invariants", with_first_quadric_plus("w3*w4"))):
+        with monkeypatch.context() as patch:
+            broken_representation_is_a_bug(
+                patch, request, capsys, attribute, broken,
+                "the action does not kill w1 and every quadratic invariant")
 
 
 def test_stability_check():
@@ -406,7 +443,7 @@ def test_a_ybar_not_the_cone_over_b_is_a_bug():
 
 # -- the composed battery against the expanded objects ---------------------------------
 
-UNVALIDATED = [v3("(1+s)^2 - 1"), v3("s - 1"), v3("s + 5"), v3("0")]
+UNVALIDATED = [v3("(1+s)^2 - 1"), v3("s - 1"), v3("s + 5"), v3("0"), v3("-1")]
 
 
 def expanded_verdicts(art):
@@ -436,7 +473,7 @@ def test_composed_verdicts_match_the_expanded_objects(spec):
     W's derivation equals the verdict on the expanded equations, on valid
     specs and on specs the validation rejects (a repeated root, which is
     not smooth; f(0) = -1, not stable; f(0) = 5, stable; f = 0, whose
-    boundary is empty)."""
+    boundary is empty; f = -1, whose boundary is all of W)."""
     art = _build_family(spec)
     composed = _checks(art)
     checks, (dim_x, dim_ybar, dim_b) = expanded_verdicts(_build_family(spec))
@@ -496,14 +533,14 @@ def test_v4_battery_expands_only_b(text, monkeypatch):
     assert [name for name in EXPANDED if name in vars(art)] == ["b_ideal"]
 
 
-def test_a_quadric_off_the_nonstable_coordinates_is_a_bug():
-    """The stability certificate needs an odd block coordinate in every
-    term of every quadric; a term without one raises ValueError."""
-    art = build_family(v3("s"))
-    for text in ("w3*w6 - w4*w6", "w2*w4", "w3*w6 - w4*w5 + w2"):
-        broken = replace(art, quad_invariants=(parse(text, art.w_ring),))
-        with pytest.raises(ValueError, match="free of the non-stable coordinates"):
-            families._stability_certificate(broken)
+def test_a_quadric_off_the_nonstable_coordinates_is_a_bug(monkeypatch, request, capsys):
+    """`stable` reads -1 - f(0) because every term of every quadric has an
+    odd block coordinate, which W certifies as it is built.  e1^2, with
+    e1 the first trivial coordinate, is invariant, a quadric and free of
+    w1, yet a term off those coordinates: with it W is a bug."""
+    broken_representation_is_a_bug(
+        monkeypatch, request, capsys, "_quadratic_invariants", with_first_quadric_plus("e1^2"),
+        "a quadratic invariant has a term free of the non-stable coordinates", trivial=1)
 
 
 def test_a_fixed_locus_off_the_nonstable_locus_is_a_bug(monkeypatch, request, capsys):
@@ -517,25 +554,35 @@ def test_a_fixed_locus_off_the_nonstable_locus_is_a_bug(monkeypatch, request, ca
         return Derivation(d.ring, {**d.images, "w2": d.ring.var("w1") * d.ring.var("w3")})
 
     art = replace(build_family(v3("s")), derivation=off_locus(3))
-    assert (families._stability_certificate(art), check_freeness(art)) == (True, False)
-    clear_representation_caches()
-    request.addfinalizer(clear_representation_caches)
-    monkeypatch.setattr(families, "lower_triangular_derivation", off_locus)
-    for spec in (v3("s"), v4("a")):
-        with pytest.raises(ValueError, match="not the non-stable locus"):
-            _build_family(spec)
-    assert cli.main(["verify", "--family", "v3", "--f=s"], out=io.StringIO()) == 5
-    assert capsys.readouterr().err.startswith(
-        "internal error: ValueError: the zeros of the action are not the non-stable locus\n")
+    assert (check_stability(art), check_freeness(art)) == (True, False)
+    broken_representation_is_a_bug(
+        monkeypatch, request, capsys, "lower_triangular_derivation", off_locus,
+        "the zeros of the action are not the non-stable locus")
 
 
-def test_smoothness_certificate_needs_a_quadric():
-    """Euler's identity needs q homogeneous of degree 2: otherwise the
-    certificate does not apply, and the Jacobian criterion decides."""
-    art = build_family(v3("s"))
-    assert families._smoothness_certificate(art) is True
-    broken = replace(art, quad_invariants=(parse("w3*w6 - w4*w5 + w3", art.w_ring),))
-    assert families._smoothness_certificate(broken) is False
+def test_smoothness_certificate_needs_a_quadric(monkeypatch, request, capsys):
+    """Euler's identity needs q homogeneous of degree 2, which W certifies
+    as it is built: adding w3, invariant, free of w1 and non-stable, to a
+    quadric makes W a bug."""
+    broken_representation_is_a_bug(monkeypatch, request, capsys, "_quadratic_invariants",
+                                   with_first_quadric_plus("w3"),
+                                   "a quadratic invariant is not a homogeneous quadric")
+
+
+@pytest.mark.parametrize("text", ["t^2 + t", "(1+t)*(1+2*t)*(1+3*t) - 1"])
+def test_v3_reads_f_in_its_own_variable(text):
+    """FamilySpec takes a v3 shape in any one variable: over t the report
+    is the one over s but for the `f` text, and so are the checks of a
+    shape the validation rejects, which the Jacobian criterion decides."""
+    T = VarSet(("t",))
+    over_t, over_s = (FamilySpec("v3", parse(text, T)), v3(text.replace("t", "s")))
+    docs = [cli.report_document(run_battery(spec), DEFAULT_CAPS, cli.DEFAULT_MAX_ROUNDS)
+            for spec in (over_t, over_s)]
+    assert [doc.pop("f") for doc in docs] == [str(over_t.f), str(over_s.f)]
+    assert docs[0] == docs[1]
+    forced = _checks(_build_family(FamilySpec("v3", parse("(1+t)^2 - 1", T))))
+    assert forced == _checks(_build_family(v3("(1+s)^2 - 1")))
+    assert forced["boundarySmooth"] is False
 
 
 # -- boundary and ranks ----------------------------------------------------------------
@@ -712,17 +759,27 @@ def test_threads_on_a_cold_cache_give_equal_reports():
     assert reports == [expected] * threads
 
 
+def assert_core_checks(art):
+    """The battery's invariance, affine space, stability and freeness
+    verdicts hold, and so do they on X's expanded equation."""
+    assert [_checks(art)[key] for key in ("invariant", "affineSpace", "stable", "free")] \
+        == [True] * 4
+    (equation,) = art.x_ideal.generators
+    assert art.derivation.apply(equation).is_zero()
+    assert "w1" not in (art.w_ring.var("w1") - equation).variables()
+    assert check_stability(art)
+    assert check_freeness(art)
+
+
 def test_randomized_family_checks():
-    """Sampled valid v3 and v4 instances all satisfy the core checks and
-    the dimension laws."""
+    """Sampled valid v3 and v4 instances all satisfy the core checks, on
+    the battery's verdicts and on X's expanded equation, and the
+    dimension laws."""
     rng = random.Random(20240830)
     for _ in range(8):
         spec = FamilySpec("v3", random_valid_f(rng), rng.choice([0, 0, 1]))
         art = build_family(spec)
-        assert check_invariance(art)
-        assert check_affine_space(art)
-        assert check_stability(art)
-        assert check_freeness(art)
+        assert_core_checks(art)
         dim_ybar, dim_b, m = boundary_analysis(art)
         assert dim_ybar - dim_b == 2
         assert m == spec.f.total_degree()
@@ -738,10 +795,7 @@ def test_randomized_family_checks():
         if f.is_zero():
             continue
         art = build_family(FamilySpec("v4", f))
-        assert check_invariance(art)
-        assert check_affine_space(art)
-        assert check_stability(art)
-        assert check_freeness(art)
+        assert_core_checks(art)
         dim_ybar, dim_b, m = boundary_analysis(art)
         assert dim_ybar - dim_b == 2 and m is None
 

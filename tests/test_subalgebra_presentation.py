@@ -216,6 +216,17 @@ def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label,
     assert any(form.ring != ring for form in forms)
 
 
+@pytest.mark.parametrize("trivial", [0, 1])
+@pytest.mark.parametrize("shape", ["s + 1", "s - 1", "s^2 + 3"])
+def test_v3_presentation_keeps_f_at_zero(shape, trivial):
+    """Built without validation, a shape with f(0) != 0 restricts w1 to
+    1 + f(q), constant 1 + f(0) included (0 for s - 1), and its
+    presentation equals the reference on the restricted W-invariants."""
+    spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
+    presentation = invariant_presentation(families._build_family(spec))
+    assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
+
+
 @pytest.mark.parametrize("trivial, degrees", [
     (0, range(1, 13)), (1, range(1, 13)), (2, range(1, 13)), (5, range(1, 13)),
     (10, range(1, 13)), (40, (3,)),
