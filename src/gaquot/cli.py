@@ -259,8 +259,9 @@ def _cmd_gb(args, out) -> int:
 
 def _cmd_present(args, out) -> int:
     spec = FamilySpec("v3", _parse_shape("v3", args.f), args.trivial)
-    art = _build_within_bound(spec, bounded=True)
-    gens, relations = invariant_presentation(art, caps=_caps(args))
+    caps = _caps(args)
+    art = _build_within_bound(spec, bounded=True, caps=caps)
+    gens, relations = invariant_presentation(art, caps=caps)
     tags = relations.ring.names
     for tag, g in zip(tags, gens):
         print(f"{tag} = {g}", file=out)

@@ -39,9 +39,13 @@ on f, with no expansion of f(q):
     zeros of the action are those of the non-stable coordinates;
   * smoothness: Ybar's equation is u*w2 - v*w1 plus B's, which is free of
     u, v, w1 and w2, so Ybar is the cone over B and smooth iff B is.  For
-    v3, gcd(1 + f, s*f') = 1 in Q[s], certified modulo a prime
-    (`groebner._coprime_certificate`), puts 1 in B's Jacobian ideal: 1 +
-    f(q) and q*f'(q) lie there, by Euler's identity for the quadric q;
+    v3, gcd(1 + f, s*f') = 1 in Q[s] puts 1 in B's Jacobian ideal: 1 +
+    f(q) and q*f'(q) lie there, by Euler's identity for the quadric q.
+    The validation already proved it: f(0) = 0 keeps s from dividing
+    1 + f, so that gcd is gcd(f + 1, f'), which its squarefree test of
+    f + 1 decides (modulo a prime, `groebner._coprime_certificate`, with
+    the gcd over Q as its fallback), and the artifact carries that
+    verdict, so the modular loop runs once per battery;
   * dimensions: X, Ybar and B are hypersurfaces with nonconstant
     equations when f is nonconstant, so each has dimension n - 1.
 
@@ -51,19 +55,19 @@ decides every v4 spec and any v3 spec the certificate leaves open.
 stability and freeness verdicts; the battery calls neither.  X and B
 are expanded on first use only (`ConstructionArtifacts`), and Ybar
 never, so a v3 battery expands f(q) nowhere but in the presentation,
-and a v4 battery only for B.  The validation's
-squarefree test of f + 1 is the same modular certificate, with the gcd
-over Q as its fallback.  So the battery's Buchberger runs are the
+and a v4 battery only for B.  So the battery's Buchberger runs are the
 presentation and, for v4, B's Jacobian criterion.  A ResourceCapError
 raised by the battery names the stage, by its report key, in front of
-the cap; the presentation's bound on the trivial summands is checked
-before W is built.
+the cap; the validation caps deg f at the run's degree budget before
+the squarefree test builds its dense lists, and the presentation's
+bound on the trivial summands is checked before W is built.
 
 What depends on W alone is built once per process, in two bounded
 caches: W's derivation and quadratic invariants per (family, trivial
 summands) (`_representation`), and per family the degree-<= 2
 invariants of W without trivial summands, which the presentation
-restricts to X (`_w_invariants`).  Everything that depends on f or on
+restricts to X, and the ring of X's coordinates it spans them in
+(`_w_invariants`).  Everything that depends on f or on
 the caps (X and B when expanded, the checks, the presentation's
 Groebner run) is built per call, so reports are byte-identical whether
 the caches are cold or warm.  A long-lived caller that sweeps f over
@@ -176,17 +180,36 @@ class ConstructionArtifacts:
         (h,) = self.b_ideal.generators
         return Ideal(self.w_ring, (self.w_ring.var("w1") + h,))
 
+    @cached_property
+    def _coprime(self) -> bool:
+        """For v3, whether gcd(1 + f, s*f') = 1 in Q[s] is certified: on
+        first read, by the modular `_coprime_certificate`, whose False
+        proves nothing.  A validated build holds True from the start
+        (`_build_within_bound`), so a v3 battery runs the modular loop
+        once, in the validation: that proves f(0) = 0 and gcd(f + 1, f')
+        = 1, and as f(0) = 0, s does not divide 1 + f, so gcd(1 + f, s*f')
+        = gcd(1 + f, f').  An unvalidated spec need satisfy neither."""
+        f = self.spec.f
+        (s,) = f.ring.names  # f's own variable, whatever its name
+        return _coprime_certificate(f + 1, f.ring.var(s) * f.partial(s))
 
-def validate_family_spec(spec: FamilySpec):
+
+def validate_family_spec(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     """Reject f with nonzero constant term, and for v3 a repeated root of
     f + 1 (that would make the boundary singular).  An exponent of f at
-    or above the Groebner engine's bound 2**31 raises ResourceCapError
-    first, before the squarefree test or f(q) can expand it."""
+    or above the Groebner engine's bound 2**31, and then a total degree
+    of f above `caps.max_degree`, raise ResourceCapError first, before
+    the squarefree test builds a list of deg f + 1 coefficients or f(q)
+    is expanded.  For v3, f(0) = 0 and f + 1 squarefree certify the
+    battery's smoothness (`ConstructionArtifacts._coprime`)."""
     if spec.f.constant_term() != 0:
         raise NonzeroConstantError("f must vanish at the origin")
     top = max((e for m in spec.f.terms for e in m), default=0)
     if top >= _EXPONENT_BOUND:
         raise ResourceCapError(f"exponent {top} is at or above the bound 2**31")
+    degree = spec.f.total_degree()
+    if degree > caps.max_degree:
+        raise ResourceCapError(f"f has degree {degree}, above the degree budget {caps.max_degree}")
     if spec.family == "v3":
         if not is_squarefree(spec.f + 1):
             raise RepeatedRootsError("f + 1 has a repeated root")
@@ -241,18 +264,22 @@ def _representation(family: str, trivial: int):
 
 @lru_cache(maxsize=2)  # one entry per family
 def _w_invariants(family: str) -> tuple:
-    """The minimal generators of degree <= KERNEL_DEGREE of the invariants
-    of W without trivial summands, `kernel_linear` of
-    `lower_triangular_derivation(blocks)`, solved once per process and
-    family.  Those of W with t trivial summands are these and the t
-    trivial coordinates, since Ga fixes them (ker D = (ker D')[e]), so
-    no count t is solved for.
+    """(invariants, z ring): the minimal generators of degree <=
+    KERNEL_DEGREE of the invariants of W without trivial summands,
+    `kernel_linear` of `lower_triangular_derivation(blocks)`, solved once
+    per process and family, and the ring z1, z2, ... of the affine
+    coordinates of X without trivial summands, which the presentation
+    restricts them to.  Those of W with t trivial summands are these and
+    the t trivial coordinates, since Ga fixes them (ker D = (ker D')[e]),
+    so no count t is solved for.
 
     The key leaves out the caps: the derivation of W is linear, so
     `kernel_linear` spans its homogeneous kernel by graded linear
     algebra (`_GradedSpan`) and never reads them.
     """
-    return tuple(kernel_linear(lower_triangular_derivation(FAMILIES[family][0]), KERNEL_DEGREE))
+    derivation = lower_triangular_derivation(FAMILIES[family][0])
+    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(derivation.ring))))
+    return tuple(kernel_linear(derivation, KERNEL_DEGREE)), z_ring
 
 
 def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
@@ -269,16 +296,20 @@ def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     )
 
 
-def _build_within_bound(spec: FamilySpec, bounded: bool,
-                        key: Optional[str] = None) -> ConstructionArtifacts:
-    """Validate the spec, then, if `bounded`, check the v3 presentation's
-    bound on the trivial summands (a cap names `key` first, if given),
-    then build W: a count past the bound builds no W."""
-    validate_family_spec(spec)  # f(0) = 0 and, for v3, f + 1 squarefree
+def _build_within_bound(spec: FamilySpec, bounded: bool, key: Optional[str] = None,
+                        caps: ResourceCaps = DEFAULT_CAPS) -> ConstructionArtifacts:
+    """Validate the spec under `caps`, then, if `bounded`, check the v3
+    presentation's bound on the trivial summands (a cap names `key`
+    first, if given), then build W: a count past the bound builds no W.
+    A v3 artifact carries the validation's coprimality verdict."""
+    validate_family_spec(spec, caps)  # f(0) = 0, deg f and, for v3, f + 1 squarefree
     if bounded:
         with _stage(key) if key else nullcontext():
             _check_coefficient_space(2 * FAMILIES["v3"][0] + spec.trivial_summands, KERNEL_DEGREE)
-    return _build_family(spec)
+    art = _build_family(spec)
+    if spec.family == "v3":
+        vars(art)["_coprime"] = True  # the cached_property's value, decided by the validation
+    return art
 
 
 def _odd_block_coordinates(w_ring: VarSet, family: str) -> Ideal:
@@ -342,15 +373,10 @@ def _smoothness_certificate(art: ConstructionArtifacts) -> bool:
 
     so 1 + f(q) and q*f'(q) lie in B's Jacobian ideal.  If gcd(1 + f,
     s*f') = 1 in Q[s], Bezout and s -> q put 1 there too.  That gcd is
-    checked here, by the modular `_coprime_certificate`, not borrowed
-    from the validation: f(0) = 0 and f + 1 squarefree imply it, but an
-    unvalidated spec need not satisfy it.
+    the artifact's `_coprime`: the validation's verdict on a validated
+    build, else certified modulo a prime.
     """
-    if art.spec.family != "v3":
-        return False
-    f = art.spec.f
-    (s,) = f.ring.names  # f's own variable, whatever its name
-    return _coprime_certificate(f + 1, f.ring.var(s) * f.partial(s))
+    return art.spec.family == "v3" and art._coprime
 
 
 def boundary_analysis(art: ConstructionArtifacts):
@@ -426,19 +452,27 @@ def invariant_presentation(art: ConstructionArtifacts,
     a scalar c.  Each generator g is restricted through its seed form
     g(w1 -> 1 + f(c*y), w_k -> z_(k-1)), with y the tag of q': one term
     map over the cached powers of 1 + f(c*y).  Its image is the form at
-    y -> q', expanded over the cached powers of q', and the form is
-    scaled and stripped of its constant like the image, so it equals the
-    candidate by construction.  Seeded through the forms, the run never
-    reduces expanded powers of q back to powers of its tag: w1's own
-    image has a tag-only form and is dropped at once, and the minors
-    w1*w4 - w2*w3 and w1*w6 - w2*w5 are seeded with deg f + 3 terms
-    each.  Duplicate candidates are dropped through a dict.
+    y -> q', expanded over the cached powers of q', and the form, stripped
+    of its constant like the image, equals lc times the candidate, lc the
+    image's leading coefficient; so it seeds lc*y_i - form, with no
+    division (`_GraphSpan`'s scales).  Seeded through the forms, the run
+    never reduces expanded powers of q back to powers of its tag: the
+    minors w1*w4 - w2*w3 and w1*w6 - w2*w5 are seeded with deg f + 3
+    terms each.  A generator that is a polynomial in w1 alone, such as
+    w1, has a form in y alone: its image is a polynomial in q', which is
+    kept, so the span would drop it (or it is q' itself), and it is
+    skipped before its image is built; a dropped candidate's tag is a
+    zero column, so the run and the relations are the same without it.
+    Duplicate candidates are dropped through a dict.  Each leading
+    monomial is found once and also orders the candidates.
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
     _check_coefficient_space(len(art.w_ring), KERNEL_DEGREE)
     width = 2 * FAMILIES[art.spec.family][0]  # the coordinates of W without summands
-    core = VarSet(tuple(f"z{i}" for i in range(1, width)))
+    invariants, core = _w_invariants(art.spec.family)  # core: z1..z5
+    z_ring = core if len(art.w_ring) == width else VarSet(
+        tuple(f"z{i}" for i in range(1, len(art.w_ring))))
     (q,) = art.quad_invariants
     q_image = {m[1:width]: a for m, a in q.terms.items()}  # q is free of w1
     c = q_image[min(q_image, key=_grevlex_descending)]
@@ -460,8 +494,11 @@ def invariant_presentation(art: ConstructionArtifacts,
                 out[key] = out.get(key, 0) + a * b
         return out
 
-    forms = {}  # candidate -> its form as a term dict, None for the candidate itself
-    for g in _w_invariants(art.spec.family):
+    # candidate -> (leading monomial, form, scale), the form None for the candidate itself
+    forms = {}
+    for g in invariants:
+        if not any(any(m[1:]) for m in g.terms):
+            continue  # a polynomial in w1: its image is one in q', which is kept
         form: dict = {}
         for m, a in g.terms.items():
             while len(w1_powers) <= m[0]:
@@ -473,29 +510,37 @@ def invariant_presentation(art: ConstructionArtifacts,
         image = {m: a for m, a in expand(form).items() if a and any(m)}  # constants never matter
         if not image:
             continue
-        lc = image[min(image, key=_grevlex_descending)]
+        lm = min(image, key=_grevlex_descending)
+        lc = image[lm]
         candidate = Polynomial(core, {m: _exact_quotient(a, lc) for m, a in image.items()})
         if any(m[0] for m in g.terms):
-            forms.setdefault(candidate, {m: _exact_quotient(a, lc) for m, a in form.items()
-                                         if a and any(m)})
+            forms.setdefault(candidate, (lm, form, lc))
         else:
-            forms[candidate] = None  # its own form, which wins over a duplicate's
-    ordered = _sorted_gens(list(forms))
+            forms[candidate] = (lm, None, 1)  # its own form, which wins over a duplicate's
+    ordered = _sorted_gens(list(forms), [lm for lm, _, _ in forms.values()])
     # q' is a kernel generator and not in the subalgebra of the linear ones
     at, tags = ordered.index(q_monic), len(ordered)
     big = _tag_ring(core, tags)
-    seeds = [p if forms[p] is None else Polynomial(big, {
-        m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in forms[p].items()})
-        for p in ordered]
-    survivors, relations = subalgebra_presentation(core, ordered, caps, seeds)
-    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(art.w_ring))))
+    seeds, scales = [], []
+    for p in ordered:
+        _, form, scale = forms[p]
+        seeds.append(p if form is None else Polynomial(big, {
+            m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a
+            for m, a in form.items() if any(m)}))
+        scales.append(scale)
+    survivors, relations = subalgebra_presentation(core, ordered, caps, seeds, scales)
+    if z_ring is core:
+        return tuple(survivors), relations  # the survivors are sorted, and tagged in order
     spanned = [p.embed(z_ring) for p in survivors]
-    merged = _sorted_gens(spanned + [z_ring.var(n) for n in z_ring.names[width - 1:]])
+    trivial = [z_ring.var(n) for n in z_ring.names[width - 1:]]
+    merged = _sorted_gens(spanned + trivial)
     y_ring = VarSet(fresh_names("y", len(merged), z_ring.names))
-    position = {p: k for k, p in enumerate(merged)}
-    renamed = VarSet(tuple(y_ring.names[position[p]] for p in spanned))  # each survivor's new tag
-    return tuple(merged), Ideal(y_ring, tuple(Polynomial(renamed, r.terms).embed(y_ring)
-                                              for r in relations.generators))
+    # each tag of y_ring -> its survivor's tag, or one past the last for a trivial coordinate
+    survivor = {p: k for k, p in enumerate(spanned)}
+    source = [survivor.get(p, len(spanned)) for p in merged]
+    return tuple(merged), Ideal(y_ring, tuple(Polynomial(y_ring, {
+        tuple(map((m + (0,)).__getitem__, source)): c for m, c in r.terms.items()})
+        for r in relations.generators))
 
 
 @dataclass(frozen=True)
@@ -561,7 +606,7 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
     built, so a count past it costs nothing; f = 0 reports its empty
     boundary first, as the presentation is never reached."""
     bounded = spec.family == "v3" and not spec.f.is_zero()
-    art = _build_within_bound(spec, bounded, "presentation")
+    art = _build_within_bound(spec, bounded, "presentation", caps)
     checks = _checks(art, caps)
     dim_ybar, dim_b, m = boundary_analysis(art)
     codim = dim_ybar - dim_b

@@ -28,7 +28,8 @@ of `poly`.  The tag-variable graph ideal is defined twice, as a pair:
 `_graph_ideal` builds its polynomials over the ring extended by the
 tags (`_tag_ring`), for elimination and one-shot membership, and
 `_GraphSpan._seed` packs the same generators straight from the
-candidates' terms, or congruent ones from the candidates' seed forms.
+candidates' terms, or congruent multiples from the candidates' scaled
+seed forms.
 
 Buchberger, normal forms, the pair update and exact division work on
 packed monomials: inside the engine a monomial is one Python int, linear
@@ -781,24 +782,29 @@ def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
 
 
 def _check_forms(ring: VarSet, candidates: Sequence[Polynomial],
-                 forms: Optional[Sequence[Polynomial]]) -> Sequence[Polynomial]:
-    """The seed forms of a span of `candidates` over `ring`, the
-    candidates themselves if `forms` is None.  Raises RingMismatchError
-    for a candidate not over `ring` or a form over neither `ring` nor
-    `_tag_ring(ring, len(candidates))`, and ValueError unless there is
-    one form per candidate."""
+                 forms: Optional[Sequence[Polynomial]],
+                 scales: Optional[Sequence]) -> tuple:
+    """(forms, scales) of a span of `candidates` over `ring`: the
+    candidates themselves and scale 1 where `forms` or `scales` is None.
+    Raises RingMismatchError for a candidate not over `ring` or a form over
+    neither `ring` nor `_tag_ring(ring, len(candidates))`, and ValueError
+    unless there is one form and one nonzero scale per candidate."""
     for g in candidates:
         if g.ring != ring:
             raise RingMismatchError("subalgebra candidates over the wrong ring")
+    if scales is None:
+        scales = (1,) * len(candidates)
+    elif len(scales) != len(candidates) or not all(scales):
+        raise ValueError("a subalgebra span needs one nonzero scale per candidate")
     if forms is None:
-        return candidates
+        return candidates, scales
     if len(forms) != len(candidates):
         raise ValueError("a subalgebra span needs one form per candidate")
-    big = _tag_ring(ring, len(candidates))
+    tagged = ring.names + fresh_names("y", len(candidates), ring.names)  # `_tag_ring`'s names
     for form in forms:
-        if form.ring not in (ring, big):
+        if form.ring.names not in (ring.names, tagged):
             raise RingMismatchError("candidate forms over the wrong ring")
-    return forms
+    return forms, scales
 
 
 class _GraphSpan:
@@ -817,29 +823,33 @@ class _GraphSpan:
     subalgebra_membership calls it a member of the kept candidates'
     subalgebra.
 
-    Candidate i is seeded with y_i - form_i (`_seed`), where form_i is a
-    polynomial over `ring` or over `_tag_ring(ring, len(candidates))`
-    that equals candidate i once each tag y_j in it is replaced by
-    candidate j.  The default form is the candidate itself, which makes
+    Candidate i is seeded with c_i*y_i - form_i (`_seed`), where form_i is
+    a polynomial over `ring` or over `_tag_ring(ring, len(candidates))`
+    that equals c_i times candidate i once each tag y_j in it is replaced
+    by candidate j, for the nonzero rational c_i of `scales` (1 if None).
+    The default form is the candidate itself, with c_i = 1, which makes
     the seed the generator y_i - p of `_graph_ideal(ring, candidates)`.
     A form may name only the tags of candidates kept before i; one that
-    names any other tag is replaced by its candidate.  For every kept j
-    the run already holds y_j - candidate_j, so the two seeds are
-    congruent modulo the ideal the rows are a Groebner basis of, and
-    have the same normal form up to a positive scale: the same
-    membership verdict and, once `_row` divides out the content, the
-    same row.  A form only saves reduction work: for instance, with a
-    candidate that expands a power of another, naming that other's tag
-    leaves the reduction nothing to rebuild.  A candidate is kept iff its
-    seed, reduced to y_i minus a normal form free of y_i (y_i leads no
-    row), is not tag-only; the kept remainder joins the basis, whose
-    pairs are completed before the next candidate.  An empty candidate
-    list raises ValueError."""
+    names any other tag is replaced by its candidate, and c_i by 1.  For
+    every kept j the run already holds y_j - candidate_j, so the two
+    seeds are congruent, up to the nonzero factor c_i, modulo the ideal
+    the rows are a Groebner basis of, and have the same normal form up to
+    a nonzero scale: the same membership verdict and, once `_row` divides
+    out the content and fixes the sign, the same row.  A form only saves
+    reduction work: for instance, with a candidate that expands a power
+    of another, naming that other's tag leaves the reduction nothing to
+    rebuild; a scale lets a caller pass an integer form of a candidate
+    it made monic, and skip the round trip through Fractions.  A
+    candidate is kept iff its seed, reduced to a multiple of y_i minus a
+    normal form free of y_i (y_i leads no row), is not tag-only; the kept
+    remainder joins the basis, whose pairs are completed before the next
+    candidate.  An empty candidate list raises ValueError."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
                  caps: ResourceCaps = DEFAULT_CAPS,
-                 forms: Optional[Sequence[Polynomial]] = None):
-        forms = _check_forms(ring, candidates, forms)
+                 forms: Optional[Sequence[Polynomial]] = None,
+                 scales: Optional[Sequence] = None):
+        forms, scales = _check_forms(ring, candidates, forms, scales)
         if not candidates:
             raise ValueError("a subalgebra span needs at least one candidate")
         n = len(ring)
@@ -850,25 +860,27 @@ class _GraphSpan:
         self._ring_fields = (1 << _EXPONENT_BITS * n) - 1
         self._columns = []  # exponent column of each kept candidate's tag
         self.kept = []
-        for i, (p, form) in enumerate(zip(candidates, forms)):
+        for i, (p, form, scale) in enumerate(zip(candidates, forms, scales)):
             if form is not p:
                 named = {n + k for exps in form.terms for k, e in enumerate(exps[n:]) if e}
                 if not named <= set(self._columns):
-                    form = p  # it names a later, dropped or its own candidate's tag
-            reduced, member = self._tag_only_form(self._seed(i, form))
+                    form, scale = p, 1  # it names a later, dropped or its own candidate's tag
+            reduced, member = self._tag_only_form(self._seed(i, form, scale))
             if not member:
                 self._columns.append(n + i)
                 self.kept.append(p)
                 self._run.append(reduced)
                 self._run.complete()
 
-    def _seed(self, i: int, form: Polynomial) -> dict:
-        """The packed integer term dict of y_i - form, times the lcm of
-        the form's denominators; with the candidate as its form, the i-th
-        generator of `_graph_ideal(ring, candidates)`."""
+    def _seed(self, i: int, form: Polynomial, scale=1) -> dict:
+        """The packed integer term dict of scale*y_i - form, times the
+        least positive integer that clears its denominators; with the
+        candidate as its form and scale 1, the i-th generator of
+        `_graph_ideal(ring, candidates)`."""
         work, d = _integer_terms(form.terms, self._run.packing.pack)
-        seed = {m: -c for m, c in work.items()}
-        seed[self._tags[i]] = d
+        lead = scale * d
+        seed = {m: -c * lead.denominator for m, c in work.items()}
+        seed[self._tags[i]] = lead.numerator
         return seed
 
     def _tag_only_form(self, work: dict) -> tuple:
@@ -928,18 +940,20 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
 
 def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
                             caps: ResourceCaps = DEFAULT_CAPS,
-                            forms: Optional[Sequence[Polynomial]] = None):
+                            forms: Optional[Sequence[Polynomial]] = None,
+                            scales: Optional[Sequence] = None):
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
     tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
     over all the candidates keeps the survivors and its `relations()`
     follow, so the filter and the elimination are one run sharing one
-    `caps` budget.  `forms`, one per candidate and by default the
-    candidates themselves, are the span's seed forms over
-    `_tag_ring(ring, len(candidates))`; they change the reduction work,
-    never the result.  An empty candidate list raises ValueError."""
-    span = _GraphSpan(ring, candidates, caps, forms)
+    `caps` budget.  `forms` and `scales`, one per candidate and by
+    default the candidates themselves and 1, are the span's seed forms
+    over `_tag_ring(ring, len(candidates))` and their scales; they change
+    the reduction work, never the result.  An empty candidate list raises
+    ValueError."""
+    span = _GraphSpan(ring, candidates, caps, forms, scales)
     return span.kept, span.relations()
 
 

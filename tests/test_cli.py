@@ -394,6 +394,36 @@ def test_shape_exponent_bound_is_a_resource_cap(argv, capsys):
         "resource cap: exponent 99999999999 is at or above the bound 2**31\n"
 
 
+@pytest.mark.parametrize("argv, degree, budget", [
+    (["verify", "--family", "v3", "--f=s^2147483647+s"], 2147483647, 60),
+    (["present", "--f=s^2147483647+s"], 2147483647, 60),
+    (["verify", "--family", "v3", "--f=s^61+s"], 61, 60),
+    (["verify", "--family", "v3", "--f=s^3+s", "--max-degree", "2"], 3, 2),
+    (["present", "--f=s^3+s", "--max-degree", "2"], 3, 2),
+    (["verify", "--family", "v4", "--f=a^40*b^21+c"], 61, 60),
+], ids=["verify-huge", "present-huge", "verify-61", "verify-cap-2", "present-cap-2", "verify-v4"])
+def test_shape_degree_is_capped_at_validation(argv, degree, budget, monkeypatch, capsys):
+    """A shape of total degree above --max-degree exits 4 at validation,
+    before the squarefree test builds its dense lists of deg f + 1
+    coefficients: s^2147483647 + s once ran out of memory there (exit
+    5).  The squarefree test is replaced by a failure, so a missing cap
+    fails here instead of allocating."""
+    def no_squarefree_test(p):
+        raise AssertionError("the squarefree test ran on a shape past the degree cap")
+
+    monkeypatch.setattr(families, "is_squarefree", no_squarefree_test)
+    assert run(argv) == (4, "")
+    assert capsys.readouterr().err == \
+        f"resource cap: f has degree {degree}, above the degree budget {budget}\n"
+
+
+def test_shape_degree_at_the_cap_passes_validation(capsys):
+    """Degree 60 is within the default budget: validation passes, and the
+    run exits 4 later, at the presentation, as it did before the cap."""
+    assert run(["verify", "--family", "v3", "--f=s^60+s"]) == (4, "")
+    assert capsys.readouterr().err == "resource cap: presentation: degree budget 60 exhausted\n"
+
+
 def test_gb_unknown_order(tmp_path):
     path = tmp_path / "single.txt"
     path.write_text("x\n", encoding="utf-8")

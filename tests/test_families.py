@@ -38,7 +38,7 @@ from gaquot import (
     parse,
     run_battery,
 )
-from gaquot import cli, families
+from gaquot import cli, families, groebner
 from gaquot.families import _build_family, _checks, nonstable_ideal
 from helpers import (check_cone_over_boundary, jacobian_identities, random_poly,
                      signed_roots_shape, spolynomials_per_run, to_sympy, ybar_ideal)
@@ -301,6 +301,55 @@ def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
     certified = run_battery(spec)
     monkeypatch.setattr(families, "_smoothness_certificate", lambda art: False)
     assert run_battery(spec) == certified
+
+
+def counted_calls(monkeypatch, *sites) -> dict:
+    """Calls from now on of each (owner, name) site, by name."""
+    counts = dict.fromkeys((name for _, name in sites), 0)
+
+    def counting(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for owner, name in sites:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return counts
+
+
+def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
+    """Deterministic counts of the per-call work of one deg-12 v3 battery
+    on a warm cache, next to its S-polynomial pin: it builds two rings
+    (the tag ring of the presentation's seed forms and the ring of the
+    span's relations), runs the modular coprimality loop once (in the
+    validation, whose verdict the smoothness certificate reads), and
+    seeds five candidates (w3, w5, q and the two minors; w1's image is
+    never built).  These read 7, 2 and 6 while the rings were rebuilt
+    around the span, the certificate ran the loop again, and w1's image
+    was seeded to be dropped."""
+    spec = FamilySpec("v3", signed_roots_shape(12, 11))
+    run_battery(spec)  # W and its invariants are cached from here on
+    counts = counted_calls(monkeypatch, (VarSet, "__post_init__"),
+                           (groebner, "_coprime_mod"), (groebner._GraphSpan, "_tag_only_form"))
+    assert run_battery(spec).passed
+    assert counts == {"__post_init__": 2, "_coprime_mod": 1, "_tag_only_form": 5}
+
+
+def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
+    """A validated v3 artifact carries the validation's coprimality
+    verdict, so its certificate runs no modular loop; one built without
+    validation runs it once, on first read, and keeps the verdict."""
+    spec = FamilySpec("v3", signed_roots_shape(5, 3))
+    counts = counted_calls(monkeypatch, (groebner, "_coprime_mod"))
+    validated = build_family(spec)
+    assert counts["_coprime_mod"] == 1
+    assert families._smoothness_certificate(validated) is True
+    assert counts["_coprime_mod"] == 1
+    unvalidated = _build_family(spec)
+    assert [families._smoothness_certificate(unvalidated) for _ in range(2)] == [True, True]
+    assert counts["_coprime_mod"] == 2
+    assert families._smoothness_certificate(_build_family(v3("s - 1"))) is False  # gcd(s, s) = s
 
 
 def test_jacobian_identities_reject_a_changed_coefficient():

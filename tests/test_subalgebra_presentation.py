@@ -173,18 +173,26 @@ def signed_shape(rng, degree):
 
 _SHAPES = random.Random(12)
 V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
-            + [(f"triv{t}", "-3/2*s", t) for t in range(11)])
+            + [(f"triv{t}", "-3/2*s", t) for t in range(11)]
+            + [(f"signed-deg{d}-triv{t}", str(signed_roots_shape(d, 10 * d + t)), t)
+               for d in range(1, 13) for t in range(3)])
 
 
 def presentation_input(monkeypatch, spec):
     """((ring, candidates, forms) that invariant_presentation hands to
-    subalgebra_presentation, what that returns, the presentation
-    invariant_presentation returns) for `spec`."""
+    subalgebra_presentation, each form divided by its scale, what that
+    returns, the presentation invariant_presentation returns) for `spec`.
+    invariant_presentation makes a candidate monic by dividing by a
+    scalar c and seeds it through its undivided form, c times the
+    candidate, with scale c; divided by c here, each recorded form equals
+    its candidate."""
     seen = []
 
-    def recording(ring, candidates, caps, forms):
-        spanned = subalgebra_presentation(ring, candidates, caps, forms)
-        seen.append(((ring, list(candidates), list(forms)), spanned))
+    def recording(ring, candidates, caps, forms, scales):
+        spanned = subalgebra_presentation(ring, candidates, caps, forms, scales)
+        unscaled = [Polynomial(form.ring, {m: Fraction(a) / c for m, a in form.terms.items()})
+                    for form, c in zip(forms, scales)]
+        seen.append(((ring, list(candidates), unscaled), spanned))
         return spanned
 
     monkeypatch.setattr(families, "subalgebra_presentation", recording)
@@ -310,12 +318,50 @@ def test_forms_leave_v3_spans_unchanged(monkeypatch):
                 == subalgebra_presentation(ring, candidates)
 
 
+def test_scaled_forms_leave_v3_spans_unchanged(monkeypatch):
+    """A form times a nonzero scale c, seeded with that scale, keeps the
+    same candidates, adds the same rows and reduces the same
+    S-polynomials as the form itself, for integer and rational c of
+    either sign, on seeded v3 shapes of degree 1-12 with 0-2 trivial
+    summands."""
+    rng = random.Random("scales")
+    for degree in range(1, 13):
+        trivial = rng.randrange(3)
+        ring, candidates, forms = v3_span_input(monkeypatch, degree, trivial, rng.randrange(1000))
+        scales = [rng.choice((1, -1, 7, -12, Fraction(3, 5), Fraction(-2, 9))) for _ in forms]
+        scaled = [form * c for form, c in zip(forms, scales)]
+        assert span_state(_GraphSpan(ring, candidates, forms=scaled, scales=scales)) \
+            == span_state(_GraphSpan(ring, candidates, forms=forms))
+
+
+def test_scales_are_checked():
+    cands = [parse("a", FORM_RING), parse("b", FORM_RING)]
+    for scales in ([1], [1, 0], [2, 1, 1]):
+        with pytest.raises(ValueError):
+            _GraphSpan(FORM_RING, cands, scales=scales)
+        with pytest.raises(ValueError):
+            subalgebra_presentation(FORM_RING, cands, forms=cands, scales=scales)
+
+
+def test_a_scale_falls_back_with_its_form():
+    """A form that names a later candidate's tag seeds the candidate with
+    scale 1, whatever scale came with the form."""
+    cands = [parse(t, FORM_RING) for t in ("a", "a + b", "b^2", "a*b")]
+    forms = list(cands)
+    forms[0] = tagged("3*y2 - 3*b").embed(_tag_ring(FORM_RING, len(cands)))  # 3*a via y2
+    assert span_state(_GraphSpan(FORM_RING, cands, forms=forms, scales=[3, 1, 1, 1])) \
+        == span_state(_GraphSpan(FORM_RING, cands))
+
+
 @pytest.mark.parametrize("trivial", [0, 1, 2])
 def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
-    """At degree 12 the images of w1 and of the two minors with w1 expand
-    to 91, 93 and 93 terms, which reduce to 13, 15 and 15; seeded
-    through their forms, the reduction starts from those 13, 15 and 15
-    terms, also with trivial summands, which are adjoined after the span."""
+    """At degree 12 the images of the two minors with w1 expand to 93
+    terms each, which reduce to 15; seeded through their forms, the
+    reduction starts from those 15 terms, also with trivial summands,
+    which are adjoined after the span.  w1's own image, 1 + f(q) without
+    its constant, is a polynomial in the kept q and is never built: the
+    pins read [2, 2, 2, 2, 3, 3, 13, 13, 15, 15, 15, 15] through the
+    forms, and 91 -> 13 without them, while it was seeded and dropped."""
     ring, candidates, forms = v3_span_input(monkeypatch, 12, trivial, 7)
     sizes = []
 
@@ -328,10 +374,10 @@ def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
 
     monkeypatch.setattr(groebner, "_GraphSpan", Recorded)
     subalgebra_presentation(ring, candidates, forms=forms)
-    assert sizes == [2, 2, 2, 2, 3, 3, 13, 13, 15, 15, 15, 15]
+    assert sizes == [2, 2, 2, 2, 3, 3, 15, 15, 15, 15]
     sizes.clear()
     subalgebra_presentation(ring, candidates)
-    assert sizes == [2, 2, 2, 2, 3, 3, 91, 13, 93, 15, 93, 15]
+    assert sizes == [2, 2, 2, 2, 3, 3, 93, 15, 93, 15]
 
 
 FORM_RING = VarSet(("a", "b", "c"))
