@@ -62,15 +62,13 @@ the cap; the validation caps deg f at the run's degree budget before
 the squarefree test builds its dense lists, and the presentation's
 bound on the trivial summands is checked before W is built.
 
-What depends on W alone is built once per process, in two bounded
-caches: W's derivation and quadratic invariants per (family, trivial
-summands) (`_representation`), and per family the degree-<= 2
-invariants of W without trivial summands, which the presentation
-restricts to X, and the ring of X's coordinates it spans them in
-(`_w_invariants`).  Everything that depends on f or on
-the caps (X and B when expanded, the checks, the presentation's
-Groebner run) is built per call, so reports are byte-identical whether
-the caches are cold or warm.  A long-lived caller that sweeps f over
+What depends on W alone is built once per process, in one bounded
+cache: W's derivation and quadratic invariants per (family, trivial
+summands) (`_representation`).  The presentation names W's invariants,
+the classical Weitzenboeck generators, so no kernel is solved for them.
+Everything that depends on f or on the caps (X and B when expanded, the
+checks, the presentation's Groebner run) is built per call, so reports
+are byte-identical whether the cache is cold or warm.  A long-lived caller that sweeps f over
 one W gains; one `gaquot verify` per process builds W once either way.
 """
 
@@ -88,7 +86,6 @@ from .derivations import (
     _check_coefficient_space,
     _sorted_gens,
     fixed_point_ideal,
-    kernel_linear,
     lower_triangular_derivation,
 )
 from .errors import (
@@ -116,11 +113,17 @@ from .poly import Polynomial, VarSet, _exact_quotient, _grevlex_descending, _pro
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
 FAMILIES = {"v3": (3, ("s",)), "v4": (4, ("a", "b", "c"))}
 
-# Degree bound of the linear kernel solve behind the invariant presentation.
-# Degree 2 is enough: the Weitzenboeck kernel of the two-dimensional blocks
-# is generated in degree <= 2 (the leading block coordinates and the 2x2
-# determinants pairing the blocks).
+# The Weitzenboeck kernel of the two-dimensional blocks is generated in
+# degree <= 2 (the leading block coordinates and the 2x2 determinants
+# pairing the blocks), so the presentation names its generators.  The
+# degree still bounds the trivial summands: the t trivial survivors hold
+# O(t**2) exponent entries, and t may grow while the polynomials of degree
+# <= KERNEL_DEGREE on W stay within `derivations.KERNEL_DIMENSION_CAP`.
 KERNEL_DEGREE = 2
+
+# The affine coordinates z1..z5 of v3's X without trivial summands, read
+# off w2..w6 (X is a graph in w1): the ring the presentation spans in.
+_CORE = VarSet(tuple(f"z{i}" for i in range(1, 2 * FAMILIES["v3"][0])))
 
 
 @dataclass(frozen=True)
@@ -262,26 +265,6 @@ def _representation(family: str, trivial: int):
     return derivation, quads
 
 
-@lru_cache(maxsize=2)  # one entry per family
-def _w_invariants(family: str) -> tuple:
-    """(invariants, z ring): the minimal generators of degree <=
-    KERNEL_DEGREE of the invariants of W without trivial summands,
-    `kernel_linear` of `lower_triangular_derivation(blocks)`, solved once
-    per process and family, and the ring z1, z2, ... of the affine
-    coordinates of X without trivial summands, which the presentation
-    restricts them to.  Those of W with t trivial summands are these and
-    the t trivial coordinates, since Ga fixes them (ker D = (ker D')[e]),
-    so no count t is solved for.
-
-    The key leaves out the caps: the derivation of W is linear, so
-    `kernel_linear` spans its homogeneous kernel by graded linear
-    algebra (`_GradedSpan`) and never reads them.
-    """
-    derivation = lower_triangular_derivation(FAMILIES[family][0])
-    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(derivation.ring))))
-    return tuple(kernel_linear(derivation, KERNEL_DEGREE)), z_ring
-
-
 def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     """build_family without validation, so that tests can build the
     invalid specs the battery's failure paths are about.  The objects of
@@ -349,15 +332,21 @@ def check_freeness(art: ConstructionArtifacts,
 def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """Jacobian criterion for a hypersurface: smooth iff its one equation
     and the partials in every variable of `ideal.ring` generate the unit
-    ideal, i.e. the singular locus is empty.  Raises NotHypersurfaceError
-    unless the ideal has exactly one generator."""
+    ideal, i.e. the singular locus is empty.  Decided in the variables the
+    equation involves (all of `ideal.ring` if none): the partials in the
+    others are 0, and whether an ideal is the unit ideal does not depend
+    on variables its generators omit, so the run's size does not grow
+    with, say, trivial summands.  Raises NotHypersurfaceError unless the
+    ideal has exactly one generator."""
     if len(ideal.generators) != 1:
         raise NotHypersurfaceError(
             f"{len(ideal.generators)} generators; a hypersurface has one equation"
         )
     (equation,) = ideal.generators
-    gens = (equation,) + tuple(equation.partial(n) for n in ideal.ring.names)
-    return is_unit_ideal(Ideal(ideal.ring, gens), caps=caps)
+    ring = VarSet(equation.variables() or ideal.ring.names)
+    equation = equation.embed(ring)
+    gens = (equation,) + tuple(equation.partial(n) for n in ring.names)
+    return is_unit_ideal(Ideal(ring, gens), caps=caps)
 
 
 def _smoothness_certificate(art: ConstructionArtifacts) -> bool:
@@ -427,109 +416,83 @@ def invariant_presentation(art: ConstructionArtifacts,
                            caps: ResourceCaps = DEFAULT_CAPS):
     """Present the invariant ring of X by generators and relations.
 
-    Takes the kernel up to KERNEL_DEGREE of the derivation of W without
-    trivial summands, which `_w_invariants` solves once per family, and
-    restricts each generator g to X, w1 -> 1 + f(q) with q the quadratic
-    invariant; the image no longer involves w1, so w2, w3, ... are read
-    as the affine coordinates z1, z2, ... of X (the closed immersion),
-    constant terms are dropped and each image is made monic.  Ga fixes
-    the trivial summands' coordinates e_i, W's columns 6..5+t, so the
+    The invariants of W without trivial summands are generated in degree
+    <= 2 by the classical Weitzenboeck generators: the odd block
+    coordinates w1, w3, w5 and the 2x2 minors pairing the blocks,
+    w1*w4 - w2*w3, w1*w6 - w2*w5 and q = w3*w6 - w4*w5, the quadratic
+    invariant (Nowicki, "Polynomial derivations and their rings of
+    constants", 1994; Freudenburg, "Algebraic Theory of Locally Nilpotent
+    Derivations", 2nd ed., 2017).  Each is restricted to X, w1 -> 1 +
+    f(q); the image no longer involves w1, so w2, w3, ... are read as the
+    affine coordinates z1, z2, ... of X (the closed immersion), and each
+    image is made monic.  w1 is not listed: its image 1 + f(q) is a
+    polynomial in q', the monic image of q, which is.  Ga fixes the
+    trivial summands' coordinates e_i, W's columns 6..5+t, so the
     invariant ring is that of W without summands with them adjoined
-    (ker D = (ker D')[e], Freudenburg, "Algebraic Theory of Locally
-    Nilpotent Derivations", 2nd ed., 2017).  A solve on all of W would
-    be capped (`derivations.KERNEL_DIMENSION_CAP`), and so is t, as the
-    result lives in 5 + t variables.  One incremental Groebner run over
-    the tag-variable graph ideal of the restricted generators, in z1..z5
-    and in (degree, text) order, drops each lying in the subalgebra of
-    those before it and eliminates the affine coordinates from the graph
-    ideal of the rest (groebner.subalgebra_presentation, under one
-    `caps` budget).  z6, z7, ... then join its survivors, in (degree,
-    text) order, and each relation's tags are renamed by survivor
-    position.  Returns
+    (ker D = (ker D')[e]).  t is bounded, by KERNEL_DEGREE and
+    `derivations.KERNEL_DIMENSION_CAP`, as the t trivial generators
+    hold O(t**2) exponent entries.  One incremental Groebner run over the
+    tag-variable graph ideal of the five candidates z2, z4, q' and the
+    two monic minors, in z1..z5 and in (degree, text) order, drops each
+    lying in the subalgebra of those before it and eliminates the affine
+    coordinates from the graph ideal of the rest
+    (groebner.subalgebra_presentation, under one `caps` budget).  z6, z7,
+    ... then join its survivors, in (degree, text) order, and each
+    relation's tags are renamed by survivor position.  Returns
     (restricted generators, relation ideal in tags).
 
-    q is free of w1, so its image is c times its monic candidate q' for
-    a scalar c.  Each generator g is restricted through its seed form
-    g(w1 -> 1 + f(c*y), w_k -> z_(k-1)), with y the tag of q': one term
-    map over the cached powers of 1 + f(c*y).  Its image is the form at
-    y -> q', expanded over the cached powers of q', and the form, stripped
-    of its constant like the image, equals lc times the candidate, lc the
-    image's leading coefficient; so it seeds lc*y_i - form, with no
-    division (`_GraphSpan`'s scales).  Seeded through the forms, the run
-    never reduces expanded powers of q back to powers of its tag: the
-    minors w1*w4 - w2*w3 and w1*w6 - w2*w5 are seeded with deg f + 3
-    terms each.  A generator that is a polynomial in w1 alone, such as
-    w1, has a form in y alone: its image is a polynomial in q', which is
-    kept, so the span would drop it (or it is q' itself), and it is
-    skipped before its image is built; a dropped candidate's tag is a
-    zero column, so the run and the relations are the same without it.
-    Duplicate candidates are dropped through a dict.  Each leading
-    monomial is found once and also orders the candidates.
+    q is free of w1, so its image is c times q' for a scalar c.  The
+    minors are seeded through their forms (1 + f(c*y))*z3 - z1*z2 and
+    (1 + f(c*y))*z5 - z1*z4, with y the tag of q'.  A minor's image is
+    its form at y -> q', expanded over the powers of q', and its form
+    equals lc times its candidate, lc the image's leading coefficient; so
+    it seeds lc*y_i - form, with no division (`_GraphSpan`'s scales).
+    Seeded through the forms, the run never reduces expanded powers of q
+    back to powers of its tag: each minor is seeded with deg f + 3 terms.
+    z2, z4 and q' are seeded as themselves.
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
     _check_coefficient_space(len(art.w_ring), KERNEL_DEGREE)
-    width = 2 * FAMILIES[art.spec.family][0]  # the coordinates of W without summands
-    invariants, core = _w_invariants(art.spec.family)  # core: z1..z5
-    z_ring = core if len(art.w_ring) == width else VarSet(
+    width = len(_CORE) + 1  # the coordinates of W without summands
+    z_ring = _CORE if len(art.w_ring) == width else VarSet(
         tuple(f"z{i}" for i in range(1, len(art.w_ring))))
     (q,) = art.quad_invariants
     q_image = {m[1:width]: a for m, a in q.terms.items()}  # q is free of w1
     c = q_image[min(q_image, key=_grevlex_descending)]
-    q_monic = Polynomial(core, {m: _exact_quotient(a, c) for m, a in q_image.items()})  # q = c*q'
+    q_monic = Polynomial(_CORE, {m: _exact_quotient(a, c) for m, a in q_image.items()})  # q = c*q'
+    z = [tuple(int(i == k) for i in range(width)) for k in range(width - 1)]  # z1..z5 in a form
     # A form's terms are keyed by the exponents of z1..z5 and then of y.
-    one = (0,) * width
-    one_plus_f = {one[:-1] + (k,): a * c ** k for (k,), a in (art.spec.f + 1).terms.items()}
-    w1_powers = [{one: 1}]  # (1 + f(c*y))^e, the form of w1^e
-    q_powers = [{one[:-1]: 1}]  # q'^k
-
-    def expand(form: dict) -> dict:
-        """The form at y -> q', over z1..z5."""
-        out: dict = {}
+    q_powers = [{(0,) * (width - 1): 1}]  # q'^k
+    # candidate -> (leading monomial, form, scale), the form None for the candidate itself
+    forms = {p: (min(p.terms, key=_grevlex_descending), None, 1)
+             for p in (_CORE.var("z2"), _CORE.var("z4"), q_monic)}
+    for k in (2, 4):  # the minors w1*w4 - w2*w3 and w1*w6 - w2*w5
+        form = {tuple(map(add, z[k], (0,) * (width - 1) + e)): a * c ** e[0]
+                for e, a in (art.spec.f + 1).terms.items()}
+        form[tuple(map(add, z[0], z[k - 1]))] = -1
+        image: dict = {}  # the form at y -> q', over z1..z5
         for m, a in form.items():
             while len(q_powers) <= m[-1]:
                 q_powers.append(_product(q_powers[-1], q_monic.terms))
             for t, b in q_powers[m[-1]].items():
                 key = tuple(map(add, m, t))  # map stops before y, at the end of t
-                out[key] = out.get(key, 0) + a * b
-        return out
-
-    # candidate -> (leading monomial, form, scale), the form None for the candidate itself
-    forms = {}
-    for g in invariants:
-        if not any(any(m[1:]) for m in g.terms):
-            continue  # a polynomial in w1: its image is one in q', which is kept
-        form: dict = {}
-        for m, a in g.terms.items():
-            while len(w1_powers) <= m[0]:
-                w1_powers.append(_product(w1_powers[-1], one_plus_f))
-            rest = m[1:width] + (0,)
-            for t, b in w1_powers[m[0]].items():
-                key = tuple(map(add, rest, t))
-                form[key] = form.get(key, 0) + a * b
-        image = {m: a for m, a in expand(form).items() if a and any(m)}  # constants never matter
-        if not image:
-            continue
+                image[key] = image.get(key, 0) + a * b
         lm = min(image, key=_grevlex_descending)
         lc = image[lm]
-        candidate = Polynomial(core, {m: _exact_quotient(a, lc) for m, a in image.items()})
-        if any(m[0] for m in g.terms):
-            forms.setdefault(candidate, (lm, form, lc))
-        else:
-            forms[candidate] = (lm, None, 1)  # its own form, which wins over a duplicate's
+        forms[Polynomial(_CORE, {m: _exact_quotient(a, lc) for m, a in image.items()})] = (lm, form, lc)
     ordered = _sorted_gens(list(forms), [lm for lm, _, _ in forms.values()])
     # q' is a kernel generator and not in the subalgebra of the linear ones
     at, tags = ordered.index(q_monic), len(ordered)
-    big = _tag_ring(core, tags)
+    big = _tag_ring(_CORE, tags)
     seeds, scales = [], []
     for p in ordered:
         _, form, scale = forms[p]
         seeds.append(p if form is None else Polynomial(big, {
-            m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a
-            for m, a in form.items() if any(m)}))
+            m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in form.items()}))
         scales.append(scale)
-    survivors, relations = subalgebra_presentation(core, ordered, caps, seeds, scales)
-    if z_ring is core:
+    survivors, relations = subalgebra_presentation(_CORE, ordered, caps, seeds, scales)
+    if z_ring is _CORE:
         return tuple(survivors), relations  # the survivors are sorted, and tagged in order
     spanned = [p.embed(z_ring) for p in survivors]
     trivial = [z_ring.var(n) for n in z_ring.names[width - 1:]]

@@ -509,9 +509,14 @@ class _Parser:
 
 
 def parse(text: str, ring: VarSet) -> Polynomial:
-    """Parse polynomial text over the given ring into canonical form."""
+    """Parse polynomial text over the given ring into canonical form.
+    Nesting deeper than the interpreter's recursion limit allows raises
+    ParseError at the token reached."""
     parser = _Parser(_tokenize(text), ring)
-    result = parser.expr()
+    try:
+        result = parser.expr()
+    except RecursionError:
+        raise ParseError("input nested too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {value!r}", pos)

@@ -283,7 +283,9 @@ def restricted_w_invariants(f: Polynomial, trivial: int):
     v3 with `trivial` trivial summands, the trivial coordinates included,
     restricted to X by substitution (w1 -> 1 + f(q) with q = w3*w6 -
     w4*w5, w_k -> z_(k-1)), without its constant term, made monic, with
-    duplicates dropped and in `_sorted_gens` order."""
+    duplicates dropped and in `_sorted_gens` order.  The generators come
+    from `kernel_linear`'s solve, so this checks the ones the
+    presentation names."""
     from gaquot import kernel_linear, lower_triangular_derivation, monic
     from gaquot.derivations import _sorted_gens
 

@@ -119,28 +119,28 @@ def test_resource_cap_names_the_stage(capsys):
 
 
 def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
-    """The W-invariants are cached per family, and the bound on the
-    trivial summands is checked outside the cache, so its cap error is
+    """W is cached per family and trivial summands, and the bound on the
+    trivial summands is checked before W is built, so its cap error is
     raised again, under its stage, on every call and fills no entry."""
     families._representation.cache_clear()
-    families._w_invariants.cache_clear()
     for _ in range(2):
         code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "100"])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == (
             "resource cap: presentation: coefficient space of dimension 5778 exceeds 5000\n")
-    assert families._w_invariants.cache_info().currsize == 0
-    for warm in (False, True):  # the first call fills the cache, past the kernel solve
-        hits = families._w_invariants.cache_info().hits
+    assert families._representation.cache_info().currsize == 0
+    for warm in (False, True):  # the first call fills the cache, before the pair budget runs out
+        hits = families._representation.cache_info().hits
         code, text = run(["verify", "--family", "v3", "--f=s", "--max-pairs", "1"])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
-        assert families._w_invariants.cache_info().hits == hits + warm
+        assert families._representation.cache_info().hits == hits + warm
 
 
 def test_trivial_summands_are_bounded_by_the_kernel_cap(capsys):
-    """The presentation takes t trivial summands while a kernel solve on
-    all of W, in 6 + t variables up to degree 2, stays within the cap:
+    """The presentation takes t trivial summands while the polynomials of
+    degree <= 2 in W's 6 + t variables stay within the kernel cap, which
+    bounds the size of the t trivial survivors, O(t**2) exponent entries:
     t = 92 passes, and t = 93 exits 4, as does a far larger t, at once."""
     code, text = run(["present", "--f=s", "--trivial", "92"])
     assert code == 0 and text
@@ -422,6 +422,27 @@ def test_shape_degree_at_the_cap_passes_validation(capsys):
     run exits 4 later, at the presentation, as it did before the cap."""
     assert run(["verify", "--family", "v3", "--f=s^60+s"]) == (4, "")
     assert capsys.readouterr().err == "resource cap: presentation: degree budget 60 exhausted\n"
+
+
+def nested(depth: int, text: str) -> str:
+    return "(" * depth + text + ")" * depth
+
+
+def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
+    """Nesting past the interpreter's recursion limit is a usage error,
+    exit 1 and no traceback, in a shape and in an ideal file alike; 100
+    levels still parse."""
+    path = tmp_path / "deep.txt"
+    path.write_text(nested(400, "x") + "\n", encoding="utf-8")
+    for argv in (["verify", "--family", "v3", f"--f={nested(400, 's')}"],
+                 ["gb", "--ideal", str(path)]):
+        assert run(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nested too deeply") and "Traceback" not in err
+    shallow = run(["verify", "--family", "v3", f"--f={nested(100, 's')}"])
+    assert shallow == run(["verify", "--family", "v3", "--f=s"]) and shallow[0] == 0
+    path.write_text(nested(100, "2*x") + "\n", encoding="utf-8")
+    assert run(["gb", "--ideal", str(path)]) == (0, "x\n")
 
 
 def test_gb_unknown_order(tmp_path):

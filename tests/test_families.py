@@ -38,7 +38,7 @@ from gaquot import (
     parse,
     run_battery,
 )
-from gaquot import cli, families, groebner
+from gaquot import cli, families, groebner, linalg
 from gaquot.families import _build_family, _checks, nonstable_ideal
 from helpers import (check_cone_over_boundary, jacobian_identities, random_poly,
                      signed_roots_shape, spolynomials_per_run, to_sympy, ybar_ideal)
@@ -276,6 +276,35 @@ def test_smoothness_requires_hypersurface():
     cut = ybar + Ideal(ambient, (ambient.var("u"), ambient.var("v")))
     with pytest.raises(NotHypersurfaceError):
         check_smooth(cut)
+
+
+def recorded_unit_ideal_rings(monkeypatch) -> list:
+    """The ring names of each `is_unit_ideal` call from `families` from now on."""
+    rings = []
+
+    def recording(ideal, caps=DEFAULT_CAPS):
+        rings.append(ideal.ring.names)
+        return groebner.is_unit_ideal(ideal, caps=caps)
+
+    monkeypatch.setattr(families, "is_unit_ideal", recording)
+    return rings
+
+
+@pytest.mark.parametrize("trivial", [0, 50])
+def test_jacobian_criterion_runs_in_the_variables_of_the_equation(trivial, monkeypatch):
+    """v4's B with f = a + b + c involves w3..w8 alone, so its Jacobian
+    criterion runs in those 6 variables whatever the trivial summands."""
+    rings = recorded_unit_ideal_rings(monkeypatch)
+    assert run_battery(v4("a + b + c", trivial)).passed
+    assert rings == [tuple(f"w{i}" for i in range(3, 9))]
+
+
+def test_jacobian_criterion_of_a_constant_runs_in_the_full_ring(monkeypatch):
+    rings = recorded_unit_ideal_rings(monkeypatch)
+    ring = build_family(v4("a")).w_ring
+    assert check_smooth(Ideal(ring, (ring.const(-1),)))  # empty, so smooth
+    assert not check_smooth(Ideal(ring, (ring.zero(),)))  # the criterion's ideal is zero
+    assert rings == [ring.names] * 2
 
 
 # -- the v3 smoothness certificate --------------------------------------------------
@@ -751,7 +780,6 @@ def test_battery_moduli_instance_reports_absent_ranks():
 
 def clear_representation_caches():
     families._representation.cache_clear()
-    families._w_invariants.cache_clear()
 
 
 def rendered_report(spec):
@@ -769,17 +797,32 @@ CACHE_CASES = ([(f"v3-deg{d}-triv{t}", "v3", signed_roots_shape(d, 7), t)
                          ids=[case[0] for case in CACHE_CASES])
 def test_cold_and_warm_caches_give_identical_reports(label, family, f, trivial):
     """A battery on a warm cache renders the same bytes as on a cold
-    one; the warm run takes W and, for v3, its invariants from the cache."""
+    one; the warm run takes W from the cache."""
     spec = FamilySpec(family, f, trivial)
     clear_representation_caches()
     cold = rendered_report(spec)
-    before = (families._representation.cache_info().hits,
-              families._w_invariants.cache_info().hits)
+    before = families._representation.cache_info().hits
     warm = rendered_report(spec)
-    after = (families._representation.cache_info().hits,
-             families._w_invariants.cache_info().hits)
+    after = families._representation.cache_info().hits
     assert warm == cold
-    assert (after[0] - before[0], after[1] - before[1]) == (1, family == "v3")
+    assert after - before == 1
+
+
+def test_the_v3_presentation_solves_no_kernel(monkeypatch):
+    """The presentation names W's invariants: on cold caches, no v3
+    battery and no `present` inserts a row into a linear echelon, which
+    any kernel solve would."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a linear kernel solve")
+
+    monkeypatch.setattr(linalg.Echelon, "insert", refuse)
+    for value in vars(families).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    for degree in range(1, 13):
+        for trivial in range(3):
+            assert run_battery(FamilySpec("v3", signed_roots_shape(degree, 7), trivial)).passed
+    assert cli.main(["present", "--f=s"], out=io.StringIO()) == 0
 
 
 def test_threads_on_a_cold_cache_give_equal_reports():

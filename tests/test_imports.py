@@ -198,7 +198,7 @@ def test_process_caches_are_private_and_bounded():
     caches = {(path.stem, name): bounded for path in SOURCES
               for name, bounded in process_caches(path.read_text(encoding="utf-8"))}
     assert set(caches) == {("groebner", "_packing"), ("cli", "_parser"),
-                           ("families", "_representation"), ("families", "_w_invariants")}
+                           ("families", "_representation")}
     assert all(caches.values())
 
 
