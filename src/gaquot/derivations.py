@@ -412,9 +412,11 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
     generate, as kernel_linear does (a seed can lie in the subalgebra of
     other seeds); the next round's span is built from its kept
     generators plus the new elements, since a dropped generator stays in
-    the subalgebra of the kept ones before it.  Stops when a round adds
-    nothing and returns that span's kept generators; with max_rounds = 0
-    the seeds' span is returned unverified.  Exhausting a positive round
+    the subalgebra of the kept ones before it.  Each subalgebra contains
+    the one before it, so a polynomial that lay in an earlier one, a seed
+    or a candidate an earlier round tested, is never tested again.  Stops
+    when a round adds nothing and returns that span's kept generators;
+    with max_rounds = 0 the seeds' span is returned unverified.  Exhausting a positive round
     budget raises RoundCapError (the invariant ring need not be finitely
     generated, so silent truncation is never acceptable), and a negative
     one UsageError.
@@ -432,8 +434,9 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
         if cleared not in seeds:
             seeds.append(cleared)
     span = _span(ring, seeds, caps)
+    known = set(seeds)
     for _ in range(max_rounds):
-        new = _saturation_round(derivation, data.value, span, caps)
+        new = _saturation_round(derivation, data.value, span, known, caps)
         if not new:
             return span.kept
         span = _span(ring, span.kept + new, caps)
@@ -442,9 +445,12 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
     return span.kept
 
 
-def _saturation_round(derivation: Derivation, a: Polynomial, span, caps: ResourceCaps):
+def _saturation_round(derivation: Derivation, a: Polynomial, span, known: set,
+                      caps: ResourceCaps):
     """The kernel elements h outside the subalgebra of `span` (a `_span`)
-    with a*h inside it, each once.
+    with a*h inside it, each once.  `known` holds polynomials of that
+    subalgebra, at least every generator of `span`; an h in it is skipped
+    with no membership test, and each h tested is added to it.
 
     Tag polynomials p with p(kept) divisible by a are exactly the
     elimination ideal of (a) + (y_i - kept_i), over the span's kept
@@ -467,8 +473,10 @@ def _saturation_round(derivation: Derivation, a: Polynomial, span, caps: Resourc
         if h is None or h.is_constant():
             continue
         h = monic(h)
-        if h not in new and h not in kept and not span.contains(h):
-            new.append(h)
+        if h not in known:
+            known.add(h)
+            if not span.contains(h):
+                new.append(h)
     return new
 
 

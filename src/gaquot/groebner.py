@@ -3,12 +3,17 @@
 Normal forms, unit-ideal emptiness tests, elimination, Krull dimension
 via leading-term independent sets, subalgebra membership, and the
 univariate gcd all reduce to reduced Groebner bases computed by
-Buchberger's algorithm with the normal selection strategy (smallest lcm
-first).  Two questions are settled without a run whenever an exact
-shortcut decides them, with Buchberger as the fallback: a unit-ideal
-test first sets each lone variable, a generator c*x_k, to zero in the
-others; and the squarefreeness test first looks for a modular
-certificate that p and p' are coprime, before the gcd over Q decides.
+Buchberger's algorithm.  It selects pairs by the normal strategy
+(smallest lcm first), except where it eliminates under a block order
+from a graph ideal of homogeneous polynomials, as the tag eliminations
+of homogeneous kernels do: there a block order's smallest lcm need not
+have the least degree, and it selects by the sugar strategy (least
+sugar first, then smallest lcm; see `_Run`).  Two questions are
+settled without a run whenever an exact shortcut decides them, with
+Buchberger as the fallback: a unit-ideal test first sets each lone
+variable, a generator c*x_k, to zero in the others; and the
+squarefreeness test first looks for a modular certificate that p and p'
+are coprime, before the gcd over Q decides.
 One run state, `_Run`, holds the rows, the pair queue and the pair
 loop; `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
 candidate at a time over the graph ideal of all of them, deciding
@@ -392,13 +397,18 @@ def _spoly(f: tuple, g: tuple, l: int) -> dict:
     return terms
 
 
-def _update(pairs: list, basis: list, active: list, packing: _Packing) -> list:
+def _update(pairs: list, basis: list, sugar: Optional[list], active: list,
+            packing: _Packing) -> list:
     """Gebauer-Moeller update for the row just appended, the last of
     `basis`: prunes the queued `pairs` in place, queues the new pairs that
     survive, and returns the new active indices.
 
-    Queued pairs are (negated packed lcm, i, j); the low fields of the
-    packed lcm are its exponents.  With h the new leading monomial:
+    Queued pairs are (sugar, negated packed lcm, i, j); the low fields of
+    the packed lcm are its exponents.  With `sugar`, the sugar of each row
+    of `basis`, a pair's sugar is max(sugar[k] + deg lcm - deg lm_k) over
+    its two rows, so the heap pops the least sugar first and, among equal
+    sugar, the smallest lcm; with None it is 0 and the smallest lcm comes
+    first.  With h the new leading monomial:
     - criterion B drops a queued pair whose lcm h divides unless h joined
       with either element gives that same lcm;
     - of the new pairs (g, h), g active, criterion M drops one whose lcm
@@ -407,12 +417,12 @@ def _update(pairs: list, basis: list, active: list, packing: _Packing) -> list:
       also that of a pair with coprime leading monomials;
     - every active element whose leading monomial h divides retires.
     """
-    guard, low, lcm = packing.guard, packing.low, packing.lcm
+    guard, low, lcm, degree = packing.guard, packing.low, packing.lcm, packing.degree
     j = len(basis) - 1
     h = basis[j][0]
     kept = [p for p in pairs
-            if (-p[0] - h) & guard or lcm(basis[p[1]][0], h) == -p[0] & low
-            or lcm(basis[p[2]][0], h) == -p[0] & low]
+            if (-p[1] - h) & guard or lcm(basis[p[2]][0], h) == -p[1] & low
+            or lcm(basis[p[3]][0], h) == -p[1] & low]
     if len(kept) < len(pairs):
         pairs[:] = kept
         heapq.heapify(pairs)
@@ -428,24 +438,65 @@ def _update(pairs: list, basis: list, active: list, packing: _Packing) -> list:
         # a proper divisor of l is a smaller int, so t < l filters cheaply first
         if i is None or any(t < l and not (l - t) & guard for t in first):
             continue
-        # negated, the packed lcm puts the smallest lcm first
-        heapq.heappush(pairs, (-packing.pack(packing.unpack(l)), i, j))
+        l = packing.pack(packing.unpack(l))
+        s = (0 if sugar is None
+             else max(sugar[i] - degree(basis[i][0]), sugar[j] - degree(h)) + degree(l))
+        heapq.heappush(pairs, (s, -l, i, j))
     return [i for i in active if (basis[i][0] - h) & guard] + [j]
+
+
+def _selects_by_sugar(order: TermOrder, seeds: Sequence[Polynomial]) -> bool:
+    """Whether a run under `order` from `seeds` selects pairs by sugar:
+    under a block order, when every seed is homogeneous or c*y - g, with
+    y a variable of the second block and g homogeneous in the first.  A
+    tag elimination of homogeneous generators, with homogeneous extras,
+    is such a run: weighting each tag y by the degree of its g makes
+    every seed homogeneous."""
+    if order.kind != "block":
+        return False
+    k = order.block_size
+    for p in seeds:
+        if len({sum(m) for m in p.terms}) == 1:
+            continue
+        outside = [m for m in p.terms if any(m[k:])]
+        if len(outside) != 1 or sum(outside[0]) != 1 \
+                or len({sum(m) for m in p.terms if not any(m[k:])}) != 1:
+            return False
+    return True
 
 
 class _Run:
     """The state of one Buchberger run under one packing: the packed rows
-    added so far, the pair queue and active indices of `_update`, and the
-    S-polynomials reduced, counted against `caps.max_pairs` across every
-    `complete` of the run.
+    added so far, the sugar of each if the run selects pairs by sugar, the
+    pair queue and active indices of `_update`, and the S-polynomials
+    reduced, counted against `caps.max_pairs` across every `complete` of
+    the run.
 
     Reducers are the active rows.  A retired row's leading monomial is a
-    multiple of an active one, so remainders are full normal forms."""
+    multiple of an active one, so remainders are full normal forms.
 
-    def __init__(self, packing: _Packing, caps: ResourceCaps):
+    A run selects pairs by sugar (Giovini, Mora, Niesi, Robbiano and
+    Traverso, "One sugar cube, please", ISSAC 1991) when `buchberger`
+    finds that `_selects_by_sugar` holds for its seeds.  A seed row's
+    sugar is its total degree, and an S-polynomial remainder's is its
+    pair's, or its own total degree if that is larger: an estimate of
+    the degree it would have if the input were homogenized.  A block
+    order's smallest lcm need not have the least degree: by smallest lcm
+    the tag eliminations of `kernel_saturation` on seven blocks reduce
+    77,610 S-polynomials, against 4,049 by sugar.  Every other run takes
+    the smallest lcm first.  grevlex is degree-first already; under lex,
+    sugar makes katsura-3 about 600 times slower, and under the block
+    order eliminating 3 of katsura-4's 5 variables, it takes half a
+    second to over 15 minutes.  `_GraphSpan` adds its seeds one at a time
+    to a run started empty, so its runs keep the smallest lcm first too.
+    Reduced bases are unique, so the selection changes the work done,
+    never the result."""
+
+    def __init__(self, packing: _Packing, caps: ResourceCaps, sugared: bool = False):
         self.packing = packing
         self.caps = caps
         self.basis: list = []  # packed rows
+        self.sugar: Optional[list] = [] if sugared else None  # the sugar of each row
         self.pairs: list = []
         self.active: list = []
         self.rows: list = []  # the active rows
@@ -456,10 +507,13 @@ class _Run:
         active rows, up to a positive integer scale; consumes `work`."""
         return _reduce_full(work, self.rows, self.packing.guard)[0]
 
-    def append(self, reduced: dict) -> None:
-        """Add a nonzero remainder as a row and update the pairs."""
+    def append(self, reduced: dict, sugar: Optional[int] = None) -> None:
+        """Add a nonzero remainder as a row, with its sugar (a seed's is
+        its total degree), and update the pairs."""
         self.basis.append(_row(reduced))  # remainders list their terms in descending order
-        self.active = _update(self.pairs, self.basis, self.active, self.packing)
+        if self.sugar is not None:
+            self.sugar.append(max(map(self.packing.degree, reduced)) if sugar is None else sugar)
+        self.active = _update(self.pairs, self.basis, self.sugar, self.active, self.packing)
         self.rows = [self.basis[k] for k in self.active]
 
     def complete(self) -> None:
@@ -467,16 +521,17 @@ class _Run:
         are then a Groebner basis of everything appended."""
         pairs, basis, caps = self.pairs, self.basis, self.caps
         while pairs:
-            l, i, j = heapq.heappop(pairs)
+            sugar, l, i, j = heapq.heappop(pairs)
             self.reductions += 1
             if self.reductions > caps.max_pairs:
                 raise ResourceCapError(f"pair budget {caps.max_pairs} exhausted")
             reduced = self.reduce(_spoly(basis[i], basis[j], -l))
             if not reduced:
                 continue
-            if max(map(self.packing.degree, reduced)) > caps.max_degree:
+            degree = max(map(self.packing.degree, reduced))
+            if degree > caps.max_degree:
                 raise ResourceCapError(f"degree budget {caps.max_degree} exhausted")
-            self.append(reduced)
+            self.append(reduced, max(sugar, degree))
 
     def interreduced(self, indices: Sequence[int]) -> list:
         """The rows of the reduced basis of a completed run whose leading
@@ -516,7 +571,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     if not seeds:
         return GroebnerBasis(order, (), ideal, (), ())
     packing = _packing(order, len(ideal.ring))
-    run = _Run(packing, caps)
+    run = _Run(packing, caps, _selects_by_sugar(order, seeds))
     for g in seeds:
         reduced = run.reduce(_integer_terms(g.terms, packing.pack)[0])
         if reduced:

@@ -561,18 +561,26 @@ def test_kernel_linear_is_weitzenboeck(n):
     assert gens == expected
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_kernel_saturation_generates_weitzenboeck(n):
+    """Slice w2 on V2-V7: invariant generators of the Weitzenboeck
+    subalgebra, by the brute graded oracle up to V6 (it needs seconds at
+    V7) and by Groebner subalgebra membership up to V5; on V6 and V7 the
+    very list of test_kernel_linear_is_weitzenboeck."""
     d = lower_triangular_derivation(n)
     gens = kernel_saturation(d, make_slice(d, "w2"), 8)
     expected = weitzenboeck_kernel(n)
     for g in gens:
         assert d.apply(g).is_zero()
-    for a, b in ((gens, expected), (expected, gens)):
-        for g in a:
-            assert brute_graded_subalgebra_membership(g, b), str(g)
-    if n <= 4:  # the Groebner span check needs minutes at n = 5
+    if n <= 6:
+        for a, b in ((gens, expected), (expected, gens)):
+            for g in a:
+                assert brute_graded_subalgebra_membership(g, b), str(g)
+    if n <= 5:
         assert_same_subalgebra(gens, expected)
+    if n >= 6:
+        assert [str(g) for g in gens] == [str(g) for g in expected]
+        assert gens == expected
 
 
 CHAIN_RING = VarSet(("z", "y", "x"))
@@ -715,10 +723,10 @@ def four_round_derivation():
 def test_saturation_round_builds_one_basis_per_round(monkeypatch):
     """Each round tests its candidates against one Groebner membership run
     over the round's generators, built by kernel_saturation, and the last
-    round's run is also the final filter: 6 tests on 4 runs, and no fifth
-    run.  The sixth test is of the degree-8 element found in round 2:
-    round 4's run drops it for the degree-7 one found in round 3, so it
-    is not among the kept generators when round 4 derives it again."""
+    round's run is also the final filter: 5 tests on 4 runs, and no fifth
+    run.  Round 4's run drops the degree-8 element found in round 2 for
+    the degree-7 one found in round 3; round 4 derives it again, and it
+    is not tested again, since round 2 tested it."""
     d = four_round_derivation()
     calls = count_groebner_calls(monkeypatch)
     got = kernel_saturation(d, derivations.find_slice(d), 8)
@@ -730,7 +738,8 @@ def test_saturation_round_builds_one_basis_per_round(monkeypatch):
         " - 9/8*y^2"]
     runs = [tuple(what) for caller, what in calls if caller == "kernel_saturation"]
     assert {caller for caller, _ in calls} == {"kernel_saturation", "_saturation_round"}
-    assert len(calls) - len(runs) == 6
+    tests = [what for caller, what in calls if caller == "_saturation_round"]
+    assert len(tests) == len(set(tests)) == 5
     assert len(runs) == len(set(runs)) == 4
 
 
@@ -749,14 +758,18 @@ def test_saturation_round_tags_only_the_kept_generators():
 
 @pytest.mark.parametrize("derivation, expected", [
     (four_round_derivation(), [3, 0, 2, 4, 8, 8, 24, 10]),
-    (lower_triangular_derivation(4), [10, 130]),
-], ids=["four-round", "V4"])
+    (lower_triangular_derivation(4), [8, 76]),
+    (lower_triangular_derivation(5), [20, 425]),
+    (lower_triangular_derivation(6), [40, 1205]),
+], ids=["four-round", "V4", "V5", "V6"])
 def test_kernel_saturation_spolynomial_counts_are_pinned(derivation, expected, monkeypatch):
     """Per Buchberger run of kernel_saturation: on inhomogeneous
     generators each round's membership run, then its elimination of (a)
     + the graph ideal of the generators that run kept.  The membership
-    runs are incremental, and no run follows the last round (V4's
-    generators are homogeneous, so it has eliminations only)."""
+    runs are incremental, and no run follows the last round (V4-V6's
+    generators are homogeneous, so they have eliminations only).  Those
+    eliminate from graph ideals of homogeneous polynomials, so they
+    select pairs by sugar; the four-round derivation's runs do not."""
     data = derivations.find_slice(derivation)
     assert spolynomials_per_run(monkeypatch, lambda: kernel_saturation(derivation, data, 8)) \
         == expected
@@ -818,7 +831,7 @@ def refiltering_saturation(derivation, data, max_rounds):
     generators = seeds
     for _ in range(max_rounds):
         span = derivations._span(ring, generators, derivations.DEFAULT_CAPS)
-        new = derivations._saturation_round(derivation, data.value, span,
+        new = derivations._saturation_round(derivation, data.value, span, set(span.kept),
                                             derivations.DEFAULT_CAPS)
         if not new:
             return span.kept

@@ -781,6 +781,78 @@ def test_spolynomial_counts_are_pinned(system, order, expected, monkeypatch):
         == expected
 
 
+def recorded_runs(monkeypatch) -> list:
+    """Records each Buchberger run started, with the sugar passed to each
+    row it appends (None for a seed) in `appended`."""
+    runs = []
+
+    class Recorded(groebner._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.appended = []
+            runs.append(self)
+
+        def append(self, reduced, sugar=None):
+            self.appended.append(sugar)
+            super().append(reduced, sugar)
+
+    monkeypatch.setattr(groebner, "_Run", Recorded)
+    return runs
+
+
+def test_graph_ideals_of_homogeneous_polynomials_select_pairs_by_sugar(monkeypatch):
+    """The tag elimination of a saturation round on V3: (w1) plus the
+    graph ideal of the Weitzenboeck generators, under the block order
+    eliminating W.  A pair's sugar is at least that of each of its rows,
+    so the heap pops sugars that never decrease, each remainder taking
+    the larger of its pair's and its own degree."""
+    gens = [W.var("w1"), W.var("w3"), W.var("w5")] + [
+        parse(t, W) for t in ("w1*w4 - w2*w3", "w1*w6 - w2*w5", "w3*w6 - w4*w5")]
+    graph = groebner._graph_ideal(W, gens, extra=(W.var("w1"),))
+    runs = recorded_runs(monkeypatch)
+    eliminate(graph, len(W))
+    (run,) = runs
+    seeds = len(graph.generators)
+    remainders = run.appended[seeds:]
+    assert run.appended[:seeds] == [None] * seeds
+    assert remainders and remainders == sorted(remainders) and min(remainders) >= 2
+    assert run.sugar[seeds:] == remainders
+
+
+@pytest.mark.parametrize("system", [KATSURA3, CYCLIC4], ids=["katsura3", "cyclic4"])
+@pytest.mark.parametrize("order", [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(1),
+                                   TermOrder.block(2), TermOrder.block(3)],
+                         ids=["grevlex", "lex", "elim1", "elim2", "elim3"])
+def test_other_runs_select_the_smallest_lcm_first(system, order, monkeypatch):
+    """No sugar outside graph ideals of homogeneous polynomials: under
+    grevlex and lex, and under block orders on inhomogeneous ideals (by
+    sugar, katsura-4 eliminating 3 of its 5 variables takes minutes)."""
+    ring, texts = system
+    gens = tuple(parse(t, ring) for t in texts)
+    assert not groebner._selects_by_sugar(order, gens)
+    runs = recorded_runs(monkeypatch)
+    buchberger(Ideal(ring, gens), order)
+    (run,) = runs
+    assert run.sugar is None
+
+
+def test_sugar_needs_a_graph_of_homogeneous_polynomials():
+    """Each seed homogeneous, or c*y - g with y in the second block and g
+    homogeneous in the first; under a block order only."""
+    xy = VarSet(("x", "y", "t", "u"))
+    block = TermOrder.block(2)
+
+    def selects(*texts, order=block):
+        return groebner._selects_by_sugar(order, [parse(t, xy) for t in texts])
+
+    assert selects("t - x^2", "3*u - x*y + y^2", "x*y - t^2")
+    assert not selects("t - x^2", "u - x^2 - y")  # g inhomogeneous
+    assert not selects("t - x^2 - u")  # two terms in the second block
+    assert not selects("t^2 - x")  # the second-block term is no variable
+    assert not selects("t - x^2", order=TermOrder.lex())
+    assert not selects("t - x^2", order=TermOrder.grevlex())
+
+
 def test_battery_spolynomial_counts_are_pinned(monkeypatch):
     """Per Buchberger run of the v3 battery at deg f = 12, f + 1 the product
     of (1 - sign_k * k * s) with seeded signs: the invariant presentation
