@@ -34,7 +34,6 @@ nothing is the final filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 from math import comb, factorial
 from operator import add, itemgetter
@@ -63,6 +62,7 @@ from .linalg import Echelon
 from .poly import (
     Polynomial,
     VarSet,
+    _Record,
     _degree_and_leading_text,
     _exact_quotient,
     _grevlex_descending,
@@ -83,25 +83,25 @@ NILPOTENCY_STEP_CAP = 256
 KERNEL_DIMENSION_CAP = 5000
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Record):
     """Derivation of a polynomial ring, given by images of the variables.
 
     Variables missing from the image map are sent to zero.
     """
 
-    ring: VarSet
-    images: Mapping[str, Polynomial]
+    __slots__ = ("ring", "images", "_image_terms")
+    _fields = ("ring", "images")
 
-    def __post_init__(self):
+    def __init__(self, ring: VarSet, images: Mapping[str, Polynomial]):
         complete = {}
-        for name in self.ring.names:
-            image = self.images.get(name, self.ring.zero())
-            if image.ring != self.ring:
+        for name in ring.names:
+            image = images.get(name, ring.zero())
+            if image.ring != ring:
                 raise RingMismatchError(f"image of {name!r} lives over the wrong ring")
             complete[name] = image
-        for name in self.images:
-            self.ring.index(name)
+        for name in images:
+            ring.index(name)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "images", MappingProxyType(complete))
         # (variable index, term items of its image) for each nonzero image
         object.__setattr__(self, "_image_terms", tuple(
@@ -138,12 +138,14 @@ class Derivation:
         return out
 
 
-@dataclass(frozen=True)
-class SliceData:
+class SliceData(_Record):
     """A local slice: a variable s with a = D(s) nonzero and D(a) = 0."""
 
-    var: str
-    value: Polynomial  # a = D(s)
+    __slots__ = _fields = ("var", "value")
+
+    def __init__(self, var: str, value: Polynomial):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "value", value)  # a = D(s)
 
 
 def make_slice(derivation: Derivation, var: str) -> SliceData:

@@ -75,7 +75,6 @@ one W gains; one `gaquot verify` per process builds W once either way.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import add
@@ -107,7 +106,15 @@ from .groebner import (
     is_unit_ideal,
     subalgebra_presentation,
 )
-from .poly import Polynomial, VarSet, _exact_quotient, _grevlex_descending, _product, fresh_names
+from .poly import (
+    Polynomial,
+    VarSet,
+    _Record,
+    _exact_quotient,
+    _grevlex_descending,
+    _product,
+    fresh_names,
+)
 
 # Family name -> (number of two-dimensional blocks, variables of f).  f has
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
@@ -126,30 +133,29 @@ KERNEL_DEGREE = 2
 _CORE = VarSet(tuple(f"z{i}" for i in range(1, 2 * FAMILIES["v3"][0])))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """Construction parameters: which family, the shape polynomial f
     (one variable for v3, three for v4), and extra trivial summands."""
 
-    family: str
-    f: Polynomial
-    trivial_summands: int = 0
+    __slots__ = _fields = ("family", "f", "trivial_summands")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UsageError(f"unknown family {self.family!r}")
-        arity = len(FAMILIES[self.family][1])
-        if len(self.f.ring) != arity:
+    def __init__(self, family: str, f: Polynomial, trivial_summands: int = 0):
+        if family not in FAMILIES:
+            raise UsageError(f"unknown family {family!r}")
+        arity = len(FAMILIES[family][1])
+        if len(f.ring) != arity:
             raise UsageError(
-                f"family {self.family} needs f in {arity} variable(s), "
-                f"got ring {self.f.ring.names}"
+                f"family {family} needs f in {arity} variable(s), "
+                f"got ring {f.ring.names}"
             )
-        if self.trivial_summands < 0:
+        if trivial_summands < 0:
             raise UsageError("trivial summand count must be nonnegative")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "trivial_summands", trivial_summands)
 
 
-@dataclass(frozen=True)
-class ConstructionArtifacts:
+class ConstructionArtifacts(_Record):
     """Everything the checks consume.
 
     `derivation` is the action on W, `lower_triangular_derivation` of
@@ -160,15 +166,21 @@ class ConstructionArtifacts:
     cone over B, so no check builds it.
 
     Both ideals expand f(quads), so each is built on first use and then
-    kept; the battery's certificates read f instead, and only v4's
-    Jacobian criterion on B expands.  The battery takes the derivation
-    and the quadrics as `_representation` certified them.
+    kept, in the instance dict; the battery's certificates read f
+    instead, and only v4's Jacobian criterion on B expands.  The battery
+    takes the derivation and the quadrics as `_representation` certified
+    them.
     """
 
-    spec: FamilySpec
-    w_ring: VarSet
-    derivation: Derivation
-    quad_invariants: tuple
+    __slots__ = ("spec", "w_ring", "derivation", "quad_invariants", "__dict__")
+    _fields = __slots__[:4]
+
+    def __init__(self, spec: FamilySpec, w_ring: VarSet, derivation: Derivation,
+                 quad_invariants: tuple):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "w_ring", w_ring)
+        object.__setattr__(self, "derivation", derivation)
+        object.__setattr__(self, "quad_invariants", quad_invariants)
 
     @cached_property
     def b_ideal(self) -> Ideal:
@@ -394,14 +406,16 @@ def boundary_analysis(art: ConstructionArtifacts):
     return dim_ybar, dim_b, m
 
 
-@dataclass(frozen=True)
-class KTheoryRanks:
+class KTheoryRanks(_Record):
     """Ranks forced by the split short exact localization sequence."""
 
-    m: int
-    rank_z: int
-    rank_closure: int
-    rank_quotient: int = 1
+    __slots__ = _fields = ("m", "rank_z", "rank_closure", "rank_quotient")
+
+    def __init__(self, m: int, rank_z: int, rank_closure: int, rank_quotient: int = 1):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rank_z", rank_z)
+        object.__setattr__(self, "rank_closure", rank_closure)
+        object.__setattr__(self, "rank_quotient", rank_quotient)
 
 
 def k_theory_ranks(m: int) -> KTheoryRanks:
@@ -506,28 +520,35 @@ def invariant_presentation(art: ConstructionArtifacts,
         for r in relations.generators))
 
 
-@dataclass(frozen=True)
-class Dims:
+class Dims(_Record):
     """Dimensions of X, the quotient, the closure, and the boundary."""
 
-    x: int
-    quotient: int
-    ybar: int
-    b: int
+    __slots__ = _fields = ("x", "quotient", "ybar", "b")
+
+    def __init__(self, x: int, quotient: int, ybar: int, b: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "ybar", ybar)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of the full battery for one family instance."""
 
-    spec: FamilySpec
-    dims: Dims
-    checks: dict
-    boundary_codim: int
-    m: Optional[int]
-    ranks: Optional[KTheoryRanks]
-    presentation: Optional[tuple]
-    passed: bool
+    __slots__ = _fields = ("spec", "dims", "checks", "boundary_codim", "m", "ranks",
+                           "presentation", "passed")
+
+    def __init__(self, spec: FamilySpec, dims: Dims, checks: dict, boundary_codim: int,
+                 m: Optional[int], ranks: Optional[KTheoryRanks],
+                 presentation: Optional[tuple], passed: bool):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "boundary_codim", boundary_codim)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "passed", passed)
 
 
 @contextmanager

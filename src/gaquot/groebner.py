@@ -72,7 +72,6 @@ division divides by the divisor's leading coefficient the same way.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -93,6 +92,7 @@ from .errors import (
 from .poly import (
     Polynomial,
     VarSet,
+    _Record,
     _exact_quotient,
     _grevlex_descending,
     fresh_names,
@@ -104,13 +104,14 @@ from .poly import (
 # -- term orders ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(_Record):
     """Multiplication-compatible total order on monomials with 1 minimal.
 
     kind is one of "grevlex", "lex", "block"; a block(k) order compares
     the first k exponents grevlex-first (so it eliminates those
-    variables), then the rest grevlex.
+    variables), then the rest grevlex.  A block order takes a
+    nonnegative block size and the others none (0); any other size
+    raises ValueError.
 
     Each order carries one sort key on exponent tuples, built once:
     `descending_key`, under which a smaller key means a larger monomial,
@@ -120,18 +121,24 @@ class TermOrder:
     itself.  grevlex is defined once, as `poly._grevlex_descending`.
     """
 
-    kind: str
-    block_size: int = 0
+    __slots__ = ("kind", "block_size", "descending_key")
+    _fields = ("kind", "block_size")
 
-    def __post_init__(self):
-        if self.kind == "grevlex":
+    def __init__(self, kind: str, block_size: int = 0):
+        if kind == "grevlex":
             descending = _grevlex_descending
-        elif self.kind == "lex":
+        elif kind == "lex":
             descending = _lex_descending
-        elif self.kind == "block":
-            descending = _block_descending(self.block_size)
+        elif kind == "block":
+            if block_size < 0:
+                raise ValueError("block size must be nonnegative")
+            descending = _block_descending(block_size)
         else:
-            raise ValueError(f"unknown term order {self.kind!r}")
+            raise ValueError(f"unknown term order {kind!r}")
+        if block_size and kind != "block":
+            raise ValueError(f"block size must be 0 for a {kind} order")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "block_size", block_size)
         object.__setattr__(self, "descending_key", descending)
 
     @staticmethod
@@ -144,8 +151,6 @@ class TermOrder:
 
     @staticmethod
     def block(k: int) -> "TermOrder":
-        if k < 0:
-            raise ValueError("block size must be nonnegative")
         return TermOrder("block", k)
 
 
@@ -160,23 +165,22 @@ def _block_descending(k: int):
 # -- ideals and bases ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(_Record):
     """Finitely generated ideal; zero generators are dropped unless that
     would empty the list."""
 
-    ring: VarSet
-    generators: tuple
+    __slots__ = _fields = ("ring", "generators")
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
+    def __init__(self, ring: VarSet, generators: Sequence[Polynomial]):
+        gens = tuple(generators)
         if not gens:
             raise ValueError("an ideal needs at least one generator")
         for g in gens:
-            if g.ring != self.ring:
+            if g.ring != ring:
                 raise RingMismatchError("generator ring differs from ideal ring")
         nonzero = tuple(g for g in gens if not g.is_zero())
-        object.__setattr__(self, "generators", nonzero or (self.ring.zero(),))
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "generators", nonzero or (ring.zero(),))
 
     def __add__(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
@@ -187,8 +191,7 @@ class Ideal:
         return all(g.is_zero() for g in self.generators)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(_Record):
     """Reduced basis (monic, pairwise irreducible) of `source` under `order`;
     `leading` holds the leading monomial of each basis element.
 
@@ -198,30 +201,35 @@ class GroebnerBasis:
     primitive over the integers with positive leading coefficient and
     the tail its other (monomial, coefficient) pairs in descending
     order.  Normal forms reduce against them without converting the
-    basis again; it takes no part in equality."""
+    basis again; it takes no part in equality or `repr`."""
 
-    order: TermOrder
-    basis: tuple
-    source: Ideal
-    leading: tuple
-    rows: tuple = field(repr=False, compare=False)
+    __slots__ = ("order", "basis", "source", "leading", "rows")
+    _fields = __slots__[:4]
+
+    def __init__(self, order: TermOrder, basis: tuple, source: Ideal, leading: tuple,
+                 rows: tuple):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "leading", leading)
+        object.__setattr__(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class ResourceCaps:
+class ResourceCaps(_Record):
     """Budget converting runaway computations into clean errors: a
     Buchberger run reduces at most `max_pairs` S-polynomials (the pairs
     that survive pruning) and adds no remainder of one above total degree
     `max_degree`.  A negative budget raises UsageError."""
 
-    max_pairs: int = 100_000
-    max_degree: int = 60
+    __slots__ = _fields = ("max_pairs", "max_degree")
 
-    def __post_init__(self):
-        if self.max_pairs < 0:
+    def __init__(self, max_pairs: int = 100_000, max_degree: int = 60):
+        if max_pairs < 0:
             raise UsageError("max_pairs must be nonnegative")
-        if self.max_degree < 0:
+        if max_degree < 0:
             raise UsageError("max_degree must be nonnegative")
+        object.__setattr__(self, "max_pairs", max_pairs)
+        object.__setattr__(self, "max_degree", max_degree)
 
 
 DEFAULT_CAPS = ResourceCaps()
@@ -558,6 +566,31 @@ class _Run:
         return final
 
 
+def _reduced_rows(ideal: Ideal, order: TermOrder, caps: ResourceCaps) -> tuple:
+    """(packing, rows): the packing of `ideal`'s ring under `order`, and
+    the reduced basis as the packed rows of `_Run.interreduced`, in
+    ascending order of leading monomial; no rows for the zero ideal.  The
+    one run behind `buchberger` and `eliminate`."""
+    packing = _packing(order, len(ideal.ring))
+    seeds = [g for g in ideal.generators if not g.is_zero()]
+    if not seeds:
+        return packing, []
+    run = _Run(packing, caps, _selects_by_sugar(order, seeds))
+    for g in seeds:
+        reduced = run.reduce(_integer_terms(g.terms, packing.pack)[0])
+        if reduced:
+            run.append(reduced)
+    run.complete()
+    return packing, run.interreduced(run.active)
+
+
+def _monic_terms(row: tuple, unpack) -> dict:
+    """The term dict of a packed row made monic, each monomial as
+    `unpack` gives it."""
+    lm, lc, tail = row
+    return {unpack(m): _exact_quotient(c, lc) for m, c in ((lm, lc),) + tail}
+
+
 def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
                caps: ResourceCaps = DEFAULT_CAPS) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, deterministic for fixed input.
@@ -567,21 +600,9 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     and of the terms the reduction reaches must stay below 2**31.  Passing
     a cap or that bound raises ResourceCapError."""
     order = order or TermOrder.grevlex()
-    seeds = [g for g in ideal.generators if not g.is_zero()]
-    if not seeds:
-        return GroebnerBasis(order, (), ideal, (), ())
-    packing = _packing(order, len(ideal.ring))
-    run = _Run(packing, caps, _selects_by_sugar(order, seeds))
-    for g in seeds:
-        reduced = run.reduce(_integer_terms(g.terms, packing.pack)[0])
-        if reduced:
-            run.append(reduced)
-    run.complete()
-    final = run.interreduced(run.active)
+    packing, final = _reduced_rows(ideal, order, caps)
     unpack = packing.unpack
-    polys = tuple(Polynomial(ideal.ring,
-                             {unpack(m): _exact_quotient(c, lc) for m, c in ((lm, lc),) + tail})
-                  for lm, lc, tail in final)
+    polys = tuple(Polynomial(ideal.ring, _monic_terms(row, unpack)) for row in final)
     return GroebnerBasis(order, polys, ideal, tuple(unpack(lm) for lm, _, _ in final),
                          tuple(final))
 
@@ -784,18 +805,18 @@ def is_squarefree(p: Polynomial) -> bool:
 def eliminate(ideal: Ideal, first_k: int,
               caps: ResourceCaps = DEFAULT_CAPS) -> Ideal:
     """Generators of the intersection with the subring dropping the first
-    k variables, via a block-order basis."""
+    k variables, via a block-order basis: its rows whose leading monomial
+    is free of the first k variables, which under the block order have
+    no term with them.  Only those rows become polynomials."""
     if not 0 <= first_k <= len(ideal.ring):
         raise ValueError("elimination count out of range")
-    gb = buchberger(ideal, TermOrder.block(first_k), caps=caps)
+    packing, final = _reduced_rows(ideal, TermOrder.block(first_k), caps)
     small = ideal.ring.drop_first(first_k)
-    kept = []
-    for g in gb.basis:
-        if all(all(e == 0 for e in exps[:first_k]) for exps in g.terms):
-            kept.append(Polynomial(small, {exps[first_k:]: c for exps, c in g.terms.items()}))
-    if not kept:
-        kept = [small.zero()]
-    return Ideal(small, tuple(kept))
+    eliminated = (1 << _EXPONENT_BITS * first_k) - 1  # the exponent fields of the first k
+    unpack = packing.unpack
+    kept = tuple(Polynomial(small, _monic_terms(row, lambda m: unpack(m)[first_k:]))
+                 for row in final if not row[0] & eliminated)
+    return Ideal(small, kept or (small.zero(),))
 
 
 def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
@@ -962,9 +983,9 @@ class _GraphSpan:
         # leading monomial with a ring variable divides a tag-only monomial,
         # so the tag-only rows are interreduced among themselves alone.
         tag_only = [k for k in run.active if not run.basis[k][0] & self._ring_fields]
-        relations = tuple(Polynomial(tags, {
-            tuple(map(unpack(m).__getitem__, self._columns)): _exact_quotient(c, lc)
-            for m, c in ((lm, lc),) + tail}) for lm, lc, tail in run.interreduced(tag_only))
+        relations = tuple(Polynomial(tags, _monic_terms(
+            row, lambda m: tuple(map(unpack(m).__getitem__, self._columns))))
+            for row in run.interreduced(tag_only))
         return Ideal(tags, relations or (tags.zero(),))
 
 

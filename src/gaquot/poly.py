@@ -22,10 +22,9 @@ including the univariate gcd, belongs to the one reduction engine in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from operator import add
+from operator import add, attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -120,20 +119,58 @@ def _degree_and_leading_text(p: "Polynomial", exps: Optional[Exponents] = None) 
     return sum(exps), _term_text(p.ring.names, exps, p.terms[exps], True)
 
 
-@dataclass(frozen=True)
-class VarSet:
+class _Record:
+    """Base of the library's immutable records, plain `__slots__` classes.
+    `__init__` sets the slots with `object.__setattr__`; after that,
+    assigning or deleting an attribute raises AttributeError.  Two
+    records are equal when they are of one class and their `_fields` are
+    equal, and a record hashes as its fields do, so one holding a mapping
+    raises TypeError from `hash`.  `repr` prints Name(field=value, ...)
+    over the same fields."""
+
+    __slots__ = ()
+    _fields = ()  # the slots compared, hashed and printed
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # _key(record): the value of a lone field, else the tuple of the fields' values
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other is self:  # the common case of `ring != ring`
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class VarSet(_Record):
     """Ordered, immutable collection of distinct variable names."""
 
-    names: tuple
+    __slots__ = ("names", "_index")
+    _fields = ("names",)
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate variable names in {names}")
         for name in names:
             if not _IDENT_RE.match(name):
                 raise UsageError(f"invalid variable name {name!r}")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     def __len__(self) -> int:

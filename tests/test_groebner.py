@@ -1022,6 +1022,23 @@ def test_block_order_eliminates_first_block():
     assert descending((0, 1, 0, 0)) < descending((0, 0, 9, 0))
 
 
+def test_term_orders_reject_block_sizes_they_cannot_take():
+    """Only a block order takes a block size, and not a negative one:
+    block(-1) would order by the first n - 1 exponents and eliminate
+    them, and a grevlex order with a size would compare unequal to
+    grevlex and take a packing of its own."""
+    for kind, size, message in (("block", -1, "block size must be nonnegative"),
+                                ("grevlex", 5, "block size must be 0 for a grevlex order"),
+                                ("lex", 1, "block size must be 0 for a lex order"),
+                                ("lex", -2, "block size must be 0 for a lex order")):
+        with pytest.raises(ValueError, match=message):
+            TermOrder(kind, size)
+    with pytest.raises(ValueError, match="block size must be nonnegative"):
+        TermOrder.block(-1)
+    assert TermOrder("grevlex", 0) == TermOrder.grevlex()
+    assert TermOrder("block", 0) == TermOrder.block(0)
+
+
 def test_reduced_basis_contract():
     """Leading coefficients 1 and no term divisible by another leading term."""
     rng = random.Random(20240817)

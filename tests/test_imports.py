@@ -2,10 +2,14 @@
 every private module-level definition is used somewhere in the library,
 every public one, and every public member of a library class, is used
 by the library or the acceptance tests, each
-module imports only from the modules below it in the layering, and every
-process cache is private and bounded."""
+module imports only from the modules below it in the layering, every
+process cache is private and bounded, and no library module loads
+`dataclasses` (nor, through it, `inspect`)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,22 +112,48 @@ def public_definitions(source: str) -> list:
     return [name for name in module_definitions(source) if not name.startswith("_")]
 
 
+def slot_names(item) -> list:
+    """The names a class-body statement lists in `__slots__`, alone or in
+    a chain such as `__slots__ = _fields = (...)`; none for any other."""
+    if not (isinstance(item, ast.Assign) and isinstance(item.value, (ast.Tuple, ast.List))
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)):
+        return []
+    return [e.value for e in item.value.elts
+            if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+
 def public_members(source: str) -> list:
-    """"Class.member" for each public method, property and annotated field
-    of the classes defined at module level."""
+    """"Class.member" for each public method, property, annotated field and
+    slot of the classes defined at module level."""
     members = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = item.name
+                    names = [item.name]
                 elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    name = item.target.id
+                    names = [item.target.id]
                 else:
-                    continue
-                if not name.startswith("_"):
-                    members.append(f"{node.name}.{name}")
+                    names = slot_names(item)
+                members += [f"{node.name}.{name}" for name in names if not name.startswith("_")]
     return members
+
+
+def dataclass_imports(source: str) -> list:
+    """Line numbers of the imports of `dataclasses`, at any depth: loading
+    it loads `inspect` and what that imports, a large part of a short
+    command's start-up."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "dataclasses" for module in modules):
+            lines.append(node.lineno)
+    return lines
 
 
 def referenced_names(source: str) -> set:
@@ -250,10 +280,41 @@ def test_detects_unreferenced_public_definition():
                 "class Kept:\n    field: int\n    stale: int = 0\n    counter = 0\n"
                 "    def method(self):\n        return self.field\n"
                 "    @property\n    def orphan(self):\n        return 1\n"
-                "    def _helper(self):\n        pass\n    def accepted(self):\n        pass\n",
-        "b.py": "from .a import Kept, used\nused()\nKept().method()\n",
+                "    def _helper(self):\n        pass\n    def accepted(self):\n        pass\n"
+                "class Slotted:\n"
+                "    __slots__ = _fields = ('read', 'unread', '_cache', '__dict__')\n"
+                "class Listed:\n    __slots__ = ['listed']\n",
+        "b.py": "from .a import Kept, Listed, Slotted, used\nused()\nKept().method()\n"
+                "Slotted().read\nListed()\n",
     }
     acceptance = "from gaquot import checked\nchecked().accepted()\n"
     assert unreferenced_public_definitions(sources, acceptance) == [
-        ("a.py", "Gone"), ("a.py", "Kept.orphan"), ("a.py", "Kept.stale"), ("a.py", "dead"),
+        ("a.py", "Gone"), ("a.py", "Kept.orphan"), ("a.py", "Kept.stale"),
+        ("a.py", "Listed.listed"), ("a.py", "Slotted.unread"), ("a.py", "dead"),
         ("a.py", "unused")]
+
+
+def test_no_source_imports_dataclasses():
+    assert {path.name: dataclass_imports(path.read_text(encoding="utf-8"))
+            for path in SOURCES} == {path.name: [] for path in SOURCES}
+
+
+def test_detects_dataclasses_import():
+    source = ("import os\nimport dataclasses\nfrom dataclasses import dataclass\n"
+              "from .dataclasses import local\nimport dataclasses.x as y, json\n"
+              "def f():\n    from dataclasses import replace\n")
+    assert dataclass_imports(source) == [2, 3, 5, 7]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter imports gaquot.cli, as every `gaquot` command
+    does; the modules it adds are compared with those loaded before, so
+    the check holds where `site` preloads modules."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import gaquot.cli\n"
+              "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, ""), done.stderr
