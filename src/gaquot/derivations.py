@@ -460,7 +460,8 @@ def _saturation_round(derivation: Derivation, a: Polynomial, span, known: set,
     generator the span dropped can make the elimination run far longer
     than the rest of the round.  Each quotient p(kept)/a is
     automatically a kernel element.  With nothing kept the graph ideal
-    has no tags, and each relation is a constant.
+    has no tags, and each relation is a constant.  A p(kept) that a does
+    not divide is a bug, and raises ValueError.
     """
     ring = derivation.ring
     kept = span.kept
@@ -472,7 +473,9 @@ def _saturation_round(derivation: Derivation, a: Polynomial, span, known: set,
         if b.is_zero():
             continue
         h = divide_exact(b, a)
-        if h is None or h.is_constant():
+        if h is None:
+            raise ValueError(f"relation image {b} is not divisible by the slice image {a}")
+        if h.is_constant():
             continue
         h = monic(h)
         if h not in known:

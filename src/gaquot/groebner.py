@@ -36,10 +36,10 @@ tags (`_tag_ring`), for elimination and one-shot membership, and
 candidates' terms, or congruent multiples from the candidates' scaled
 seed forms.
 
-Buchberger, normal forms, the pair update and exact division work on
-packed monomials: inside the engine a monomial is one Python int, linear
-in its exponent vector (after Monagan and Pearce, "Polynomial division
-using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+Buchberger, normal forms and the pair update work on packed monomials:
+inside the engine a monomial is one Python int, linear in its exponent
+vector (after Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).
 One packing per term order and number of variables, `_packing`, lays
 out, from the top: the order's descending key as signed fields, a
 total-degree field, and the exponents, each in a 32-bit field whose top
@@ -52,8 +52,8 @@ a binary heap of bare ints, so the leading term is popped rather than
 found by a scan, and a term that cancels after it was queued is skipped
 when popped.  Exponent tuples enter only through `_Packing.pack` and
 leave only through `_Packing.unpack`; every exponent must stay below
-2**31, and an input, a reduction or a division that passes that bound
-raises `ResourceCapError` before it can be mis-ordered.
+2**31, and an input or a reduction that passes that bound raises
+`ResourceCapError` before it can be mis-ordered.
 
 Buchberger and normal forms reduce fraction-free, the standard practice
 over the rationals (Becker and Weispfenning, "Groebner Bases", GTM 141).
@@ -66,7 +66,9 @@ quotient is integral and become Fractions only where it is not: an
 input is cleared of denominators once, a normal form is divided by its
 scale and denominator, and a reduced basis is made monic as it is
 returned, so its output is the unique monic reduced basis.  Exact
-division divides by the divisor's leading coefficient the same way.
+division is a normal form too, so `_reduce_full` is the one reduction
+loop: p/d is the normal form of p*t modulo d*t - 1, with a new variable
+t (`divide_exact`).
 """
 
 from __future__ import annotations
@@ -304,8 +306,8 @@ class _Packing:
         return b ^ ((a ^ b) & ((ge << 1) - (ge >> (_EXPONENT_BITS - 1))))
 
 
-# One entry per term order and ring size in use; kernel-width, the widest
-# benchmark workload, uses 27 at seed 11 (battery-degree 5, cli-mix 15).
+# One entry per term order and ring size in use; cli-mix, the widest
+# benchmark workload, uses 11 at seeds 1 and 11 (kernel-width 7, battery-degree 2).
 @lru_cache(maxsize=256)
 def _packing(order: TermOrder, n: int) -> _Packing:
     return _Packing(order, n)
@@ -649,47 +651,34 @@ def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 
 
 def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
-    """Quotient p/d when d divides p exactly (grevlex division), else None.
+    """Quotient p/d when d divides p exactly, else None.
 
-    Runs on grevlex-packed monomials with rational coefficients, returning
-    None as soon as the leading monomial of d fails to divide the leading
-    one left.  Raises RingMismatchError when p and d lie in different
-    rings, and ResourceCapError when an exponent of p or d, or of a term
-    the division reaches, is 2**31 or more."""
+    A normal form (Becker and Weispfenning, GTM 141): in
+    Q[x, t]/(d*t - 1) = Q[x][1/d], p/d is p*t, reduced by `_reduce_full`
+    modulo the row d*t - 1 under the block order eliminating t, put
+    first.  The row leads with t*lm(d), lm under grevlex, so this is
+    grevlex division, and each quotient term, free of t and below every
+    monomial with t, lands in the remainder: d divides p iff no remainder
+    monomial has t, and the remainder is then the quotient times the
+    denominator of p and the reduction's scale.  A division that is not
+    exact reduces to the end before it returns None.  Raises
+    ZeroPolynomialError for d = 0, RingMismatchError for p and d in
+    different rings, and ResourceCapError when an exponent of p or d, or
+    of a term the division reaches, is 2**31 or more."""
     if d.is_zero():
         raise ZeroPolynomialError("division by the zero polynomial")
     if p.ring != d.ring:
         raise RingMismatchError("divisor ring differs from dividend ring")
-    packing = _packing(TermOrder.grevlex(), len(p.ring))
-    pack, guard = packing.pack, packing.guard
-    tail = {pack(m): c for m, c in d.terms.items()}
-    dlm = min(tail)
-    dlc = tail.pop(dlm)
-    work = {pack(m): c for m, c in p.terms.items()}
-    heap = list(work)
-    heapq.heapify(heap)
-    quotient: dict = {}
-    while heap:
-        m = heapq.heappop(heap)
-        c = work.pop(m)
-        if not c:
-            continue
-        if m & guard:
-            raise ResourceCapError("a division passed the exponent bound 2**31")
-        shift = m - dlm
-        if shift & guard:
-            return None
-        c = _exact_quotient(c, dlc)
-        quotient[shift] = c
-        for gm, gc in tail.items():
-            t = shift + gm
-            old = work.get(t)
-            if old is None:
-                work[t] = -c * gc
-                heapq.heappush(heap, t)
-            else:
-                work[t] = old - c * gc
-    return Polynomial(p.ring, {packing.unpack(m): c for m, c in quotient.items()})
+    packing = _packing(TermOrder.block(1), len(p.ring) + 1)
+    work, denominator = _integer_terms(p.terms, lambda m: packing.pack((1,) + m))
+    row, cleared = _integer_terms(d.terms, lambda m: packing.pack((1,) + m))
+    row[0] = -cleared  # the constant packs as 0, the least monomial
+    remainder, scale = _reduce_full(work, [_row(dict(sorted(row.items())))], packing.guard)
+    if any(m & (1 << _EXPONENT_BITS) - 1 for m in remainder):  # t's exponent field
+        return None
+    denominator *= scale
+    return Polynomial(p.ring, {packing.unpack(m)[1:]: _exact_quotient(c, denominator)
+                               for m, c in remainder.items()})
 
 
 # -- univariate gcd and squarefreeness -------------------------------------------

@@ -242,6 +242,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Polynomial is immutable")
+
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:

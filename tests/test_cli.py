@@ -12,7 +12,7 @@ import pytest
 
 import gaquot
 from gaquot import VarSet, parse, subalgebra_membership
-from gaquot import cli, families
+from gaquot import cli, derivations, families
 from gaquot.cli import main
 from helpers import signed_roots_shape
 
@@ -682,6 +682,17 @@ def test_kernel_saturation_round_cap_exit(tmp_path):
     code, _ = run(["kernel", "--derivation", str(path), "--method", "saturation",
                    "--max-rounds", "1"])
     assert code == 4
+
+
+def test_kernel_saturation_inexact_division_exits_internal(tmp_path, monkeypatch, capsys):
+    """Negative control: a relation image the slice image does not divide
+    is a bug, reported as an internal error (exit 5)."""
+    monkeypatch.setattr(derivations, "divide_exact", lambda p, d: None)
+    path = tmp_path / "derivation.txt"
+    path.write_text(V3_DERIVATION, encoding="utf-8")
+    assert run(["kernel", "--derivation", str(path), "--method", "saturation"]) == (5, "")
+    assert capsys.readouterr().err.startswith(
+        "internal error: ValueError: relation image ")
 
 
 # -- determinism across processes -----------------------------------------------------

@@ -695,6 +695,15 @@ def test_saturation_round_falls_back_to_groebner_on_inhomogeneous_generators(mon
     assert "_saturation_round" in {caller for caller, _ in calls}
 
 
+def test_saturation_round_rejects_an_inexact_division(monkeypatch):
+    """Negative control: each substituted relation lies in (a), so a
+    division by a that is not exact is a bug, and the round raises instead
+    of dropping the relation."""
+    monkeypatch.setattr(derivations, "divide_exact", lambda p, d: None)
+    with pytest.raises(ValueError, match="is not divisible by the slice image w1"):
+        kernel_saturation(D3, make_slice(D3, "w2"), 5)
+
+
 def test_saturation_round_skips_known_generators(monkeypatch):
     """Round 2 re-derives y^2 - 2*x*z + 2*y, found in round 1; it is
     already a generator, so it is not tested for membership again.  Each

@@ -488,6 +488,13 @@ def test_divide_exact():
     p = P("w1*w3*w6 - w1*w4*w5")
     assert divide_exact(p, P("w1")) == P("w3*w6 - w4*w5")
     assert divide_exact(P("w1 + 1"), P("w1")) is None
+    # divisors that are not monic, the first not dividing
+    assert divide_exact(parse("x^2 + x", XY), parse("2*x^2 - 3", XY)) is None
+    assert divide_exact(parse("x^2 + x*y", XY), parse("2*x + 2*y", XY)) == parse("1/2*x", XY)
+    # a ring with no variables divides its constants
+    empty = VarSet(())
+    assert divide_exact(empty.const(6), empty.const(4)) == empty.const(Fraction(3, 2))
+    assert divide_exact(empty.zero(), empty.const(4)).is_zero()
     assert monic(P("2*w1 - 2")) == P("w1 - 1")
     # positions name different variables in (x, y) and (y, x), and a ring
     # of another size packs differently: neither is divided
@@ -581,12 +588,18 @@ def test_normal_form_matches_scan_reference(order):
 
 
 def test_divide_exact_matches_scan_reference():
+    """The last 60 cases have rational coefficients."""
     rng = random.Random(20261018)
     ring = VarSet(("x", "y", "z"))
-    for _ in range(150):
-        d = random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False)
-        q = random_poly(rng, ring, max_degree=3, max_terms=4)
-        r = random_poly(rng, ring, max_degree=3, max_terms=2)
+    leading = []
+    for case in range(210):
+        bound = 1 if case < 150 else 4
+        d = random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
+                        denominator_bound=bound)
+        q = random_poly(rng, ring, max_degree=3, max_terms=4, denominator_bound=bound)
+        r = random_poly(rng, ring, max_degree=3, max_terms=2, denominator_bound=bound)
+        if bound > 1:
+            leading.append(d.terms[max(d.terms, key=reference_key(TermOrder.grevlex()))])
         for p in (q * d, q * d + r):
             quotient = divide_exact(p, d)
             reference = scan_divide_exact(p, d)
@@ -595,6 +608,7 @@ def test_divide_exact_matches_scan_reference():
             else:
                 assert list(quotient.terms.items()) == list(reference.items())
         assert divide_exact(q * d, d) == q
+    assert_rational_leading_coefficients(leading)
 
 
 def fq_presentation_case():

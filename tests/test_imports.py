@@ -3,8 +3,9 @@ every private module-level definition is used somewhere in the library,
 every public one, and every public member of a library class, is used
 by the library or the acceptance tests, each
 module imports only from the modules below it in the layering, every
-process cache is private and bounded, and no library module loads
-`dataclasses` (nor, through it, `inspect`)."""
+process cache is private and bounded, no library module loads
+`dataclasses` (nor, through it, `inspect`), and the library's
+heap-driven reduction loops are the known ones."""
 
 import ast
 import os
@@ -156,6 +157,32 @@ def dataclass_imports(source: str) -> list:
     return lines
 
 
+def heappop_callers(source: str) -> list:
+    """Qualified names ("Class.method", "function", or "<module>") of the
+    innermost definitions that refer to `heapq.heappop`, as an attribute
+    or by a name imported from `heapq`, in order of first reference."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "heapq"
+             for alias in node.names if alias.name == "heappop"}
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "heappop"
+                    or isinstance(child, ast.Name) and child.id in names):
+                caller = ".".join(scope) or "<module>"
+                if caller not in callers:
+                    callers.append(caller)
+            visit(child, scope)
+
+    visit(tree, ())
+    return callers
+
+
 def referenced_names(source: str) -> set:
     """Names read, attributes taken and names imported anywhere in a module."""
     names = set()
@@ -292,6 +319,31 @@ def test_detects_unreferenced_public_definition():
         ("a.py", "Gone"), ("a.py", "Kept.orphan"), ("a.py", "Kept.stale"),
         ("a.py", "Listed.listed"), ("a.py", "Slotted.unread"), ("a.py", "dead"),
         ("a.py", "unused")]
+
+
+def test_heap_reduction_loops_are_the_known_ones():
+    """One heap-driven polynomial reduction loop, `_reduce_full`, beside
+    the Buchberger pair queue and the linear algebra on exponent tuples;
+    exact division is a normal form on `_reduce_full`, with no loop of
+    its own."""
+    callers = {f"{path.stem}.{name}" for path in SOURCES
+               for name in heappop_callers(path.read_text(encoding="utf-8"))}
+    assert callers == {"groebner._reduce_full", "groebner._Run.complete",
+                       "linalg.Echelon.reduce"}
+
+
+def test_detects_heappop_callers():
+    source = ("import heapq\nfrom heapq import heappop as pop, heappush\n"
+              "def direct(h):\n    while h:\n        heapq.heappop(h)\n"
+              "def aliased(h):\n    take = heapq.heappop\n    return take(h)\n"
+              "def imported(h):\n    return pop(h)\n"
+              "def pushes(h):\n    heappush(h, 1)\n    heapq.heapify(h)\n"
+              "class Queue:\n    def drain(self):\n        def step():\n"
+              "            return pop(self.h)\n        return step\n"
+              "    def size(self):\n        return len(self.h)\n"
+              "first = heapq.heappop\n")
+    assert heappop_callers(source) == ["direct", "aliased", "imported", "Queue.drain.step",
+                                       "<module>"]
 
 
 def test_no_source_imports_dataclasses():

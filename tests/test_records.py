@@ -75,6 +75,21 @@ def test_records_are_frozen_and_compared_by_their_fields(record):
     assert repr(first) == f"{record.__name__}({values})"
 
 
+def test_polynomials_are_frozen():
+    """A polynomial is no `_Record` but is as frozen: assigning or
+    deleting an attribute raises, and so does writing to its terms."""
+    p = parse("x^2 - y", XY)
+    for name in ("ring", "terms", "unlisted"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    for name in ("ring", "terms"):
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = 1
+    assert p == parse("x^2 - y", XY) and p.ring == XY
+
+
 def test_record_constructors_keep_their_keywords_and_defaults():
     assert repr(VarSet(["u"])) == "VarSet(names=('u',))"
     assert repr(TermOrder("lex")) == "TermOrder(kind='lex', block_size=0)"
