@@ -251,16 +251,12 @@ def _monomials_up_to(ring: VarSet, max_degree: int):
     return monos
 
 
-def _sorted_gens(polys, leading=None):
+def _sorted_gens(polys):
     """`polys` sorted by (total degree, printed text), stably.  The text
     is printed in full only within a run of equal degree and equal
     leading text: where those differ, the leading texts already order
-    the printed ones (`poly._degree_and_leading_text`).  `leading`, if
-    given, holds each polynomial's grevlex-leading monomial, so that it
-    is not looked for again."""
-    keys = (map(_degree_and_leading_text, polys) if leading is None
-            else map(_degree_and_leading_text, polys, leading))
-    keyed = sorted(zip(keys, polys), key=itemgetter(0))
+    the printed ones (`poly._degree_and_leading_text`)."""
+    keyed = sorted(zip(map(_degree_and_leading_text, polys), polys), key=itemgetter(0))
     ordered = []
     for _, run in groupby(keyed, key=itemgetter(0)):
         run = [p for _, p in run]

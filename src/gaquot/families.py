@@ -457,13 +457,18 @@ def invariant_presentation(art: ConstructionArtifacts,
 
     q is free of w1, so its image is c times q' for a scalar c.  The
     minors are seeded through their forms (1 + f(c*y))*z3 - z1*z2 and
-    (1 + f(c*y))*z5 - z1*z4, with y the tag of q'.  A minor's image is
-    its form at y -> q', expanded over the powers of q', and its form
-    equals lc times its candidate, lc the image's leading coefficient; so
-    it seeds lc*y_i - form, with no division (`_GraphSpan`'s scales).
-    Seeded through the forms, the run never reduces expanded powers of q
-    back to powers of its tag: each minor is seeded with deg f + 3 terms.
-    z2, z4 and q' are seeded as themselves.
+    (1 + f(c*y))*z5 - z1*z4, with y the tag of q', each divided by lc,
+    the leading coefficient of its image: a minor's image is its form at
+    y -> q', expanded over the powers of q', and divided by lc it is the
+    monic candidate, so the divided form equals its candidate as
+    `_GraphSpan` requires.  q' is monic and homogeneous of degree 2, so
+    with a*s^d the top term of 1 + f, d > 0, the image's leading term is
+    a*c^d*z3*lm(q')^d, or a*c^d*z5*lm(q')^d, of degree 2d + 1; when 1 + f
+    is constant it is -z1*z2, or -z1*z4.  So lc is a*c^d, or -1, for both
+    minors, with no search of the image.  Seeded through the forms, the
+    run never reduces expanded powers of q back to powers of its tag:
+    each minor is seeded with deg f + 3 terms.  z2, z4 and q' are seeded
+    as themselves.
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
@@ -478,12 +483,15 @@ def invariant_presentation(art: ConstructionArtifacts,
     z = [tuple(int(i == k) for i in range(width)) for k in range(width - 1)]  # z1..z5 in a form
     # A form's terms are keyed by the exponents of z1..z5 and then of y.
     q_powers = [{(0,) * (width - 1): 1}]  # q'^k
-    # candidate -> (leading monomial, form, scale), the form None for the candidate itself
-    forms = {p: (min(p.terms, key=_grevlex_descending), None, 1)
-             for p in (_CORE.var("z2"), _CORE.var("z4"), q_monic)}
+    # candidate -> its form, None for the candidate itself
+    forms = dict.fromkeys((_CORE.var("z2"), _CORE.var("z4"), q_monic))
+    shape = art.spec.f + 1
+    top = shape.total_degree()
+    # the leading coefficient of both minors' images (see the docstring)
+    lc = shape.terms[(top,)] * c ** top if top > 0 else -1
     for k in (2, 4):  # the minors w1*w4 - w2*w3 and w1*w6 - w2*w5
         form = {tuple(map(add, z[k], (0,) * (width - 1) + e)): a * c ** e[0]
-                for e, a in (art.spec.f + 1).terms.items()}
+                for e, a in shape.terms.items()}
         form[tuple(map(add, z[0], z[k - 1]))] = -1
         image: dict = {}  # the form at y -> q', over z1..z5
         for m, a in form.items():
@@ -492,20 +500,16 @@ def invariant_presentation(art: ConstructionArtifacts,
             for t, b in q_powers[m[-1]].items():
                 key = tuple(map(add, m, t))  # map stops before y, at the end of t
                 image[key] = image.get(key, 0) + a * b
-        lm = min(image, key=_grevlex_descending)
-        lc = image[lm]
-        forms[Polynomial(_CORE, {m: _exact_quotient(a, lc) for m, a in image.items()})] = (lm, form, lc)
-    ordered = _sorted_gens(list(forms), [lm for lm, _, _ in forms.values()])
+        forms[Polynomial(_CORE, {m: _exact_quotient(a, lc) for m, a in image.items()})] = {
+            m: _exact_quotient(a, lc) for m, a in form.items()}
+    ordered = _sorted_gens(list(forms))
     # q' is a kernel generator and not in the subalgebra of the linear ones
     at, tags = ordered.index(q_monic), len(ordered)
     big = _tag_ring(_CORE, tags)
-    seeds, scales = [], []
-    for p in ordered:
-        _, form, scale = forms[p]
-        seeds.append(p if form is None else Polynomial(big, {
-            m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in form.items()}))
-        scales.append(scale)
-    survivors, relations = subalgebra_presentation(_CORE, ordered, caps, seeds, scales)
+    seeds = [p if forms[p] is None else Polynomial(big, {
+        m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in forms[p].items()})
+        for p in ordered]
+    survivors, relations = subalgebra_presentation(_CORE, ordered, caps, seeds)
     if z_ring is _CORE:
         return tuple(survivors), relations  # the survivors are sorted, and tagged in order
     spanned = [p.embed(z_ring) for p in survivors]

@@ -33,8 +33,8 @@ of `poly`.  The tag-variable graph ideal is defined twice, as a pair:
 `_graph_ideal` builds its polynomials over the ring extended by the
 tags (`_tag_ring`), for elimination and one-shot membership, and
 `_GraphSpan._seed` packs the same generators straight from the
-candidates' terms, or congruent multiples from the candidates' scaled
-seed forms.
+candidates' terms, or congruent ones from seed forms, each equal to its
+candidate once its tags are replaced by the candidates they tag.
 
 Buchberger, normal forms and the pair update work on packed monomials:
 inside the engine a monomial is one Python int, linear in its exponent
@@ -846,32 +846,6 @@ def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
                  + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
 
 
-def _check_forms(ring: VarSet, candidates: Sequence[Polynomial],
-                 forms: Optional[Sequence[Polynomial]],
-                 scales: Optional[Sequence]) -> tuple:
-    """(forms, scales) of a span of `candidates` over `ring`: the
-    candidates themselves and scale 1 where `forms` or `scales` is None.
-    Raises RingMismatchError for a candidate not over `ring` or a form over
-    neither `ring` nor `_tag_ring(ring, len(candidates))`, and ValueError
-    unless there is one form and one nonzero scale per candidate."""
-    for g in candidates:
-        if g.ring != ring:
-            raise RingMismatchError("subalgebra candidates over the wrong ring")
-    if scales is None:
-        scales = (1,) * len(candidates)
-    elif len(scales) != len(candidates) or not all(scales):
-        raise ValueError("a subalgebra span needs one nonzero scale per candidate")
-    if forms is None:
-        return candidates, scales
-    if len(forms) != len(candidates):
-        raise ValueError("a subalgebra span needs one form per candidate")
-    tagged = ring.names + fresh_names("y", len(candidates), ring.names)  # `_tag_ring`'s names
-    for form in forms:
-        if form.ring.names not in (ring.names, tagged):
-            raise RingMismatchError("candidate forms over the wrong ring")
-    return forms, scales
-
-
 class _GraphSpan:
     """The candidates, in the order given, each kept only if it is not in
     the subalgebra generated by those kept before it (`kept`), as one
@@ -888,33 +862,31 @@ class _GraphSpan:
     subalgebra_membership calls it a member of the kept candidates'
     subalgebra.
 
-    Candidate i is seeded with c_i*y_i - form_i (`_seed`), where form_i is
+    Candidate i is seeded with y_i - form_i (`_seed`), where form_i is
     a polynomial over `ring` or over `_tag_ring(ring, len(candidates))`
-    that equals c_i times candidate i once each tag y_j in it is replaced
-    by candidate j, for the nonzero rational c_i of `scales` (1 if None).
-    The default form is the candidate itself, with c_i = 1, which makes
+    that equals candidate i once each tag y_j in it is replaced by
+    candidate j.  The default form is the candidate itself, which makes
     the seed the generator y_i - p of `_graph_ideal(ring, candidates)`.
-    A form may name only the tags of candidates kept before i; one that
-    names any other tag is replaced by its candidate, and c_i by 1.  For
+    A form may name only the tags of candidates kept before i.  For
     every kept j the run already holds y_j - candidate_j, so the two
-    seeds are congruent, up to the nonzero factor c_i, modulo the ideal
-    the rows are a Groebner basis of, and have the same normal form up to
-    a nonzero scale: the same membership verdict and, once `_row` divides
-    out the content and fixes the sign, the same row.  A form only saves
-    reduction work: for instance, with a candidate that expands a power
-    of another, naming that other's tag leaves the reduction nothing to
-    rebuild; a scale lets a caller pass an integer form of a candidate
-    it made monic, and skip the round trip through Fractions.  A
+    seeds are congruent modulo the ideal the rows are a Groebner basis
+    of, and have the same normal form up to a nonzero scale: the same
+    membership verdict and, once `_row` divides out the content and fixes
+    the sign, the same row.  A form only saves reduction work: for
+    instance, with a candidate that expands a power of another, naming
+    that other's tag leaves the reduction nothing to rebuild.  A
     candidate is kept iff its seed, reduced to a multiple of y_i minus a
     normal form free of y_i (y_i leads no row), is not tag-only; the kept
     remainder joins the basis, whose pairs are completed before the next
-    candidate.  An empty candidate list raises ValueError."""
+    candidate.  Raises RingMismatchError for a candidate not over `ring`
+    or a form over neither `ring` nor `_tag_ring(ring,
+    len(candidates))`, and ValueError for an empty candidate list, for
+    a number of forms other than one per candidate, and for a form that
+    names the tag of a later, dropped or its own candidate."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
                  caps: ResourceCaps = DEFAULT_CAPS,
-                 forms: Optional[Sequence[Polynomial]] = None,
-                 scales: Optional[Sequence] = None):
-        forms, scales = _check_forms(ring, candidates, forms, scales)
+                 forms: Optional[Sequence[Polynomial]] = None):
         if not candidates:
             raise ValueError("a subalgebra span needs at least one candidate")
         n = len(ring)
@@ -925,27 +897,35 @@ class _GraphSpan:
         self._ring_fields = (1 << _EXPONENT_BITS * n) - 1
         self._columns = []  # exponent column of each kept candidate's tag
         self.kept = []
-        for i, (p, form, scale) in enumerate(zip(candidates, forms, scales)):
+        if forms is None:
+            forms = candidates
+        else:  # the names of `_tag_ring(ring, len(candidates))`, with no VarSet built
+            tagged = ring.names + fresh_names("y", len(candidates), ring.names)
+        # strict: zip raises ValueError unless there is one form per candidate
+        for i, (p, form) in enumerate(zip(candidates, forms, strict=True)):
+            if p.ring != ring:
+                raise RingMismatchError("subalgebra candidates over the wrong ring")
             if form is not p:
+                if form.ring.names not in (ring.names, tagged):
+                    raise RingMismatchError("candidate forms over the wrong ring")
                 named = {n + k for exps in form.terms for k, e in enumerate(exps[n:]) if e}
                 if not named <= set(self._columns):
-                    form, scale = p, 1  # it names a later, dropped or its own candidate's tag
-            reduced, member = self._tag_only_form(self._seed(i, form, scale))
+                    raise ValueError("a seed form names the tag of a later, dropped or "
+                                     "its own candidate")
+            reduced, member = self._tag_only_form(self._seed(i, form))
             if not member:
                 self._columns.append(n + i)
                 self.kept.append(p)
                 self._run.append(reduced)
                 self._run.complete()
 
-    def _seed(self, i: int, form: Polynomial, scale=1) -> dict:
-        """The packed integer term dict of scale*y_i - form, times the
-        least positive integer that clears its denominators; with the
-        candidate as its form and scale 1, the i-th generator of
-        `_graph_ideal(ring, candidates)`."""
+    def _seed(self, i: int, form: Polynomial) -> dict:
+        """The packed integer term dict of y_i - form, times the least
+        positive integer that clears its denominators; with the candidate
+        as its form, the i-th generator of `_graph_ideal(ring, candidates)`."""
         work, d = _integer_terms(form.terms, self._run.packing.pack)
-        lead = scale * d
-        seed = {m: -c * lead.denominator for m, c in work.items()}
-        seed[self._tags[i]] = lead.numerator
+        seed = {m: -c for m, c in work.items()}
+        seed[self._tags[i]] = d
         return seed
 
     def _tag_only_form(self, work: dict) -> tuple:
@@ -1005,20 +985,19 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
 
 def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
                             caps: ResourceCaps = DEFAULT_CAPS,
-                            forms: Optional[Sequence[Polynomial]] = None,
-                            scales: Optional[Sequence] = None):
+                            forms: Optional[Sequence[Polynomial]] = None):
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
     tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
     over all the candidates keeps the survivors and its `relations()`
     follow, so the filter and the elimination are one run sharing one
-    `caps` budget.  `forms` and `scales`, one per candidate and by
-    default the candidates themselves and 1, are the span's seed forms
-    over `_tag_ring(ring, len(candidates))` and their scales; they change
-    the reduction work, never the result.  An empty candidate list raises
-    ValueError."""
-    span = _GraphSpan(ring, candidates, caps, forms, scales)
+    `caps` budget.  `forms`, one per candidate and by default the
+    candidates themselves, are the span's seed forms over
+    `_tag_ring(ring, len(candidates))`, checked as `_GraphSpan` checks
+    them; they change the reduction work, never the result.  An empty
+    candidate list raises ValueError."""
+    span = _GraphSpan(ring, candidates, caps, forms)
     return span.kept, span.relations()
 
 

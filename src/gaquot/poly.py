@@ -27,7 +27,7 @@ from numbers import Rational
 from operator import add, attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     MissingAssignmentError,
@@ -106,16 +106,14 @@ def _term_text(names, exps: Exponents, coeff: Scalar, first: bool) -> str:
     return f" - {body}" if coeff < 0 else f" + {body}"
 
 
-def _degree_and_leading_text(p: "Polynomial", exps: Optional[Exponents] = None) -> tuple:
+def _degree_and_leading_text(p: "Polynomial") -> tuple:
     """(total degree of p, the text str(p) starts with): the leading term
-    under grevlex, at `exps` if given, with its sign, whose degree is the
-    total degree; (-1, "0") for the zero polynomial.  The rest of str(p)
-    is empty or starts with a space, which sorts below every character of
-    a term."""
+    under grevlex, with its sign, whose degree is the total degree;
+    (-1, "0") for the zero polynomial.  The rest of str(p) is empty or
+    starts with a space, which sorts below every character of a term."""
     if not p.terms:
         return -1, "0"
-    if exps is None:
-        exps = min(p.terms, key=_grevlex_descending) if len(p.terms) > 1 else next(iter(p.terms))
+    exps = min(p.terms, key=_grevlex_descending) if len(p.terms) > 1 else next(iter(p.terms))
     return sum(exps), _term_text(p.ring.names, exps, p.terms[exps], True)
 
 

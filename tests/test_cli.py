@@ -649,15 +649,20 @@ def test_verify_empty_boundary_is_math_failure():
      "7e8fa00f0f1976b9f17b19f8ad0fc97443e42c86228f4453f6ef0c1a7ce38886"),
     (["--family", "v3", "--f=(1+s)*(1+2*s)*(1+3*s) - 1"],
      "7a6ee02e6a57415b85aff525b03322b7d1920f0e360a597363fd9ad7d03d2e11"),
+    (["--family", "v3", "--f=(1 - 5*s)*(1 + 5/2*s)*(1 - 5/3*s)*(1 + 5/4*s)*(1 - s) - 1"],
+     "a7c0a370475d966376368b36e41b4f3ae14d556dfbbb61f256d8af0ed62c88e3"),
+    (["--family", "v3", f"--f={signed_roots_shape(12, 7)}", "--trivial", "2"],
+     "d03b43a8703524030d7c1fa41e1b9ce24effa9deea24a365602f855a6740d1fc"),
     (["--family", "v4", "--f=a"],
      "42afcc1fbadf23351f43c04985be06a96d6735ec2cf05c0e60687ae6610271b3"),
     (["--family", "v4", "--f=a+2*b-c"],
      "8eaad32ea7bd3083264f536cb85e76ff65ba7311c281d1b7822c3dae58830a68"),
-], ids=["v3-s", "v3-s-trivial2", "v3-cubic", "v4-a", "v4-linear"])
+], ids=["v3-s", "v3-s-trivial2", "v3-cubic", "v3-rational-deg5", "v3-signed-deg12-trivial2",
+        "v4-a", "v4-linear"])
 def test_verify_report_is_pinned(argv, digest):
-    """The exact `verify` report of small v3 and v4 instances, with and
-    without trivial summands: a change in any byte is a change in the
-    report."""
+    """The exact `verify` report of v3 and v4 instances, with and without
+    trivial summands, a v3 shape with rational coefficients among them: a
+    change in any byte is a change in the report."""
     code, text = run(["verify", *argv])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest

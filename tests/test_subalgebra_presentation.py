@@ -171,28 +171,41 @@ def signed_shape(rng, degree):
     return f"{factors} - 1"
 
 
+def rational_shape(rng, degree):
+    """f with f + 1 = prod (1 - s/r) over the roots r = +-k/d, k =
+    1..degree, for a seeded odd d: distinct roots, and for degree >= 2 a
+    leading coefficient +-d**degree/degree! that is not an integer, so the
+    leading coefficients of the minors' images and the denominators of f
+    meet in the seeds."""
+    d = rng.choice((3, 5, 7))
+    factors = "*".join(f"(1 {rng.choice('+-')} {d}/{k}*s)" for k in range(1, degree + 1))
+    return f"{factors} - 1"
+
+
 _SHAPES = random.Random(12)
 V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
             + [(f"triv{t}", "-3/2*s", t) for t in range(11)]
             + [(f"signed-deg{d}-triv{t}", str(signed_roots_shape(d, 10 * d + t)), t)
-               for d in range(1, 13) for t in range(3)])
+               for d in range(1, 13) for t in range(3)]
+            + [(f"rational-deg{d}-triv{d % 3}", rational_shape(_SHAPES, d), d % 3)
+               for d in range(2, 10)])
 
 
 def presentation_input(monkeypatch, spec):
     """((ring, candidates, forms) that invariant_presentation hands to
-    subalgebra_presentation, each form divided by its scale, what that
-    returns, the presentation invariant_presentation returns) for `spec`.
-    invariant_presentation makes a candidate monic by dividing by a
-    scalar c and seeds it through its undivided form, c times the
-    candidate, with scale c; divided by c here, each recorded form equals
-    its candidate."""
+    subalgebra_presentation, what that returns, the presentation
+    invariant_presentation returns) for `spec`.  Each form is checked to
+    equal its candidate, as handed over, once its tags are replaced by the
+    candidates they tag."""
     seen = []
 
-    def recording(ring, candidates, caps, forms, scales):
-        spanned = subalgebra_presentation(ring, candidates, caps, forms, scales)
-        unscaled = [Polynomial(form.ring, {m: Fraction(a) / c for m, a in form.terms.items()})
-                    for form, c in zip(forms, scales)]
-        seen.append(((ring, list(candidates), unscaled), spanned))
+    def recording(ring, candidates, caps, forms):
+        expand = dict(zip(_tag_ring(ring, len(candidates)).names,
+                          [ring.var(n) for n in ring.names] + list(candidates)))
+        assert [form.substitute({n: expand[n] for n in form.ring.names}) for form in forms] \
+            == list(candidates)
+        spanned = subalgebra_presentation(ring, candidates, caps, forms)
+        seen.append(((ring, list(candidates), forms), spanned))
         return spanned
 
     monkeypatch.setattr(families, "subalgebra_presentation", recording)
@@ -212,24 +225,23 @@ def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label,
     """The span equals the reference on the candidates it is handed, the
     presentation equals it on every restricted W-invariant, trivial
     coordinates included, and each seed form equals its candidate once
-    its tags are replaced by the candidates they tag."""
+    its tags are replaced by the candidates they tag (`presentation_input`
+    checks that)."""
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
     (ring, candidates, forms), spanned, presentation = presentation_input(monkeypatch, spec)
     assert printed(*spanned) == reference(ring, candidates)
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
-    expand = dict(zip(_tag_ring(ring, len(candidates)).names,
-                      [ring.var(n) for n in ring.names] + candidates))
-    assert [form.substitute({n: expand[n] for n in form.ring.names}) for form in forms] \
-        == candidates
     assert any(form.ring != ring for form in forms)
 
 
 @pytest.mark.parametrize("trivial", [0, 1])
-@pytest.mark.parametrize("shape", ["s + 1", "s - 1", "s^2 + 3"])
+@pytest.mark.parametrize("shape", ["s + 1", "s - 1", "s^2 + 3", "3", "-1"])
 def test_v3_presentation_keeps_f_at_zero(shape, trivial):
     """Built without validation, a shape with f(0) != 0 restricts w1 to
     1 + f(q), constant 1 + f(0) included (0 for s - 1), and its
-    presentation equals the reference on the restricted W-invariants."""
+    presentation equals the reference on the restricted W-invariants,
+    also where 1 + f is a constant, 4 or 0, and each minor's image leads
+    with the term w2*w3 or w2*w5 of the minor."""
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
     presentation = invariant_presentation(families._build_family(spec))
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
@@ -318,41 +330,6 @@ def test_forms_leave_v3_spans_unchanged(monkeypatch):
                 == subalgebra_presentation(ring, candidates)
 
 
-def test_scaled_forms_leave_v3_spans_unchanged(monkeypatch):
-    """A form times a nonzero scale c, seeded with that scale, keeps the
-    same candidates, adds the same rows and reduces the same
-    S-polynomials as the form itself, for integer and rational c of
-    either sign, on seeded v3 shapes of degree 1-12 with 0-2 trivial
-    summands."""
-    rng = random.Random("scales")
-    for degree in range(1, 13):
-        trivial = rng.randrange(3)
-        ring, candidates, forms = v3_span_input(monkeypatch, degree, trivial, rng.randrange(1000))
-        scales = [rng.choice((1, -1, 7, -12, Fraction(3, 5), Fraction(-2, 9))) for _ in forms]
-        scaled = [form * c for form, c in zip(forms, scales)]
-        assert span_state(_GraphSpan(ring, candidates, forms=scaled, scales=scales)) \
-            == span_state(_GraphSpan(ring, candidates, forms=forms))
-
-
-def test_scales_are_checked():
-    cands = [parse("a", FORM_RING), parse("b", FORM_RING)]
-    for scales in ([1], [1, 0], [2, 1, 1]):
-        with pytest.raises(ValueError):
-            _GraphSpan(FORM_RING, cands, scales=scales)
-        with pytest.raises(ValueError):
-            subalgebra_presentation(FORM_RING, cands, forms=cands, scales=scales)
-
-
-def test_a_scale_falls_back_with_its_form():
-    """A form that names a later candidate's tag seeds the candidate with
-    scale 1, whatever scale came with the form."""
-    cands = [parse(t, FORM_RING) for t in ("a", "a + b", "b^2", "a*b")]
-    forms = list(cands)
-    forms[0] = tagged("3*y2 - 3*b").embed(_tag_ring(FORM_RING, len(cands)))  # 3*a via y2
-    assert span_state(_GraphSpan(FORM_RING, cands, forms=forms, scales=[3, 1, 1, 1])) \
-        == span_state(_GraphSpan(FORM_RING, cands))
-
-
 @pytest.mark.parametrize("trivial", [0, 1, 2])
 def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
     """At degree 12 the images of the two minors with w1 expand to 93
@@ -396,15 +373,17 @@ def tagged(text):
     # a*b + c names its own tag: y3
     (["a", "b", "a*b + c"], 2, "y3"),
 ], ids=["later", "dropped", "own"])
-def test_forms_naming_other_tags_fall_back_to_the_candidate(candidates, form_index, form):
-    """A form that names a later, dropped or its own candidate's tag seeds
-    the candidate instead; seeded as written, each would keep a wrong row
-    or drop a candidate that is not a member."""
+def test_forms_naming_other_tags_are_rejected(candidates, form_index, form):
+    """A form that names a later, dropped or its own candidate's tag
+    raises ValueError; seeded as written, each would keep a wrong row or
+    drop a candidate that is not a member."""
     cands = [parse(t, FORM_RING) for t in candidates]
     forms = list(cands)
     forms[form_index] = tagged(form).embed(_tag_ring(FORM_RING, len(cands)))
-    assert span_state(_GraphSpan(FORM_RING, cands, forms=forms)) \
-        == span_state(_GraphSpan(FORM_RING, cands))
+    with pytest.raises(ValueError, match="names the tag"):
+        _GraphSpan(FORM_RING, cands, forms=forms)
+    with pytest.raises(ValueError, match="names the tag"):
+        subalgebra_presentation(FORM_RING, cands, forms=forms)
 
 
 def test_forms_next_to_a_lone_candidate():
