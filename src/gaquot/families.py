@@ -29,54 +29,60 @@ Weitzenboeck identities (Freudenburg, "Algebraic Theory of Locally
 Nilpotent Derivations", 2nd ed., 2017) that the verdicts not reading f
 rest on.  D kills w1 and the quadrics q, so it kills X's equation w1 - 1
 - f(q) by Leibniz; the quadrics are free of w1, so X is a graph in w1;
-they are homogeneous quadrics, for Euler's identity below; each of their
-terms has a non-stable coordinate (w1, w3, w5, and w7); and the zeros of
-D are the non-stable locus.  The battery then decides only what depends
-on f, with no expansion of f(q):
+they are homogeneous quadrics, for J' below and the presentation; each
+of their terms has a non-stable coordinate (w1, w3, w5, and w7);
+the zeros of D are the non-stable locus; and each polarization operator
+E_kl = w(2k-1)*d/dw(2l-1) + w(2k)*d/dw(2l), for non-leading blocks k and
+l (Procesi, "Lie Groups", 2007), maps each quadric to 0 or to plus or
+minus a quadric, which induces a linear map s -> E_kl s on f's
+variables.  The battery then decides only what depends on f, with no
+expansion of f(q):
 
   * stability and freeness: setting the non-stable coordinates to zero
     leaves X's equation at -1 - f(0), which must be nonzero, and the
     zeros of the action are those of the non-stable coordinates;
   * smoothness: Ybar's equation is u*w2 - v*w1 plus B's, which is free of
-    u, v, w1 and w2, so Ybar is the cone over B and smooth iff B is.  For
-    v3, gcd(1 + f, s*f') = 1 in Q[s] puts 1 in B's Jacobian ideal: 1 +
-    f(q) and q*f'(q) lie there, by Euler's identity for the quadric q.
-    The validation already proved it: f(0) = 0 keeps s from dividing
-    1 + f, so that gcd is gcd(f + 1, f'), which its squarefree test of
-    f + 1 decides (modulo a prime, `groebner._coprime_certificate`, with
-    the gcd over Q as its fallback), and the artifact carries that
-    verdict, so the modular loop runs once per battery;
+    u, v, w1 and w2, so Ybar is the cone over B and smooth iff B is.  B
+    is smooth iff J' = (1 + f, J_kl for all k, l) is the unit ideal of
+    f's own ring (`ConstructionArtifacts.polarization_ideal`), where
+    J_kl(s) = sum over j of df/ds_j * (E_kl s)_j, so that E_kl h =
+    -J_kl(q) for B's equation h = -1 - f(q).  1 in J' puts 1 in B's
+    Jacobian ideal.  Conversely q maps the rank-2 block matrices onto
+    the affine space of s minus 0, and the E_kl s span that space at
+    s != 0, so each point of V(J') is q of a singular point of B (the
+    origin of W for s = 0).  For v3, J' = (1 + f, s*f'), a unit ideal
+    by the validation's squarefree test of f + 1 (f(0) = 0 keeps s from
+    dividing 1 + f), so a validated v3 artifact holds J' as (1);
   * dimensions: X, Ybar and B are hypersurfaces with nonconstant
     equations when f is nonconstant, so each has dimension n - 1.
 
-The one fallback expands: the Jacobian criterion on B (`check_smooth`)
-decides every v4 spec and any v3 spec the certificate leaves open.
-`check_stability` and `check_freeness` are the expanded forms of the
-stability and freeness verdicts; the battery calls neither.  X and B
-are expanded on first use only (`ConstructionArtifacts`), and Ybar
-never, so a v3 battery expands f(q) nowhere but in the presentation,
-and a v4 battery only for B.  So the battery's Buchberger runs are the
-presentation and, for v4, B's Jacobian criterion.  A ResourceCapError
-raised by the battery names the stage, by its report key, in front of
-the cap; the validation caps deg f at the run's degree budget before
-the squarefree test builds its dense lists, and the presentation's
-bound on the trivial summands is checked before W is built.
+`check_smooth` (the Jacobian criterion on an expanded hypersurface),
+`check_stability` and `check_freeness` are the expanded forms of these
+verdicts; the battery calls none of them.  X and B are expanded on first
+use only (`ConstructionArtifacts`), and Ybar never, so a battery expands
+f(q) nowhere but in the v3 presentation, its one Buchberger run besides
+v4's unit test of J' in three variables.  A ResourceCapError raised by
+the battery names the stage, by its report key, in front of the cap;
+the validation caps deg f at the run's degree budget before the
+squarefree test builds its dense lists, and the presentation's bound on
+the trivial summands is checked before W is built.
 
 What depends on W alone is built once per process, in one bounded
-cache: W's derivation and quadratic invariants per (family, trivial
-summands) (`_representation`).  The presentation names W's invariants,
-the classical Weitzenboeck generators, so no kernel is solved for them.
-Everything that depends on f or on the caps (X and B when expanded, the
-checks, the presentation's Groebner run) is built per call, so reports
-are byte-identical whether the cache is cold or warm.  A long-lived caller that sweeps f over
-one W gains; one `gaquot verify` per process builds W once either way.
+cache: W's derivation, quadratic invariants and polarization table per
+(family, trivial summands) (`_representation`).  The presentation names
+W's invariants, the classical Weitzenboeck generators, so no kernel is
+solved for them.  Everything that depends on f or on the caps (X, B and
+J' when read, the checks, the presentation's Groebner run) is built per
+call, so reports are byte-identical whether the cache is cold or warm.
+A long-lived caller that sweeps f over one W gains; one `gaquot verify`
+per process builds W once either way.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 from typing import Optional
 
@@ -100,7 +106,6 @@ from .groebner import (
     Ideal,
     ResourceCaps,
     _EXPONENT_BOUND,
-    _coprime_certificate,
     _tag_ring,
     is_squarefree,
     is_unit_ideal,
@@ -114,6 +119,7 @@ from .poly import (
     _grevlex_descending,
     _product,
     fresh_names,
+    jacobian,
 )
 
 # Family name -> (number of two-dimensional blocks, variables of f).  f has
@@ -166,10 +172,10 @@ class ConstructionArtifacts(_Record):
     cone over B, so no check builds it.
 
     Both ideals expand f(quads), so each is built on first use and then
-    kept, in the instance dict; the battery's certificates read f
-    instead, and only v4's Jacobian criterion on B expands.  The battery
-    takes the derivation and the quadrics as `_representation` certified
-    them.
+    kept, in the instance dict, as is `polarization_ideal`, the battery's
+    smoothness ideal J' in f's own ring, which reads f instead.  The
+    battery takes the derivation and the quadrics as `_representation`
+    certified them, and J' from its polarization table.
     """
 
     __slots__ = ("spec", "w_ring", "derivation", "quad_invariants", "__dict__")
@@ -196,17 +202,18 @@ class ConstructionArtifacts(_Record):
         return Ideal(self.w_ring, (self.w_ring.var("w1") + h,))
 
     @cached_property
-    def _coprime(self) -> bool:
-        """For v3, whether gcd(1 + f, s*f') = 1 in Q[s] is certified: on
-        first read, by the modular `_coprime_certificate`, whose False
-        proves nothing.  A validated build holds True from the start
-        (`_build_within_bound`), so a v3 battery runs the modular loop
-        once, in the validation: that proves f(0) = 0 and gcd(f + 1, f')
-        = 1, and as f(0) = 0, s does not divide 1 + f, so gcd(1 + f, s*f')
-        = gcd(1 + f, f').  An unvalidated spec need satisfy neither."""
+    def polarization_ideal(self) -> Ideal:
+        """J' = (1 + f, J_kl for each polarization operator E_kl in
+        order), in f's ring: J_kl(s) = sum over j of df/ds_j * c*s_m for
+        E_kl q_j = c*q_m in W's table, which `_build_family` hands over as
+        `_polarization` (a record built by hand has none).  The unit ideal
+        iff B is smooth (see the module docstring); a validated v3 build
+        holds it as (1) from the start (`_build_within_bound`)."""
         f = self.spec.f
-        (s,) = f.ring.names  # f's own variable, whatever its name
-        return _coprime_certificate(f + 1, f.ring.var(s) * f.partial(s))
+        s = [f.ring.var(n) for n in f.ring.names]
+        gradient = jacobian([f], f.ring.names)[0]
+        return Ideal(f.ring, (f + 1, *(sum((c * gradient[j] * s[m] for j, c, m in images),
+                                           f.ring.zero()) for images in self._polarization)))
 
 
 def validate_family_spec(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
@@ -215,8 +222,9 @@ def validate_family_spec(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     or above the Groebner engine's bound 2**31, and then a total degree
     of f above `caps.max_degree`, raise ResourceCapError first, before
     the squarefree test builds a list of deg f + 1 coefficients or f(q)
-    is expanded.  For v3, f(0) = 0 and f + 1 squarefree certify the
-    battery's smoothness (`ConstructionArtifacts._coprime`)."""
+    is expanded.  For v3, f(0) = 0 and f + 1 squarefree make the
+    battery's smoothness ideal J' = (1 + f, s*f') the unit ideal
+    (`ConstructionArtifacts.polarization_ideal`)."""
     if spec.f.constant_term() != 0:
         raise NonzeroConstantError("f must vanish at the origin")
     top = max((e for m in spec.f.terms for e in m), default=0)
@@ -250,10 +258,12 @@ def build_family(spec: FamilySpec) -> ConstructionArtifacts:
 # workload with the most, uses 11 (v3 with 0..10 trivial summands).
 @lru_cache(maxsize=64)
 def _representation(family: str, trivial: int):
-    """(derivation, quadratic invariants) of the representation W of
-    `family` with `trivial` trivial summands, built once per process:
-    the action `lower_triangular_derivation(blocks, trivial)`, whose
-    ring is the ring of W, and the quadratic invariants of W.  Nothing
+    """(derivation, quadratic invariants, polarization table) of the
+    representation W of `family` with `trivial` trivial summands, built
+    once per process: the action `lower_triangular_derivation(blocks,
+    trivial)`, whose ring is W's, the quadratic invariants q_j of W, and
+    per polarization operator E_kl, non-leading blocks k and l in order,
+    the triples (j, c, m) with E_kl q_j = c*q_m != 0, c = +-1.  Nothing
     here depends on f, and every value is immutable, so one entry serves
     every instance on W, from any thread.  Raises ValueError, a bug,
     unless W has each identity the battery's verdicts rest on (see the
@@ -274,7 +284,17 @@ def _representation(family: str, trivial: int):
         raise ValueError("a quadratic invariant has a term free of the non-stable coordinates")
     if fixed_point_ideal(derivation) != odd:
         raise ValueError("the zeros of the action are not the non-stable locus")
-    return derivation, quads
+    signed = {c * q: (c, m) for m, q in enumerate(quads) for c in (1, -1)}
+    table = []
+    for k, l in product(range(2, blocks + 1), repeat=2):
+        pairs = [(ring.var(f"w{2 * k - i}"), f"w{2 * l - i}") for i in (1, 0)]
+        images = [(j, sum((x * q.partial(n) for x, n in pairs), ring.zero()))
+                  for j, q in enumerate(quads)]
+        if any(not p.is_zero() and p not in signed for _, p in images):
+            raise ValueError("a polarization operator maps a quadratic invariant "
+                             "to neither 0 nor a signed quadratic invariant")
+        table.append(tuple((j, *signed[p]) for j, p in images if not p.is_zero()))
+    return derivation, quads, tuple(table)
 
 
 def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
@@ -282,13 +302,10 @@ def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     invalid specs the battery's failure paths are about.  The objects of
     W come from `_representation`; f(q) is expanded only when one of the
     artifacts' ideals is first read."""
-    derivation, quads = _representation(spec.family, spec.trivial_summands)
-    return ConstructionArtifacts(
-        spec=spec,
-        w_ring=derivation.ring,
-        derivation=derivation,
-        quad_invariants=quads,
-    )
+    derivation, quads, table = _representation(spec.family, spec.trivial_summands)
+    art = ConstructionArtifacts(spec, derivation.ring, derivation, quads)
+    vars(art)["_polarization"] = table
+    return art
 
 
 def _build_within_bound(spec: FamilySpec, bounded: bool, key: Optional[str] = None,
@@ -296,14 +313,15 @@ def _build_within_bound(spec: FamilySpec, bounded: bool, key: Optional[str] = No
     """Validate the spec under `caps`, then, if `bounded`, check the v3
     presentation's bound on the trivial summands (a cap names `key`
     first, if given), then build W: a count past the bound builds no W.
-    A v3 artifact carries the validation's coprimality verdict."""
+    A v3 artifact holds J' as the unit ideal, which the validation
+    proved it is."""
     validate_family_spec(spec, caps)  # f(0) = 0, deg f and, for v3, f + 1 squarefree
     if bounded:
         with _stage(key) if key else nullcontext():
             _check_coefficient_space(2 * FAMILIES["v3"][0] + spec.trivial_summands, KERNEL_DEGREE)
     art = _build_family(spec)
     if spec.family == "v3":
-        vars(art)["_coprime"] = True  # the cached_property's value, decided by the validation
+        vars(art)["polarization_ideal"] = Ideal(spec.f.ring, (spec.f.ring.one(),))
     return art
 
 
@@ -359,25 +377,6 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     equation = equation.embed(ring)
     gens = (equation,) + tuple(equation.partial(n) for n in ring.names)
     return is_unit_ideal(Ideal(ring, gens), caps=caps)
-
-
-def _smoothness_certificate(art: ConstructionArtifacts) -> bool:
-    """Whether B is certified smooth without expanding f(q) or a Groebner
-    run; False when no certificate applies (v4, or the gcd below is not
-    certified), and then the Jacobian criterion decides.
-
-    For v3 with q the quadratic invariant, a homogeneous quadric
-    (`_representation`), B's equation h = -1 - f(q) satisfies
-
-        -h = 1 + f(q),
-        sum over all i of w_i*dh/dw_i = -2*q*f'(q)   (Euler: q is a quadric),
-
-    so 1 + f(q) and q*f'(q) lie in B's Jacobian ideal.  If gcd(1 + f,
-    s*f') = 1 in Q[s], Bezout and s -> q put 1 there too.  That gcd is
-    the artifact's `_coprime`: the validation's verdict on a validated
-    build, else certified modulo a prime.
-    """
-    return art.spec.family == "v3" and art._coprime
 
 
 def boundary_analysis(art: ConstructionArtifacts):
@@ -568,8 +567,9 @@ def _stage(key: str):
 def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS) -> dict:
     """The battery's checks, by report key.  W is certified where it is
     built (`_representation`), so only what depends on f is decided here:
-    `stable` and `free` from -1 - f(0), smoothness from the v3 certificate
-    or, as the fallback, B's expanded Jacobian criterion `check_smooth`."""
+    `stable` and `free` from -1 - f(0), and smoothness, for both
+    families, by whether J' (`ConstructionArtifacts.polarization_ideal`)
+    is the unit ideal of f's ring."""
     stable = -1 - art.spec.f.constant_term() != 0
     checks = {
         # D kills w1 and the quadrics, which are free of w1: X's equation
@@ -580,7 +580,7 @@ def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS) -> di
         "free": stable,  # the zeros of the action are the non-stable locus
     }
     with _stage("boundarySmooth"):
-        b_smooth = _smoothness_certificate(art) or check_smooth(art.b_ideal, caps=caps)
+        b_smooth = is_unit_ideal(art.polarization_ideal, caps=caps)
     # Ybar's equation is u*w2 - v*w1 + h with h, B's, free of u, v, w1 and
     # w2 (so are the quadrics): Ybar is the cone over B, smooth iff B is.
     checks["ybarSmooth"] = checks["boundarySmooth"] = b_smooth

@@ -14,7 +14,7 @@ import gaquot
 from gaquot import VarSet, parse, subalgebra_membership
 from gaquot import cli, derivations, families
 from gaquot.cli import main
-from helpers import signed_roots_shape
+from helpers import signed_roots_shape, spolynomials_per_run
 
 V3_DERIVATION = """\
 # lower triangular action on three two-dimensional blocks
@@ -116,6 +116,41 @@ def test_resource_cap_names_the_stage(capsys):
     code, text = run(["verify", "--family", "v3", "--f=s", "--max-pairs", "1"])
     assert (code, text) == (4, "")
     assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
+
+
+def test_v4_verify_with_no_pair_budget_makes_no_basis_computation(monkeypatch):
+    """For f = a, J' = (1 + a, a, 0, ...) is settled by the lone-variable
+    step of `is_unit_ideal`, so `--max-pairs 0` passes with no run."""
+    results = []
+    runs = spolynomials_per_run(monkeypatch, lambda: results.append(
+        run(["verify", "--family", "v4", "--f=a", "--max-pairs", "0"])))
+    ((code, text),) = results
+    assert (code, runs) == (0, [])
+    assert json.loads(text)["checks"]["boundarySmooth"] is True
+
+
+@pytest.mark.parametrize("f, code, err", [
+    ("a^2 + b*c", 0, ""),
+    ("a^5 + b*c^2 + a*b + c", 4, "resource cap: boundarySmooth: pair budget 1 exhausted\n"),
+])
+def test_v4_cap_hit_names_the_smoothness_stage(f, code, err, capsys):
+    """A v4 battery's one Buchberger run is the unit test of J' in
+    Q[a, b, c], under the caps and named `boundarySmooth`; at one pair it
+    passes for a^2 + b*c, whose J' needs no S-polynomial (B's Jacobian
+    criterion needed 9), and stops at a^5 + b*c^2 + a*b + c (9)."""
+    assert run(["verify", "--family", "v4", f"--f={f}", "--max-pairs", "1"])[0] == code
+    assert capsys.readouterr().err == err
+
+
+def test_v4_smoothness_runs_in_the_degree_of_f(capsys):
+    """J' lives in f's ring, with the degree of f, so a shape of degree 31
+    passes under the default degree budget of 60, which B's Jacobian
+    criterion, of degree 62, once exhausted: `verify` exited 4 with
+    `resource cap: boundarySmooth: degree budget 60 exhausted`."""
+    code, text = run(["verify", "--family", "v4", "--f=a^31 + b*c^2 + a*b + c"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert json.loads(text)["checks"] == dict.fromkeys(
+        ("invariant", "affineSpace", "stable", "free", "ybarSmooth", "boundarySmooth"), True)
 
 
 def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):

@@ -252,17 +252,17 @@ def test_smoothness_of_closure_and_boundary():
 def test_smoothness_fails_on_repeated_root():
     """With a repeated root of f + 1, built without validation, both
     equations are singular, yet B's smoothness identities still hold: the
-    identities certify smoothness only together with gcd(1 + f, s*f') = 1,
-    which the battery's certificate checks and this shape fails, so the
-    Jacobian criterion decides.  Ybar is still the cone over B, so it is
-    singular with B."""
+    identities certify smoothness only together with J' = (1 + f, s*f')
+    the unit ideal, which this shape fails, as -1 is a common root, so
+    the battery's verdict is False.  Ybar is still the cone over B, so it
+    is singular with B."""
     spec = v3("(1+s)^2 - 1")
     forced = _build_family(spec)
     assert not check_smooth(forced.b_ideal)
     assert not check_smooth(ybar_ideal(forced))
     assert jacobian_identities(forced) is True
     check_cone_over_boundary(forced)
-    assert families._smoothness_certificate(forced) is False
+    assert forced.polarization_ideal.generators[:2] == (parse("(1+s)^2", S), parse("2*s^2 + 2*s", S))
     assert _checks(forced)["boundarySmooth"] is False
     with pytest.raises(RepeatedRootsError):
         run_battery(spec)
@@ -295,10 +295,12 @@ def recorded_unit_ideal_rings(monkeypatch) -> list:
 @pytest.mark.parametrize("trivial", [0, 50])
 def test_jacobian_criterion_runs_in_the_variables_of_the_equation(trivial, monkeypatch):
     """v4's B with f = a + b + c involves w3..w8 alone, so its Jacobian
-    criterion runs in those 6 variables whatever the trivial summands."""
+    criterion runs in those 6 variables whatever the trivial summands;
+    the battery's unit test of J' runs in f's variables a, b, c."""
     rings = recorded_unit_ideal_rings(monkeypatch)
+    assert check_smooth(build_family(v4("a + b + c", trivial)).b_ideal)
     assert run_battery(v4("a + b + c", trivial)).passed
-    assert rings == [tuple(f"w{i}" for i in range(3, 9))]
+    assert rings == [tuple(f"w{i}" for i in range(3, 9)), ABC.names]
 
 
 def test_jacobian_criterion_of_a_constant_runs_in_the_full_ring(monkeypatch):
@@ -309,7 +311,7 @@ def test_jacobian_criterion_of_a_constant_runs_in_the_full_ring(monkeypatch):
     assert rings == [ring.names] * 2
 
 
-# -- the v3 smoothness certificate --------------------------------------------------
+# -- the smoothness ideal J' ----------------------------------------------------------
 
 # The v3 signed-roots shapes of deg 1..12 (seed 7), and f = s with 0..3
 # trivial summands.
@@ -322,15 +324,19 @@ CERTIFIED_SPECS = (
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
 def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
-    """The identities and the battery's coprimality certificate certify B
-    wherever the Jacobian criterion does, and the battery's report does
-    not depend on which of them proves smoothness."""
+    """The identities, the validation's verdict on J', J''s own unit test
+    and the Jacobian criterion all certify B, and the battery's report,
+    which reads the validation's verdict, is the one whose smoothness
+    keys the Jacobian criterion decides."""
     art = build_family(spec)
     assert jacobian_identities(art) is True
-    assert families._smoothness_certificate(art) is True
-    assert check_smooth(art.b_ideal)
+    assert art.polarization_ideal == Ideal(S, (S.one(),))
+    assert groebner.is_unit_ideal(_build_family(spec).polarization_ideal)
     certified = run_battery(spec)
-    monkeypatch.setattr(families, "_smoothness_certificate", lambda art: False)
+    battery = families._checks
+    monkeypatch.setattr(families, "_checks", lambda art, caps: {
+        **battery(art, caps), "ybarSmooth": check_smooth(ybar_ideal(art), caps),
+        "boundarySmooth": check_smooth(art.b_ideal, caps)})
     assert run_battery(spec) == certified
 
 
@@ -368,19 +374,29 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
 
 
 def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
-    """A validated v3 artifact carries the validation's coprimality
-    verdict, so its certificate runs no modular loop; one built without
-    validation runs it once, on first read, and keeps the verdict."""
+    """A validated v3 artifact holds J' as the unit ideal, which the
+    validation proved it is, so its battery verdict runs neither the
+    modular loop again nor a Groebner run; one built without validation
+    builds J' = (1 + f, s*f', 0, 0, s*f') from f on first read, keeps
+    it, and decides it by a unit-ideal test in Q[s]."""
     spec = FamilySpec("v3", signed_roots_shape(5, 3))
     counts = counted_calls(monkeypatch, (groebner, "_coprime_mod"))
     validated = build_family(spec)
     assert counts["_coprime_mod"] == 1
-    assert families._smoothness_certificate(validated) is True
+    verdicts = []
+    runs = spolynomials_per_run(
+        monkeypatch, lambda: verdicts.append(_checks(validated)["boundarySmooth"]))
+    assert (runs, verdicts) == ([], [True])
     assert counts["_coprime_mod"] == 1
     unvalidated = _build_family(spec)
-    assert [families._smoothness_certificate(unvalidated) for _ in range(2)] == [True, True]
-    assert counts["_coprime_mod"] == 2
-    assert families._smoothness_certificate(_build_family(v3("s - 1"))) is False  # gcd(s, s) = s
+    f, s = spec.f, S.var("s")
+    s_f_prime = s * f.partial("s")
+    assert unvalidated.polarization_ideal == Ideal(S, (f + 1, s_f_prime, S.zero(), S.zero(),
+                                                        s_f_prime))
+    assert unvalidated.polarization_ideal is unvalidated.polarization_ideal
+    assert [_checks(unvalidated)["boundarySmooth"] for _ in range(2)] == [True, True]
+    assert counts["_coprime_mod"] == 1
+    assert _checks(_build_family(v3("s - 1")))["boundarySmooth"] is False  # J' = (s, s)
 
 
 def test_jacobian_identities_reject_a_changed_coefficient():
@@ -461,24 +477,64 @@ def test_jacobian_identities_hold_in_sympy(seed):
     assert jacobian_identities(art) is True
 
 
+def v4_polarization_shapes(seed):
+    """Four seeded v4 shapes of degree 1..4, f(0) = 0."""
+    rng, shapes = random.Random(seed), []
+    while len(shapes) < 4:
+        f = random_poly(rng, ABC, max_degree=4, max_terms=4)
+        f -= f.constant_term()
+        if not f.is_zero():
+            shapes.append(f)
+    return shapes
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_polarization_identities_hold_in_sympy(seed):
+    """E_kl h = -J_kl(q) for each polarization operator E_kl =
+    w(2k-1)*d/dw(2l-1) + w(2k)*d/dw(2l), blocks k, l in 2..4 in order,
+    with h B's equation as built, expanded by sympy on seeded v4 shapes
+    with a seeded number of trivial summands: J''s first generator is
+    1 + f, and the others, at s -> q, are the nonzero -E_kl h in order
+    (J' drops a zero J_kl, and J_kl(q) = 0 only for J_kl = 0, as the
+    quadrics are algebraically independent)."""
+    rng = random.Random(seed)
+    a, b, c = symbols = sp.symbols("a b c")
+    w = sp.symbols("w1:9")
+    q = (w[2] * w[5] - w[3] * w[4], w[2] * w[7] - w[3] * w[6], w[4] * w[7] - w[5] * w[6])
+    for f in v4_polarization_shapes(seed):
+        art = _build_family(FamilySpec("v4", f, rng.randint(0, 2)))
+        (equation,) = art.b_ideal.generators
+        h = to_sympy(equation, sp.symbols(list(art.w_ring.names)))
+        one_plus_f, *j = (to_sympy(g, symbols) for g in art.polarization_ideal.generators)
+        assert sp.expand(one_plus_f - 1 - to_sympy(f, symbols)) == 0
+        images = [sp.expand(-sum(w[2 * k - i] * sp.diff(h, w[2 * l - i]) for i in (2, 1)))
+                  for k in range(2, 5) for l in range(2, 5)]
+        at_q = dict(zip((a, b, c), q))
+        assert [image for image in images if image != 0] == [
+            sp.expand(j_kl.subs(at_q, simultaneous=True)) for j_kl in j]
+
+
 # -- Ybar is the cone over B ---------------------------------------------------------
 
-SINGULAR_V4 = ["a^2 - 2*a + b^2 + c^2", "a*b - a - b", "a^2*b^2 - 2*a*b + c^2"]
+SINGULAR_V4 = ["a^2 - 2*a + b^2 + c^2", "a*b - a - b", "a^2*b^2 - 2*a*b + c^2",
+               "(a+b+c)^2 + 2*(a+b+c)"]
 
 
 def transfer_specs():
     """v3 signed-roots shapes of deg 1..12 with 0..2 trivial summands,
-    seeded v4 shapes of degree <= 3, and the singular v4 controls."""
-    rng = random.Random("cone")
+    seeded v4 shapes of degree <= 3 and of degree 4, and the singular v4
+    controls."""
     specs = [pytest.param(FamilySpec("v3", signed_roots_shape(d, 7 + t), t),
                           id=f"v3-deg{d}-triv{t}")
              for d in range(1, 13) for t in range(3)]
-    shapes = []
-    while len(shapes) < 8:
-        f = random_poly(rng, ABC, max_degree=3, max_terms=4)
-        if not (f - f.constant_term()).is_zero():
-            shapes.append(f - f.constant_term())
-    specs += [pytest.param(FamilySpec("v4", f), id=f"v4-{f}") for f in shapes]
+    for seed, count, degrees in (("cone", 8, range(1, 4)), ("cone-4", 6, (4,))):
+        rng, shapes = random.Random(seed), []
+        while len(shapes) < count:
+            f = random_poly(rng, ABC, max_degree=max(degrees), max_terms=4)
+            f -= f.constant_term()
+            if f.total_degree() in degrees:
+                shapes.append(f)
+        specs += [pytest.param(FamilySpec("v4", f), id=f"v4-{f}") for f in shapes]
     return specs + [pytest.param(v4(text), id=f"v4-{text}") for text in SINGULAR_V4]
 
 
@@ -594,23 +650,25 @@ def recorded_artifacts(monkeypatch) -> list:
 EXPANDED = ("x_ideal", "b_ideal")
 
 
-@pytest.mark.parametrize("spec", [FamilySpec("v3", signed_roots_shape(d, 7), t)
-                                  for d in (1, 12, 30) for t in (0, 2)])
-def test_v3_battery_expands_no_f_of_q(spec, monkeypatch):
-    """A passing v3 battery decides every check without X or B: neither
+@pytest.mark.parametrize("spec, passed", [
+    *(pytest.param(FamilySpec("v3", signed_roots_shape(d, 7), t), True, id=f"v3-deg{d}-triv{t}")
+      for d in (1, 12, 30) for t in (0, 2)),
+    *(pytest.param(v4(text), True, id=f"v4-{text}")
+      for text in ("a", "a^2 + b*c", "a^5 + b*c^2 + a*b + c")),
+    *(pytest.param(v4(text), False, id=f"v4-{text}") for text in SINGULAR_V4),
+])
+def test_battery_expands_no_f_of_q(spec, passed, monkeypatch):
+    """A battery of either family, passing or singular, decides every
+    check without X or B and never calls the Jacobian criterion: neither
     lazy ideal has been built when it returns."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the battery ran the expanded Jacobian criterion")
+
+    monkeypatch.setattr(families, "check_smooth", refuse)
     built = recorded_artifacts(monkeypatch)
-    assert run_battery(spec).passed
+    assert run_battery(spec).passed is passed
     (art,) = built
     assert [name for name in EXPANDED if name in vars(art)] == []
-
-
-@pytest.mark.parametrize("text", ["a", "a^2 + b*c"] + SINGULAR_V4)
-def test_v4_battery_expands_only_b(text, monkeypatch):
-    built = recorded_artifacts(monkeypatch)
-    run_battery(v4(text))
-    (art,) = built
-    assert [name for name in EXPANDED if name in vars(art)] == ["b_ideal"]
 
 
 def test_a_quadric_off_the_nonstable_coordinates_is_a_bug(monkeypatch, request, capsys):
@@ -642,12 +700,26 @@ def test_a_fixed_locus_off_the_nonstable_locus_is_a_bug(monkeypatch, request, ca
 
 
 def test_smoothness_certificate_needs_a_quadric(monkeypatch, request, capsys):
-    """Euler's identity needs q homogeneous of degree 2, which W certifies
-    as it is built: adding w3, invariant, free of w1 and non-stable, to a
+    """J''s converse at s = 0, where the origin of W is singular on B as
+    every quadric has gradient 0 there, and the presentation's leading
+    coefficients need q homogeneous of degree 2, which W certifies as it
+    is built: adding w3, invariant, free of w1 and non-stable, to a
     quadric makes W a bug."""
     broken_representation_is_a_bug(monkeypatch, request, capsys, "_quadratic_invariants",
                                    with_first_quadric_plus("w3"),
                                    "a quadratic invariant is not a homogeneous quadric")
+
+
+def test_a_polarization_image_off_the_quadrics_is_a_bug(monkeypatch, request, capsys):
+    """E_kl h = -J_kl(q), behind the smoothness verdict, needs each
+    polarization operator to map each quadric to 0 or a signed quadric,
+    which W certifies as it derives its table: w3*w5 is invariant, a
+    quadric, free of w1 and non-stable, yet E_23 = w3*d/dw5 + w4*d/dw6
+    maps it to w3^2, so with it added to a quadric W is a bug."""
+    broken_representation_is_a_bug(
+        monkeypatch, request, capsys, "_quadratic_invariants", with_first_quadric_plus("w3*w5"),
+        "a polarization operator maps a quadratic invariant to neither 0 nor a signed "
+        "quadratic invariant")
 
 
 @pytest.mark.parametrize("text", ["t^2 + t", "(1+t)*(1+2*t)*(1+3*t) - 1"])

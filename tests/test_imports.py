@@ -22,10 +22,6 @@ SOURCES = sorted(
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
-# Public definitions kept with no referrer yet: the Jacobian matrix is
-# the rank certificate of the closed-form v3 presentation (ROADMAP item 1).
-UNREFERENCED_PUBLIC_ALLOWED = {("poly.py", "jacobian")}
-
 
 # The library's layers, lowest first; a module may import only from layers below it.
 LAYERS = ("errors", "poly", "linalg", "groebner", "derivations", "families", "cli")
@@ -296,7 +292,7 @@ def test_no_unreferenced_public_definitions():
     assert sum(len(public_definitions(source)) for source in sources.values()) > 40
     assert sum(len(public_members(source)) for source in sources.values()) > 40
     unreferenced = unreferenced_public_definitions(sources, ACCEPTANCE.read_text(encoding="utf-8"))
-    assert set(unreferenced) == UNREFERENCED_PUBLIC_ALLOWED
+    assert unreferenced == []
 
 
 def test_detects_unreferenced_public_definition():

@@ -114,7 +114,9 @@ def test_groebner_basis_equality_ignores_rows():
 
 def test_artifacts_keep_their_built_ideals_in_an_instance_dict():
     art = build_family(SPEC)
-    assert vars(art) == {"_coprime": True}  # the validation's verdict
+    # W's polarization table, and J' as the unit ideal the validation proved it is
+    assert set(vars(art)) == {"_polarization", "polarization_ideal"}
+    assert art.polarization_ideal == Ideal(SPEC.f.ring, (SPEC.f.ring.one(),))
     assert art.x_ideal is art.x_ideal
-    assert set(vars(art)) == {"_coprime", "b_ideal", "x_ideal"}
+    assert set(vars(art)) == {"_polarization", "polarization_ideal", "b_ideal", "x_ideal"}
     assert art == build_family(SPEC)
