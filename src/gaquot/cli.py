@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     present.add_argument("--trivial", type=int, default=0)
     _add_cap_flags(present)
 
-    kernel.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
-                        help="round budget for the saturation kernel method")
+    kernel.add_argument("--max-rounds", type=int, help=f"round budget of the saturation "
+                        f"method (default {DEFAULT_MAX_ROUNDS}); the linear method rejects it")
     return parser
 
 
@@ -205,10 +205,12 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_kernel(args, out) -> int:
-    if args.max_rounds < 0:
+    if args.max_rounds is not None and args.max_rounds < 0:
         raise UsageError("max_rounds must be nonnegative")
     if args.method == "saturation" and args.max_degree is not None:
         raise UsageError("--max-degree is the degree bound of the linear method only")
+    if args.method == "linear" and args.max_rounds is not None:
+        raise UsageError("--max-rounds is the round budget of the saturation method only")
     derivation = load_derivation_file(args.derivation)
     caps = ResourceCaps(max_pairs=args.max_pairs)
     if args.method == "linear":
@@ -218,12 +220,14 @@ def _cmd_kernel(args, out) -> int:
         data = find_slice(derivation)
         if data is None:
             raise UsageError("no slice variable (need D(s) nonzero with D(D(s)) = 0)")
-        gens = kernel_saturation(derivation, data, args.max_rounds, caps=caps)
-        if args.max_rounds == 0:
+        rounds = DEFAULT_MAX_ROUNDS if args.max_rounds is None else args.max_rounds
+        gens = kernel_saturation(derivation, data, rounds, caps=caps)
+        if rounds == 0:
             print("warning: 0 rounds requested; stabilization not verified",
                   file=sys.stderr)
     if not gens:
-        print("(no nonconstant generators up to the requested degree)", file=out)
+        bound = " up to the requested degree" if args.method == "linear" else ""
+        print(f"(no nonconstant generators{bound})", file=out)
     for g in gens:
         print(g, file=out)
     return EXIT_OK

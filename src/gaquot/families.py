@@ -106,10 +106,10 @@ from .groebner import (
     Ideal,
     ResourceCaps,
     _EXPONENT_BOUND,
+    _GraphSpan,
     _tag_ring,
     is_squarefree,
     is_unit_ideal,
-    subalgebra_presentation,
 )
 from .poly import (
     Polynomial,
@@ -173,9 +173,9 @@ class ConstructionArtifacts(_Record):
 
     Both ideals expand f(quads), so each is built on first use and then
     kept, in the instance dict, as is `polarization_ideal`, the battery's
-    smoothness ideal J' in f's own ring, which reads f instead.  The
-    battery takes the derivation and the quadrics as `_representation`
-    certified them, and J' from its polarization table.
+    smoothness ideal J' in f's own ring, which reads f and W's table
+    instead.  All three follow from the four fields; the battery takes
+    W as `_representation` certified it.
     """
 
     __slots__ = ("spec", "w_ring", "derivation", "quad_invariants", "__dict__")
@@ -205,15 +205,16 @@ class ConstructionArtifacts(_Record):
     def polarization_ideal(self) -> Ideal:
         """J' = (1 + f, J_kl for each polarization operator E_kl in
         order), in f's ring: J_kl(s) = sum over j of df/ds_j * c*s_m for
-        E_kl q_j = c*q_m in W's table, which `_build_family` hands over as
-        `_polarization` (a record built by hand has none).  The unit ideal
-        iff B is smooth (see the module docstring); a validated v3 build
-        holds it as (1) from the start (`_build_within_bound`)."""
+        E_kl q_j = c*q_m in the table `_representation` holds for the
+        spec's W.  The unit ideal iff B is smooth (see the module
+        docstring); a validated v3 build holds it as (1) from the start
+        (`_build_within_bound`)."""
         f = self.spec.f
         s = [f.ring.var(n) for n in f.ring.names]
         gradient = jacobian([f], f.ring.names)[0]
+        table = _representation(self.spec.family, self.spec.trivial_summands)[2]
         return Ideal(f.ring, (f + 1, *(sum((c * gradient[j] * s[m] for j, c, m in images),
-                                           f.ring.zero()) for images in self._polarization)))
+                                           f.ring.zero()) for images in table)))
 
 
 def validate_family_spec(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
@@ -302,10 +303,8 @@ def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     invalid specs the battery's failure paths are about.  The objects of
     W come from `_representation`; f(q) is expanded only when one of the
     artifacts' ideals is first read."""
-    derivation, quads, table = _representation(spec.family, spec.trivial_summands)
-    art = ConstructionArtifacts(spec, derivation.ring, derivation, quads)
-    vars(art)["_polarization"] = table
-    return art
+    derivation, quads, _ = _representation(spec.family, spec.trivial_summands)
+    return ConstructionArtifacts(spec, derivation.ring, derivation, quads)
 
 
 def _build_within_bound(spec: FamilySpec, bounded: bool, key: Optional[str] = None,
@@ -449,7 +448,7 @@ def invariant_presentation(art: ConstructionArtifacts,
     two monic minors, in z1..z5 and in (degree, text) order, drops each
     lying in the subalgebra of those before it and eliminates the affine
     coordinates from the graph ideal of the rest
-    (groebner.subalgebra_presentation, under one `caps` budget).  z6, z7,
+    (a `groebner._GraphSpan`, under one `caps` budget).  z6, z7,
     ... then join its survivors, in (degree, text) order, and each
     relation's tags are renamed by survivor position.  Returns
     (restricted generators, relation ideal in tags).
@@ -508,7 +507,8 @@ def invariant_presentation(art: ConstructionArtifacts,
     seeds = [p if forms[p] is None else Polynomial(big, {
         m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in forms[p].items()})
         for p in ordered]
-    survivors, relations = subalgebra_presentation(_CORE, ordered, caps, seeds)
+    span = _GraphSpan(_CORE, ordered, caps, seeds)
+    survivors, relations = span.kept, span.relations()
     if z_ring is _CORE:
         return tuple(survivors), relations  # the survivors are sorted, and tagged in order
     spanned = [p.embed(z_ring) for p in survivors]

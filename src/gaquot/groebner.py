@@ -33,8 +33,10 @@ of `poly`.  The tag-variable graph ideal is defined twice, as a pair:
 `_graph_ideal` builds its polynomials over the ring extended by the
 tags (`_tag_ring`), for elimination and one-shot membership, and
 `_GraphSpan._seed` packs the same generators straight from the
-candidates' terms, or congruent ones from seed forms, each equal to its
-candidate once its tags are replaced by the candidates they tag.
+candidates' terms, or, for the v3 presentation alone
+(`families.invariant_presentation`), congruent ones from seed forms,
+each equal to its candidate once its tags are replaced by the
+candidates they tag; no public function takes a seed form.
 
 Buchberger, normal forms and the pair update work on packed monomials:
 inside the engine a monomial is one Python int, linear in its exponent
@@ -195,26 +197,16 @@ class Ideal(_Record):
 
 class GroebnerBasis(_Record):
     """Reduced basis (monic, pairwise irreducible) of `source` under `order`;
-    `leading` holds the leading monomial of each basis element.
+    `leading` holds the leading monomial of each basis element.  Its
+    four fields are all it holds, so equal records reduce alike."""
 
-    `rows` holds the same elements as the packed rows they were reduced
-    as, under `_packing(order, number of variables)`: each is a triple
-    (leading monomial, leading coefficient, tail), the polynomial
-    primitive over the integers with positive leading coefficient and
-    the tail its other (monomial, coefficient) pairs in descending
-    order.  Normal forms reduce against them without converting the
-    basis again; it takes no part in equality or `repr`."""
+    __slots__ = _fields = ("order", "basis", "source", "leading")
 
-    __slots__ = ("order", "basis", "source", "leading", "rows")
-    _fields = __slots__[:4]
-
-    def __init__(self, order: TermOrder, basis: tuple, source: Ideal, leading: tuple,
-                 rows: tuple):
+    def __init__(self, order: TermOrder, basis: tuple, source: Ideal, leading: tuple):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "leading", leading)
-        object.__setattr__(self, "rows", rows)
 
 
 class ResourceCaps(_Record):
@@ -605,19 +597,21 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     packing, final = _reduced_rows(ideal, order, caps)
     unpack = packing.unpack
     polys = tuple(Polynomial(ideal.ring, _monic_terms(row, unpack)) for row in final)
-    return GroebnerBasis(order, polys, ideal, tuple(unpack(lm) for lm, _, _ in final),
-                         tuple(final))
+    return GroebnerBasis(order, polys, ideal, tuple(unpack(lm) for lm, _, _ in final))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Unique remainder of f modulo the basis; zero iff f is a member.
-    Raises ResourceCapError if an exponent of f or of a term the
-    reduction reaches is 2**31 or more."""
+    """Unique remainder of f modulo the basis, packed as the primitive rows
+    `buchberger` reduced, so it depends on the basis alone; zero iff f is
+    a member.  Raises ResourceCapError if an exponent of f or of a term
+    the reduction reaches is 2**31 or more."""
     if f.ring != gb.source.ring:
         raise RingMismatchError("polynomial ring differs from basis ring")
     packing = _packing(gb.order, len(f.ring))
+    rows = [_row(dict(sorted(_integer_terms(g.terms, packing.pack)[0].items())))
+            for g in gb.basis]
     work, d = _integer_terms(f.terms, packing.pack)
-    remainder, scale = _reduce_full(work, gb.rows, packing.guard)
+    remainder, scale = _reduce_full(work, rows, packing.guard)
     d *= scale
     unpack = packing.unpack
     return Polynomial(f.ring, {unpack(m): _exact_quotient(c, d) for m, c in remainder.items()})
@@ -866,7 +860,8 @@ class _GraphSpan:
     a polynomial over `ring` or over `_tag_ring(ring, len(candidates))`
     that equals candidate i once each tag y_j in it is replaced by
     candidate j.  The default form is the candidate itself, which makes
-    the seed the generator y_i - p of `_graph_ideal(ring, candidates)`.
+    the seed the generator y_i - p of `_graph_ideal(ring, candidates)`;
+    only `families.invariant_presentation` passes other forms.
     A form may name only the tags of candidates kept before i.  For
     every kept j the run already holds y_j - candidate_j, so the two
     seeds are congruent modulo the ideal the rows are a Groebner basis
@@ -984,20 +979,16 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
 
 
 def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
-                            caps: ResourceCaps = DEFAULT_CAPS,
-                            forms: Optional[Sequence[Polynomial]] = None):
+                            caps: ResourceCaps = DEFAULT_CAPS):
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
     tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
-    over all the candidates keeps the survivors and its `relations()`
-    follow, so the filter and the elimination are one run sharing one
-    `caps` budget.  `forms`, one per candidate and by default the
-    candidates themselves, are the span's seed forms over
-    `_tag_ring(ring, len(candidates))`, checked as `_GraphSpan` checks
-    them; they change the reduction work, never the result.  An empty
-    candidate list raises ValueError."""
-    span = _GraphSpan(ring, candidates, caps, forms)
+    over all the candidates, each seeded as itself, keeps the survivors
+    and its `relations()` follow, so the filter and the elimination are
+    one run sharing one `caps` budget.  An empty candidate list raises
+    ValueError."""
+    span = _GraphSpan(ring, candidates, caps)
     return span.kept, span.relations()
 
 

@@ -32,6 +32,7 @@ from gaquot import (
     parse,
     run_battery,
     subalgebra_membership,
+    subalgebra_presentation,
 )
 from gaquot.cli import main as cli_main
 from gaquot.families import _build_family
@@ -181,6 +182,10 @@ def test_criterion_3_component_count():
         member, witness = subalgebra_membership(f_of_q, list(gens))
         assert member
         assert witness.substitute({f"y{i + 1}": g for i, g in enumerate(gens)}) == f_of_q
+        # the battery's seed forms change its reduction work only: the
+        # generators, spanned as themselves, give them back with the relations
+        survivors, relations = subalgebra_presentation(z, list(gens))
+        assert (tuple(survivors), relations) == rep.presentation
     report(3, "cubic instance: m = deg f = 3, ranks (3,4,1), f(q) in the presented subalgebra")
 
 

@@ -499,14 +499,44 @@ def test_gb_elimination_count_beyond_ring_size(tmp_path, capsys):
 
 
 def test_max_rounds_only_where_read(tmp_path, capsys):
-    """--max-rounds belongs to kernel, which spends it; verify, gb and
-    present reject it."""
+    """--max-rounds belongs to kernel's saturation method, which spends
+    it; verify, gb and present reject it, and so does the linear method,
+    as saturation rejects --max-degree."""
     path = tmp_path / "single.txt"
     path.write_text("x\n", encoding="utf-8")
     assert run(["verify", "--family", "v3", "--f=s", "--max-rounds", "8"]) == (1, "")
     assert run(["gb", "--ideal", str(path), "--max-rounds", "5"])[0] == 1
     assert run(["present", "--f", "s", "--max-rounds", "0"])[0] == 1
     capsys.readouterr()
+    derivation = tmp_path / "derivation.txt"
+    derivation.write_text(V3_DERIVATION, encoding="utf-8")
+    for method in ([], ["--method", "linear"]):
+        for rounds in ("0", "8"):
+            code, text = run(["kernel", "--derivation", str(derivation), *method,
+                              "--max-rounds", rounds])
+            assert (code, text) == (1, "")
+            assert "saturation method only" in capsys.readouterr().err
+    default = run(["kernel", "--derivation", str(derivation), "--method", "saturation"])
+    assert default[0] == 0 and default == run(["kernel", "--derivation", str(derivation),
+                                               "--method", "saturation", "--max-rounds", "8"])
+
+
+@pytest.mark.parametrize("method, line", [
+    ("linear", "(no nonconstant generators up to the requested degree)"),
+    ("saturation", "(no nonconstant generators)"),
+])
+def test_kernel_with_no_invariants_says_so(method, line, tmp_path):
+    """D(x) = 1 kills only the constants.  Only the linear method takes a
+    degree bound, so only its message names one."""
+    path = tmp_path / "translation.txt"
+    path.write_text("vars: x\nx -> 1\n", encoding="utf-8")
+    assert run(["kernel", "--derivation", str(path), "--method", method]) == (0, line + "\n")
+
+
+def test_gb_of_the_zero_ideal_prints_zero(tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text("x - x\n", encoding="utf-8")
+    assert run(["gb", "--ideal", str(path)]) == (0, "0\n")
 
 
 @pytest.mark.parametrize("argv, message", [

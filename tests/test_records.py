@@ -1,5 +1,9 @@
 """The library's immutable records: frozen, compared and hashed by their
-fields, printed in the Name(field=value, ...) format."""
+fields, printed in the Name(field=value, ...) format, and built from
+those fields alone."""
+
+import inspect
+import random
 
 import pytest
 
@@ -20,9 +24,13 @@ from gaquot import (
     buchberger,
     k_theory_ranks,
     make_slice,
+    normal_form,
     parse,
     run_battery,
 )
+from gaquot import families
+from gaquot.poly import _Record
+from helpers import random_poly
 
 XY = VarSet(("x", "y"))
 SPEC = FamilySpec("v3", parse("s^2 + s", VarSet(("s",))))
@@ -104,19 +112,82 @@ def test_record_constructors_keep_their_keywords_and_defaults():
                                  for name in RECORDS[VerificationReport][1]}) == report
 
 
-def test_groebner_basis_equality_ignores_rows():
-    gb = RECORDS[GroebnerBasis][0]()
-    bare = GroebnerBasis(gb.order, gb.basis, gb.source, gb.leading, rows=())
-    assert gb.rows and bare == gb and hash(bare) == hash(gb)
-    assert "rows" not in repr(gb)
-    assert GroebnerBasis(TermOrder.lex(), gb.basis, gb.source, gb.leading, gb.rows) != gb
+def library_records() -> list:
+    """Every `_Record` subclass the library defines."""
+    found, stack = [], list(_Record.__subclasses__())
+    while stack:
+        record = stack.pop()
+        stack += record.__subclasses__()
+        if record.__module__.startswith("gaquot."):
+            found.append(record)
+    return found
+
+
+def unlisted_parameters(record) -> list:
+    """The parameters of the record's `__init__` that are not among its
+    `_fields`: constructor arguments that equality would not see."""
+    parameters = list(inspect.signature(record.__init__).parameters)[1:]  # after self
+    return [name for name in parameters if name not in record._fields]
+
+
+def test_every_constructor_argument_is_a_compared_field():
+    """Two records with equal fields are built from equal arguments, so
+    they behave alike: no record takes an argument outside its `_fields`."""
+    records = library_records()
+    assert set(records) == set(RECORDS)
+    assert {record.__name__: unlisted_parameters(record) for record in records} \
+        == {record.__name__: [] for record in records}
+
+
+def test_detects_a_constructor_argument_outside_the_fields():
+    class Toy(_Record):
+        __slots__ = ("kept", "rider")
+        _fields = ("kept",)
+
+        def __init__(self, kept, rider=None):
+            object.__setattr__(self, "kept", kept)
+            object.__setattr__(self, "rider", rider)
+
+    assert unlisted_parameters(Toy) == ["rider"]
+    assert Toy(1, rider=2) == Toy(1)
+
+
+@pytest.mark.parametrize("order", [TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(1)],
+                         ids=lambda order: order.kind)
+def test_a_basis_rebuilt_from_its_fields_reduces_alike(order):
+    """normal_form reads the basis alone: a GroebnerBasis rebuilt from its
+    four fields gives every remainder the built one gives, also for a
+    basis and inputs with fractional coefficients; x^3 - 1 lies in
+    (x^2 - y, x*y - 1), so x^3 reduces to 1 there."""
+    rng = random.Random("rebuilt")
+    for texts in (("x^2 - y", "x*y - 1"), ("2*x^2 - 3*y", "3*x*y - 1", "5*y^3 + 1/2*x")):
+        gb = buchberger(Ideal(XY, tuple(parse(t, XY) for t in texts)), order)
+        rebuilt = GroebnerBasis(gb.order, gb.basis, gb.source, gb.leading)
+        assert rebuilt == gb
+        for f in [parse("x^3", XY)] + [random_poly(rng, XY, max_degree=5, denominator_bound=3)
+                                       for _ in range(20)]:
+            assert normal_form(f, rebuilt) == normal_form(f, gb)
+        if len(texts) == 2:
+            assert normal_form(parse("x^3", XY), rebuilt) == XY.one()
+
+
+@pytest.mark.parametrize("text", ["a^2 + b*c", "a^2 - 2*a + b^2 + c^2"])
+def test_artifacts_built_by_hand_have_the_built_smoothness_ideal(text):
+    """A v4 record built by hand from the four fields of `build_family`'s
+    has its J', and the battery's checks on it agree, smooth and singular."""
+    built = build_family(FamilySpec("v4", parse(text, VarSet(("a", "b", "c")))))
+    hand = ConstructionArtifacts(built.spec, built.w_ring, built.derivation,
+                                 built.quad_invariants)
+    assert hand == built
+    assert hand.polarization_ideal == built.polarization_ideal
+    assert families._checks(hand) == families._checks(built)
 
 
 def test_artifacts_keep_their_built_ideals_in_an_instance_dict():
     art = build_family(SPEC)
-    # W's polarization table, and J' as the unit ideal the validation proved it is
-    assert set(vars(art)) == {"_polarization", "polarization_ideal"}
+    # J' as the unit ideal the validation proved it is
+    assert set(vars(art)) == {"polarization_ideal"}
     assert art.polarization_ideal == Ideal(SPEC.f.ring, (SPEC.f.ring.one(),))
     assert art.x_ideal is art.x_ideal
-    assert set(vars(art)) == {"_polarization", "polarization_ideal", "b_ideal", "x_ideal"}
+    assert set(vars(art)) == {"polarization_ideal", "b_ideal", "x_ideal"}
     assert art == build_family(SPEC)

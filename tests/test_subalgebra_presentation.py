@@ -193,7 +193,7 @@ V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
 
 def presentation_input(monkeypatch, spec):
     """((ring, candidates, forms) that invariant_presentation hands to
-    subalgebra_presentation, what that returns, the presentation
+    its `_GraphSpan`, the span's (kept, relations()), the presentation
     invariant_presentation returns) for `spec`.  Each form is checked to
     equal its candidate, as handed over, once its tags are replaced by the
     candidates they tag."""
@@ -204,11 +204,11 @@ def presentation_input(monkeypatch, spec):
                           [ring.var(n) for n in ring.names] + list(candidates)))
         assert [form.substitute({n: expand[n] for n in form.ring.names}) for form in forms] \
             == list(candidates)
-        spanned = subalgebra_presentation(ring, candidates, caps, forms)
-        seen.append(((ring, list(candidates), forms), spanned))
-        return spanned
+        span = _GraphSpan(ring, candidates, caps, forms)
+        seen.append(((ring, list(candidates), forms), (span.kept, span.relations())))
+        return span
 
-    monkeypatch.setattr(families, "subalgebra_presentation", recording)
+    monkeypatch.setattr(families, "_GraphSpan", recording)
     presentation = invariant_presentation(build_family(spec))
     [(found, spanned)] = seen
     return found, spanned, presentation
@@ -318,7 +318,7 @@ def test_forms_leave_v3_spans_unchanged(monkeypatch):
     """On seeded v3 shapes of degree 1-20 with 0-2 trivial summands, the
     span seeded through the forms keeps the same candidates, adds the same
     rows and reduces the same S-polynomials as the span seeded with the
-    candidates, and so does the presentation."""
+    candidates."""
     rng = random.Random("forms")
     for degree in range(1, 21):
         for trivial in range(3):
@@ -326,8 +326,6 @@ def test_forms_leave_v3_spans_unchanged(monkeypatch):
                                                     rng.randrange(1000))
             assert span_state(_GraphSpan(ring, candidates, forms=forms)) \
                 == span_state(_GraphSpan(ring, candidates))
-            assert subalgebra_presentation(ring, candidates, forms=forms) \
-                == subalgebra_presentation(ring, candidates)
 
 
 @pytest.mark.parametrize("trivial", [0, 1, 2])
@@ -349,11 +347,10 @@ def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
             sizes.append(len(reduced))
             return reduced, member
 
-    monkeypatch.setattr(groebner, "_GraphSpan", Recorded)
-    subalgebra_presentation(ring, candidates, forms=forms)
+    Recorded(ring, candidates, forms=forms)
     assert sizes == [2, 2, 2, 2, 3, 3, 15, 15, 15, 15]
     sizes.clear()
-    subalgebra_presentation(ring, candidates)
+    Recorded(ring, candidates)
     assert sizes == [2, 2, 2, 2, 3, 3, 93, 15, 93, 15]
 
 
@@ -382,13 +379,11 @@ def test_forms_naming_other_tags_are_rejected(candidates, form_index, form):
     forms[form_index] = tagged(form).embed(_tag_ring(FORM_RING, len(cands)))
     with pytest.raises(ValueError, match="names the tag"):
         _GraphSpan(FORM_RING, cands, forms=forms)
-    with pytest.raises(ValueError, match="names the tag"):
-        subalgebra_presentation(FORM_RING, cands, forms=forms)
 
 
 def test_forms_next_to_a_lone_candidate():
     """Next to the lone candidate e, forms that name earlier kept tags,
-    e's tag y1 or e itself leave the presentation and the span's rows
+    e's tag y1 or e itself leave the span's survivors, relations and rows
     as they are without forms."""
     ring = VarSet(("x", "e", "z"))
     cands = [parse(t, ring) for t in
@@ -399,7 +394,6 @@ def test_forms_next_to_a_lone_candidate():
     for texts in (("x^3 + y3*x", "y2^2*y3 + y2", "y4^2"),
                   ("x^3 + y3*x + y1 - e", "y2^2*y3 + y2", "y4^2 + e*x - y1*x")):
         forms = cands[:3] + [parse(t, big) for t in texts]
-        assert subalgebra_presentation(ring, cands, forms=forms) == plain
         assert span_state(_GraphSpan(ring, cands, forms=forms)) \
             == span_state(_GraphSpan(ring, cands))
 
@@ -411,5 +405,17 @@ def test_forms_are_checked():
     for ring in (FORM_TAGS, VarSet(("a", "b"))):  # tags for 4 candidates, not 2; another ring
         with pytest.raises(RingMismatchError):
             _GraphSpan(FORM_RING, cands, forms=[cands[0], ring.var("a")])
-        with pytest.raises(RingMismatchError):
-            subalgebra_presentation(FORM_RING, cands, forms=[cands[0], ring.var("a")])
+
+
+def test_the_public_presentation_takes_no_seed_forms():
+    """Seed forms are private to the v3 presentation: subalgebra_presentation
+    takes (ring, candidates, caps) and rejects a fourth argument, which
+    could drop a candidate that is no member, such as y from Q[x, y]."""
+    ring = VarSet(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    forms = [x, _tag_ring(ring, 2).var("y1")]
+    with pytest.raises(TypeError):
+        subalgebra_presentation(ring, [x, y], forms=forms)
+    with pytest.raises(TypeError):
+        subalgebra_presentation(ring, [x, y], groebner.DEFAULT_CAPS, forms)
+    assert subalgebra_presentation(ring, [x, y])[0] == [x, y]
