@@ -46,7 +46,6 @@ from .families import (
     check_smooth,
     check_stability,
     invariant_presentation,
-    k_theory_ranks,
     run_battery,
     validate_family_spec,
 )

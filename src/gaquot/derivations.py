@@ -139,20 +139,18 @@ class Derivation(_Record):
 
 
 class SliceData(_Record):
-    """A local slice: a variable s with a = D(s) nonzero and D(a) = 0."""
+    """A local slice: a variable s with a = D(s) nonzero and D(a) = 0.  It
+    holds s alone: `_check_slice` reads a off the derivation at hand."""
 
-    __slots__ = _fields = ("var", "value")
+    __slots__ = _fields = ("var",)
 
-    def __init__(self, var: str, value: Polynomial):
+    def __init__(self, var: str):
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "value", value)  # a = D(s)
 
 
 def make_slice(derivation: Derivation, var: str) -> SliceData:
-    value = derivation.apply(derivation.ring.var(var))
-    data = SliceData(var, value)
-    _check_slice(derivation, data)
-    return data
+    _check_slice(derivation, var)
+    return SliceData(var)
 
 
 def find_slice(derivation: Derivation) -> Optional[SliceData]:
@@ -166,14 +164,14 @@ def find_slice(derivation: Derivation) -> Optional[SliceData]:
     return None
 
 
-def _check_slice(derivation: Derivation, data: SliceData):
-    a = data.value
+def _check_slice(derivation: Derivation, var: str) -> Polynomial:
+    """a = D(s) for the slice variable s; UsageError unless a != 0 = D(a)."""
+    a = derivation.apply(derivation.ring.var(var))
     if a.is_zero():
-        raise UsageError(f"D({data.var}) vanishes; not a slice")
-    if derivation.apply(derivation.ring.var(data.var)) != a:
-        raise UsageError("slice value is not the image of the slice variable")
+        raise UsageError(f"D({var}) vanishes; not a slice")
     if not derivation.apply(a).is_zero():
         raise UsageError("slice image is not in the kernel")
+    return a
 
 
 def lower_triangular_derivation(copies_v: int, trivial: int = 0) -> Derivation:
@@ -381,7 +379,8 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     return _span(ring, solutions, caps).kept
 
 
-def _dixmier_cleared(derivation: Derivation, data: SliceData, f: Polynomial) -> Polynomial:
+def _dixmier_cleared(derivation: Derivation, data: SliceData, a: Polynomial,
+                     f: Polynomial) -> Polynomial:
     """Slice projection of f with denominators cleared by powers of a.
 
     The alternating sum of D^i(f) s^i / (i! a^i) lands in the kernel of
@@ -391,7 +390,6 @@ def _dixmier_cleared(derivation: Derivation, data: SliceData, f: Polynomial) -> 
     chain = _iterates(derivation, f)
     n = len(chain) - 1
     s = derivation.ring.var(data.var)
-    a = data.value
     result = derivation.ring.zero()
     for i, g in enumerate(chain):
         sign = -1 if i % 2 else 1
@@ -405,27 +403,28 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
 
     Seeds with the cleared slice projections of the variables, then
     repeatedly adjoins kernel elements h with a*h inside the current
-    subalgebra.  Each subalgebra is one `_span`, which keeps the
-    generators that the ones before them in (degree, text) order do not
-    generate, as kernel_linear does (a seed can lie in the subalgebra of
-    other seeds); the next round's span is built from its kept
-    generators plus the new elements, since a dropped generator stays in
-    the subalgebra of the kept ones before it.  Each subalgebra contains
-    the one before it, so a polynomial that lay in an earlier one, a seed
-    or a candidate an earlier round tested, is never tested again.  Stops
-    when a round adds nothing and returns that span's kept generators;
-    with max_rounds = 0 the seeds' span is returned unverified.  Exhausting a positive round
+    subalgebra, for the slice image a = D(s) (`_check_slice`).  Each
+    subalgebra is one `_span`, which keeps the generators that the ones
+    before them in (degree, text) order do not generate, as kernel_linear
+    does (a seed can lie in the subalgebra of other seeds); the next
+    round's span is built from its kept generators plus the new elements,
+    since a dropped generator stays in the subalgebra of the kept ones
+    before it.  Each subalgebra contains the one before it, so a
+    polynomial that lay in an earlier one, a seed or a candidate an
+    earlier round tested, is never tested again.  Stops when a round adds
+    nothing and returns that span's kept generators; with max_rounds = 0
+    the seeds' span is returned unverified.  Exhausting a positive round
     budget raises RoundCapError (the invariant ring need not be finitely
     generated, so silent truncation is never acceptable), and a negative
     one UsageError.
     """
     if max_rounds < 0:
         raise UsageError("max_rounds must be nonnegative")
-    _check_slice(derivation, data)
+    a = _check_slice(derivation, data.var)
     ring = derivation.ring
     seeds = []
     for name in ring.names:
-        cleared = _dixmier_cleared(derivation, data, ring.var(name))
+        cleared = _dixmier_cleared(derivation, data, a, ring.var(name))
         if cleared.is_zero() or cleared.is_constant():
             continue
         cleared = monic(cleared)
@@ -434,7 +433,7 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
     span = _span(ring, seeds, caps)
     known = set(seeds)
     for _ in range(max_rounds):
-        new = _saturation_round(derivation, data.value, span, known, caps)
+        new = _saturation_round(derivation, a, span, known, caps)
         if not new:
             return span.kept
         span = _span(ring, span.kept + new, caps)

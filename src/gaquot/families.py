@@ -64,8 +64,8 @@ f(q) nowhere but in the v3 presentation, its one Buchberger run besides
 v4's unit test of J' in three variables.  A ResourceCapError raised by
 the battery names the stage, by its report key, in front of the cap;
 the validation caps deg f at the run's degree budget before the
-squarefree test builds its dense lists, and the presentation's bound on
-the trivial summands is checked before W is built.
+squarefree test builds its dense lists, and the bound on the trivial
+summands (the presentation's, for v3) is checked before W is built.
 
 What depends on W alone is built once per process, in one bounded
 cache: W's derivation, quadratic invariants and polarization table per
@@ -84,7 +84,8 @@ from contextlib import contextmanager, nullcontext
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from operator import add
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .derivations import (
     Derivation,
@@ -174,19 +175,21 @@ class ConstructionArtifacts(_Record):
     Both ideals expand f(quads), so each is built on first use and then
     kept, in the instance dict, as is `polarization_ideal`, the battery's
     smoothness ideal J' in f's own ring, which reads f and W's table
-    instead.  All three follow from the four fields; the battery takes
+    instead.  All three follow from the three fields; the battery takes
     W as `_representation` certified it.
     """
 
-    __slots__ = ("spec", "w_ring", "derivation", "quad_invariants", "__dict__")
-    _fields = __slots__[:4]
+    __slots__ = ("spec", "derivation", "quad_invariants", "__dict__")
+    _fields = __slots__[:3]
 
-    def __init__(self, spec: FamilySpec, w_ring: VarSet, derivation: Derivation,
-                 quad_invariants: tuple):
+    def __init__(self, spec: FamilySpec, derivation: Derivation, quad_invariants: tuple):
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "w_ring", w_ring)
         object.__setattr__(self, "derivation", derivation)
         object.__setattr__(self, "quad_invariants", quad_invariants)
+
+    @property
+    def w_ring(self) -> VarSet:
+        return self.derivation.ring
 
     @cached_property
     def b_ideal(self) -> Ideal:
@@ -304,20 +307,21 @@ def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     W come from `_representation`; f(q) is expanded only when one of the
     artifacts' ideals is first read."""
     derivation, quads, _ = _representation(spec.family, spec.trivial_summands)
-    return ConstructionArtifacts(spec, derivation.ring, derivation, quads)
+    return ConstructionArtifacts(spec, derivation, quads)
 
 
 def _build_within_bound(spec: FamilySpec, bounded: bool, key: Optional[str] = None,
                         caps: ResourceCaps = DEFAULT_CAPS) -> ConstructionArtifacts:
-    """Validate the spec under `caps`, then, if `bounded`, check the v3
-    presentation's bound on the trivial summands (a cap names `key`
-    first, if given), then build W: a count past the bound builds no W.
-    A v3 artifact holds J' as the unit ideal, which the validation
-    proved it is."""
+    """Validate the spec under `caps`, then, if `bounded`, check the bound
+    on the trivial summands of the spec's W (a cap names `key` first, if
+    given), then build W: a count past the bound builds no W.  A v3
+    artifact holds J' as the unit ideal, which the validation proved it
+    is."""
     validate_family_spec(spec, caps)  # f(0) = 0, deg f and, for v3, f + 1 squarefree
     if bounded:
         with _stage(key) if key else nullcontext():
-            _check_coefficient_space(2 * FAMILIES["v3"][0] + spec.trivial_summands, KERNEL_DEGREE)
+            _check_coefficient_space(2 * FAMILIES[spec.family][0] + spec.trivial_summands,
+                                     KERNEL_DEGREE)
     art = _build_family(spec)
     if spec.family == "v3":
         vars(art)["polarization_ideal"] = Ideal(spec.f.ring, (spec.f.ring.one(),))
@@ -405,23 +409,25 @@ def boundary_analysis(art: ConstructionArtifacts):
 
 
 class KTheoryRanks(_Record):
-    """Ranks forced by the split short exact localization sequence."""
+    """Ranks of K0 that the split localization sequence forces from m >= 1
+    (else ValueError): m on the boundary, m + 1 on the closure, 1 on the open part."""
 
-    __slots__ = _fields = ("m", "rank_z", "rank_closure", "rank_quotient")
+    __slots__ = _fields = ("m",)
 
-    def __init__(self, m: int, rank_z: int, rank_closure: int, rank_quotient: int = 1):
+    def __init__(self, m: int):
+        if m < 1:
+            raise ValueError("the boundary must be nonempty (m >= 1)")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rank_z", rank_z)
-        object.__setattr__(self, "rank_closure", rank_closure)
-        object.__setattr__(self, "rank_quotient", rank_quotient)
 
+    @property
+    def rank_z(self) -> int:
+        return self.m
 
-def k_theory_ranks(m: int) -> KTheoryRanks:
-    """rank K0 = m on the boundary, m + 1 on the closure, 1 on the open
-    part; the localization sequence of free abelian groups splits."""
-    if m < 1:
-        raise ValueError("the boundary must be nonempty (m >= 1)")
-    return KTheoryRanks(m=m, rank_z=m, rank_closure=m + 1)
+    @property
+    def rank_closure(self) -> int:
+        return self.m + 1
+
+    rank_quotient = 1
 
 
 def invariant_presentation(art: ConstructionArtifacts,
@@ -524,34 +530,45 @@ def invariant_presentation(art: ConstructionArtifacts,
 
 
 class Dims(_Record):
-    """Dimensions of X, the quotient, the closure, and the boundary."""
+    """Dimensions of X, the closure and the boundary, and the quotient's."""
 
-    __slots__ = _fields = ("x", "quotient", "ybar", "b")
+    __slots__ = _fields = ("x", "ybar", "b")
 
-    def __init__(self, x: int, quotient: int, ybar: int, b: int):
+    def __init__(self, x: int, ybar: int, b: int):
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "quotient", quotient)
         object.__setattr__(self, "ybar", ybar)
         object.__setattr__(self, "b", b)
 
+    @property
+    def quotient(self) -> int:
+        return self.x - 1  # the group is one-dimensional and acts freely
+
 
 class VerificationReport(_Record):
-    """Outcome of the full battery for one family instance."""
+    """Outcome of the full battery for one family instance; `checks` is
+    read-only, and the codimension, m and `passed` are derived."""
 
-    __slots__ = _fields = ("spec", "dims", "checks", "boundary_codim", "m", "ranks",
-                           "presentation", "passed")
+    __slots__ = _fields = ("spec", "dims", "checks", "ranks", "presentation")
 
-    def __init__(self, spec: FamilySpec, dims: Dims, checks: dict, boundary_codim: int,
-                 m: Optional[int], ranks: Optional[KTheoryRanks],
-                 presentation: Optional[tuple], passed: bool):
+    def __init__(self, spec: FamilySpec, dims: Dims, checks: Mapping[str, bool],
+                 ranks: Optional[KTheoryRanks], presentation: Optional[tuple]):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "boundary_codim", boundary_codim)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "checks", MappingProxyType(dict(checks)))
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "passed", passed)
+
+    @property
+    def boundary_codim(self) -> int:
+        return self.dims.ybar - self.dims.b
+
+    @property
+    def m(self) -> Optional[int]:
+        return None if self.ranks is None else self.ranks.m
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values()) and self.boundary_codim == 2
 
 
 @contextmanager
@@ -589,37 +606,19 @@ def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS) -> di
 
 def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> VerificationReport:
     """Build the instance and run every check; individual check failures
-    are recorded in the report, construction errors propagate.  The v3
-    presentation's bound on the trivial summands is checked before W is
-    built, so a count past it costs nothing; f = 0 reports its empty
-    boundary first, as the presentation is never reached."""
-    bounded = spec.family == "v3" and not spec.f.is_zero()
-    art = _build_within_bound(spec, bounded, "presentation", caps)
+    are recorded in the report, construction errors propagate.  The bound
+    on the trivial summands, the presentation's stage for v3, is checked
+    before W is built, so a count past it costs nothing; f = 0 reports
+    its empty boundary first, as the presentation is never reached."""
+    v3 = spec.family == "v3"
+    art = _build_within_bound(spec, not spec.f.is_zero(), "presentation" if v3 else None, caps)
     checks = _checks(art, caps)
     dim_ybar, dim_b, m = boundary_analysis(art)
-    codim = dim_ybar - dim_b
-    dim_x = len(art.w_ring) - 1  # X's equation is w1 - 1 - f(q), of degree 1 in w1
-    dims = Dims(
-        x=dim_x,
-        quotient=dim_x - 1,  # the group is one-dimensional and acts freely
-        ybar=dim_ybar,
-        b=dim_b,
-    )
-    if spec.family == "v3":
-        ranks = k_theory_ranks(m)
+    # X's equation is w1 - 1 - f(q), of degree 1 in w1
+    dims = Dims(x=len(art.w_ring) - 1, ybar=dim_ybar, b=dim_b)
+    ranks = presentation = None
+    if v3:
+        ranks = KTheoryRanks(m)
         with _stage("presentation"):
             presentation = invariant_presentation(art, caps=caps)
-    else:
-        ranks = None
-        presentation = None
-    passed = all(checks.values()) and codim == 2
-    return VerificationReport(
-        spec=spec,
-        dims=dims,
-        checks=checks,
-        boundary_codim=codim,
-        m=m,
-        ranks=ranks,
-        presentation=presentation,
-        passed=passed,
-    )
+    return VerificationReport(spec, dims, checks, ranks, presentation)

@@ -196,17 +196,20 @@ class Ideal(_Record):
 
 
 class GroebnerBasis(_Record):
-    """Reduced basis (monic, pairwise irreducible) of `source` under `order`;
-    `leading` holds the leading monomial of each basis element.  Its
-    four fields are all it holds, so equal records reduce alike."""
+    """Reduced basis (monic, pairwise irreducible) of `source` under `order`.
+    Its three fields are all it holds, so equal records reduce alike;
+    `leading` reads each element's leading monomial off them."""
 
-    __slots__ = _fields = ("order", "basis", "source", "leading")
+    __slots__ = _fields = ("order", "basis", "source")
 
-    def __init__(self, order: TermOrder, basis: tuple, source: Ideal, leading: tuple):
+    def __init__(self, order: TermOrder, basis: tuple, source: Ideal):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "leading", leading)
+
+    @property
+    def leading(self) -> tuple:
+        return tuple(min(g.terms, key=self.order.descending_key) for g in self.basis)
 
 
 class ResourceCaps(_Record):
@@ -595,9 +598,8 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     a cap or that bound raises ResourceCapError."""
     order = order or TermOrder.grevlex()
     packing, final = _reduced_rows(ideal, order, caps)
-    unpack = packing.unpack
-    polys = tuple(Polynomial(ideal.ring, _monic_terms(row, unpack)) for row in final)
-    return GroebnerBasis(order, polys, ideal, tuple(unpack(lm) for lm, _, _ in final))
+    polys = tuple(Polynomial(ideal.ring, _monic_terms(row, packing.unpack)) for row in final)
+    return GroebnerBasis(order, polys, ideal)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -200,6 +200,27 @@ def test_trivial_summands_past_the_cap_build_no_representation(capsys):
         "exceeds 5000\n")
 
 
+def test_v4_trivial_summands_are_bounded_before_the_representation(capsys):
+    """v4 checks the same bound before W is built, over its 8 + t
+    coordinates: t = 90 (dimension 4950) passes, t = 91 exits 4, and so
+    does t = 10**9, at once and with no W built.  v4 has no presentation,
+    so the cap error names no stage; f = 0 reports its empty boundary
+    first, as for v3."""
+    code, text = run(["verify", "--family", "v4", "--f=a", "--trivial", "90"])
+    assert code == 0 and json.loads(text)["trivialSummands"] == 90
+    families._representation.cache_clear()
+    for trivial, dimension in (("91", 5050), ("1000000000", 500000009500000045)):
+        code, text = run(["verify", "--family", "v4", "--f=a", "--trivial", trivial])
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == (
+            f"resource cap: coefficient space of dimension {dimension} exceeds 5000\n")
+    assert families._representation.cache_info().currsize == 0
+    code, text = run(["verify", "--family", "v4", "--f=0", "--trivial", "91"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n")
+
+
 @pytest.mark.parametrize("shape", ["s", "0"])
 def test_present_past_the_cap_builds_no_representation(shape, capsys):
     """present checks the same bound in the same place, for f = 0 too,

@@ -438,7 +438,7 @@ def test_kernel_monotone_in_degree():
 
 def test_kernel_saturation_cross_check():
     data = make_slice(D3, "w2")
-    assert data.value == W.var("w1")
+    assert derivations._check_slice(D3, data.var) == W.var("w1")  # the slice image D(w2)
     gens = kernel_saturation(D3, data, 5)
     for g in gens:
         assert D3.apply(g).is_zero()
@@ -502,11 +502,12 @@ def test_find_slice_takes_first_slice_variable():
 
 
 def test_slice_validation():
+    """A slice is checked against the derivation it is used with, built
+    by `make_slice` or by hand."""
     with pytest.raises(ValueError):
         make_slice(D3, "w1")  # D(w1) = 0, not a slice
-    bad = SliceData("w2", W.var("w2"))
     with pytest.raises(ValueError):
-        kernel_saturation(D3, bad, 1)
+        kernel_saturation(D3, SliceData("w1"), 1)
 
 
 def test_kernel_elements_all_annihilated_randomized():
@@ -829,9 +830,10 @@ def refiltering_saturation(derivation, data, max_rounds):
     """kernel_saturation with each round's span built over every
     generator found so far plus the new ones, kept or not."""
     ring = derivation.ring
+    a = derivations._check_slice(derivation, data.var)
     seeds = []
     for name in ring.names:
-        cleared = derivations._dixmier_cleared(derivation, data, ring.var(name))
+        cleared = derivations._dixmier_cleared(derivation, data, a, ring.var(name))
         if cleared.is_zero() or cleared.is_constant():
             continue
         cleared = monic(cleared)
@@ -840,7 +842,7 @@ def refiltering_saturation(derivation, data, max_rounds):
     generators = seeds
     for _ in range(max_rounds):
         span = derivations._span(ring, generators, derivations.DEFAULT_CAPS)
-        new = derivations._saturation_round(derivation, data.value, span, set(span.kept),
+        new = derivations._saturation_round(derivation, a, span, set(span.kept),
                                             derivations.DEFAULT_CAPS)
         if not new:
             return span.kept

@@ -16,6 +16,7 @@ from gaquot import (
     Derivation,
     FamilySpec,
     Ideal,
+    KTheoryRanks,
     NonzeroConstantError,
     NotHypersurfaceError,
     Polynomial,
@@ -30,7 +31,6 @@ from gaquot import (
     fixed_point_ideal,
     invariant_presentation,
     is_squarefree,
-    k_theory_ranks,
     krull_dimension,
     lower_triangular_derivation,
     normal_form,
@@ -184,7 +184,7 @@ def test_affine_space_check(monkeypatch, request, capsys):
     art = build_family(v3("s"))
     (equation,) = art.x_ideal.generators
     assert "w1" not in (art.w_ring.var("w1") - equation).variables()
-    doctored = ConstructionArtifacts(art.spec, art.w_ring, art.derivation,
+    doctored = ConstructionArtifacts(art.spec, art.derivation,
                                      (parse("w3*w6 - w4*w5 + w1*w3", art.w_ring),))
     (equation,) = doctored.x_ideal.generators
     assert "w1" in (art.w_ring.var("w1") - equation).variables()
@@ -236,7 +236,7 @@ def test_freeness_check():
     assert check_freeness(build_family(v3("s")))
     assert check_freeness(build_family(v4("a")))
     art = build_family(v3("s"))
-    degenerate = ConstructionArtifacts(art.spec, art.w_ring, Derivation(art.w_ring, {}),
+    degenerate = ConstructionArtifacts(art.spec, Derivation(art.w_ring, {}),
                                        art.quad_invariants)
     assert not check_freeness(degenerate)
 
@@ -692,7 +692,7 @@ def test_a_fixed_locus_off_the_nonstable_locus_is_a_bug(monkeypatch, request, ca
         return Derivation(d.ring, {**d.images, "w2": d.ring.var("w1") * d.ring.var("w3")})
 
     built = build_family(v3("s"))
-    art = ConstructionArtifacts(built.spec, built.w_ring, off_locus(3), built.quad_invariants)
+    art = ConstructionArtifacts(built.spec, off_locus(3), built.quad_invariants)
     assert (check_stability(art), check_freeness(art)) == (True, False)
     broken_representation_is_a_bug(
         monkeypatch, request, capsys, "lower_triangular_derivation", off_locus,
@@ -764,12 +764,14 @@ def test_boundary_empty_rejected():
 
 
 def test_rank_arithmetic():
-    assert (k_theory_ranks(1).rank_z, k_theory_ranks(1).rank_closure,
-            k_theory_ranks(1).rank_quotient) == (1, 2, 1)
-    assert (k_theory_ranks(3).rank_z, k_theory_ranks(3).rank_closure,
-            k_theory_ranks(3).rank_quotient) == (3, 4, 1)
-    with pytest.raises(ValueError):
-        k_theory_ranks(0)
+    """The ranks are forced by m: a record of m alone carries them, and
+    an empty boundary (m = 0) raises."""
+    for m, ranks in ((1, (1, 2, 1)), (3, (3, 4, 1))):
+        got = KTheoryRanks(m)
+        assert (got.m, got.rank_z, got.rank_closure, got.rank_quotient) == (m, *ranks)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            KTheoryRanks(m)
 
 
 # -- presentation ------------------------------------------------------------------------
@@ -974,6 +976,6 @@ def test_ranks_track_component_count_randomized():
     rng = random.Random(20240831)
     for _ in range(10):
         f = random_valid_f(rng)
-        ranks = k_theory_ranks(f.total_degree())
+        ranks = KTheoryRanks(f.total_degree())
         assert ranks.rank_closure == ranks.rank_z + 1
         assert ranks.rank_quotient == 1

@@ -1,6 +1,7 @@
 """The library's immutable records: frozen, compared and hashed by their
 fields, printed in the Name(field=value, ...) format, and built from
-those fields alone."""
+those fields alone; every other value a record exposes is derived from
+them, so a record built by hand cannot contradict itself."""
 
 import inspect
 import random
@@ -22,7 +23,6 @@ from gaquot import (
     VerificationReport,
     build_family,
     buchberger,
-    k_theory_ranks,
     make_slice,
     normal_form,
     parse,
@@ -43,21 +43,27 @@ RECORDS = {
     Ideal: (lambda: Ideal(XY, (parse("x*y - 1", XY), XY.zero())), ("ring", "generators"),
             False),
     GroebnerBasis: (lambda: buchberger(Ideal(XY, (parse("x^2 - y", XY), parse("x*y - 1", XY)))),
-                    ("order", "basis", "source", "leading"), False),
+                    ("order", "basis", "source"), False),
     ResourceCaps: (lambda: ResourceCaps(max_pairs=7), ("max_pairs", "max_degree"), False),
     Derivation: (lambda: Derivation(XY, {"y": XY.var("x")}), ("ring", "images"), True),
-    SliceData: (lambda: make_slice(Derivation(XY, {"y": XY.var("x")}), "y"), ("var", "value"),
-                False),
+    SliceData: (lambda: make_slice(Derivation(XY, {"y": XY.var("x")}), "y"), ("var",), False),
     FamilySpec: (lambda: FamilySpec("v3", parse("s^2 + s", VarSet(("s",))), 1),
                  ("family", "f", "trivial_summands"), False),
-    ConstructionArtifacts: (lambda: build_family(SPEC),
-                            ("spec", "w_ring", "derivation", "quad_invariants"), True),
-    KTheoryRanks: (lambda: k_theory_ranks(2), ("m", "rank_z", "rank_closure", "rank_quotient"),
-                   False),
-    Dims: (lambda: Dims(5, 4, 7, 5), ("x", "quotient", "ybar", "b"), False),
+    ConstructionArtifacts: (lambda: build_family(SPEC), ("spec", "derivation", "quad_invariants"),
+                            True),
+    KTheoryRanks: (lambda: KTheoryRanks(2), ("m",), False),
+    Dims: (lambda: Dims(5, 7, 5), ("x", "ybar", "b"), False),
     VerificationReport: (lambda: run_battery(SPEC),
-                         ("spec", "dims", "checks", "boundary_codim", "m", "ranks",
-                          "presentation", "passed"), True),
+                         ("spec", "dims", "checks", "ranks", "presentation"), True),
+}
+
+# record -> the values it derives from its fields, read-only like them
+DERIVED = {
+    GroebnerBasis: ("leading",),
+    ConstructionArtifacts: ("w_ring",),
+    KTheoryRanks: ("rank_z", "rank_closure", "rank_quotient"),
+    Dims: ("quotient",),
+    VerificationReport: ("boundary_codim", "m", "passed"),
 }
 
 
@@ -66,7 +72,11 @@ def test_records_are_frozen_and_compared_by_their_fields(record):
     factory, fields, holds_mapping = RECORDS[record]
     first, second = factory(), factory()
     assert type(first) is record and first is not second
-    for name in fields + ("unlisted",):
+    for name in DERIVED.get(record, ()):
+        assert getattr(first, name) == getattr(second, name)
+        with pytest.raises(AttributeError):
+            delattr(first, name)
+    for name in fields + DERIVED.get(record, ()) + ("unlisted",):
         with pytest.raises(AttributeError):
             setattr(first, name, None)
     for name in fields:
@@ -102,11 +112,10 @@ def test_record_constructors_keep_their_keywords_and_defaults():
     assert repr(VarSet(["u"])) == "VarSet(names=('u',))"
     assert repr(TermOrder("lex")) == "TermOrder(kind='lex', block_size=0)"
     assert repr(ResourceCaps()) == "ResourceCaps(max_pairs=100000, max_degree=60)"
-    assert KTheoryRanks(m=3, rank_z=3, rank_closure=4) == k_theory_ranks(3)
-    assert KTheoryRanks(3, 3, 4).rank_quotient == 1
+    assert KTheoryRanks(m=3) == KTheoryRanks(3)
     assert FamilySpec(family="v3", f=SPEC.f) == FamilySpec("v3", SPEC.f, 0)
-    assert Dims(x=1, quotient=2, ybar=3, b=4) != Dims(1, 2, 3, 5)
-    assert SliceData(var="y", value=XY.var("x")) == SliceData("y", XY.var("x"))
+    assert Dims(x=1, ybar=3, b=4) != Dims(1, 3, 5)
+    assert SliceData(var="y") == SliceData("y")
     report = run_battery(SPEC)
     assert VerificationReport(**{name: getattr(report, name)
                                  for name in RECORDS[VerificationReport][1]}) == report
@@ -156,14 +165,15 @@ def test_detects_a_constructor_argument_outside_the_fields():
                          ids=lambda order: order.kind)
 def test_a_basis_rebuilt_from_its_fields_reduces_alike(order):
     """normal_form reads the basis alone: a GroebnerBasis rebuilt from its
-    four fields gives every remainder the built one gives, also for a
-    basis and inputs with fractional coefficients; x^3 - 1 lies in
-    (x^2 - y, x*y - 1), so x^3 reduces to 1 there."""
+    three fields has the built one's leading monomials and gives every
+    remainder the built one gives, also for a basis and inputs with
+    fractional coefficients; x^3 - 1 lies in (x^2 - y, x*y - 1), so x^3
+    reduces to 1 there."""
     rng = random.Random("rebuilt")
     for texts in (("x^2 - y", "x*y - 1"), ("2*x^2 - 3*y", "3*x*y - 1", "5*y^3 + 1/2*x")):
         gb = buchberger(Ideal(XY, tuple(parse(t, XY) for t in texts)), order)
-        rebuilt = GroebnerBasis(gb.order, gb.basis, gb.source, gb.leading)
-        assert rebuilt == gb
+        rebuilt = GroebnerBasis(gb.order, gb.basis, gb.source)
+        assert rebuilt == gb and rebuilt.leading == gb.leading
         for f in [parse("x^3", XY)] + [random_poly(rng, XY, max_degree=5, denominator_bound=3)
                                        for _ in range(20)]:
             assert normal_form(f, rebuilt) == normal_form(f, gb)
@@ -173,12 +183,12 @@ def test_a_basis_rebuilt_from_its_fields_reduces_alike(order):
 
 @pytest.mark.parametrize("text", ["a^2 + b*c", "a^2 - 2*a + b^2 + c^2"])
 def test_artifacts_built_by_hand_have_the_built_smoothness_ideal(text):
-    """A v4 record built by hand from the four fields of `build_family`'s
-    has its J', and the battery's checks on it agree, smooth and singular."""
+    """A v4 record built by hand from the three fields of `build_family`'s
+    has its ring and its J', and the battery's checks on it agree, smooth
+    and singular."""
     built = build_family(FamilySpec("v4", parse(text, VarSet(("a", "b", "c")))))
-    hand = ConstructionArtifacts(built.spec, built.w_ring, built.derivation,
-                                 built.quad_invariants)
-    assert hand == built
+    hand = ConstructionArtifacts(built.spec, built.derivation, built.quad_invariants)
+    assert hand == built and hand.w_ring == built.w_ring
     assert hand.polarization_ideal == built.polarization_ideal
     assert families._checks(hand) == families._checks(built)
 
@@ -191,3 +201,38 @@ def test_artifacts_keep_their_built_ideals_in_an_instance_dict():
     assert art.x_ideal is art.x_ideal
     assert set(vars(art)) == {"polarization_ideal", "b_ideal", "x_ideal"}
     assert art == build_family(SPEC)
+
+
+@pytest.mark.parametrize("spec", [SPEC, FamilySpec("v3", parse("s", VarSet(("s",))), 2),
+                                  FamilySpec("v4", parse("a^2 + b*c", VarSet(("a", "b", "c"))))],
+                         ids=["v3", "v3-trivial", "v4"])
+def test_a_report_rebuilt_from_its_fields_derives_the_rest_alike(spec):
+    """A report rebuilt from its five fields equals the built one and has
+    its verdict, codimension, component count and ranks; with one check
+    false, the rebuilt report fails."""
+    report = run_battery(spec)
+    rebuilt = VerificationReport(report.spec, report.dims, report.checks, report.ranks,
+                                 report.presentation)
+    assert rebuilt == report
+    derived = ("passed", "boundary_codim", "m", "ranks")
+    assert [getattr(rebuilt, name) for name in derived] \
+        == [getattr(report, name) for name in derived]
+    assert (report.passed, report.boundary_codim) == (True, 2)
+    assert report.m == (2 if spec is SPEC else 1 if spec.family == "v3" else None)
+    failing = VerificationReport(report.spec, report.dims, {**report.checks, "stable": False},
+                                 report.ranks, report.presentation)
+    assert not failing.passed and failing != report
+
+
+def test_a_report_s_checks_are_read_only():
+    """`checks` cannot be changed under a report's derived verdict; the
+    report keeps a copy, so neither can the mapping it was built from."""
+    report = run_battery(SPEC)
+    with pytest.raises(TypeError):
+        report.checks["stable"] = False
+    assert report.passed and dict(report.checks)["stable"]
+    given = dict(report.checks)
+    rebuilt = VerificationReport(report.spec, report.dims, given, report.ranks,
+                                 report.presentation)
+    given["stable"] = False
+    assert rebuilt.checks["stable"] and rebuilt.passed
