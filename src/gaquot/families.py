@@ -382,6 +382,9 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     return is_unit_ideal(Ideal(ring, gens), caps=caps)
 
 
+_EMPTY_BOUNDARY = "empty boundary: the rank bookkeeping needs a nonempty complement"
+
+
 def boundary_analysis(art: ConstructionArtifacts):
     """(dim Ybar, dim B, m): the boundary codimension inside the closure is
     dim Ybar - dim B, and for v3 the component count is m = deg f (valid
@@ -401,7 +404,7 @@ def boundary_analysis(art: ConstructionArtifacts):
     if not f.is_constant():
         dim_b = len(w_ring) - 1
     elif -1 - f.constant_term():  # h is a nonzero constant
-        raise UnitIdealError("empty boundary: the rank bookkeeping needs a nonempty complement")
+        raise UnitIdealError(_EMPTY_BOUNDARY)
     else:
         dim_b = len(w_ring)  # h = 0 cuts out all of W
     m = art.spec.f.total_degree() if art.spec.family == "v3" else None
@@ -608,10 +611,13 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
     """Build the instance and run every check; individual check failures
     are recorded in the report, construction errors propagate.  The bound
     on the trivial summands, the presentation's stage for v3, is checked
-    before W is built, so a count past it costs nothing; f = 0 reports
-    its empty boundary first, as the presentation is never reached."""
+    before W is built, so a count past it costs nothing.  f = 0, which
+    validation always accepts, reports its empty boundary before that
+    bound and before W is built: B's h = -1 - f(q) = -1 whatever W is."""
+    if spec.f.is_zero():
+        raise UnitIdealError(_EMPTY_BOUNDARY)
     v3 = spec.family == "v3"
-    art = _build_within_bound(spec, not spec.f.is_zero(), "presentation" if v3 else None, caps)
+    art = _build_within_bound(spec, True, "presentation" if v3 else None, caps)
     checks = _checks(art, caps)
     dim_ybar, dim_b, m = boundary_analysis(art)
     # X's equation is w1 - 1 - f(q), of degree 1 in w1

@@ -17,6 +17,13 @@ arithmetic.  Every division of coefficients goes through
 `_exact_quotient`, which keeps that form.  Division of polynomials,
 including the univariate gcd, belongs to the one reduction engine in
 `groebner`.
+
+Text is read in one recursive-descent pass whose rules return term
+dicts: a sum accumulates into one dict, products and powers go through
+`_product` and `_power`, the loops behind `*` and `**`, and `parse`
+builds one Polynomial at the end.  `str` prints each coefficient from
+the int, or from the Fraction's numerator and denominator, with no
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -90,20 +97,40 @@ def _product(f: Mapping, g: Mapping) -> dict:
     return out
 
 
+def _power(f: Mapping, n: int, one: Exponents) -> dict:
+    """Term dict of f**n by square-and-multiply, `one` being the exponent
+    tuple of the constant term; the one power loop behind `**` and `^`
+    in parsed text."""
+    result = {one: 1}
+    while n:
+        if n & 1:
+            result = _product(result, f)
+        if n > 1:
+            f = _product(f, f)
+        n >>= 1
+    return result
+
+
 def _term_text(names, exps: Exponents, coeff: Scalar, first: bool) -> str:
     """One term as `str` prints it: signed if it leads, else joined to
-    the text before it by " + " or " - "."""
-    factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
-    mag = abs(coeff)
+    the text before it by " + " or " - ".  The coefficient is canonical,
+    so its magnitude is printed from an int, or from a Fraction's
+    numerator and denominator, with no Fraction arithmetic."""
+    factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
+    num = coeff.numerator
+    negative = num < 0
+    mag = str(-num if negative else num)
+    if type(coeff) is not int:
+        mag = f"{mag}/{coeff.denominator}"
     if not factors:
-        body = str(mag)
-    elif mag == 1:
+        body = mag
+    elif mag == "1":
         body = factors
     else:
         body = f"{mag}*{factors}"
     if first:
-        return f"-{body}" if coeff < 0 else body
-    return f" - {body}" if coeff < 0 else f" + {body}"
+        return f"-{body}" if negative else body
+    return f" - {body}" if negative else f" + {body}"
 
 
 def _degree_and_leading_text(p: "Polynomial") -> tuple:
@@ -320,14 +347,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return Polynomial(self.ring, _power(self.terms, n, (0,) * len(self.ring)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -421,10 +441,9 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        names = self.ring.names
-        items = sorted(self.terms.items(), key=lambda kv: _grevlex_descending(kv[0]))
-        return "".join(_term_text(names, exps, coeff, pos == 0)
-                       for pos, (exps, coeff) in enumerate(items))
+        names, terms = self.ring.names, self.terms
+        return "".join([_term_text(names, exps, terms[exps], pos == 0)
+                        for pos, exps in enumerate(sorted(terms, key=_grevlex_descending))])
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r}, ring={self.ring.names})"
@@ -440,125 +459,119 @@ class Polynomial:
 #
 # No implicit multiplication: "2s" is a syntax error, write "2*s".
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/])")
+# One match per token, the whitespace before it included (`\s` matches
+# exactly the characters `str.isspace` accepts): "end" matches once, at
+# the end of the text, and "bad" matches any other character.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+                       r"|(?P<op>[-+*^()/])|(?P<end>\Z)|(?P<bad>.))", re.DOTALL)
 
 
 def _tokenize(text: str):
+    """Tokens (kind, value, position), the last ("end", "", len(text))."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    while True:
+        match = _TOKEN_RE.match(text, pos)  # every position matches
         kind = match.lastgroup
-        tokens.append((kind, match.group(), pos))
+        start = match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", start)
+        tokens.append((kind, match[kind], start))
+        if kind == "end":
+            return tokens
         pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
 
 
 class _Parser:
+    """Recursive descent whose rules return term dicts without zero
+    coefficients; `parse` builds the one Polynomial."""
+
     def __init__(self, tokens, ring: VarSet):
-        self.tokens = tokens
+        self.tokens = tokens[::-1]  # a stack: the next token is the last
         self.ring = ring
-        self.i = 0
+        self.one = (0,) * len(ring)
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", pos)
-        return self.advance()
-
-    def expr(self) -> Polynomial:
-        negate = False
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            negate = True
-        result = self.term()
-        if negate:
-            result = -result
+    def expr(self) -> dict:
+        total: dict = {}
+        kind, sign, _ = self.tokens[-1]
+        if kind == "op" and sign == "-":
+            self.tokens.pop()
+        else:
+            sign = "+"
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
-                return result
+            for m, c in self.term().items():
+                val = total.get(m, 0) + c if sign == "+" else total.get(m, 0) - c
+                if val:
+                    total[m] = val
+                else:
+                    del total[m]
+            kind, sign, _ = self.tokens[-1]
+            if kind != "op" or sign not in "+-":
+                return total
+            self.tokens.pop()
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         result = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tokens[-1]
             if kind == "op" and value == "*":
-                self.advance()
-                result = result * self.factor()
+                self.tokens.pop()
+                result = _product(result, self.factor())
             else:
                 return result
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.base()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "num":
-                raise ParseError("expected natural number after '^'", pos)
-            self.advance()
-            return base ** int(value)
-        return base
+        kind, value, _ = self.tokens[-1]
+        if kind != "op" or value != "^":
+            return base
+        self.tokens.pop()
+        kind, value, pos = self.tokens.pop()
+        if kind != "num":
+            raise ParseError("expected natural number after '^'", pos)
+        return _power(base, int(value), self.one)
 
-    def base(self) -> Polynomial:
-        kind, value, pos = self.advance()
+    def base(self) -> dict:
+        kind, value, pos = self.tokens.pop()
         if kind == "num":
-            numerator = int(value)
-            kind2, value2, _ = self.peek()
+            coeff = int(value)
+            kind2, value2, _ = self.tokens[-1]
             if kind2 == "op" and value2 == "/":
-                self.advance()
-                kind3, value3, pos3 = self.peek()
+                self.tokens.pop()
+                kind3, value3, pos3 = self.tokens.pop()
                 if kind3 != "num":
                     raise ParseError("expected digits after '/'", pos3)
-                self.advance()
                 if int(value3) == 0:
                     raise ParseError("zero denominator", pos3)
-                return self.ring.const(_exact_quotient(numerator, int(value3)))
-            return self.ring.const(numerator)
+                coeff = _exact_quotient(coeff, int(value3))
+            return {self.one: coeff} if coeff else {}
         if kind == "ident":
-            if value not in self.ring:
-                raise UnknownVariableError(f"variable {value!r} not in ring {self.ring.names}")
-            return self.ring.var(value)
+            exps = [0] * len(self.one)
+            exps[self.ring.index(value)] = 1  # UnknownVariableError for a name not in the ring
+            return {tuple(exps): 1}
         if kind == "op" and value == "(":
             inner = self.expr()
-            self.expect_op(")")
+            kind, value, pos = self.tokens.pop()
+            if kind != "op" or value != ")":
+                raise ParseError("expected ')'", pos)
             return inner
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
 
 def parse(text: str, ring: VarSet) -> Polynomial:
-    """Parse polynomial text over the given ring into canonical form.
-    Nesting deeper than the interpreter's recursion limit allows raises
-    ParseError at the token reached."""
+    """Parse polynomial text over the given ring into canonical form: the
+    parser's term dict becomes the one Polynomial built.  Nesting deeper
+    than the interpreter's recursion limit allows raises ParseError at
+    the token reached."""
     parser = _Parser(_tokenize(text), ring)
     try:
-        result = parser.expr()
+        terms = parser.expr()
     except RecursionError:
-        raise ParseError("input nested too deeply", parser.peek()[2]) from None
-    kind, value, pos = parser.peek()
+        raise ParseError("input nested too deeply", parser.tokens[-1][2]) from None
+    kind, value, pos = parser.tokens[-1]
     if kind != "end":
         raise ParseError(f"trailing input {value!r}", pos)
-    return result
+    return Polynomial(ring, terms)
 
 
 def scan_identifiers(text: str) -> list:

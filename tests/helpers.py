@@ -2,18 +2,21 @@
 
 The oracles deliberately take different routes from the library code:
 univariate gcd by list-based Euclid, Groebner bases, resultants and dense
-kernel solves via sympy.
+kernel solves via sympy, and polynomial text by the parser and printer
+that worked through Polynomial and Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import prod
 
 import sympy as sp
 
-from gaquot import Ideal, Polynomial, VarSet, buchberger, normal_form
+from gaquot import (Ideal, ParseError, Polynomial, UnknownVariableError, VarSet, buchberger,
+                    normal_form)
 
 
 def random_exponents(rng, nvars, max_degree):
@@ -396,3 +399,157 @@ def check_cone_over_boundary(art, g=None, h=None):
     if (g.ring.names != ("u", "v") + h.ring.names or {"w1", "w2"} & set(h.variables())
             or g.terms != cone):
         raise ValueError("Ybar's equation is not u*w2 - v*w1 plus B's equation")
+
+
+# -- the parser and printer that worked by Polynomial arithmetic ----------------
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/])")
+
+
+def _reference_tokenize(text: str):
+    """Tokens (kind, value, position), skipping characters that
+    `str.isspace` accepts one at a time, then ("end", "", len(text))."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not match:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((match.lastgroup, match.group(), pos))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent that builds a Polynomial for every number,
+    variable, partial sum and product and combines them with `+`, `-`,
+    `*` and `**`."""
+
+    def __init__(self, tokens, ring: VarSet):
+        self.tokens = tokens
+        self.ring = ring
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, symbol: str):
+        kind, value, pos = self.peek()
+        if kind != "op" or value != symbol:
+            raise ParseError(f"expected {symbol!r}", pos)
+        return self.advance()
+
+    def expr(self) -> Polynomial:
+        negate = False
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            negate = True
+        result = self.term()
+        if negate:
+            result = -result
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                rhs = self.term()
+                result = result + rhs if value == "+" else result - rhs
+            else:
+                return result
+
+    def term(self) -> Polynomial:
+        result = self.factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "*":
+                self.advance()
+                result = result * self.factor()
+            else:
+                return result
+
+    def factor(self) -> Polynomial:
+        base = self.base()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            kind, value, pos = self.peek()
+            if kind != "num":
+                raise ParseError("expected natural number after '^'", pos)
+            self.advance()
+            return base ** int(value)
+        return base
+
+    def base(self) -> Polynomial:
+        kind, value, pos = self.advance()
+        if kind == "num":
+            numerator = int(value)
+            kind2, value2, _ = self.peek()
+            if kind2 == "op" and value2 == "/":
+                self.advance()
+                kind3, value3, pos3 = self.peek()
+                if kind3 != "num":
+                    raise ParseError("expected digits after '/'", pos3)
+                self.advance()
+                if int(value3) == 0:
+                    raise ParseError("zero denominator", pos3)
+                return self.ring.const(Fraction(numerator, int(value3)))
+            return self.ring.const(numerator)
+        if kind == "ident":
+            if value not in self.ring:
+                raise UnknownVariableError(f"variable {value!r} not in ring {self.ring.names}")
+            return self.ring.var(value)
+        if kind == "op" and value == "(":
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+
+
+def reference_parse(text: str, ring: VarSet) -> Polynomial:
+    """`parse` as it was before it worked on term dicts: the oracle of the
+    term-dict parser, error positions and messages included."""
+    parser = _ReferenceParser(_reference_tokenize(text), ring)
+    try:
+        result = parser.expr()
+    except RecursionError:
+        raise ParseError("input nested too deeply", parser.peek()[2]) from None
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {value!r}", pos)
+    return result
+
+
+def _reference_term_text(names, exps, coeff, first: bool) -> str:
+    factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+    mag = abs(coeff)
+    if not factors:
+        body = str(mag)
+    elif mag == 1:
+        body = factors
+    else:
+        body = f"{mag}*{factors}"
+    if first:
+        return f"-{body}" if coeff < 0 else body
+    return f" - {body}" if coeff < 0 else f" + {body}"
+
+
+def reference_str(p: Polynomial) -> str:
+    """`str(p)` as printed through `abs`, `<` and `str` on the
+    coefficients: the oracle of the direct printer."""
+    if p.is_zero():
+        return "0"
+    names = p.ring.names
+    exps = sorted(p.terms, key=lambda e: (-sum(e),) + e[::-1])
+    return "".join(_reference_term_text(names, e, p.terms[e], pos == 0)
+                   for pos, e in enumerate(exps))

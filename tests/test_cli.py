@@ -221,6 +221,20 @@ def test_v4_trivial_summands_are_bounded_before_the_representation(capsys):
         "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n")
 
 
+@pytest.mark.parametrize("family", ["v3", "v4"])
+def test_zero_shape_reports_its_empty_boundary_before_w_is_built(family, monkeypatch, capsys):
+    """f = 0 leaves B empty whatever W is: verify exits 2 with the empty
+    boundary at any count of trivial summands, building no W."""
+    def unbuilt(*args):
+        raise AssertionError("W was built")
+
+    monkeypatch.setattr(families, "_representation", unbuilt)
+    code, text = run(["verify", "--family", family, "--f=0", "--trivial", "1000000"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n")
+
+
 @pytest.mark.parametrize("shape", ["s", "0"])
 def test_present_past_the_cap_builds_no_representation(shape, capsys):
     """present checks the same bound in the same place, for f = 0 too,
@@ -876,3 +890,110 @@ def test_library_errors_outside_the_mapping_exit_five(error, monkeypatch, capsys
     monkeypatch.setitem(cli._HANDLERS, "verify", broken)
     assert run(["verify", "--family", "v3", "--f", "s"]) == (cli.EXIT_INTERNAL, "")
     assert f"internal error: {error.__name__}: raised by a bug" in capsys.readouterr().err
+
+
+# -- golden outputs -------------------------------------------------------------------
+
+
+def _ideal_text(names, equations) -> str:
+    return "vars: " + " ".join(names) + "\n" + "\n".join(equations) + "\n"
+
+
+def _cyclic(n: int) -> str:
+    xs = [f"x{i}" for i in range(n)]
+    eqs = [" + ".join("*".join(xs[(i + k) % n] for k in range(d)) for i in range(n))
+           for d in range(1, n)]
+    return _ideal_text(xs, eqs + ["*".join(xs) + " - 1"])
+
+
+def _katsura(n: int) -> str:
+    xs = [f"x{i}" for i in range(n + 1)]
+    x = {k: xs[abs(k)] for k in range(-n, n + 1)}
+    eqs = [" + ".join(x[k] for k in range(-n, n + 1)) + " - 1"]
+    for m in range(n):
+        terms = [f"{x[k]}*{x[m - k]}" for k in range(-n, n + 1) if abs(m - k) <= n]
+        eqs.append(" + ".join(terms) + f" - {xs[m]}")
+    return _ideal_text(xs, eqs)
+
+
+GOLDEN_INPUTS = {"katsura3": _katsura(3), "katsura4": _katsura(4), "cyclic4": _cyclic(4),
+                 "v3.deriv": V3_DERIVATION}
+
+def _golden(argv, name, digest):
+    return pytest.param(argv, digest, id=name)
+
+
+GOLDEN = [
+    _golden(["gb", "--ideal", "@katsura3", "--order", "grevlex"], "gb-katsura3-grevlex",
+            "509fd07264d96f4d47bb3ab405f5de1e6bc0c21f252d8fcc847ddec4e0407767"),
+    _golden(["gb", "--ideal", "@katsura3", "--order", "lex"], "gb-katsura3-lex",
+            "193f7f4d5c87a20242ae4a17c78a3ade3724e8d3b33273e88c4058190d817fb0"),
+    _golden(["gb", "--ideal", "@katsura3", "--order", "elim:1"], "gb-katsura3-elim:1",
+            "05937ba031ce274541efa09c85935910757fea840efc57992d29bb26fde6ea8f"),
+    _golden(["gb", "--ideal", "@katsura4", "--order", "grevlex"], "gb-katsura4-grevlex",
+            "aafe1874d44c4a29f0d3861318c6c3a26864da854e17217f280ac3de53b8c59a"),
+    _golden(["gb", "--ideal", "@katsura4", "--order", "elim:1"], "gb-katsura4-elim:1",
+            "969539476c0b32156bd2925e6955f44861797cba64dd5e74e918de7df111fa57"),
+    _golden(["gb", "--ideal", "@cyclic4", "--order", "grevlex"], "gb-cyclic4-grevlex",
+            "fbc6ee04fd319db2fcc603412e94cfa5eb510ce6f7ff2ffc1cdc00e283ff8618"),
+    _golden(["gb", "--ideal", "@cyclic4", "--order", "lex"], "gb-cyclic4-lex",
+            "454427a9d355a1be4d1f8ace413b31ecfd7414739296c9ba785588e8181e4640"),
+    _golden(["gb", "--ideal", "@cyclic4", "--order", "elim:1"], "gb-cyclic4-elim:1",
+            "d4805f1083f9efd7f5f17840b4e042de6a885e9260b46c31c3b4f4bf53fbca73"),
+    _golden(["kernel", "--derivation", "@v3.deriv", "--method", "linear"], "kernel-linear",
+            "4435368fcf6ef2ba2c63e3227dfe17feb5dd2d9b32c63af36ec3269906cc09d9"),
+    _golden(["kernel", "--derivation", "@v3.deriv", "--method", "saturation"], "kernel-saturation",
+            "4435368fcf6ef2ba2c63e3227dfe17feb5dd2d9b32c63af36ec3269906cc09d9"),
+    _golden(["present", "--f=s"], "present-s",
+            "04af01361f173f8b1cafc9636f5f35ae2d1e1130d91c0d181ff27494c149b6ca"),
+    _golden(["verify", "--family", "v3", f"--f={signed_roots_shape(1, 1)}"],
+            "verify-v3-signed-deg1",
+            "c3a5adef6fcafd6154ea89c42f253bddd7b53b28a3d4ed7bf5a8960ff06cf6ee"),
+    _golden(["verify", "--family", "v3", f"--f={signed_roots_shape(2, 1)}"],
+            "verify-v3-signed-deg2",
+            "9a55b7453c994165dee046db59d3018995a8c735f44e27032e74cdf614705bf2"),
+    _golden(["verify", "--family", "v3", f"--f={signed_roots_shape(3, 1)}"],
+            "verify-v3-signed-deg3",
+            "9cc4b3a36c27bc9ceae0bbf4f808d339653636b4f5033bbc096d84a6c27e3732"),
+    _golden(["verify", "--family", "v3", f"--f={signed_roots_shape(30, 1)}"],
+            "verify-v3-signed-deg30",
+            "5de4686b9bf0562ceeec23ea110eec89bcbea9997c07728579cd9069a28ef48d"),
+    _golden(["verify", "--family", "v3", f"--f={signed_roots_shape(58, 1)}"],
+            "verify-v3-signed-deg58",
+            "e9c3c80de9bfb6939bf2924dd3bf4a39d9b695770172b990bd539d1331dad792"),
+    _golden(["verify", "--family", "v4", "--f=2*a - 1/3*b + 5/2*c"], "verify-v4-linear",
+            "bbbe42f2dcc57cb84c1a1180a2b9f06802842d767bdf782ac5a3194c5e09cdcc"),
+    _golden(["verify", "--family", "v3", "--f=s +* s"], "verify-v3-operator-pair",
+            "f94cd79ff390e49d3f9403f1ba1edf605ebe950dfd8661090768984cf706126e"),
+    _golden(["verify", "--family", "v3", "--f=2s"], "verify-v3-implicit-product",
+            "bb4f14a232ec448fdbe73615fa4de46a2d9150e92909399d834fa95010445bb9"),
+    _golden(["verify", "--family", "v3", "--f=s^"], "verify-v3-dangling-power",
+            "198a6626cd6d7f9bd51c40ee1d8b8567d440acc1879de869ae5c31dca80e2793"),
+    _golden(["verify", "--family", "v3", "--f=(s"], "verify-v3-open-parenthesis",
+            "fa4116ac4aed2d4d398de4c530f7b3dadc6baf3d8089a30039df7d1ec95f96f0"),
+    _golden(["verify", "--family", "v3", "--f=  s"], "verify-v3-leading-space",
+            "492b9ccf86d1aeea7d07110b1b4fee6fe2b5f56f0b466f2387ab417e461076dc"),
+    _golden(["verify", "--family", "v3", "--f=s\t"], "verify-v3-trailing-tab",
+            "492b9ccf86d1aeea7d07110b1b4fee6fe2b5f56f0b466f2387ab417e461076dc"),
+    _golden(["verify", "--family", "v3", "--f=s\u00a0+ s^2"], "verify-v3-no-break-space",
+            "4258956ea863c07f138835c72dc61989419608f3f8d87f1cc2cd7fc413fd1894"),
+    _golden(["verify", "--family", "v3", "--f=s^2\u2003- s"], "verify-v3-em-space",
+            "71c40a62e0e1e1d693284dfa595a7d77299de8f8de1788dbe5de84d0af22e740"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN)
+def test_cli_outputs_are_golden(argv, digest, tmp_path, capsys):
+    """The exact exit code, stdout and stderr of `gb` on katsura-3/4 and
+    cyclic-4, `kernel` under both methods, `present`, `verify` on v3
+    signed-roots shapes up to deg 58 and a linear v4 shape, and `verify`
+    on malformed shapes and on shapes with Unicode whitespace: every byte
+    that parsing and printing polynomials reaches.  An argument "@name"
+    is the path of the input file `name`."""
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    capsys.readouterr()
+    code, out = run(argv)
+    got = hashlib.sha256(repr((code, out, capsys.readouterr().err)).encode()).hexdigest()
+    assert got == digest

@@ -3,6 +3,8 @@
 modular certificate."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -35,11 +37,14 @@ from gaquot import (
 )
 from gaquot import groebner
 from gaquot.linalg import Echelon
+from gaquot.poly import _degree_and_leading_text
 from helpers import (
     coeff_list,
     euclid_gcd_coeffs,
     from_sympy,
     random_poly,
+    reference_parse,
+    reference_str,
     signed_roots_factors,
     spolynomials_per_run,
     sympy_symbols,
@@ -108,6 +113,139 @@ def test_parse_print_round_trip_randomized():
     for text in ("s^2 + s - 1", "((s))", "1/2*s - 1/3", "-s^4", "0"):
         once = str(parse(text, S))
         assert str(parse(once, S)) == once
+
+
+# Characters `str.isspace` accepts, ASCII and not, for texts the parser skips over.
+WHITESPACE = (" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\u00a0", "\u1680", "\u2003",
+              "\u2028", "\u3000")
+XYS = VarSet(("s", "x", "y"))
+
+
+def random_text(rng, depth=3) -> str:
+    """A random well-formed expression over s, x and y: signs, rationals,
+    powers and nested parentheses, with whitespace between the tokens."""
+    def ws():
+        return "".join(rng.choice(WHITESPACE) for _ in range(rng.choice((0, 0, 0, 1, 2))))
+
+    def base(level):
+        pick = rng.randrange(6 if level else 4)
+        if pick == 0:
+            return str(rng.randint(0, 12))
+        if pick == 1:
+            return f"{rng.randint(0, 12)}{ws()}/{ws()}{rng.randint(1, 9)}"
+        if pick in (2, 3):
+            return rng.choice(XYS.names)
+        return f"({ws()}{expr(level - 1)}{ws()})"
+
+    def factor(level):
+        text = base(level)
+        return f"{text}{ws()}^{ws()}{rng.randint(0, 3)}" if rng.random() < 0.3 else text
+
+    def term(level):
+        return f"{ws()}*{ws()}".join(factor(level) for _ in range(rng.randint(1, 2)))
+
+    def expr(level):
+        text = ("-" + ws() if rng.random() < 0.3 else "") + term(level)
+        for _ in range(rng.randint(0, 2)):
+            text += f"{ws()}{rng.choice('+-')}{ws()}{term(level)}"
+        return text
+
+    return ws() + expr(depth) + ws()
+
+
+def mutate(rng, text: str) -> str:
+    """The text with a few characters deleted, inserted or replaced, from
+    an alphabet that makes parse errors and unknown names."""
+    alphabet = "+-*^/()0123456789sxyz_ .$" + "".join(WHITESPACE)
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(chars))
+        move = rng.randrange(3)
+        if move == 0 and at < len(chars):
+            del chars[at]
+        elif move == 1 or at == len(chars):
+            chars.insert(at, rng.choice(alphabet))
+        else:
+            chars[at] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+def parse_outcome(parser, text: str, ring=XYS):
+    """What a parser makes of the text: its terms, in order, with each
+    coefficient's type, or the error's type, message and position."""
+    try:
+        p = parser(text, ring)
+    except (ParseError, UnknownVariableError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return [(exps, coeff, type(coeff)) for exps, coeff in p.terms.items()]
+
+
+def test_parse_matches_the_polynomial_arithmetic_parser():
+    """On seeded random texts, well formed and mutated, the term-dict
+    parser gives what the parser that added and multiplied Polynomials
+    gave: the same terms in the same order, coefficients of the same
+    type, and the same error with the same message and position."""
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(1500):
+        text = random_text(rng)
+        for candidate in (text, mutate(rng, text)):
+            outcome = parse_outcome(parse, candidate)
+            assert outcome == parse_outcome(reference_parse, candidate), candidate
+            kinds.add(outcome[0] if isinstance(outcome, tuple) else "parsed")
+    assert kinds == {"parsed", ParseError, UnknownVariableError}
+    for text in ("", " ", "\u2003", "s +* s", "2s", "s^", "(s", "s)", "3/0", "s^-1", "1/s",
+                 "s $ 2", "s \u00a0+\u2003x", "((s)", "(" * 60 + "-x + 1/2" + ")" * 60 + "^2",
+                 "0*s - 0/4", "1/2 + 1/2", "2/4*s", "s - s", "-(-s)", "+s", "--s",
+                 "s\x85\x1c*\u3000y", "s \u200b", "\u0663*s", "s^\u0662", "x__1"):
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), text
+
+
+def test_whitespace_is_what_str_isspace_accepts():
+    """The tokenizer skips whitespace with the regex class `\\s`, which
+    matches exactly the characters `str.isspace` accepts."""
+    space = re.compile(r"\s")
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    assert [c for c in chars if space.match(c)] == [c for c in chars if c.isspace()]
+
+
+def test_printing_matches_the_fraction_arithmetic_printer():
+    """str prints what the printer that took `abs`, `<` and `str` of
+    each coefficient printed: random polynomials with integral and
+    rational coefficients, parsed random texts and the leading text."""
+    rng = random.Random(20261020)
+    for trial in range(400):
+        ring = W if trial % 2 else XYS
+        p = random_poly(rng, ring, max_degree=4, max_terms=6, coeff_bound=12,
+                        denominator_bound=1 if trial % 3 else 7)
+        assert str(p) == reference_str(p)
+        q = parse(random_text(rng, depth=2), XYS)
+        assert str(q) == reference_str(q)
+        for poly in (p, q):
+            assert str(poly).startswith(_degree_and_leading_text(poly)[1])
+    for value in (1, -1, 0, Fraction(-1, 3), Fraction(7, 2), 10 ** 30, -Fraction(1, 10 ** 20)):
+        for p in (S.const(value), value * S.var("s"), value * S.var("s") ** 2 - S.var("s")):
+            assert str(p) == reference_str(p)
+
+
+def test_one_parse_builds_one_polynomial(monkeypatch):
+    """parse works on term dicts: it constructs exactly one Polynomial and
+    adds or multiplies none, however many numbers, variables, sums,
+    products and powers the text holds."""
+    counts = {"init": 0, "add": 0, "mul": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "__init__", counted("init", Polynomial.__init__))
+    monkeypatch.setattr(Polynomial, "__add__", counted("add", Polynomial.__add__))
+    monkeypatch.setattr(Polynomial, "__mul__", counted("mul", Polynomial.__mul__))
+    p = parse("-(1 + s)^3*(x - 1/2)^2 + 2*s*x*y - 3/4 + (y - (s + x)^2)", XYS)
+    assert counts == {"init": 1, "add": 0, "mul": 0}
+    assert p == reference_parse(str(p), XYS)
 
 
 # -- ring arithmetic ------------------------------------------------------------
