@@ -146,7 +146,10 @@ def _parse_shape(family: str, text: str):
 
 def report_document(report: VerificationReport, caps: ResourceCaps,
                     max_rounds: int) -> dict:
-    """Schema-ordered plain dict for JSON serialization."""
+    """Schema-ordered plain dict for JSON serialization.  `m` and
+    `k0Ranks` count the boundary's components over the algebraic closure
+    of Q, one per root of 1 + f: f = s^2 gives m = 2, though 1 + s^2 is
+    irreducible over Q."""
     doc = {
         "schemaVersion": SCHEMA_VERSION,
         "family": report.spec.family,

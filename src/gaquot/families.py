@@ -17,12 +17,17 @@ computations:
   * the boundary has codimension 2, with one component per root of f + 1,
 
 and derives the forced ranks of the K-theory groups from the component
-count, plus a presentation of the invariant ring by tag-variable
-elimination, computed together with its minimal generators in one
-Groebner run, whose seeds name the tag of the quadratic invariant
+count (over the algebraic closure), plus a presentation of the invariant
+ring by tag-variable elimination.  Its five candidates, their seeds and
+their order are written in closed form from W's quadric and f: both
+minors' images read one table of coefficients, and each candidate's
+leading monomial is known, so they sort by (degree, leading text) with
+no search.  One Groebner run computes the minimal generators together
+with the relations, its seeds naming the tag of the quadratic invariant
 instead of expanding its powers.  The run spans only the generators
 free of the trivial summands' coordinates, which Ga fixes; those join
-the presentation afterwards as free generators.
+afterwards as free generators, with the other degree-1 survivors by name
+as text.
 
 W is certified once, where it is built (`_representation`), by the
 Weitzenboeck identities (Freudenburg, "Algebraic Theory of Locally
@@ -52,7 +57,7 @@ expansion of f(q):
     s != 0, so each point of V(J') is q of a singular point of B (the
     origin of W for s = 0).  For v3, J' = (1 + f, s*f'), a unit ideal
     by the validation's squarefree test of f + 1 (f(0) = 0 keeps s from
-    dividing 1 + f), so a validated v3 artifact holds J' as (1);
+    dividing 1 + f), so a v3 battery reads that verdict and builds no J';
   * dimensions: X, Ybar and B are hypersurfaces with nonconstant
     equations when f is nonconstant, so each has dimension n - 1.
 
@@ -83,14 +88,14 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from operator import add
+from math import comb
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .derivations import (
     Derivation,
     _check_coefficient_space,
-    _sorted_gens,
     fixed_point_ideal,
     lower_triangular_derivation,
 )
@@ -118,7 +123,7 @@ from .poly import (
     _Record,
     _exact_quotient,
     _grevlex_descending,
-    _product,
+    _term_text,
     fresh_names,
     jacobian,
 )
@@ -210,8 +215,7 @@ class ConstructionArtifacts(_Record):
         order), in f's ring: J_kl(s) = sum over j of df/ds_j * c*s_m for
         E_kl q_j = c*q_m in the table `_representation` holds for the
         spec's W.  The unit ideal iff B is smooth (see the module
-        docstring); a validated v3 build holds it as (1) from the start
-        (`_build_within_bound`)."""
+        docstring), which for v3 the validation decides (`run_battery`)."""
         f = self.spec.f
         s = [f.ring.var(n) for n in f.ring.names]
         gradient = jacobian([f], f.ring.names)[0]
@@ -314,18 +318,13 @@ def _build_within_bound(spec: FamilySpec, bounded: bool, key: Optional[str] = No
                         caps: ResourceCaps = DEFAULT_CAPS) -> ConstructionArtifacts:
     """Validate the spec under `caps`, then, if `bounded`, check the bound
     on the trivial summands of the spec's W (a cap names `key` first, if
-    given), then build W: a count past the bound builds no W.  A v3
-    artifact holds J' as the unit ideal, which the validation proved it
-    is."""
+    given), then build W: a count past the bound builds no W."""
     validate_family_spec(spec, caps)  # f(0) = 0, deg f and, for v3, f + 1 squarefree
     if bounded:
         with _stage(key) if key else nullcontext():
             _check_coefficient_space(2 * FAMILIES[spec.family][0] + spec.trivial_summands,
                                      KERNEL_DEGREE)
-    art = _build_family(spec)
-    if spec.family == "v3":
-        vars(art)["polarization_ideal"] = Ideal(spec.f.ring, (spec.f.ring.one(),))
-    return art
+    return _build_family(spec)
 
 
 def _odd_block_coordinates(w_ring: VarSet, family: str) -> Ideal:
@@ -452,81 +451,90 @@ def invariant_presentation(art: ConstructionArtifacts,
     invariant ring is that of W without summands with them adjoined
     (ker D = (ker D')[e]).  t is bounded, by KERNEL_DEGREE and
     `derivations.KERNEL_DIMENSION_CAP`, as the t trivial generators
-    hold O(t**2) exponent entries.  One incremental Groebner run over the
-    tag-variable graph ideal of the five candidates z2, z4, q' and the
-    two monic minors, in z1..z5 and in (degree, text) order, drops each
-    lying in the subalgebra of those before it and eliminates the affine
-    coordinates from the graph ideal of the rest
-    (a `groebner._GraphSpan`, under one `caps` budget).  z6, z7,
-    ... then join its survivors, in (degree, text) order, and each
-    relation's tags are renamed by survivor position.  Returns
-    (restricted generators, relation ideal in tags).
+    hold O(t**2) exponent entries.
 
-    q is free of w1, so its image is c times q' for a scalar c.  The
-    minors are seeded through their forms (1 + f(c*y))*z3 - z1*z2 and
-    (1 + f(c*y))*z5 - z1*z4, with y the tag of q', each divided by lc,
-    the leading coefficient of its image: a minor's image is its form at
-    y -> q', expanded over the powers of q', and divided by lc it is the
-    monic candidate, so the divided form equals its candidate as
-    `_GraphSpan` requires.  q' is monic and homogeneous of degree 2, so
-    with a*s^d the top term of 1 + f, d > 0, the image's leading term is
-    a*c^d*z3*lm(q')^d, or a*c^d*z5*lm(q')^d, of degree 2d + 1; when 1 + f
-    is constant it is -z1*z2, or -z1*z4.  So lc is a*c^d, or -1, for both
-    minors, with no search of the image.  Seeded through the forms, the
-    run never reduces expanded powers of q back to powers of its tag:
-    each minor is seeded with deg f + 3 terms.  z2, z4 and q' are seeded
-    as themselves.
+    The images are written in closed form, from f and W's quadric: q is
+    free of w1 and is c*q' with q' = lead + d*other, lead its leading
+    monomial.  With g_e the coefficients of 1 + f(c*y), the minors'
+    images are (sum of g_e*q'^e)*z3 - z1*z2 and the same with z5 and z4,
+    and each (e, j) gives the one monomial z3*lead^(e-j)*other^j, with
+    coefficient g_e*C(e, j)*d^j, so no two terms merge.  One table of
+    those coefficients over lc serves both minors, which differ only in
+    z3 versus z5.  lc is their leading coefficient: q' is monic and
+    homogeneous of degree 2, so with g_n the top coefficient, n > 0, an
+    image leads with g_n*z3*lead^n, or g_n*z5*lead^n, of degree 2n + 1;
+    when 1 + f is constant it leads with -z1*z2, or -z1*z4, of degree 2,
+    level with q'.  So lc is g_n, or -1, and every candidate's leading
+    monomial is known: the five candidates z2, z4, q' and the two monic
+    minors are sorted by (degree, leading text) with no search of their
+    terms, and as no two leading monomials agree, this is
+    `derivations._sorted_gens`'s order.  One incremental Groebner run
+    over their tag-variable graph ideal in z1..z5 drops each lying in the
+    subalgebra of those before it and eliminates the affine coordinates
+    from the graph ideal of the rest (a `groebner._GraphSpan`, under one
+    `caps` budget).  The minors are seeded through their forms
+    (1 + f(c*y))*z3 - z1*z2 and (1 + f(c*y))*z5 - z1*z4 over lc, y the
+    tag of q', which equal their candidates at y -> q', as `_GraphSpan`
+    requires; so the run never reduces expanded powers of q back to
+    powers of its tag, and each minor is seeded with deg f + 3 terms.
+    z2, z4 and q' are seeded as themselves.  z6, z7, ... then join the
+    survivors: they and z2 and z4, which lead the span and are kept, are
+    the degree-1 survivors, listed by name as text (z10 before z2),
+    followed by the rest in span order, and each relation's tags are
+    renamed by survivor position.  Returns (restricted generators,
+    relation ideal in tags).
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
     _check_coefficient_space(len(art.w_ring), KERNEL_DEGREE)
     width = len(_CORE) + 1  # the coordinates of W without summands
-    z_ring = _CORE if len(art.w_ring) == width else VarSet(
-        tuple(f"z{i}" for i in range(1, len(art.w_ring))))
     (q,) = art.quad_invariants
-    q_image = {m[1:width]: a for m, a in q.terms.items()}  # q is free of w1
-    c = q_image[min(q_image, key=_grevlex_descending)]
-    q_monic = Polynomial(_CORE, {m: _exact_quotient(a, c) for m, a in q_image.items()})  # q = c*q'
-    z = [tuple(int(i == k) for i in range(width)) for k in range(width - 1)]  # z1..z5 in a form
-    # A form's terms are keyed by the exponents of z1..z5 and then of y.
-    q_powers = [{(0,) * (width - 1): 1}]  # q'^k
-    # candidate -> its form, None for the candidate itself
-    forms = dict.fromkeys((_CORE.var("z2"), _CORE.var("z4"), q_monic))
-    shape = art.spec.f + 1
-    top = shape.total_degree()
-    # the leading coefficient of both minors' images (see the docstring)
-    lc = shape.terms[(top,)] * c ** top if top > 0 else -1
-    for k in (2, 4):  # the minors w1*w4 - w2*w3 and w1*w6 - w2*w5
-        form = {tuple(map(add, z[k], (0,) * (width - 1) + e)): a * c ** e[0]
-                for e, a in shape.terms.items()}
-        form[tuple(map(add, z[0], z[k - 1]))] = -1
-        image: dict = {}  # the form at y -> q', over z1..z5
-        for m, a in form.items():
-            while len(q_powers) <= m[-1]:
-                q_powers.append(_product(q_powers[-1], q_monic.terms))
-            for t, b in q_powers[m[-1]].items():
-                key = tuple(map(add, m, t))  # map stops before y, at the end of t
-                image[key] = image.get(key, 0) + a * b
-        forms[Polynomial(_CORE, {m: _exact_quotient(a, lc) for m, a in image.items()})] = {
-            m: _exact_quotient(a, lc) for m, a in form.items()}
-    ordered = _sorted_gens(list(forms))
+    (lead, c), (other, d) = sorted(((m[1:width], a) for m, a in q.terms.items()),
+                                   key=lambda term: _grevlex_descending(term[0]))
+    d = _exact_quotient(d, c)  # q = c*q', q' = lead + d*other
+    q_monic = Polynomial(_CORE, {lead: 1, other: d})
+    shape = {e: a * c ** e for (e,), a in (art.spec.f + 1).terms.items()}  # g_e
+    top = max(shape, default=0)
+    lc = shape[top] if top else -1  # the leading coefficient of both minors' images
+    scaled = {e: _exact_quotient(g, lc) for e, g in shape.items()}  # the forms' g_e/lc
+    corner = _exact_quotient(-1, lc)  # of z1*z2 and z1*z4
+    lead_powers, other_powers = ([tuple(x * i for x in m) for i in range(top + 1)]
+                                 for m in (lead, other))
+    # lead^(e-j)*other^j -> g_e*C(e, j)*d^j/lc
+    table = [(tuple([a + b for a, b in zip(lead_powers[e - j], other_powers[j])]),
+              _exact_quotient(g * comb(e, j) * d ** j, lc))
+             for e, g in shape.items() for j in range(e + 1)]
+    # (degree, leading text, candidate, (z3 or z5, z1*z2 or z1*z4) of a minor's form)
+    entries = [(1, "z2", _CORE.var("z2"), None), (1, "z4", _CORE.var("z4"), None),
+               (2, _term_text(_CORE.names, lead, 1, True), q_monic, None)]
+    for k in (2, 4):  # z3 and z5: the minors w1*w4 - w2*w3 and w1*w6 - w2*w5
+        z_k = tuple(int(i == k) for i in range(width - 1))
+        pair = tuple(int(i in (0, k - 1)) for i in range(width - 1))
+        image = {m[:k] + (m[k] + 1,) + m[k + 1:]: a for m, a in table}
+        image[pair] = corner
+        lm = tuple(x * top + (i == k) for i, x in enumerate(lead)) if top else pair
+        entries.append((sum(lm), _term_text(_CORE.names, lm, 1, True),
+                        Polynomial(_CORE, image), (z_k, pair)))
+    entries.sort(key=itemgetter(0, 1))
+    ordered = [p for _, _, p, _ in entries]
     # q' is a kernel generator and not in the subalgebra of the linear ones
     at, tags = ordered.index(q_monic), len(ordered)
     big = _tag_ring(_CORE, tags)
-    seeds = [p if forms[p] is None else Polynomial(big, {
-        m[:-1] + (0,) * at + m[-1:] + (0,) * (tags - at - 1): a for m, a in forms[p].items()})
-        for p in ordered]
+    seeds = [p if form is None else Polynomial(big, {
+        **{form[0] + (0,) * at + (e,) + (0,) * (tags - at - 1): h for e, h in scaled.items()},
+        form[1] + (0,) * tags: corner}) for _, _, p, form in entries]
     span = _GraphSpan(_CORE, ordered, caps, seeds)
     survivors, relations = span.kept, span.relations()
-    if z_ring is _CORE:
+    if len(art.w_ring) == width:
         return tuple(survivors), relations  # the survivors are sorted, and tagged in order
-    spanned = [p.embed(z_ring) for p in survivors]
-    trivial = [z_ring.var(n) for n in z_ring.names[width - 1:]]
-    merged = _sorted_gens(spanned + trivial)
+    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(art.w_ring))))
+    # z2 and z4 lead the span and are kept: the degree-1 survivors, by name as text
+    linear = sorted(("z2", "z4") + z_ring.names[width - 1:])
+    merged = [z_ring.var(n) for n in linear] + [p.embed(z_ring) for p in survivors[2:]]
     y_ring = VarSet(fresh_names("y", len(merged), z_ring.names))
     # each tag of y_ring -> its survivor's tag, or one past the last for a trivial coordinate
-    survivor = {p: k for k, p in enumerate(spanned)}
-    source = [survivor.get(p, len(spanned)) for p in merged]
+    source = [{"z2": 0, "z4": 1}.get(n, len(survivors)) for n in linear]
+    source += range(2, len(survivors))
     return tuple(merged), Ideal(y_ring, tuple(Polynomial(y_ring, {
         tuple(map((m + (0,)).__getitem__, source)): c for m, c in r.terms.items()})
         for r in relations.generators))
@@ -584,12 +592,13 @@ def _stage(key: str):
         raise ResourceCapError(f"{key}: {exc}") from exc
 
 
-def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS) -> dict:
+def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS,
+            smooth: Optional[bool] = None) -> dict:
     """The battery's checks, by report key.  W is certified where it is
     built (`_representation`), so only what depends on f is decided here:
     `stable` and `free` from -1 - f(0), and smoothness, for both
     families, by whether J' (`ConstructionArtifacts.polarization_ideal`)
-    is the unit ideal of f's ring."""
+    is the unit ideal of f's ring, unless `smooth` gives that verdict."""
     stable = -1 - art.spec.f.constant_term() != 0
     checks = {
         # D kills w1 and the quadrics, which are free of w1: X's equation
@@ -599,11 +608,12 @@ def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS) -> di
         "stable": stable,
         "free": stable,  # the zeros of the action are the non-stable locus
     }
-    with _stage("boundarySmooth"):
-        b_smooth = is_unit_ideal(art.polarization_ideal, caps=caps)
+    if smooth is None:
+        with _stage("boundarySmooth"):
+            smooth = is_unit_ideal(art.polarization_ideal, caps=caps)
     # Ybar's equation is u*w2 - v*w1 + h with h, B's, free of u, v, w1 and
     # w2 (so are the quadrics): Ybar is the cone over B, smooth iff B is.
-    checks["ybarSmooth"] = checks["boundarySmooth"] = b_smooth
+    checks["ybarSmooth"] = checks["boundarySmooth"] = smooth
     return checks
 
 
@@ -618,7 +628,7 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
         raise UnitIdealError(_EMPTY_BOUNDARY)
     v3 = spec.family == "v3"
     art = _build_within_bound(spec, True, "presentation" if v3 else None, caps)
-    checks = _checks(art, caps)
+    checks = _checks(art, caps, True if v3 else None)  # the validation proved v3's J' = (1)
     dim_ybar, dim_b, m = boundary_analysis(art)
     # X's equation is w1 - 1 - f(q), of degree 1 in w1
     dims = Dims(x=len(art.w_ring) - 1, ybar=dim_ybar, b=dim_b)

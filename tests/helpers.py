@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import sympy as sp
@@ -316,6 +317,25 @@ def unsplit_v3_presentation(f: Polynomial, trivial: int):
 
     span = _GraphSpan(*restricted_w_invariants(f, trivial))
     return span.kept, span.relations()
+
+
+def points_mod_p(polys, p: int) -> int:
+    """#V(polys)(F_p), the common zeros of `polys` (over one ring) in
+    F_p^n, n the size of the ring, by brute force over all p^n points: a
+    Groebner-free count.  Each coefficient is read mod p, so its
+    denominator must be prime to p (else ValueError)."""
+    reduced = []
+    for g in polys:
+        terms = []
+        for exps, c in g.terms.items():
+            c = Fraction(c)
+            if c.denominator % p == 0:
+                raise ValueError(f"coefficient {c} is not {p}-integral")
+            terms.append((c.numerator * pow(c.denominator, -1, p) % p, exps))
+        reduced.append(terms)
+    return sum(all(sum(c * prod(map(pow, point, exps)) for c, exps in terms) % p == 0
+                   for terms in reduced)
+               for point in product(range(p), repeat=len(polys[0].ring)))
 
 
 # -- the signed-roots shapes ---------------------------------------------------

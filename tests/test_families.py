@@ -38,7 +38,7 @@ from gaquot import (
     parse,
     run_battery,
 )
-from gaquot import cli, families, groebner, linalg
+from gaquot import cli, derivations, families, groebner, linalg, poly
 from gaquot.families import _build_family, _checks, nonstable_ideal
 from helpers import (check_cone_over_boundary, jacobian_identities, random_poly,
                      signed_roots_shape, spolynomials_per_run, to_sympy, ybar_ideal)
@@ -324,18 +324,19 @@ CERTIFIED_SPECS = (
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
 def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
-    """The identities, the validation's verdict on J', J''s own unit test
-    and the Jacobian criterion all certify B, and the battery's report,
-    which reads the validation's verdict, is the one whose smoothness
-    keys the Jacobian criterion decides."""
+    """The identities, J''s own unit test and the Jacobian criterion all
+    certify B, a validated artifact builds the J' of one built without
+    validation, and the battery's report, which reads the validation's
+    verdict, is the one whose smoothness keys the Jacobian criterion
+    decides."""
     art = build_family(spec)
     assert jacobian_identities(art) is True
-    assert art.polarization_ideal == Ideal(S, (S.one(),))
-    assert groebner.is_unit_ideal(_build_family(spec).polarization_ideal)
+    assert art.polarization_ideal == _build_family(spec).polarization_ideal
+    assert groebner.is_unit_ideal(art.polarization_ideal)
     certified = run_battery(spec)
     battery = families._checks
-    monkeypatch.setattr(families, "_checks", lambda art, caps: {
-        **battery(art, caps), "ybarSmooth": check_smooth(ybar_ideal(art), caps),
+    monkeypatch.setattr(families, "_checks", lambda art, caps, smooth: {
+        **battery(art, caps, smooth), "ybarSmooth": check_smooth(ybar_ideal(art), caps),
         "boundarySmooth": check_smooth(art.b_ideal, caps)})
     assert run_battery(spec) == certified
 
@@ -364,38 +365,49 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
     seeds five candidates (w3, w5, q and the two minors; w1's image is
     never built).  These read 7, 2 and 6 while the rings were rebuilt
     around the span, the certificate ran the loop again, and w1's image
-    was seeded to be dropped."""
+    was seeded to be dropped.  It multiplies no term dicts
+    (`poly._product`, under every module that binds it) and sorts no
+    polynomials by search (`derivations._sorted_gens`): the candidates,
+    their seeds and their order are written in closed form."""
     spec = FamilySpec("v3", signed_roots_shape(12, 11))
     run_battery(spec)  # W and its invariants are cached from here on
-    counts = counted_calls(monkeypatch, (VarSet, "__init__"),
-                           (groebner, "_coprime_mod"), (groebner._GraphSpan, "_tag_only_form"))
+    bound = [(module, name) for module in (cli, derivations, families, groebner, linalg, poly)
+             for name in ("_product", "_sorted_gens") if name in vars(module)]
+    counts = counted_calls(monkeypatch, (VarSet, "__init__"), (groebner, "_coprime_mod"),
+                           (groebner._GraphSpan, "_tag_only_form"), *bound)
     assert run_battery(spec).passed
-    assert counts == {"__init__": 2, "_coprime_mod": 1, "_tag_only_form": 5}
+    assert counts == {"__init__": 2, "_coprime_mod": 1, "_tag_only_form": 5,
+                      "_product": 0, "_sorted_gens": 0}
 
 
 def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
-    """A validated v3 artifact holds J' as the unit ideal, which the
-    validation proved it is, so its battery verdict runs neither the
-    modular loop again nor a Groebner run; one built without validation
-    builds J' = (1 + f, s*f', 0, 0, s*f') from f on first read, keeps
-    it, and decides it by a unit-ideal test in Q[s]."""
+    """A v3 battery hands the validation's verdict on J' to `_checks`, so
+    its smoothness verdict runs neither the modular loop again nor a
+    Groebner run, and builds no J'.  An artifact given no verdict,
+    validated or not, builds J' = (1 + f, s*f', 0, 0, s*f') from f on
+    first read, keeps it, and decides it by a unit-ideal test in Q[s]."""
     spec = FamilySpec("v3", signed_roots_shape(5, 3))
     counts = counted_calls(monkeypatch, (groebner, "_coprime_mod"))
+    battery, handed = families._checks, []
+    monkeypatch.setattr(families, "_checks", lambda art, caps, smooth: (
+        handed.append((art, smooth)) or battery(art, caps, smooth)))
+    assert run_battery(spec).passed
+    [(art, smooth)] = handed
+    assert (smooth, vars(art), counts["_coprime_mod"]) == (True, {}, 1)
     validated = build_family(spec)
-    assert counts["_coprime_mod"] == 1
+    assert counts["_coprime_mod"] == 2
     verdicts = []
     runs = spolynomials_per_run(
-        monkeypatch, lambda: verdicts.append(_checks(validated)["boundarySmooth"]))
-    assert (runs, verdicts) == ([], [True])
-    assert counts["_coprime_mod"] == 1
-    unvalidated = _build_family(spec)
+        monkeypatch, lambda: verdicts.append(_checks(validated, smooth=True)["boundarySmooth"]))
+    assert (runs, verdicts, vars(validated)) == ([], [True], {})
     f, s = spec.f, S.var("s")
     s_f_prime = s * f.partial("s")
-    assert unvalidated.polarization_ideal == Ideal(S, (f + 1, s_f_prime, S.zero(), S.zero(),
-                                                        s_f_prime))
-    assert unvalidated.polarization_ideal is unvalidated.polarization_ideal
-    assert [_checks(unvalidated)["boundarySmooth"] for _ in range(2)] == [True, True]
-    assert counts["_coprime_mod"] == 1
+    for art in (validated, _build_family(spec)):
+        assert art.polarization_ideal == Ideal(S, (f + 1, s_f_prime, S.zero(), S.zero(),
+                                                    s_f_prime))
+        assert art.polarization_ideal is art.polarization_ideal
+        assert [_checks(art)["boundarySmooth"] for _ in range(2)] == [True, True]
+    assert counts["_coprime_mod"] == 2
     assert _checks(_build_family(v3("s - 1")))["boundarySmooth"] is False  # J' = (s, s)
 
 

@@ -18,8 +18,9 @@ from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation
 from gaquot.groebner import _graph_ideal, _GraphSpan, _tag_ring, subalgebra_presentation
-from helpers import (groebner_minimal_generators, random_poly, restricted_w_invariants,
-                     signed_roots_shape, spolynomials_per_run, unsplit_v3_presentation)
+from helpers import (groebner_minimal_generators, points_mod_p, random_poly,
+                     restricted_w_invariants, signed_roots_shape, spolynomials_per_run,
+                     unsplit_v3_presentation)
 
 
 def reference(ring, candidates):
@@ -245,6 +246,22 @@ def test_v3_presentation_keeps_f_at_zero(shape, trivial):
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
     presentation = invariant_presentation(families._build_family(spec))
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
+
+
+@pytest.mark.parametrize("shape, counts", [
+    ("s", (650, 2450)), ("s^2 + 3*s", (650, 2401)), ("s^3 - 2*s", (675, 2450))])
+def test_v3_relations_count_points_over_finite_fields(shape, counts):
+    """Over F_5 and F_7 the relations of a v3 presentation without trivial
+    summands cut out p^4 + n_p*p^2 points of F_p^5, n_p the number of
+    roots of 1 + f in F_p: p^4 points of Y (X is affine 5-space, and each
+    Ga-torsor over an F_p-point is trivial) and n_p*p^2 off Y.  Counted
+    by brute force, with no Groebner run, on the survivors' tags."""
+    f = parse(shape, VarSet(("s",)))
+    _, relations = invariant_presentation(build_family(FamilySpec("v3", f)))
+    assert len(relations.ring) == 5
+    for p, count in zip((5, 7), counts):
+        roots = points_mod_p([f + 1], p)
+        assert points_mod_p(relations.generators, p) == p ** 4 + roots * p ** 2 == count
 
 
 @pytest.mark.parametrize("trivial, degrees", [
