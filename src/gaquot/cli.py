@@ -48,9 +48,10 @@ from .families import (
     FAMILIES,
     FamilySpec,
     VerificationReport,
-    _build_within_bound,
+    _build_family,
     invariant_presentation,
     run_battery,
+    validate_family_spec,
 )
 from .groebner import DEFAULT_CAPS, ResourceCaps, TermOrder, buchberger, load_ideal_file
 from .poly import VarSet, parse
@@ -267,8 +268,8 @@ def _cmd_gb(args, out) -> int:
 def _cmd_present(args, out) -> int:
     spec = FamilySpec("v3", _parse_shape("v3", args.f), args.trivial)
     caps = _caps(args)
-    art = _build_within_bound(spec, bounded=True, caps=caps)
-    gens, relations = invariant_presentation(art, caps=caps)
+    validate_family_spec(spec, caps)
+    gens, relations = invariant_presentation(_build_family(spec), caps=caps)
     tags = relations.ring.names
     for tag, g in zip(tags, gens):
         print(f"{tag} = {g}", file=out)

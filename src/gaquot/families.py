@@ -69,18 +69,22 @@ f(q) nowhere but in the v3 presentation, its one Buchberger run besides
 v4's unit test of J' in three variables.  A ResourceCapError raised by
 the battery names the stage, by its report key, in front of the cap;
 the validation caps deg f at the run's degree budget before the
-squarefree test builds its dense lists, and the bound on the trivial
-summands (the presentation's, for v3) is checked before W is built.
+squarefree test builds its dense lists, and `_representation` checks
+the bound on the trivial summands before it builds W, on every path
+(under the presentation's stage, for a v3 battery).
 
 What depends on W alone is built once per process, in one bounded
 cache: W's derivation, quadratic invariants and polarization table per
-(family, trivial summands) (`_representation`).  The presentation names
-W's invariants, the classical Weitzenboeck generators, so no kernel is
-solved for them.  Everything that depends on f or on the caps (X, B and
-J' when read, the checks, the presentation's Groebner run) is built per
-call, so reports are byte-identical whether the cache is cold or warm.
-A long-lived caller that sweeps f over one W gains; one `gaquot verify`
-per process builds W once either way.
+(family, trivial summands) (`_representation`).  A family instance is
+its spec: `ConstructionArtifacts` holds the spec alone and reads W from
+that cache, so its X, B and J' always describe one W, the certified
+one.  The presentation names W's invariants, the classical Weitzenboeck
+generators, so no kernel is solved for them.  Everything that depends
+on f or on the caps (X, B and J' when read, the checks, the
+presentation's Groebner run) is built per call, so reports are
+byte-identical whether the cache is cold or warm.  A long-lived caller
+that sweeps f over one W gains; one `gaquot verify` per process builds
+W once either way.
 """
 
 from __future__ import annotations
@@ -132,14 +136,6 @@ from .poly import (
 # one variable per quadratic invariant, i.e. per pair of non-leading blocks.
 FAMILIES = {"v3": (3, ("s",)), "v4": (4, ("a", "b", "c"))}
 
-# The Weitzenboeck kernel of the two-dimensional blocks is generated in
-# degree <= 2 (the leading block coordinates and the 2x2 determinants
-# pairing the blocks), so the presentation names its generators.  The
-# degree still bounds the trivial summands: the t trivial survivors hold
-# O(t**2) exponent entries, and t may grow while the polynomials of degree
-# <= KERNEL_DEGREE on W stay within `derivations.KERNEL_DIMENSION_CAP`.
-KERNEL_DEGREE = 2
-
 # The affine coordinates z1..z5 of v3's X without trivial summands, read
 # off w2..w6 (X is a graph in w1): the ring the presentation spans in.
 _CORE = VarSet(tuple(f"z{i}" for i in range(1, 2 * FAMILIES["v3"][0])))
@@ -168,29 +164,36 @@ class FamilySpec(_Record):
 
 
 class ConstructionArtifacts(_Record):
-    """Everything the checks consume.
+    """Everything the checks consume, determined by the spec alone.
 
-    `derivation` is the action on W, `lower_triangular_derivation` of
-    the blocks and trivial summands, and `w_ring` is its ring.  X
-    (`x_ideal`, the principal ideal of w1 + h) and the boundary B
-    (`b_ideal`, that of h = -1 - f(quads)) are hypersurfaces of W.  The
-    closure Ybar, cut out by u*w2 - v*w1 + h over (u, v) and W, is the
-    cone over B, so no check builds it.
+    `derivation`, the action on W (`lower_triangular_derivation` of the
+    blocks and trivial summands), `quad_invariants` and `w_ring`, W's
+    ring, are read from `_representation`, which bounds, builds and
+    certifies W, so a record past the bound raises ResourceCapError on
+    the first read.  X (`x_ideal`, the principal ideal of w1 + h) and the
+    boundary B (`b_ideal`, that of h = -1 - f(quads)) are hypersurfaces
+    of W.  The closure Ybar, cut out by u*w2 - v*w1 + h over (u, v) and
+    W, is the cone over B, so no check builds it.
 
     Both ideals expand f(quads), so each is built on first use and then
     kept, in the instance dict, as is `polarization_ideal`, the battery's
     smoothness ideal J' in f's own ring, which reads f and W's table
-    instead.  All three follow from the three fields; the battery takes
-    W as `_representation` certified it.
+    instead.
     """
 
-    __slots__ = ("spec", "derivation", "quad_invariants", "__dict__")
-    _fields = __slots__[:3]
+    __slots__ = ("spec", "__dict__")
+    _fields = ("spec",)
 
-    def __init__(self, spec: FamilySpec, derivation: Derivation, quad_invariants: tuple):
+    def __init__(self, spec: FamilySpec):
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "derivation", derivation)
-        object.__setattr__(self, "quad_invariants", quad_invariants)
+
+    @property
+    def derivation(self) -> Derivation:
+        return _representation(self.spec.family, self.spec.trivial_summands)[0]
+
+    @property
+    def quad_invariants(self) -> tuple:
+        return _representation(self.spec.family, self.spec.trivial_summands)[1]
 
     @property
     def w_ring(self) -> VarSet:
@@ -257,9 +260,19 @@ def _quadratic_invariants(w_ring: VarSet, blocks: int):
 
 
 def build_family(spec: FamilySpec) -> ConstructionArtifacts:
-    """Assemble rings, derivation, and the defining ideals of a spec that
-    validate_family_spec accepts."""
-    return _build_within_bound(spec, bounded=False)
+    """Validate the spec (`validate_family_spec` under the default caps),
+    then build its record as `_build_family` does."""
+    validate_family_spec(spec)
+    return _build_family(spec)
+
+
+# The Weitzenboeck kernel of the two-dimensional blocks is generated in
+# degree <= 2 (the leading block coordinates and the 2x2 determinants
+# pairing the blocks), so the presentation names its generators.  The
+# degree still bounds the trivial summands: the t trivial survivors hold
+# O(t**2) exponent entries, and t may grow while the polynomials of degree
+# <= KERNEL_DEGREE on W stay within `derivations.KERNEL_DIMENSION_CAP`.
+KERNEL_DEGREE = 2
 
 
 # One entry per representation W in use; kernel-width, the benchmark
@@ -273,10 +286,17 @@ def _representation(family: str, trivial: int):
     per polarization operator E_kl, non-leading blocks k and l in order,
     the triples (j, c, m) with E_kl q_j = c*q_m != 0, c = +-1.  Nothing
     here depends on f, and every value is immutable, so one entry serves
-    every instance on W, from any thread.  Raises ValueError, a bug,
-    unless W has each identity the battery's verdicts rest on (see the
-    module docstring); no other code checks them."""
+    every instance on W, from any thread.
+
+    The only code that bounds, builds and certifies W.  First it raises
+    ResourceCapError, building nothing and caching nothing, when the
+    polynomials of degree <= KERNEL_DEGREE on W's 2*blocks + trivial
+    coordinates exceed `derivations.KERNEL_DIMENSION_CAP`.  Then it
+    raises ValueError, a bug, unless W has each identity the battery's
+    verdicts rest on (see the module docstring); no other code checks
+    them."""
     blocks = FAMILIES[family][0]
+    _check_coefficient_space(2 * blocks + trivial, KERNEL_DEGREE)
     derivation = lower_triangular_derivation(blocks, trivial)
     ring = derivation.ring
     quads = _quadratic_invariants(ring, blocks)
@@ -307,24 +327,13 @@ def _representation(family: str, trivial: int):
 
 def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
     """build_family without validation, so that tests can build the
-    invalid specs the battery's failure paths are about.  The objects of
-    W come from `_representation`; f(q) is expanded only when one of the
-    artifacts' ideals is first read."""
-    derivation, quads, _ = _representation(spec.family, spec.trivial_summands)
-    return ConstructionArtifacts(spec, derivation, quads)
-
-
-def _build_within_bound(spec: FamilySpec, bounded: bool, key: Optional[str] = None,
-                        caps: ResourceCaps = DEFAULT_CAPS) -> ConstructionArtifacts:
-    """Validate the spec under `caps`, then, if `bounded`, check the bound
-    on the trivial summands of the spec's W (a cap names `key` first, if
-    given), then build W: a count past the bound builds no W."""
-    validate_family_spec(spec, caps)  # f(0) = 0, deg f and, for v3, f + 1 squarefree
-    if bounded:
-        with _stage(key) if key else nullcontext():
-            _check_coefficient_space(2 * FAMILIES[spec.family][0] + spec.trivial_summands,
-                                     KERNEL_DEGREE)
-    return _build_family(spec)
+    invalid specs the battery's failure paths are about.  It reads
+    `_representation` once, so a count past the bound raises
+    ResourceCapError and a broken W ValueError here, before any record
+    exists; f(q) is expanded only when one of the record's ideals is
+    first read."""
+    _representation(spec.family, spec.trivial_summands)
+    return ConstructionArtifacts(spec)
 
 
 def _odd_block_coordinates(w_ring: VarSet, family: str) -> Ideal:
@@ -355,10 +364,7 @@ def check_freeness(art: ConstructionArtifacts,
     In characteristic zero unipotent stabilizers are connected, so an
     empty fixed locus on X certifies a scheme-theoretically free action.
     """
-    fixed = fixed_point_ideal(art.derivation)
-    if fixed.is_zero():
-        return False  # everything is fixed; degenerate derivation
-    return is_unit_ideal(art.x_ideal + fixed, caps=caps)
+    return is_unit_ideal(art.x_ideal + fixed_point_ideal(art.derivation), caps=caps)
 
 
 def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
@@ -449,9 +455,9 @@ def invariant_presentation(art: ConstructionArtifacts,
     polynomial in q', the monic image of q, which is.  Ga fixes the
     trivial summands' coordinates e_i, W's columns 6..5+t, so the
     invariant ring is that of W without summands with them adjoined
-    (ker D = (ker D')[e]).  t is bounded, by KERNEL_DEGREE and
-    `derivations.KERNEL_DIMENSION_CAP`, as the t trivial generators
-    hold O(t**2) exponent entries.
+    (ker D = (ker D')[e]).  t is bounded where W is built
+    (`_representation`), as the t trivial generators hold O(t**2)
+    exponent entries.
 
     The images are written in closed form, from f and W's quadric: q is
     free of w1 and is c*q' with q' = lead + d*other, lead its leading
@@ -486,7 +492,6 @@ def invariant_presentation(art: ConstructionArtifacts,
     """
     if art.spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
-    _check_coefficient_space(len(art.w_ring), KERNEL_DEGREE)
     width = len(_CORE) + 1  # the coordinates of W without summands
     (q,) = art.quad_invariants
     (lead, c), (other, d) = sorted(((m[1:width], a) for m, a in q.terms.items()),
@@ -627,7 +632,9 @@ def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> Verifica
     if spec.f.is_zero():
         raise UnitIdealError(_EMPTY_BOUNDARY)
     v3 = spec.family == "v3"
-    art = _build_within_bound(spec, True, "presentation" if v3 else None, caps)
+    validate_family_spec(spec, caps)  # f(0) = 0, deg f and, for v3, f + 1 squarefree
+    with _stage("presentation") if v3 else nullcontext():
+        art = _build_family(spec)
     checks = _checks(art, caps, True if v3 else None)  # the validation proved v3's J' = (1)
     dim_ybar, dim_b, m = boundary_analysis(art)
     # X's equation is w1 - 1 - f(q), of degree 1 in w1

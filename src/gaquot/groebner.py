@@ -79,7 +79,7 @@ import heapq
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from pathlib import Path
 from struct import Struct
 from typing import Optional, Sequence, Union
@@ -739,41 +739,20 @@ def _coprime_mod(a: list, b: list, prime: int) -> bool:
     return len(a) == 1
 
 
-def _coprime_certificate(p: Polynomial, q: Polynomial) -> bool:
-    """True if a prime of `_COPRIME_PRIMES` certifies gcd(p, q) = 1 in
-    Q[x], for p and q in at most one common variable; False proves
-    nothing, and the caller decides by an exact route.
-
-    A modular certificate (von zur Gathen and Gerhard, "Modern Computer
-    Algebra", ch. 6).  With a and b the integer polynomials d*p and e*q, d
-    and e the lcms of the denominators, take a prime that does not divide
-    lc(a); if a and b are coprime mod that prime, they are coprime over
-    Q.  For a nonconstant common factor of a and b can be taken primitive
-    in Z[x], where it divides a, so its leading coefficient divides lc(a)
-    and it keeps its degree mod the prime.  A common factor mod the prime
-    proves nothing.
-    """
-    name = _single_variable(p, q)
-    k = p.ring.index(name) if name is not None else 0
-
-    def dense(r: Polynomial) -> list:
-        d = lcm(*(c.denominator for c in r.terms.values()))
-        out = [0] * (r.total_degree() + 1)
-        for m, c in r.terms.items():
-            out[m[k]] = c.numerator * (d // c.denominator)
-        return out
-
-    a, b = dense(p), dense(q)
-    return any(a and a[-1] % prime and _coprime_mod(a, b, prime) for prime in _COPRIME_PRIMES)
-
-
 def is_squarefree(p: Polynomial) -> bool:
     """True iff a nonzero univariate polynomial has no repeated roots.
 
     Over the rationals this is exactly gcd(p, p') being constant, which
-    certifies distinct roots over the algebraic closure.  The modular
-    `_coprime_certificate` decides most inputs with no Groebner run; when
-    no prime certifies, gcd_univariate decides.
+    certifies distinct roots over the algebraic closure.  A modular
+    certificate (von zur Gathen and Gerhard, "Modern Computer Algebra",
+    ch. 6) decides most inputs with no Groebner run.  With a and b the
+    integer polynomials d*p and e*p', d and e the lcms of the
+    denominators, take a prime of `_COPRIME_PRIMES` that does not divide
+    lc(a); if a and b are coprime mod that prime, they are coprime over
+    Q.  For a nonconstant common factor of a and b can be taken primitive
+    in Z[x], where it divides a, so its leading coefficient divides lc(a)
+    and it keeps its degree mod the prime.  A common factor mod the prime
+    proves nothing, so when no prime certifies, gcd_univariate decides.
     """
     if p.is_zero():
         raise ZeroPolynomialError("squarefreeness is undefined for 0")
@@ -781,7 +760,12 @@ def is_squarefree(p: Polynomial) -> bool:
     if name is None:
         return True  # nonzero constants have no roots at all
     derivative = p.partial(name)
-    return _coprime_certificate(p, derivative) or gcd_univariate(p, derivative).is_constant()
+    degree_of = itemgetter(p.ring.index(name))
+    a, b = ([terms.get(e, 0) for e in range(max(terms) + 1)]  # ascending degree
+            for terms, _ in (_integer_terms(r.terms, degree_of) for r in (p, derivative)))
+    if any(a[-1] % prime and _coprime_mod(a, b, prime) for prime in _COPRIME_PRIMES):
+        return True
+    return gcd_univariate(p, derivative).is_constant()
 
 
 # -- elimination, dimension -----------------------------------------------------

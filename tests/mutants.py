@@ -1,0 +1,143 @@
+"""A kept catalogue of mutants of the library, each with the tier-1 tests
+that must fail on it.
+
+    python tests/mutants.py
+
+copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
+and there, never in the checkout, applies one mutant at a time: one
+exact snippet of a library file replaced.  It runs the mutant's node ids
+in one sequential pytest process, restores the file, and prints a line
+per mutant:
+
+  killed    every listed test failed (a parametrized test fails when
+            one of its cases does);
+  PARTIAL   some listed test passed, so the table overstates what it
+            catches;
+  SURVIVED  every listed test passed;
+  STALE     the snippet does not occur exactly once, or a node id is
+            not collected: the table no longer matches the code.
+
+It ends with the killed count and the wall time, and exits 1 unless
+every mutant is killed.  pytest does not collect this file (no `test_`
+prefix), so it adds nothing to the tier-1 run.  A mutant's tests should
+fail fast: one that removes a resource bound must list only tests that
+reach the bound with small inputs.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FAMILIES = "src/gaquot/families.py"
+CLI_TESTS = "tests/test_cli.py::"
+FAMILY_TESTS = "tests/test_families.py::"
+PRESENTATION_TESTS = "tests/test_subalgebra_presentation.py::"
+
+# (label, library file, exact snippet, replacement, node ids that must fail)
+MUTANTS = [
+    ("W built past the bound", FAMILIES,
+     "    _check_coefficient_space(2 * blocks + trivial, KERNEL_DEGREE)\n", "",
+     (CLI_TESTS + "test_cap_errors_are_not_cached_and_keep_their_stage",
+      CLI_TESTS + "test_trivial_summands_are_bounded_by_the_kernel_cap",
+      CLI_TESTS + "test_v4_trivial_summands_are_bounded_before_the_representation")),
+    ("W whose action moves w1 or a quadric", FAMILIES,
+     '        raise ValueError("the action does not kill w1 and every quadratic invariant")\n',
+     "        pass\n",
+     (FAMILY_TESTS + "test_invariance_check",)),
+    ("W with a quadric that is not a homogeneous quadric", FAMILIES,
+     '        raise ValueError("a quadratic invariant is not a homogeneous quadric")\n',
+     "        pass\n",
+     (FAMILY_TESTS + "test_smoothness_certificate_needs_a_quadric",)),
+    ("W with a quadric in w1", FAMILIES,
+     '        raise ValueError("a quadratic invariant involves w1")\n', "        pass\n",
+     (FAMILY_TESTS + "test_affine_space_check",)),
+    ("W with a quadric term off the non-stable coordinates", FAMILIES,
+     '        raise ValueError("a quadratic invariant has a term free of the non-stable '
+     'coordinates")\n', "        pass\n",
+     (FAMILY_TESTS + "test_a_quadric_off_the_nonstable_coordinates_is_a_bug",)),
+    ("W whose zeros are off the non-stable locus", FAMILIES,
+     '        raise ValueError("the zeros of the action are not the non-stable locus")\n',
+     "        pass\n",
+     (FAMILY_TESTS + "test_a_fixed_locus_off_the_nonstable_locus_is_a_bug",)),
+    ("W with a polarization image off the quadrics", FAMILIES,
+     '            raise ValueError("a polarization operator maps a quadratic invariant "\n'
+     '                             "to neither 0 nor a signed quadratic invariant")\n',
+     "            pass\n",
+     (FAMILY_TESTS + "test_a_polarization_image_off_the_quadrics_is_a_bug",)),
+    ("candidates sorted by degree alone", FAMILIES,
+     "    entries.sort(key=itemgetter(0, 1))\n", "    entries.sort(key=itemgetter(0))\n",
+     (PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("trivial survivors in numeric order", FAMILIES,
+     '    linear = sorted(("z2", "z4") + z_ring.names[width - 1:])\n',
+     '    linear = ("z2", "z4") + z_ring.names[width - 1:]\n',
+     (PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t10]",)),
+    ("minor images without d^j", FAMILIES,
+     "_exact_quotient(g * comb(e, j) * d ** j, lc)", "_exact_quotient(g * comb(e, j), lc)",
+     (PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("minor images without the z1*z2 and z1*z4 terms", FAMILIES,
+     "        image[pair] = corner\n", "",
+     (PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("minor images without C(e, j)", FAMILIES,
+     "_exact_quotient(g * comb(e, j) * d ** j, lc)", "_exact_quotient(g * d ** j, lc)",
+     (PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+]
+
+
+def failed_tests(tree: Path, node_ids) -> "set | None":
+    """The node ids, parameter cases included, that fail when pytest runs
+    `node_ids` in `tree`, or None if pytest could not run them all (a node
+    id not collected)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no stale bytecode across mutants
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                           *node_ids], cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode not in (0, 1):
+        return None
+    return {line[len("FAILED "):].partition(" - ")[0]
+            for line in done.stdout.splitlines() if line.startswith("FAILED ")}
+
+
+def verdict(tree: Path, file: str, snippet: str, replacement: str, node_ids) -> str:
+    """Apply one mutant in `tree`, run its tests, restore the file."""
+    path = tree / file
+    original = path.read_text(encoding="utf-8")
+    if original.count(snippet) != 1:
+        return "STALE"
+    path.write_text(original.replace(snippet, replacement), encoding="utf-8")
+    try:
+        failed = failed_tests(tree, node_ids)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    if failed is None:
+        return "STALE"
+    caught = sum(any(f == node or f.startswith(node + "[") for f in failed) for node in node_ids)
+    return "killed" if caught == len(node_ids) else "PARTIAL" if caught else "SURVIVED"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    verdicts = []
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        for label, file, snippet, replacement, node_ids in MUTANTS:
+            verdicts.append(verdict(tree, file, snippet, replacement, node_ids))
+            print(f"{verdicts[-1]:<9} {label}", flush=True)
+    killed = verdicts.count("killed")
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -165,11 +165,11 @@ def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
             "resource cap: presentation: coefficient space of dimension 5778 exceeds 5000\n")
     assert families._representation.cache_info().currsize == 0
     for warm in (False, True):  # the first call fills the cache, before the pair budget runs out
-        hits = families._representation.cache_info().hits
+        misses = families._representation.cache_info().misses
         code, text = run(["verify", "--family", "v3", "--f=s", "--max-pairs", "1"])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == "resource cap: presentation: pair budget 1 exhausted\n"
-        assert families._representation.cache_info().hits == hits + warm
+        assert families._representation.cache_info().misses == misses + (not warm)
 
 
 def test_trivial_summands_are_bounded_by_the_kernel_cap(capsys):
@@ -190,7 +190,9 @@ def test_trivial_summands_are_bounded_by_the_kernel_cap(capsys):
 def test_trivial_summands_past_the_cap_build_no_representation(capsys):
     """verify checks the presentation's bound on t before W is built: a
     count past it leaves the representation cache as it was and prints
-    the same cap error."""
+    the same cap error.  So do the library's paths to W: `build_family`
+    and the first read of a hand-built record's ring raise the cap error,
+    with no stage, and build no W."""
     families._representation.cache_clear()
     code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "100000"])
     assert (code, text) == (4, "")
@@ -198,6 +200,13 @@ def test_trivial_summands_past_the_cap_build_no_representation(capsys):
     assert capsys.readouterr().err == (
         "resource cap: presentation: coefficient space of dimension 5000750028 "
         "exceeds 5000\n")
+    spec = families.FamilySpec("v3", parse("s", VarSet(("s",))), 100000)
+    for path in (lambda: families.build_family(spec),
+                 lambda: families.ConstructionArtifacts(spec).w_ring):
+        with pytest.raises(gaquot.ResourceCapError,
+                           match="^coefficient space of dimension 5000750028 exceeds 5000$"):
+            path()
+        assert families._representation.cache_info().currsize == 0
 
 
 def test_v4_trivial_summands_are_bounded_before_the_representation(capsys):

@@ -49,8 +49,7 @@ RECORDS = {
     SliceData: (lambda: make_slice(Derivation(XY, {"y": XY.var("x")}), "y"), ("var",), False),
     FamilySpec: (lambda: FamilySpec("v3", parse("s^2 + s", VarSet(("s",))), 1),
                  ("family", "f", "trivial_summands"), False),
-    ConstructionArtifacts: (lambda: build_family(SPEC), ("spec", "derivation", "quad_invariants"),
-                            True),
+    ConstructionArtifacts: (lambda: build_family(SPEC), ("spec",), False),
     KTheoryRanks: (lambda: KTheoryRanks(2), ("m",), False),
     Dims: (lambda: Dims(5, 7, 5), ("x", "ybar", "b"), False),
     VerificationReport: (lambda: run_battery(SPEC),
@@ -60,7 +59,7 @@ RECORDS = {
 # record -> the values it derives from its fields, read-only like them
 DERIVED = {
     GroebnerBasis: ("leading",),
-    ConstructionArtifacts: ("w_ring",),
+    ConstructionArtifacts: ("derivation", "quad_invariants", "w_ring"),
     KTheoryRanks: ("rank_z", "rank_closure", "rank_quotient"),
     Dims: ("quotient",),
     VerificationReport: ("boundary_codim", "m", "passed"),
@@ -183,11 +182,11 @@ def test_a_basis_rebuilt_from_its_fields_reduces_alike(order):
 
 @pytest.mark.parametrize("text", ["a^2 + b*c", "a^2 - 2*a + b^2 + c^2"])
 def test_artifacts_built_by_hand_have_the_built_smoothness_ideal(text):
-    """A v4 record built by hand from the three fields of `build_family`'s
-    has its ring and its J', and the battery's checks on it agree, smooth
-    and singular."""
+    """A v4 record built by hand from the spec of `build_family`'s has its
+    ring and its J', and the battery's checks on it agree, smooth and
+    singular."""
     built = build_family(FamilySpec("v4", parse(text, VarSet(("a", "b", "c")))))
-    hand = ConstructionArtifacts(built.spec, built.derivation, built.quad_invariants)
+    hand = ConstructionArtifacts(built.spec)
     assert hand == built and hand.w_ring == built.w_ring
     assert hand.polarization_ideal == built.polarization_ideal
     assert families._checks(hand) == families._checks(built)
@@ -196,16 +195,31 @@ def test_artifacts_built_by_hand_have_the_built_smoothness_ideal(text):
 def test_artifacts_keep_their_built_ideals_in_an_instance_dict():
     art = build_family(SPEC)
     assert vars(art) == {}  # J' too is built on first read, as from the fields
-    hand = ConstructionArtifacts(art.spec, art.derivation, art.quad_invariants)
+    hand = ConstructionArtifacts(art.spec)
     assert art.polarization_ideal.generators == hand.polarization_ideal.generators
     assert art.x_ideal is art.x_ideal
     assert set(vars(art)) == {"polarization_ideal", "b_ideal", "x_ideal"}
     assert art == build_family(SPEC)
 
 
-@pytest.mark.parametrize("spec", [SPEC, FamilySpec("v3", parse("s", VarSet(("s",))), 2),
-                                  FamilySpec("v4", parse("a^2 + b*c", VarSet(("a", "b", "c"))))],
-                         ids=["v3", "v3-trivial", "v4"])
+REBUILT_SPECS = [SPEC, FamilySpec("v3", parse("s", VarSet(("s",))), 2),
+                 FamilySpec("v4", parse("a^2 + b*c", VarSet(("a", "b", "c"))))]
+
+
+@pytest.mark.parametrize("spec", REBUILT_SPECS, ids=["v3", "v3-trivial", "v4"])
+def test_artifacts_built_by_hand_equal_the_built_ones(spec):
+    """A record built by hand from its spec alone equals the built one,
+    hashes as it does, and has its W, X, B, J' and battery checks: there
+    is no other field to pair with the spec."""
+    built, hand = build_family(spec), ConstructionArtifacts(spec)
+    assert hand == built and hash(hand) == hash(built)
+    for name in ("derivation", "quad_invariants", "w_ring", "x_ideal", "b_ideal",
+                 "polarization_ideal"):
+        assert getattr(hand, name) == getattr(built, name)
+    assert families._checks(hand) == families._checks(built)
+
+
+@pytest.mark.parametrize("spec", REBUILT_SPECS, ids=["v3", "v3-trivial", "v4"])
 def test_a_report_rebuilt_from_its_fields_derives_the_rest_alike(spec):
     """A report rebuilt from its five fields equals the built one and has
     its verdict, codimension, component count and ranks; with one check

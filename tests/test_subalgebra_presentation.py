@@ -248,20 +248,27 @@ def test_v3_presentation_keeps_f_at_zero(shape, trivial):
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
 
 
+# shape -> (p, trivial summands, point count) cases
 @pytest.mark.parametrize("shape, counts", [
-    ("s", (650, 2450)), ("s^2 + 3*s", (650, 2401)), ("s^3 - 2*s", (675, 2450))])
+    ("s", ((5, 0, 650), (7, 0, 2450), (5, 1, 3250))),
+    ("s^2 + 3*s", ((5, 0, 650), (7, 0, 2401), (5, 1, 3250))),
+    ("s^3 - 2*s", ((5, 0, 675), (7, 0, 2450))),
+    ("s^2", ((5, 0, 675), (7, 0, 2401))),
+])
 def test_v3_relations_count_points_over_finite_fields(shape, counts):
-    """Over F_5 and F_7 the relations of a v3 presentation without trivial
-    summands cut out p^4 + n_p*p^2 points of F_p^5, n_p the number of
-    roots of 1 + f in F_p: p^4 points of Y (X is affine 5-space, and each
-    Ga-torsor over an F_p-point is trivial) and n_p*p^2 off Y.  Counted
-    by brute force, with no Groebner run, on the survivors' tags."""
+    """Over F_p the relations of a v3 presentation with t trivial summands
+    cut out p^(4+t) + n_p*p^(2+t) points of F_p^(5+t), n_p the number of
+    roots of 1 + f in F_p: p^(4+t) points of Y (X is affine (5+t)-space,
+    and each Ga-torsor over an F_p-point is trivial) and n_p*p^(2+t) off
+    Y.  f = s^2 counts both roots of 1 + s^2 over F_5 and none over F_7.
+    Counted by brute force, with no Groebner run, on the survivors' tags."""
     f = parse(shape, VarSet(("s",)))
-    _, relations = invariant_presentation(build_family(FamilySpec("v3", f)))
-    assert len(relations.ring) == 5
-    for p, count in zip((5, 7), counts):
+    for p, trivial, count in counts:
+        _, relations = invariant_presentation(build_family(FamilySpec("v3", f, trivial)))
+        assert len(relations.ring) == 5 + trivial
         roots = points_mod_p([f + 1], p)
-        assert points_mod_p(relations.generators, p) == p ** 4 + roots * p ** 2 == count
+        assert points_mod_p(relations.generators, p) \
+            == p ** (4 + trivial) + roots * p ** (2 + trivial) == count
 
 
 @pytest.mark.parametrize("trivial, degrees", [
