@@ -8,7 +8,6 @@ Layered API: sparse rational polynomials (poly), a Groebner engine
 
 from .derivations import (
     Derivation,
-    SliceData,
     exp_action,
     fixed_point_ideal,
     kernel_linear,
@@ -35,7 +34,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .families import (
-    ConstructionArtifacts,
     Dims,
     FamilySpec,
     KTheoryRanks,
@@ -47,7 +45,6 @@ from .families import (
     check_stability,
     invariant_presentation,
     run_battery,
-    validate_family_spec,
 )
 from .groebner import (
     DEFAULT_CAPS,

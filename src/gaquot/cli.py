@@ -48,10 +48,9 @@ from .families import (
     FAMILIES,
     FamilySpec,
     VerificationReport,
-    _build_family,
+    build_family,
     invariant_presentation,
     run_battery,
-    validate_family_spec,
 )
 from .groebner import DEFAULT_CAPS, ResourceCaps, TermOrder, buchberger, load_ideal_file
 from .poly import VarSet, parse
@@ -221,11 +220,11 @@ def _cmd_kernel(args, out) -> int:
         degree = DEFAULT_KERNEL_DEGREE if args.max_degree is None else args.max_degree
         gens = kernel_linear(derivation, degree, caps=caps)
     else:
-        data = find_slice(derivation)
-        if data is None:
+        var = find_slice(derivation)
+        if var is None:
             raise UsageError("no slice variable (need D(s) nonzero with D(D(s)) = 0)")
         rounds = DEFAULT_MAX_ROUNDS if args.max_rounds is None else args.max_rounds
-        gens = kernel_saturation(derivation, data, rounds, caps=caps)
+        gens = kernel_saturation(derivation, var, rounds, caps=caps)
         if rounds == 0:
             print("warning: 0 rounds requested; stabilization not verified",
                   file=sys.stderr)
@@ -268,8 +267,7 @@ def _cmd_gb(args, out) -> int:
 def _cmd_present(args, out) -> int:
     spec = FamilySpec("v3", _parse_shape("v3", args.f), args.trivial)
     caps = _caps(args)
-    validate_family_spec(spec, caps)
-    gens, relations = invariant_presentation(_build_family(spec), caps=caps)
+    gens, relations = invariant_presentation(build_family(spec, caps), caps)
     tags = relations.ring.names
     for tag, g in zip(tags, gens):
         print(f"{tag} = {g}", file=out)

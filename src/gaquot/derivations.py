@@ -138,24 +138,17 @@ class Derivation(_Record):
         return out
 
 
-class SliceData(_Record):
-    """A local slice: a variable s with a = D(s) nonzero and D(a) = 0.  It
-    holds s alone: `_check_slice` reads a off the derivation at hand."""
-
-    __slots__ = _fields = ("var",)
-
-    def __init__(self, var: str):
-        object.__setattr__(self, "var", var)
-
-
-def make_slice(derivation: Derivation, var: str) -> SliceData:
+def make_slice(derivation: Derivation, var: str) -> str:
+    """`var`, once checked to be a local slice: a variable s with
+    a = D(s) nonzero and D(a) = 0.  A slice is its variable; `_check_slice`
+    reads a off the derivation at hand."""
     _check_slice(derivation, var)
-    return SliceData(var)
+    return var
 
 
-def find_slice(derivation: Derivation) -> Optional[SliceData]:
-    """The slice at the first variable, in ring order, that is one; None
-    if no variable is."""
+def find_slice(derivation: Derivation) -> Optional[str]:
+    """The first variable, in ring order, that is a slice; None if no
+    variable is."""
     for name in derivation.ring.names:
         try:
             return make_slice(derivation, name)
@@ -379,7 +372,7 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     return _span(ring, solutions, caps).kept
 
 
-def _dixmier_cleared(derivation: Derivation, data: SliceData, a: Polynomial,
+def _dixmier_cleared(derivation: Derivation, var: str, a: Polynomial,
                      f: Polynomial) -> Polynomial:
     """Slice projection of f with denominators cleared by powers of a.
 
@@ -389,7 +382,7 @@ def _dixmier_cleared(derivation: Derivation, data: SliceData, a: Polynomial,
     """
     chain = _iterates(derivation, f)
     n = len(chain) - 1
-    s = derivation.ring.var(data.var)
+    s = derivation.ring.var(var)
     result = derivation.ring.zero()
     for i, g in enumerate(chain):
         sign = -1 if i % 2 else 1
@@ -397,16 +390,17 @@ def _dixmier_cleared(derivation: Derivation, data: SliceData, a: Polynomial,
     return result
 
 
-def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
+def kernel_saturation(derivation: Derivation, var: str, max_rounds: int,
                       caps: ResourceCaps = DEFAULT_CAPS):
     """Kernel generators by the local-slice method.
 
     Seeds with the cleared slice projections of the variables, then
     repeatedly adjoins kernel elements h with a*h inside the current
-    subalgebra, for the slice image a = D(s) (`_check_slice`).  Each
-    subalgebra is one `_span`, which keeps the generators that the ones
-    before them in (degree, text) order do not generate, as kernel_linear
-    does (a seed can lie in the subalgebra of other seeds); the next
+    subalgebra, for the slice image a = D(s) of the slice variable s =
+    `var` (`_check_slice`).  Each subalgebra is one `_span`, which keeps
+    the generators that the ones before them in (degree, text) order do
+    not generate, as kernel_linear does (a seed can lie in the
+    subalgebra of other seeds); the next
     round's span is built from its kept generators plus the new elements,
     since a dropped generator stays in the subalgebra of the kept ones
     before it.  Each subalgebra contains the one before it, so a
@@ -420,11 +414,11 @@ def kernel_saturation(derivation: Derivation, data: SliceData, max_rounds: int,
     """
     if max_rounds < 0:
         raise UsageError("max_rounds must be nonnegative")
-    a = _check_slice(derivation, data.var)
+    a = _check_slice(derivation, var)
     ring = derivation.ring
     seeds = []
     for name in ring.names:
-        cleared = _dixmier_cleared(derivation, data, a, ring.var(name))
+        cleared = _dixmier_cleared(derivation, var, a, ring.var(name))
         if cleared.is_zero() or cleared.is_constant():
             continue
         cleared = monic(cleared)

@@ -49,48 +49,48 @@ expansion of f(q):
   * smoothness: Ybar's equation is u*w2 - v*w1 plus B's, which is free of
     u, v, w1 and w2, so Ybar is the cone over B and smooth iff B is.  B
     is smooth iff J' = (1 + f, J_kl for all k, l) is the unit ideal of
-    f's own ring (`ConstructionArtifacts.polarization_ideal`), where
+    f's own ring (`FamilySpec.polarization_ideal`), where
     J_kl(s) = sum over j of df/ds_j * (E_kl s)_j, so that E_kl h =
     -J_kl(q) for B's equation h = -1 - f(q).  1 in J' puts 1 in B's
     Jacobian ideal.  Conversely q maps the rank-2 block matrices onto
     the affine space of s minus 0, and the E_kl s span that space at
     s != 0, so each point of V(J') is q of a singular point of B (the
     origin of W for s = 0).  For v3, J' = (1 + f, s*f'), a unit ideal
-    by the validation's squarefree test of f + 1 (f(0) = 0 keeps s from
+    by `build_family`'s squarefree test of f + 1 (f(0) = 0 keeps s from
     dividing 1 + f), so a v3 battery reads that verdict and builds no J';
   * dimensions: X, Ybar and B are hypersurfaces with nonconstant
     equations when f is nonconstant, so each has dimension n - 1.
 
 `check_smooth` (the Jacobian criterion on an expanded hypersurface),
 `check_stability` and `check_freeness` are the expanded forms of these
-verdicts; the battery calls none of them.  X and B are expanded on first
-use only (`ConstructionArtifacts`), and Ybar never, so a battery expands
-f(q) nowhere but in the v3 presentation, its one Buchberger run besides
-v4's unit test of J' in three variables.  A ResourceCapError raised by
-the battery names the stage, by its report key, in front of the cap;
-the validation caps deg f at the run's degree budget before the
+verdicts; the battery calls none of them.  X and B are expanded only
+when read (`FamilySpec.x_ideal` and `b_ideal`), and Ybar never, so a
+battery expands f(q) nowhere but in the v3 presentation, its one
+Buchberger run besides v4's unit test of J' in three variables.  A
+ResourceCapError raised by a battery check names the check's stage, by
+its report key, in front of the cap.  `build_family(spec, caps)` is the
+one validation: it caps deg f at the run's degree budget before the
 squarefree test builds its dense lists, and `_representation` checks
-the bound on the trivial summands before it builds W, on every path
-(under the presentation's stage, for a v3 battery).
+the bound on the trivial summands before it builds W, with one message
+and no stage, on every path.
 
 What depends on W alone is built once per process, in one bounded
 cache: W's derivation, quadratic invariants and polarization table per
 (family, trivial summands) (`_representation`).  A family instance is
-its spec: `ConstructionArtifacts` holds the spec alone and reads W from
-that cache, so its X, B and J' always describe one W, the certified
-one.  The presentation names W's invariants, the classical Weitzenboeck
-generators, so no kernel is solved for them.  Everything that depends
-on f or on the caps (X, B and J' when read, the checks, the
-presentation's Groebner run) is built per call, so reports are
-byte-identical whether the cache is cold or warm.  A long-lived caller
-that sweeps f over one W gains; one `gaquot verify` per process builds
-W once either way.
+its `FamilySpec`: the spec reads W from that cache, so its X, B and J'
+always describe one W, the certified one.  The presentation names W's
+invariants, the classical Weitzenboeck generators, so no kernel is
+solved for them.  Everything that depends on f or on the caps (X, B
+and J' when read, the checks, the presentation's Groebner run) is built
+per call, so reports are byte-identical whether the cache is cold or
+warm.  A long-lived caller that sweeps f over one W gains; one `gaquot
+verify` per process builds W once either way.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from functools import cached_property, lru_cache
+from contextlib import contextmanager
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from operator import itemgetter
@@ -142,8 +142,22 @@ _CORE = VarSet(tuple(f"z{i}" for i in range(1, 2 * FAMILIES["v3"][0])))
 
 
 class FamilySpec(_Record):
-    """Construction parameters: which family, the shape polynomial f
-    (one variable for v3, three for v4), and extra trivial summands."""
+    """A family instance: which family, the shape polynomial f (one
+    variable for v3, three for v4), and extra trivial summands.  Every
+    other value is read from these three.
+
+    `derivation`, the action on W (`lower_triangular_derivation` of the
+    blocks and trivial summands), `quad_invariants` and `w_ring`, W's
+    ring, are read from `_representation`, which bounds, builds and
+    certifies W, so a spec past the bound raises ResourceCapError on the
+    first read.  X (`x_ideal`, the principal ideal of w1 + h) and the
+    boundary B (`b_ideal`, that of h = -1 - f(quads)) are hypersurfaces
+    of W, and `polarization_ideal` is the battery's smoothness ideal J'
+    in f's own ring.  Each is built on every read: X and B expand
+    f(quads), and no battery reads them.  The closure Ybar, cut out by
+    u*w2 - v*w1 + h over (u, v) and W, is the cone over B, so no check
+    builds it.  A spec is not validated (`build_family`), so tests can
+    take the invalid ones the battery's failure paths are about."""
 
     __slots__ = _fields = ("family", "f", "trivial_summands")
 
@@ -162,80 +176,60 @@ class FamilySpec(_Record):
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "trivial_summands", trivial_summands)
 
-
-class ConstructionArtifacts(_Record):
-    """Everything the checks consume, determined by the spec alone.
-
-    `derivation`, the action on W (`lower_triangular_derivation` of the
-    blocks and trivial summands), `quad_invariants` and `w_ring`, W's
-    ring, are read from `_representation`, which bounds, builds and
-    certifies W, so a record past the bound raises ResourceCapError on
-    the first read.  X (`x_ideal`, the principal ideal of w1 + h) and the
-    boundary B (`b_ideal`, that of h = -1 - f(quads)) are hypersurfaces
-    of W.  The closure Ybar, cut out by u*w2 - v*w1 + h over (u, v) and
-    W, is the cone over B, so no check builds it.
-
-    Both ideals expand f(quads), so each is built on first use and then
-    kept, in the instance dict, as is `polarization_ideal`, the battery's
-    smoothness ideal J' in f's own ring, which reads f and W's table
-    instead.
-    """
-
-    __slots__ = ("spec", "__dict__")
-    _fields = ("spec",)
-
-    def __init__(self, spec: FamilySpec):
-        object.__setattr__(self, "spec", spec)
-
     @property
     def derivation(self) -> Derivation:
-        return _representation(self.spec.family, self.spec.trivial_summands)[0]
+        return _representation(self.family, self.trivial_summands)[0]
 
     @property
     def quad_invariants(self) -> tuple:
-        return _representation(self.spec.family, self.spec.trivial_summands)[1]
+        return _representation(self.family, self.trivial_summands)[1]
 
     @property
     def w_ring(self) -> VarSet:
         return self.derivation.ring
 
-    @cached_property
+    @property
     def b_ideal(self) -> Ideal:
-        f_of_q = self.spec.f.substitute(dict(zip(self.spec.f.ring.names, self.quad_invariants)))
+        f_of_q = self.f.substitute(dict(zip(self.f.ring.names, self.quad_invariants)))
         terms: dict = {}
         for m, c in (((0,) * len(self.w_ring), 1), *f_of_q.terms.items()):
             terms[m] = terms.get(m, 0) - c
         return Ideal(self.w_ring, (Polynomial(self.w_ring, terms),))
 
-    @cached_property
+    @property
     def x_ideal(self) -> Ideal:
         (h,) = self.b_ideal.generators
         return Ideal(self.w_ring, (self.w_ring.var("w1") + h,))
 
-    @cached_property
+    @property
     def polarization_ideal(self) -> Ideal:
         """J' = (1 + f, J_kl for each polarization operator E_kl in
         order), in f's ring: J_kl(s) = sum over j of df/ds_j * c*s_m for
         E_kl q_j = c*q_m in the table `_representation` holds for the
         spec's W.  The unit ideal iff B is smooth (see the module
-        docstring), which for v3 the validation decides (`run_battery`)."""
-        f = self.spec.f
+        docstring), which for v3 `build_family` decides (`run_battery`)."""
+        f = self.f
         s = [f.ring.var(n) for n in f.ring.names]
         gradient = jacobian([f], f.ring.names)[0]
-        table = _representation(self.spec.family, self.spec.trivial_summands)[2]
+        table = _representation(self.family, self.trivial_summands)[2]
         return Ideal(f.ring, (f + 1, *(sum((c * gradient[j] * s[m] for j, c, m in images),
                                            f.ring.zero()) for images in table)))
 
 
-def validate_family_spec(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
-    """Reject f with nonzero constant term, and for v3 a repeated root of
+def build_family(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> FamilySpec:
+    """Validate the spec under `caps` and build its W; return the spec.
+
+    Rejects f with nonzero constant term, and for v3 a repeated root of
     f + 1 (that would make the boundary singular).  An exponent of f at
     or above the Groebner engine's bound 2**31, and then a total degree
     of f above `caps.max_degree`, raise ResourceCapError first, before
     the squarefree test builds a list of deg f + 1 coefficients or f(q)
     is expanded.  For v3, f(0) = 0 and f + 1 squarefree make the
     battery's smoothness ideal J' = (1 + f, s*f') the unit ideal
-    (`ConstructionArtifacts.polarization_ideal`)."""
+    (`FamilySpec.polarization_ideal`).  Then it reads `_representation`
+    once, so a count of trivial summands past the bound raises
+    ResourceCapError and a broken W ValueError here; f(q) is expanded
+    only when one of the spec's ideals is read."""
     if spec.f.constant_term() != 0:
         raise NonzeroConstantError("f must vanish at the origin")
     top = max((e for m in spec.f.terms for e in m), default=0)
@@ -247,6 +241,8 @@ def validate_family_spec(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     if spec.family == "v3":
         if not is_squarefree(spec.f + 1):
             raise RepeatedRootsError("f + 1 has a repeated root")
+    _representation(spec.family, spec.trivial_summands)
+    return spec
 
 
 def _quadratic_invariants(w_ring: VarSet, blocks: int):
@@ -257,13 +253,6 @@ def _quadratic_invariants(w_ring: VarSet, blocks: int):
         return a * d - b * c
 
     return tuple(det(i, j) for i, j in combinations(range(2, blocks + 1), 2))
-
-
-def build_family(spec: FamilySpec) -> ConstructionArtifacts:
-    """Validate the spec (`validate_family_spec` under the default caps),
-    then build its record as `_build_family` does."""
-    validate_family_spec(spec)
-    return _build_family(spec)
 
 
 # The Weitzenboeck kernel of the two-dimensional blocks is generated in
@@ -325,46 +314,33 @@ def _representation(family: str, trivial: int):
     return derivation, quads, tuple(table)
 
 
-def _build_family(spec: FamilySpec) -> ConstructionArtifacts:
-    """build_family without validation, so that tests can build the
-    invalid specs the battery's failure paths are about.  It reads
-    `_representation` once, so a count past the bound raises
-    ResourceCapError and a broken W ValueError here, before any record
-    exists; f(q) is expanded only when one of the record's ideals is
-    first read."""
-    _representation(spec.family, spec.trivial_summands)
-    return ConstructionArtifacts(spec)
-
-
 def _odd_block_coordinates(w_ring: VarSet, family: str) -> Ideal:
     gens = tuple(w_ring.var(f"w{2 * i - 1}") for i in range(1, FAMILIES[family][0] + 1))
     return Ideal(w_ring, gens)
 
 
-def nonstable_ideal(art: ConstructionArtifacts) -> Ideal:
+def nonstable_ideal(spec: FamilySpec) -> Ideal:
     """Vanishing ideal of the non-stable locus: the odd block coordinates."""
-    return _odd_block_coordinates(art.w_ring, art.spec.family)
+    return _odd_block_coordinates(spec.w_ring, spec.family)
 
 
 # -- the individual checks --------------------------------------------------------
 
 
-def check_stability(art: ConstructionArtifacts,
-                    caps: ResourceCaps = DEFAULT_CAPS) -> bool:
+def check_stability(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """X misses the non-stable locus iff their combined ideal is the unit
     ideal (the equation forces 1 = 0 on the intersection).  Decided on X's
     expanded equation; the battery reads -1 - f(0) instead (`_checks`)."""
-    return is_unit_ideal(art.x_ideal + nonstable_ideal(art), caps=caps)
+    return is_unit_ideal(spec.x_ideal + nonstable_ideal(spec), caps=caps)
 
 
-def check_freeness(art: ConstructionArtifacts,
-                   caps: ResourceCaps = DEFAULT_CAPS) -> bool:
+def check_freeness(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """No zeros of the fundamental vector field on X.
 
     In characteristic zero unipotent stabilizers are connected, so an
     empty fixed locus on X certifies a scheme-theoretically free action.
     """
-    return is_unit_ideal(art.x_ideal + fixed_point_ideal(art.derivation), caps=caps)
+    return is_unit_ideal(spec.x_ideal + fixed_point_ideal(spec.derivation), caps=caps)
 
 
 def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
@@ -390,7 +366,7 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 _EMPTY_BOUNDARY = "empty boundary: the rank bookkeeping needs a nonempty complement"
 
 
-def boundary_analysis(art: ConstructionArtifacts):
+def boundary_analysis(spec: FamilySpec):
     """(dim Ybar, dim B, m): the boundary codimension inside the closure is
     dim Ybar - dim B, and for v3 the component count is m = deg f (valid
     over the algebraic closure because f + 1 is squarefree, so components
@@ -404,7 +380,7 @@ def boundary_analysis(art: ConstructionArtifacts):
     algebraically independent (the one quadric of v3; for v4 the 2x2
     minors of a 2x3 matrix, which take every value with a nonzero first
     coordinate), and a constant h is -1 - f(0)."""
-    f, w_ring = art.spec.f, art.w_ring
+    f, w_ring = spec.f, spec.w_ring
     dim_ybar = len(w_ring) + 1  # Ybar lives over (u, v) and W
     if not f.is_constant():
         dim_b = len(w_ring) - 1
@@ -412,7 +388,7 @@ def boundary_analysis(art: ConstructionArtifacts):
         raise UnitIdealError(_EMPTY_BOUNDARY)
     else:
         dim_b = len(w_ring)  # h = 0 cuts out all of W
-    m = art.spec.f.total_degree() if art.spec.family == "v3" else None
+    m = f.total_degree() if spec.family == "v3" else None
     return dim_ybar, dim_b, m
 
 
@@ -438,8 +414,7 @@ class KTheoryRanks(_Record):
     rank_quotient = 1
 
 
-def invariant_presentation(art: ConstructionArtifacts,
-                           caps: ResourceCaps = DEFAULT_CAPS):
+def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     """Present the invariant ring of X by generators and relations.
 
     The invariants of W without trivial summands are generated in degree
@@ -490,15 +465,15 @@ def invariant_presentation(art: ConstructionArtifacts,
     renamed by survivor position.  Returns (restricted generators,
     relation ideal in tags).
     """
-    if art.spec.family != "v3":
+    if spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
     width = len(_CORE) + 1  # the coordinates of W without summands
-    (q,) = art.quad_invariants
+    (q,) = spec.quad_invariants
     (lead, c), (other, d) = sorted(((m[1:width], a) for m, a in q.terms.items()),
                                    key=lambda term: _grevlex_descending(term[0]))
     d = _exact_quotient(d, c)  # q = c*q', q' = lead + d*other
     q_monic = Polynomial(_CORE, {lead: 1, other: d})
-    shape = {e: a * c ** e for (e,), a in (art.spec.f + 1).terms.items()}  # g_e
+    shape = {e: a * c ** e for (e,), a in (spec.f + 1).terms.items()}  # g_e
     top = max(shape, default=0)
     lc = shape[top] if top else -1  # the leading coefficient of both minors' images
     scaled = {e: _exact_quotient(g, lc) for e, g in shape.items()}  # the forms' g_e/lc
@@ -530,9 +505,9 @@ def invariant_presentation(art: ConstructionArtifacts,
         form[1] + (0,) * tags: corner}) for _, _, p, form in entries]
     span = _GraphSpan(_CORE, ordered, caps, seeds)
     survivors, relations = span.kept, span.relations()
-    if len(art.w_ring) == width:
+    if len(spec.w_ring) == width:
         return tuple(survivors), relations  # the survivors are sorted, and tagged in order
-    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(art.w_ring))))
+    z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(spec.w_ring))))
     # z2 and z4 lead the span and are kept: the degree-1 survivors, by name as text
     linear = sorted(("z2", "z4") + z_ring.names[width - 1:])
     merged = [z_ring.var(n) for n in linear] + [p.embed(z_ring) for p in survivors[2:]]
@@ -597,14 +572,14 @@ def _stage(key: str):
         raise ResourceCapError(f"{key}: {exc}") from exc
 
 
-def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS,
+def _checks(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS,
             smooth: Optional[bool] = None) -> dict:
     """The battery's checks, by report key.  W is certified where it is
     built (`_representation`), so only what depends on f is decided here:
     `stable` and `free` from -1 - f(0), and smoothness, for both
-    families, by whether J' (`ConstructionArtifacts.polarization_ideal`)
+    families, by whether J' (`FamilySpec.polarization_ideal`)
     is the unit ideal of f's ring, unless `smooth` gives that verdict."""
-    stable = -1 - art.spec.f.constant_term() != 0
+    stable = -1 - spec.f.constant_term() != 0
     checks = {
         # D kills w1 and the quadrics, which are free of w1: X's equation
         # w1 - 1 - f(q) is invariant and a graph in w1 for every f
@@ -615,7 +590,7 @@ def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS,
     }
     if smooth is None:
         with _stage("boundarySmooth"):
-            smooth = is_unit_ideal(art.polarization_ideal, caps=caps)
+            smooth = is_unit_ideal(spec.polarization_ideal, caps=caps)
     # Ybar's equation is u*w2 - v*w1 + h with h, B's, free of u, v, w1 and
     # w2 (so are the quadrics): Ybar is the cone over B, smooth iff B is.
     checks["ybarSmooth"] = checks["boundarySmooth"] = smooth
@@ -624,24 +599,21 @@ def _checks(art: ConstructionArtifacts, caps: ResourceCaps = DEFAULT_CAPS,
 
 def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> VerificationReport:
     """Build the instance and run every check; individual check failures
-    are recorded in the report, construction errors propagate.  The bound
-    on the trivial summands, the presentation's stage for v3, is checked
-    before W is built, so a count past it costs nothing.  f = 0, which
-    validation always accepts, reports its empty boundary before that
-    bound and before W is built: B's h = -1 - f(q) = -1 whatever W is."""
+    are recorded in the report, construction errors propagate.  f = 0,
+    which `build_family` always accepts, reports its empty boundary
+    before the bound on the trivial summands and before W is built: B's
+    h = -1 - f(q) = -1 whatever W is."""
     if spec.f.is_zero():
         raise UnitIdealError(_EMPTY_BOUNDARY)
     v3 = spec.family == "v3"
-    validate_family_spec(spec, caps)  # f(0) = 0, deg f and, for v3, f + 1 squarefree
-    with _stage("presentation") if v3 else nullcontext():
-        art = _build_family(spec)
-    checks = _checks(art, caps, True if v3 else None)  # the validation proved v3's J' = (1)
-    dim_ybar, dim_b, m = boundary_analysis(art)
+    build_family(spec, caps)  # f(0) = 0, deg f, for v3 f + 1 squarefree, and W
+    checks = _checks(spec, caps, True if v3 else None)  # build_family proved v3's J' = (1)
+    dim_ybar, dim_b, m = boundary_analysis(spec)
     # X's equation is w1 - 1 - f(q), of degree 1 in w1
-    dims = Dims(x=len(art.w_ring) - 1, ybar=dim_ybar, b=dim_b)
+    dims = Dims(x=len(spec.w_ring) - 1, ybar=dim_ybar, b=dim_b)
     ranks = presentation = None
     if v3:
         ranks = KTheoryRanks(m)
         with _stage("presentation"):
-            presentation = invariant_presentation(art, caps=caps)
+            presentation = invariant_presentation(spec, caps=caps)
     return VerificationReport(spec, dims, checks, ranks, presentation)

@@ -359,7 +359,7 @@ def signed_roots_shape(degree: int, seed: int) -> Polynomial:
 # -- the expanded v3 smoothness identities and the cone over B -----------------
 
 
-def jacobian_identities(art, h=None) -> bool:
+def jacobian_identities(spec, h=None) -> bool:
     """Whether B's equation h (by default as built, expanded) satisfies the
     two v3 identities that put 1 + f(q) and q*f'(q) in its Jacobian ideal;
     False for v4.  With q the quadratic invariant:
@@ -375,12 +375,12 @@ def jacobian_identities(art, h=None) -> bool:
     """
     from gaquot.poly import _product
 
-    if art.spec.family != "v3":
+    if spec.family != "v3":
         return False
-    (q,) = art.quad_invariants
-    w_ring = art.w_ring
+    (q,) = spec.quad_invariants
+    w_ring = spec.w_ring
     euler_at = [w_ring.index(n) for n in q.variables()]  # w3..w6
-    f = {k: c for (k,), c in art.spec.f.terms.items()}  # s^k -> its coefficient
+    f = {k: c for (k,), c in spec.f.terms.items()}  # s^k -> its coefficient
     one_plus_f, minus_2q_f_prime = {}, {}
     power = {(0,) * len(w_ring): 1}  # q^k, of degree 2k: no two k share a term
     for k in range(max(f, default=0) + 1):
@@ -390,7 +390,7 @@ def jacobian_identities(art, h=None) -> bool:
                           (minus_2q_f_prime, -2 * k * f.get(k, 0))):
             if c:
                 target.update((m, c * d) for m, d in power.items())
-    (h,) = art.b_ideal.generators if h is None else (h,)
+    (h,) = spec.b_ideal.generators if h is None else (h,)
     euler = {w: e * c for w, c in h.terms.items() if (e := sum(w[i] for i in euler_at))}
     return {w: -c for w, c in h.terms.items()} == one_plus_f and euler == minus_2q_f_prime
 

@@ -34,8 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = "src/gaquot/families.py"
+POLY = "src/gaquot/poly.py"
 CLI_TESTS = "tests/test_cli.py::"
 FAMILY_TESTS = "tests/test_families.py::"
+POLY_TESTS = "tests/test_poly.py::"
 PRESENTATION_TESTS = "tests/test_subalgebra_presentation.py::"
 
 # (label, library file, exact snippet, replacement, node ids that must fail)
@@ -89,6 +91,36 @@ MUTANTS = [
      "_exact_quotient(g * comb(e, j) * d ** j, lc)", "_exact_quotient(g * d ** j, lc)",
      (PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
       CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("deg f validated under the default caps", FAMILIES,
+     "    if degree > caps.max_degree:\n", "    if degree > DEFAULT_CAPS.max_degree:\n",
+     (FAMILY_TESTS + "test_build_validates_under_the_callers_caps",)),
+    ("every spec stable", FAMILIES,
+     '        "stable": stable,\n', '        "stable": True,\n',
+     (FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects",)),
+    ("every action free", FAMILIES,
+     '        "free": stable,', '        "free": True,',
+     (FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects",)),
+    ("Ybar always smooth", FAMILIES,
+     '    checks["ybarSmooth"] = checks["boundarySmooth"] = smooth\n',
+     '    checks["ybarSmooth"], checks["boundarySmooth"] = True, smooth\n',
+     (FAMILY_TESTS + "test_singular_v4_controls_exit_two",
+      FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects")),
+    ("minors' images led by +z1*z2 when 1 + f is constant", FAMILIES,
+     "    lc = shape[top] if top else -1", "    lc = shape[top] if top else 1",
+     (PRESENTATION_TESTS + "test_v3_presentation_keeps_f_at_zero",)),
+    ("polarization table with every sign +", FAMILIES,
+     "        table.append(tuple((j, *signed[p]) for j, p in images if not p.is_zero()))\n",
+     "        table.append(tuple((j, 1, signed[p][1]) for j, p in images if not p.is_zero()))\n",
+     (FAMILY_TESTS + "test_polarization_identities_hold_in_sympy",)),
+    ("unit coefficient read off the numerator", POLY,
+     '    elif mag == "1":\n', "    elif num == 1:\n",
+     (POLY_TESTS + "test_printing_matches_the_fraction_arithmetic_printer",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("a subtracted term parsed as added", POLY,
+     "val = total.get(m, 0) + c if sign == \"+\" else total.get(m, 0) - c",
+     "val = total.get(m, 0) + c if sign == \"+\" else total.get(m, 0) + c",
+     (POLY_TESTS + "test_parse_matches_the_polynomial_arithmetic_parser",
+      POLY_TESTS + "test_parse_rationals_and_signs")),
 ]
 
 

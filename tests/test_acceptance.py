@@ -35,7 +35,6 @@ from gaquot import (
     subalgebra_presentation,
 )
 from gaquot.cli import main as cli_main
-from gaquot.families import _build_family
 from helpers import assert_same_subalgebra, from_sympy, random_poly, reference_key
 
 S = VarSet(("s",))
@@ -197,7 +196,7 @@ def test_criterion_4_rejection_path():
         code, text = run_cli(["verify", "--family", "v3", "--f", "(1+s)^2 - 1"])
         assert code == 3
         assert text == ""  # no battery ran
-        forced = _build_family(FamilySpec("v3", parse("(1+s)^2 - 1", S)))
+        forced = FamilySpec("v3", parse("(1+s)^2 - 1", S))
         assert not check_smooth(forced.b_ideal)
     report(4, "repeated roots: exit 3 without a battery; forced check is singular")
 
@@ -414,6 +413,6 @@ def test_criterion_8_stability_and_freeness():
             assert check_stability(art)
             assert check_freeness(art)
         # unvalidated: f(0) != 0 chosen so the equation's constant term is 0
-        invalid = _build_family(FamilySpec("v3", parse("s - 1", S)))
+        invalid = FamilySpec("v3", parse("s - 1", S))
         assert not check_stability(invalid)
     report(8, "20 randomized specs stable and free; invalid spec rejected")

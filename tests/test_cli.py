@@ -156,13 +156,14 @@ def test_v4_smoothness_runs_in_the_degree_of_f(capsys):
 def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
     """W is cached per family and trivial summands, and the bound on the
     trivial summands is checked before W is built, so its cap error is
-    raised again, under its stage, on every call and fills no entry."""
+    raised again, with no stage, on every call and fills no entry; a cap
+    the presentation's Groebner run reaches keeps its stage."""
     families._representation.cache_clear()
     for _ in range(2):
         code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "100"])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == (
-            "resource cap: presentation: coefficient space of dimension 5778 exceeds 5000\n")
+            "resource cap: coefficient space of dimension 5778 exceeds 5000\n")
     assert families._representation.cache_info().currsize == 0
     for warm in (False, True):  # the first call fills the cache, before the pair budget runs out
         misses = families._representation.cache_info().misses
@@ -183,26 +184,26 @@ def test_trivial_summands_are_bounded_by_the_kernel_cap(capsys):
         code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", trivial])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == (
-            f"resource cap: presentation: coefficient space of dimension {dimension} "
+            f"resource cap: coefficient space of dimension {dimension} "
             "exceeds 5000\n")
 
 
 def test_trivial_summands_past_the_cap_build_no_representation(capsys):
-    """verify checks the presentation's bound on t before W is built: a
-    count past it leaves the representation cache as it was and prints
-    the same cap error.  So do the library's paths to W: `build_family`
-    and the first read of a hand-built record's ring raise the cap error,
-    with no stage, and build no W."""
+    """verify checks the bound on t before W is built: a count past it
+    leaves the representation cache as it was and prints the cap error,
+    with no stage.  So do the library's paths to W: `build_family` and
+    the first read of a spec's ring raise the same error and build no
+    W."""
     families._representation.cache_clear()
     code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "100000"])
     assert (code, text) == (4, "")
     assert families._representation.cache_info().currsize == 0
     assert capsys.readouterr().err == (
-        "resource cap: presentation: coefficient space of dimension 5000750028 "
+        "resource cap: coefficient space of dimension 5000750028 "
         "exceeds 5000\n")
     spec = families.FamilySpec("v3", parse("s", VarSet(("s",))), 100000)
     for path in (lambda: families.build_family(spec),
-                 lambda: families.ConstructionArtifacts(spec).w_ring):
+                 lambda: spec.w_ring):
         with pytest.raises(gaquot.ResourceCapError,
                            match="^coefficient space of dimension 5000750028 exceeds 5000$"):
             path()
@@ -212,9 +213,9 @@ def test_trivial_summands_past_the_cap_build_no_representation(capsys):
 def test_v4_trivial_summands_are_bounded_before_the_representation(capsys):
     """v4 checks the same bound before W is built, over its 8 + t
     coordinates: t = 90 (dimension 4950) passes, t = 91 exits 4, and so
-    does t = 10**9, at once and with no W built.  v4 has no presentation,
-    so the cap error names no stage; f = 0 reports its empty boundary
-    first, as for v3."""
+    does t = 10**9, at once and with no W built.  The cap error names no
+    stage, as on every path; f = 0 reports its empty boundary first, as
+    for v3."""
     code, text = run(["verify", "--family", "v4", "--f=a", "--trivial", "90"])
     assert code == 0 and json.loads(text)["trivialSummands"] == 90
     families._representation.cache_clear()

@@ -12,7 +12,6 @@ import sympy as sp
 
 from gaquot import (
     DEFAULT_CAPS,
-    ConstructionArtifacts,
     Derivation,
     FamilySpec,
     Ideal,
@@ -21,6 +20,8 @@ from gaquot import (
     NotHypersurfaceError,
     Polynomial,
     RepeatedRootsError,
+    ResourceCapError,
+    ResourceCaps,
     UnitIdealError,
     VarSet,
     boundary_analysis,
@@ -39,7 +40,7 @@ from gaquot import (
     run_battery,
 )
 from gaquot import cli, derivations, families, groebner, linalg, poly
-from gaquot.families import _build_family, _checks, nonstable_ideal
+from gaquot.families import _checks, nonstable_ideal
 from helpers import (check_cone_over_boundary, jacobian_identities, random_poly,
                      signed_roots_shape, spolynomials_per_run, to_sympy, ybar_ideal)
 
@@ -96,6 +97,17 @@ def test_build_rejects_nonzero_constant():
         build_family(v3("s + 1"))
     with pytest.raises(NonzeroConstantError):
         build_family(v4("a + 1"))
+
+
+def test_build_validates_under_the_callers_caps():
+    """build_family caps deg f at the degree budget it is given, as
+    run_battery does: f = s^61 + s passes under a budget of 500 and is
+    refused under the default budget of 60."""
+    spec = v3("s^61 + s")
+    assert build_family(spec, ResourceCaps(max_degree=500)) is spec
+    assert run_battery(spec, ResourceCaps(max_degree=500)).passed
+    with pytest.raises(ResourceCapError, match="^f has degree 61, above the degree budget 60$"):
+        build_family(spec)
 
 
 def test_family_spec_rejects_bad_parameters():
@@ -159,7 +171,7 @@ def broken_representation_is_a_bug(monkeypatch, request, capsys, attribute, brok
     monkeypatch.setattr(families, attribute, broken)
     for spec in (v3("s", trivial), v4("a", trivial)):
         with pytest.raises(ValueError, match=message):
-            _build_family(spec)
+            spec.w_ring
     argv = ["verify", "--family", "v3", "--f=s", "--trivial", str(trivial)]
     assert cli.main(argv, out=io.StringIO()) == 5
     assert capsys.readouterr().err.startswith(f"internal error: ValueError: {message}\n")
@@ -173,7 +185,7 @@ def doctored_record(monkeypatch, derivation=None, quads=None):
     monkeypatch.setattr(families, "_representation", lambda family, trivial: (
         certified_derivation if derivation is None else derivation,
         certified_quads if quads is None else quads, table))
-    return ConstructionArtifacts(v3("s"))
+    return v3("s")
 
 
 def with_first_quadric_plus(text):
@@ -227,7 +239,7 @@ def test_invariance_check(monkeypatch, request, capsys):
 def test_stability_check():
     assert check_stability(build_family(v3("s")))
     # constant term zero in the hypersurface equation keeps the origin side
-    forced = _build_family(v3("s - 1"))
+    forced = v3("s - 1")
     assert not check_stability(forced)
 
 
@@ -266,8 +278,7 @@ def test_smoothness_fails_on_repeated_root():
     the unit ideal, which this shape fails, as -1 is a common root, so
     the battery's verdict is False.  Ybar is still the cone over B, so it
     is singular with B."""
-    spec = v3("(1+s)^2 - 1")
-    forced = _build_family(spec)
+    forced = v3("(1+s)^2 - 1")
     assert not check_smooth(forced.b_ideal)
     assert not check_smooth(ybar_ideal(forced))
     assert jacobian_identities(forced) is True
@@ -275,7 +286,7 @@ def test_smoothness_fails_on_repeated_root():
     assert forced.polarization_ideal.generators[:2] == (parse("(1+s)^2", S), parse("2*s^2 + 2*s", S))
     assert _checks(forced)["boundarySmooth"] is False
     with pytest.raises(RepeatedRootsError):
-        run_battery(spec)
+        run_battery(forced)
 
 
 def test_smoothness_requires_hypersurface():
@@ -335,13 +346,13 @@ CERTIFIED_SPECS = (
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
 def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
     """The identities, J''s own unit test and the Jacobian criterion all
-    certify B, a validated artifact builds the J' of one built without
-    validation, and the battery's report, which reads the validation's
+    certify B, a validated spec builds the J' of the spec as made, and
+    the battery's report, which reads the validation's
     verdict, is the one whose smoothness keys the Jacobian criterion
     decides."""
     art = build_family(spec)
     assert jacobian_identities(art) is True
-    assert art.polarization_ideal == _build_family(spec).polarization_ideal
+    assert art.polarization_ideal == spec.polarization_ideal
     assert groebner.is_unit_ideal(art.polarization_ideal)
     certified = run_battery(spec)
     battery = families._checks
@@ -393,9 +404,9 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
 def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
     """A v3 battery hands the validation's verdict on J' to `_checks`, so
     its smoothness verdict runs neither the modular loop again nor a
-    Groebner run, and builds no J'.  An artifact given no verdict,
-    validated or not, builds J' = (1 + f, s*f', 0, 0, s*f') from f on
-    first read, keeps it, and decides it by a unit-ideal test in Q[s]."""
+    Groebner run, and builds no J'.  A spec given no verdict, validated
+    or not, builds J' = (1 + f, s*f', 0, 0, s*f') from f on each read and
+    decides it by a unit-ideal test in Q[s]."""
     spec = FamilySpec("v3", signed_roots_shape(5, 3))
     counts = counted_calls(monkeypatch, (groebner, "_coprime_mod"))
     battery, handed = families._checks, []
@@ -403,22 +414,21 @@ def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
         handed.append((art, smooth)) or battery(art, caps, smooth)))
     assert run_battery(spec).passed
     [(art, smooth)] = handed
-    assert (smooth, vars(art), counts["_coprime_mod"]) == (True, {}, 1)
+    assert (art, smooth, counts["_coprime_mod"]) == (spec, True, 1)
     validated = build_family(spec)
     assert counts["_coprime_mod"] == 2
     verdicts = []
     runs = spolynomials_per_run(
         monkeypatch, lambda: verdicts.append(_checks(validated, smooth=True)["boundarySmooth"]))
-    assert (runs, verdicts, vars(validated)) == ([], [True], {})
+    assert (runs, verdicts) == ([], [True])
     f, s = spec.f, S.var("s")
     s_f_prime = s * f.partial("s")
-    for art in (validated, _build_family(spec)):
+    for art in (validated, spec):
         assert art.polarization_ideal == Ideal(S, (f + 1, s_f_prime, S.zero(), S.zero(),
                                                     s_f_prime))
-        assert art.polarization_ideal is art.polarization_ideal
         assert [_checks(art)["boundarySmooth"] for _ in range(2)] == [True, True]
     assert counts["_coprime_mod"] == 2
-    assert _checks(_build_family(v3("s - 1")))["boundarySmooth"] is False  # J' = (s, s)
+    assert _checks(v3("s - 1"))["boundarySmooth"] is False  # J' = (s, s)
 
 
 def test_jacobian_identities_reject_a_changed_coefficient():
@@ -440,7 +450,7 @@ def polynomial_identities(art, h=None):
     products and sums, as the battery once checked them: an independent
     reference for the term-dict check of `jacobian_identities`."""
     (q,) = art.quad_invariants
-    f = art.spec.f
+    f = art.f
     one_plus_f = 1 + f.substitute({"s": q})
     minus_2q_f_prime = -2 * q * f.partial("s").substitute({"s": q})
     (h,) = art.b_ideal.generators if h is None else (h,)
@@ -476,7 +486,7 @@ def test_jacobian_identities_agree_on_unvalidated_shapes(text):
     """Shapes the validation rejects or that sit at its edges (f = 0, a
     constant term, a repeated root of f + 1) get the same verdict from
     both checks, from f's table of coefficients down to its empty one."""
-    art = _build_family(v3(text))
+    art = v3(text)
     assert jacobian_identities(art) == polynomial_identities(art)
 
 
@@ -524,7 +534,7 @@ def test_polarization_identities_hold_in_sympy(seed):
     w = sp.symbols("w1:9")
     q = (w[2] * w[5] - w[3] * w[4], w[2] * w[7] - w[3] * w[6], w[4] * w[7] - w[5] * w[6])
     for f in v4_polarization_shapes(seed):
-        art = _build_family(FamilySpec("v4", f, rng.randint(0, 2)))
+        art = FamilySpec("v4", f, rng.randint(0, 2))
         (equation,) = art.b_ideal.generators
         h = to_sympy(equation, sp.symbols(list(art.w_ring.names)))
         one_plus_f, *j = (to_sympy(g, symbols) for g in art.polarization_ideal.generators)
@@ -632,16 +642,15 @@ def test_composed_verdicts_match_the_expanded_objects(spec):
     specs and on specs the validation rejects (a repeated root, which is
     not smooth; f(0) = -1, not stable; f(0) = 5, stable; f = 0, whose
     boundary is empty; f = -1, whose boundary is all of W)."""
-    art = _build_family(spec)
-    composed = _checks(art)
-    checks, (dim_x, dim_ybar, dim_b) = expanded_verdicts(_build_family(spec))
+    composed = _checks(spec)
+    checks, (dim_x, dim_ybar, dim_b) = expanded_verdicts(spec)
     assert (composed, list(composed)) == (checks, list(checks))  # with the report's key order
     if dim_b is None:
         with pytest.raises(UnitIdealError, match="empty boundary"):
-            boundary_analysis(art)
+            boundary_analysis(spec)
     else:
-        assert boundary_analysis(art)[:2] == (dim_ybar, dim_b)
-    assert len(art.w_ring) - 1 == dim_x
+        assert boundary_analysis(spec)[:2] == (dim_ybar, dim_b)
+    assert len(spec.w_ring) - 1 == dim_x
     if spec not in UNVALIDATED:
         assert run_battery(spec).dims.x == dim_x
 
@@ -656,22 +665,6 @@ def test_empty_boundary_exits_two(trivial, capsys):
         "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n")
 
 
-def recorded_artifacts(monkeypatch) -> list:
-    """The artifacts each battery builds from now on, as it builds them."""
-    built = []
-
-    def record(spec):
-        built.append(original(spec))
-        return built[-1]
-
-    original = families._build_family
-    monkeypatch.setattr(families, "_build_family", record)
-    return built
-
-
-EXPANDED = ("x_ideal", "b_ideal")
-
-
 @pytest.mark.parametrize("spec, passed", [
     *(pytest.param(FamilySpec("v3", signed_roots_shape(d, 7), t), True, id=f"v3-deg{d}-triv{t}")
       for d in (1, 12, 30) for t in (0, 2)),
@@ -681,16 +674,18 @@ EXPANDED = ("x_ideal", "b_ideal")
 ])
 def test_battery_expands_no_f_of_q(spec, passed, monkeypatch):
     """A battery of either family, passing or singular, decides every
-    check without X or B and never calls the Jacobian criterion: neither
-    lazy ideal has been built when it returns."""
+    check without X or B and never calls the Jacobian criterion: reading
+    either ideal raises, and the battery still returns."""
     def refuse(*args, **kwargs):
         raise AssertionError("the battery ran the expanded Jacobian criterion")
 
+    def expand(spec):
+        raise AssertionError("the battery expanded f(q)")
+
     monkeypatch.setattr(families, "check_smooth", refuse)
-    built = recorded_artifacts(monkeypatch)
+    for name in ("x_ideal", "b_ideal"):
+        monkeypatch.setattr(FamilySpec, name, property(expand))
     assert run_battery(spec).passed is passed
-    (art,) = built
-    assert [name for name in EXPANDED if name in vars(art)] == []
 
 
 def test_a_quadric_off_the_nonstable_coordinates_is_a_bug(monkeypatch, request, capsys):
@@ -707,7 +702,7 @@ def test_a_fixed_locus_off_the_nonstable_locus_is_a_bug(monkeypatch, request, ca
     """The battery's freeness verdict is its stability verdict because the
     zeros of the action are the non-stable locus.  With D(w2) = w1*w3 the
     zeros are w3 = w5 = 0 and meet X, so the action is not free though X
-    is stable; W is then rejected as it is built: `_build_family` raises
+    is stable; W is then rejected as it is built: reading `w_ring` raises
     ValueError, and `verify` exits 5, as on any bug."""
     def off_locus(blocks, trivial=0):
         d = lower_triangular_derivation(blocks, trivial)
@@ -755,8 +750,8 @@ def test_v3_reads_f_in_its_own_variable(text):
             for spec in (over_t, over_s)]
     assert [doc.pop("f") for doc in docs] == [str(over_t.f), str(over_s.f)]
     assert docs[0] == docs[1]
-    forced = _checks(_build_family(FamilySpec("v3", parse("(1+t)^2 - 1", T))))
-    assert forced == _checks(_build_family(v3("(1+s)^2 - 1")))
+    forced = _checks(FamilySpec("v3", parse("(1+t)^2 - 1", T)))
+    assert forced == _checks(v3("(1+s)^2 - 1"))
     assert forced["boundarySmooth"] is False
 
 

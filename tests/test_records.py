@@ -9,7 +9,6 @@ import random
 import pytest
 
 from gaquot import (
-    ConstructionArtifacts,
     Derivation,
     Dims,
     FamilySpec,
@@ -17,13 +16,11 @@ from gaquot import (
     Ideal,
     KTheoryRanks,
     ResourceCaps,
-    SliceData,
     TermOrder,
     VarSet,
     VerificationReport,
     build_family,
     buchberger,
-    make_slice,
     normal_form,
     parse,
     run_battery,
@@ -46,10 +43,8 @@ RECORDS = {
                     ("order", "basis", "source"), False),
     ResourceCaps: (lambda: ResourceCaps(max_pairs=7), ("max_pairs", "max_degree"), False),
     Derivation: (lambda: Derivation(XY, {"y": XY.var("x")}), ("ring", "images"), True),
-    SliceData: (lambda: make_slice(Derivation(XY, {"y": XY.var("x")}), "y"), ("var",), False),
     FamilySpec: (lambda: FamilySpec("v3", parse("s^2 + s", VarSet(("s",))), 1),
                  ("family", "f", "trivial_summands"), False),
-    ConstructionArtifacts: (lambda: build_family(SPEC), ("spec",), False),
     KTheoryRanks: (lambda: KTheoryRanks(2), ("m",), False),
     Dims: (lambda: Dims(5, 7, 5), ("x", "ybar", "b"), False),
     VerificationReport: (lambda: run_battery(SPEC),
@@ -59,7 +54,7 @@ RECORDS = {
 # record -> the values it derives from its fields, read-only like them
 DERIVED = {
     GroebnerBasis: ("leading",),
-    ConstructionArtifacts: ("derivation", "quad_invariants", "w_ring"),
+    FamilySpec: ("derivation", "quad_invariants", "w_ring"),
     KTheoryRanks: ("rank_z", "rank_closure", "rank_quotient"),
     Dims: ("quotient",),
     VerificationReport: ("boundary_codim", "m", "passed"),
@@ -92,6 +87,13 @@ def test_records_are_frozen_and_compared_by_their_fields(record):
     assert repr(first) == f"{record.__name__}({values})"
 
 
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda record: record.__name__)
+def test_records_keep_no_instance_dict(record):
+    """A record holds its slots alone, so nothing is kept beside its
+    fields: a derived value is computed on each read."""
+    assert not hasattr(RECORDS[record][0](), "__dict__")
+
+
 def test_polynomials_are_frozen():
     """A polynomial is no `_Record` but is as frozen: assigning or
     deleting an attribute raises, and so does writing to its terms."""
@@ -114,7 +116,6 @@ def test_record_constructors_keep_their_keywords_and_defaults():
     assert KTheoryRanks(m=3) == KTheoryRanks(3)
     assert FamilySpec(family="v3", f=SPEC.f) == FamilySpec("v3", SPEC.f, 0)
     assert Dims(x=1, ybar=3, b=4) != Dims(1, 3, 5)
-    assert SliceData(var="y") == SliceData("y")
     report = run_battery(SPEC)
     assert VerificationReport(**{name: getattr(report, name)
                                  for name in RECORDS[VerificationReport][1]}) == report
@@ -182,41 +183,18 @@ def test_a_basis_rebuilt_from_its_fields_reduces_alike(order):
 
 @pytest.mark.parametrize("text", ["a^2 + b*c", "a^2 - 2*a + b^2 + c^2"])
 def test_artifacts_built_by_hand_have_the_built_smoothness_ideal(text):
-    """A v4 record built by hand from the spec of `build_family`'s has its
-    ring and its J', and the battery's checks on it agree, smooth and
-    singular."""
+    """A v4 spec built by hand equals the one `build_family` returns and
+    has its ring and its J', and the battery's checks on it agree,
+    smooth and singular."""
+    hand = FamilySpec("v4", parse(text, VarSet(("a", "b", "c"))))
     built = build_family(FamilySpec("v4", parse(text, VarSet(("a", "b", "c")))))
-    hand = ConstructionArtifacts(built.spec)
     assert hand == built and hand.w_ring == built.w_ring
     assert hand.polarization_ideal == built.polarization_ideal
     assert families._checks(hand) == families._checks(built)
 
 
-def test_artifacts_keep_their_built_ideals_in_an_instance_dict():
-    art = build_family(SPEC)
-    assert vars(art) == {}  # J' too is built on first read, as from the fields
-    hand = ConstructionArtifacts(art.spec)
-    assert art.polarization_ideal.generators == hand.polarization_ideal.generators
-    assert art.x_ideal is art.x_ideal
-    assert set(vars(art)) == {"polarization_ideal", "b_ideal", "x_ideal"}
-    assert art == build_family(SPEC)
-
-
 REBUILT_SPECS = [SPEC, FamilySpec("v3", parse("s", VarSet(("s",))), 2),
                  FamilySpec("v4", parse("a^2 + b*c", VarSet(("a", "b", "c"))))]
-
-
-@pytest.mark.parametrize("spec", REBUILT_SPECS, ids=["v3", "v3-trivial", "v4"])
-def test_artifacts_built_by_hand_equal_the_built_ones(spec):
-    """A record built by hand from its spec alone equals the built one,
-    hashes as it does, and has its W, X, B, J' and battery checks: there
-    is no other field to pair with the spec."""
-    built, hand = build_family(spec), ConstructionArtifacts(spec)
-    assert hand == built and hash(hand) == hash(built)
-    for name in ("derivation", "quad_invariants", "w_ring", "x_ideal", "b_ideal",
-                 "polarization_ideal"):
-        assert getattr(hand, name) == getattr(built, name)
-    assert families._checks(hand) == families._checks(built)
 
 
 @pytest.mark.parametrize("spec", REBUILT_SPECS, ids=["v3", "v3-trivial", "v4"])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaquot import Polynomial, RingMismatchError, VarSet, eliminate, parse
+from gaquot import Polynomial, RingMismatchError, VarSet, eliminate, monic, parse
 from gaquot.poly import scan_identifiers
 from gaquot import families, groebner
 from gaquot.cli import main
@@ -244,8 +244,50 @@ def test_v3_presentation_keeps_f_at_zero(shape, trivial):
     also where 1 + f is a constant, 4 or 0, and each minor's image leads
     with the term w2*w3 or w2*w5 of the minor."""
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
-    presentation = invariant_presentation(families._build_family(spec))
+    presentation = invariant_presentation(spec)
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
+
+
+CLOSED_FORM_SHAPES = (
+    [(text, parse(text, VarSet(("s",)))) for text in
+     ("s", "-s", "2*s", "s^2 + 3*s", "s^3 - 2*s", "1/2*s^2 - 1/2*s", "-3/2*s^3 + s", "s^2")]
+    + [(f"signed-deg{d}", signed_roots_shape(d, 7)) for d in range(1, 13)])
+
+
+@pytest.mark.parametrize("trivial", [0, 1, 2])
+@pytest.mark.parametrize("label, f", CLOSED_FORM_SHAPES, ids=[c[0] for c in CLOSED_FORM_SHAPES])
+def test_v3_relation_is_the_closed_form(label, f, trivial):
+    """The relation ideal is (monic r) for r = (1 + f(y_q))*y_q -
+    y_w3*y_d13 + y_w5*y_d12, the restriction to X of w1*q - w3*d13 +
+    w5*d12 = 0 with d12 = w1*w4 - w2*w3 and d13 = w1*w6 - w2*w5, each
+    y_g the tag of the survivor that is a scalar multiple c of g's
+    restriction (w1 -> 1 + f(q)), scaled by 1/c.  The expected value is
+    written from f alone, with no Groebner run; the trivial coordinates
+    survive as themselves and join no relation."""
+    gens, relations = invariant_presentation(build_family(FamilySpec("v3", f, trivial)))
+    z_ring = VarSet(tuple(f"z{i}" for i in range(1, 6 + trivial)))
+    z = [z_ring.var(n) for n in z_ring.names]  # z_i is w_(i+1) on X
+    q = z[1] * z[4] - z[2] * z[3]
+    w1 = 1 + f.substitute({f.ring.names[0]: q})
+    restricted = {"w3": z[1], "w5": z[3], "q": q,
+                  "d12": w1 * z[2] - z[0] * z[1], "d13": w1 * z[4] - z[0] * z[3]}
+    scaled, trivial_tags = {}, []
+    for tag, g in zip(relations.ring.names, gens):
+        lead = next(iter(g.terms))  # any term of g fixes the scalar
+        scales = {name: Fraction(g.terms[lead], h.terms[lead])
+                  for name, h in restricted.items() if lead in h.terms}
+        matches = [name for name, c in scales.items() if g == restricted[name] * c]
+        if not matches:
+            assert g in z[5:]
+            trivial_tags.append(tag)
+            continue
+        [name] = matches
+        scaled[name] = relations.ring.var(tag) * (1 / scales[name])
+    assert set(scaled) == set(restricted) and len(trivial_tags) == trivial
+    y_q = scaled["q"]
+    r = ((1 + f.substitute({f.ring.names[0]: y_q})) * y_q
+         - scaled["w3"] * scaled["d13"] + scaled["w5"] * scaled["d12"])
+    assert relations.generators == (monic(r),)
 
 
 # shape -> (p, trivial summands, point count) cases
