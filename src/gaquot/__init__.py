@@ -38,7 +38,6 @@ from .families import (
     FamilySpec,
     KTheoryRanks,
     VerificationReport,
-    boundary_analysis,
     build_family,
     check_freeness,
     check_smooth,

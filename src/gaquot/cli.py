@@ -150,16 +150,17 @@ def report_document(report: VerificationReport, caps: ResourceCaps,
     `k0Ranks` count the boundary's components over the algebraic closure
     of Q, one per root of 1 + f: f = s^2 gives m = 2, though 1 + s^2 is
     irreducible over Q."""
+    dims, ranks = report.dims, report.ranks  # each built on every read: read once
     doc = {
         "schemaVersion": SCHEMA_VERSION,
         "family": report.spec.family,
         "f": str(report.spec.f),
         "trivialSummands": report.spec.trivial_summands,
         "dims": {
-            "X": report.dims.x,
-            "quotient": report.dims.quotient,
-            "Ybar": report.dims.ybar,
-            "B": report.dims.b,
+            "X": dims.x,
+            "quotient": dims.quotient,
+            "Ybar": dims.ybar,
+            "B": dims.b,
         },
         "checks": dict(report.checks),
         "boundaryCodim": report.boundary_codim,
@@ -172,11 +173,11 @@ def report_document(report: VerificationReport, caps: ResourceCaps,
             "maxRounds": max_rounds,
         },
     }
-    if report.ranks is not None:
+    if ranks is not None:
         doc["k0Ranks"] = {
-            "Z": report.ranks.rank_z,
-            "closure": report.ranks.rank_closure,
-            "quotient": report.ranks.rank_quotient,
+            "Z": ranks.rank_z,
+            "closure": ranks.rank_closure,
+            "quotient": ranks.rank_quotient,
         }
     if report.presentation is not None:
         gens, relations = report.presentation

@@ -40,8 +40,8 @@ the zeros of D are the non-stable locus; and each polarization operator
 E_kl = w(2k-1)*d/dw(2l-1) + w(2k)*d/dw(2l), for non-leading blocks k and
 l (Procesi, "Lie Groups", 2007), maps each quadric to 0 or to plus or
 minus a quadric, which induces a linear map s -> E_kl s on f's
-variables.  The battery then decides only what depends on f, with no
-expansion of f(q):
+variables.  The battery and its report (`VerificationReport`) then
+decide only what depends on f, with no expansion of f(q):
 
   * stability and freeness: setting the non-stable coordinates to zero
     leaves X's equation at -1 - f(0), which must be nonzero, and the
@@ -67,8 +67,8 @@ verdicts; the battery calls none of them.  X and B are expanded only
 when read (`FamilySpec.x_ideal` and `b_ideal`), and Ybar never, so a
 battery expands f(q) nowhere but in the v3 presentation, its one
 Buchberger run besides v4's unit test of J' in three variables.  A
-ResourceCapError raised by a battery check names the check's stage, by
-its report key, in front of the cap.  `build_family(spec, caps)` is the
+ResourceCapError raised in a battery stage names the stage, by its
+report key, in front of the cap.  `build_family(spec, caps)` is the
 one validation: it caps deg f at the run's degree budget before the
 squarefree test builds its dense lists, and `_representation` checks
 the bound on the trivial summands before it builds W, with one message
@@ -330,7 +330,7 @@ def nonstable_ideal(spec: FamilySpec) -> Ideal:
 def check_stability(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """X misses the non-stable locus iff their combined ideal is the unit
     ideal (the equation forces 1 = 0 on the intersection).  Decided on X's
-    expanded equation; the battery reads -1 - f(0) instead (`_checks`)."""
+    expanded equation; a report's `checks` read -1 - f(0) instead."""
     return is_unit_ideal(spec.x_ideal + nonstable_ideal(spec), caps=caps)
 
 
@@ -364,32 +364,6 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 
 
 _EMPTY_BOUNDARY = "empty boundary: the rank bookkeeping needs a nonempty complement"
-
-
-def boundary_analysis(spec: FamilySpec):
-    """(dim Ybar, dim B, m): the boundary codimension inside the closure is
-    dim Ybar - dim B, and for v3 the component count is m = deg f (valid
-    over the algebraic closure because f + 1 is squarefree, so components
-    biject with its roots); m is None for v4.  An empty boundary raises
-    UnitIdealError.
-
-    Ybar and B are hypersurfaces, so both dimensions are read off f,
-    with no expansion of f(q) and no Groebner run.  Ybar's equation
-    u*w2 - v*w1 + h is nonconstant, as h is free of u.  B's h = -1 - f(q)
-    is constant iff f is, since the quadratic invariants are
-    algebraically independent (the one quadric of v3; for v4 the 2x2
-    minors of a 2x3 matrix, which take every value with a nonzero first
-    coordinate), and a constant h is -1 - f(0)."""
-    f, w_ring = spec.f, spec.w_ring
-    dim_ybar = len(w_ring) + 1  # Ybar lives over (u, v) and W
-    if not f.is_constant():
-        dim_b = len(w_ring) - 1
-    elif -1 - f.constant_term():  # h is a nonzero constant
-        raise UnitIdealError(_EMPTY_BOUNDARY)
-    else:
-        dim_b = len(w_ring)  # h = 0 cuts out all of W
-    m = f.total_degree() if spec.family == "v3" else None
-    return dim_ybar, dim_b, m
 
 
 class KTheoryRanks(_Record):
@@ -536,26 +510,63 @@ class Dims(_Record):
 
 
 class VerificationReport(_Record):
-    """Outcome of the full battery for one family instance; `checks` is
-    read-only, and the codimension, m and `passed` are derived."""
+    """Outcome of the full battery for one family instance.  It stores
+    only what the battery computed, B's smoothness verdict `smooth` and
+    the v3 presentation (None for v4), and reads the rest off the spec,
+    so a report built by hand cannot contradict its spec.
 
-    __slots__ = _fields = ("spec", "dims", "checks", "ranks", "presentation")
+    `checks`, in the report's key order: D kills w1 and the quadrics,
+    which are free of w1, so X's equation w1 - 1 - f(q) is invariant and
+    a graph in w1 for every f; `stable` and `free` are -1 - f(0) != 0,
+    as the zeros of the action are the non-stable locus; Ybar's equation
+    u*w2 - v*w1 + h has h, B's, free of u, v, w1 and w2, so Ybar is the
+    cone over B and both smoothness keys are `smooth`.  `dims`, n the
+    size of W: dim X = n - 1, and dim Ybar = n + 1 as its equation is
+    nonconstant.  B's h = -1 - f(q) is constant iff f is, since the
+    quadratic invariants are algebraically independent (for v4 the 2x2
+    minors of a 2x3 matrix, which take every value with a nonzero first
+    coordinate): dim B = n - 1 for nonconstant f, n for h = 0, and an
+    empty boundary, h a nonzero constant, raises UnitIdealError.  `m` is
+    deg f for v3, one component per root of the squarefree f + 1 over
+    the algebraic closure, and None for v4; `ranks` are those m forces."""
 
-    def __init__(self, spec: FamilySpec, dims: Dims, checks: Mapping[str, bool],
-                 ranks: Optional[KTheoryRanks], presentation: Optional[tuple]):
+    __slots__ = _fields = ("spec", "smooth", "presentation")
+
+    def __init__(self, spec: FamilySpec, smooth: bool, presentation: Optional[tuple]):
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "checks", MappingProxyType(dict(checks)))
-        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "smooth", smooth)
         object.__setattr__(self, "presentation", presentation)
 
     @property
-    def boundary_codim(self) -> int:
-        return self.dims.ybar - self.dims.b
+    def checks(self) -> Mapping[str, bool]:
+        stable = -1 - self.spec.f.constant_term() != 0
+        return MappingProxyType({"invariant": True, "affineSpace": True, "stable": stable,
+                                 "free": stable, "ybarSmooth": self.smooth,
+                                 "boundarySmooth": self.smooth})
+
+    @property
+    def dims(self) -> Dims:
+        f, n = self.spec.f, len(self.spec.w_ring)
+        if not f.is_constant():
+            b = n - 1
+        elif -1 - f.constant_term():  # h is a nonzero constant
+            raise UnitIdealError(_EMPTY_BOUNDARY)
+        else:
+            b = n
+        return Dims(n - 1, n + 1, b)
 
     @property
     def m(self) -> Optional[int]:
-        return None if self.ranks is None else self.ranks.m
+        return self.spec.f.total_degree() if self.spec.family == "v3" else None
+
+    @property
+    def ranks(self) -> Optional[KTheoryRanks]:
+        return None if self.m is None else KTheoryRanks(self.m)
+
+    @property
+    def boundary_codim(self) -> int:
+        dims = self.dims
+        return dims.ybar - dims.b
 
     @property
     def passed(self) -> bool:
@@ -572,48 +583,17 @@ def _stage(key: str):
         raise ResourceCapError(f"{key}: {exc}") from exc
 
 
-def _checks(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS,
-            smooth: Optional[bool] = None) -> dict:
-    """The battery's checks, by report key.  W is certified where it is
-    built (`_representation`), so only what depends on f is decided here:
-    `stable` and `free` from -1 - f(0), and smoothness, for both
-    families, by whether J' (`FamilySpec.polarization_ideal`)
-    is the unit ideal of f's ring, unless `smooth` gives that verdict."""
-    stable = -1 - spec.f.constant_term() != 0
-    checks = {
-        # D kills w1 and the quadrics, which are free of w1: X's equation
-        # w1 - 1 - f(q) is invariant and a graph in w1 for every f
-        "invariant": True,
-        "affineSpace": True,
-        "stable": stable,
-        "free": stable,  # the zeros of the action are the non-stable locus
-    }
-    if smooth is None:
-        with _stage("boundarySmooth"):
-            smooth = is_unit_ideal(spec.polarization_ideal, caps=caps)
-    # Ybar's equation is u*w2 - v*w1 + h with h, B's, free of u, v, w1 and
-    # w2 (so are the quadrics): Ybar is the cone over B, smooth iff B is.
-    checks["ybarSmooth"] = checks["boundarySmooth"] = smooth
-    return checks
-
-
 def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> VerificationReport:
-    """Build the instance and run every check; individual check failures
-    are recorded in the report, construction errors propagate.  f = 0,
-    which `build_family` always accepts, reports its empty boundary
-    before the bound on the trivial summands and before W is built: B's
-    h = -1 - f(q) = -1 whatever W is."""
+    """Validate the spec, decide B's smoothness once and, for v3, build
+    the presentation; construction errors propagate.  f = 0, which
+    `build_family` accepts, reports its empty boundary before the bound
+    on the trivial summands and W: B's h = -1 - f(q) = -1 whatever W is."""
     if spec.f.is_zero():
         raise UnitIdealError(_EMPTY_BOUNDARY)
-    v3 = spec.family == "v3"
     build_family(spec, caps)  # f(0) = 0, deg f, for v3 f + 1 squarefree, and W
-    checks = _checks(spec, caps, True if v3 else None)  # build_family proved v3's J' = (1)
-    dim_ybar, dim_b, m = boundary_analysis(spec)
-    # X's equation is w1 - 1 - f(q), of degree 1 in w1
-    dims = Dims(x=len(spec.w_ring) - 1, ybar=dim_ybar, b=dim_b)
-    ranks = presentation = None
-    if v3:
-        ranks = KTheoryRanks(m)
-        with _stage("presentation"):
-            presentation = invariant_presentation(spec, caps=caps)
-    return VerificationReport(spec, dims, checks, ranks, presentation)
+    if spec.family != "v3":
+        with _stage("boundarySmooth"):
+            smooth = is_unit_ideal(spec.polarization_ideal, caps=caps)
+        return VerificationReport(spec, smooth, None)
+    with _stage("presentation"):  # build_family proved v3's J' = (1)
+        return VerificationReport(spec, True, invariant_presentation(spec, caps=caps))

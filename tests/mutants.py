@@ -39,6 +39,7 @@ CLI_TESTS = "tests/test_cli.py::"
 FAMILY_TESTS = "tests/test_families.py::"
 POLY_TESTS = "tests/test_poly.py::"
 PRESENTATION_TESTS = "tests/test_subalgebra_presentation.py::"
+RECORD_TESTS = "tests/test_records.py::"
 
 # (label, library file, exact snippet, replacement, node ids that must fail)
 MUTANTS = [
@@ -95,16 +96,38 @@ MUTANTS = [
      "    if degree > caps.max_degree:\n", "    if degree > DEFAULT_CAPS.max_degree:\n",
      (FAMILY_TESTS + "test_build_validates_under_the_callers_caps",)),
     ("every spec stable", FAMILIES,
-     '        "stable": stable,\n', '        "stable": True,\n',
+     '"stable": stable,', '"stable": True,',
      (FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects",)),
     ("every action free", FAMILIES,
-     '        "free": stable,', '        "free": True,',
+     '"free": stable,', '"free": True,',
      (FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects",)),
     ("Ybar always smooth", FAMILIES,
-     '    checks["ybarSmooth"] = checks["boundarySmooth"] = smooth\n',
-     '    checks["ybarSmooth"], checks["boundarySmooth"] = True, smooth\n',
+     '"ybarSmooth": self.smooth,', '"ybarSmooth": True,',
      (FAMILY_TESTS + "test_singular_v4_controls_exit_two",
       FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects")),
+    ("B always smooth", FAMILIES,
+     '"boundarySmooth": self.smooth}', '"boundarySmooth": True}',
+     (FAMILY_TESTS + "test_singular_v4_controls_exit_two",
+      FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects")),
+    ("Ybar of dimension n + 2", FAMILIES,
+     "        return Dims(n - 1, n + 1, b)\n", "        return Dims(n - 1, n + 2, b)\n",
+     (FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects",
+      FAMILY_TESTS + "test_boundary_identity_instance",
+      RECORD_TESTS + "test_a_report_built_by_hand_cannot_contradict_its_spec",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("B = W of dimension n - 1", FAMILIES,
+     "            b = n\n", "            b = n - 1\n",
+     (FAMILY_TESTS + "test_composed_verdicts_match_the_expanded_objects",)),
+    ("m = deg f + 1", FAMILIES,
+     '        return self.spec.f.total_degree() if self.spec.family == "v3" else None\n',
+     '        return self.spec.f.total_degree() + 1 if self.spec.family == "v3" else None\n',
+     (FAMILY_TESTS + "test_boundary_cubic_instance",
+      RECORD_TESTS + "test_a_report_built_by_hand_cannot_contradict_its_spec",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("ranks forced by m + 1", FAMILIES,
+     "KTheoryRanks(self.m)\n", "KTheoryRanks(self.m + 1)\n",
+     (RECORD_TESTS + "test_a_report_built_by_hand_cannot_contradict_its_spec",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
     ("minors' images led by +z1*z2 when 1 + f is constant", FAMILIES,
      "    lc = shape[top] if top else -1", "    lc = shape[top] if top else 1",
      (PRESENTATION_TESTS + "test_v3_presentation_keeps_f_at_zero",)),
@@ -121,6 +144,16 @@ MUTANTS = [
      "val = total.get(m, 0) + c if sign == \"+\" else total.get(m, 0) + c",
      (POLY_TESTS + "test_parse_matches_the_polynomial_arithmetic_parser",
       POLY_TESTS + "test_parse_rationals_and_signs")),
+    ("tokens skip ASCII whitespace alone", POLY,
+     'r"\\s*(?:(?P<num>', 'r"[ \\t\\n\\r\\f\\v]*(?:(?P<num>',
+     (POLY_TESTS + "test_parse_matches_the_polynomial_arithmetic_parser",)),
+    ("token positions before their whitespace", POLY,
+     "        start = match.start(kind)\n", "        start = match.start()\n",
+     (POLY_TESTS + "test_parse_matches_the_polynomial_arithmetic_parser",)),
+    ("a zero denominator placed at its numerator", POLY,
+     '                    raise ParseError("zero denominator", pos3)\n',
+     '                    raise ParseError("zero denominator", pos)\n',
+     (POLY_TESTS + "test_parse_matches_the_polynomial_arithmetic_parser",)),
 ]
 
 

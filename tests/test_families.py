@@ -13,6 +13,7 @@ import sympy as sp
 from gaquot import (
     DEFAULT_CAPS,
     Derivation,
+    Dims,
     FamilySpec,
     Ideal,
     KTheoryRanks,
@@ -24,7 +25,7 @@ from gaquot import (
     ResourceCaps,
     UnitIdealError,
     VarSet,
-    boundary_analysis,
+    VerificationReport,
     build_family,
     check_freeness,
     check_smooth,
@@ -40,8 +41,8 @@ from gaquot import (
     run_battery,
 )
 from gaquot import cli, derivations, families, groebner, linalg, poly
-from gaquot.families import _checks, nonstable_ideal
-from helpers import (check_cone_over_boundary, jacobian_identities, random_poly,
+from gaquot.families import nonstable_ideal
+from helpers import (check_cone_over_boundary, composed_checks, jacobian_identities, random_poly,
                      signed_roots_shape, spolynomials_per_run, to_sympy, ybar_ideal)
 
 S = VarSet(("s",))
@@ -284,7 +285,7 @@ def test_smoothness_fails_on_repeated_root():
     assert jacobian_identities(forced) is True
     check_cone_over_boundary(forced)
     assert forced.polarization_ideal.generators[:2] == (parse("(1+s)^2", S), parse("2*s^2 + 2*s", S))
-    assert _checks(forced)["boundarySmooth"] is False
+    assert composed_checks(forced)["boundarySmooth"] is False
     with pytest.raises(RepeatedRootsError):
         run_battery(forced)
 
@@ -344,22 +345,17 @@ CERTIFIED_SPECS = (
 
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
-def test_jacobian_identities_agree_with_groebner(spec, monkeypatch):
+def test_jacobian_identities_agree_with_groebner(spec):
     """The identities, J''s own unit test and the Jacobian criterion all
     certify B, a validated spec builds the J' of the spec as made, and
-    the battery's report, which reads the validation's
-    verdict, is the one whose smoothness keys the Jacobian criterion
-    decides."""
+    the battery's smoothness verdict, which reads the validation's, is
+    the one the Jacobian criterion decides on B and on Ybar."""
     art = build_family(spec)
     assert jacobian_identities(art) is True
     assert art.polarization_ideal == spec.polarization_ideal
     assert groebner.is_unit_ideal(art.polarization_ideal)
-    certified = run_battery(spec)
-    battery = families._checks
-    monkeypatch.setattr(families, "_checks", lambda art, caps, smooth: {
-        **battery(art, caps, smooth), "ybarSmooth": check_smooth(ybar_ideal(art), caps),
-        "boundarySmooth": check_smooth(art.b_ideal, caps)})
-    assert run_battery(spec) == certified
+    assert run_battery(spec).smooth == check_smooth(art.b_ideal) \
+        == check_smooth(ybar_ideal(art)) is True
 
 
 def counted_calls(monkeypatch, *sites) -> dict:
@@ -402,33 +398,30 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
 
 
 def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
-    """A v3 battery hands the validation's verdict on J' to `_checks`, so
-    its smoothness verdict runs neither the modular loop again nor a
-    Groebner run, and builds no J'.  A spec given no verdict, validated
-    or not, builds J' = (1 + f, s*f', 0, 0, s*f') from f on each read and
-    decides it by a unit-ideal test in Q[s]."""
+    """A v3 battery's smoothness verdict is the validation's verdict on
+    J', so it runs the modular loop once, in the validation, and reduces
+    no S-polynomial for smoothness: its Groebner runs are the
+    presentation's.  Checks given no verdict, on a spec validated or not,
+    build J' = (1 + f, s*f', 0, 0, s*f') from f on each read and decide
+    it by a unit-ideal test in Q[s]."""
     spec = FamilySpec("v3", signed_roots_shape(5, 3))
     counts = counted_calls(monkeypatch, (groebner, "_coprime_mod"))
-    battery, handed = families._checks, []
-    monkeypatch.setattr(families, "_checks", lambda art, caps, smooth: (
-        handed.append((art, smooth)) or battery(art, caps, smooth)))
-    assert run_battery(spec).passed
-    [(art, smooth)] = handed
-    assert (art, smooth, counts["_coprime_mod"]) == (spec, True, 1)
+    reports = []
+    with monkeypatch.context() as patch:
+        battery_runs = spolynomials_per_run(patch, lambda: reports.append(run_battery(spec)))
+    assert (reports[0].smooth, counts["_coprime_mod"]) == (True, 1)
+    assert battery_runs == spolynomials_per_run(monkeypatch,
+                                                lambda: invariant_presentation(spec))
     validated = build_family(spec)
     assert counts["_coprime_mod"] == 2
-    verdicts = []
-    runs = spolynomials_per_run(
-        monkeypatch, lambda: verdicts.append(_checks(validated, smooth=True)["boundarySmooth"]))
-    assert (runs, verdicts) == ([], [True])
     f, s = spec.f, S.var("s")
     s_f_prime = s * f.partial("s")
     for art in (validated, spec):
         assert art.polarization_ideal == Ideal(S, (f + 1, s_f_prime, S.zero(), S.zero(),
                                                     s_f_prime))
-        assert [_checks(art)["boundarySmooth"] for _ in range(2)] == [True, True]
+        assert [composed_checks(art)["boundarySmooth"] for _ in range(2)] == [True, True]
     assert counts["_coprime_mod"] == 2
-    assert _checks(v3("s - 1"))["boundarySmooth"] is False  # J' = (s, s)
+    assert composed_checks(v3("s - 1"))["boundarySmooth"] is False  # J' = (s, s)
 
 
 def test_jacobian_identities_reject_a_changed_coefficient():
@@ -642,14 +635,15 @@ def test_composed_verdicts_match_the_expanded_objects(spec):
     specs and on specs the validation rejects (a repeated root, which is
     not smooth; f(0) = -1, not stable; f(0) = 5, stable; f = 0, whose
     boundary is empty; f = -1, whose boundary is all of W)."""
-    composed = _checks(spec)
+    composed = composed_checks(spec)
     checks, (dim_x, dim_ybar, dim_b) = expanded_verdicts(spec)
     assert (composed, list(composed)) == (checks, list(checks))  # with the report's key order
+    report = VerificationReport(spec, True, None)
     if dim_b is None:
         with pytest.raises(UnitIdealError, match="empty boundary"):
-            boundary_analysis(spec)
+            report.dims
     else:
-        assert boundary_analysis(spec)[:2] == (dim_ybar, dim_b)
+        assert report.dims == Dims(dim_x, dim_ybar, dim_b)
     assert len(spec.w_ring) - 1 == dim_x
     if spec not in UNVALIDATED:
         assert run_battery(spec).dims.x == dim_x
@@ -750,24 +744,29 @@ def test_v3_reads_f_in_its_own_variable(text):
             for spec in (over_t, over_s)]
     assert [doc.pop("f") for doc in docs] == [str(over_t.f), str(over_s.f)]
     assert docs[0] == docs[1]
-    forced = _checks(FamilySpec("v3", parse("(1+t)^2 - 1", T)))
-    assert forced == _checks(v3("(1+s)^2 - 1"))
+    forced = composed_checks(FamilySpec("v3", parse("(1+t)^2 - 1", T)))
+    assert forced == composed_checks(v3("(1+s)^2 - 1"))
     assert forced["boundarySmooth"] is False
 
 
 # -- boundary and ranks ----------------------------------------------------------------
 
 
+def boundary(report):
+    """(dim Ybar, dim B, m) of a report."""
+    return report.dims.ybar, report.dims.b, report.m
+
+
 def test_boundary_identity_instance():
-    assert boundary_analysis(build_family(v3("s"))) == (7, 5, 1)
+    assert boundary(run_battery(v3("s"))) == (7, 5, 1)
 
 
 def test_boundary_cubic_instance():
-    assert boundary_analysis(build_family(v3("(1+s)*(1+2*s)*(1+3*s) - 1"))) == (7, 5, 3)
+    assert boundary(run_battery(v3("(1+s)*(1+2*s)*(1+3*s) - 1"))) == (7, 5, 3)
 
 
 def test_boundary_moduli_instance():
-    assert boundary_analysis(build_family(v4("a"))) == (9, 7, None)
+    assert boundary(run_battery(v4("a"))) == (9, 7, None)
 
 
 def test_boundary_empty_rejected():
@@ -777,7 +776,7 @@ def test_boundary_empty_rejected():
     assert art.x_ideal.generators == (art.w_ring.var("w1") - 1,)
     assert art.b_ideal.generators == (art.w_ring.const(-1),)
     with pytest.raises(UnitIdealError):
-        boundary_analysis(art)
+        VerificationReport(art, True, None).dims
 
 
 def test_rank_arithmetic():
@@ -948,7 +947,7 @@ def test_threads_on_a_cold_cache_give_equal_reports():
 def assert_core_checks(art):
     """The battery's invariance, affine space, stability and freeness
     verdicts hold, and so do they on X's expanded equation."""
-    assert [_checks(art)[key] for key in ("invariant", "affineSpace", "stable", "free")] \
+    assert [composed_checks(art)[key] for key in ("invariant", "affineSpace", "stable", "free")] \
         == [True] * 4
     (equation,) = art.x_ideal.generators
     assert art.derivation.apply(equation).is_zero()
@@ -966,7 +965,7 @@ def test_randomized_family_checks():
         spec = FamilySpec("v3", random_valid_f(rng), rng.choice([0, 0, 1]))
         art = build_family(spec)
         assert_core_checks(art)
-        dim_ybar, dim_b, m = boundary_analysis(art)
+        dim_ybar, dim_b, m = boundary(VerificationReport(art, True, None))
         assert dim_ybar - dim_b == 2
         assert m == spec.f.total_degree()
         ybar = ybar_ideal(art)
@@ -982,7 +981,7 @@ def test_randomized_family_checks():
             continue
         art = build_family(FamilySpec("v4", f))
         assert_core_checks(art)
-        dim_ybar, dim_b, m = boundary_analysis(art)
+        dim_ybar, dim_b, m = boundary(VerificationReport(art, True, None))
         assert dim_ybar - dim_b == 2 and m is None
 
 

@@ -25,9 +25,8 @@ from gaquot import (
     parse,
     run_battery,
 )
-from gaquot import families
 from gaquot.poly import _Record
-from helpers import random_poly
+from helpers import composed_checks, random_poly
 
 XY = VarSet(("x", "y"))
 SPEC = FamilySpec("v3", parse("s^2 + s", VarSet(("s",))))
@@ -47,17 +46,17 @@ RECORDS = {
                  ("family", "f", "trivial_summands"), False),
     KTheoryRanks: (lambda: KTheoryRanks(2), ("m",), False),
     Dims: (lambda: Dims(5, 7, 5), ("x", "ybar", "b"), False),
-    VerificationReport: (lambda: run_battery(SPEC),
-                         ("spec", "dims", "checks", "ranks", "presentation"), True),
+    VerificationReport: (lambda: run_battery(SPEC), ("spec", "smooth", "presentation"), False),
 }
 
 # record -> the values it derives from its fields, read-only like them
 DERIVED = {
     GroebnerBasis: ("leading",),
-    FamilySpec: ("derivation", "quad_invariants", "w_ring"),
+    FamilySpec: ("derivation", "quad_invariants", "w_ring", "x_ideal", "b_ideal",
+                 "polarization_ideal"),
     KTheoryRanks: ("rank_z", "rank_closure", "rank_quotient"),
     Dims: ("quotient",),
-    VerificationReport: ("boundary_codim", "m", "passed"),
+    VerificationReport: ("checks", "dims", "ranks", "boundary_codim", "m", "passed"),
 }
 
 
@@ -148,6 +147,40 @@ def test_every_constructor_argument_is_a_compared_field():
         == {record.__name__: [] for record in records}
 
 
+def unlisted_properties(record, listed) -> list:
+    """The properties the record's class defines that are not `listed`."""
+    return [name for name, value in vars(record).items()
+            if isinstance(value, property) and name not in listed]
+
+
+def test_every_property_is_a_listed_derived_value():
+    """Each property of a record is in `DERIVED`, so the frozen test reads
+    it on two equal records and checks it cannot be set or deleted."""
+    records = library_records()
+    assert {record.__name__: unlisted_properties(record, DERIVED.get(record, ()))
+            for record in records} == {record.__name__: [] for record in records}
+
+
+def test_detects_a_property_outside_the_derived_values():
+    class Toy(_Record):
+        __slots__ = _fields = ("kept",)
+
+        def __init__(self, kept):
+            object.__setattr__(self, "kept", kept)
+
+        @property
+        def double(self):
+            return 2 * self.kept
+
+        @property
+        def triple(self):
+            return 3 * self.kept
+
+        plain = 4  # a class attribute, not a property
+
+    assert unlisted_properties(Toy, ("double",)) == ["triple"]
+
+
 def test_detects_a_constructor_argument_outside_the_fields():
     class Toy(_Record):
         __slots__ = ("kept", "rider")
@@ -190,7 +223,7 @@ def test_artifacts_built_by_hand_have_the_built_smoothness_ideal(text):
     built = build_family(FamilySpec("v4", parse(text, VarSet(("a", "b", "c")))))
     assert hand == built and hand.w_ring == built.w_ring
     assert hand.polarization_ideal == built.polarization_ideal
-    assert families._checks(hand) == families._checks(built)
+    assert composed_checks(hand) == composed_checks(built)
 
 
 REBUILT_SPECS = [SPEC, FamilySpec("v3", parse("s", VarSet(("s",))), 2),
@@ -199,32 +232,48 @@ REBUILT_SPECS = [SPEC, FamilySpec("v3", parse("s", VarSet(("s",))), 2),
 
 @pytest.mark.parametrize("spec", REBUILT_SPECS, ids=["v3", "v3-trivial", "v4"])
 def test_a_report_rebuilt_from_its_fields_derives_the_rest_alike(spec):
-    """A report rebuilt from its five fields equals the built one and has
-    its verdict, codimension, component count and ranks; with one check
-    false, the rebuilt report fails."""
+    """A report rebuilt from its three fields equals the built one and has
+    its checks, dimensions, verdict, codimension, component count and
+    ranks; with B singular, the rebuilt report fails."""
     report = run_battery(spec)
-    rebuilt = VerificationReport(report.spec, report.dims, report.checks, report.ranks,
-                                 report.presentation)
+    rebuilt = VerificationReport(report.spec, report.smooth, report.presentation)
     assert rebuilt == report
-    derived = ("passed", "boundary_codim", "m", "ranks")
+    derived = DERIVED[VerificationReport]
     assert [getattr(rebuilt, name) for name in derived] \
         == [getattr(report, name) for name in derived]
     assert (report.passed, report.boundary_codim) == (True, 2)
     assert report.m == (2 if spec is SPEC else 1 if spec.family == "v3" else None)
-    failing = VerificationReport(report.spec, report.dims, {**report.checks, "stable": False},
-                                 report.ranks, report.presentation)
+    failing = VerificationReport(report.spec, False, report.presentation)
     assert not failing.passed and failing != report
+    assert not failing.checks["ybarSmooth"] and not failing.checks["boundarySmooth"]
+
+
+@pytest.mark.parametrize("spec", REBUILT_SPECS, ids=["v3", "v3-trivial", "v4"])
+def test_a_report_built_by_hand_cannot_contradict_its_spec(spec):
+    """A report built by hand from its three fields is the battery's, and
+    hashes as it does; its dimensions, ranks, m and checks are those the
+    spec determines: X a hypersurface of W, the closure over (u, v) and
+    W, the boundary of codimension 2, m = deg f for v3 and no ranks for
+    v4.  The old five-argument call, which could pair s^2 + s with
+    X of dimension 1, m = 9 and a stable action that is not free, is
+    refused."""
+    report = run_battery(spec)
+    hand = VerificationReport(spec, True, report.presentation)
+    assert hand == report and hash(hand) == hash(report)
+    n = len(spec.w_ring)
+    m = spec.f.total_degree() if spec.family == "v3" else None
+    assert hand.dims == Dims(n - 1, n + 1, n - 1)
+    assert (hand.m, hand.ranks) == (m, None if m is None else KTheoryRanks(m))
+    assert hand.checks == composed_checks(spec) == dict.fromkeys(
+        ("invariant", "affineSpace", "stable", "free", "ybarSmooth", "boundarySmooth"), True)
+    with pytest.raises(TypeError):
+        VerificationReport(SPEC, Dims(1, 1, 1), {**report.checks, "free": False},
+                           KTheoryRanks(9), report.presentation)
 
 
 def test_a_report_s_checks_are_read_only():
-    """`checks` cannot be changed under a report's derived verdict; the
-    report keeps a copy, so neither can the mapping it was built from."""
+    """`checks` cannot be changed under a report's derived verdict."""
     report = run_battery(SPEC)
     with pytest.raises(TypeError):
         report.checks["stable"] = False
     assert report.passed and dict(report.checks)["stable"]
-    given = dict(report.checks)
-    rebuilt = VerificationReport(report.spec, report.dims, given, report.ranks,
-                                 report.presentation)
-    given["stable"] = False
-    assert rebuilt.checks["stable"] and rebuilt.passed

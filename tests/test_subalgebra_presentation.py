@@ -292,17 +292,20 @@ def test_v3_relation_is_the_closed_form(label, f, trivial):
 
 # shape -> (p, trivial summands, point count) cases
 @pytest.mark.parametrize("shape, counts", [
-    ("s", ((5, 0, 650), (7, 0, 2450), (5, 1, 3250))),
-    ("s^2 + 3*s", ((5, 0, 650), (7, 0, 2401), (5, 1, 3250))),
-    ("s^3 - 2*s", ((5, 0, 675), (7, 0, 2450))),
-    ("s^2", ((5, 0, 675), (7, 0, 2401))),
+    ("s", ((2, 0, 20), (3, 0, 90), (5, 0, 650), (7, 0, 2450), (5, 1, 3250))),
+    ("s^2 + 3*s", ((2, 0, 16), (3, 0, 81), (5, 0, 650), (7, 0, 2401), (5, 1, 3250))),
+    ("s^3 - 2*s", ((2, 0, 20), (3, 0, 90), (5, 0, 675), (7, 0, 2450))),
+    ("s^2", ((2, 0, 20), (3, 0, 81), (5, 0, 675), (7, 0, 2401))),
+    ("2*s", ((3, 0, 90),)),
+    ("1/2*s^2 - 1/2*s", ((3, 0, 81),)),
 ])
 def test_v3_relations_count_points_over_finite_fields(shape, counts):
     """Over F_p the relations of a v3 presentation with t trivial summands
     cut out p^(4+t) + n_p*p^(2+t) points of F_p^(5+t), n_p the number of
-    roots of 1 + f in F_p: p^(4+t) points of Y (X is affine (5+t)-space,
-    and each Ga-torsor over an F_p-point is trivial) and n_p*p^(2+t) off
-    Y.  f = s^2 counts both roots of 1 + s^2 over F_5 and none over F_7.
+    distinct roots of 1 + f in F_p: p^(4+t) points of Y (X is affine
+    (5+t)-space, and each Ga-torsor over an F_p-point is trivial) and
+    n_p*p^(2+t) off Y.  f = s^2 counts both roots of 1 + s^2 over F_5,
+    none over F_3 and F_7, and one over F_2, where 1 + s^2 = (1 + s)^2.
     Counted by brute force, with no Groebner run, on the survivors' tags."""
     f = parse(shape, VarSet(("s",)))
     for p, trivial, count in counts:
@@ -311,6 +314,24 @@ def test_v3_relations_count_points_over_finite_fields(shape, counts):
         roots = points_mod_p([f + 1], p)
         assert points_mod_p(relations.generators, p) \
             == p ** (4 + trivial) + roots * p ** (2 + trivial) == count
+
+
+def test_point_counts_refuse_what_is_not_2_integral():
+    """There is no count over F_2 for 2s, whose relation has the
+    coefficient -1/2, nor for 1/2*s^2 - 1/2*s, whose relation
+    y3^3 + y3^2 + y1*y4 - y2*y5 + 2*y3 is 2-integral but whose 1 + f is
+    not: `points_mod_p` raises ValueError on either."""
+    def relations(shape):
+        spec = FamilySpec("v3", parse(shape, VarSet(("s",))))
+        return invariant_presentation(build_family(spec))[1].generators
+
+    with pytest.raises(ValueError, match="-1/2 is not 2-integral"):
+        points_mod_p(relations("2*s"), 2)
+    half = parse("1/2*s^2 - 1/2*s", VarSet(("s",)))
+    assert all(Fraction(c).denominator == 1
+               for r in relations(str(half)) for c in r.terms.values())
+    with pytest.raises(ValueError, match="is not 2-integral"):
+        points_mod_p([half + 1], 2)
 
 
 @pytest.mark.parametrize("trivial, degrees", [
