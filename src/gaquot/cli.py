@@ -163,7 +163,7 @@ def report_document(report: VerificationReport, caps: ResourceCaps,
             "B": dims.b,
         },
         "checks": dict(report.checks),
-        "boundaryCodim": report.boundary_codim,
+        "boundaryCodim": dims.codim,
         "m": report.m,
         "k0Ranks": None,
         "presentation": None,
@@ -199,13 +199,13 @@ def _cmd_verify(args, out) -> int:
     report = run_battery(spec, caps=caps)
     doc = report_document(report, caps, DEFAULT_MAX_ROUNDS)  # no battery stage spends rounds
     text = render_report(doc)
+    passed = report.passed  # derived on each read: read once
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
-        status = "pass" if report.passed else "FAIL"
-        print(f"{status}: report written to {args.out}", file=out)
+        print(f"{'pass' if passed else 'FAIL'}: report written to {args.out}", file=out)
     else:
         out.write(text)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _cmd_kernel(args, out) -> int:

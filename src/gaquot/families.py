@@ -495,7 +495,8 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
 
 
 class Dims(_Record):
-    """Dimensions of X, the closure and the boundary, and the quotient's."""
+    """Dimensions of X, the closure and the boundary, the quotient's, and
+    the boundary's codimension in the closure."""
 
     __slots__ = _fields = ("x", "ybar", "b")
 
@@ -507,6 +508,10 @@ class Dims(_Record):
     @property
     def quotient(self) -> int:
         return self.x - 1  # the group is one-dimensional and acts freely
+
+    @property
+    def codim(self) -> int:
+        return self.ybar - self.b
 
 
 class VerificationReport(_Record):
@@ -565,8 +570,7 @@ class VerificationReport(_Record):
 
     @property
     def boundary_codim(self) -> int:
-        dims = self.dims
-        return dims.ybar - dims.b
+        return self.dims.codim
 
     @property
     def passed(self) -> bool:

@@ -17,7 +17,9 @@ are coprime, before the gcd over Q decides.
 One run state, `_Run`, holds the rows, the pair queue and the pair
 loop; `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
 candidate at a time over the graph ideal of all of them, deciding
-membership and eliminating the relations among the survivors.  Pairs
+membership and eliminating the relations among the survivors.  One
+read-out, `_Run.reduced`, gives `buchberger`, `eliminate` and the relations
+their part of a completed run's reduced basis.  Pairs
 are pruned when they are formed, by the update of Gebauer and Moeller
 ("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
 UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import itemgetter, mul, neg
 from pathlib import Path
@@ -301,8 +303,9 @@ class _Packing:
         return b ^ ((a ^ b) & ((ge << 1) - (ge >> (_EXPONENT_BITS - 1))))
 
 
-# One entry per term order and ring size in use; cli-mix, the widest
-# benchmark workload, uses 11 at seeds 1 and 11 (kernel-width 7, battery-degree 2).
+# One entry per term order and ring size in use.  After one in-process
+# `perfbench/run.py --workload W --seconds 1` run, at seed 1 or 11, the cache
+# holds 10 for cli-mix, the widest workload, 7 for kernel-width, 1 for battery-degree.
 @lru_cache(maxsize=256)
 def _packing(order: TermOrder, n: int) -> _Packing:
     return _Packing(order, n)
@@ -538,54 +541,51 @@ class _Run:
                 raise ResourceCapError(f"degree budget {caps.max_degree} exhausted")
             self.append(reduced, max(sugar, degree))
 
-    def interreduced(self, indices: Sequence[int]) -> list:
-        """The rows of the reduced basis of a completed run whose leading
-        monomials are those of the active rows `indices`, as packed rows
-        in ascending order of leading monomial.
+    def reduced(self, free_of: int = 0) -> list:
+        """The packed rows of a completed run's reduced basis whose leading
+        monomials have no exponent in the fields of the mask `free_of`, in
+        ascending order of leading monomial; the whole basis for mask 0.
 
         No active leading monomial divides another, so the active rows
-        form a minimal basis.  Each row of `indices` is tail-reduced
-        against the others of `indices`, in ascending order of leading
-        monomial for determinism (leading monomials are distinct, so there
-        are no ties); leading monomials are preserved.  Given every active
-        row, this is the whole reduced basis.  Given fewer, the rows left
-        out are left out as reducers too, which is exact when none of
-        their leading monomials divides a term of the rows given."""
-        basis, guard = self.basis, self.packing.guard
-        kept = sorted(indices, key=lambda t: basis[t][0], reverse=True)
+        form a minimal basis.  Each kept row is tail-reduced against the
+        other rows kept, which preserves its leading monomial; leading
+        monomials are distinct, so the order is deterministic.  Leaving
+        the other rows out as reducers is exact under a block order whose
+        first block is the mask's fields: a kept row's tail is free of
+        the block, as its leading monomial is, and no leading monomial
+        with a block variable divides a monomial free of it (Becker and
+        Weispfenning, GTM 141)."""
+        kept = sorted((row for row in self.rows if not row[0] & free_of),
+                      key=itemgetter(0), reverse=True)
         final = []
-        for idx in kept:
-            lm, lc, tail = basis[idx]
-            work = dict(tail)
-            work[lm] = lc
-            reduced, _ = _reduce_full(work, [basis[k] for k in kept if k != idx], guard)
-            final.append(_row(reduced))
+        for lm, lc, tail in kept:
+            work = dict(((lm, lc),) + tail)
+            final.append(_row(_reduce_full(work, [r for r in kept if r[0] != lm],
+                                           self.packing.guard)[0]))
         return final
 
 
-def _reduced_rows(ideal: Ideal, order: TermOrder, caps: ResourceCaps) -> tuple:
-    """(packing, rows): the packing of `ideal`'s ring under `order`, and
-    the reduced basis as the packed rows of `_Run.interreduced`, in
-    ascending order of leading monomial; no rows for the zero ideal.  The
-    one run behind `buchberger` and `eliminate`."""
+def _completed_run(ideal: Ideal, order: TermOrder, caps: ResourceCaps) -> _Run:
+    """The run under `order` seeded with `ideal`'s generators, completed:
+    the one run behind `buchberger`, `eliminate` and `is_unit_ideal`."""
     packing = _packing(order, len(ideal.ring))
-    seeds = [g for g in ideal.generators if not g.is_zero()]
-    if not seeds:
-        return packing, []
-    run = _Run(packing, caps, _selects_by_sugar(order, seeds))
-    for g in seeds:
+    run = _Run(packing, caps, _selects_by_sugar(order, ideal.generators))
+    for g in ideal.generators:
         reduced = run.reduce(_integer_terms(g.terms, packing.pack)[0])
         if reduced:
             run.append(reduced)
     run.complete()
-    return packing, run.interreduced(run.active)
+    return run
 
 
-def _monic_terms(row: tuple, unpack) -> dict:
-    """The term dict of a packed row made monic, each monomial as
-    `unpack` gives it."""
-    lm, lc, tail = row
-    return {unpack(m): _exact_quotient(c, lc) for m, c in ((lm, lc),) + tail}
+def _monic(rows: list, packing: _Packing, ring: VarSet, columns: Sequence[int]) -> tuple:
+    """The packed `rows` made monic, as polynomials over `ring` whose
+    exponents are the exponent fields of indices in `columns`, in order."""
+    selected = [i in columns for i in range(len(packing.weights))]
+    unpack = packing.unpack
+    return tuple(Polynomial(ring, {tuple(compress(unpack(m), selected)): _exact_quotient(c, lc)
+                                   for m, c in ((lm, lc),) + tail})
+                 for lm, lc, tail in rows)
 
 
 def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
@@ -597,8 +597,8 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     and of the terms the reduction reaches must stay below 2**31.  Passing
     a cap or that bound raises ResourceCapError."""
     order = order or TermOrder.grevlex()
-    packing, final = _reduced_rows(ideal, order, caps)
-    polys = tuple(Polynomial(ideal.ring, _monic_terms(row, packing.unpack)) for row in final)
+    run = _completed_run(ideal, order, caps)
+    polys = _monic(run.reduced(), run.packing, ideal.ring, range(len(ideal.ring)))
     return GroebnerBasis(order, polys, ideal)
 
 
@@ -628,8 +628,8 @@ def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     to 0 in every generator, and again for each lone variable that
     appears, until none does.  A nonzero constant left is the unit ideal
     and no generator left is a proper ideal, with no Groebner run;
-    otherwise the reduced basis of what is left, under `caps`, is [1]
-    exactly for the unit ideal."""
+    otherwise it is the unit ideal iff a constant (packed as 0) leads a
+    row of the completed grevlex run under `caps`, retiring every other."""
     gens = [g.terms for g in ideal.generators if not g.is_zero()]
     while True:
         lone = {m.index(1) for t in gens if len(t) == 1 for m in t if sum(m) == 1}
@@ -642,8 +642,8 @@ def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
         return True
     if not gens:
         return False
-    gb = buchberger(Ideal(ideal.ring, tuple(Polynomial(ideal.ring, t) for t in gens)), caps=caps)
-    return len(gb.basis) == 1 and gb.basis[0] == 1
+    seeds = Ideal(ideal.ring, tuple(Polynomial(ideal.ring, t) for t in gens))
+    return _completed_run(seeds, TermOrder.grevlex(), caps).rows[0][0] == 0
 
 
 def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
@@ -774,17 +774,16 @@ def is_squarefree(p: Polynomial) -> bool:
 def eliminate(ideal: Ideal, first_k: int,
               caps: ResourceCaps = DEFAULT_CAPS) -> Ideal:
     """Generators of the intersection with the subring dropping the first
-    k variables, via a block-order basis: its rows whose leading monomial
-    is free of the first k variables, which under the block order have
-    no term with them.  Only those rows become polynomials."""
+    k variables: the rows of the reduced basis under the block order
+    eliminating them whose leading monomials are free of them
+    (`_Run.reduced`).  Only those rows are interreduced and become
+    polynomials."""
     if not 0 <= first_k <= len(ideal.ring):
         raise ValueError("elimination count out of range")
-    packing, final = _reduced_rows(ideal, TermOrder.block(first_k), caps)
+    run = _completed_run(ideal, TermOrder.block(first_k), caps)
     small = ideal.ring.drop_first(first_k)
     eliminated = (1 << _EXPONENT_BITS * first_k) - 1  # the exponent fields of the first k
-    unpack = packing.unpack
-    kept = tuple(Polynomial(small, _monic_terms(row, lambda m: unpack(m)[first_k:]))
-                 for row in final if not row[0] & eliminated)
+    kept = _monic(run.reduced(eliminated), run.packing, small, range(first_k, len(ideal.ring)))
     return Ideal(small, kept or (small.zero(),))
 
 
@@ -922,20 +921,14 @@ class _GraphSpan:
         return self._tag_only_form(_integer_terms(f.terms, self._run.packing.pack)[0])[1]
 
     def relations(self) -> Ideal:
-        """The reduced basis rows free of ring variables, over the tags of
-        `_graph_ideal(ring, kept)`: as a dropped tag is a zero column, on
-        which grevlex ties, they are what `eliminate` gives on the kept
-        candidates' graph ideal, in order (the zero ideal if none is)."""
+        """The reduced basis rows free of ring variables (`_Run.reduced`),
+        over the tags of `_graph_ideal(ring, kept)`: as a dropped tag is a
+        zero column, on which grevlex ties, they are what `eliminate` gives
+        on the kept candidates' graph ideal, in order (the zero ideal if
+        none is)."""
         tags = VarSet(fresh_names("y", len(self.kept), self._ring.names))
         run = self._run
-        unpack = run.packing.unpack
-        # A tag-only row has a tag-only tail under the block order, and no
-        # leading monomial with a ring variable divides a tag-only monomial,
-        # so the tag-only rows are interreduced among themselves alone.
-        tag_only = [k for k in run.active if not run.basis[k][0] & self._ring_fields]
-        relations = tuple(Polynomial(tags, _monic_terms(
-            row, lambda m: tuple(map(unpack(m).__getitem__, self._columns))))
-            for row in run.interreduced(tag_only))
+        relations = _monic(run.reduced(self._ring_fields), run.packing, tags, self._columns)
         return Ideal(tags, relations or (tags.zero(),))
 
 

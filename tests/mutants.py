@@ -34,9 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = "src/gaquot/families.py"
+GROEBNER = "src/gaquot/groebner.py"
 POLY = "src/gaquot/poly.py"
 CLI_TESTS = "tests/test_cli.py::"
 FAMILY_TESTS = "tests/test_families.py::"
+GROEBNER_TESTS = "tests/test_groebner.py::"
 POLY_TESTS = "tests/test_poly.py::"
 PRESENTATION_TESTS = "tests/test_subalgebra_presentation.py::"
 RECORD_TESTS = "tests/test_records.py::"
@@ -135,6 +137,26 @@ MUTANTS = [
      "        table.append(tuple((j, *signed[p]) for j, p in images if not p.is_zero()))\n",
      "        table.append(tuple((j, 1, signed[p][1]) for j, p in images if not p.is_zero()))\n",
      (FAMILY_TESTS + "test_polarization_identities_hold_in_sympy",)),
+    ("read-out keeps the rows that meet the mask", GROEBNER,
+     "        kept = sorted((row for row in self.rows if not row[0] & free_of),\n",
+     "        kept = sorted((row for row in self.rows if row[0] & free_of),\n",
+     (GROEBNER_TESTS + "test_eliminate_parabola",
+      GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
+      PRESENTATION_TESTS + "test_tag_only_rows_interreduce_among_themselves")),
+    ("elimination mask one field short", GROEBNER,
+     "    eliminated = (1 << _EXPONENT_BITS * first_k) - 1",
+     "    eliminated = (1 << _EXPONENT_BITS * (first_k - 1)) - 1",
+     (GROEBNER_TESTS + "test_eliminate_parabola",
+      GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis")),
+    ("relations read off the whole reduced basis", GROEBNER,
+     "_monic(run.reduced(self._ring_fields), run.packing, tags, self._columns)",
+     "_monic(run.reduced(), run.packing, tags, self._columns)",
+     (PRESENTATION_TESTS + "test_lone_candidates_match_the_reference",)),
+    ("unit ideal read off the first seed row", GROEBNER,
+     "TermOrder.grevlex(), caps).rows[0][0] == 0\n",
+     "TermOrder.grevlex(), caps).basis[0][0] == 0\n",
+     (GROEBNER_TESTS + "test_unit_iff_one_is_member",
+      FAMILY_TESTS + "test_smoothness_of_closure_and_boundary")),
     ("unit coefficient read off the numerator", POLY,
      '    elif mag == "1":\n', "    elif num == 1:\n",
      (POLY_TESTS + "test_printing_matches_the_fraction_arithmetic_printer",

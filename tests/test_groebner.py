@@ -29,7 +29,8 @@ from gaquot import (
     run_battery,
     subalgebra_membership,
 )
-from gaquot import groebner
+from gaquot import derivations, groebner
+from gaquot.derivations import kernel_saturation, lower_triangular_derivation, make_slice
 from helpers import (
     in_ideal,
     random_poly,
@@ -329,6 +330,52 @@ def test_eliminate_resultant_membership_randomized():
         if res.is_zero():
             continue
         assert in_ideal(res, out)
+
+
+
+def saturation_graph_ideals(monkeypatch, blocks: int) -> list:
+    """(ideal, k) of each elimination the saturation rounds on `blocks`
+    two-dimensional blocks make: (a) plus the graph ideal of the kept
+    generators, eliminating the k variables of W."""
+    calls = []
+    real = derivations.eliminate
+
+    def recording(ideal, first_k, caps=groebner.DEFAULT_CAPS):
+        calls.append((ideal, first_k))
+        return real(ideal, first_k, caps)
+
+    monkeypatch.setattr(derivations, "eliminate", recording)
+    derivation = lower_triangular_derivation(blocks)
+    kernel_saturation(derivation, make_slice(derivation, "w2"), 8)
+    return calls
+
+
+def test_eliminate_is_the_block_free_part_of_the_reduced_basis(monkeypatch):
+    """eliminate, which interreduces only the rows it returns, gives the
+    elements of the whole reduced basis under the block order whose
+    leading monomials are free of the block, on seeded ideals of n
+    variables under block sizes 1 to n - 1 and on the saturation-round
+    graph ideals of V3 and V4, with the extra generator a."""
+    rng = random.Random("block-free")
+    cases = []
+    for _ in range(40):
+        ring = VarSet(("x1", "x2", "x3", "x4")[:rng.randint(3, 4)])
+        gens = tuple(random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
+                                 nonconstant=True) for _ in range(rng.randint(2, 3)))
+        cases.append((Ideal(ring, gens), rng.randint(1, len(ring) - 1)))
+    for blocks in (3, 4):
+        graphs = saturation_graph_ideals(monkeypatch, blocks)
+        assert graphs and all(k == 2 * blocks for _, k in graphs)
+        cases += graphs
+    dropped = 0
+    for ideal, k in cases:
+        gb = buchberger(ideal, TermOrder.block(k))
+        small = ideal.ring.drop_first(k)
+        kept = tuple(Polynomial(small, {m[k:]: c for m, c in g.terms.items()})
+                     for g, lm in zip(gb.basis, gb.leading) if not any(lm[:k]))
+        assert eliminate(ideal, k).generators == (kept or (small.zero(),))
+        dropped += 0 < len(kept) < len(gb.basis)
+    assert dropped >= 20
 
 
 # -- dimension ---------------------------------------------------------------------------

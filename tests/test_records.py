@@ -55,7 +55,7 @@ DERIVED = {
     FamilySpec: ("derivation", "quad_invariants", "w_ring", "x_ideal", "b_ideal",
                  "polarization_ideal"),
     KTheoryRanks: ("rank_z", "rank_closure", "rank_quotient"),
-    Dims: ("quotient",),
+    Dims: ("quotient", "codim"),
     VerificationReport: ("checks", "dims", "ranks", "boundary_codim", "m", "passed"),
 }
 
