@@ -54,7 +54,6 @@ from .groebner import (
     buchberger,
     divide_exact,
     eliminate,
-    gcd_univariate,
     is_squarefree,
     is_unit_ideal,
     krull_dimension,

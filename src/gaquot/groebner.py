@@ -1,9 +1,11 @@
 """Groebner-basis engine: the decision procedures behind the geometry.
 
-Normal forms, unit-ideal emptiness tests, elimination, Krull dimension
-via leading-term independent sets, subalgebra membership, and the
-univariate gcd all reduce to reduced Groebner bases computed by
-Buchberger's algorithm.  It selects pairs by the normal strategy
+Normal forms, unit-ideal emptiness tests (squarefreeness among them),
+elimination, Krull dimension via leading-term independent sets and
+subalgebra membership are all read off Groebner bases computed by
+Buchberger's algorithm: each verdict completes one run and reads its
+rows, and only `buchberger` builds a `GroebnerBasis` record.  It selects
+pairs by the normal strategy
 (smallest lcm first), except where it eliminates under a block order
 from a graph ideal of homogeneous polynomials, as the tag eliminations
 of homogeneous kernels do: there a block order's smallest lcm need not
@@ -13,7 +15,7 @@ settled without a run whenever an exact shortcut decides them, with
 Buchberger as the fallback: a unit-ideal test first sets each lone
 variable, a generator c*x_k, to zero in the others; and the
 squarefreeness test first looks for a modular certificate that p and p'
-are coprime, before the gcd over Q decides.
+are coprime, before the unit-ideal test of (p, p') over Q decides.
 One run state, `_Run`, holds the rows, the pair queue and the pair
 loop; `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
 candidate at a time over the graph ideal of all of them, deciding
@@ -199,8 +201,7 @@ class Ideal(_Record):
 
 class GroebnerBasis(_Record):
     """Reduced basis (monic, pairwise irreducible) of `source` under `order`.
-    Its three fields are all it holds, so equal records reduce alike;
-    `leading` reads each element's leading monomial off them."""
+    Its three fields are all it holds, so equal records reduce alike."""
 
     __slots__ = _fields = ("order", "basis", "source")
 
@@ -208,10 +209,6 @@ class GroebnerBasis(_Record):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "source", source)
-
-    @property
-    def leading(self) -> tuple:
-        return tuple(min(g.terms, key=self.order.descending_key) for g in self.basis)
 
 
 class ResourceCaps(_Record):
@@ -567,7 +564,8 @@ class _Run:
 
 def _completed_run(ideal: Ideal, order: TermOrder, caps: ResourceCaps) -> _Run:
     """The run under `order` seeded with `ideal`'s generators, completed:
-    the one run behind `buchberger`, `eliminate` and `is_unit_ideal`."""
+    the one run behind `buchberger`, `eliminate`, `is_unit_ideal`,
+    `krull_dimension` and `subalgebra_membership`."""
     packing = _packing(order, len(ideal.ring))
     run = _Run(packing, caps, _selects_by_sugar(order, ideal.generators))
     for g in ideal.generators:
@@ -677,38 +675,7 @@ def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
                                for m, c in remainder.items()})
 
 
-# -- univariate gcd and squarefreeness -------------------------------------------
-
-
-def _single_variable(*polys: Polynomial) -> Union[str, None]:
-    """The unique variable the polynomials involve, or None if constant."""
-    used = set()
-    for p in polys:
-        used.update(p.variables())
-    if len(used) > 1:
-        raise NotUnivariateError(f"polynomials involve several variables: {sorted(used)}")
-    return next(iter(used)) if used else None
-
-
-def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials in a single common variable.
-
-    gcd(p, 0) is the monic scaling of p; gcd(0, 0) is 0.  In one variable
-    the reduced basis of (p, q) is the monic gcd, and the fraction-free
-    Buchberger run that computes it is Euclid on primitive integer
-    pseudo-remainders, the primitive PRS (Collins, JACM 14, 1967; Brown,
-    JACM 18, 1971): each remainder's content is divided out, so its
-    coefficients do not swell as in Euclid over the rationals.  No
-    remainder has a degree above the larger input degree, which is the
-    run's degree cap.
-    """
-    if p.ring != q.ring:
-        raise RingMismatchError("gcd operands live over different rings")
-    _single_variable(p, q)
-    if p.is_zero() and q.is_zero():
-        return p.ring.zero()
-    caps = ResourceCaps(max_degree=max(p.total_degree(), q.total_degree()))
-    return buchberger(Ideal(p.ring, (p, q)), caps=caps).basis[0]
+# -- squarefreeness ------------------------------------------------------------------
 
 
 # Fixed primes of the modular coprimality certificate, tried in order, so
@@ -742,8 +709,8 @@ def _coprime_mod(a: list, b: list, prime: int) -> bool:
 def is_squarefree(p: Polynomial) -> bool:
     """True iff a nonzero univariate polynomial has no repeated roots.
 
-    Over the rationals this is exactly gcd(p, p') being constant, which
-    certifies distinct roots over the algebraic closure.  A modular
+    Over the rationals this is exactly (p, p') = (1), p and p' coprime,
+    which certifies distinct roots over the algebraic closure.  A modular
     certificate (von zur Gathen and Gerhard, "Modern Computer Algebra",
     ch. 6) decides most inputs with no Groebner run.  With a and b the
     integer polynomials d*p and e*p', d and e the lcms of the
@@ -752,20 +719,28 @@ def is_squarefree(p: Polynomial) -> bool:
     Q.  For a nonconstant common factor of a and b can be taken primitive
     in Z[x], where it divides a, so its leading coefficient divides lc(a)
     and it keeps its degree mod the prime.  A common factor mod the prime
-    proves nothing, so when no prime certifies, gcd_univariate decides.
+    proves nothing, so when no prime certifies, `is_unit_ideal` decides on
+    (p, p').  In one variable its fraction-free grevlex run is Euclid on
+    primitive integer pseudo-remainders, the primitive PRS (Collins, JACM
+    14, 1967; Brown, JACM 18, 1971): each remainder's content is divided
+    out, so its coefficients do not swell as in Euclid over the rationals.
+    No remainder has a degree above deg p, which is the run's degree cap.
     """
     if p.is_zero():
         raise ZeroPolynomialError("squarefreeness is undefined for 0")
-    name = _single_variable(p)
-    if name is None:
+    used = p.variables()
+    if len(used) > 1:
+        raise NotUnivariateError(f"polynomials involve several variables: {sorted(used)}")
+    if not used:
         return True  # nonzero constants have no roots at all
-    derivative = p.partial(name)
-    degree_of = itemgetter(p.ring.index(name))
+    derivative = p.partial(used[0])
+    degree_of = itemgetter(p.ring.index(used[0]))
     a, b = ([terms.get(e, 0) for e in range(max(terms) + 1)]  # ascending degree
             for terms, _ in (_integer_terms(r.terms, degree_of) for r in (p, derivative)))
     if any(a[-1] % prime and _coprime_mod(a, b, prime) for prime in _COPRIME_PRIMES):
         return True
-    return gcd_univariate(p, derivative).is_constant()
+    return is_unit_ideal(Ideal(p.ring, (p, derivative)),
+                         ResourceCaps(max_degree=p.total_degree()))
 
 
 # -- elimination, dimension -----------------------------------------------------
@@ -788,17 +763,22 @@ def eliminate(ideal: Ideal, first_k: int,
 
 
 def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
-    """Dimension of the vanishing set: Buchberger, then the largest set of
-    variables containing the support of no leading monomial (the
-    independent-set criterion, Becker and Weispfenning, GTM 141, 9.3).
-    The unit ideal raises UnitIdealError.  So the zero ideal gives n and
-    a nonconstant principal ideal n - 1, a hypersurface (Cox, Little and
+    """Dimension of the vanishing set: the largest set of variables
+    containing the support of no leading monomial of a grevlex Groebner
+    basis (the independent-set criterion, Becker and Weispfenning, GTM
+    141, 9.3).  The active rows of the completed run are a minimal basis,
+    so their leading monomials are those of the reduced basis; the zero
+    ideal leaves no rows.  The unit ideal, where a constant (packed as 0)
+    leads a row, raises UnitIdealError.  So the zero ideal gives n and a
+    nonconstant principal ideal n - 1, a hypersurface (Cox, Little and
     O'Shea, "Ideals, Varieties, and Algorithms", ch. 9)."""
     n = len(ideal.ring)
-    gb = buchberger(ideal, caps=caps)
-    if len(gb.basis) == 1 and gb.basis[0] == 1:
+    run = _completed_run(ideal, TermOrder.grevlex(), caps)
+    leading = [lm for lm, _, _ in run.rows]
+    if 0 in leading:
         raise UnitIdealError("the empty set has no dimension")
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading]
+    unpack = run.packing.unpack
+    supports = [frozenset(i for i, e in enumerate(unpack(lm)) if e) for lm in leading]
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             chosen = set(subset)
@@ -935,26 +915,33 @@ class _GraphSpan:
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
                           caps: ResourceCaps = DEFAULT_CAPS):
     """Decide membership in the subalgebra generated by `gens`, by one
-    basis computed from scratch.
+    run computed from scratch.
 
     Tag variables y_i are adjoined with relations y_i - gens_i; under a
     block order eliminating the original variables the normal form of f
     mentions only tags exactly when f is a member.  Returns (flag,
-    witness) where the witness is that tag polynomial over y1..ym.
+    witness) where the witness is that tag polynomial over y1..ym.  A
+    normal form is the same modulo every Groebner basis of the ideal, so
+    f's packed terms, which are those of f over the big ring, reduce
+    against the active rows of the completed run; with no generators the
+    graph ideal is the zero ideal, which leaves no rows.
     """
     ring = f.ring
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("subalgebra generators over the wrong ring")
     n = len(ring)
-    nf = f
-    if gens:
-        graph = _graph_ideal(ring, gens)
-        nf = normal_form(f.embed(graph.ring), buchberger(graph, TermOrder.block(n), caps=caps))
-    if any(any(exps[:n]) for exps in nf.terms):
+    graph = _graph_ideal(ring, gens) if gens else Ideal(ring, (ring.zero(),))
+    run = _completed_run(graph, TermOrder.block(n), caps)
+    work, d = _integer_terms(f.terms, run.packing.pack)
+    remainder, scale = _reduce_full(work, run.rows, run.packing.guard)
+    ring_fields = (1 << _EXPONENT_BITS * n) - 1
+    if any(m & ring_fields for m in remainder):
         return False, None
+    d *= scale
     witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
-    return True, Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})
+    return True, Polynomial(witness_ring, {run.packing.unpack(m)[n:]: _exact_quotient(c, d)
+                                           for m, c in remainder.items()})
 
 
 def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],

@@ -15,8 +15,8 @@ value compare, hash and print alike, so the form is invisible outside;
 it keeps the integral coefficients of the common case off `Fraction`
 arithmetic.  Every division of coefficients goes through
 `_exact_quotient`, which keeps that form.  Division of polynomials,
-including the univariate gcd, belongs to the one reduction engine in
-`groebner`.
+and the coprimality of p and p' behind the squarefreeness test, belong
+to the one reduction engine in `groebner`.
 
 Text is read in one recursive-descent pass whose rules return term
 dicts: a sum accumulates into one dict, products and powers go through
@@ -357,8 +357,12 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        # Equal polynomials have equal supports, and the support's tuples of
-        # ints hash without the modular inverse that a Fraction's hash takes.
+        # A constant equals the number it is, so it hashes as that number (the
+        # zero polynomial as 0).  Other equal polynomials have equal supports,
+        # and the support's tuples of ints hash without the modular inverse
+        # that a Fraction's hash takes.
+        if len(self.terms) < 2 and self.is_constant():
+            return hash(self.constant_term())
         return hash((self.ring.names, frozenset(self.terms)))
 
     # -- calculus and substitution ----------------------------------------

@@ -2,8 +2,10 @@
 
 The oracles deliberately take different routes from the library code:
 univariate gcd by list-based Euclid, Groebner bases, resultants and dense
-kernel solves via sympy, and polynomial text by the parser and printer
-that worked through Polynomial and Fraction arithmetic.
+kernel solves via sympy, polynomial text by the parser and printer
+that worked through Polynomial and Fraction arithmetic, and Krull
+dimension and subalgebra membership through the reduced basis record
+that `buchberger` builds and `normal_form` reduces against.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import sympy as sp
 
-from gaquot import (Ideal, ParseError, Polynomial, UnknownVariableError, VarSet,
+from gaquot import (Ideal, ParseError, Polynomial, TermOrder, UnknownVariableError, VarSet,
                     VerificationReport, buchberger, is_unit_ideal, normal_form)
 
 
@@ -127,6 +129,52 @@ def in_ideal(f: Polynomial, ideal: Ideal) -> bool:
     """Membership by the library's own normal form; not an oracle, for
     tests whose independent check lies elsewhere."""
     return normal_form(f, buchberger(ideal)).is_zero()
+
+
+# -- the verdicts through a reduced basis record -------------------------------
+
+
+def leading_monomials(gb) -> tuple:
+    """The leading monomial of each element of a GroebnerBasis, under its
+    order, in the order of the basis."""
+    return tuple(min(g.terms, key=gb.order.descending_key) for g in gb.basis)
+
+
+def independent_set_dimension(n, leading):
+    """The largest set of the n variables containing the support of no
+    monomial of `leading`: the dimension rule on leading monomials."""
+    supports = [{i for i, e in enumerate(lm) if e} for lm in leading]
+    return max(size for size in range(n + 1) for subset in combinations(range(n), size)
+               if not any(support <= set(subset) for support in supports))
+
+
+def basis_krull_dimension(ideal: Ideal):
+    """krull_dimension by the route through the basis record: the
+    independent-set rule on the leading monomials of `buchberger`'s
+    reduced grevlex basis, or "unit" for the unit ideal."""
+    gb = buchberger(ideal)
+    if gb.basis == (ideal.ring.one(),):
+        return "unit"
+    return independent_set_dimension(len(ideal.ring), leading_monomials(gb))
+
+
+def basis_subalgebra_membership(f: Polynomial, gens):
+    """subalgebra_membership by the route through the basis record: the
+    normal form of f, embedded in the graph ideal's ring, modulo
+    `buchberger`'s reduced basis of the graph ideal under the block order
+    eliminating f's ring; f itself with no generators.  (member, witness
+    over y1..ym) when the normal form is tag-only, else (False, None)."""
+    from gaquot.groebner import _graph_ideal
+
+    ring, n = f.ring, len(f.ring)
+    nf = f
+    if gens:
+        graph = _graph_ideal(ring, gens)
+        nf = normal_form(f.embed(graph.ring), buchberger(graph, TermOrder.block(n)))
+    if any(any(exps[:n]) for exps in nf.terms):
+        return False, None
+    witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
+    return True, Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})
 
 
 def euclid_gcd_coeffs(a, b):

@@ -156,7 +156,29 @@ MUTANTS = [
      "TermOrder.grevlex(), caps).rows[0][0] == 0\n",
      "TermOrder.grevlex(), caps).basis[0][0] == 0\n",
      (GROEBNER_TESTS + "test_unit_iff_one_is_member",
+      GROEBNER_TESTS + "test_unit_ideal_shortcut_agrees_with_buchberger_on_seeded_ideals",
       FAMILY_TESTS + "test_smoothness_of_closure_and_boundary")),
+    ("dimension read off the last tail monomial", GROEBNER,
+     "    leading = [lm for lm, _, _ in run.rows]\n",
+     "    leading = [(tail or ((lm, lc),))[-1][0] for lm, lc, tail in run.rows]\n",
+     (GROEBNER_TESTS + "test_krull_dimension_matches_the_basis_route",
+      GROEBNER_TESTS + "test_dimension_boundary_slice")),
+    ("dimension with no unit check", GROEBNER,
+     "    if 0 in leading:\n", "    if False:\n",
+     (GROEBNER_TESTS + "test_dimension_of_unit_ideal_rejected",
+      GROEBNER_TESTS + "test_krull_dimension_matches_the_basis_route",
+      GROEBNER_TESTS + "test_no_verdict_builds_a_basis_record")),
+    ("membership mask one field short", GROEBNER,
+     "    ring_fields = (1 << _EXPONENT_BITS * n) - 1\n",
+     "    ring_fields = (1 << _EXPONENT_BITS * (n - 1)) - 1\n",
+     (GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",)),
+    ("membership witness not divided by the scale", GROEBNER,
+     "    d *= scale\n    witness_ring", "    witness_ring",
+     (GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",)),
+    ("squarefree fallback under the default caps", GROEBNER,
+     "                         ResourceCaps(max_degree=p.total_degree()))\n",
+     "                         DEFAULT_CAPS)\n",
+     (POLY_TESTS + "test_squarefree_above_the_default_degree_cap",)),
     ("unit coefficient read off the numerator", POLY,
      '    elif mag == "1":\n', "    elif num == 1:\n",
      (POLY_TESTS + "test_printing_matches_the_fraction_arithmetic_printer",

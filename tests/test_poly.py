@@ -1,6 +1,6 @@
-"""Polynomial core: parsing, arithmetic, calculus, the univariate gcd that
-`groebner` runs on Buchberger, and the squarefreeness test with its
-modular certificate."""
+"""Polynomial core: parsing, arithmetic, calculus, hashing, and the
+squarefreeness test with its modular certificate and its unit-ideal
+fallback."""
 
 import random
 import re
@@ -25,7 +25,6 @@ from gaquot import (
     ZeroPolynomialError,
     buchberger,
     divide_exact,
-    gcd_univariate,
     is_squarefree,
     jacobian,
     kernel_linear,
@@ -396,64 +395,17 @@ def test_jacobian_identity_block():
     assert rows == [[W.one(), W.zero()], [W.zero(), W.one()]]
 
 
-# -- univariate gcd and squarefreeness ---------------------------------------------
+# -- squarefreeness ----------------------------------------------------------------
 
 
-def test_gcd_monomials():
-    assert gcd_univariate(parse("s^2", S), parse("s^3", S)) == parse("s^2", S)
-
-
-def test_gcd_shared_factor():
-    # oracle: Euclid on coefficient lists
-    p = parse("(1+s)*(1+2*s)", S)
-    q = parse("1+s", S)
-    got = gcd_univariate(p, q)
-    oracle = euclid_gcd_coeffs(coeff_list(p, "s"), coeff_list(q, "s"))
-    assert coeff_list(got, "s") == oracle
-    assert got == parse("s + 1", S)
-
-
-def test_gcd_unit():
-    assert gcd_univariate(parse("1+s", S), S.one()) == S.one()
-
-
-def test_gcd_with_zero_is_monic_scaling():
-    assert gcd_univariate(parse("2*s^2 + 2*s", S), S.zero()) == parse("s^2 + s", S)
-    assert gcd_univariate(S.zero(), S.zero()).is_zero()
-
-
-def test_gcd_rejects_two_variables():
-    with pytest.raises(NotUnivariateError):
-        gcd_univariate(P("w1"), P("w2"))
-
-
-def test_gcd_divides_and_is_divided_randomized():
-    from gaquot import divide_exact
-
-    rng = random.Random(20240805)
-    # s alone, then s inside a ring whose other variables stay unused
-    for ring in (S, VarSet(("t", "s", "u"))):
-        for _ in range(60):
-            common, a, b = (random_poly(rng, S, max_degree=2, max_terms=3,
-                                        allow_zero=False).embed(ring) for _ in range(3))
-            p, q = common * a, common * b
-            g = gcd_univariate(p, q)
-            assert g.ring == ring
-            assert divide_exact(p, g) is not None
-            assert divide_exact(q, g) is not None
-            # any common divisor divides the gcd
-            assert divide_exact(g, gcd_univariate(common, g)) is not None
-            oracle = euclid_gcd_coeffs(coeff_list(p, "s"), coeff_list(q, "s"))
-            assert coeff_list(g, "s") == oracle
-
-
-def test_gcd_above_the_default_degree_cap():
-    """The run's degree cap is the larger input degree, not DEFAULT_CAPS:
-    the remainders of the second pair reach degree 65, above its 60."""
-    assert gcd_univariate(parse("(s+1)^70", S), parse("(s+1)^35*(s-1)", S)) \
-        == parse("(s+1)^35", S)
-    assert gcd_univariate(parse("(s+1)^70", S), parse("(s+1)^65*(s-1)", S)) \
-        == parse("(s+1)^65", S)
+def test_squarefree_above_the_default_degree_cap():
+    """The fallback run's degree cap is deg p, not DEFAULT_CAPS: no prime
+    certifies these shapes, and the remainders of (p, p') reach degree 69,
+    above its 60."""
+    for text in ("(s+1)^70", "(s+1)^35*(s-1)^35", "(s+1)^65*(s-1)^3*(s+2)^2"):
+        p = parse(text, S)
+        assert p.total_degree() == 70
+        assert not is_squarefree(p)
 
 
 def test_squarefree_three_distinct_roots():
@@ -490,8 +442,7 @@ def test_squarefree_high_degree_rejects_a_doubled_root():
     that of its last, so the last root is doubled."""
     factors = signed_roots_factors(30, 7)
     f1 = prod(factors[1:] + factors[-1:], start=S.one())
-    assert gcd_univariate(f1, f1.partial("s")) == sympy_monic_gcd(f1, f1.partial("s")) \
-        == monic(factors[-1])
+    assert sympy_monic_gcd(f1, f1.partial("s")) == monic(factors[-1])
     assert not is_squarefree(f1)
 
 
@@ -502,19 +453,20 @@ def sympy_squarefree(p: Polynomial) -> bool:
 def test_squarefree_agrees_with_sympy_on_signed_roots():
     """Every signed-roots product of deg 1..30 is squarefree, and stays so
     under the modular certificate; with one factor doubled it is not, and
-    the fallback gcd says so."""
+    the fallback unit-ideal test says so."""
     rng = random.Random(20261018)
     for degree in range(1, 31):
         factors = signed_roots_factors(degree, degree)
         p = prod(factors, start=S.one())
         doubled = p * rng.choice(factors)
         for q in (p, doubled):
-            assert is_squarefree(q) == sympy_squarefree(q) \
-                == gcd_univariate(q, q.partial("s")).is_constant()
+            assert is_squarefree(q) == sympy_squarefree(q)
         assert is_squarefree(p)
 
 
 def test_squarefree_agrees_with_sympy_on_rational_coefficients():
+    """And with Euclid on coefficient lists: p is squarefree iff its gcd
+    with p' is constant."""
     rng = random.Random(20261019)
     verdicts = []
     for _ in range(60):
@@ -524,7 +476,8 @@ def test_squarefree_agrees_with_sympy_on_rational_coefficients():
             p = p * random_poly(rng, S, max_degree=2, max_terms=2, allow_zero=False,
                                 nonconstant=True) ** 2
         verdicts.append(is_squarefree(p))
-        assert verdicts[-1] == sympy_squarefree(p)
+        euclid = euclid_gcd_coeffs(coeff_list(p, "s"), coeff_list(p.partial("s"), "s"))
+        assert verdicts[-1] == sympy_squarefree(p) == (len(euclid) == 1)
     assert 5 < verdicts.count(False) < 55
 
 
@@ -549,7 +502,7 @@ def test_squarefree_over_q_but_square_mod_a_prime(prime, monkeypatch):
 
 def test_squarefree_mod_no_prime_falls_back_to_the_gcd(monkeypatch):
     """A square mod every prime of the tuple, squarefree over Q: the
-    fallback gcd decides."""
+    fallback unit-ideal test of (p, p') decides."""
     p = parse(f"(s - 1)*(s - 1 - {prod(COPRIME_PRIMES)})", S)
     verdicts = []
     assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) != []
@@ -570,10 +523,12 @@ def test_squarefree_skips_a_prime_dividing_the_leading_coefficient():
 
 
 def test_repeated_root_is_rejected_through_the_fallback(monkeypatch):
-    p = parse("(1+s)^2*(1+2*s)", S)
-    verdicts = []
-    assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) != []
-    assert verdicts == [False]
+    """Also for s inside a ring whose other variables stay unused."""
+    for ring in (S, VarSet(("t", "s", "u"))):
+        p = parse("(1+s)^2*(1+2*s)", ring)
+        verdicts = []
+        assert spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_squarefree(p))) != []
+        assert verdicts == [False]
 
 
 def test_squarefree_at_degree_30_makes_no_run(monkeypatch):
@@ -624,9 +579,6 @@ def test_coefficients_stay_canonical_through_every_layer():
             gb = buchberger(Ideal(xyz, (p, q)), order)
             outputs += list(gb.basis)
             outputs.append(normal_form(p * p + x, gb))
-        u = random_poly(rng, S, max_degree=4, max_terms=4, denominator_bound=bound)
-        v = random_poly(rng, S, max_degree=3, max_terms=3, denominator_bound=bound)
-        outputs.append(gcd_univariate(u * v, v * v))
     echelon = Echelon()
     for _ in range(30):
         vector = random_poly(rng, xyz, max_degree=2, max_terms=4, denominator_bound=3)
@@ -654,6 +606,22 @@ def test_int_and_fraction_build_the_same_polynomial():
     assert half.terms == {(0, 1): Fraction(1, 2)}
     assert ring.const(Fraction(4, 2)) == 2 and type(ring.const(Fraction(4, 2)).terms[(0, 0)]) is int
     assert type(P("w1 + 4/2").constant_term()) is int
+
+
+def test_a_constant_hashes_as_the_number_it_equals():
+    """Objects that compare equal hash equal: a constant polynomial equals
+    its coefficient, and the zero polynomial equals 0, so each hashes as
+    that number and meets it in a set.  A nonconstant polynomial keeps
+    the hash of its ring and support, which takes no Fraction hash."""
+    ring = VarSet(("x", "y"))
+    for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3), True):
+        c = ring.const(value)
+        assert c == value and hash(c) == hash(value)
+        assert len({c, value}) == 1 and value in {c} and c in {value}
+    assert hash(ring.zero()) == hash(0) and ring.zero() in {0}
+    assert hash(ring.one()) == hash(VarSet(("s",)).one()) and ring.one() != VarSet(("s",)).one()
+    p = Polynomial(ring, {(1, 0): Fraction(1, 3), (0, 0): 2})
+    assert hash(p) == hash((ring.names, frozenset({(1, 0), (0, 0)})))
 
 
 def test_non_rational_coefficients_are_rejected():
