@@ -1,6 +1,6 @@
-"""Polynomial core: parsing, arithmetic, calculus, hashing, and the
-squarefreeness test with its modular certificate and its unit-ideal
-fallback."""
+"""Polynomial core: parsing, arithmetic, calculus, hashing, coprimality
+as a unit-ideal verdict, and the squarefreeness test with its modular
+certificate and its unit-ideal fallback."""
 
 import random
 import re
@@ -26,6 +26,7 @@ from gaquot import (
     buchberger,
     divide_exact,
     is_squarefree,
+    is_unit_ideal,
     jacobian,
     kernel_linear,
     lower_triangular_derivation,
@@ -406,6 +407,44 @@ def test_squarefree_above_the_default_degree_cap():
         p = parse(text, S)
         assert p.total_degree() == 70
         assert not is_squarefree(p)
+
+
+# -- coprimality: (p, q) = (1) -------------------------------------------------------
+
+
+def test_coprime_iff_no_shared_factor():
+    """p and q are coprime iff (p, q) is the unit ideal: a shared factor
+    or a shared power of s keeps it proper, a unit or distinct roots do not."""
+    for p, q, coprime in (("s^2", "s^3", False), ("(1+s)*(1+2*s)", "1+s", False),
+                          ("1+s", "1", True), ("(1+s)*(1+2*s)", "1+3*s", True),
+                          ("s^2 + 1", "s^2 - 1", True)):
+        assert is_unit_ideal(Ideal(S, (parse(p, S), parse(q, S)))) is coprime
+
+
+def test_coprime_with_zero_iff_a_nonzero_constant():
+    """(p, 0) = (p), which is the unit ideal iff p is a nonzero constant."""
+    for text, unit in (("2*s^2 + 2*s", False), ("s", False), ("3", True), ("0", False)):
+        assert is_unit_ideal(Ideal(S, (parse(text, S), S.zero()))) is unit
+
+
+def test_coprime_agrees_with_euclid_randomized():
+    """The unit-ideal verdict of (p, q) is Euclid's constant gcd, for s
+    alone and for s inside a ring whose other variables stay unused; a
+    nonconstant common factor always keeps the ideal proper."""
+    rng = random.Random(20240805)
+    verdicts = []
+    for ring in (S, VarSet(("t", "s", "u"))):
+        for _ in range(60):
+            common, a, b = (random_poly(rng, S, max_degree=2, max_terms=3,
+                                        allow_zero=False) for _ in range(3))
+            p, q = (r.embed(ring) for r in (a, b))
+            euclid = euclid_gcd_coeffs(coeff_list(p, "s"), coeff_list(q, "s"))
+            verdicts.append(is_unit_ideal(Ideal(ring, (p, q))))
+            assert verdicts[-1] == (len(euclid) == 1)
+            if not common.is_constant():
+                shared = common.embed(ring)
+                assert not is_unit_ideal(Ideal(ring, (shared * p, shared * q)))
+    assert 10 < verdicts.count(False) < 110
 
 
 def test_squarefree_three_distinct_roots():
