@@ -53,7 +53,6 @@ from .groebner import (
     TermOrder,
     buchberger,
     divide_exact,
-    eliminate,
     is_squarefree,
     is_unit_ideal,
     krull_dimension,

@@ -53,10 +53,9 @@ from .groebner import (
     DEFAULT_CAPS,
     Ideal,
     ResourceCaps,
-    _graph_ideal,
+    _graph_relations,
     _GraphSpan,
     divide_exact,
-    eliminate,
 )
 from .linalg import Echelon
 from .poly import (
@@ -454,7 +453,7 @@ def _saturation_round(derivation: Derivation, a: Polynomial, span, known: set,
     """
     ring = derivation.ring
     kept = span.kept
-    relations = eliminate(_graph_ideal(ring, kept, extra=(a,)), len(ring), caps=caps)
+    relations = _graph_relations(ring, kept, (a,), caps)
     assignment = dict(zip(relations.ring.names, kept))
     new = []
     for p in relations.generators:

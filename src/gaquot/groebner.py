@@ -1,7 +1,7 @@
 """Groebner-basis engine: the decision procedures behind the geometry.
 
 Normal forms, unit-ideal emptiness tests (squarefreeness among them),
-elimination, Krull dimension via leading-term independent sets and
+tag elimination, Krull dimension via leading-term independent sets and
 subalgebra membership are all read off Groebner bases computed by
 Buchberger's algorithm: each verdict completes one run and reads its
 rows, and only `buchberger` builds a `GroebnerBasis` record.  It selects
@@ -17,11 +17,13 @@ variable, a generator c*x_k, to zero in the others; and the
 squarefreeness test first looks for a modular certificate that p and p'
 are coprime, before the unit-ideal test of (p, p') over Q decides.
 One run state, `_Run`, holds the rows, the pair queue and the pair
-loop; `buchberger` seeds it once, and `_GraphSpan` grows it one subalgebra
-candidate at a time over the graph ideal of all of them, deciding
-membership and eliminating the relations among the survivors.  One
-read-out, `_Run.reduced`, gives `buchberger`, `eliminate` and the relations
-their part of a completed run's reduced basis.  Pairs
+loop.  Its input is packed seeds: `_completed_run` seeds it once and
+completes it for `buchberger`, `is_unit_ideal`, `krull_dimension` and
+`_graph_run`, and `_GraphSpan` grows it one subalgebra candidate at a
+time over the graph ideal of all of them, deciding membership and
+eliminating the relations among the survivors.  One read-out,
+`_Run.reduced`, gives `buchberger` and the graph relations
+(`_relations`) their part of a completed run's reduced basis.  Pairs
 are pruned when they are formed, by the update of Gebauer and Moeller
 ("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
 UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
@@ -33,13 +35,15 @@ retired leading monomial is a multiple of an active one, remainders are
 still full normal forms.  Output is deterministic for fixed input and
 order; a reduced basis is listed in ascending order of leading monomial.
 Each term order is one descending sort key, built on the one grevlex key
-of `poly`.  The tag-variable graph ideal is defined twice, as a pair:
-`_graph_ideal` builds its polynomials over the ring extended by the
-tags (`_tag_ring`), for elimination and one-shot membership, and
-`_GraphSpan._seed` packs the same generators straight from the
-candidates' terms, or, for the v3 presentation alone
-(`families.invariant_presentation`), congruent ones from seed forms,
-each equal to its candidate once its tags are replaced by the
+of `poly`.  The tag-variable graph ideal (extra) + (y_i - g_i), over
+the ring extended by one tag y_i per g_i (`_tag_ring`), is defined
+once: `_graph_seed` packs y_i - g_i straight from the terms of g_i, so
+no polynomial over the extended ring is built.  `_graph_run` seeds a
+run with the whole ideal, for the one-shot `subalgebra_membership` and
+the elimination `_graph_relations` of the saturation rounds, and
+`_GraphSpan` one generator at a time, with g_i its candidate or, for
+the v3 presentation alone (`families.invariant_presentation`), a seed
+form equal to its candidate once its tags are replaced by the
 candidates they tag; no public function takes a seed form.
 
 Buchberger, normal forms and the pair update work on packed monomials:
@@ -237,8 +241,14 @@ _EXPONENT_BITS = 32
 _EXPONENT_BOUND = 1 << (_EXPONENT_BITS - 1)  # the top bit of each field is its guard
 
 
+def _first_fields(k: int) -> int:
+    """The mask of the exponent fields of the first k variables, the
+    lowest fields: a packed monomial is free of them iff it misses it."""
+    return (1 << _EXPONENT_BITS * k) - 1
+
+
 class _Packing:
-    """Monomials of an n-variable ring under one term order as ints.
+    """Monomials of an n-variable ring under one term order, `order`, as ints.
 
     pack(e) = sum of e_i * weight_i, so the packing is linear: the
     product of monomials is the sum of their packed ints, and a tuple of
@@ -262,6 +272,7 @@ class _Packing:
     are the lowest, `low` masks them, and `lcm` works on them alone."""
 
     def __init__(self, order: TermOrder, n: int):
+        self.order = order
         width = _EXPONENT_BITS + n.bit_length()
         self._degree_shift = _EXPONENT_BITS * n
         self._degree_mask = (1 << width) - 1
@@ -273,7 +284,7 @@ class _Packing:
                            + (1 << self._degree_shift) + (1 << (_EXPONENT_BITS * i)))
         self.weights = tuple(weights)
         self.guard = sum(_EXPONENT_BOUND << (_EXPONENT_BITS * i) for i in range(n))
-        self.low = (1 << self._degree_shift) - 1
+        self.low = _first_fields(n)
         self._low_bytes = _EXPONENT_BITS // 8 * n
         self._fields = Struct(f"<{n}I")
 
@@ -450,22 +461,23 @@ def _update(pairs: list, basis: list, sugar: Optional[list], active: list,
     return [i for i in active if (basis[i][0] - h) & guard] + [j]
 
 
-def _selects_by_sugar(order: TermOrder, seeds: Sequence[Polynomial]) -> bool:
-    """Whether a run under `order` from `seeds` selects pairs by sugar:
-    under a block order, when every seed is homogeneous or c*y - g, with
-    y a variable of the second block and g homogeneous in the first.  A
-    tag elimination of homogeneous generators, with homogeneous extras,
-    is such a run: weighting each tag y by the degree of its g makes
-    every seed homogeneous."""
-    if order.kind != "block":
+def _selects_by_sugar(packing: _Packing, seeds: Sequence[dict]) -> bool:
+    """Whether a run under `packing` from the packed term dicts `seeds`
+    selects pairs by sugar: under a block order, when every seed is
+    homogeneous or c*y - g, with y a variable of the second block and g
+    homogeneous in the first.  A tag elimination of homogeneous
+    generators, with homogeneous extras, is such a run: weighting each
+    tag y by the degree of its g makes every seed homogeneous."""
+    if packing.order.kind != "block":
         return False
-    k = order.block_size
-    for p in seeds:
-        if len({sum(m) for m in p.terms}) == 1:
+    outside = packing.low ^ _first_fields(packing.order.block_size)  # the second block
+    degree = packing.degree
+    for seed in seeds:
+        if len(set(map(degree, seed))) == 1:
             continue
-        outside = [m for m in p.terms if any(m[k:])]
-        if len(outside) != 1 or sum(outside[0]) != 1 \
-                or len({sum(m) for m in p.terms if not any(m[k:])}) != 1:
+        tagged = [m for m in seed if m & outside]
+        if len(tagged) != 1 or degree(tagged[0]) != 1 \
+                or len({degree(m) for m in seed if not m & outside}) != 1:
             return False
     return True
 
@@ -481,7 +493,7 @@ class _Run:
     multiple of an active one, so remainders are full normal forms.
 
     A run selects pairs by sugar (Giovini, Mora, Niesi, Robbiano and
-    Traverso, "One sugar cube, please", ISSAC 1991) when `buchberger`
+    Traverso, "One sugar cube, please", ISSAC 1991) when `_completed_run`
     finds that `_selects_by_sugar` holds for its seeds.  A seed row's
     sugar is its total degree, and an S-polynomial remainder's is its
     pair's, or its own total degree if that is larger: an estimate of
@@ -489,10 +501,13 @@ class _Run:
     order's smallest lcm need not have the least degree: by smallest lcm
     the tag eliminations of `kernel_saturation` on seven blocks reduce
     77,610 S-polynomials, against 4,049 by sugar.  Every other run takes
-    the smallest lcm first.  grevlex is degree-first already; under lex,
-    sugar makes katsura-3 about 600 times slower, and under the block
-    order eliminating 3 of katsura-4's 5 variables, it takes half a
-    second to over 15 minutes.  `_GraphSpan` adds its seeds one at a time
+    the smallest lcm first.  grevlex is degree-first already.  With the
+    sugar test forced on (`buchberger` on one core of a 2-core Xeon,
+    Python 3.11.7), sugar makes katsura-3 under lex about 30 times
+    slower, 64 ms against 2.2 ms (best of 5), with 27 S-polynomials
+    either way; under the block order eliminating 3 of katsura-4's 5
+    variables, a run of 0.24 s by smallest lcm (best of 3) had not ended
+    by sugar after 16 minutes.  `_GraphSpan` adds its seeds one at a time
     to a run started empty, so its runs keep the smallest lcm first too.
     Reduced bases are unique, so the selection changes the work done,
     never the result."""
@@ -562,14 +577,14 @@ class _Run:
         return final
 
 
-def _completed_run(ideal: Ideal, order: TermOrder, caps: ResourceCaps) -> _Run:
-    """The run under `order` seeded with `ideal`'s generators, completed:
-    the one run behind `buchberger`, `eliminate`, `is_unit_ideal`,
-    `krull_dimension` and `subalgebra_membership`."""
-    packing = _packing(order, len(ideal.ring))
-    run = _Run(packing, caps, _selects_by_sugar(order, ideal.generators))
-    for g in ideal.generators:
-        reduced = run.reduce(_integer_terms(g.terms, packing.pack)[0])
+def _completed_run(packing: _Packing, seeds: Sequence[dict], caps: ResourceCaps) -> _Run:
+    """The run under `packing` seeded with the packed integer term dicts
+    `seeds`, in order, completed: the one run behind `buchberger`,
+    `is_unit_ideal`, `krull_dimension` and `_graph_run`.  Consumes
+    `seeds`."""
+    run = _Run(packing, caps, _selects_by_sugar(packing, seeds))
+    for seed in seeds:
+        reduced = run.reduce(seed)
         if reduced:
             run.append(reduced)
     run.complete()
@@ -594,10 +609,11 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     that survive the pruning of `_update`.  Every exponent of the input
     and of the terms the reduction reaches must stay below 2**31.  Passing
     a cap or that bound raises ResourceCapError."""
-    order = order or TermOrder.grevlex()
-    run = _completed_run(ideal, order, caps)
+    packing = _packing(order or TermOrder.grevlex(), len(ideal.ring))
+    seeds = [_integer_terms(g.terms, packing.pack)[0] for g in ideal.generators]
+    run = _completed_run(packing, seeds, caps)
     polys = _monic(run.reduced(), run.packing, ideal.ring, range(len(ideal.ring)))
-    return GroebnerBasis(order, polys, ideal)
+    return GroebnerBasis(packing.order, polys, ideal)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -640,8 +656,9 @@ def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
         return True
     if not gens:
         return False
-    seeds = Ideal(ideal.ring, tuple(Polynomial(ideal.ring, t) for t in gens))
-    return _completed_run(seeds, TermOrder.grevlex(), caps).rows[0][0] == 0
+    packing = _packing(TermOrder.grevlex(), len(ideal.ring))
+    seeds = [_integer_terms(t, packing.pack)[0] for t in gens]
+    return _completed_run(packing, seeds, caps).rows[0][0] == 0
 
 
 def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
@@ -668,7 +685,7 @@ def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     row, cleared = _integer_terms(d.terms, lambda m: packing.pack((1,) + m))
     row[0] = -cleared  # the constant packs as 0, the least monomial
     remainder, scale = _reduce_full(work, [_row(dict(sorted(row.items())))], packing.guard)
-    if any(m & (1 << _EXPONENT_BITS) - 1 for m in remainder):  # t's exponent field
+    if any(m & _first_fields(1) for m in remainder):  # t's exponent field
         return None
     denominator *= scale
     return Polynomial(p.ring, {packing.unpack(m)[1:]: _exact_quotient(c, denominator)
@@ -743,23 +760,7 @@ def is_squarefree(p: Polynomial) -> bool:
                          ResourceCaps(max_degree=p.total_degree()))
 
 
-# -- elimination, dimension -----------------------------------------------------
-
-
-def eliminate(ideal: Ideal, first_k: int,
-              caps: ResourceCaps = DEFAULT_CAPS) -> Ideal:
-    """Generators of the intersection with the subring dropping the first
-    k variables: the rows of the reduced basis under the block order
-    eliminating them whose leading monomials are free of them
-    (`_Run.reduced`).  Only those rows are interreduced and become
-    polynomials."""
-    if not 0 <= first_k <= len(ideal.ring):
-        raise ValueError("elimination count out of range")
-    run = _completed_run(ideal, TermOrder.block(first_k), caps)
-    small = ideal.ring.drop_first(first_k)
-    eliminated = (1 << _EXPONENT_BITS * first_k) - 1  # the exponent fields of the first k
-    kept = _monic(run.reduced(eliminated), run.packing, small, range(first_k, len(ideal.ring)))
-    return Ideal(small, kept or (small.zero(),))
+# -- dimension ---------------------------------------------------------------------
 
 
 def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
@@ -773,7 +774,9 @@ def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     nonconstant principal ideal n - 1, a hypersurface (Cox, Little and
     O'Shea, "Ideals, Varieties, and Algorithms", ch. 9)."""
     n = len(ideal.ring)
-    run = _completed_run(ideal, TermOrder.grevlex(), caps)
+    packing = _packing(TermOrder.grevlex(), n)
+    seeds = [_integer_terms(g.terms, packing.pack)[0] for g in ideal.generators]
+    run = _completed_run(packing, seeds, caps)
     leading = [lm for lm, _, _ in run.rows]
     if 0 in leading:
         raise UnitIdealError("the empty set has no dimension")
@@ -793,16 +796,47 @@ def _tag_ring(ring: VarSet, count: int) -> VarSet:
     return ring.extend(fresh_names("y", count, ring.names))
 
 
-def _graph_ideal(ring: VarSet, gens: Sequence[Polynomial], extra=()) -> Ideal:
-    """The graph ideal (extra) + (y_i - gens_i) over `_tag_ring(ring, m)`,
-    one tag y_i per generator, with the `extra` generators (over `ring`)
-    first.  Eliminating `ring` leaves the tag polynomials p with p(gens)
-    in (extra).  `_GraphSpan._seed` packs the same generators
-    y_i - gens_i without building this ring."""
-    big = _tag_ring(ring, len(gens))
-    tags = big.names[len(ring):]
-    return Ideal(big, tuple(e.embed(big) for e in extra)
-                 + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
+def _graph_seed(packing: _Packing, tag: int, form: Polynomial) -> dict:
+    """The packed integer term dict of y - form, y the packed tag `tag`,
+    times the least positive integer that clears its denominators: a
+    graph-ideal generator y_i - g_i, packed from the terms of g_i."""
+    work, d = _integer_terms(form.terms, packing.pack)
+    seed = {m: -c for m, c in work.items()}
+    seed[tag] = d
+    return seed
+
+
+def _graph_run(ring: VarSet, gens: Sequence[Polynomial], extra: Sequence[Polynomial],
+               caps: ResourceCaps) -> _Run:
+    """The completed run of the graph ideal (extra) + (y_i - gens_i), the
+    `extra` generators over `ring` first, under the block order
+    eliminating `ring`, over `_tag_ring(ring, len(gens))`.  With neither,
+    it is the zero ideal, which leaves no rows."""
+    n = len(ring)
+    packing = _packing(TermOrder.block(n), n + len(gens))
+    seeds = [_integer_terms(e.terms, packing.pack)[0] for e in extra]
+    seeds += [_graph_seed(packing, tag, g) for tag, g in zip(packing.weights[n:], gens)]
+    return _completed_run(packing, seeds, caps)
+
+
+def _relations(run: _Run, ring: VarSet, columns: Sequence[int]) -> Ideal:
+    """The rows of a completed graph run free of `ring`'s variables, the
+    first ones (`_Run.reduced`), made monic over fresh tags y1, y2, ...
+    for the exponent fields `columns`, in order; the zero ideal if none
+    is.  A tag column left out is zero in every such row, on which
+    grevlex ties, so they are the elimination ideal over the tags in
+    `columns` alone."""
+    tags = VarSet(fresh_names("y", len(columns), ring.names))
+    relations = _monic(run.reduced(_first_fields(len(ring))), run.packing, tags, columns)
+    return Ideal(tags, relations or (tags.zero(),))
+
+
+def _graph_relations(ring: VarSet, gens: Sequence[Polynomial], extra: Sequence[Polynomial],
+                     caps: ResourceCaps) -> Ideal:
+    """The tag polynomials p with p(gens) in the ideal (extra) over `ring`:
+    the elimination of `ring` from the graph ideal of `_graph_run`."""
+    n = len(ring)
+    return _relations(_graph_run(ring, gens, extra, caps), ring, range(n, n + len(gens)))
 
 
 class _GraphSpan:
@@ -821,12 +855,12 @@ class _GraphSpan:
     subalgebra_membership calls it a member of the kept candidates'
     subalgebra.
 
-    Candidate i is seeded with y_i - form_i (`_seed`), where form_i is
-    a polynomial over `ring` or over `_tag_ring(ring, len(candidates))`
-    that equals candidate i once each tag y_j in it is replaced by
-    candidate j.  The default form is the candidate itself, which makes
-    the seed the generator y_i - p of `_graph_ideal(ring, candidates)`;
-    only `families.invariant_presentation` passes other forms.
+    Candidate i is seeded with y_i - form_i (`_graph_seed`), where
+    form_i is a polynomial over `ring` or over `_tag_ring(ring,
+    len(candidates))` that equals candidate i once each tag y_j in it is
+    replaced by candidate j.  The default form is the candidate itself,
+    which makes the seed the generator y_i - p of the candidates' graph
+    ideal; only `families.invariant_presentation` passes other forms.
     A form may name only the tags of candidates kept before i.  For
     every kept j the run already holds y_j - candidate_j, so the two
     seeds are congruent modulo the ideal the rows are a Groebner basis
@@ -852,9 +886,8 @@ class _GraphSpan:
         n = len(ring)
         self._ring = ring
         packing = _packing(TermOrder.block(n), n + len(candidates))
-        self._tags = packing.weights[n:]  # the packed tag y_i of each candidate
         self._run = _Run(packing, caps)
-        self._ring_fields = (1 << _EXPONENT_BITS * n) - 1
+        self._ring_fields = _first_fields(n)
         self._columns = []  # exponent column of each kept candidate's tag
         self.kept = []
         if forms is None:
@@ -872,21 +905,13 @@ class _GraphSpan:
                 if not named <= set(self._columns):
                     raise ValueError("a seed form names the tag of a later, dropped or "
                                      "its own candidate")
-            reduced, member = self._tag_only_form(self._seed(i, form))
+            seed = _graph_seed(packing, packing.weights[n + i], form)
+            reduced, member = self._tag_only_form(seed)
             if not member:
                 self._columns.append(n + i)
                 self.kept.append(p)
                 self._run.append(reduced)
                 self._run.complete()
-
-    def _seed(self, i: int, form: Polynomial) -> dict:
-        """The packed integer term dict of y_i - form, times the least
-        positive integer that clears its denominators; with the candidate
-        as its form, the i-th generator of `_graph_ideal(ring, candidates)`."""
-        work, d = _integer_terms(form.terms, self._run.packing.pack)
-        seed = {m: -c for m, c in work.items()}
-        seed[self._tags[i]] = d
-        return seed
 
     def _tag_only_form(self, work: dict) -> tuple:
         """(normal form of the packed integer term dict `work`, up to
@@ -901,15 +926,10 @@ class _GraphSpan:
         return self._tag_only_form(_integer_terms(f.terms, self._run.packing.pack)[0])[1]
 
     def relations(self) -> Ideal:
-        """The reduced basis rows free of ring variables (`_Run.reduced`),
-        over the tags of `_graph_ideal(ring, kept)`: as a dropped tag is a
-        zero column, on which grevlex ties, they are what `eliminate` gives
-        on the kept candidates' graph ideal, in order (the zero ideal if
-        none is)."""
-        tags = VarSet(fresh_names("y", len(self.kept), self._ring.names))
-        run = self._run
-        relations = _monic(run.reduced(self._ring_fields), run.packing, tags, self._columns)
-        return Ideal(tags, relations or (tags.zero(),))
+        """The relations among the kept candidates, over the tags
+        y1..y<len(kept)>: the elimination ideal `_graph_relations(ring,
+        kept, (), caps)` gives, read off this run (`_relations`)."""
+        return _relations(self._run, self._ring, self._columns)
 
 
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
@@ -931,12 +951,10 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
         if g.ring != ring:
             raise RingMismatchError("subalgebra generators over the wrong ring")
     n = len(ring)
-    graph = _graph_ideal(ring, gens) if gens else Ideal(ring, (ring.zero(),))
-    run = _completed_run(graph, TermOrder.block(n), caps)
+    run = _graph_run(ring, gens, (), caps)
     work, d = _integer_terms(f.terms, run.packing.pack)
     remainder, scale = _reduce_full(work, run.rows, run.packing.guard)
-    ring_fields = (1 << _EXPONENT_BITS * n) - 1
-    if any(m & ring_fields for m in remainder):
+    if any(m & _first_fields(n) for m in remainder):
         return False, None
     d *= scale
     witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
@@ -949,7 +967,7 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
-    tags `_graph_ideal(ring, survivors)` gives them.  One `_GraphSpan`
+    tags y1, y2, ... of `_tag_ring(ring, len(survivors))`.  One `_GraphSpan`
     over all the candidates, each seeded as itself, keeps the survivors
     and its `relations()` follow, so the filter and the elimination are
     one run sharing one `caps` budget.  An empty candidate list raises

@@ -230,9 +230,6 @@ class VarSet(_Record):
     def extend(self, extra: Iterable[str]) -> "VarSet":
         return VarSet(self.names + tuple(extra))
 
-    def drop_first(self, k: int) -> "VarSet":
-        return VarSet(self.names[k:])
-
 
 def fresh_names(base: str, count: int, taken: Iterable[str]) -> tuple:
     """Deterministic batch of identifiers base1..baseN avoiding `taken`."""

@@ -5,7 +5,9 @@ univariate gcd by list-based Euclid, Groebner bases, resultants and dense
 kernel solves via sympy, polynomial text by the parser and printer
 that worked through Polynomial and Fraction arithmetic, and Krull
 dimension and subalgebra membership through the reduced basis record
-that `buchberger` builds and `normal_form` reduces against.
+that `buchberger` builds and `normal_form` reduces against.  The graph
+ideal, elimination and the sugar test of pair selection are written over
+polynomials, where the library packs them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sympy as sp
 
 from gaquot import (Ideal, ParseError, Polynomial, TermOrder, UnknownVariableError, VarSet,
                     VerificationReport, buchberger, is_unit_ideal, normal_form)
+from gaquot.groebner import _tag_ring
 
 
 def random_exponents(rng, nvars, max_degree):
@@ -131,6 +134,48 @@ def in_ideal(f: Polynomial, ideal: Ideal) -> bool:
     return normal_form(f, buchberger(ideal)).is_zero()
 
 
+# -- the graph ideal, elimination and sugar over polynomials ---------------------
+
+
+def graph_ideal(ring: VarSet, gens, extra=()) -> Ideal:
+    """The graph ideal (extra) + (y_i - gens_i) as polynomials over
+    `_tag_ring(ring, m)`, one tag y_i per generator, with the `extra`
+    generators (over `ring`) first.  The library packs the same
+    generators (`groebner._graph_seed`) and builds no such ring."""
+    big = _tag_ring(ring, len(gens))
+    tags = big.names[len(ring):]
+    return Ideal(big, tuple(e.embed(big) for e in extra)
+                 + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
+
+
+def eliminate(ideal: Ideal, k: int) -> Ideal:
+    """The elimination ideal of the first k variables by the documented
+    recipe: the elements of `buchberger(ideal, TermOrder.block(k))` free
+    of them, over `VarSet(ring.names[k:])` (the zero ideal if none is)."""
+    small = VarSet(ideal.ring.names[k:])
+    kept = tuple(Polynomial(small, {m[k:]: c for m, c in g.terms.items()})
+                 for g in buchberger(ideal, TermOrder.block(k)).basis
+                 if not any(any(m[:k]) for m in g.terms))
+    return Ideal(small, kept or (small.zero(),))
+
+
+def polynomial_selects_by_sugar(order: TermOrder, seeds) -> bool:
+    """`groebner._selects_by_sugar` on polynomials: under a block order,
+    every seed homogeneous or c*y - g, with y a variable of the second
+    block and g homogeneous in the first."""
+    if order.kind != "block":
+        return False
+    k = order.block_size
+    for p in seeds:
+        if len({sum(m) for m in p.terms}) == 1:
+            continue
+        outside = [m for m in p.terms if any(m[k:])]
+        if len(outside) != 1 or sum(outside[0]) != 1 \
+                or len({sum(m) for m in p.terms if not any(m[k:])}) != 1:
+            return False
+    return True
+
+
 # -- the verdicts through a reduced basis record -------------------------------
 
 
@@ -164,12 +209,10 @@ def basis_subalgebra_membership(f: Polynomial, gens):
     `buchberger`'s reduced basis of the graph ideal under the block order
     eliminating f's ring; f itself with no generators.  (member, witness
     over y1..ym) when the normal form is tag-only, else (False, None)."""
-    from gaquot.groebner import _graph_ideal
-
     ring, n = f.ring, len(f.ring)
     nf = f
     if gens:
-        graph = _graph_ideal(ring, gens)
+        graph = graph_ideal(ring, gens)
         nf = normal_form(f.embed(graph.ring), buchberger(graph, TermOrder.block(n)))
     if any(any(exps[:n]) for exps in nf.terms):
         return False, None

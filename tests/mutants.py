@@ -143,18 +143,34 @@ MUTANTS = [
      (GROEBNER_TESTS + "test_eliminate_parabola",
       GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
       PRESENTATION_TESTS + "test_tag_only_rows_interreduce_among_themselves")),
-    ("elimination mask one field short", GROEBNER,
-     "    eliminated = (1 << _EXPONENT_BITS * first_k) - 1",
-     "    eliminated = (1 << _EXPONENT_BITS * (first_k - 1)) - 1",
+    ("first-fields mask one field short", GROEBNER,
+     "    return (1 << _EXPONENT_BITS * k) - 1\n",
+     "    return (1 << _EXPONENT_BITS * (k - 1)) - 1\n",
      (GROEBNER_TESTS + "test_eliminate_parabola",
       GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis")),
-    ("relations read off the whole reduced basis", GROEBNER,
-     "_monic(run.reduced(self._ring_fields), run.packing, tags, self._columns)",
-     "_monic(run.reduced(), run.packing, tags, self._columns)",
-     (PRESENTATION_TESTS + "test_lone_candidates_match_the_reference",)),
+    ("graph relations read off the whole reduced basis", GROEBNER,
+     "run.reduced(_first_fields(len(ring)))", "run.reduced()",
+     (GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
+      GROEBNER_TESTS + "test_no_verdict_builds_a_basis_record",
+      PRESENTATION_TESTS + "test_lone_candidates_match_the_reference")),
+    ("graph run without its extra generators", GROEBNER,
+     "    seeds = [_integer_terms(e.terms, packing.pack)[0] for e in extra]\n",
+     "    seeds = []\n",
+     (GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
+      GROEBNER_TESTS + "test_graph_ideals_of_homogeneous_polynomials_select_pairs_by_sugar")),
+    ("graph seed without the tag's denominator", GROEBNER,
+     "    seed[tag] = d\n", "    seed[tag] = 1\n",
+     (GROEBNER_TESTS + "test_graph_span_seeds_are_the_packed_graph_ideal",
+      GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",
+      GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis")),
+    ("sugar test's second block one field short", GROEBNER,
+     "    outside = packing.low ^ _first_fields(packing.order.block_size)",
+     "    outside = packing.low ^ _first_fields(packing.order.block_size + 1)",
+     (GROEBNER_TESTS + "test_packed_sugar_test_matches_the_polynomial_oracle",
+      GROEBNER_TESTS + "test_sugar_needs_a_graph_of_homogeneous_polynomials")),
     ("unit ideal read off the first seed row", GROEBNER,
-     "TermOrder.grevlex(), caps).rows[0][0] == 0\n",
-     "TermOrder.grevlex(), caps).basis[0][0] == 0\n",
+     "    return _completed_run(packing, seeds, caps).rows[0][0] == 0\n",
+     "    return _completed_run(packing, seeds, caps).basis[0][0] == 0\n",
      (GROEBNER_TESTS + "test_unit_iff_one_is_member",
       GROEBNER_TESTS + "test_unit_ideal_shortcut_agrees_with_buchberger_on_seeded_ideals",
       FAMILY_TESTS + "test_smoothness_of_closure_and_boundary")),
@@ -169,8 +185,8 @@ MUTANTS = [
       GROEBNER_TESTS + "test_krull_dimension_matches_the_basis_route",
       GROEBNER_TESTS + "test_no_verdict_builds_a_basis_record")),
     ("membership mask one field short", GROEBNER,
-     "    ring_fields = (1 << _EXPONENT_BITS * n) - 1\n",
-     "    ring_fields = (1 << _EXPONENT_BITS * (n - 1)) - 1\n",
+     "    if any(m & _first_fields(n) for m in remainder):\n",
+     "    if any(m & _first_fields(n - 1) for m in remainder):\n",
      (GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",)),
     ("membership witness not divided by the scale", GROEBNER,
      "    d *= scale\n    witness_ring", "    witness_ring",

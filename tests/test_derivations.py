@@ -765,6 +765,29 @@ def test_saturation_round_tags_only_the_kept_generators():
     assert all(d.apply(g).is_zero() for g in gens)
 
 
+def test_graph_runs_embed_no_polynomial(monkeypatch):
+    """The saturation rounds and the one-shot subalgebra membership pack
+    each graph-ideal generator y_i - g_i from the terms of g_i: with
+    `Polynomial.embed` refusing every call, kernel_saturation on V3, V4
+    and the four-round derivation, and subalgebra_membership with and
+    without generators, give what they give with it."""
+    cases = [lower_triangular_derivation(3), lower_triangular_derivation(4),
+             four_round_derivation()]
+    kernels = [kernel_saturation(d, derivations.find_slice(d), 8) for d in cases]
+    f = P("w1*w4 - w2*w3")
+    memberships = [subalgebra_membership(f, gens)
+                   for gens in ([], kernels[0], [W.var("w1"), W.var("w2")])]
+    assert [member for member, _ in memberships] == [False, True, False]
+
+    def refuse(self, target):
+        raise AssertionError("a polynomial was embedded in a larger ring")
+
+    monkeypatch.setattr(Polynomial, "embed", refuse)
+    assert [kernel_saturation(d, derivations.find_slice(d), 8) for d in cases] == kernels
+    assert [subalgebra_membership(f, gens)
+            for gens in ([], kernels[0], [W.var("w1"), W.var("w2")])] == memberships
+
+
 @pytest.mark.parametrize("derivation, expected", [
     (four_round_derivation(), [3, 0, 2, 4, 8, 8, 24, 10]),
     (lower_triangular_derivation(4), [8, 76]),

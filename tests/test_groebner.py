@@ -21,7 +21,6 @@ from gaquot import (
     VarSet,
     buchberger,
     divide_exact,
-    eliminate,
     is_squarefree,
     is_unit_ideal,
     krull_dimension,
@@ -36,9 +35,12 @@ from gaquot.derivations import kernel_saturation, lower_triangular_derivation, m
 from helpers import (
     basis_krull_dimension,
     basis_subalgebra_membership,
+    eliminate,
+    graph_ideal,
     in_ideal,
     independent_set_dimension,
     leading_monomials,
+    polynomial_selects_by_sugar,
     random_poly,
     reference_key,
     signed_roots_shape,
@@ -328,6 +330,10 @@ def test_unit_iff_one_is_member():
 
 
 # -- elimination -----------------------------------------------------------------------
+#
+# `eliminate` is the documented recipe (`helpers.eliminate`): the block-free elements
+# of `buchberger` under a block order.  The library's own elimination is the graph
+# elimination `_graph_relations` of the saturation rounds.
 
 
 def test_eliminate_parabola():
@@ -361,46 +367,56 @@ def test_eliminate_resultant_membership_randomized():
 
 
 def saturation_graph_ideals(monkeypatch, blocks: int) -> list:
-    """(ideal, k) of each elimination the saturation rounds on `blocks`
-    two-dimensional blocks make: (a) plus the graph ideal of the kept
-    generators, eliminating the k variables of W."""
+    """(ring, gens, extra) of each graph elimination the saturation rounds
+    on `blocks` two-dimensional blocks make: (a) plus the graph ideal of
+    the kept generators, eliminating the variables of W."""
     calls = []
-    real = derivations.eliminate
+    real = derivations._graph_relations
 
-    def recording(ideal, first_k, caps=groebner.DEFAULT_CAPS):
-        calls.append((ideal, first_k))
-        return real(ideal, first_k, caps)
+    def recording(ring, gens, extra, caps):
+        calls.append((ring, gens, extra))
+        return real(ring, gens, extra, caps)
 
-    monkeypatch.setattr(derivations, "eliminate", recording)
+    monkeypatch.setattr(derivations, "_graph_relations", recording)
     derivation = lower_triangular_derivation(blocks)
     kernel_saturation(derivation, make_slice(derivation, "w2"), 8)
     return calls
 
 
 def test_eliminate_is_the_block_free_part_of_the_reduced_basis(monkeypatch):
-    """eliminate, which interreduces only the rows it returns, gives the
-    elements of the whole reduced basis under the block order whose
-    leading monomials are free of the block, on seeded ideals of n
-    variables under block sizes 1 to n - 1 and on the saturation-round
-    graph ideals of V3 and V4, with the extra generator a."""
+    """The graph elimination `_graph_relations`, which interreduces only
+    the rows it returns, gives the elements of the whole reduced basis of
+    the polynomial graph ideal under the block order eliminating the ring
+    whose leading monomials are free of it, over the tags: on seeded
+    graph ideals in 1 to 3 variables with rational coefficients, with
+    and without an extra generator, and on every saturation-round graph
+    ideal of V3 and V4, with the extra generator a."""
     rng = random.Random("block-free")
     cases = []
     for _ in range(40):
-        ring = VarSet(("x1", "x2", "x3", "x4")[:rng.randint(3, 4)])
-        gens = tuple(random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
-                                 nonconstant=True) for _ in range(rng.randint(2, 3)))
-        cases.append((Ideal(ring, gens), rng.randint(1, len(ring) - 1)))
+        ring = VarSet(("x1", "x2", "x3")[:rng.randint(1, 3)])
+
+        def draw():
+            return random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=False,
+                               nonconstant=True, denominator_bound=3)
+
+        gens = [draw() for _ in range(rng.randint(1, 3))]
+        cases.append((ring, gens, [draw() for _ in range(rng.randint(0, 1))]))
     for blocks in (3, 4):
         graphs = saturation_graph_ideals(monkeypatch, blocks)
-        assert graphs and all(k == 2 * blocks for _, k in graphs)
+        assert graphs and all(len(ring) == 2 * blocks and len(extra) == 1
+                              for ring, _, extra in graphs)
         cases += graphs
     dropped = 0
-    for ideal, k in cases:
-        gb = buchberger(ideal, TermOrder.block(k))
-        small = ideal.ring.drop_first(k)
-        kept = tuple(Polynomial(small, {m[k:]: c for m, c in g.terms.items()})
+    for ring, gens, extra in cases:
+        k = len(ring)
+        graph = graph_ideal(ring, gens, extra)
+        gb = buchberger(graph, TermOrder.block(k))
+        tags = VarSet(graph.ring.names[k:])
+        kept = tuple(Polynomial(tags, {m[k:]: c for m, c in g.terms.items()})
                      for g, lm in zip(gb.basis, leading_monomials(gb)) if not any(lm[:k]))
-        assert eliminate(ideal, k).generators == (kept or (small.zero(),))
+        relations = groebner._graph_relations(ring, gens, extra, groebner.DEFAULT_CAPS)
+        assert relations.generators == (kept or (tags.zero(),))
         dropped += 0 < len(kept) < len(gb.basis)
     assert dropped >= 20
 
@@ -579,8 +595,8 @@ def test_subalgebra_membership_matches_the_basis_route():
 
 def test_no_verdict_builds_a_basis_record(monkeypatch):
     """Each verdict reads its own completed run: is_squarefree's unit-ideal
-    fallback, krull_dimension, subalgebra_membership, is_unit_ideal,
-    eliminate and the v3 and v4 batteries decide with `buchberger`,
+    fallback, krull_dimension, subalgebra_membership, is_unit_ideal, the
+    graph elimination and the v3 and v4 batteries decide with `buchberger`,
     `normal_form` and `GroebnerBasis` refusing every call."""
     def refuse(*args, **kwargs):
         raise AssertionError("a verdict built a basis record")
@@ -599,7 +615,10 @@ def test_no_verdict_builds_a_basis_record(monkeypatch):
     member, witness = subalgebra_membership(P("(w1*w4 - w2*w3)*w5"), gens)
     assert member and witness.total_degree() == 2
     assert is_unit_ideal(ideal(XY, "x*y - 1", "x^2"))
-    assert eliminate(ideal(TXY, "x - t", "y - t^2"), 1).generators == (parse("x^2 - y", XY),)
+    T = VarSet(("t",))
+    relations = groebner._graph_relations(T, [T.var("t"), parse("t^2", T)], (),
+                                          groebner.DEFAULT_CAPS)
+    assert relations.generators == (parse("y1^2 - y2", VarSet(("y1", "y2"))),)
     assert run_battery(FamilySpec("v3", signed_roots_shape(3, 1), 1)).passed
     assert run_battery(FamilySpec("v4", parse("a^2 + b*c", VarSet(("a", "b", "c"))))).passed
     assert not run_battery(FamilySpec("v4", parse("a*b - a - b", VarSet(("a", "b", "c"))))).passed
@@ -608,20 +627,22 @@ def test_no_verdict_builds_a_basis_record(monkeypatch):
 
 
 def test_graph_span_seeds_are_the_packed_graph_ideal():
-    """The seed _GraphSpan packs for each candidate from its terms is the
-    packed generator of _graph_ideal(ring, candidates), under the packing
-    of that ideal's ring: the two definitions of the graph ideal agree."""
+    """The seed `_graph_seed` packs for each candidate from its terms,
+    under the packing of a span of the candidates, is the packed
+    generator of the polynomial graph ideal `graph_ideal(ring,
+    candidates)` under the packing of that ideal's ring."""
     rng = random.Random(20261019)
     for _ in range(40):
         ring = VarSet(("x", "y", "z")[:rng.randint(1, 3)])
         cands = [random_poly(rng, ring, max_terms=4, denominator_bound=6, nonconstant=True)
                  for _ in range(rng.randint(1, 5))]
         span = groebner._GraphSpan(ring, cands)
-        graph = groebner._graph_ideal(ring, cands)
+        graph = graph_ideal(ring, cands)
         packing = groebner._packing(TermOrder.block(len(ring)), len(graph.ring))
         assert span._run.packing is packing
-        for i, (p, g) in enumerate(zip(cands, graph.generators)):
-            assert span._seed(i, p) == groebner._integer_terms(g.terms, packing.pack)[0]
+        for tag, p, g in zip(packing.weights[len(ring):], cands, graph.generators):
+            assert groebner._graph_seed(packing, tag, p) \
+                == groebner._integer_terms(g.terms, packing.pack)[0]
 
 
 def test_graph_span_contains_checks_the_ring():
@@ -780,7 +801,7 @@ def fq_presentation_case():
     for k in range(1, 13):
         product = product * (z.one() - q * (rng.choice((1, -1)) * k))
     fq = product - z.one()
-    gb = buchberger(groebner._graph_ideal(z, [z.var("z2"), z.var("z4"), q]),
+    gb = buchberger(graph_ideal(z, [z.var("z2"), z.var("z4"), q]),
                     TermOrder.block(len(z)))
     return fq.embed(gb.source.ring), gb
 
@@ -971,6 +992,46 @@ def recorded_runs(monkeypatch) -> list:
     return runs
 
 
+def selects_by_sugar(order: TermOrder, polys) -> bool:
+    """`_selects_by_sugar` on the polynomials `polys`, packed under `order`."""
+    packing = groebner._packing(order, len(polys[0].ring))
+    return groebner._selects_by_sugar(
+        packing, [groebner._integer_terms(p.terms, packing.pack)[0] for p in polys])
+
+
+def test_packed_sugar_test_matches_the_polynomial_oracle():
+    """The sugar test on packed seeds agrees with the test on polynomials
+    under grevlex, lex and block(k) for every k, on 300 seeded cases:
+    graph ideals with and without extra generators, of homogeneous
+    polynomials or not, and random ideals."""
+    rng = random.Random("sugar oracle")
+    sugared = graphs = 0
+    for case in range(300):
+        ring = VarSet(("x", "y", "z", "t")[:rng.randint(1, 4)])
+        homogeneous = case % 2 == 0
+
+        def draw():
+            p = random_poly(rng, ring, max_degree=3, max_terms=3, allow_zero=False,
+                            nonconstant=True, denominator_bound=3)
+            top = p.total_degree()
+            return Polynomial(ring, {m: c for m, c in p.terms.items()
+                                     if sum(m) == top or not homogeneous})
+
+        if case % 3:
+            gens = [draw() for _ in range(rng.randint(1, 3))]
+            polys = graph_ideal(ring, gens, [draw() for _ in range(rng.randint(0, 2))]).generators
+            graphs += 1
+        else:
+            polys = [draw() for _ in range(rng.randint(1, 3))]
+        n = len(polys[0].ring)
+        for order in [TermOrder.grevlex(), TermOrder.lex()] + [TermOrder.block(k)
+                                                              for k in range(n + 1)]:
+            got = selects_by_sugar(order, polys)
+            assert got == polynomial_selects_by_sugar(order, polys)
+            sugared += got
+    assert graphs == 200 and 300 < sugared < 1500
+
+
 def test_graph_ideals_of_homogeneous_polynomials_select_pairs_by_sugar(monkeypatch):
     """The tag elimination of a saturation round on V3: (w1) plus the
     graph ideal of the Weitzenboeck generators, under the block order
@@ -979,11 +1040,12 @@ def test_graph_ideals_of_homogeneous_polynomials_select_pairs_by_sugar(monkeypat
     the larger of its pair's and its own degree."""
     gens = [W.var("w1"), W.var("w3"), W.var("w5")] + [
         parse(t, W) for t in ("w1*w4 - w2*w3", "w1*w6 - w2*w5", "w3*w6 - w4*w5")]
-    graph = groebner._graph_ideal(W, gens, extra=(W.var("w1"),))
+    extra = (W.var("w1"),)
+    assert selects_by_sugar(TermOrder.block(len(W)), graph_ideal(W, gens, extra).generators)
     runs = recorded_runs(monkeypatch)
-    eliminate(graph, len(W))
+    groebner._graph_relations(W, gens, extra, groebner.DEFAULT_CAPS)
     (run,) = runs
-    seeds = len(graph.generators)
+    seeds = len(extra) + len(gens)
     remainders = run.appended[seeds:]
     assert run.appended[:seeds] == [None] * seeds
     assert remainders and remainders == sorted(remainders) and min(remainders) >= 2
@@ -1000,7 +1062,7 @@ def test_other_runs_select_the_smallest_lcm_first(system, order, monkeypatch):
     sugar, katsura-4 eliminating 3 of its 5 variables takes minutes)."""
     ring, texts = system
     gens = tuple(parse(t, ring) for t in texts)
-    assert not groebner._selects_by_sugar(order, gens)
+    assert not selects_by_sugar(order, gens)
     runs = recorded_runs(monkeypatch)
     buchberger(Ideal(ring, gens), order)
     (run,) = runs
@@ -1014,7 +1076,7 @@ def test_sugar_needs_a_graph_of_homogeneous_polynomials():
     block = TermOrder.block(2)
 
     def selects(*texts, order=block):
-        return groebner._selects_by_sugar(order, [parse(t, xy) for t in texts])
+        return selects_by_sugar(order, [parse(t, xy) for t in texts])
 
     assert selects("t - x^2", "3*u - x*y + y^2", "x*y - t^2")
     assert not selects("t - x^2", "u - x^2 - y")  # g inhomogeneous

@@ -11,21 +11,21 @@ from fractions import Fraction
 
 import pytest
 
-from gaquot import Polynomial, RingMismatchError, VarSet, eliminate, monic, parse
+from gaquot import Polynomial, RingMismatchError, VarSet, monic, parse
 from gaquot.poly import scan_identifiers
 from gaquot import families, groebner
 from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation
-from gaquot.groebner import _graph_ideal, _GraphSpan, _tag_ring, subalgebra_presentation
-from helpers import (groebner_minimal_generators, points_mod_p, random_poly,
-                     restricted_w_invariants, signed_roots_shape, spolynomials_per_run,
-                     unsplit_v3_presentation)
+from gaquot.groebner import _GraphSpan, _tag_ring, subalgebra_presentation
+from helpers import (eliminate, graph_ideal, groebner_minimal_generators, points_mod_p,
+                     random_poly, restricted_w_invariants, signed_roots_shape,
+                     spolynomials_per_run, unsplit_v3_presentation)
 
 
 def reference(ring, candidates):
     survivors = groebner_minimal_generators(candidates)
-    relations = eliminate(_graph_ideal(ring, survivors), len(ring))
+    relations = eliminate(graph_ideal(ring, survivors), len(ring))
     return ([str(g) for g in survivors], relations.ring.names,
             [str(r) for r in relations.generators])
 
