@@ -50,6 +50,7 @@ from .families import (
     VerificationReport,
     build_family,
     invariant_presentation,
+    max_trivial_summands,
     run_battery,
 )
 from .groebner import DEFAULT_CAPS, ResourceCaps, TermOrder, buchberger, load_ideal_file
@@ -79,7 +80,8 @@ DEFAULT_KERNEL_DEGREE = 2  # degree bound of `kernel --method linear`
 
 def _add_cap_flags(sub: argparse.ArgumentParser,
                    max_degree_default: Optional[int] = DEFAULT_CAPS.max_degree,
-                   max_degree_help: str = "total degree cap for basis computations"):
+                   max_degree_help: str = "total degree cap for basis computations, "
+                                          "and for deg f when f is validated"):
     sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS.max_pairs,
                      help="S-polynomials each basis computation may reduce; the "
                           "invariant presentation's subalgebra filter and elimination "
@@ -100,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--f", required=True, metavar="POLY",
                         help="shape polynomial (in s for v3; in a,b,c for v4)")
     verify.add_argument("--trivial", type=int, default=0,
-                        help="number of trivial summands")
+                        help="number of trivial summands, at most " + " and ".join(
+                            f"{max_trivial_summands(f)} for {f}" for f in FAMILIES))
     verify.add_argument("--out", type=Path, default=None,
                         help="write the JSON report here instead of stdout")
     _add_cap_flags(verify)
@@ -117,11 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--ideal", type=Path, required=True)
     gb.add_argument("--order", default="grevlex",
                     help="grevlex, lex, or elim:K (eliminate the first K variables)")
-    _add_cap_flags(gb)
+    _add_cap_flags(gb, max_degree_help="total degree cap for basis computations")
 
     present = sub.add_parser("present", help="invariant-ring presentation (v3 family)")
     present.add_argument("--f", required=True, metavar="POLY", help="shape polynomial in s")
-    present.add_argument("--trivial", type=int, default=0)
+    present.add_argument("--trivial", type=int, default=0,
+                         help=f"number of trivial summands, at most {max_trivial_summands('v3')}")
     _add_cap_flags(present)
 
     kernel.add_argument("--max-rounds", type=int, help=f"round budget of the saturation "

@@ -331,15 +331,6 @@ def _span(ring: VarSet, candidates, caps: ResourceCaps):
     return _GraphSpan(ring, ordered, caps)
 
 
-def _check_coefficient_space(variables: int, max_degree: int):
-    """Raise ResourceCapError if the polynomials of degree <= max_degree in
-    `variables` variables have more than KERNEL_DIMENSION_CAP coefficients."""
-    dimension = comb(variables + max_degree, max_degree)
-    if dimension > KERNEL_DIMENSION_CAP:
-        raise ResourceCapError(f"coefficient space of dimension {dimension} exceeds "
-                               f"{KERNEL_DIMENSION_CAP}")
-
-
 def kernel_linear(derivation: Derivation, max_degree: int,
                   caps: ResourceCaps = DEFAULT_CAPS):
     """Minimal generating set of the degree-bounded kernel.
@@ -361,7 +352,10 @@ def kernel_linear(derivation: Derivation, max_degree: int,
     if max_degree < 1:
         raise UsageError("max_degree must be at least 1")
     ring = derivation.ring
-    _check_coefficient_space(len(ring), max_degree)
+    dimension = comb(len(ring) + max_degree, max_degree)
+    if dimension > KERNEL_DIMENSION_CAP:
+        raise ResourceCapError(f"coefficient space of dimension {dimension} exceeds "
+                               f"{KERNEL_DIMENSION_CAP}")
     images = Echelon()
     solutions = []
     for m in _monomials_up_to(ring, max_degree):

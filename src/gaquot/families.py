@@ -71,8 +71,8 @@ ResourceCapError raised in a battery stage names the stage, by its
 report key, in front of the cap.  `build_family(spec, caps)` is the
 one validation: it caps deg f at the run's degree budget before the
 squarefree test builds its dense lists, and `_representation` checks
-the bound on the trivial summands before it builds W, with one message
-and no stage, on every path.
+W_COORDINATE_BOUND (v3 t <= 92, v4 t <= 90) before it builds W, with
+one message and no stage, on every path.
 
 What depends on W alone is built once per process, in one bounded
 cache: W's derivation, quadratic invariants and polarization table per
@@ -99,7 +99,6 @@ from typing import Mapping, Optional
 
 from .derivations import (
     Derivation,
-    _check_coefficient_space,
     fixed_point_ideal,
     lower_triangular_derivation,
 )
@@ -149,15 +148,16 @@ class FamilySpec(_Record):
     `derivation`, the action on W (`lower_triangular_derivation` of the
     blocks and trivial summands), `quad_invariants` and `w_ring`, W's
     ring, are read from `_representation`, which bounds, builds and
-    certifies W, so a spec past the bound raises ResourceCapError on the
-    first read.  X (`x_ideal`, the principal ideal of w1 + h) and the
-    boundary B (`b_ideal`, that of h = -1 - f(quads)) are hypersurfaces
-    of W, and `polarization_ideal` is the battery's smoothness ideal J'
-    in f's own ring.  Each is built on every read: X and B expand
-    f(quads), and no battery reads them.  The closure Ybar, cut out by
-    u*w2 - v*w1 + h over (u, v) and W, is the cone over B, so no check
-    builds it.  A spec is not validated (`build_family`), so tests can
-    take the invalid ones the battery's failure paths are about."""
+    certifies W, so a spec past W_COORDINATE_BOUND raises ResourceCapError
+    on the first read.  X (`x_ideal`, the principal ideal of w1 + h) and
+    the boundary B (`b_ideal`, that of h = -1 - f(quads)) are
+    hypersurfaces of W, and `polarization_ideal` is the battery's
+    smoothness ideal J' in f's own ring.  Each is built on every read: X
+    and B expand f(quads), and no battery reads them.  The closure Ybar,
+    cut out by u*w2 - v*w1 + h over (u, v) and W, is the cone over B, so
+    no check builds it.  A spec is not validated (`build_family`), so
+    tests can take the invalid ones the battery's failure paths are
+    about."""
 
     __slots__ = _fields = ("family", "f", "trivial_summands")
 
@@ -255,13 +255,14 @@ def _quadratic_invariants(w_ring: VarSet, blocks: int):
     return tuple(det(i, j) for i, j in combinations(range(2, blocks + 1), 2))
 
 
-# The Weitzenboeck kernel of the two-dimensional blocks is generated in
-# degree <= 2 (the leading block coordinates and the 2x2 determinants
-# pairing the blocks), so the presentation names its generators.  The
-# degree still bounds the trivial summands: the t trivial survivors hold
-# O(t**2) exponent entries, and t may grow while the polynomials of degree
-# <= KERNEL_DEGREE on W stay within `derivations.KERNEL_DIMENSION_CAP`.
-KERNEL_DEGREE = 2
+W_COORDINATE_BOUND = 98  # the most coordinates W may have: see max_trivial_summands
+
+
+def max_trivial_summands(family: str) -> int:
+    """The most trivial summands t that W of `family` may have, 92 for v3
+    and 90 for v4: W_COORDINATE_BOUND bounds its 2*blocks + t coordinates,
+    as a v3 presentation's t trivial survivors hold O(t**2) exponents."""
+    return W_COORDINATE_BOUND - 2 * FAMILIES[family][0]
 
 
 # One entry per representation W in use; kernel-width, the benchmark
@@ -278,14 +279,14 @@ def _representation(family: str, trivial: int):
     every instance on W, from any thread.
 
     The only code that bounds, builds and certifies W.  First it raises
-    ResourceCapError, building nothing and caching nothing, when the
-    polynomials of degree <= KERNEL_DEGREE on W's 2*blocks + trivial
-    coordinates exceed `derivations.KERNEL_DIMENSION_CAP`.  Then it
-    raises ValueError, a bug, unless W has each identity the battery's
-    verdicts rest on (see the module docstring); no other code checks
-    them."""
+    ResourceCapError, building nothing and caching nothing, when trivial
+    > max_trivial_summands(family).  Then it raises ValueError, a bug,
+    unless W has each identity the battery's verdicts rest on (see the
+    module docstring); no other code checks them."""
+    bound = max_trivial_summands(family)
+    if trivial > bound:
+        raise ResourceCapError(f"{trivial} trivial summands exceed the bound {bound} for {family}")
     blocks = FAMILIES[family][0]
-    _check_coefficient_space(2 * blocks + trivial, KERNEL_DEGREE)
     derivation = lower_triangular_derivation(blocks, trivial)
     ring = derivation.ring
     quads = _quadratic_invariants(ring, blocks)
@@ -404,9 +405,9 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     polynomial in q', the monic image of q, which is.  Ga fixes the
     trivial summands' coordinates e_i, W's columns 6..5+t, so the
     invariant ring is that of W without summands with them adjoined
-    (ker D = (ker D')[e]).  t is bounded where W is built
-    (`_representation`), as the t trivial generators hold O(t**2)
-    exponent entries.
+    (ker D = (ker D')[e]).  The t trivial generators hold O(t**2)
+    exponent entries, so t <= 92, the bound W_COORDINATE_BOUND sets
+    where W is built (`_representation`).
 
     The images are written in closed form, from f and W's quadric: q is
     free of w1 and is c*q' with q' = lead + d*other, lead its leading

@@ -46,10 +46,17 @@ RECORD_TESTS = "tests/test_records.py::"
 # (label, library file, exact snippet, replacement, node ids that must fail)
 MUTANTS = [
     ("W built past the bound", FAMILIES,
-     "    _check_coefficient_space(2 * blocks + trivial, KERNEL_DEGREE)\n", "",
+     "    if trivial > bound:\n"
+     '        raise ResourceCapError(f"{trivial} trivial summands exceed the bound {bound} '
+     'for {family}")\n', "",
      (CLI_TESTS + "test_cap_errors_are_not_cached_and_keep_their_stage",
-      CLI_TESTS + "test_trivial_summands_are_bounded_by_the_kernel_cap",
+      CLI_TESTS + "test_trivial_summands_are_bounded_by_w_coordinates",
       CLI_TESTS + "test_v4_trivial_summands_are_bounded_before_the_representation")),
+    ("W bound one coordinate too high", FAMILIES,
+     "W_COORDINATE_BOUND = 98  #", "W_COORDINATE_BOUND = 99  #",
+     (CLI_TESTS + "test_trivial_summands_are_bounded_by_w_coordinates",
+      CLI_TESTS + "test_v4_trivial_summands_are_bounded_before_the_representation",
+      CLI_TESTS + "test_the_w_bound_does_not_follow_the_kernel_cap")),
     ("W whose action moves w1 or a quadric", FAMILIES,
      '        raise ValueError("the action does not kill w1 and every quadratic invariant")\n',
      "        pass\n",

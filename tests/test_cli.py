@@ -163,7 +163,7 @@ def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
         code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", "100"])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == (
-            "resource cap: coefficient space of dimension 5778 exceeds 5000\n")
+            "resource cap: 100 trivial summands exceed the bound 92 for v3\n")
     assert families._representation.cache_info().currsize == 0
     for warm in (False, True):  # the first call fills the cache, before the pair budget runs out
         misses = families._representation.cache_info().misses
@@ -173,19 +173,18 @@ def test_cap_errors_are_not_cached_and_keep_their_stage(capsys):
         assert families._representation.cache_info().misses == misses + (not warm)
 
 
-def test_trivial_summands_are_bounded_by_the_kernel_cap(capsys):
-    """The presentation takes t trivial summands while the polynomials of
-    degree <= 2 in W's 6 + t variables stay within the kernel cap, which
-    bounds the size of the t trivial survivors, O(t**2) exponent entries:
-    t = 92 passes, and t = 93 exits 4, as does a far larger t, at once."""
+def test_trivial_summands_are_bounded_by_w_coordinates(capsys):
+    """The presentation takes t trivial summands while W's 6 + t
+    coordinates stay within W_COORDINATE_BOUND, 98, which bounds the size
+    of the t trivial survivors, O(t**2) exponent entries: t = 92 passes,
+    and t = 93 exits 4, as does a far larger t, at once."""
     code, text = run(["present", "--f=s", "--trivial", "92"])
     assert code == 0 and text
-    for trivial, dimension in (("93", 5050), ("10000", 50075028)):
+    for trivial in ("93", "10000"):
         code, text = run(["verify", "--family", "v3", "--f=s", "--trivial", trivial])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == (
-            f"resource cap: coefficient space of dimension {dimension} "
-            "exceeds 5000\n")
+            f"resource cap: {trivial} trivial summands exceed the bound 92 for v3\n")
 
 
 def test_trivial_summands_past_the_cap_build_no_representation(capsys):
@@ -199,36 +198,57 @@ def test_trivial_summands_past_the_cap_build_no_representation(capsys):
     assert (code, text) == (4, "")
     assert families._representation.cache_info().currsize == 0
     assert capsys.readouterr().err == (
-        "resource cap: coefficient space of dimension 5000750028 "
-        "exceeds 5000\n")
+        "resource cap: 100000 trivial summands exceed the bound 92 for v3\n")
     spec = families.FamilySpec("v3", parse("s", VarSet(("s",))), 100000)
     for path in (lambda: families.build_family(spec),
                  lambda: spec.w_ring):
         with pytest.raises(gaquot.ResourceCapError,
-                           match="^coefficient space of dimension 5000750028 exceeds 5000$"):
+                           match="^100000 trivial summands exceed the bound 92 for v3$"):
             path()
         assert families._representation.cache_info().currsize == 0
 
 
 def test_v4_trivial_summands_are_bounded_before_the_representation(capsys):
     """v4 checks the same bound before W is built, over its 8 + t
-    coordinates: t = 90 (dimension 4950) passes, t = 91 exits 4, and so
-    does t = 10**9, at once and with no W built.  The cap error names no
+    coordinates: t = 90 passes, t = 91 exits 4, and so does t = 10**9, at
+    once and with no W built.  The cap error names no
     stage, as on every path; f = 0 reports its empty boundary first, as
     for v3."""
     code, text = run(["verify", "--family", "v4", "--f=a", "--trivial", "90"])
     assert code == 0 and json.loads(text)["trivialSummands"] == 90
     families._representation.cache_clear()
-    for trivial, dimension in (("91", 5050), ("1000000000", 500000009500000045)):
+    for trivial in ("91", "1000000000"):
         code, text = run(["verify", "--family", "v4", "--f=a", "--trivial", trivial])
         assert (code, text) == (4, "")
         assert capsys.readouterr().err == (
-            f"resource cap: coefficient space of dimension {dimension} exceeds 5000\n")
+            f"resource cap: {trivial} trivial summands exceed the bound 90 for v4\n")
     assert families._representation.cache_info().currsize == 0
     code, text = run(["verify", "--family", "v4", "--f=0", "--trivial", "91"])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == (
         "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n")
+
+
+def test_the_w_bound_does_not_follow_the_kernel_cap(monkeypatch, capsys):
+    """The bound on trivial summands and kernel_linear's cap on its
+    coefficient space are two bounds: with the cap lowered to 100, v3
+    t = 92 and v4 t = 90 still pass, v3 t = 93 and v4 t = 91 still exit 4
+    with the W bound's message, and kernel_linear meets the lowered cap."""
+    monkeypatch.setattr(derivations, "KERNEL_DIMENSION_CAP", 100)
+    families._representation.cache_clear()
+    for family, f, bound in (("v3", "s", 92), ("v4", "a", 90)):
+        code, text = run(["verify", "--family", family, f"--f={f}", "--trivial", str(bound)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert json.loads(text)["trivialSummands"] == bound
+        code, text = run(["verify", "--family", family, f"--f={f}",
+                          "--trivial", str(bound + 1)])
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == (
+            f"resource cap: {bound + 1} trivial summands exceed the bound {bound} "
+            f"for {family}\n")
+    with pytest.raises(gaquot.ResourceCapError,
+                       match="^coefficient space of dimension 153 exceeds 100$"):
+        gaquot.kernel_linear(gaquot.lower_triangular_derivation(3, 10), 2)
 
 
 @pytest.mark.parametrize("family", ["v3", "v4"])
@@ -254,7 +274,7 @@ def test_present_past_the_cap_builds_no_representation(shape, capsys):
     assert (code, text) == (4, "")
     assert families._representation.cache_info().currsize == 0
     assert capsys.readouterr().err == (
-        "resource cap: coefficient space of dimension 5000750028 exceeds 5000\n")
+        "resource cap: 100000 trivial summands exceed the bound 92 for v3\n")
 
 
 def test_successive_calls_share_no_state(tmp_path, capsys):
