@@ -84,8 +84,8 @@ def _add_cap_flags(sub: argparse.ArgumentParser,
                                           "and for deg f when f is validated"):
     sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS.max_pairs,
                      help="S-polynomials each basis computation may reduce; the "
-                          "invariant presentation's subalgebra filter and elimination "
-                          "are one basis computation and share this budget")
+                          "invariant presentation is one basis computation under "
+                          "this budget")
     sub.add_argument("--max-degree", type=int, default=max_degree_default,
                      help=max_degree_help)
 

@@ -22,12 +22,12 @@ ring by tag-variable elimination.  Its five candidates, their seeds and
 their order are written in closed form from W's quadric and f: both
 minors' images read one table of coefficients, and each candidate's
 leading monomial is known, so they sort by (degree, leading text) with
-no search.  One Groebner run computes the minimal generators together
-with the relations, its seeds naming the tag of the quadratic invariant
-instead of expanding its powers.  The run spans only the generators
-free of the trivial summands' coordinates, which Ga fixes; those join
-afterwards as free generators, with the other degree-1 survivors by name
-as text.
+no search.  They are minimal but for one known exception, so one
+Groebner run eliminates the coordinates from their graph ideal, its
+seeds naming the quadratic invariant's tag instead of expanding its
+powers, and its one relation is checked to leave none redundant.  The
+run covers only the generators free of the trivial summands'
+coordinates, which Ga fixes; those join afterwards as free generators.
 
 W is certified once, where it is built (`_representation`), by the
 Weitzenboeck identities (Freudenburg, "Algebraic Theory of Locally
@@ -89,6 +89,7 @@ verify` per process builds W once either way.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations, product
@@ -115,7 +116,7 @@ from .groebner import (
     Ideal,
     ResourceCaps,
     _EXPONENT_BOUND,
-    _GraphSpan,
+    _graph_relations,
     _tag_ring,
     is_squarefree,
     is_unit_ideal,
@@ -424,21 +425,26 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     monomial is known: the five candidates z2, z4, q' and the two monic
     minors are sorted by (degree, leading text) with no search of their
     terms, and as no two leading monomials agree, this is
-    `derivations._sorted_gens`'s order.  One incremental Groebner run
-    over their tag-variable graph ideal in z1..z5 drops each lying in the
-    subalgebra of those before it and eliminates the affine coordinates
-    from the graph ideal of the rest (a `groebner._GraphSpan`, under one
-    `caps` budget).  The minors are seeded through their forms
-    (1 + f(c*y))*z3 - z1*z2 and (1 + f(c*y))*z5 - z1*z4 over lc, y the
-    tag of q', which equal their candidates at y -> q', as `_GraphSpan`
-    requires; so the run never reduces expanded powers of q back to
-    powers of its tag, and each minor is seeded with deg f + 3 terms.
-    z2, z4 and q' are seeded as themselves.  z6, z7, ... then join the
-    survivors: they and z2 and z4, which lead the span and are kept, are
-    the degree-1 survivors, listed by name as text (z10 before z2),
-    followed by the rest in span order, and each relation's tags are
-    renamed by survivor position.  Returns (restricted generators,
-    relation ideal in tags).
+    `derivations._sorted_gens`'s order.  They are the survivors, except
+    q' where 1 + f is a nonzero constant (f = 0 under `present`): then r
+    below is linear in q's tag, and q' is left out.  One Groebner run
+    eliminates z1..z5 from the survivors' graph ideal
+    (`groebner._graph_relations`, under `caps`).  The minors are seeded
+    through their forms (1 + f(c*y))*z3 - z1*z2 and (1 + f(c*y))*z5 -
+    z1*z4 over lc, y the tag of q', which equal them at y -> q'
+    (`groebner._graph_run`), so the run never reduces expanded powers of
+    q back to powers of y, and each minor seeds deg f + 3 terms.
+
+    Minimality is read off the relations (ROADMAP item 1, step 3): they
+    are one r, the restriction of w1*q - w3*d13 + w5*d12 = 0, or 0, and a
+    survivor is a polynomial P in the others iff y_i - P is in (r), so
+    iff r is linear in y_i with a constant coefficient, its term c*y_i
+    the only one naming y_i.  Anything else raises ValueError, a bug.
+
+    z6, z7, ... then join: they, z2 and z4 are the degree-1 survivors,
+    listed by name as text (z10 before z2), followed by the rest in
+    order, and each relation's tags are renamed by survivor position.
+    Returns (restricted generators, relation ideal in tags).
     """
     if spec.family != "v3":
         raise ValueError("presentation implemented for the v3 family only")
@@ -471,19 +477,24 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
         entries.append((sum(lm), _term_text(_CORE.names, lm, 1, True),
                         Polynomial(_CORE, image), (z_k, pair)))
     entries.sort(key=itemgetter(0, 1))
-    ordered = [p for _, _, p, _ in entries]
-    # q' is a kernel generator and not in the subalgebra of the linear ones
-    at, tags = ordered.index(q_monic), len(ordered)
+    if shape.keys() == {0}:  # 1 + f = g_0 != 0: r is linear in q's tag, so q' is redundant
+        entries = [entry for entry in entries if entry[2] is not q_monic]
+    survivors = [p for _, _, p, _ in entries]
+    tags = len(survivors)
     big = _tag_ring(_CORE, tags)
+    power = {e: tuple(e * (p is q_monic) for p in survivors) for e in scaled}  # y^e, y q's tag
     seeds = [p if form is None else Polynomial(big, {
-        **{form[0] + (0,) * at + (e,) + (0,) * (tags - at - 1): h for e, h in scaled.items()},
-        form[1] + (0,) * tags: corner}) for _, _, p, form in entries]
-    span = _GraphSpan(_CORE, ordered, caps, seeds)
-    survivors, relations = span.kept, span.relations()
+        **{form[0] + power[e]: h for e, h in scaled.items()}, form[1] + (0,) * tags: corner})
+        for _, _, p, form in entries]
+    relations = _graph_relations(_CORE, seeds, (), caps)
+    r, *more = relations.generators
+    named = Counter(i for m in r.terms for i, e in enumerate(m) if e)  # terms naming each tag
+    if more or any(sum(m) == 1 and named[m.index(1)] == 1 for m in r.terms):
+        raise ValueError("the presentation is not one relation among minimal generators")
     if len(spec.w_ring) == width:
         return tuple(survivors), relations  # the survivors are sorted, and tagged in order
     z_ring = VarSet(tuple(f"z{i}" for i in range(1, len(spec.w_ring))))
-    # z2 and z4 lead the span and are kept: the degree-1 survivors, by name as text
+    # z2 and z4 lead the survivors: the degree-1 survivors, by name as text
     linear = sorted(("z2", "z4") + z_ring.names[width - 1:])
     merged = [z_ring.var(n) for n in linear] + [p.embed(z_ring) for p in survivors[2:]]
     y_ring = VarSet(fresh_names("y", len(merged), z_ring.names))

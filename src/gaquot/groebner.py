@@ -40,11 +40,10 @@ the ring extended by one tag y_i per g_i (`_tag_ring`), is defined
 once: `_graph_seed` packs y_i - g_i straight from the terms of g_i, so
 no polynomial over the extended ring is built.  `_graph_run` seeds a
 run with the whole ideal, for the one-shot `subalgebra_membership` and
-the elimination `_graph_relations` of the saturation rounds, and
-`_GraphSpan` one generator at a time, with g_i its candidate or, for
-the v3 presentation alone (`families.invariant_presentation`), a seed
-form equal to its candidate once its tags are replaced by the
-candidates they tag; no public function takes a seed form.
+the elimination `_graph_relations` of the saturation rounds and the v3
+presentation, and `_GraphSpan` one candidate at a time.  Only
+`_graph_run` takes seed forms, g_i naming earlier tags, which only
+`families.invariant_presentation` passes.
 
 Buchberger, normal forms and the pair update work on packed monomials:
 inside the engine a monomial is one Python int, linear in its exponent
@@ -811,8 +810,20 @@ def _graph_run(ring: VarSet, gens: Sequence[Polynomial], extra: Sequence[Polynom
     """The completed run of the graph ideal (extra) + (y_i - gens_i), the
     `extra` generators over `ring` first, under the block order
     eliminating `ring`, over `_tag_ring(ring, len(gens))`.  With neither,
-    it is the zero ideal, which leaves no rows."""
+    it is the zero ideal, which leaves no rows.  A generator may be a
+    seed form over `_tag_ring(ring, len(gens))` naming only earlier
+    generators' tags: it stands for g_i, itself with each tag y_j
+    replaced by g_j, and y_i - form_i is y_i - g_i plus a member of the
+    earlier generators' ideal, so the ideal is the same.  Raises
+    RingMismatchError for a generator over neither ring, ValueError for a
+    form naming its own or a later tag."""
     n = len(ring)
+    tagged = ring.names + fresh_names("y", len(gens), ring.names)  # `_tag_ring`'s, no VarSet
+    for i, g in enumerate(gens):
+        if g.ring.names not in (ring.names, tagged):
+            raise RingMismatchError("graph generators over the wrong ring")
+        if any(any(exps[n + i:]) for exps in g.terms):  # no tags at all over `ring`
+            raise ValueError("a seed form names the tag of its own or a later generator")
     packing = _packing(TermOrder.block(n), n + len(gens))
     seeds = [_integer_terms(e.terms, packing.pack)[0] for e in extra]
     seeds += [_graph_seed(packing, tag, g) for tag, g in zip(packing.weights[n:], gens)]
@@ -855,32 +866,16 @@ class _GraphSpan:
     subalgebra_membership calls it a member of the kept candidates'
     subalgebra.
 
-    Candidate i is seeded with y_i - form_i (`_graph_seed`), where
-    form_i is a polynomial over `ring` or over `_tag_ring(ring,
-    len(candidates))` that equals candidate i once each tag y_j in it is
-    replaced by candidate j.  The default form is the candidate itself,
-    which makes the seed the generator y_i - p of the candidates' graph
-    ideal; only `families.invariant_presentation` passes other forms.
-    A form may name only the tags of candidates kept before i.  For
-    every kept j the run already holds y_j - candidate_j, so the two
-    seeds are congruent modulo the ideal the rows are a Groebner basis
-    of, and have the same normal form up to a nonzero scale: the same
-    membership verdict and, once `_row` divides out the content and fixes
-    the sign, the same row.  A form only saves reduction work: for
-    instance, with a candidate that expands a power of another, naming
-    that other's tag leaves the reduction nothing to rebuild.  A
-    candidate is kept iff its seed, reduced to a multiple of y_i minus a
-    normal form free of y_i (y_i leads no row), is not tag-only; the kept
-    remainder joins the basis, whose pairs are completed before the next
-    candidate.  Raises RingMismatchError for a candidate not over `ring`
-    or a form over neither `ring` nor `_tag_ring(ring,
-    len(candidates))`, and ValueError for an empty candidate list, for
-    a number of forms other than one per candidate, and for a form that
-    names the tag of a later, dropped or its own candidate."""
+    Candidate i is seeded with the generator y_i - p of the graph ideal
+    (`_graph_seed`).  It is kept iff that seed, reduced to a multiple of
+    y_i minus a normal form free of y_i (y_i leads no row), is not
+    tag-only; the kept remainder joins the basis, whose pairs are
+    completed before the next candidate.  Raises RingMismatchError for a
+    candidate not over `ring` and ValueError for an empty candidate
+    list."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
-                 caps: ResourceCaps = DEFAULT_CAPS,
-                 forms: Optional[Sequence[Polynomial]] = None):
+                 caps: ResourceCaps = DEFAULT_CAPS):
         if not candidates:
             raise ValueError("a subalgebra span needs at least one candidate")
         n = len(ring)
@@ -890,22 +885,10 @@ class _GraphSpan:
         self._ring_fields = _first_fields(n)
         self._columns = []  # exponent column of each kept candidate's tag
         self.kept = []
-        if forms is None:
-            forms = candidates
-        else:  # the names of `_tag_ring(ring, len(candidates))`, with no VarSet built
-            tagged = ring.names + fresh_names("y", len(candidates), ring.names)
-        # strict: zip raises ValueError unless there is one form per candidate
-        for i, (p, form) in enumerate(zip(candidates, forms, strict=True)):
+        for i, p in enumerate(candidates):
             if p.ring != ring:
                 raise RingMismatchError("subalgebra candidates over the wrong ring")
-            if form is not p:
-                if form.ring.names not in (ring.names, tagged):
-                    raise RingMismatchError("candidate forms over the wrong ring")
-                named = {n + k for exps in form.terms for k, e in enumerate(exps[n:]) if e}
-                if not named <= set(self._columns):
-                    raise ValueError("a seed form names the tag of a later, dropped or "
-                                     "its own candidate")
-            seed = _graph_seed(packing, packing.weights[n + i], form)
+            seed = _graph_seed(packing, packing.weights[n + i], p)
             reduced, member = self._tag_only_form(seed)
             if not member:
                 self._columns.append(n + i)
@@ -940,7 +923,8 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
     Tag variables y_i are adjoined with relations y_i - gens_i; under a
     block order eliminating the original variables the normal form of f
     mentions only tags exactly when f is a member.  Returns (flag,
-    witness) where the witness is that tag polynomial over y1..ym.  A
+    witness) where the witness is that tag polynomial over the tags of
+    `_tag_ring(f.ring, m)`, y1..ym unless f's ring takes those names.  A
     normal form is the same modulo every Groebner basis of the ideal, so
     f's packed terms, which are those of f over the big ring, reduce
     against the active rows of the completed run; with no generators the
@@ -957,7 +941,7 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
     if any(m & _first_fields(n) for m in remainder):
         return False, None
     d *= scale
-    witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
+    witness_ring = VarSet(fresh_names("y", len(gens), ring.names))
     return True, Polynomial(witness_ring, {run.packing.unpack(m)[n:]: _exact_quotient(c, d)
                                            for m, c in remainder.items()})
 
@@ -968,10 +952,9 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over the
     tags y1, y2, ... of `_tag_ring(ring, len(survivors))`.  One `_GraphSpan`
-    over all the candidates, each seeded as itself, keeps the survivors
-    and its `relations()` follow, so the filter and the elimination are
-    one run sharing one `caps` budget.  An empty candidate list raises
-    ValueError."""
+    over all the candidates keeps the survivors and its `relations()`
+    follow, so the filter and the elimination are one run sharing one
+    `caps` budget.  An empty candidate list raises ValueError."""
     span = _GraphSpan(ring, candidates, caps)
     return span.kept, span.relations()
 

@@ -208,7 +208,8 @@ def basis_subalgebra_membership(f: Polynomial, gens):
     normal form of f, embedded in the graph ideal's ring, modulo
     `buchberger`'s reduced basis of the graph ideal under the block order
     eliminating f's ring; f itself with no generators.  (member, witness
-    over y1..ym) when the normal form is tag-only, else (False, None)."""
+    over the tags of `graph_ideal`) when the normal form is tag-only,
+    else (False, None)."""
     ring, n = f.ring, len(f.ring)
     nf = f
     if gens:
@@ -216,7 +217,7 @@ def basis_subalgebra_membership(f: Polynomial, gens):
         nf = normal_form(f.embed(graph.ring), buchberger(graph, TermOrder.block(n)))
     if any(any(exps[:n]) for exps in nf.terms):
         return False, None
-    witness_ring = VarSet(tuple(f"y{i}" for i in range(1, len(gens) + 1)))
+    witness_ring = VarSet(_tag_ring(ring, len(gens)).names[n:])
     return True, Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})
 
 
@@ -401,9 +402,10 @@ def restricted_w_invariants(f: Polynomial, trivial: int):
 
 def unsplit_v3_presentation(f: Polynomial, trivial: int):
     """(survivors, relations) of the v3 invariant presentation as one
-    `_GraphSpan` over the whole z-ring of X, with no seed forms, on every
-    restricted W-invariant: the trivial coordinates are spanned with the
-    rest instead of being adjoined afterwards."""
+    `_GraphSpan` over the whole z-ring of X, on every restricted
+    W-invariant: the trivial coordinates are spanned with the rest
+    instead of being adjoined afterwards, and w1's image is filtered out
+    instead of never being built."""
     from gaquot.groebner import _GraphSpan
 
     span = _GraphSpan(*restricted_w_invariants(f, trivial))

@@ -140,6 +140,13 @@ MUTANTS = [
     ("minors' images led by +z1*z2 when 1 + f is constant", FAMILIES,
      "    lc = shape[top] if top else -1", "    lc = shape[top] if top else 1",
      (PRESENTATION_TESTS + "test_v3_presentation_keeps_f_at_zero",)),
+    ("q' kept when 1 + f is a nonzero constant", FAMILIES,
+     "    if shape.keys() == {0}:", "    if False:",
+     (PRESENTATION_TESTS + "test_v3_presentation_keeps_f_at_zero",
+      PRESENTATION_TESTS + "test_v3_battery_and_present_build_no_span")),
+    ("minimality read-off skipped", FAMILIES,
+     "    if more or any(", "    if False and any(",
+     (PRESENTATION_TESTS + "test_the_minimality_check_fires_on_a_redundant_survivor",)),
     ("polarization table with every sign +", FAMILIES,
      "        table.append(tuple((j, *signed[p]) for j, p in images if not p.is_zero()))\n",
      "        table.append(tuple((j, 1, signed[p][1]) for j, p in images if not p.is_zero()))\n",
@@ -165,6 +172,10 @@ MUTANTS = [
      "    seeds = []\n",
      (GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
       GROEBNER_TESTS + "test_graph_ideals_of_homogeneous_polynomials_select_pairs_by_sugar")),
+    ("seed form naming a later tag accepted", GROEBNER,
+     "        if any(any(exps[n + i:]) for exps in g.terms):",
+     "        if any(any(exps[n + i:n + i + 1]) for exps in g.terms):",
+     (PRESENTATION_TESTS + "test_forms_naming_other_tags_are_rejected[later]",)),
     ("graph seed without the tag's denominator", GROEBNER,
      "    seed[tag] = d\n", "    seed[tag] = 1\n",
      (GROEBNER_TESTS + "test_graph_span_seeds_are_the_packed_graph_ideal",

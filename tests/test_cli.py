@@ -524,6 +524,17 @@ def test_shape_degree_at_the_cap_passes_validation(capsys):
     assert capsys.readouterr().err == "resource cap: presentation: degree budget 60 exhausted\n"
 
 
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_signed_roots_shapes_pass_up_to_degree_59(seed, capsys):
+    """Under the default caps `verify` passes the signed-roots shapes up
+    to deg f = 59; at deg 60 a remainder of the presentation's one
+    elimination passes the degree budget."""
+    assert run(["verify", "--family", "v3", f"--f={signed_roots_shape(59, seed)}"])[0] == 0
+    capsys.readouterr()
+    assert run(["verify", "--family", "v3", f"--f={signed_roots_shape(60, seed)}"]) == (4, "")
+    assert capsys.readouterr().err == "resource cap: presentation: degree budget 60 exhausted\n"
+
+
 def nested(depth: int, text: str) -> str:
     return "(" * depth + text + ")" * depth
 
@@ -755,10 +766,14 @@ def test_present_rejects_repeated_roots():
     assert run(["present", "--f", "(1+s)^2 - 1"])[0] == 3
 
 
-def test_present_pair_budget_covers_filter_and_elimination():
-    """The subalgebra filter and the elimination are one basis
-    computation under one --max-pairs budget."""
+def test_present_pair_budget_covers_the_elimination():
+    """The invariant presentation is one basis computation under one
+    --max-pairs budget: for f = s it reduces 5 S-polynomials, so a budget
+    of 4 exits 4 and one of 5 passes, under `present` and `verify` alike."""
     assert run(["present", "--f=s", "--max-pairs", "1"])[0] == 4
+    for argv in (["present", "--f=s"], ["verify", "--family", "v3", "--f=s"]):
+        assert run(argv + ["--max-pairs", "4"])[0] == 4
+        assert run(argv + ["--max-pairs", "5"])[0] == 0
 
 
 def test_present_deterministic():

@@ -377,12 +377,13 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
     """Deterministic counts of the per-call work of one deg-12 v3 battery
     on a warm cache, next to its S-polynomial pin: it builds two rings
     (the tag ring of the presentation's seed forms and the ring of the
-    span's relations), runs the modular coprimality loop once (in the
+    relations), runs the modular coprimality loop once (in the
     validation, whose verdict the smoothness certificate reads), and
-    seeds five candidates (w3, w5, q and the two minors; w1's image is
-    never built).  These read 7, 2 and 6 while the rings were rebuilt
-    around the span, the certificate ran the loop again, and w1's image
-    was seeded to be dropped.  It multiplies no term dicts
+    packs five graph-ideal seeds (w3, w5, q and the two minors; w1's
+    image is never built).  The first two read 7 and 2 while the rings
+    were rebuilt around a subalgebra span and the certificate ran the
+    loop again; the span then reduced six seeds, w1's image seeded to be
+    dropped, and later five.  It multiplies no term dicts
     (`poly._product`, under every module that binds it) and sorts no
     polynomials by search (`derivations._sorted_gens`): the candidates,
     their seeds and their order are written in closed form."""
@@ -391,9 +392,9 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
     bound = [(module, name) for module in (cli, derivations, families, groebner, linalg, poly)
              for name in ("_product", "_sorted_gens") if name in vars(module)]
     counts = counted_calls(monkeypatch, (VarSet, "__init__"), (groebner, "_coprime_mod"),
-                           (groebner._GraphSpan, "_tag_only_form"), *bound)
+                           (groebner, "_graph_seed"), *bound)
     assert run_battery(spec).passed
-    assert counts == {"__init__": 2, "_coprime_mod": 1, "_tag_only_form": 5,
+    assert counts == {"__init__": 2, "_coprime_mod": 1, "_graph_seed": 5,
                       "_product": 0, "_sorted_gens": 0}
 
 

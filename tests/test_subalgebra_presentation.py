@@ -16,8 +16,9 @@ from gaquot.poly import scan_identifiers
 from gaquot import families, groebner
 from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
-from gaquot.families import FamilySpec, build_family, invariant_presentation
-from gaquot.groebner import _GraphSpan, _tag_ring, subalgebra_presentation
+from gaquot.families import FamilySpec, build_family, invariant_presentation, run_battery
+from gaquot.groebner import (DEFAULT_CAPS, _GraphSpan, _first_fields, _graph_relations,
+                             _graph_run, _tag_ring, subalgebra_presentation)
 from helpers import (eliminate, graph_ideal, groebner_minimal_generators, points_mod_p,
                      random_poly, restricted_w_invariants, signed_roots_shape,
                      spolynomials_per_run, unsplit_v3_presentation)
@@ -192,27 +193,32 @@ V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
                for d in range(2, 10)])
 
 
+def expanded(ring, forms):
+    """The polynomials over `ring` that seed forms stand for: each form
+    with every tag y_j replaced by what form j stands for."""
+    tags = _tag_ring(ring, len(forms)).names[len(ring):]
+    expand = {n: ring.var(n) for n in ring.names}
+    for tag, form in zip(tags, forms):
+        expand[tag] = form.substitute({n: expand[n] for n in form.ring.names if n in expand})
+    return [expand[tag] for tag in tags]
+
+
 def presentation_input(monkeypatch, spec):
-    """((ring, candidates, forms) that invariant_presentation hands to
-    its `_GraphSpan`, the span's (kept, relations()), the presentation
-    invariant_presentation returns) for `spec`.  Each form is checked to
-    equal its candidate, as handed over, once its tags are replaced by the
-    candidates they tag."""
+    """((ring, candidates, forms), (candidates, relations), presentation)
+    for `spec`: the seed forms invariant_presentation hands to
+    `_graph_relations`, the candidates they stand for (`expanded`), the
+    relations it got back, and the presentation it returns."""
     seen = []
 
-    def recording(ring, candidates, caps, forms):
-        expand = dict(zip(_tag_ring(ring, len(candidates)).names,
-                          [ring.var(n) for n in ring.names] + list(candidates)))
-        assert [form.substitute({n: expand[n] for n in form.ring.names}) for form in forms] \
-            == list(candidates)
-        span = _GraphSpan(ring, candidates, caps, forms)
-        seen.append(((ring, list(candidates), forms), (span.kept, span.relations())))
-        return span
+    def recording(ring, forms, extra, caps):
+        relations = _graph_relations(ring, forms, extra, caps)
+        seen.append(((ring, expanded(ring, forms), list(forms)), relations))
+        return relations
 
-    monkeypatch.setattr(families, "_GraphSpan", recording)
+    monkeypatch.setattr(families, "_graph_relations", recording)
     presentation = invariant_presentation(build_family(spec))
-    [(found, spanned)] = seen
-    return found, spanned, presentation
+    [((ring, candidates, forms), relations)] = seen
+    return (ring, candidates, forms), (candidates, relations), presentation
 
 
 def v3_span_input(monkeypatch, degree, trivial, seed):
@@ -223,14 +229,15 @@ def v3_span_input(monkeypatch, degree, trivial, seed):
 
 @pytest.mark.parametrize("label, shape, trivial", V3_CASES, ids=[c[0] for c in V3_CASES])
 def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label, shape, trivial):
-    """The span equals the reference on the candidates it is handed, the
-    presentation equals it on every restricted W-invariant, trivial
-    coordinates included, and each seed form equals its candidate once
-    its tags are replaced by the candidates they tag (`presentation_input`
-    checks that)."""
+    """Every candidate survives, and the one elimination of their seed
+    forms equals the reference on the candidates they stand for and the
+    filtering route, `subalgebra_presentation`, on them; the presentation
+    equals the reference on every restricted W-invariant, trivial
+    coordinates included."""
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
-    (ring, candidates, forms), spanned, presentation = presentation_input(monkeypatch, spec)
-    assert printed(*spanned) == reference(ring, candidates)
+    (ring, candidates, forms), eliminated, presentation = presentation_input(monkeypatch, spec)
+    assert printed(*eliminated) == reference(ring, candidates)
+    assert printed(*subalgebra_presentation(ring, candidates)) == printed(*eliminated)
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
     assert any(form.ring != ring for form in forms)
 
@@ -246,6 +253,47 @@ def test_v3_presentation_keeps_f_at_zero(shape, trivial):
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
     presentation = invariant_presentation(spec)
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
+
+
+def test_v3_battery_and_present_build_no_span(monkeypatch):
+    """The v3 presentation is one elimination of its known survivors: a
+    battery on every case of V3_CASES and `present --f=0`, whose q' is
+    left out, build no `_GraphSpan`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subalgebra span was built")
+
+    monkeypatch.setattr(groebner._GraphSpan, "__init__", refuse)
+    for _, shape, trivial in V3_CASES:
+        assert run_battery(FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)).passed
+    assert main(["present", "--f=0"], out=io.StringIO()) == 0
+
+
+Q_PRIME = monic(parse("z3*z4 - z2*z5", families._CORE))
+
+
+@pytest.mark.parametrize("shape, forced", [
+    ("3", lambda gens: Q_PRIME),  # 1 + f = 4: y2*y3 - y1*y4 + 4*y5, y5 the tag of q'
+    ("0", lambda gens: gens[0]),  # z2 twice: y1 - y5
+    ("s", lambda gens: gens[0]),  # z2 twice: y1 - y6 and the closed-form r
+], ids=["q-prime-at-four", "repeat-at-zero", "repeat-at-s"])
+def test_the_minimality_check_fires_on_a_redundant_survivor(monkeypatch, shape, forced):
+    """invariant_presentation raises ValueError unless the relation ideal
+    has one generator in which no survivor's tag occurs linearly with a
+    constant coefficient, which would make that survivor a polynomial in
+    the others.  Each case forces one more survivor into the elimination:
+    q' where 1 + f = 4 leaves it out, or a second z2.  At f = 3 and f = 0,
+    whose own relations are 0, the one relation is then linear in the
+    forced tag with a constant coefficient; at f = s there are two."""
+    def forcing(ring, gens, extra, caps):
+        big = _tag_ring(ring, len(gens) + 1)
+        gens = [g if g.ring == ring else g.embed(big) for g in gens]
+        return _graph_relations(ring, [*gens, forced(gens)], extra, caps)
+
+    spec = FamilySpec("v3", parse(shape, VarSet(("s",))))
+    invariant_presentation(spec)
+    monkeypatch.setattr(families, "_graph_relations", forcing)
+    with pytest.raises(ValueError, match="not one relation among minimal generators"):
+        invariant_presentation(spec)
 
 
 CLOSED_FORM_SHAPES = (
@@ -339,43 +387,40 @@ def test_point_counts_refuse_what_is_not_2_integral():
     (10, range(1, 13)), (40, (3,)),
 ], ids=["t0", "t1", "t2", "t5", "t10", "t40"])
 def test_v3_presentation_matches_the_unsplit_span(monkeypatch, trivial, degrees):
-    """invariant_presentation spans only the candidates free of trivial
-    coordinates and adjoins those coordinates after; it matches one span
-    of every restricted W-invariant string for string, with as many
-    S-polynomials, on seeded signed-roots shapes."""
+    """invariant_presentation eliminates only the candidates free of
+    trivial coordinates and adjoins those coordinates after; it matches
+    one span of every restricted W-invariant string for string, on seeded
+    signed-roots shapes, with one run of 5 S-polynomials."""
     for degree in degrees:
         f = signed_roots_shape(degree, 100 * trivial + degree)
         art = build_family(FamilySpec("v3", f, trivial))
-        got, want = [], []
-        runs = spolynomials_per_run(monkeypatch, lambda: got.append(invariant_presentation(art)))
-        unsplit_runs = spolynomials_per_run(
-            monkeypatch, lambda: want.append(unsplit_v3_presentation(f, trivial)))
-        assert printed(*got[0]) == printed(*want[0])
-        assert sum(runs) == sum(unsplit_runs)
+        got = []
+        assert spolynomials_per_run(
+            monkeypatch, lambda: got.append(invariant_presentation(art))) == [5]
+        assert printed(*got[0]) == printed(*unsplit_v3_presentation(f, trivial))
 
 
 def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
-    """relations() reads the tag-only rows of the run, interreduced among
+    """The relations are the tag-only rows of the run, interreduced among
     themselves alone; they are the tag-only rows of the whole reduced
-    basis, on shifted monomials, whose subalgebras have several relations,
-    and on v3 spans."""
+    basis, on spans of shifted monomials, whose subalgebras have several
+    relations, and on the v3 presentation's elimination of its forms."""
     rng = random.Random("tag-only")
     ring = VarSet(("x", "y", "z"))
     monomials = [m for m in (tuple(rng.randint(0, 3) for _ in ring) for _ in range(200))
                  if 2 <= sum(m) <= 3]
-    spans = []
+    runs = []
     for _ in range(8):
         candidates = [Polynomial(ring, {m: 1, (0, 0, 0): rng.choice((0, 1, -2))})
                       for m in rng.sample(monomials, 5)]
-        spans.append(_GraphSpan(ring, _sorted_gens(candidates)))
+        runs.append((_GraphSpan(ring, _sorted_gens(candidates))._run, len(ring)))
     for degree in (1, 3, 7, 12):
-        v3_ring, candidates, forms = v3_span_input(monkeypatch, degree, 1, degree)
-        spans.append(_GraphSpan(v3_ring, candidates, forms=forms))
+        v3_ring, _, forms = v3_span_input(monkeypatch, degree, 1, degree)
+        runs.append((_graph_run(v3_ring, forms, (), DEFAULT_CAPS), len(v3_ring)))
     relations = []
-    for span in spans:
-        run = span._run
-        whole = [row for row in run.reduced() if not row[0] & span._ring_fields]
-        assert run.reduced(span._ring_fields) == whole
+    for run, n in runs:
+        whole = [row for row in run.reduced() if not row[0] & _first_fields(n)]
+        assert run.reduced(_first_fields(n)) == whole
         relations.append(len(whole))
     assert max(relations) >= 4 and min(relations) >= 1
 
@@ -395,24 +440,26 @@ def test_present_degree_20_output_is_pinned():
 # -- seed forms ----------------------------------------------------------------
 
 
-def span_state(span):
-    """Everything a span computes: the survivors, the relations, the rows
-    in the order they were added, and the S-polynomials reduced."""
-    return (span.kept, span.relations(), span._run.basis, span._run.reductions)
+def run_state(ring, gens):
+    """Everything the graph run of `gens` computes: the relations, the
+    reduced basis, the rows in the order they were added, and the
+    S-polynomials reduced."""
+    run = _graph_run(ring, gens, (), DEFAULT_CAPS)
+    return (_graph_relations(ring, gens, (), DEFAULT_CAPS), run.reduced(), run.basis,
+            run.reductions)
 
 
-def test_forms_leave_v3_spans_unchanged(monkeypatch):
+def test_forms_leave_v3_runs_unchanged(monkeypatch):
     """On seeded v3 shapes of degree 1-20 with 0-2 trivial summands, the
-    span seeded through the forms keeps the same candidates, adds the same
-    rows and reduces the same S-polynomials as the span seeded with the
-    candidates."""
+    elimination seeded through the forms adds the same rows, reduces the
+    same S-polynomials and finds the same relations as the elimination
+    seeded with the candidates the forms stand for."""
     rng = random.Random("forms")
     for degree in range(1, 21):
         for trivial in range(3):
             ring, candidates, forms = v3_span_input(monkeypatch, degree, trivial,
                                                     rng.randrange(1000))
-            assert span_state(_GraphSpan(ring, candidates, forms=forms)) \
-                == span_state(_GraphSpan(ring, candidates))
+            assert run_state(ring, forms) == run_state(ring, candidates)
 
 
 @pytest.mark.parametrize("trivial", [0, 1, 2])
@@ -420,24 +467,25 @@ def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
     """At degree 12 the images of the two minors with w1 expand to 93
     terms each, which reduce to 15; seeded through their forms, the
     reduction starts from those 15 terms, also with trivial summands,
-    which are adjoined after the span.  w1's own image, 1 + f(q) without
-    its constant, is a polynomial in the kept q and is never built: the
-    pins read [2, 2, 2, 2, 3, 3, 13, 13, 15, 15, 15, 15] through the
-    forms, and 91 -> 13 without them, while it was seeded and dropped."""
+    which are adjoined after the elimination.  The pins list each seed's
+    size and its remainder's, in seed order; w1's own image, 1 + f(q)
+    without its constant, is a polynomial in q and is never built."""
     ring, candidates, forms = v3_span_input(monkeypatch, 12, trivial, 7)
     sizes = []
 
-    class Recorded(_GraphSpan):
-        def _tag_only_form(self, work):
-            sizes.append(len(work))
-            reduced, member = super()._tag_only_form(work)
-            sizes.append(len(reduced))
-            return reduced, member
+    class Recorded(groebner._Run):
+        def reduce(self, work):
+            before = len(work)
+            reduced = super().reduce(work)
+            if not self.reductions:  # the seeds are reduced before any S-polynomial
+                sizes.extend((before, len(reduced)))
+            return reduced
 
-    Recorded(ring, candidates, forms=forms)
+    monkeypatch.setattr(groebner, "_Run", Recorded)
+    _graph_relations(ring, forms, (), DEFAULT_CAPS)
     assert sizes == [2, 2, 2, 2, 3, 3, 15, 15, 15, 15]
     sizes.clear()
-    Recorded(ring, candidates)
+    _graph_relations(ring, candidates, (), DEFAULT_CAPS)
     assert sizes == [2, 2, 2, 2, 3, 3, 93, 15, 93, 15]
 
 
@@ -452,26 +500,29 @@ def tagged(text):
 @pytest.mark.parametrize("candidates, form_index, form", [
     # a names the later candidate a + b: y2 - b
     (["a", "a + b", "b^2", "a*b"], 0, "y2 - b"),
-    # a^2*b + c names the dropped a^2: y2*y3 + c
-    (["a", "a^2", "b", "a^2*b + c"], 3, "y2*y3 + c"),
     # a*b + c names its own tag: y3
     (["a", "b", "a*b + c"], 2, "y3"),
-], ids=["later", "dropped", "own"])
+], ids=["later", "own"])
 def test_forms_naming_other_tags_are_rejected(candidates, form_index, form):
-    """A form that names a later, dropped or its own candidate's tag
-    raises ValueError; seeded as written, each would keep a wrong row or
-    drop a candidate that is not a member."""
+    """A form that names a later or its own generator's tag raises
+    ValueError; seeded as written, the first would stand for no
+    polynomial of the ring, and the second would seed the wrong ideal."""
     cands = [parse(t, FORM_RING) for t in candidates]
     forms = list(cands)
     forms[form_index] = tagged(form).embed(_tag_ring(FORM_RING, len(cands)))
     with pytest.raises(ValueError, match="names the tag"):
-        _GraphSpan(FORM_RING, cands, forms=forms)
+        _graph_relations(FORM_RING, forms, (), DEFAULT_CAPS)
 
 
 def test_forms_next_to_a_lone_candidate():
-    """Next to the lone candidate e, forms that name earlier kept tags,
-    e's tag y1 or e itself leave the span's survivors, relations and rows
-    as they are without forms."""
+    """Next to the lone candidate e, forms that name earlier tags, e's tag
+    y1 or e itself, one of them of a member of the others' subalgebra,
+    leave the relations and the reduced basis as they are without forms;
+    subalgebra_presentation, which drops that member, finds the one
+    relation among the rest.  Unlike a span, the run seeds every form
+    before it completes a pair, so a form is reduced against rows that
+    need not yet be a Groebner basis, and the rows it adds and the
+    S-polynomials it reduces may differ: here 58 against 46."""
     ring = VarSet(("x", "e", "z"))
     cands = [parse(t, ring) for t in
              ("e", "x^2", "z", "x^3 + x*z", "x^4*z + x^2", "x^6 + 2*x^4*z + x^2*z^2")]
@@ -481,23 +532,25 @@ def test_forms_next_to_a_lone_candidate():
     for texts in (("x^3 + y3*x", "y2^2*y3 + y2", "y4^2"),
                   ("x^3 + y3*x + y1 - e", "y2^2*y3 + y2", "y4^2 + e*x - y1*x")):
         forms = cands[:3] + [parse(t, big) for t in texts]
-        assert span_state(_GraphSpan(ring, cands, forms=forms)) \
-            == span_state(_GraphSpan(ring, cands))
+        assert run_state(ring, forms)[:2] == run_state(ring, cands)[:2]
+    assert run_state(ring, forms)[3] == 58 and run_state(ring, cands)[3] == 46
 
 
 def test_forms_are_checked():
+    """A generator over neither the ring nor its tag ring for as many
+    generators raises RingMismatchError."""
     cands = [parse("a", FORM_RING), parse("b", FORM_RING)]
-    with pytest.raises(ValueError):
-        _GraphSpan(FORM_RING, cands, forms=cands[:1])
-    for ring in (FORM_TAGS, VarSet(("a", "b"))):  # tags for 4 candidates, not 2; another ring
+    for ring in (FORM_TAGS, VarSet(("a", "b"))):  # tags for 4 generators, not 2; another ring
         with pytest.raises(RingMismatchError):
-            _GraphSpan(FORM_RING, cands, forms=[cands[0], ring.var("a")])
+            _graph_relations(FORM_RING, [cands[0], ring.var("a")], (), DEFAULT_CAPS)
 
 
 def test_the_public_presentation_takes_no_seed_forms():
     """Seed forms are private to the v3 presentation: subalgebra_presentation
     takes (ring, candidates, caps) and rejects a fourth argument, which
-    could drop a candidate that is no member, such as y from Q[x, y]."""
+    could drop a candidate that is no member, such as y from Q[x, y]; a
+    span and subalgebra_membership reject a form as a candidate over
+    another ring."""
     ring = VarSet(("x", "y"))
     x, y = ring.var("x"), ring.var("y")
     forms = [x, _tag_ring(ring, 2).var("y1")]
@@ -506,3 +559,7 @@ def test_the_public_presentation_takes_no_seed_forms():
     with pytest.raises(TypeError):
         subalgebra_presentation(ring, [x, y], groebner.DEFAULT_CAPS, forms)
     assert subalgebra_presentation(ring, [x, y])[0] == [x, y]
+    with pytest.raises(RingMismatchError):
+        _GraphSpan(ring, forms)
+    with pytest.raises(RingMismatchError):
+        groebner.subalgebra_membership(x, forms)
