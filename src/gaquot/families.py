@@ -192,10 +192,7 @@ class FamilySpec(_Record):
     @property
     def b_ideal(self) -> Ideal:
         f_of_q = self.f.substitute(dict(zip(self.f.ring.names, self.quad_invariants)))
-        terms: dict = {}
-        for m, c in (((0,) * len(self.w_ring), 1), *f_of_q.terms.items()):
-            terms[m] = terms.get(m, 0) - c
-        return Ideal(self.w_ring, (Polynomial(self.w_ring, terms),))
+        return Ideal(self.w_ring, (-(f_of_q + 1),))
 
     @property
     def x_ideal(self) -> Ideal:

@@ -23,7 +23,8 @@ completes it for `buchberger`, `is_unit_ideal`, `krull_dimension` and
 time over the graph ideal of all of them, deciding membership and
 eliminating the relations among the survivors.  One read-out,
 `_Run.reduced`, gives `buchberger` and the graph relations
-(`_relations`) their part of a completed run's reduced basis.  Pairs
+(`_relations`) their part of a completed run's reduced basis, and one
+unpacking, `_polynomial`, makes every packed result a polynomial.  Pairs
 are pruned when they are formed, by the update of Gebauer and Moeller
 ("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
 UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
@@ -84,7 +85,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter, mul, neg
 from pathlib import Path
@@ -590,13 +591,20 @@ def _completed_run(packing: _Packing, seeds: Sequence[dict], caps: ResourceCaps)
     return run
 
 
-def _monic(rows: list, packing: _Packing, ring: VarSet, columns: Sequence[int]) -> tuple:
-    """The packed `rows` made monic, as polynomials over `ring` whose
-    exponents are the exponent fields of indices in `columns`, in order."""
-    selected = [i in columns for i in range(len(packing.weights))]
-    unpack = packing.unpack
-    return tuple(Polynomial(ring, {tuple(compress(unpack(m), selected)): _exact_quotient(c, lc)
-                                   for m, c in ((lm, lc),) + tail})
+def _polynomial(ring: VarSet, terms, packing: _Packing, start: int, d: int) -> Polynomial:
+    """The packed integer terms, (monomial, coefficient) pairs, over the
+    positive integer d, as a polynomial over `ring` whose exponents are
+    the len(ring) exponent fields from field `start` on: the one place
+    the engine builds a polynomial."""
+    unpack, stop = packing.unpack, start + len(ring)
+    return Polynomial(ring, {unpack(m)[start:stop]: _exact_quotient(c, d) for m, c in terms})
+
+
+def _monic(rows: list, packing: _Packing, ring: VarSet, start: int) -> tuple:
+    """The packed `rows` made monic, each over its leading coefficient, as
+    polynomials over `ring` read from the exponent fields from `start` on
+    (`_polynomial`)."""
+    return tuple(_polynomial(ring, ((lm, lc),) + tail, packing, start, lc)
                  for lm, lc, tail in rows)
 
 
@@ -611,7 +619,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None,
     packing = _packing(order or TermOrder.grevlex(), len(ideal.ring))
     seeds = [_integer_terms(g.terms, packing.pack)[0] for g in ideal.generators]
     run = _completed_run(packing, seeds, caps)
-    polys = _monic(run.reduced(), run.packing, ideal.ring, range(len(ideal.ring)))
+    polys = _monic(run.reduced(), run.packing, ideal.ring, 0)
     return GroebnerBasis(packing.order, polys, ideal)
 
 
@@ -627,9 +635,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
             for g in gb.basis]
     work, d = _integer_terms(f.terms, packing.pack)
     remainder, scale = _reduce_full(work, rows, packing.guard)
-    d *= scale
-    unpack = packing.unpack
-    return Polynomial(f.ring, {unpack(m): _exact_quotient(c, d) for m, c in remainder.items()})
+    return _polynomial(f.ring, remainder.items(), packing, 0, d * scale)
 
 
 def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
@@ -686,9 +692,7 @@ def divide_exact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     remainder, scale = _reduce_full(work, [_row(dict(sorted(row.items())))], packing.guard)
     if any(m & _first_fields(1) for m in remainder):  # t's exponent field
         return None
-    denominator *= scale
-    return Polynomial(p.ring, {packing.unpack(m)[1:]: _exact_quotient(c, denominator)
-                               for m, c in remainder.items()})
+    return _polynomial(p.ring, remainder.items(), packing, 1, denominator * scale)
 
 
 # -- squarefreeness ------------------------------------------------------------------
@@ -830,15 +834,13 @@ def _graph_run(ring: VarSet, gens: Sequence[Polynomial], extra: Sequence[Polynom
     return _completed_run(packing, seeds, caps)
 
 
-def _relations(run: _Run, ring: VarSet, columns: Sequence[int]) -> Ideal:
+def _relations(run: _Run, ring: VarSet, count: int) -> Ideal:
     """The rows of a completed graph run free of `ring`'s variables, the
-    first ones (`_Run.reduced`), made monic over fresh tags y1, y2, ...
-    for the exponent fields `columns`, in order; the zero ideal if none
-    is.  A tag column left out is zero in every such row, on which
-    grevlex ties, so they are the elimination ideal over the tags in
-    `columns` alone."""
-    tags = VarSet(fresh_names("y", len(columns), ring.names))
-    relations = _monic(run.reduced(_first_fields(len(ring))), run.packing, tags, columns)
+    first ones (`_Run.reduced`), made monic over fresh tags y1..y<count>
+    read from the `count` exponent fields after the ring's; the zero
+    ideal if none is."""
+    tags = VarSet(fresh_names("y", count, ring.names))
+    relations = _monic(run.reduced(_first_fields(len(ring))), run.packing, tags, len(ring))
     return Ideal(tags, relations or (tags.zero(),))
 
 
@@ -846,8 +848,7 @@ def _graph_relations(ring: VarSet, gens: Sequence[Polynomial], extra: Sequence[P
                      caps: ResourceCaps) -> Ideal:
     """The tag polynomials p with p(gens) in the ideal (extra) over `ring`:
     the elimination of `ring` from the graph ideal of `_graph_run`."""
-    n = len(ring)
-    return _relations(_graph_run(ring, gens, extra, caps), ring, range(n, n + len(gens)))
+    return _relations(_graph_run(ring, gens, extra, caps), ring, len(gens))
 
 
 class _GraphSpan:
@@ -866,13 +867,16 @@ class _GraphSpan:
     subalgebra_membership calls it a member of the kept candidates'
     subalgebra.
 
-    Candidate i is seeded with the generator y_i - p of the graph ideal
-    (`_graph_seed`).  It is kept iff that seed, reduced to a multiple of
-    y_i minus a normal form free of y_i (y_i leads no row), is not
-    tag-only; the kept remainder joins the basis, whose pairs are
-    completed before the next candidate.  Raises RingMismatchError for a
-    candidate not over `ring` and ValueError for an empty candidate
-    list."""
+    Each candidate p is seeded with y - p (`_graph_seed`), y the next
+    free tag field after the ring's and the kept candidates' tags.  It is
+    kept iff that seed, reduced to a multiple of y minus a normal form
+    free of y (y leads no row), is not tag-only; the kept remainder joins
+    the basis, whose pairs are completed before the next candidate.  A
+    dropped candidate's seed never joins the run, so the next candidate
+    reuses its field and the kept tags lie where `_graph_run` puts them;
+    the zero fields past them leave grevlex, and so the run, unchanged.
+    Raises RingMismatchError for a candidate not over `ring` and
+    ValueError for an empty candidate list."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
                  caps: ResourceCaps = DEFAULT_CAPS):
@@ -883,15 +887,13 @@ class _GraphSpan:
         packing = _packing(TermOrder.block(n), n + len(candidates))
         self._run = _Run(packing, caps)
         self._ring_fields = _first_fields(n)
-        self._columns = []  # exponent column of each kept candidate's tag
         self.kept = []
-        for i, p in enumerate(candidates):
+        for p in candidates:
             if p.ring != ring:
                 raise RingMismatchError("subalgebra candidates over the wrong ring")
-            seed = _graph_seed(packing, packing.weights[n + i], p)
+            seed = _graph_seed(packing, packing.weights[n + len(self.kept)], p)
             reduced, member = self._tag_only_form(seed)
             if not member:
-                self._columns.append(n + i)
                 self.kept.append(p)
                 self._run.append(reduced)
                 self._run.complete()
@@ -912,7 +914,7 @@ class _GraphSpan:
         """The relations among the kept candidates, over the tags
         y1..y<len(kept)>: the elimination ideal `_graph_relations(ring,
         kept, (), caps)` gives, read off this run (`_relations`)."""
-        return _relations(self._run, self._ring, self._columns)
+        return _relations(self._run, self._ring, len(self.kept))
 
 
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
@@ -940,10 +942,8 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
     remainder, scale = _reduce_full(work, run.rows, run.packing.guard)
     if any(m & _first_fields(n) for m in remainder):
         return False, None
-    d *= scale
     witness_ring = VarSet(fresh_names("y", len(gens), ring.names))
-    return True, Polynomial(witness_ring, {run.packing.unpack(m)[n:]: _exact_quotient(c, d)
-                                           for m, c in remainder.items()})
+    return True, _polynomial(witness_ring, remainder.items(), run.packing, n, d * scale)
 
 
 def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],

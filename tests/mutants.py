@@ -207,8 +207,21 @@ MUTANTS = [
      "    if any(m & _first_fields(n - 1) for m in remainder):\n",
      (GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",)),
     ("membership witness not divided by the scale", GROEBNER,
-     "    d *= scale\n    witness_ring", "    witness_ring",
+     "run.packing, n, d * scale)", "run.packing, n, d)",
      (GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",)),
+    ("relations read one tag field late", GROEBNER,
+     "run.packing, tags, len(ring))", "run.packing, tags, len(ring) + 1)",
+     (GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
+      PRESENTATION_TESTS + "test_lone_candidates_match_the_reference")),
+    ("span tag one field past the kept count", GROEBNER,
+     "packing.weights[n + len(self.kept)]", "packing.weights[n + len(self.kept) + 1]",
+     (GROEBNER_TESTS + "test_graph_span_tags_fill_the_fields_after_the_ring",
+      PRESENTATION_TESTS + "test_lone_candidates_match_the_reference")),
+    ("quotient read from t's field", GROEBNER,
+     "remainder.items(), packing, 1, denominator * scale)",
+     "remainder.items(), packing, 0, denominator * scale)",
+     (GROEBNER_TESTS + "test_divide_exact",
+      GROEBNER_TESTS + "test_divide_exact_matches_scan_reference")),
     ("squarefree fallback under the default caps", GROEBNER,
      "                         ResourceCaps(max_degree=p.total_degree()))\n",
      "                         DEFAULT_CAPS)\n",

@@ -670,6 +670,22 @@ def test_graph_span_contains_checks_the_ring():
             span.contains(ring.var("x"))
 
 
+def test_graph_span_tags_fill_the_fields_after_the_ring():
+    """A dropped candidate's tag field goes to the next candidate, so the
+    kept tags fill the fields right after the ring's, the layout of
+    `_graph_run`, and the span's relations are those `_graph_relations`
+    finds for the kept candidates."""
+    cands = [parse(text, XY) for text in ("x", "x^2", "x^3 + y", "x*y", "y^2 + x")]
+    span = groebner._GraphSpan(XY, cands)
+    assert span.kept == [cands[0], cands[2]]
+    unpack = span._run.packing.unpack
+    fields = {i for lm, lc, tail in span._run.basis for m, _ in ((lm, lc),) + tail
+              for i, e in enumerate(unpack(m)) if e}
+    assert fields == {0, 1, 2, 3}
+    assert span.relations() == groebner._graph_relations(XY, span.kept, (),
+                                                         groebner.DEFAULT_CAPS)
+
+
 # -- exact division helper -----------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ every public one, and every public member of a library class, is used
 by the library or the acceptance tests, each
 module imports only from the modules below it in the layering, every
 process cache is private and bounded, no library module loads
-`dataclasses` (nor, through it, `inspect`), and the library's
-heap-driven reduction loops are the known ones."""
+`dataclasses` (nor, through it, `inspect`), the library's
+heap-driven reduction loops are the known ones, and the Groebner engine
+turns packed terms into polynomials in one place."""
 
 import ast
 import os
@@ -153,30 +154,47 @@ def dataclass_imports(source: str) -> list:
     return lines
 
 
-def heappop_callers(source: str) -> list:
+def innermost_definitions(tree, matches) -> list:
     """Qualified names ("Class.method", "function", or "<module>") of the
-    innermost definitions that refer to `heapq.heappop`, as an attribute
-    or by a name imported from `heapq`, in order of first reference."""
-    tree = ast.parse(source)
-    names = {alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "heapq"
-             for alias in node.names if alias.name == "heappop"}
-    callers = []
+    innermost definitions holding a node of `tree` for which `matches`
+    holds, in order of first match."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "heappop"
-                    or isinstance(child, ast.Name) and child.id in names):
+            if matches(child):
                 caller = ".".join(scope) or "<module>"
-                if caller not in callers:
-                    callers.append(caller)
+                if caller not in found:
+                    found.append(caller)
             visit(child, scope)
 
     visit(tree, ())
-    return callers
+    return found
+
+
+def heappop_callers(source: str) -> list:
+    """The innermost definitions (`innermost_definitions`) that refer to
+    `heapq.heappop`, as an attribute or by a name imported from `heapq`."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "heapq"
+             for alias in node.names if alias.name == "heappop"}
+    return innermost_definitions(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "heappop"
+        or isinstance(node, ast.Name) and node.id in names))
+
+
+def callers(source: str, name: str) -> list:
+    """The innermost definitions (`innermost_definitions`) that call
+    `name` by that bare name, or take an attribute `name` of anything,
+    called or not."""
+    return innermost_definitions(ast.parse(source), lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == name))
 
 
 def referenced_names(source: str) -> set:
@@ -340,6 +358,32 @@ def test_detects_heappop_callers():
               "first = heapq.heappop\n")
     assert heappop_callers(source) == ["direct", "aliased", "imported", "Queue.drain.step",
                                        "<module>"]
+
+
+def test_packed_terms_become_polynomials_in_one_place():
+    """In the Groebner engine only `_polynomial` builds a `Polynomial`,
+    and exponent tuples are unpacked only there, in the pair update's
+    lcm and in the dimension's supports; `_Packing.unpack` is listed for
+    its own call of `Struct.unpack`."""
+    source = (ROOT / "src" / "gaquot" / "groebner.py").read_text(encoding="utf-8")
+    assert callers(source, "Polynomial") == ["_polynomial"]
+    assert set(callers(source, "unpack")) == {"_Packing.unpack", "_update", "_polynomial",
+                                              "krull_dimension"}
+
+
+def test_detects_callers():
+    source = ("from .poly import Polynomial\n"
+              "def annotated(p: Polynomial) -> Polynomial:\n    return p\n"
+              "def built(ring):\n    return Polynomial(ring, {})\n"
+              "def attribute(packing, m):\n    return packing.unpack(m)\n"
+              "def bound(packing):\n    unpack = packing.unpack\n    return unpack\n"
+              "def aliased(unpack, m):\n    return unpack(m)\n"
+              "class Packing:\n    def unpack(self, m):\n        return m\n"
+              "    def read(self, m):\n        return [self.unpack(t) for t in m]\n"
+              "unpack = Packing().unpack\n")
+    assert callers(source, "Polynomial") == ["built"]
+    assert callers(source, "unpack") == ["attribute", "bound", "aliased", "Packing.read",
+                                         "<module>"]
 
 
 def test_no_source_imports_dataclasses():
