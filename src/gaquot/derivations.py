@@ -27,9 +27,9 @@ generators one degree at a time (_GradedSpan); otherwise it is one
 incremental Buchberger run of the tag-variable test (Shannon and
 Sweedler, J. Symb. Comp. 6, 1988) over the graph ideal of all of them
 (groebner._GraphSpan), the general route of SAGBI theory (Robbiano and
-Sweedler, LNM 1430, 1990).  A saturation round tests its candidates
-against the span of its generators, and the span of the round that adds
-nothing is the final filter.
+Sweedler, LNM 1430, 1990).  A saturation round asks the span of its
+generators alone whether a candidate is new, and the span of the round
+that adds nothing is the final filter.
 """
 
 from __future__ import annotations
@@ -392,13 +392,11 @@ def kernel_saturation(derivation: Derivation, var: str, max_rounds: int,
     subalgebra, for the slice image a = D(s) of the slice variable s =
     `var` (`_check_slice`).  Each subalgebra is one `_span`, which keeps
     the generators that the ones before them in (degree, text) order do
-    not generate, as kernel_linear does (a seed can lie in the
-    subalgebra of other seeds); the next
-    round's span is built from its kept generators plus the new elements,
-    since a dropped generator stays in the subalgebra of the kept ones
-    before it.  Each subalgebra contains the one before it, so a
-    polynomial that lay in an earlier one, a seed or a candidate an
-    earlier round tested, is never tested again.  Stops when a round adds
+    not generate, as kernel_linear does (a seed can repeat another or lie
+    in the subalgebra of others); the next round's span is built from
+    its kept generators plus the new elements, since a dropped generator
+    stays in the subalgebra of the kept ones before it.  A round asks its
+    span alone whether a candidate is new.  Stops when a round adds
     nothing and returns that span's kept generators; with max_rounds = 0
     the seeds' span is returned unverified.  Exhausting a positive round
     budget raises RoundCapError (the invariant ring need not be finitely
@@ -409,18 +407,10 @@ def kernel_saturation(derivation: Derivation, var: str, max_rounds: int,
         raise UsageError("max_rounds must be nonnegative")
     a = _check_slice(derivation, var)
     ring = derivation.ring
-    seeds = []
-    for name in ring.names:
-        cleared = _dixmier_cleared(derivation, var, a, ring.var(name))
-        if cleared.is_zero() or cleared.is_constant():
-            continue
-        cleared = monic(cleared)
-        if cleared not in seeds:
-            seeds.append(cleared)
-    span = _span(ring, seeds, caps)
-    known = set(seeds)
+    cleared = [_dixmier_cleared(derivation, var, a, ring.var(name)) for name in ring.names]
+    span = _span(ring, [monic(c) for c in cleared if not c.is_constant()], caps)
     for _ in range(max_rounds):
-        new = _saturation_round(derivation, a, span, known, caps)
+        new = _saturation_round(ring, a, span, caps)
         if not new:
             return span.kept
         span = _span(ring, span.kept + new, caps)
@@ -429,12 +419,10 @@ def kernel_saturation(derivation: Derivation, var: str, max_rounds: int,
     return span.kept
 
 
-def _saturation_round(derivation: Derivation, a: Polynomial, span, known: set,
-                      caps: ResourceCaps):
+def _saturation_round(ring: VarSet, a: Polynomial, span, caps: ResourceCaps):
     """The kernel elements h outside the subalgebra of `span` (a `_span`)
-    with a*h inside it, each once.  `known` holds polynomials of that
-    subalgebra, at least every generator of `span`; an h in it is skipped
-    with no membership test, and each h tested is added to it.
+    with a*h inside it, made monic; one found twice is listed twice, and
+    the next `_span` drops the repeat.
 
     Tag polynomials p with p(kept) divisible by a are exactly the
     elimination ideal of (a) + (y_i - kept_i), over the span's kept
@@ -445,25 +433,20 @@ def _saturation_round(derivation: Derivation, a: Polynomial, span, known: set,
     has no tags, and each relation is a constant.  A p(kept) that a does
     not divide is a bug, and raises ValueError.
     """
-    ring = derivation.ring
     kept = span.kept
     relations = _graph_relations(ring, kept, (a,), caps)
     assignment = dict(zip(relations.ring.names, kept))
     new = []
     for p in relations.generators:
         b = p.substitute(assignment) if p.variables() else ring.const(p.constant_term())
-        if b.is_zero():
-            continue
         h = divide_exact(b, a)
         if h is None:
             raise ValueError(f"relation image {b} is not divisible by the slice image {a}")
         if h.is_constant():
             continue
         h = monic(h)
-        if h not in known:
-            known.add(h)
-            if not span.contains(h):
-                new.append(h)
+        if not span.contains(h):
+            new.append(h)
     return new
 
 

@@ -199,9 +199,6 @@ class Ideal(_Record):
             raise RingMismatchError("cannot sum ideals over different rings")
         return Ideal(self.ring, self.generators + other.generators)
 
-    def is_zero(self) -> bool:
-        return all(g.is_zero() for g in self.generators)
-
 
 class GroebnerBasis(_Record):
     """Reduced basis (monic, pairwise irreducible) of `source` under `order`.

@@ -33,10 +33,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DERIVATIONS = "src/gaquot/derivations.py"
 FAMILIES = "src/gaquot/families.py"
 GROEBNER = "src/gaquot/groebner.py"
 POLY = "src/gaquot/poly.py"
 CLI_TESTS = "tests/test_cli.py::"
+DERIVATION_TESTS = "tests/test_derivations.py::"
 FAMILY_TESTS = "tests/test_families.py::"
 GROEBNER_TESTS = "tests/test_groebner.py::"
 POLY_TESTS = "tests/test_poly.py::"
@@ -45,6 +47,15 @@ RECORD_TESTS = "tests/test_records.py::"
 
 # (label, library file, exact snippet, replacement, node ids that must fail)
 MUTANTS = [
+    ("a round keeps a quotient its span contains", DERIVATIONS,
+     "        if not span.contains(h):\n", "        if True:\n",
+     (DERIVATION_TESTS + "test_kernel_saturation_generates_weitzenboeck",)),
+    ("constant quotients reach monic", DERIVATIONS,
+     "        if h.is_constant():\n            continue\n", "",
+     (DERIVATION_TESTS + "test_kernel_saturation_generates_weitzenboeck",)),
+    ("the slice's zero projection seeded", DERIVATIONS,
+     " for c in cleared if not c.is_constant()]", " for c in cleared]",
+     (DERIVATION_TESTS + "test_kernel_saturation_generates_weitzenboeck",)),
     ("W built past the bound", FAMILIES,
      "    if trivial > bound:\n"
      '        raise ResourceCapError(f"{trivial} trivial summands exceed the bound {bound} '

@@ -248,7 +248,7 @@ def test_fixed_point_ideal_matches_nonstable_locus():
 
 
 def test_fixed_point_ideal_of_zero_derivation():
-    assert fixed_point_ideal(Derivation(W, {})).is_zero()
+    assert fixed_point_ideal(Derivation(W, {})).generators == (W.zero(),)
 
 
 def test_fixed_point_ideal_four_blocks():
@@ -705,8 +705,9 @@ def test_saturation_round_rejects_an_inexact_division(monkeypatch):
 
 
 def test_saturation_round_skips_known_generators(monkeypatch):
-    """Round 2 re-derives y^2 - 2*x*z + 2*y, found in round 1; it is
-    already a generator, so it is not tested for membership again.  Each
+    """Round 1 finds y^2 - 2*x*z + 2*y, the one membership test; round
+    2's elimination leaves only the relation of x, whose quotient by the
+    slice image x is constant, so it tests nothing.  Each
     round tests against one run over the previous run's kept generators
     plus the new ones, and the second round's run is the final minimality
     filter: no other run follows."""
@@ -732,10 +733,10 @@ def four_round_derivation():
 def test_saturation_round_builds_one_basis_per_round(monkeypatch):
     """Each round tests its candidates against one Groebner membership run
     over the round's generators, built by kernel_saturation, and the last
-    round's run is also the final filter: 5 tests on 4 runs, and no fifth
-    run.  Round 4's run drops the degree-8 element found in round 2 for
-    the degree-7 one found in round 3; round 4 derives it again, and it
-    is not tested again, since round 2 tested it."""
+    round's run is also the final filter: 6 tests of 5 polynomials on 4
+    runs, and no fifth run.  Round 4's run drops the degree-8 element
+    found in round 2 for the degree-7 one found in round 3; round 4
+    derives it again and tests it again, and its span contains it."""
     d = four_round_derivation()
     calls = count_groebner_calls(monkeypatch)
     got = kernel_saturation(d, derivations.find_slice(d), 8)
@@ -748,7 +749,9 @@ def test_saturation_round_builds_one_basis_per_round(monkeypatch):
     runs = [tuple(what) for caller, what in calls if caller == "kernel_saturation"]
     assert {caller for caller, _ in calls} == {"kernel_saturation", "_saturation_round"}
     tests = [what for caller, what in calls if caller == "_saturation_round"]
-    assert len(tests) == len(set(tests)) == 5
+    assert len(tests) == 6
+    assert len(set(tests)) == 5
+    assert [g.total_degree() for g in tests if tests.count(g) == 2] == [8, 8]
     assert len(runs) == len(set(runs)) == 4
 
 
@@ -864,8 +867,7 @@ def refiltering_saturation(derivation, data, max_rounds):
     generators = seeds
     for _ in range(max_rounds):
         span = derivations._span(ring, generators, derivations.DEFAULT_CAPS)
-        new = derivations._saturation_round(derivation, a, span, set(span.kept),
-                                            derivations.DEFAULT_CAPS)
+        new = derivations._saturation_round(ring, a, span, derivations.DEFAULT_CAPS)
         if not new:
             return span.kept
         generators = generators + new

@@ -35,7 +35,7 @@ def test_mutant_catalogue_is_not_stale():
     paths = {file for _, file, _, _, _ in MUTANTS}
     paths |= {node.partition("::")[0] for *_, node_ids in MUTANTS for node in node_ids}
     sources = {path: (ROOT / path).read_text(encoding="utf-8") for path in paths}
-    assert len(MUTANTS) >= 47
+    assert len(MUTANTS) >= 50
     assert stale_entries(MUTANTS, sources) == []
 
 

@@ -83,7 +83,7 @@ def test_tags_are_named_for_the_survivors():
     survivors, relations = subalgebra_presentation(ring, _sorted_gens(cands))
     assert [str(g) for g in survivors] == ["x + 1", "y3"]
     assert relations.ring.names == ("y1", "y2")
-    assert relations.is_zero()
+    assert relations.generators == (relations.ring.zero(),)
     ring = VarSet(("x", "y1"))
     cands = [parse(t, ring) for t in ("y1", "x^2", "x^3", "x^4*y1 - x^2")]
     survivors, relations = subalgebra_presentation(ring, cands)
@@ -96,7 +96,7 @@ def test_only_constants_and_no_candidates():
     ring = VarSet(("x",))
     survivors, relations = subalgebra_presentation(ring, [ring.const(3), ring.one()])
     assert survivors == [] and relations.ring.names == ()
-    assert relations.is_zero()
+    assert relations.generators == (relations.ring.zero(),)
     with pytest.raises(ValueError):
         subalgebra_presentation(ring, [])
 
