@@ -23,11 +23,13 @@ their order are written in closed form from W's quadric and f: both
 minors' images read one table of coefficients, and each candidate's
 leading monomial is known, so they sort by (degree, leading text) with
 no search.  They are minimal but for one known exception, so one
-Groebner run eliminates the coordinates from their graph ideal, its
-seeds naming the quadratic invariant's tag instead of expanding its
-powers, and its one relation is checked to leave none redundant.  The
-run covers only the generators free of the trivial summands'
-coordinates, which Ga fixes; those join afterwards as free generators.
+Groebner run eliminates the coordinates from their graph ideal, and
+its one relation is checked to leave none redundant.  Its seeds are
+packed integer term dicts written from the closed form, naming the
+quadratic invariant's tag instead of expanding its powers, so no
+polynomial over the tag ring is built.  The run covers only the
+generators free of the trivial summands' coordinates, which Ga fixes;
+those join afterwards as free generators.
 
 W is certified once, where it is built (`_representation`), by the
 Weitzenboeck identities (Freudenburg, "Algebraic Theory of Locally
@@ -93,7 +95,7 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -116,8 +118,9 @@ from .groebner import (
     Ideal,
     ResourceCaps,
     _EXPONENT_BOUND,
-    _graph_relations,
-    _tag_ring,
+    _completed_run,
+    _graph_packing,
+    _relations,
     is_squarefree,
     is_unit_ideal,
 )
@@ -204,14 +207,20 @@ class FamilySpec(_Record):
         """J' = (1 + f, J_kl for each polarization operator E_kl in
         order), in f's ring: J_kl(s) = sum over j of df/ds_j * c*s_m for
         E_kl q_j = c*q_m in the table `_representation` holds for the
-        spec's W.  The unit ideal iff B is smooth (see the module
-        docstring), which for v3 `build_family` decides (`run_battery`)."""
-        f = self.f
-        s = [f.ring.var(n) for n in f.ring.names]
-        gradient = jacobian([f], f.ring.names)[0]
-        table = _representation(self.family, self.trivial_summands)[2]
-        return Ideal(f.ring, (f + 1, *(sum((c * gradient[j] * s[m] for j, c, m in images),
-                                           f.ring.zero()) for images in table)))
+        spec's W.  Each J_kl is one term dict, written from f's terms, so
+        J' builds one polynomial per generator and multiplies none.  The
+        unit ideal iff B is smooth (see the module docstring), which for
+        v3 `build_family` decides (`run_battery`)."""
+        f, ring = self.f, self.f.ring
+        gens = [Polynomial(ring, {**f.terms, (0,) * len(ring): f.constant_term() + 1})]
+        for images in _representation(self.family, self.trivial_summands)[2]:
+            terms: dict = {}
+            for (j, c, m), (exps, a) in product(images, f.terms.items()):
+                if exps[j]:  # a*s^exps gives c*a*exps[j]*s^(exps - e_j + e_m)
+                    key = tuple(e - (i == j) + (i == m) for i, e in enumerate(exps))
+                    terms[key] = terms.get(key, 0) + c * a * exps[j]
+            gens.append(Polynomial(ring, terms))
+        return Ideal(ring, gens)
 
 
 def build_family(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> FamilySpec:
@@ -358,7 +367,7 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     (equation,) = ideal.generators
     ring = VarSet(equation.variables() or ideal.ring.names)
     equation = equation.embed(ring)
-    gens = (equation,) + tuple(equation.partial(n) for n in ring.names)
+    gens = (equation, *jacobian([equation], ring.names)[0])
     return is_unit_ideal(Ideal(ring, gens), caps=caps)
 
 
@@ -425,12 +434,16 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     `derivations._sorted_gens`'s order.  They are the survivors, except
     q' where 1 + f is a nonzero constant (f = 0 under `present`): then r
     below is linear in q's tag, and q' is left out.  One Groebner run
-    eliminates z1..z5 from the survivors' graph ideal
-    (`groebner._graph_relations`, under `caps`).  The minors are seeded
-    through their forms (1 + f(c*y))*z3 - z1*z2 and (1 + f(c*y))*z5 -
-    z1*z4 over lc, y the tag of q', which equal them at y -> q'
-    (`groebner._graph_run`), so the run never reduces expanded powers of
-    q back to powers of y, and each minor seeds deg f + 3 terms.
+    (`groebner._completed_run`, under `caps`) eliminates z1..z5 from the
+    survivors' graph ideal, and `groebner._relations` reads r off it.
+    Its seeds are packed integer term dicts (`groebner._graph_packing`)
+    written from the closed form: y_i - p for p = z2, z4 and q', and for
+    each minor the positive multiple of lc*y_i - (1 + f(c*y))*z3 +
+    z1*z2, or with z5 and z4, that clears f's denominators, y the tag of
+    q'.  That is lc*(y_i - image) plus a multiple of y - q', so the run
+    adds the rows `groebner._graph_run` adds from the survivors, but
+    never reduces expanded powers of q back to powers of y: each minor
+    seeds deg f + 3 terms, z3 + e*y packed as a sum of packed monomials.
 
     Minimality is read off the relations (ROADMAP item 1, step 3): they
     are one r, the restriction of w1*q - w3*d13 + w5*d12 = 0, or 0, and a
@@ -454,7 +467,6 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     shape = {e: a * c ** e for (e,), a in (spec.f + 1).terms.items()}  # g_e
     top = max(shape, default=0)
     lc = shape[top] if top else -1  # the leading coefficient of both minors' images
-    scaled = {e: _exact_quotient(g, lc) for e, g in shape.items()}  # the forms' g_e/lc
     corner = _exact_quotient(-1, lc)  # of z1*z2 and z1*z4
     lead_powers, other_powers = ([tuple(x * i for x in m) for i in range(top + 1)]
                                  for m in (lead, other))
@@ -462,7 +474,7 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     table = [(tuple([a + b for a, b in zip(lead_powers[e - j], other_powers[j])]),
               _exact_quotient(g * comb(e, j) * d ** j, lc))
              for e, g in shape.items() for j in range(e + 1)]
-    # (degree, leading text, candidate, (z3 or z5, z1*z2 or z1*z4) of a minor's form)
+    # (degree, leading text, candidate, (z3 or z5, z1*z2 or z1*z4) of a minor's seed)
     entries = [(1, "z2", _CORE.var("z2"), None), (1, "z4", _CORE.var("z4"), None),
                (2, _term_text(_CORE.names, lead, 1, True), q_monic, None)]
     for k in (2, 4):  # z3 and z5: the minors w1*w4 - w2*w3 and w1*w6 - w2*w5
@@ -477,13 +489,20 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     if shape.keys() == {0}:  # 1 + f = g_0 != 0: r is linear in q's tag, so q' is redundant
         entries = [entry for entry in entries if entry[2] is not q_monic]
     survivors = [p for _, _, p, _ in entries]
-    tags = len(survivors)
-    big = _tag_ring(_CORE, tags)
-    power = {e: tuple(e * (p is q_monic) for p in survivors) for e in scaled}  # y^e, y q's tag
-    seeds = [p if form is None else Polynomial(big, {
-        **{form[0] + power[e]: h for e, h in scaled.items()}, form[1] + (0,) * tags: corner})
-        for _, _, p, form in entries]
-    relations = _graph_relations(_CORE, seeds, (), caps)
+    packing = _graph_packing(len(_CORE), len(survivors))
+    pack, tags = packing.pack, packing.weights[len(_CORE):]
+    y = next((tag for tag, p in zip(tags, survivors) if p is q_monic), 0)  # q's tag, if kept
+    clear = lcm(*(g.denominator for g in shape.values())) * (1 if lc > 0 else -1)
+    cleared = {e: g.numerator * (clear // g.denominator) for e, g in shape.items()}  # clear*g_e
+    seeds = []
+    for tag, (_, _, p, minor) in zip(tags, entries):
+        if minor is None:  # y_i - p: z2, z4 and q' have integer coefficients
+            seeds.append({tag: 1, **{pack(m): -a for m, a in p.terms.items()}})
+        else:  # clear*(lc*y_i - sum of g_e*y^e*z_k + z1*z_pair), clear*lc > 0
+            z_k, pair = map(pack, minor)
+            seeds.append({tag: int(clear * lc), pair: clear,
+                          **{z_k + e * y: -g for e, g in cleared.items()}})
+    relations = _relations(_completed_run(packing, seeds, caps), _CORE, len(survivors))
     r, *more = relations.generators
     named = Counter(i for m in r.terms for i, e in enumerate(m) if e)  # terms naming each tag
     if more or any(sum(m) == 1 and named[m.index(1)] == 1 for m in r.terms):

@@ -18,13 +18,14 @@ squarefreeness test first looks for a modular certificate that p and p'
 are coprime, before the unit-ideal test of (p, p') over Q decides.
 One run state, `_Run`, holds the rows, the pair queue and the pair
 loop.  Its input is packed seeds: `_completed_run` seeds it once and
-completes it for `buchberger`, `is_unit_ideal`, `krull_dimension` and
-`_graph_run`, and `_GraphSpan` grows it one subalgebra candidate at a
-time over the graph ideal of all of them, deciding membership and
-eliminating the relations among the survivors.  One read-out,
-`_Run.reduced`, gives `buchberger` and the graph relations
-(`_relations`) their part of a completed run's reduced basis, and one
-unpacking, `_polynomial`, makes every packed result a polynomial.  Pairs
+completes it for `buchberger`, `is_unit_ideal`, `krull_dimension`,
+`_graph_run` and the v3 presentation, and `_GraphSpan` grows it one
+subalgebra candidate at a time over the graph ideal of all of them,
+deciding membership and eliminating the relations among the survivors.
+One read-out, `_Run.reduced`, gives `buchberger` and the graph
+relations (`_relations`) their part of a completed run's reduced basis,
+and one unpacking, `_polynomial`, makes every packed result a
+polynomial.  Pairs
 are pruned when they are formed, by the update of Gebauer and Moeller
 ("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
 UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
@@ -37,14 +38,17 @@ still full normal forms.  Output is deterministic for fixed input and
 order; a reduced basis is listed in ascending order of leading monomial.
 Each term order is one descending sort key, built on the one grevlex key
 of `poly`.  The tag-variable graph ideal (extra) + (y_i - g_i), over
-the ring extended by one tag y_i per g_i (`_tag_ring`), is defined
-once: `_graph_seed` packs y_i - g_i straight from the terms of g_i, so
+the ring extended by one tag y_i per g_i, is laid out once: its packing,
+`_graph_packing`, puts the ring's variables in the first exponent fields
+and the tags in the next ones, under the block order eliminating the
+ring.  `_graph_seed` packs y_i - g_i straight from the terms of g_i, so
 no polynomial over the extended ring is built.  `_graph_run` seeds a
 run with the whole ideal, for the one-shot `subalgebra_membership` and
-the elimination `_graph_relations` of the saturation rounds and the v3
-presentation, and `_GraphSpan` one candidate at a time.  Only
-`_graph_run` takes seed forms, g_i naming earlier tags, which only
-`families.invariant_presentation` passes.
+the elimination `_graph_relations` of the saturation rounds, and
+`_GraphSpan` one candidate at a time.  `families.invariant_presentation`
+writes its own seeds as packed integer term dicts under
+`_graph_packing`, and reads its relations off the completed run with
+`_relations`.
 
 Buchberger, normal forms and the pair update work on packed monomials:
 inside the engine a monomial is one Python int, linear in its exponent
@@ -577,8 +581,8 @@ class _Run:
 def _completed_run(packing: _Packing, seeds: Sequence[dict], caps: ResourceCaps) -> _Run:
     """The run under `packing` seeded with the packed integer term dicts
     `seeds`, in order, completed: the one run behind `buchberger`,
-    `is_unit_ideal`, `krull_dimension` and `_graph_run`.  Consumes
-    `seeds`."""
+    `is_unit_ideal`, `krull_dimension`, `_graph_run` and
+    `families.invariant_presentation`.  Consumes `seeds`."""
     run = _Run(packing, caps, _selects_by_sugar(packing, seeds))
     for seed in seeds:
         reduced = run.reduce(seed)
@@ -790,10 +794,11 @@ def krull_dimension(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     raise AssertionError("unreachable: the empty set is always independent")
 
 
-def _tag_ring(ring: VarSet, count: int) -> VarSet:
-    """`ring` followed by fresh tags y1..y<count>, one per generator of a
-    graph ideal."""
-    return ring.extend(fresh_names("y", count, ring.names))
+def _graph_packing(n: int, count: int) -> _Packing:
+    """The packing of a graph ideal over an n-variable ring with `count`
+    tags: the ring's variables in the first n exponent fields, the tags in
+    the next `count`, under the block order eliminating the ring."""
+    return _packing(TermOrder.block(n), n + count)
 
 
 def _graph_seed(packing: _Packing, tag: int, form: Polynomial) -> dict:
@@ -809,23 +814,13 @@ def _graph_seed(packing: _Packing, tag: int, form: Polynomial) -> dict:
 def _graph_run(ring: VarSet, gens: Sequence[Polynomial], extra: Sequence[Polynomial],
                caps: ResourceCaps) -> _Run:
     """The completed run of the graph ideal (extra) + (y_i - gens_i), the
-    `extra` generators over `ring` first, under the block order
-    eliminating `ring`, over `_tag_ring(ring, len(gens))`.  With neither,
-    it is the zero ideal, which leaves no rows.  A generator may be a
-    seed form over `_tag_ring(ring, len(gens))` naming only earlier
-    generators' tags: it stands for g_i, itself with each tag y_j
-    replaced by g_j, and y_i - form_i is y_i - g_i plus a member of the
-    earlier generators' ideal, so the ideal is the same.  Raises
-    RingMismatchError for a generator over neither ring, ValueError for a
-    form naming its own or a later tag."""
+    `extra` generators over `ring` first, under `_graph_packing(len(ring),
+    len(gens))`.  With neither, it is the zero ideal, which leaves no
+    rows.  Raises RingMismatchError for a generator not over `ring`."""
     n = len(ring)
-    tagged = ring.names + fresh_names("y", len(gens), ring.names)  # `_tag_ring`'s, no VarSet
-    for i, g in enumerate(gens):
-        if g.ring.names not in (ring.names, tagged):
-            raise RingMismatchError("graph generators over the wrong ring")
-        if any(any(exps[n + i:]) for exps in g.terms):  # no tags at all over `ring`
-            raise ValueError("a seed form names the tag of its own or a later generator")
-    packing = _packing(TermOrder.block(n), n + len(gens))
+    if any(g.ring != ring for g in gens):
+        raise RingMismatchError("graph generators over the wrong ring")
+    packing = _graph_packing(n, len(gens))
     seeds = [_integer_terms(e.terms, packing.pack)[0] for e in extra]
     seeds += [_graph_seed(packing, tag, g) for tag, g in zip(packing.weights[n:], gens)]
     return _completed_run(packing, seeds, caps)
@@ -881,7 +876,7 @@ class _GraphSpan:
             raise ValueError("a subalgebra span needs at least one candidate")
         n = len(ring)
         self._ring = ring
-        packing = _packing(TermOrder.block(n), n + len(candidates))
+        packing = _graph_packing(n, len(candidates))
         self._run = _Run(packing, caps)
         self._ring_fields = _first_fields(n)
         self.kept = []
@@ -922,17 +917,15 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
     Tag variables y_i are adjoined with relations y_i - gens_i; under a
     block order eliminating the original variables the normal form of f
     mentions only tags exactly when f is a member.  Returns (flag,
-    witness) where the witness is that tag polynomial over the tags of
-    `_tag_ring(f.ring, m)`, y1..ym unless f's ring takes those names.  A
-    normal form is the same modulo every Groebner basis of the ideal, so
-    f's packed terms, which are those of f over the big ring, reduce
-    against the active rows of the completed run; with no generators the
-    graph ideal is the zero ideal, which leaves no rows.
+    witness) where the witness is that tag polynomial over m fresh tags,
+    y1..ym unless f's ring takes those names.  A normal form is the same
+    modulo every Groebner basis of the ideal, so f's packed terms, which
+    are those of f over the big ring, reduce against the active rows of
+    the completed run; with no generators the graph ideal is the zero
+    ideal, which leaves no rows.  A generator not over f's ring raises
+    RingMismatchError (`_graph_run`).
     """
     ring = f.ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("subalgebra generators over the wrong ring")
     n = len(ring)
     run = _graph_run(ring, gens, (), caps)
     work, d = _integer_terms(f.terms, run.packing.pack)
@@ -947,8 +940,8 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
                             caps: ResourceCaps = DEFAULT_CAPS):
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
-    before it, and the ideal of relations among the survivors, over the
-    tags y1, y2, ... of `_tag_ring(ring, len(survivors))`.  One `_GraphSpan`
+    before it, and the ideal of relations among the survivors, over
+    fresh tags y1, y2, ..., one per survivor.  One `_GraphSpan`
     over all the candidates keeps the survivors and its `relations()`
     follow, so the filter and the elimination are one run sharing one
     `caps` budget.  An empty candidate list raises ValueError."""

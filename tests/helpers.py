@@ -22,7 +22,7 @@ import sympy as sp
 
 from gaquot import (Ideal, ParseError, Polynomial, TermOrder, UnknownVariableError, VarSet,
                     VerificationReport, buchberger, is_unit_ideal, normal_form)
-from gaquot.groebner import _tag_ring
+from gaquot.poly import fresh_names
 
 
 def random_exponents(rng, nvars, max_degree):
@@ -137,12 +137,18 @@ def in_ideal(f: Polynomial, ideal: Ideal) -> bool:
 # -- the graph ideal, elimination and sugar over polynomials ---------------------
 
 
+def tag_ring(ring: VarSet, count: int) -> VarSet:
+    """`ring` followed by fresh tags y1..y<count>, one per generator of a
+    graph ideal: the names the library gives the tags it packs."""
+    return ring.extend(fresh_names("y", count, ring.names))
+
+
 def graph_ideal(ring: VarSet, gens, extra=()) -> Ideal:
     """The graph ideal (extra) + (y_i - gens_i) as polynomials over
-    `_tag_ring(ring, m)`, one tag y_i per generator, with the `extra`
+    `tag_ring(ring, m)`, one tag y_i per generator, with the `extra`
     generators (over `ring`) first.  The library packs the same
     generators (`groebner._graph_seed`) and builds no such ring."""
-    big = _tag_ring(ring, len(gens))
+    big = tag_ring(ring, len(gens))
     tags = big.names[len(ring):]
     return Ideal(big, tuple(e.embed(big) for e in extra)
                  + tuple(big.var(t) - g.embed(big) for t, g in zip(tags, gens)))
@@ -217,7 +223,7 @@ def basis_subalgebra_membership(f: Polynomial, gens):
         nf = normal_form(f.embed(graph.ring), buchberger(graph, TermOrder.block(n)))
     if any(any(exps[:n]) for exps in nf.terms):
         return False, None
-    witness_ring = VarSet(_tag_ring(ring, len(gens)).names[n:])
+    witness_ring = VarSet(tag_ring(ring, len(gens)).names[n:])
     return True, Polynomial(witness_ring, {exps[n:]: c for exps, c in nf.terms.items()})
 
 
@@ -486,6 +492,23 @@ def jacobian_identities(spec, h=None) -> bool:
     (h,) = spec.b_ideal.generators if h is None else (h,)
     euler = {w: e * c for w, c in h.terms.items() if (e := sum(w[i] for i in euler_at))}
     return {w: -c for w, c in h.terms.items()} == one_plus_f and euler == minus_2q_f_prime
+
+
+def polynomial_polarization_ideal(spec) -> Ideal:
+    """J' = (1 + f, J_kl for each polarization operator E_kl in order) by
+    polynomial arithmetic: J_kl = sum over (j, c, m) of the spec's
+    polarization table of c * df/ds_j * s_m, products and sums of
+    Polynomials, where `FamilySpec.polarization_ideal` writes each J_kl's
+    terms straight from f's."""
+    from gaquot.families import _representation
+    from gaquot.poly import jacobian
+
+    f = spec.f
+    s = [f.ring.var(n) for n in f.ring.names]
+    gradient = jacobian([f], f.ring.names)[0]
+    table = _representation(spec.family, spec.trivial_summands)[2]
+    return Ideal(f.ring, (f + 1, *(sum((c * gradient[j] * s[m] for j, c, m in images),
+                                       f.ring.zero()) for images in table)))
 
 
 def composed_checks(spec, smooth=None):

@@ -155,6 +155,26 @@ MUTANTS = [
      "    if shape.keys() == {0}:", "    if False:",
      (PRESENTATION_TESTS + "test_v3_presentation_keeps_f_at_zero",
       PRESENTATION_TESTS + "test_v3_battery_and_present_build_no_span")),
+    ("q's tag field off by one", FAMILIES,
+     "for tag, p in zip(tags, survivors) if p is q_monic)",
+     "for tag, p in zip(tags[1:], survivors) if p is q_monic)",
+     (PRESENTATION_TESTS + "test_packed_seeds_match_the_graph_run_of_the_candidates",
+      PRESENTATION_TESTS + "test_v3_presentation_matches_membership_then_elimination",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("the sign of a minor seed's tag flipped", FAMILIES,
+     "{tag: int(clear * lc), pair: clear,", "{tag: -int(clear * lc), pair: clear,",
+     (PRESENTATION_TESTS + "test_packed_seeds_match_the_graph_run_of_the_candidates",
+      PRESENTATION_TESTS + "test_packed_seeds_without_q_prime_match_the_graph_run",
+      PRESENTATION_TESTS + "test_v3_presentation_matches_membership_then_elimination")),
+    ("a rational f's denominators left uncleared", FAMILIES,
+     "    clear = lcm(*(g.denominator for g in shape.values())) * (1 if lc > 0 else -1)\n",
+     "    clear = 1 if lc > 0 else -1\n",
+     (PRESENTATION_TESTS + "test_packed_seeds_match_the_graph_run_of_the_candidates",
+      PRESENTATION_TESTS + "test_v3_presentation_matches_membership_then_elimination")),
+    ("J' gradient without the exponent factor", FAMILIES,
+     "terms.get(key, 0) + c * a * exps[j]", "terms.get(key, 0) + c * a",
+     (FAMILY_TESTS + "test_polarization_ideal_matches_the_polynomial_arithmetic",
+      FAMILY_TESTS + "test_polarization_identities_hold_in_sympy")),
     ("minimality read-off skipped", FAMILIES,
      "    if more or any(", "    if False and any(",
      (PRESENTATION_TESTS + "test_the_minimality_check_fires_on_a_redundant_survivor",)),
@@ -183,10 +203,10 @@ MUTANTS = [
      "    seeds = []\n",
      (GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
       GROEBNER_TESTS + "test_graph_ideals_of_homogeneous_polynomials_select_pairs_by_sugar")),
-    ("seed form naming a later tag accepted", GROEBNER,
-     "        if any(any(exps[n + i:]) for exps in g.terms):",
-     "        if any(any(exps[n + i:n + i + 1]) for exps in g.terms):",
-     (PRESENTATION_TESTS + "test_forms_naming_other_tags_are_rejected[later]",)),
+    ("graph generator over the tag ring accepted", GROEBNER,
+     "    if any(g.ring != ring for g in gens):\n", "    if False:\n",
+     (PRESENTATION_TESTS + "test_graph_generators_over_another_ring_are_rejected",
+      PRESENTATION_TESTS + "test_the_public_presentation_takes_no_seed_forms")),
     ("graph seed without the tag's denominator", GROEBNER,
      "    seed[tag] = d\n", "    seed[tag] = 1\n",
      (GROEBNER_TESTS + "test_graph_span_seeds_are_the_packed_graph_ideal",

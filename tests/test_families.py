@@ -42,8 +42,9 @@ from gaquot import (
 )
 from gaquot import cli, derivations, families, groebner, linalg, poly
 from gaquot.families import nonstable_ideal
-from helpers import (check_cone_over_boundary, composed_checks, jacobian_identities, random_poly,
-                     signed_roots_shape, spolynomials_per_run, to_sympy, ybar_ideal)
+from helpers import (check_cone_over_boundary, composed_checks, jacobian_identities,
+                     polynomial_polarization_ideal, random_poly, signed_roots_shape,
+                     spolynomials_per_run, to_sympy, ybar_ideal)
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -375,15 +376,16 @@ def counted_calls(monkeypatch, *sites) -> dict:
 
 def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
     """Deterministic counts of the per-call work of one deg-12 v3 battery
-    on a warm cache, next to its S-polynomial pin: it builds two rings
-    (the tag ring of the presentation's seed forms and the ring of the
-    relations), runs the modular coprimality loop once (in the
-    validation, whose verdict the smoothness certificate reads), and
-    packs five graph-ideal seeds (w3, w5, q and the two minors; w1's
-    image is never built).  The first two read 7 and 2 while the rings
-    were rebuilt around a subalgebra span and the certificate ran the
-    loop again; the span then reduced six seeds, w1's image seeded to be
-    dropped, and later five.  It multiplies no term dicts
+    on a warm cache, next to its S-polynomial pin: it builds one ring
+    (the ring of the relations), runs the modular coprimality loop once
+    (in the validation, whose verdict the smoothness certificate reads),
+    and packs the five graph-ideal seeds (w3, w5, q and the two minors;
+    w1's image is never built) itself, from 8 packed monomials, with no
+    `_graph_seed`; the other 5 `pack` calls are the pair update's.  The
+    first two read 7 and 2 while the rings were rebuilt around a
+    subalgebra span and the certificate ran the loop again, and 2 while
+    the seeds were forms over a tag ring; `_graph_seed` packed the forms'
+    five seeds, at 37 `pack` calls in all.  It multiplies no term dicts
     (`poly._product`, under every module that binds it) and sorts no
     polynomials by search (`derivations._sorted_gens`): the candidates,
     their seeds and their order are written in closed form."""
@@ -392,10 +394,25 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
     bound = [(module, name) for module in (cli, derivations, families, groebner, linalg, poly)
              for name in ("_product", "_sorted_gens") if name in vars(module)]
     counts = counted_calls(monkeypatch, (VarSet, "__init__"), (groebner, "_coprime_mod"),
-                           (groebner, "_graph_seed"), *bound)
+                           (groebner, "_graph_seed"), (groebner._Packing, "pack"), *bound)
     assert run_battery(spec).passed
-    assert counts == {"__init__": 2, "_coprime_mod": 1, "_graph_seed": 5,
+    assert counts == {"__init__": 1, "_coprime_mod": 1, "_graph_seed": 0, "pack": 13,
                       "_product": 0, "_sorted_gens": 0}
+
+
+@pytest.mark.parametrize("trivial", [0, 3])
+def test_v4_polarization_ideal_builds_one_polynomial_per_generator(monkeypatch, trivial):
+    """J' of a v4 spec, on a warm cache, builds one Polynomial for 1 + f
+    and one per polarization operator, nine for v4, and multiplies no
+    term dicts: each J_kl is written from f's terms (65 Polynomials while
+    J_kl was summed from products)."""
+    spec = v4("a^5 + b*c^2 + a*b + c", trivial)
+    spec.polarization_ideal  # W and its polarization table are cached from here on
+    operators = len(families._representation("v4", trivial)[2])
+    bound = [(module, "_product") for module in (families, poly) if "_product" in vars(module)]
+    counts = counted_calls(monkeypatch, (Polynomial, "__init__"), *bound)
+    spec.polarization_ideal
+    assert (operators, counts) == (9, {"__init__": 1 + operators, "_product": 0})
 
 
 def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
@@ -512,6 +529,23 @@ def v4_polarization_shapes(seed):
         if not f.is_zero():
             shapes.append(f)
     return shapes
+
+
+J_PRIME_SHAPES = ["a", "b", "c", "-2*a + b", "a - 3*b + 1/2*c", "a^5 + b*c^2 + a*b + c",
+                  "1/2*a^2 - 3/4*b*c + 2/3*c^3 + a"]
+
+
+@pytest.mark.parametrize("trivial", [0, 3])
+@pytest.mark.parametrize("shape", J_PRIME_SHAPES)
+def test_polarization_ideal_matches_the_polynomial_arithmetic(shape, trivial):
+    """J' written term by term equals J' summed from products of
+    Polynomials (`helpers.polynomial_polarization_ideal`), generator for
+    generator and string for string, on linear, mixed and rational v4
+    shapes with 0 and 3 trivial summands."""
+    spec = v4(shape, trivial)
+    want = polynomial_polarization_ideal(spec)
+    assert spec.polarization_ideal == want
+    assert [str(g) for g in spec.polarization_ideal.generators] == [str(g) for g in want.generators]
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])

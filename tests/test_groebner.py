@@ -552,7 +552,7 @@ def test_subalgebra_product_closure_with_witness():
 
 
 def test_membership_witness_tags_avoid_the_ring_names():
-    """The witness is named over the fresh tags of `_tag_ring`, so over the
+    """The witness is named over fresh tags (`helpers.tag_ring`), so over the
     ring (y1, y2) the membership of y1^6 in Q[y1^2, y1^3] is witnessed by
     yy2^2 over (yy1, yy2), not by a polynomial over names the ring takes."""
     ring = VarSet(("y1", "y2"))

@@ -18,10 +18,10 @@ from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation, run_battery
 from gaquot.groebner import (DEFAULT_CAPS, _GraphSpan, _first_fields, _graph_relations,
-                             _graph_run, _tag_ring, subalgebra_presentation)
+                             _graph_run, _relations, subalgebra_presentation)
 from helpers import (eliminate, graph_ideal, groebner_minimal_generators, points_mod_p,
                      random_poly, restricted_w_invariants, signed_roots_shape,
-                     spolynomials_per_run, unsplit_v3_presentation)
+                     spolynomials_per_run, tag_ring, unsplit_v3_presentation)
 
 
 def reference(ring, candidates):
@@ -193,53 +193,91 @@ V3_CASES = ([(f"deg{d}", signed_shape(_SHAPES, d), 0) for d in range(1, 13)]
                for d in range(2, 10)])
 
 
-def expanded(ring, forms):
-    """The polynomials over `ring` that seed forms stand for: each form
-    with every tag y_j replaced by what form j stands for."""
-    tags = _tag_ring(ring, len(forms)).names[len(ring):]
-    expand = {n: ring.var(n) for n in ring.names}
-    for tag, form in zip(tags, forms):
-        expand[tag] = form.substitute({n: expand[n] for n in form.ring.names if n in expand})
-    return [expand[tag] for tag in tags]
-
-
-def presentation_input(monkeypatch, spec):
-    """((ring, candidates, forms), (candidates, relations), presentation)
-    for `spec`: the seed forms invariant_presentation hands to
-    `_graph_relations`, the candidates they stand for (`expanded`), the
-    relations it got back, and the presentation it returns."""
+def presentation_run(monkeypatch, compute):
+    """(run, relations, value): the one run invariant_presentation
+    completes while `compute` runs, the relations it reads off that run,
+    and the value `compute` returns."""
     seen = []
 
-    def recording(ring, forms, extra, caps):
-        relations = _graph_relations(ring, forms, extra, caps)
-        seen.append(((ring, expanded(ring, forms), list(forms)), relations))
+    def recording(run, ring, count):
+        relations = _relations(run, ring, count)
+        seen.append((run, relations))
         return relations
 
-    monkeypatch.setattr(families, "_graph_relations", recording)
-    presentation = invariant_presentation(build_family(spec))
-    [((ring, candidates, forms), relations)] = seen
-    return (ring, candidates, forms), (candidates, relations), presentation
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_relations", recording)
+        value = compute()
+    [(run, relations)] = seen
+    return run, relations, value
 
 
-def v3_span_input(monkeypatch, degree, trivial, seed):
-    """(ring, candidates, forms) of the signed-roots shape of `degree`."""
-    spec = FamilySpec("v3", signed_roots_shape(degree, seed), trivial)
-    return presentation_input(monkeypatch, spec)[0]
+def core_candidates(f):
+    """The candidates over z1..z5 whose graph ideal the presentation's run
+    eliminates: the survivors of f with no trivial summand, which join
+    only afterwards."""
+    return list(invariant_presentation(FamilySpec("v3", f))[0])
 
 
 @pytest.mark.parametrize("label, shape, trivial", V3_CASES, ids=[c[0] for c in V3_CASES])
 def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label, shape, trivial):
-    """Every candidate survives, and the one elimination of their seed
-    forms equals the reference on the candidates they stand for and the
-    filtering route, `subalgebra_presentation`, on them; the presentation
-    equals the reference on every restricted W-invariant, trivial
-    coordinates included."""
-    spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
-    (ring, candidates, forms), eliminated, presentation = presentation_input(monkeypatch, spec)
-    assert printed(*eliminated) == reference(ring, candidates)
-    assert printed(*subalgebra_presentation(ring, candidates)) == printed(*eliminated)
+    """Every candidate survives, and the one elimination of their packed
+    seeds finds the relations of the reference on the candidates and of
+    the filtering route, `subalgebra_presentation`, on them; the
+    presentation equals the reference on every restricted W-invariant,
+    trivial coordinates included."""
+    spec = build_family(FamilySpec("v3", parse(shape, VarSet(("s",))), trivial))
+    _, relations, presentation = presentation_run(monkeypatch,
+                                                  lambda: invariant_presentation(spec))
+    ring, candidates = families._CORE, core_candidates(spec.f)
+    assert printed(candidates, relations) == reference(ring, candidates)
+    assert printed(*subalgebra_presentation(ring, candidates)) == printed(candidates, relations)
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
-    assert any(form.ring != ring for form in forms)
+
+
+def assert_seeds_match_the_candidates(monkeypatch, spec, candidates, expanded):
+    """The run invariant_presentation seeds with packed term dicts adds the
+    rows, reduces the S-polynomials and yields the relations of
+    `expanded`, the graph run of the candidates its seeds stand for."""
+    run, relations, _ = presentation_run(monkeypatch, lambda: invariant_presentation(spec))
+    assert (run.basis, run.reductions) == (expanded.basis, expanded.reductions)
+    assert relations == _relations(expanded, families._CORE, len(candidates))
+
+
+PACKED_SHAPES = ([(f"signed-deg{d}-seed{seed}", signed_roots_shape(d, seed))
+                  for d in range(1, 25) for seed in (1, 7)]
+                 + [(label, parse(shape, VarSet(("s",))))
+                    for label, shape, _ in V3_CASES if label.startswith("rational")])
+
+
+@pytest.mark.parametrize("label, f", PACKED_SHAPES, ids=[c[0] for c in PACKED_SHAPES])
+def test_packed_seeds_match_the_graph_run_of_the_candidates(monkeypatch, label, f):
+    """The seeds invariant_presentation packs from the closed form, with
+    q's tag in the minors' seeds and f's denominators cleared once, are
+    positive multiples of the graph generators y_i - g_i of the
+    candidates g_i, up to a multiple of q's: its run equals `_graph_run`
+    of the expanded candidates row for row, at t = 0, 1 and 5, on
+    signed-roots shapes of degree 1-24 and on the rational shapes of
+    V3_CASES."""
+    candidates = core_candidates(f)
+    expanded = _graph_run(families._CORE, candidates, (), DEFAULT_CAPS)
+    assert len(candidates) == 5 and expanded.reductions == 5
+    for trivial in (0, 1, 5):
+        spec = build_family(FamilySpec("v3", f, trivial))
+        assert_seeds_match_the_candidates(monkeypatch, spec, candidates, expanded)
+
+
+def test_packed_seeds_without_q_prime_match_the_graph_run(monkeypatch):
+    """`present --f=0`, where 1 + f = 1 drops q' and its tag, seeds the
+    minors with no tag of q: its run equals `_graph_run` of the four
+    candidates."""
+    candidates = core_candidates(VarSet(("s",)).zero())
+    expanded = _graph_run(families._CORE, candidates, (), DEFAULT_CAPS)
+    assert len(candidates) == 4
+    run, relations, code = presentation_run(
+        monkeypatch, lambda: main(["present", "--f=0"], out=io.StringIO()))
+    assert code == 0
+    assert (run.basis, run.reductions) == (expanded.basis, expanded.reductions)
+    assert relations == _relations(expanded, families._CORE, 4)
 
 
 @pytest.mark.parametrize("trivial", [0, 1])
@@ -284,14 +322,13 @@ def test_the_minimality_check_fires_on_a_redundant_survivor(monkeypatch, shape, 
     q' where 1 + f = 4 leaves it out, or a second z2.  At f = 3 and f = 0,
     whose own relations are 0, the one relation is then linear in the
     forced tag with a constant coefficient; at f = s there are two."""
-    def forcing(ring, gens, extra, caps):
-        big = _tag_ring(ring, len(gens) + 1)
-        gens = [g if g.ring == ring else g.embed(big) for g in gens]
-        return _graph_relations(ring, [*gens, forced(gens)], extra, caps)
-
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))))
-    invariant_presentation(spec)
-    monkeypatch.setattr(families, "_graph_relations", forcing)
+    survivors = list(invariant_presentation(spec)[0])
+
+    def forcing(run, ring, count):
+        return _graph_relations(ring, [*survivors, forced(survivors)], (), DEFAULT_CAPS)
+
+    monkeypatch.setattr(families, "_relations", forcing)
     with pytest.raises(ValueError, match="not one relation among minimal generators"):
         invariant_presentation(spec)
 
@@ -404,7 +441,7 @@ def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
     """The relations are the tag-only rows of the run, interreduced among
     themselves alone; they are the tag-only rows of the whole reduced
     basis, on spans of shifted monomials, whose subalgebras have several
-    relations, and on the v3 presentation's elimination of its forms."""
+    relations, and on the v3 presentation's elimination of its seeds."""
     rng = random.Random("tag-only")
     ring = VarSet(("x", "y", "z"))
     monomials = [m for m in (tuple(rng.randint(0, 3) for _ in ring) for _ in range(200))
@@ -415,8 +452,9 @@ def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
                       for m in rng.sample(monomials, 5)]
         runs.append((_GraphSpan(ring, _sorted_gens(candidates))._run, len(ring)))
     for degree in (1, 3, 7, 12):
-        v3_ring, _, forms = v3_span_input(monkeypatch, degree, 1, degree)
-        runs.append((_graph_run(v3_ring, forms, (), DEFAULT_CAPS), len(v3_ring)))
+        spec = build_family(FamilySpec("v3", signed_roots_shape(degree, degree), 1))
+        run = presentation_run(monkeypatch, lambda: invariant_presentation(spec))[0]
+        runs.append((run, len(families._CORE)))
     relations = []
     for run, n in runs:
         whole = [row for row in run.reduced() if not row[0] & _first_fields(n)]
@@ -437,40 +475,19 @@ def test_present_degree_20_output_is_pinned():
         "d3686c8f2a07d41e10020b90a06f277caf7b12fd8f848023657b20807682afef"
 
 
-# -- seed forms ----------------------------------------------------------------
-
-
-def run_state(ring, gens):
-    """Everything the graph run of `gens` computes: the relations, the
-    reduced basis, the rows in the order they were added, and the
-    S-polynomials reduced."""
-    run = _graph_run(ring, gens, (), DEFAULT_CAPS)
-    return (_graph_relations(ring, gens, (), DEFAULT_CAPS), run.reduced(), run.basis,
-            run.reductions)
-
-
-def test_forms_leave_v3_runs_unchanged(monkeypatch):
-    """On seeded v3 shapes of degree 1-20 with 0-2 trivial summands, the
-    elimination seeded through the forms adds the same rows, reduces the
-    same S-polynomials and finds the same relations as the elimination
-    seeded with the candidates the forms stand for."""
-    rng = random.Random("forms")
-    for degree in range(1, 21):
-        for trivial in range(3):
-            ring, candidates, forms = v3_span_input(monkeypatch, degree, trivial,
-                                                    rng.randrange(1000))
-            assert run_state(ring, forms) == run_state(ring, candidates)
+# -- packed seeds ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("trivial", [0, 1, 2])
 def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
     """At degree 12 the images of the two minors with w1 expand to 93
-    terms each, which reduce to 15; seeded through their forms, the
+    terms each, which reduce to 15; the packed seeds name q's tag, so the
     reduction starts from those 15 terms, also with trivial summands,
     which are adjoined after the elimination.  The pins list each seed's
     size and its remainder's, in seed order; w1's own image, 1 + f(q)
     without its constant, is a polynomial in q and is never built."""
-    ring, candidates, forms = v3_span_input(monkeypatch, 12, trivial, 7)
+    spec = build_family(FamilySpec("v3", signed_roots_shape(12, 7), trivial))
+    candidates = core_candidates(spec.f)
     sizes = []
 
     class Recorded(groebner._Run):
@@ -482,78 +499,33 @@ def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
             return reduced
 
     monkeypatch.setattr(groebner, "_Run", Recorded)
-    _graph_relations(ring, forms, (), DEFAULT_CAPS)
+    invariant_presentation(spec)
     assert sizes == [2, 2, 2, 2, 3, 3, 15, 15, 15, 15]
     sizes.clear()
-    _graph_relations(ring, candidates, (), DEFAULT_CAPS)
+    _graph_run(families._CORE, candidates, (), DEFAULT_CAPS)
     assert sizes == [2, 2, 2, 2, 3, 3, 93, 15, 93, 15]
 
 
-FORM_RING = VarSet(("a", "b", "c"))
-FORM_TAGS = _tag_ring(FORM_RING, 4)
-
-
-def tagged(text):
-    return parse(text, FORM_TAGS)
-
-
-@pytest.mark.parametrize("candidates, form_index, form", [
-    # a names the later candidate a + b: y2 - b
-    (["a", "a + b", "b^2", "a*b"], 0, "y2 - b"),
-    # a*b + c names its own tag: y3
-    (["a", "b", "a*b + c"], 2, "y3"),
-], ids=["later", "own"])
-def test_forms_naming_other_tags_are_rejected(candidates, form_index, form):
-    """A form that names a later or its own generator's tag raises
-    ValueError; seeded as written, the first would stand for no
-    polynomial of the ring, and the second would seed the wrong ideal."""
-    cands = [parse(t, FORM_RING) for t in candidates]
-    forms = list(cands)
-    forms[form_index] = tagged(form).embed(_tag_ring(FORM_RING, len(cands)))
-    with pytest.raises(ValueError, match="names the tag"):
-        _graph_relations(FORM_RING, forms, (), DEFAULT_CAPS)
-
-
-def test_forms_next_to_a_lone_candidate():
-    """Next to the lone candidate e, forms that name earlier tags, e's tag
-    y1 or e itself, one of them of a member of the others' subalgebra,
-    leave the relations and the reduced basis as they are without forms;
-    subalgebra_presentation, which drops that member, finds the one
-    relation among the rest.  Unlike a span, the run seeds every form
-    before it completes a pair, so a form is reduced against rows that
-    need not yet be a Groebner basis, and the rows it adds and the
-    S-polynomials it reduces may differ: here 58 against 46."""
-    ring = VarSet(("x", "e", "z"))
-    cands = [parse(t, ring) for t in
-             ("e", "x^2", "z", "x^3 + x*z", "x^4*z + x^2", "x^6 + 2*x^4*z + x^2*z^2")]
-    big = _tag_ring(ring, len(cands))
-    plain = subalgebra_presentation(ring, cands)
-    assert [str(r) for r in plain[1].generators] == ["y2^3 + 2*y2^2*y3 + y2*y3^2 - y4^2"]
-    for texts in (("x^3 + y3*x", "y2^2*y3 + y2", "y4^2"),
-                  ("x^3 + y3*x + y1 - e", "y2^2*y3 + y2", "y4^2 + e*x - y1*x")):
-        forms = cands[:3] + [parse(t, big) for t in texts]
-        assert run_state(ring, forms)[:2] == run_state(ring, cands)[:2]
-    assert run_state(ring, forms)[3] == 58 and run_state(ring, cands)[3] == 46
-
-
-def test_forms_are_checked():
-    """A generator over neither the ring nor its tag ring for as many
-    generators raises RingMismatchError."""
-    cands = [parse("a", FORM_RING), parse("b", FORM_RING)]
-    for ring in (FORM_TAGS, VarSet(("a", "b"))):  # tags for 4 generators, not 2; another ring
+def test_graph_generators_over_another_ring_are_rejected():
+    """`_graph_run` takes generators over its ring alone: one over the ring
+    extended by tags, as many as the generators or more, or over another
+    ring raises RingMismatchError."""
+    ring = VarSet(("a", "b", "c"))
+    cands = [parse("a", ring), parse("b", ring)]
+    for other in (tag_ring(ring, 2), tag_ring(ring, 4), VarSet(("a", "b"))):
         with pytest.raises(RingMismatchError):
-            _graph_relations(FORM_RING, [cands[0], ring.var("a")], (), DEFAULT_CAPS)
+            _graph_run(ring, [cands[0], other.var("a")], (), DEFAULT_CAPS)
 
 
 def test_the_public_presentation_takes_no_seed_forms():
-    """Seed forms are private to the v3 presentation: subalgebra_presentation
-    takes (ring, candidates, caps) and rejects a fourth argument, which
-    could drop a candidate that is no member, such as y from Q[x, y]; a
-    span and subalgebra_membership reject a form as a candidate over
-    another ring."""
+    """No entry point takes seed forms: subalgebra_presentation takes
+    (ring, candidates, caps) and rejects a fourth argument, which could
+    drop a candidate that is no member, such as y from Q[x, y]; a span
+    and subalgebra_membership reject a polynomial naming a tag as a
+    candidate over another ring."""
     ring = VarSet(("x", "y"))
     x, y = ring.var("x"), ring.var("y")
-    forms = [x, _tag_ring(ring, 2).var("y1")]
+    forms = [x, tag_ring(ring, 2).var("y1")]
     with pytest.raises(TypeError):
         subalgebra_presentation(ring, [x, y], forms=forms)
     with pytest.raises(TypeError):
