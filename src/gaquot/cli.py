@@ -7,8 +7,8 @@ present (invariant-ring presentation).  Exit codes partition outcomes:
   0  success / all checks passed
   1  usage or parse error, or an input or output path that cannot be
      read or written
-  2  a mathematical check failed (a failed battery check, or an empty
-     boundary at f = 0)
+  2  a mathematical check failed (a failed battery check, or the empty
+     boundary of f = 0, which verify and present both report)
   3  spec rejected (repeated roots, nonzero constant term)
   4  resource cap exceeded
   5  internal error (any other exception, gaquot's own included: a bug,

@@ -21,11 +21,11 @@ count (over the algebraic closure), plus a presentation of the invariant
 ring by tag-variable elimination.  Its five candidates, their seeds and
 their order are written in closed form from W's quadric and f: both
 minors' images read one table of coefficients, and each candidate's
-leading monomial is known, so they sort by (degree, leading text) with
-no search.  They are minimal but for one known exception, so one
-Groebner run eliminates the coordinates from their graph ideal, and
-its one relation is checked to leave none redundant.  Its seeds are
-packed integer term dicts written from the closed form, naming the
+leading monomial is known, so z2, z4 and q' lead and the minors sort
+by leading text with no search.  They are minimal, so one Groebner run
+eliminates the coordinates from their graph ideal, and its one nonzero
+relation is checked to leave none redundant.  Its seeds are packed
+integer term dicts written from the closed form, naming the
 quadratic invariant's tag instead of expanding its powers, so no
 polynomial over the tag ring is built.  The run covers only the
 generators free of the trivial summands' coordinates, which Ga fixes;
@@ -71,10 +71,10 @@ battery expands f(q) nowhere but in the v3 presentation, its one
 Buchberger run besides v4's unit test of J' in three variables.  A
 ResourceCapError raised in a battery stage names the stage, by its
 report key, in front of the cap.  `build_family(spec, caps)` is the
-one validation: it caps deg f at the run's degree budget before the
-squarefree test builds its dense lists, and `_representation` checks
-W_COORDINATE_BOUND (v3 t <= 92, v4 t <= 90) before it builds W, with
-one message and no stage, on every path.
+one validation, for `run_battery` and `present` alike: it reports
+f = 0's empty boundary first, caps deg f before the squarefree test
+builds its dense lists, and `_representation` checks W_COORDINATE_BOUND
+(v3 t <= 92, v4 t <= 90) before it builds W, on every path.
 
 What depends on W alone is built once per process, in one bounded
 cache: W's derivation, quadratic invariants and polarization table per
@@ -223,20 +223,27 @@ class FamilySpec(_Record):
         return Ideal(ring, gens)
 
 
+_EMPTY_BOUNDARY = "empty boundary: the rank bookkeeping needs a nonempty complement"
+
+
 def build_family(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> FamilySpec:
     """Validate the spec under `caps` and build its W; return the spec.
 
-    Rejects f with nonzero constant term, and for v3 a repeated root of
-    f + 1 (that would make the boundary singular).  An exponent of f at
-    or above the Groebner engine's bound 2**31, and then a total degree
-    of f above `caps.max_degree`, raise ResourceCapError first, before
-    the squarefree test builds a list of deg f + 1 coefficients or f(q)
-    is expanded.  For v3, f(0) = 0 and f + 1 squarefree make the
-    battery's smoothness ideal J' = (1 + f, s*f') the unit ideal
+    f = 0 raises UnitIdealError before anything is built, as B, h = -1,
+    is empty whatever W is.  Then it rejects f with nonzero constant
+    term, and for v3 a repeated root of f + 1 (that would make the
+    boundary singular).  An exponent of f at or above the Groebner
+    engine's bound 2**31, and then a total degree of f above
+    `caps.max_degree`, raise ResourceCapError first, before the
+    squarefree test builds a list of deg f + 1 coefficients or f(q) is
+    expanded.  For v3, f(0) = 0 and f + 1 squarefree make the battery's
+    smoothness ideal J' = (1 + f, s*f') the unit ideal
     (`FamilySpec.polarization_ideal`).  Then it reads `_representation`
     once, so a count of trivial summands past the bound raises
     ResourceCapError and a broken W ValueError here; f(q) is expanded
     only when one of the spec's ideals is read."""
+    if spec.f.is_zero():
+        raise UnitIdealError(_EMPTY_BOUNDARY)
     if spec.f.constant_term() != 0:
         raise NonzeroConstantError("f must vanish at the origin")
     top = max((e for m in spec.f.terms for e in m), default=0)
@@ -371,9 +378,6 @@ def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     return is_unit_ideal(Ideal(ring, gens), caps=caps)
 
 
-_EMPTY_BOUNDARY = "empty boundary: the rank bookkeeping needs a nonempty complement"
-
-
 class KTheoryRanks(_Record):
     """Ranks of K0 that the split localization sequence forces from m >= 1
     (else ValueError): m on the boundary, m + 1 on the closure, 1 on the open part."""
@@ -425,31 +429,29 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     those coefficients over lc serves both minors, which differ only in
     z3 versus z5.  lc is their leading coefficient: q' is monic and
     homogeneous of degree 2, so with g_n the top coefficient, n > 0, an
-    image leads with g_n*z3*lead^n, or g_n*z5*lead^n, of degree 2n + 1;
-    when 1 + f is constant it leads with -z1*z2, or -z1*z4, of degree 2,
-    level with q'.  So lc is g_n, or -1, and every candidate's leading
-    monomial is known: the five candidates z2, z4, q' and the two monic
-    minors are sorted by (degree, leading text) with no search of their
-    terms, and as no two leading monomials agree, this is
-    `derivations._sorted_gens`'s order.  They are the survivors, except
-    q' where 1 + f is a nonzero constant (f = 0 under `present`): then r
-    below is linear in q's tag, and q' is left out.  One Groebner run
-    (`groebner._completed_run`, under `caps`) eliminates z1..z5 from the
-    survivors' graph ideal, and `groebner._relations` reads r off it.
-    Its seeds are packed integer term dicts (`groebner._graph_packing`)
-    written from the closed form: y_i - p for p = z2, z4 and q', and for
-    each minor the positive multiple of lc*y_i - (1 + f(c*y))*z3 +
-    z1*z2, or with z5 and z4, that clears f's denominators, y the tag of
-    q'.  That is lc*(y_i - image) plus a multiple of y - q', so the run
-    adds the rows `groebner._graph_run` adds from the survivors, but
-    never reduces expanded powers of q back to powers of y: each minor
-    seeds deg f + 3 terms, z3 + e*y packed as a sum of packed monomials.
+    image leads with g_n*z3*lead^n, or g_n*z5*lead^n, of degree 2n + 1,
+    and lc is g_n; a constant 1 + f, which only specs `build_family`
+    rejects have, raises ValueError.  So the survivors are z2, z4, q'
+    and the two monic minors sorted by leading text, with no search of
+    their terms: as no two leading monomials agree, this is
+    `derivations._sorted_gens`'s order.  One Groebner run (`groebner._completed_run`, under `caps`)
+    eliminates z1..z5 from the survivors' graph ideal, and
+    `groebner._relations` reads r off it.  Its seeds are packed integer
+    term dicts (`groebner._graph_packing`) written from the closed form:
+    y_i - p for p = z2, z4 and q', and for each minor the positive
+    multiple of lc*y_i - (1 + f(c*y))*z3 + z1*z2, or with z5 and z4,
+    that clears f's denominators, y the tag of q'.  That is
+    lc*(y_i - image) plus a multiple of y - q', so the run adds the rows
+    `groebner._graph_run` adds from the survivors, but never reduces
+    expanded powers of q back to powers of y: each minor seeds
+    deg f + 3 terms, z3 + e*y packed as a sum of packed monomials.
 
     Minimality is read off the relations (ROADMAP item 1, step 3): they
-    are one r, the restriction of w1*q - w3*d13 + w5*d12 = 0, or 0, and a
-    survivor is a polynomial P in the others iff y_i - P is in (r), so
-    iff r is linear in y_i with a constant coefficient, its term c*y_i
-    the only one naming y_i.  Anything else raises ValueError, a bug.
+    are one nonzero r, the restriction of w1*q - w3*d13 + w5*d12 = 0,
+    and a survivor is a polynomial P in the others iff y_i - P is in
+    (r), so iff r is linear in y_i with a constant coefficient, its term
+    c*y_i the only one naming y_i.  Anything else, the zero ideal
+    included, raises ValueError, a bug.
 
     z6, z7, ... then join: they, z2 and z4 are the degree-1 survivors,
     listed by name as text (z10 before z2), followed by the rest in
@@ -466,7 +468,9 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     q_monic = Polynomial(_CORE, {lead: 1, other: d})
     shape = {e: a * c ** e for (e,), a in (spec.f + 1).terms.items()}  # g_e
     top = max(shape, default=0)
-    lc = shape[top] if top else -1  # the leading coefficient of both minors' images
+    if not top:
+        raise ValueError("the presentation needs a nonconstant 1 + f")
+    lc = shape[top]  # the leading coefficient of both minors' images
     corner = _exact_quotient(-1, lc)  # of z1*z2 and z1*z4
     lead_powers, other_powers = ([tuple(x * i for x in m) for i in range(top + 1)]
                                  for m in (lead, other))
@@ -474,38 +478,33 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     table = [(tuple([a + b for a, b in zip(lead_powers[e - j], other_powers[j])]),
               _exact_quotient(g * comb(e, j) * d ** j, lc))
              for e, g in shape.items() for j in range(e + 1)]
-    # (degree, leading text, candidate, (z3 or z5, z1*z2 or z1*z4) of a minor's seed)
-    entries = [(1, "z2", _CORE.var("z2"), None), (1, "z4", _CORE.var("z4"), None),
-               (2, _term_text(_CORE.names, lead, 1, True), q_monic, None)]
+    minors = []  # (leading text, image, (z3 or z5, z1*z2 or z1*z4) of its seed)
     for k in (2, 4):  # z3 and z5: the minors w1*w4 - w2*w3 and w1*w6 - w2*w5
         z_k = tuple(int(i == k) for i in range(width - 1))
         pair = tuple(int(i in (0, k - 1)) for i in range(width - 1))
         image = {m[:k] + (m[k] + 1,) + m[k + 1:]: a for m, a in table}
         image[pair] = corner
-        lm = tuple(x * top + (i == k) for i, x in enumerate(lead)) if top else pair
-        entries.append((sum(lm), _term_text(_CORE.names, lm, 1, True),
-                        Polynomial(_CORE, image), (z_k, pair)))
-    entries.sort(key=itemgetter(0, 1))
-    if shape.keys() == {0}:  # 1 + f = g_0 != 0: r is linear in q's tag, so q' is redundant
-        entries = [entry for entry in entries if entry[2] is not q_monic]
-    survivors = [p for _, _, p, _ in entries]
+        lm = tuple(x * top + (i == k) for i, x in enumerate(lead))
+        minors.append((_term_text(_CORE.names, lm, 1, True), Polynomial(_CORE, image),
+                       (z_k, pair)))
+    minors.sort(key=itemgetter(0))
+    survivors = [_CORE.var("z2"), _CORE.var("z4"), q_monic, *(p for _, p, _ in minors)]
     packing = _graph_packing(len(_CORE), len(survivors))
     pack, tags = packing.pack, packing.weights[len(_CORE):]
-    y = next((tag for tag, p in zip(tags, survivors) if p is q_monic), 0)  # q's tag, if kept
+    y = tags[2]  # q's tag
     clear = lcm(*(g.denominator for g in shape.values())) * (1 if lc > 0 else -1)
     cleared = {e: g.numerator * (clear // g.denominator) for e, g in shape.items()}  # clear*g_e
-    seeds = []
-    for tag, (_, _, p, minor) in zip(tags, entries):
-        if minor is None:  # y_i - p: z2, z4 and q' have integer coefficients
-            seeds.append({tag: 1, **{pack(m): -a for m, a in p.terms.items()}})
-        else:  # clear*(lc*y_i - sum of g_e*y^e*z_k + z1*z_pair), clear*lc > 0
-            z_k, pair = map(pack, minor)
-            seeds.append({tag: int(clear * lc), pair: clear,
-                          **{z_k + e * y: -g for e, g in cleared.items()}})
+    seeds = [{tag: 1, **{pack(m): -a for m, a in p.terms.items()}}  # y_i - p, p integral
+             for tag, p in zip(tags, survivors[:3])]
+    for tag, (_, _, minor) in zip(tags[3:], minors):
+        # clear*(lc*y_i - sum of g_e*y^e*z_k + z1*z_pair), clear*lc > 0
+        z_k, pair = map(pack, minor)
+        seeds.append({tag: int(clear * lc), pair: clear,
+                      **{z_k + e * y: -g for e, g in cleared.items()}})
     relations = _relations(_completed_run(packing, seeds, caps), _CORE, len(survivors))
     r, *more = relations.generators
     named = Counter(i for m in r.terms for i, e in enumerate(m) if e)  # terms naming each tag
-    if more or any(sum(m) == 1 and named[m.index(1)] == 1 for m in r.terms):
+    if more or r.is_zero() or any(sum(m) == 1 and named[m.index(1)] == 1 for m in r.terms):
         raise ValueError("the presentation is not one relation among minimal generators")
     if len(spec.w_ring) == width:
         return tuple(survivors), relations  # the survivors are sorted, and tagged in order
@@ -616,13 +615,10 @@ def _stage(key: str):
 
 
 def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> VerificationReport:
-    """Validate the spec, decide B's smoothness once and, for v3, build
-    the presentation; construction errors propagate.  f = 0, which
-    `build_family` accepts, reports its empty boundary before the bound
-    on the trivial summands and W: B's h = -1 - f(q) = -1 whatever W is."""
-    if spec.f.is_zero():
-        raise UnitIdealError(_EMPTY_BOUNDARY)
-    build_family(spec, caps)  # f(0) = 0, deg f, for v3 f + 1 squarefree, and W
+    """Validate the spec (`build_family`, which reports f = 0's empty
+    boundary before W is built), decide B's smoothness once and, for v3,
+    build the presentation; construction errors propagate."""
+    build_family(spec, caps)  # f != 0, f(0) = 0, deg f, for v3 f + 1 squarefree, and W
     if spec.family != "v3":
         with _stage("boundarySmooth"):
             smooth = is_unit_ideal(spec.polarization_ideal, caps=caps)

@@ -92,9 +92,15 @@ MUTANTS = [
      '                             "to neither 0 nor a signed quadratic invariant")\n',
      "            pass\n",
      (FAMILY_TESTS + "test_a_polarization_image_off_the_quadrics_is_a_bug",)),
-    ("candidates sorted by degree alone", FAMILIES,
-     "    entries.sort(key=itemgetter(0, 1))\n", "    entries.sort(key=itemgetter(0))\n",
-     (PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
+    ("minors left unsorted", FAMILIES,
+     "    minors.sort(key=itemgetter(0))\n", "",
+     (PRESENTATION_TESTS + "test_v3_survivors_are_sorted_where_the_minors_flip[8]",
+      PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
+    ("minors sorted in reverse", FAMILIES,
+     "    minors.sort(key=itemgetter(0))\n", "    minors.sort(key=itemgetter(0), reverse=True)\n",
+     (PRESENTATION_TESTS + "test_v3_survivors_are_sorted_where_the_minors_flip[9]",
+      PRESENTATION_TESTS + "test_v3_presentation_matches_the_unsplit_span[t0]",
       CLI_TESTS + "test_cli_outputs_are_golden")),
     ("trivial survivors in numeric order", FAMILIES,
      '    linear = sorted(("z2", "z4") + z_ring.names[width - 1:])\n',
@@ -148,23 +154,19 @@ MUTANTS = [
      "KTheoryRanks(self.m)\n", "KTheoryRanks(self.m + 1)\n",
      (RECORD_TESTS + "test_a_report_built_by_hand_cannot_contradict_its_spec",
       CLI_TESTS + "test_cli_outputs_are_golden")),
-    ("minors' images led by +z1*z2 when 1 + f is constant", FAMILIES,
-     "    lc = shape[top] if top else -1", "    lc = shape[top] if top else 1",
-     (PRESENTATION_TESTS + "test_v3_presentation_keeps_f_at_zero",)),
-    ("q' kept when 1 + f is a nonzero constant", FAMILIES,
-     "    if shape.keys() == {0}:", "    if False:",
-     (PRESENTATION_TESTS + "test_v3_presentation_keeps_f_at_zero",
-      PRESENTATION_TESTS + "test_v3_battery_and_present_build_no_span")),
+    ("build_family without its f = 0 check", FAMILIES,
+     "    if spec.f.is_zero():\n        raise UnitIdealError(_EMPTY_BOUNDARY)\n", "",
+     (FAMILY_TESTS + "test_boundary_empty_rejected",
+      CLI_TESTS + "test_zero_shape_reports_its_empty_boundary_before_w_is_built",
+      CLI_TESTS + "test_verify_and_present_share_one_domain[zero]")),
     ("q's tag field off by one", FAMILIES,
-     "for tag, p in zip(tags, survivors) if p is q_monic)",
-     "for tag, p in zip(tags[1:], survivors) if p is q_monic)",
+     "    y = tags[2]  # q's tag\n", "    y = tags[3]  # q's tag\n",
      (PRESENTATION_TESTS + "test_packed_seeds_match_the_graph_run_of_the_candidates",
       PRESENTATION_TESTS + "test_v3_presentation_matches_membership_then_elimination",
       CLI_TESTS + "test_cli_outputs_are_golden")),
     ("the sign of a minor seed's tag flipped", FAMILIES,
      "{tag: int(clear * lc), pair: clear,", "{tag: -int(clear * lc), pair: clear,",
      (PRESENTATION_TESTS + "test_packed_seeds_match_the_graph_run_of_the_candidates",
-      PRESENTATION_TESTS + "test_packed_seeds_without_q_prime_match_the_graph_run",
       PRESENTATION_TESTS + "test_v3_presentation_matches_membership_then_elimination")),
     ("a rational f's denominators left uncleared", FAMILIES,
      "    clear = lcm(*(g.denominator for g in shape.values())) * (1 if lc > 0 else -1)\n",
@@ -176,8 +178,11 @@ MUTANTS = [
      (FAMILY_TESTS + "test_polarization_ideal_matches_the_polynomial_arithmetic",
       FAMILY_TESTS + "test_polarization_identities_hold_in_sympy")),
     ("minimality read-off skipped", FAMILIES,
-     "    if more or any(", "    if False and any(",
+     "    if more or r.is_zero() or any(", "    if False and any(",
      (PRESENTATION_TESTS + "test_the_minimality_check_fires_on_a_redundant_survivor",)),
+    ("a zero relation accepted", FAMILIES,
+     "more or r.is_zero() or any(", "more or any(",
+     (PRESENTATION_TESTS + "test_the_minimality_check_fires_on_a_redundant_survivor[zero-ideal]",)),
     ("polarization table with every sign +", FAMILIES,
      "        table.append(tuple((j, *signed[p]) for j, p in images if not p.is_zero()))\n",
      "        table.append(tuple((j, 1, signed[p][1]) for j, p in images if not p.is_zero()))\n",

@@ -251,30 +251,49 @@ def test_the_w_bound_does_not_follow_the_kernel_cap(monkeypatch, capsys):
         gaquot.kernel_linear(gaquot.lower_triangular_derivation(3, 10), 2)
 
 
-@pytest.mark.parametrize("family", ["v3", "v4"])
-def test_zero_shape_reports_its_empty_boundary_before_w_is_built(family, monkeypatch, capsys):
-    """f = 0 leaves B empty whatever W is: verify exits 2 with the empty
-    boundary at any count of trivial summands, building no W."""
+@pytest.mark.parametrize("command", [
+    pytest.param(["verify", "--family", "v3"], id="v3"),
+    pytest.param(["verify", "--family", "v4"], id="v4"),
+    pytest.param(["present"], id="present"),
+])
+def test_zero_shape_reports_its_empty_boundary_before_w_is_built(command, monkeypatch, capsys):
+    """f = 0 leaves B empty whatever W is: verify, of either family, and
+    present exit 2 with the empty boundary at any count of trivial
+    summands, building no W."""
     def unbuilt(*args):
         raise AssertionError("W was built")
 
     monkeypatch.setattr(families, "_representation", unbuilt)
-    code, text = run(["verify", "--family", family, "--f=0", "--trivial", "1000000"])
+    code, text = run(command + ["--f=0", "--trivial", "1000000"])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == (
         "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n")
 
 
-@pytest.mark.parametrize("shape", ["s", "0"])
-def test_present_past_the_cap_builds_no_representation(shape, capsys):
-    """present checks the same bound in the same place, for f = 0 too,
-    whose presentation it computes; its cap error names no stage."""
+def test_present_past_the_cap_builds_no_representation(capsys):
+    """present checks the same bound in the same place; its cap error
+    names no stage."""
     families._representation.cache_clear()
-    code, text = run(["present", f"--f={shape}", "--trivial", "100000"])
+    code, text = run(["present", "--f=s", "--trivial", "100000"])
     assert (code, text) == (4, "")
     assert families._representation.cache_info().currsize == 0
     assert capsys.readouterr().err == (
         "resource cap: 100000 trivial summands exceed the bound 92 for v3\n")
+
+
+@pytest.mark.parametrize("shape, code, err", [
+    ("0", 2, "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n"),
+    ("3", 3, "rejected: f must vanish at the origin\n"),
+    ("(1+s)^2 - 1", 3, "rejected: f + 1 has a repeated root\n"),
+    ("s^61 + s", 4, "resource cap: f has degree 61, above the degree budget 60\n"),
+], ids=["zero", "constant", "repeated-root", "past-the-degree-budget"])
+def test_verify_and_present_share_one_domain(shape, code, err, capsys):
+    """present and verify --family v3 validate through one `build_family`:
+    a shape it refuses exits with the same code and the same stderr under
+    either command, and prints nothing."""
+    for command in (["present"], ["verify", "--family", "v3"]):
+        assert run(command + [f"--f={shape}"]) == (code, "")
+        assert capsys.readouterr().err == err
 
 
 def test_successive_calls_share_no_state(tmp_path, capsys):

@@ -686,8 +686,8 @@ def test_composed_verdicts_match_the_expanded_objects(spec):
 
 @pytest.mark.parametrize("trivial", ["0", "100"])
 def test_empty_boundary_exits_two(trivial, capsys):
-    """f = 0 fails on its empty boundary, before the presentation's bound
-    on the trivial summands is reached."""
+    """f = 0 fails on its empty boundary in `build_family`, before W's
+    bound on the trivial summands is reached."""
     argv = ["verify", "--family", "v3", "--f=0", "--trivial", trivial]
     assert cli.main(argv, out=io.StringIO()) == 2
     assert capsys.readouterr().err == (
@@ -806,10 +806,13 @@ def test_boundary_moduli_instance():
 
 def test_boundary_empty_rejected():
     """At f = 0, f(q) is the zero polynomial of W: X is w1 = 1 and B is
-    the empty set -1 = 0."""
-    art = build_family(v3("0"))
+    the empty set -1 = 0, so `build_family` raises UnitIdealError, as
+    the report's dims do on the unvalidated spec."""
+    art = v3("0")
     assert art.x_ideal.generators == (art.w_ring.var("w1") - 1,)
     assert art.b_ideal.generators == (art.w_ring.const(-1),)
+    with pytest.raises(UnitIdealError, match="^empty boundary: "):
+        build_family(art)
     with pytest.raises(UnitIdealError):
         VerificationReport(art, True, None).dims
 

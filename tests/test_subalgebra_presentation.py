@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaquot import Polynomial, RingMismatchError, VarSet, monic, parse
+from gaquot import Ideal, Polynomial, ResourceCaps, RingMismatchError, VarSet, monic, parse
 from gaquot.poly import scan_identifiers
 from gaquot import families, groebner
 from gaquot.cli import main
@@ -266,71 +266,76 @@ def test_packed_seeds_match_the_graph_run_of_the_candidates(monkeypatch, label, 
         assert_seeds_match_the_candidates(monkeypatch, spec, candidates, expanded)
 
 
-def test_packed_seeds_without_q_prime_match_the_graph_run(monkeypatch):
-    """`present --f=0`, where 1 + f = 1 drops q' and its tag, seeds the
-    minors with no tag of q: its run equals `_graph_run` of the four
-    candidates."""
-    candidates = core_candidates(VarSet(("s",)).zero())
-    expanded = _graph_run(families._CORE, candidates, (), DEFAULT_CAPS)
-    assert len(candidates) == 4
-    run, relations, code = presentation_run(
-        monkeypatch, lambda: main(["present", "--f=0"], out=io.StringIO()))
-    assert code == 0
-    assert (run.basis, run.reductions) == (expanded.basis, expanded.reductions)
-    assert relations == _relations(expanded, families._CORE, 4)
-
-
 @pytest.mark.parametrize("trivial", [0, 1])
-@pytest.mark.parametrize("shape", ["s + 1", "s - 1", "s^2 + 3", "3", "-1"])
+@pytest.mark.parametrize("shape", ["s + 1", "s - 1", "s^2 + 3"])
 def test_v3_presentation_keeps_f_at_zero(shape, trivial):
     """Built without validation, a shape with f(0) != 0 restricts w1 to
-    1 + f(q), constant 1 + f(0) included (0 for s - 1), and its
-    presentation equals the reference on the restricted W-invariants,
-    also where 1 + f is a constant, 4 or 0, and each minor's image leads
-    with the term w2*w3 or w2*w5 of the minor."""
+    1 + f(q), with its constant 1 + f(0) (0 for s - 1), and its
+    presentation equals the reference on the restricted W-invariants."""
     spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
     presentation = invariant_presentation(spec)
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
 
 
+@pytest.mark.parametrize("trivial", [0, 1])
+@pytest.mark.parametrize("shape", ["0", "3", "-1"])
+def test_v3_presentation_refuses_a_constant_one_plus_f(shape, trivial):
+    """A constant 1 + f, here 1, 4 and 0, comes only from a spec that
+    `build_family` rejects (f = 0, or f(0) != 0): the presentation
+    raises ValueError on it before any run."""
+    spec = FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)
+    with pytest.raises(ValueError, match="^the presentation needs a nonconstant 1 [+] f$"):
+        invariant_presentation(spec)
+
+
 def test_v3_battery_and_present_build_no_span(monkeypatch):
     """The v3 presentation is one elimination of its known survivors: a
-    battery on every case of V3_CASES and `present --f=0`, whose q' is
-    left out, build no `_GraphSpan`."""
+    battery on every case of V3_CASES builds no `_GraphSpan`."""
     def refuse(*args, **kwargs):
         raise AssertionError("a subalgebra span was built")
 
     monkeypatch.setattr(groebner._GraphSpan, "__init__", refuse)
     for _, shape, trivial in V3_CASES:
         assert run_battery(FamilySpec("v3", parse(shape, VarSet(("s",))), trivial)).passed
-    assert main(["present", "--f=0"], out=io.StringIO()) == 0
 
 
-Q_PRIME = monic(parse("z3*z4 - z2*z5", families._CORE))
+TAGS = VarSet(tuple(f"y{i}" for i in range(1, 6)))  # the tags of the five survivors
 
 
-@pytest.mark.parametrize("shape, forced", [
-    ("3", lambda gens: Q_PRIME),  # 1 + f = 4: y2*y3 - y1*y4 + 4*y5, y5 the tag of q'
-    ("0", lambda gens: gens[0]),  # z2 twice: y1 - y5
-    ("s", lambda gens: gens[0]),  # z2 twice: y1 - y6 and the closed-form r
-], ids=["q-prime-at-four", "repeat-at-zero", "repeat-at-s"])
-def test_the_minimality_check_fires_on_a_redundant_survivor(monkeypatch, shape, forced):
+@pytest.mark.parametrize("forced", [
+    lambda survivors: Ideal(TAGS, (parse("y1 - y5", TAGS),)),  # z2 a polynomial in y5's
+    lambda survivors: Ideal(TAGS, (TAGS.zero(),)),  # no relation at all
+    # z2 twice: y1 - y6 and the closed-form r
+    lambda survivors: _graph_relations(families._CORE, [*survivors, survivors[0]], (),
+                                       DEFAULT_CAPS),
+], ids=["linear-tag", "zero-ideal", "repeat-at-s"])
+def test_the_minimality_check_fires_on_a_redundant_survivor(monkeypatch, forced):
     """invariant_presentation raises ValueError unless the relation ideal
-    has one generator in which no survivor's tag occurs linearly with a
-    constant coefficient, which would make that survivor a polynomial in
-    the others.  Each case forces one more survivor into the elimination:
-    q' where 1 + f = 4 leaves it out, or a second z2.  At f = 3 and f = 0,
-    whose own relations are 0, the one relation is then linear in the
-    forced tag with a constant coefficient; at f = s there are two."""
-    spec = FamilySpec("v3", parse(shape, VarSet(("s",))))
+    has one nonzero generator in which no survivor's tag occurs linearly
+    with a constant coefficient, which would make that survivor a
+    polynomial in the others.  At f = s each case stands in for the
+    run's relations: one linear in y1 with a constant coefficient, the
+    zero ideal, and the two relations of the survivors with a second
+    z2."""
+    spec = FamilySpec("v3", parse("s", VarSet(("s",))))
     survivors = list(invariant_presentation(spec)[0])
-
-    def forcing(run, ring, count):
-        return _graph_relations(ring, [*survivors, forced(survivors)], (), DEFAULT_CAPS)
-
-    monkeypatch.setattr(families, "_relations", forcing)
+    monkeypatch.setattr(families, "_relations", lambda run, ring, count: forced(survivors))
     with pytest.raises(ValueError, match="not one relation among minimal generators"):
         invariant_presentation(spec)
+
+
+@pytest.mark.parametrize("degree", [8, 9, 10, 98, 99, 100])
+def test_v3_survivors_are_sorted_where_the_minors_flip(degree):
+    """The two minors are ordered by their printed leading monomials,
+    z3^(d+1)*z4^d and z3^d*z4^d*z5 for f = s^d + s: as text, the z3
+    minor comes first only where d + 1 is a power of ten (d = 9, 99).
+    On either side of each flip the survivors are `_sorted_gens`'s
+    order."""
+    caps = ResourceCaps(max_degree=500)
+    f = parse(f"s^{degree} + s", VarSet(("s",)))
+    survivors = list(invariant_presentation(build_family(FamilySpec("v3", f), caps), caps)[0])
+    assert survivors == _sorted_gens(survivors)
+    assert str(survivors[3]).startswith(f"z3^{degree + 1}*") == (degree in (9, 99))
 
 
 CLOSED_FORM_SHAPES = (
