@@ -36,39 +36,40 @@ Weitzenboeck identities (Freudenburg, "Algebraic Theory of Locally
 Nilpotent Derivations", 2nd ed., 2017) that the verdicts not reading f
 rest on.  D kills w1 and the quadrics q, so it kills X's equation w1 - 1
 - f(q) by Leibniz; the quadrics are free of w1, so X is a graph in w1;
-they are homogeneous quadrics, for J' below and the presentation; each
-of their terms has a non-stable coordinate (w1, w3, w5, and w7);
-the zeros of D are the non-stable locus; and each polarization operator
-E_kl = w(2k-1)*d/dw(2l-1) + w(2k)*d/dw(2l), for non-leading blocks k and
-l (Procesi, "Lie Groups", 2007), maps each quadric to 0 or to plus or
-minus a quadric, which induces a linear map s -> E_kl s on f's
-variables.  The battery and its report (`VerificationReport`) then
-decide only what depends on f, with no expansion of f(q):
+they are homogeneous quadrics, for the presentation; each of their terms
+has a non-stable coordinate (w1, w3, w5, and w7); the zeros of D are the
+non-stable locus; and each polarization operator E_kl =
+w(2k-1)*d/dw(2l-1) + w(2k)*d/dw(2l), for non-leading blocks k and l
+(Procesi, "Lie Groups", 2007), maps each quadric to 0 or to plus or
+minus a quadric, and the N x N matrices of the maps s -> E_kl s so
+induced on f's N variables have rank N**2 (1 for v3, 9 for v4).  The
+battery and its report (`VerificationReport`) then decide only what
+depends on f, with no expansion of f(q):
 
   * stability and freeness: setting the non-stable coordinates to zero
     leaves X's equation at -1 - f(0), which must be nonzero, and the
     zeros of the action are those of the non-stable coordinates;
   * smoothness: Ybar's equation is u*w2 - v*w1 plus B's, which is free of
     u, v, w1 and w2, so Ybar is the cone over B and smooth iff B is.  B
-    is smooth iff J' = (1 + f, J_kl for all k, l) is the unit ideal of
-    f's own ring (`FamilySpec.polarization_ideal`), where
-    J_kl(s) = sum over j of df/ds_j * (E_kl s)_j, so that E_kl h =
-    -J_kl(q) for B's equation h = -1 - f(q).  1 in J' puts 1 in B's
-    Jacobian ideal.  Conversely q maps the rank-2 block matrices onto
-    the affine space of s minus 0, and the E_kl s span that space at
-    s != 0, so each point of V(J') is q of a singular point of B (the
-    origin of W for s = 0).  For v3, J' = (1 + f, s*f'), a unit ideal
-    by `build_family`'s squarefree test of f + 1 (f(0) = 0 keeps s from
-    dividing 1 + f), so a v3 battery reads that verdict and builds no J';
+    is smooth iff the hypersurface V(1 + f) of A^N, f's own affine
+    space, is smooth, which `check_smooth` decides in f's ring.  For B's
+    equation h = -1 - f(q), E_kl h = -grad f(q) . E_kl q, and as the
+    matrices span every N x N matrix, the E_kl s span A^N at each s !=
+    0.  So at a point w of B, where s = q(w) != 0 as f(0) = 0, B's
+    gradient vanishes iff grad f(s) does; and q maps the rank-2 block
+    matrices onto A^N minus 0, so each singular point of V(1 + f) is q
+    of one of B's.  For v3, (1 + f, f') is the unit ideal iff f + 1 is
+    squarefree, `build_family`'s test, so a v3 battery reads that
+    verdict and runs no criterion;
   * dimensions: X, Ybar and B are hypersurfaces with nonconstant
     equations when f is nonconstant, so each has dimension n - 1.
 
-`check_smooth` (the Jacobian criterion on an expanded hypersurface),
-`check_stability` and `check_freeness` are the expanded forms of these
-verdicts; the battery calls none of them.  X and B are expanded only
-when read (`FamilySpec.x_ideal` and `b_ideal`), and Ybar never, so a
-battery expands f(q) nowhere but in the v3 presentation, its one
-Buchberger run besides v4's unit test of J' in three variables.  A
+`check_stability` and `check_freeness`, and `check_smooth` on B or
+Ybar, are the expanded forms of these verdicts; the battery calls
+`check_smooth` only on 1 + f.  X and B are expanded only when read
+(`FamilySpec.x_ideal` and `b_ideal`), and Ybar never, so a battery
+expands f(q) nowhere but in the v3 presentation, its one Buchberger run
+besides v4's Jacobian criterion on 1 + f in three variables.  A
 ResourceCapError raised in a battery stage names the stage, by its
 report key, in front of the cap.  `build_family(spec, caps)` is the
 one validation, for `run_battery` and `present` alike: it reports
@@ -77,16 +78,16 @@ builds its dense lists, and `_representation` checks W_COORDINATE_BOUND
 (v3 t <= 92, v4 t <= 90) before it builds W, on every path.
 
 What depends on W alone is built once per process, in one bounded
-cache: W's derivation, quadratic invariants and polarization table per
-(family, trivial summands) (`_representation`).  A family instance is
-its `FamilySpec`: the spec reads W from that cache, so its X, B and J'
-always describe one W, the certified one.  The presentation names W's
-invariants, the classical Weitzenboeck generators, so no kernel is
-solved for them.  Everything that depends on f or on the caps (X, B
-and J' when read, the checks, the presentation's Groebner run) is built
-per call, so reports are byte-identical whether the cache is cold or
-warm.  A long-lived caller that sweeps f over one W gains; one `gaquot
-verify` per process builds W once either way.
+cache: W's derivation and quadratic invariants per (family, trivial
+summands) (`_representation`).  A family instance is its `FamilySpec`:
+the spec reads W from that cache, so its X and B always describe one
+W, the certified one.  The presentation names W's invariants, the
+classical Weitzenboeck generators, so no kernel is solved for them.
+Everything that depends on f or on the caps (X and B when read, the
+checks, the presentation's Groebner run) is built per call, so reports
+are byte-identical whether the cache is cold or warm.  A long-lived
+caller that sweeps f over one W gains; one `gaquot verify` per process
+builds W once either way.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ from .groebner import (
     is_squarefree,
     is_unit_ideal,
 )
+from .linalg import Echelon
 from .poly import (
     Polynomial,
     VarSet,
@@ -155,9 +157,9 @@ class FamilySpec(_Record):
     certifies W, so a spec past W_COORDINATE_BOUND raises ResourceCapError
     on the first read.  X (`x_ideal`, the principal ideal of w1 + h) and
     the boundary B (`b_ideal`, that of h = -1 - f(quads)) are
-    hypersurfaces of W, and `polarization_ideal` is the battery's
-    smoothness ideal J' in f's own ring.  Each is built on every read: X
-    and B expand f(quads), and no battery reads them.  The closure Ybar,
+    hypersurfaces of W.  Each is built on every read: both expand
+    f(quads), and no battery reads them; B is smooth iff V(1 + f) in f's
+    own affine space is (see the module docstring).  The closure Ybar,
     cut out by u*w2 - v*w1 + h over (u, v) and W, is the cone over B, so
     no check builds it.  A spec is not validated (`build_family`), so
     tests can take the invalid ones the battery's failure paths are
@@ -202,26 +204,6 @@ class FamilySpec(_Record):
         (h,) = self.b_ideal.generators
         return Ideal(self.w_ring, (self.w_ring.var("w1") + h,))
 
-    @property
-    def polarization_ideal(self) -> Ideal:
-        """J' = (1 + f, J_kl for each polarization operator E_kl in
-        order), in f's ring: J_kl(s) = sum over j of df/ds_j * c*s_m for
-        E_kl q_j = c*q_m in the table `_representation` holds for the
-        spec's W.  Each J_kl is one term dict, written from f's terms, so
-        J' builds one polynomial per generator and multiplies none.  The
-        unit ideal iff B is smooth (see the module docstring), which for
-        v3 `build_family` decides (`run_battery`)."""
-        f, ring = self.f, self.f.ring
-        gens = [Polynomial(ring, {**f.terms, (0,) * len(ring): f.constant_term() + 1})]
-        for images in _representation(self.family, self.trivial_summands)[2]:
-            terms: dict = {}
-            for (j, c, m), (exps, a) in product(images, f.terms.items()):
-                if exps[j]:  # a*s^exps gives c*a*exps[j]*s^(exps - e_j + e_m)
-                    key = tuple(e - (i == j) + (i == m) for i, e in enumerate(exps))
-                    terms[key] = terms.get(key, 0) + c * a * exps[j]
-            gens.append(Polynomial(ring, terms))
-        return Ideal(ring, gens)
-
 
 _EMPTY_BOUNDARY = "empty boundary: the rank bookkeeping needs a nonempty complement"
 
@@ -236,12 +218,11 @@ def build_family(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> FamilyS
     engine's bound 2**31, and then a total degree of f above
     `caps.max_degree`, raise ResourceCapError first, before the
     squarefree test builds a list of deg f + 1 coefficients or f(q) is
-    expanded.  For v3, f(0) = 0 and f + 1 squarefree make the battery's
-    smoothness ideal J' = (1 + f, s*f') the unit ideal
-    (`FamilySpec.polarization_ideal`).  Then it reads `_representation`
-    once, so a count of trivial summands past the bound raises
-    ResourceCapError and a broken W ValueError here; f(q) is expanded
-    only when one of the spec's ideals is read."""
+    expanded.  For v3, f + 1 squarefree makes (1 + f, f') the unit
+    ideal, so V(1 + f) and hence B is smooth.  Then it reads
+    `_representation` once, so a count of trivial summands past the bound
+    raises ResourceCapError and a broken W ValueError here; f(q) is
+    expanded only when one of the spec's ideals is read."""
     if spec.f.is_zero():
         raise UnitIdealError(_EMPTY_BOUNDARY)
     if spec.f.constant_term() != 0:
@@ -283,20 +264,21 @@ def max_trivial_summands(family: str) -> int:
 # workload with the most, uses 11 (v3 with 0..10 trivial summands).
 @lru_cache(maxsize=64)
 def _representation(family: str, trivial: int):
-    """(derivation, quadratic invariants, polarization table) of the
-    representation W of `family` with `trivial` trivial summands, built
-    once per process: the action `lower_triangular_derivation(blocks,
-    trivial)`, whose ring is W's, the quadratic invariants q_j of W, and
-    per polarization operator E_kl, non-leading blocks k and l in order,
-    the triples (j, c, m) with E_kl q_j = c*q_m != 0, c = +-1.  Nothing
-    here depends on f, and every value is immutable, so one entry serves
-    every instance on W, from any thread.
+    """(derivation, quadratic invariants) of the representation W of
+    `family` with `trivial` trivial summands, built once per process: the
+    action `lower_triangular_derivation(blocks, trivial)`, whose ring is
+    W's, and the quadratic invariants q_j of W.  Nothing here depends on
+    f, and every value is immutable, so one entry serves every instance
+    on W, from any thread.
 
     The only code that bounds, builds and certifies W.  First it raises
     ResourceCapError, building nothing and caching nothing, when trivial
     > max_trivial_summands(family).  Then it raises ValueError, a bug,
     unless W has each identity the battery's verdicts rest on (see the
-    module docstring); no other code checks them."""
+    module docstring); no other code checks them.  The polarization
+    table, E_kl q_j = c*q_m with c = +-1, is such a certificate only: one
+    echelon row per operator E_kl, its matrix {(j, m): c}, must reach
+    rank N**2 for the N quadrics."""
     bound = max_trivial_summands(family)
     if trivial > bound:
         raise ResourceCapError(f"{trivial} trivial summands exceed the bound {bound} for {family}")
@@ -317,7 +299,7 @@ def _representation(family: str, trivial: int):
     if fixed_point_ideal(derivation) != odd:
         raise ValueError("the zeros of the action are not the non-stable locus")
     signed = {c * q: (c, m) for m, q in enumerate(quads) for c in (1, -1)}
-    table = []
+    span = Echelon()
     for k, l in product(range(2, blocks + 1), repeat=2):
         pairs = [(ring.var(f"w{2 * k - i}"), f"w{2 * l - i}") for i in (1, 0)]
         images = [(j, sum((x * q.partial(n) for x, n in pairs), ring.zero()))
@@ -325,8 +307,11 @@ def _representation(family: str, trivial: int):
         if any(not p.is_zero() and p not in signed for _, p in images):
             raise ValueError("a polarization operator maps a quadratic invariant "
                              "to neither 0 nor a signed quadratic invariant")
-        table.append(tuple((j, *signed[p]) for j, p in images if not p.is_zero()))
-    return derivation, quads, tuple(table)
+        span.insert({(j, signed[p][1]): signed[p][0] for j, p in images if not p.is_zero()})
+    if len(span.rows) != len(quads) ** 2:
+        raise ValueError("the polarization operators do not span every linear map "
+                         "of the quadratic invariants")
+    return derivation, quads
 
 
 def _odd_block_coordinates(w_ring: VarSet, family: str) -> Ideal:
@@ -616,12 +601,15 @@ def _stage(key: str):
 
 def run_battery(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> VerificationReport:
     """Validate the spec (`build_family`, which reports f = 0's empty
-    boundary before W is built), decide B's smoothness once and, for v3,
-    build the presentation; construction errors propagate."""
+    boundary before W is built), decide B's smoothness once, as the
+    smoothness of V(1 + f) in f's own affine space, and, for v3, build
+    the presentation; construction errors propagate.  v3's verdict is
+    the validation's squarefree test of f + 1; v4's is `check_smooth` on
+    1 + f, under `caps`."""
     build_family(spec, caps)  # f != 0, f(0) = 0, deg f, for v3 f + 1 squarefree, and W
     if spec.family != "v3":
         with _stage("boundarySmooth"):
-            smooth = is_unit_ideal(spec.polarization_ideal, caps=caps)
+            smooth = check_smooth(Ideal(spec.f.ring, (spec.f + 1,)), caps)
         return VerificationReport(spec, smooth, None)
-    with _stage("presentation"):  # build_family proved v3's J' = (1)
+    with _stage("presentation"):  # build_family proved V(1 + f) smooth
         return VerificationReport(spec, True, invariant_presentation(spec, caps=caps))

@@ -21,7 +21,7 @@ from math import prod
 import sympy as sp
 
 from gaquot import (Ideal, ParseError, Polynomial, TermOrder, UnknownVariableError, VarSet,
-                    VerificationReport, buchberger, is_unit_ideal, normal_form)
+                    VerificationReport, buchberger, check_smooth, normal_form)
 from gaquot.poly import fresh_names
 
 
@@ -495,29 +495,44 @@ def jacobian_identities(spec, h=None) -> bool:
 
 
 def polynomial_polarization_ideal(spec) -> Ideal:
-    """J' = (1 + f, J_kl for each polarization operator E_kl in order) by
-    polynomial arithmetic: J_kl = sum over (j, c, m) of the spec's
-    polarization table of c * df/ds_j * s_m, products and sums of
-    Polynomials, where `FamilySpec.polarization_ideal` writes each J_kl's
-    terms straight from f's."""
-    from gaquot.families import _representation
+    """The smoothness ideal the v4 battery once decided, J' = (1 + f, J_kl
+    for each polarization operator E_kl = w(2k-1)*d/dw(2l-1) +
+    w(2k)*d/dw(2l), blocks k, l in 2.. in order), by polynomial
+    arithmetic: J_kl = sum of c * df/ds_j * s_m over the quadrics with
+    E_kl q_j = c*q_m, c = +-1, a table worked out here from the spec's
+    quadrics, which the library keeps only as a certificate.  A zero
+    J_kl is dropped.  An oracle for the criterion the battery decides
+    instead, (1 + f, grad f): the two ideals are equal when f(0) = 0."""
+    from gaquot.families import FAMILIES
     from gaquot.poly import jacobian
 
-    f = spec.f
+    f, quads, w = spec.f, spec.quad_invariants, spec.w_ring.var
     s = [f.ring.var(n) for n in f.ring.names]
     gradient = jacobian([f], f.ring.names)[0]
-    table = _representation(spec.family, spec.trivial_summands)[2]
-    return Ideal(f.ring, (f + 1, *(sum((c * gradient[j] * s[m] for j, c, m in images),
-                                       f.ring.zero()) for images in table)))
+    j_kl = []
+    for k, l in product(range(2, FAMILIES[spec.family][0] + 1), repeat=2):
+        images = [w(f"w{2 * k - 1}") * q.partial(f"w{2 * l - 1}")
+                  + w(f"w{2 * k}") * q.partial(f"w{2 * l}") for q in quads]
+        j_kl.append(sum((c * gradient[j] * s[m] for j, image in enumerate(images)
+                         for m, q in enumerate(quads) for c in (1, -1) if image == c * q),
+                        f.ring.zero()))
+    return Ideal(f.ring, (f + 1, *j_kl))
+
+
+def smoothness_equation(spec) -> Ideal:
+    """The hypersurface 1 + f of f's own affine space, whose smoothness is
+    B's when f(0) = 0."""
+    return Ideal(spec.f.ring, (spec.f + 1,))
 
 
 def composed_checks(spec, smooth=None):
     """The checks of the report on `spec` with B's smoothness verdict
-    `smooth`, the battery's checks; J''s unit test decides the verdict
-    when `smooth` is None, so specs the validation rejects are covered
-    too."""
+    `smooth`, the battery's checks.  When `smooth` is None the Jacobian
+    criterion on 1 + f decides it, with B singular at W's origin when
+    1 + f(0) = 0 (every quadric has gradient 0 there), so specs the
+    validation rejects are covered too."""
     if smooth is None:
-        smooth = is_unit_ideal(spec.polarization_ideal)
+        smooth = spec.f.constant_term() != -1 and check_smooth(smoothness_equation(spec))
     return VerificationReport(spec, smooth, None).checks
 
 

@@ -119,8 +119,9 @@ def test_resource_cap_names_the_stage(capsys):
 
 
 def test_v4_verify_with_no_pair_budget_makes_no_basis_computation(monkeypatch):
-    """For f = a, J' = (1 + a, a, 0, ...) is settled by the lone-variable
-    step of `is_unit_ideal`, so `--max-pairs 0` passes with no run."""
+    """For f = a, the Jacobian criterion on 1 + a, the ideal (1 + a, 1),
+    holds a constant, so `is_unit_ideal` settles it before any run and
+    `--max-pairs 0` passes."""
     results = []
     runs = spolynomials_per_run(monkeypatch, lambda: results.append(
         run(["verify", "--family", "v4", "--f=a", "--max-pairs", "0"])))
@@ -134,19 +135,22 @@ def test_v4_verify_with_no_pair_budget_makes_no_basis_computation(monkeypatch):
     ("a^5 + b*c^2 + a*b + c", 4, "resource cap: boundarySmooth: pair budget 1 exhausted\n"),
 ])
 def test_v4_cap_hit_names_the_smoothness_stage(f, code, err, capsys):
-    """A v4 battery's one Buchberger run is the unit test of J' in
-    Q[a, b, c], under the caps and named `boundarySmooth`; at one pair it
-    passes for a^2 + b*c, whose J' needs no S-polynomial (B's Jacobian
-    criterion needed 9), and stops at a^5 + b*c^2 + a*b + c (9)."""
+    """A v4 battery's one Buchberger run is the Jacobian criterion on
+    1 + f in f's variables, under the caps and named `boundarySmooth`;
+    at one pair it passes for a^2 + b*c, whose partials 2*a, c and b the
+    lone-variable step settles with no S-polynomial (B's Jacobian
+    criterion needed 9), and stops at a^5 + b*c^2 + a*b + c, whose run
+    reduces 16."""
     assert run(["verify", "--family", "v4", f"--f={f}", "--max-pairs", "1"])[0] == code
     assert capsys.readouterr().err == err
 
 
 def test_v4_smoothness_runs_in_the_degree_of_f(capsys):
-    """J' lives in f's ring, with the degree of f, so a shape of degree 31
-    passes under the default degree budget of 60, which B's Jacobian
-    criterion, of degree 62, once exhausted: `verify` exited 4 with
-    `resource cap: boundarySmooth: degree budget 60 exhausted`."""
+    """The criterion on 1 + f runs in f's ring, with the degree of f, so a
+    shape of degree 31 passes under the default degree budget of 60,
+    which B's Jacobian criterion, of degree 62, once exhausted: `verify`
+    exited 4 with `resource cap: boundarySmooth: degree budget 60
+    exhausted`."""
     code, text = run(["verify", "--family", "v4", "--f=a^31 + b*c^2 + a*b + c"])
     assert (code, capsys.readouterr().err) == (0, "")
     assert json.loads(text)["checks"] == dict.fromkeys(

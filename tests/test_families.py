@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import pytest
 import sympy as sp
@@ -33,6 +34,7 @@ from gaquot import (
     fixed_point_ideal,
     invariant_presentation,
     is_squarefree,
+    jacobian,
     krull_dimension,
     lower_triangular_derivation,
     normal_form,
@@ -44,7 +46,7 @@ from gaquot import cli, derivations, families, groebner, linalg, poly
 from gaquot.families import nonstable_ideal
 from helpers import (check_cone_over_boundary, composed_checks, jacobian_identities,
                      polynomial_polarization_ideal, random_poly, signed_roots_shape,
-                     spolynomials_per_run, to_sympy, ybar_ideal)
+                     smoothness_equation, spolynomials_per_run, to_sympy, ybar_ideal)
 
 S = VarSet(("s",))
 ABC = VarSet(("a", "b", "c"))
@@ -183,10 +185,10 @@ def doctored_record(monkeypatch, derivation=None, quads=None):
     """The record of v3 with f = s, read while `_representation` returns
     W's certified values but for `derivation` or `quads`: a W that no
     unpatched path can build, for the expanded checks to see."""
-    certified_derivation, certified_quads, table = families._representation("v3", 0)
+    certified_derivation, certified_quads = families._representation("v3", 0)
     monkeypatch.setattr(families, "_representation", lambda family, trivial: (
         certified_derivation if derivation is None else derivation,
-        certified_quads if quads is None else quads, table))
+        certified_quads if quads is None else quads))
     return v3("s")
 
 
@@ -276,16 +278,16 @@ def test_smoothness_of_closure_and_boundary():
 def test_smoothness_fails_on_repeated_root():
     """With a repeated root of f + 1, built without validation, both
     equations are singular, yet B's smoothness identities still hold: the
-    identities certify smoothness only together with J' = (1 + f, s*f')
-    the unit ideal, which this shape fails, as -1 is a common root, so
-    the battery's verdict is False.  Ybar is still the cone over B, so it
-    is singular with B."""
+    identities certify smoothness only together with V(1 + f) smooth,
+    which this shape fails, as -1 is a root of both 1 + f and f', so the
+    battery's verdict is False.  Ybar is still the cone over B, so it is
+    singular with B."""
     forced = v3("(1+s)^2 - 1")
     assert not check_smooth(forced.b_ideal)
     assert not check_smooth(ybar_ideal(forced))
     assert jacobian_identities(forced) is True
     check_cone_over_boundary(forced)
-    assert forced.polarization_ideal.generators[:2] == (parse("(1+s)^2", S), parse("2*s^2 + 2*s", S))
+    assert not check_smooth(smoothness_equation(forced))
     assert composed_checks(forced)["boundarySmooth"] is False
     with pytest.raises(RepeatedRootsError):
         run_battery(forced)
@@ -319,7 +321,7 @@ def recorded_unit_ideal_rings(monkeypatch) -> list:
 def test_jacobian_criterion_runs_in_the_variables_of_the_equation(trivial, monkeypatch):
     """v4's B with f = a + b + c involves w3..w8 alone, so its Jacobian
     criterion runs in those 6 variables whatever the trivial summands;
-    the battery's unit test of J' runs in f's variables a, b, c."""
+    the battery's criterion on 1 + f runs in f's variables a, b, c."""
     rings = recorded_unit_ideal_rings(monkeypatch)
     assert check_smooth(build_family(v4("a + b + c", trivial)).b_ideal)
     assert run_battery(v4("a + b + c", trivial)).passed
@@ -334,7 +336,7 @@ def test_jacobian_criterion_of_a_constant_runs_in_the_full_ring(monkeypatch):
     assert rings == [ring.names] * 2
 
 
-# -- the smoothness ideal J' ----------------------------------------------------------
+# -- the smoothness criterion on 1 + f --------------------------------------------------
 
 # The v3 signed-roots shapes of deg 1..12 (seed 7), and f = s with 0..3
 # trivial summands.
@@ -347,14 +349,13 @@ CERTIFIED_SPECS = (
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
 def test_jacobian_identities_agree_with_groebner(spec):
-    """The identities, J''s own unit test and the Jacobian criterion all
-    certify B, a validated spec builds the J' of the spec as made, and
-    the battery's smoothness verdict, which reads the validation's, is
-    the one the Jacobian criterion decides on B and on Ybar."""
+    """The identities, the Jacobian criterion on 1 + f and that on B all
+    certify B, and the battery's smoothness verdict, which reads the
+    validation's, is the one the Jacobian criterion decides on B and on
+    Ybar."""
     art = build_family(spec)
     assert jacobian_identities(art) is True
-    assert art.polarization_ideal == spec.polarization_ideal
-    assert groebner.is_unit_ideal(art.polarization_ideal)
+    assert check_smooth(smoothness_equation(art))
     assert run_battery(spec).smooth == check_smooth(art.b_ideal) \
         == check_smooth(ybar_ideal(art)) is True
 
@@ -400,28 +401,15 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
                       "_product": 0, "_sorted_gens": 0}
 
 
-@pytest.mark.parametrize("trivial", [0, 3])
-def test_v4_polarization_ideal_builds_one_polynomial_per_generator(monkeypatch, trivial):
-    """J' of a v4 spec, on a warm cache, builds one Polynomial for 1 + f
-    and one per polarization operator, nine for v4, and multiplies no
-    term dicts: each J_kl is written from f's terms (65 Polynomials while
-    J_kl was summed from products)."""
-    spec = v4("a^5 + b*c^2 + a*b + c", trivial)
-    spec.polarization_ideal  # W and its polarization table are cached from here on
-    operators = len(families._representation("v4", trivial)[2])
-    bound = [(module, "_product") for module in (families, poly) if "_product" in vars(module)]
-    counts = counted_calls(monkeypatch, (Polynomial, "__init__"), *bound)
-    spec.polarization_ideal
-    assert (operators, counts) == (9, {"__init__": 1 + operators, "_product": 0})
-
-
 def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
     """A v3 battery's smoothness verdict is the validation's verdict on
-    J', so it runs the modular loop once, in the validation, and reduces
-    no S-polynomial for smoothness: its Groebner runs are the
-    presentation's.  Checks given no verdict, on a spec validated or not,
-    build J' = (1 + f, s*f', 0, 0, s*f') from f on each read and decide
-    it by a unit-ideal test in Q[s]."""
+    f + 1, so it runs the modular loop once, in the validation, and
+    reduces no S-polynomial for smoothness: its Groebner runs are the
+    presentation's.  That squarefree test is the Jacobian criterion on
+    1 + f, (1 + f, f') the unit ideal in Q[s], which checks given no
+    verdict decide on a spec validated or not, by a unit-ideal test with
+    no modular loop; on shapes the validation rejects for a repeated
+    root both say singular."""
     spec = FamilySpec("v3", signed_roots_shape(5, 3))
     counts = counted_calls(monkeypatch, (groebner, "_coprime_mod"))
     reports = []
@@ -432,14 +420,16 @@ def test_the_smoothness_certificate_is_the_validation_verdict(monkeypatch):
                                                 lambda: invariant_presentation(spec))
     validated = build_family(spec)
     assert counts["_coprime_mod"] == 2
-    f, s = spec.f, S.var("s")
-    s_f_prime = s * f.partial("s")
     for art in (validated, spec):
-        assert art.polarization_ideal == Ideal(S, (f + 1, s_f_prime, S.zero(), S.zero(),
-                                                    s_f_prime))
+        assert check_smooth(smoothness_equation(art)) is True
         assert [composed_checks(art)["boundarySmooth"] for _ in range(2)] == [True, True]
     assert counts["_coprime_mod"] == 2
-    assert composed_checks(v3("s - 1"))["boundarySmooth"] is False  # J' = (s, s)
+    for text in ("(1+s)^2 - 1", "s^3 + 3*s^2 + 3*s", "s^4 - 2*s^2", "1/2*s^3 - s", "s^2 + s"):
+        spec = v3(text)
+        assert is_squarefree(spec.f + 1) is check_smooth(smoothness_equation(spec))
+    # f(0) = -1 puts W's origin, where every quadric's gradient is 0, on B
+    assert check_smooth(smoothness_equation(v3("s - 1")))
+    assert composed_checks(v3("s - 1"))["boundarySmooth"] is False
 
 
 def test_jacobian_identities_reject_a_changed_coefficient():
@@ -534,18 +524,49 @@ def v4_polarization_shapes(seed):
 J_PRIME_SHAPES = ["a", "b", "c", "-2*a + b", "a - 3*b + 1/2*c", "a^5 + b*c^2 + a*b + c",
                   "1/2*a^2 - 3/4*b*c + 2/3*c^3 + a"]
 
+SINGULAR_V4 = ["a^2 - 2*a + b^2 + c^2", "a*b - a - b", "a^2*b^2 - 2*a*b + c^2",
+               "(a+b+c)^2 + 2*(a+b+c)"]
 
-@pytest.mark.parametrize("trivial", [0, 3])
-@pytest.mark.parametrize("shape", J_PRIME_SHAPES)
-def test_polarization_ideal_matches_the_polynomial_arithmetic(shape, trivial):
-    """J' written term by term equals J' summed from products of
-    Polynomials (`helpers.polynomial_polarization_ideal`), generator for
-    generator and string for string, on linear, mixed and rational v4
-    shapes with 0 and 3 trivial summands."""
-    spec = v4(shape, trivial)
-    want = polynomial_polarization_ideal(spec)
-    assert spec.polarization_ideal == want
-    assert [str(g) for g in spec.polarization_ideal.generators] == [str(g) for g in want.generators]
+
+def dense_v4_shapes():
+    """Dense v4 shapes of degree 3 and 4, drawn in that order from
+    random.Random(3): each monomial a^i*b^j*c^k of degree 1..d is kept
+    with probability 1/2, with a coefficient of +-1..5."""
+    rng = random.Random(3)
+    return [Polynomial(ABC, {m: rng.choice((-1, 1)) * rng.randint(1, 5)
+                             for total in range(1, d + 1)
+                             for m in sorted(e for e in product(range(total + 1), repeat=3)
+                                             if sum(e) == total)
+                             if rng.random() < 0.5})
+            for d in (3, 4)]
+
+
+def gradient_oracle_specs():
+    """The linear, mixed and rational shapes with 0 and 3 trivial
+    summands, the singular controls, seeded shapes of degree <= 4 and the
+    dense shapes of degree 3 and 4."""
+    return ([pytest.param(v4(text, trivial), id=f"{text}-triv{trivial}")
+             for text in J_PRIME_SHAPES for trivial in (0, 3)]
+            + [pytest.param(v4(text), id=f"singular-{text}") for text in SINGULAR_V4]
+            + [pytest.param(FamilySpec("v4", f), id=f"seed{seed}-{f}")
+               for seed in range(6) for f in v4_polarization_shapes(seed)]
+            + [pytest.param(FamilySpec("v4", f), id=f"dense-deg{f.total_degree()}")
+               for f in dense_v4_shapes()])
+
+
+@pytest.mark.parametrize("spec", gradient_oracle_specs())
+def test_the_gradient_ideal_is_the_polarization_ideal(spec):
+    """Oracle: the battery's verdict, the Jacobian criterion on 1 + f,
+    is the unit test of J' = (1 + f, J_kl), the ideal built from the
+    polarization operators (`helpers.polynomial_polarization_ideal`),
+    and (1 + f, grad f) and J' have equal reduced grevlex bases: the
+    J_kl span every s_m*df/ds_j, and f(0) = 0 puts f in (s)."""
+    f = spec.f
+    gradient = Ideal(f.ring, (f + 1, *jacobian([f], f.ring.names)[0]))
+    polarization = polynomial_polarization_ideal(spec)
+    assert run_battery(spec).smooth is check_smooth(smoothness_equation(spec)) \
+        is groebner.is_unit_ideal(polarization)
+    assert buchberger(gradient).basis == buchberger(polarization).basis
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
@@ -553,10 +574,11 @@ def test_polarization_identities_hold_in_sympy(seed):
     """E_kl h = -J_kl(q) for each polarization operator E_kl =
     w(2k-1)*d/dw(2l-1) + w(2k)*d/dw(2l), blocks k, l in 2..4 in order,
     with h B's equation as built, expanded by sympy on seeded v4 shapes
-    with a seeded number of trivial summands: J''s first generator is
-    1 + f, and the others, at s -> q, are the nonzero -E_kl h in order
-    (J' drops a zero J_kl, and J_kl(q) = 0 only for J_kl = 0, as the
-    quadrics are algebraically independent)."""
+    with a seeded number of trivial summands, and J_kl from the table
+    `helpers.polynomial_polarization_ideal` works out: J''s first
+    generator is 1 + f, and the others, at s -> q, are the nonzero
+    -E_kl h in order (J' drops a zero J_kl, and J_kl(q) = 0 only for
+    J_kl = 0, as the quadrics are algebraically independent)."""
     rng = random.Random(seed)
     a, b, c = symbols = sp.symbols("a b c")
     w = sp.symbols("w1:9")
@@ -565,7 +587,8 @@ def test_polarization_identities_hold_in_sympy(seed):
         art = FamilySpec("v4", f, rng.randint(0, 2))
         (equation,) = art.b_ideal.generators
         h = to_sympy(equation, sp.symbols(list(art.w_ring.names)))
-        one_plus_f, *j = (to_sympy(g, symbols) for g in art.polarization_ideal.generators)
+        one_plus_f, *j = (to_sympy(g, symbols)
+                          for g in polynomial_polarization_ideal(art).generators)
         assert sp.expand(one_plus_f - 1 - to_sympy(f, symbols)) == 0
         images = [sp.expand(-sum(w[2 * k - i] * sp.diff(h, w[2 * l - i]) for i in (2, 1)))
                   for k in range(2, 5) for l in range(2, 5)]
@@ -575,10 +598,6 @@ def test_polarization_identities_hold_in_sympy(seed):
 
 
 # -- Ybar is the cone over B ---------------------------------------------------------
-
-SINGULAR_V4 = ["a^2 - 2*a + b^2 + c^2", "a*b - a - b", "a^2*b^2 - 2*a*b + c^2",
-               "(a+b+c)^2 + 2*(a+b+c)"]
-
 
 def transfer_specs():
     """v3 signed-roots shapes of deg 1..12 with 0..2 trivial summands,
@@ -703,10 +722,13 @@ def test_empty_boundary_exits_two(trivial, capsys):
 ])
 def test_battery_expands_no_f_of_q(spec, passed, monkeypatch):
     """A battery of either family, passing or singular, decides every
-    check without X or B and never calls the Jacobian criterion: reading
-    either ideal raises, and the battery still returns."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the battery ran the expanded Jacobian criterion")
+    check without X or B and calls the Jacobian criterion on 1 + f alone,
+    in f's ring: reading either ideal raises, and the battery still
+    returns."""
+    def refuse(ideal, caps=DEFAULT_CAPS):
+        if ideal != smoothness_equation(spec):
+            raise AssertionError("the battery ran the expanded Jacobian criterion")
+        return check_smooth(ideal, caps)
 
     def expand(spec):
         raise AssertionError("the battery expanded f(q)")
@@ -746,26 +768,57 @@ def test_a_fixed_locus_off_the_nonstable_locus_is_a_bug(monkeypatch, request, ca
 
 
 def test_smoothness_certificate_needs_a_quadric(monkeypatch, request, capsys):
-    """J''s converse at s = 0, where the origin of W is singular on B as
-    every quadric has gradient 0 there, and the presentation's leading
-    coefficients need q homogeneous of degree 2, which W certifies as it
-    is built: adding w3, invariant, free of w1 and non-stable, to a
-    quadric makes W a bug."""
+    """The presentation's leading coefficients need q homogeneous of
+    degree 2, and so does E_kl mapping q to a signed quadric, which W
+    certifies as it is built: adding w3, invariant, free of w1 and
+    non-stable, to a quadric makes W a bug."""
     broken_representation_is_a_bug(monkeypatch, request, capsys, "_quadratic_invariants",
                                    with_first_quadric_plus("w3"),
                                    "a quadratic invariant is not a homogeneous quadric")
 
 
 def test_a_polarization_image_off_the_quadrics_is_a_bug(monkeypatch, request, capsys):
-    """E_kl h = -J_kl(q), behind the smoothness verdict, needs each
-    polarization operator to map each quadric to 0 or a signed quadric,
-    which W certifies as it derives its table: w3*w5 is invariant, a
-    quadric, free of w1 and non-stable, yet E_23 = w3*d/dw5 + w4*d/dw6
-    maps it to w3^2, so with it added to a quadric W is a bug."""
+    """E_kl h = -grad f(q) . E_kl q, behind the smoothness verdict, needs
+    each polarization operator to map each quadric to 0 or a signed
+    quadric, which W certifies as it works out its table: w3*w5 is
+    invariant, a quadric, free of w1 and non-stable, yet E_23 =
+    w3*d/dw5 + w4*d/dw6 maps it to w3^2, so with it added to a quadric W
+    is a bug."""
     broken_representation_is_a_bug(
         monkeypatch, request, capsys, "_quadratic_invariants", with_first_quadric_plus("w3*w5"),
         "a polarization operator maps a quadratic invariant to neither 0 nor a signed "
         "quadratic invariant")
+
+
+@pytest.mark.parametrize("kept", ["all-but-the-last", "off-diagonal"])
+def test_polarization_operators_short_of_full_rank_are_a_bug(kept, monkeypatch, request,
+                                                             capsys):
+    """B is smooth iff V(1 + f) is only because the E_kl s span A^N at
+    s != 0, which W certifies by the rank of the operators' matrices on
+    f's N variables: N**2, every linear map.  Without the last operator
+    E_44, v4's matrices have rank 8, so W raises ValueError where it is
+    built, caches nothing and `verify` exits 5, while v3, whose E_22
+    alone spans its 1x1 matrices, still builds and passes.  Without the
+    diagonal operators E_kk, v4's rank is 6 and v3's 0: both are bugs."""
+    clear_representation_caches()
+    request.addfinalizer(clear_representation_caches)
+
+    def operators(blocks, repeat):
+        pairs = list(product(blocks, repeat=repeat))
+        return pairs[:-1] if kept == "all-but-the-last" else [(k, l) for k, l in pairs if k != l]
+
+    monkeypatch.setattr(families, "product", operators)
+    message = "the polarization operators do not span every linear map of the quadratic invariants"
+    for spec in [v4("a")] + [v3("s")] * (kept == "off-diagonal"):
+        with pytest.raises(ValueError, match=message):
+            spec.w_ring
+        with pytest.raises(ValueError, match=message):
+            run_battery(spec)
+    assert families._representation.cache_info().currsize == 0
+    if kept == "all-but-the-last":
+        assert run_battery(v3("s")).passed
+    assert cli.main(["verify", "--family", "v4", "--f=a"], out=io.StringIO()) == 5
+    assert capsys.readouterr().err.startswith(f"internal error: ValueError: {message}\n")
 
 
 @pytest.mark.parametrize("text", ["t^2 + t", "(1+t)*(1+2*t)*(1+3*t) - 1"])
@@ -942,11 +995,17 @@ def test_cold_and_warm_caches_give_identical_reports(label, family, f, trivial):
 def test_the_v3_presentation_solves_no_kernel(monkeypatch):
     """The presentation names W's invariants: on cold caches, no v3
     battery and no `present` inserts a row into a linear echelon, which
-    any kernel solve would."""
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a linear kernel solve")
+    any kernel solve would, but for the rank certificate of each W built
+    (`_representation`): one row per polarization operator, keyed by
+    pairs (j, m) of quadrics, four for each of the three v3 Ws."""
+    rows = []
+    insert = linalg.Echelon.insert
 
-    monkeypatch.setattr(linalg.Echelon, "insert", refuse)
+    def certificate_only(self, terms, carried=None):
+        rows.append(carried is None and all(len(m) == 2 for m in terms))
+        return insert(self, terms, carried)
+
+    monkeypatch.setattr(linalg.Echelon, "insert", certificate_only)
     for value in vars(families).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
@@ -954,6 +1013,7 @@ def test_the_v3_presentation_solves_no_kernel(monkeypatch):
         for trivial in range(3):
             assert run_battery(FamilySpec("v3", signed_roots_shape(degree, 7), trivial)).passed
     assert cli.main(["present", "--f=s"], out=io.StringIO()) == 0
+    assert rows == [True] * 12
 
 
 def test_threads_on_a_cold_cache_give_equal_reports():

@@ -1135,22 +1135,27 @@ def test_battery_spolynomial_counts_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("f, expected", [
-    ("a^2 + b*c", [0]),
-    ("a*b - a - b", [3]),
-    ("a^2 - 2*a + b^2 + c^2", [6]),
-    ("a^5 + b*c^2 + a*b + c", [9]),
-    ("a^7 + b*c^2 + a*b + c", [9]),
-    ("a^10 + b*c^2 + a*b + c", [9]),
+    ("a^2 + b*c", []),
+    ("a*b - a - b", [1]),
+    ("a^2 - 2*a + b^2 + c^2", [1]),
+    ("a^5 + b*c^2 + a*b + c", [16]),
+    ("a^7 + b*c^2 + a*b + c", [20]),
+    ("a^10 + b*c^2 + a*b + c", [25]),
 ])
 def test_v4_battery_spolynomial_counts_are_pinned(f, expected, monkeypatch):
-    """The one Buchberger run of a v4 battery is the unit test of J' =
-    (1 + f, J_kl for each polarization operator E_kl) in Q[a, b, c];
-    Ybar's smoothness is B's.  The second and third shapes are singular.
-    The first three pins read [9], [13] and [58] while B's Jacobian
-    criterion ran in the 6 variables w3..w8 instead (and [n, n] while
-    Ybar's ran too); J' has the degree of f, not twice it, so the
-    a^k + b*c^2 + a*b + c shapes, whose criterion on B took thousands of
-    S-polynomials (4019 at k = 7), each take 9."""
+    """The one Buchberger run of a v4 battery is the Jacobian criterion on
+    the hypersurface 1 + f, the unit test of (1 + f, grad f) in the
+    variables f involves; Ybar's smoothness is B's.  The second and third
+    shapes are singular.  a^2 + b*c needs no run, as its partials 2*a, c
+    and b are lone variables.  The pins read [0], [3], [6] and [9] for
+    each a^k + b*c^2 + a*b + c while the battery tested J' = (1 + f, J_kl
+    for each polarization operator E_kl), the same ideal written from
+    nine generators: the singular shapes then took more pairs and the
+    sparse ones fewer.  Before that, the first three read [9], [13] and
+    [58] while B's Jacobian criterion ran in the 6 variables w3..w8 (and
+    [n, n] while Ybar's ran too), and the criterion on B took thousands
+    of S-polynomials (4019 at k = 7) on the a^k + b*c^2 + a*b + c
+    shapes."""
     spec = FamilySpec("v4", parse(f, VarSet(("a", "b", "c"))))
     assert spolynomials_per_run(monkeypatch, lambda: run_battery(spec)) == expected
 

@@ -26,7 +26,7 @@ from gaquot import (
     run_battery,
 )
 from gaquot.poly import _Record
-from helpers import composed_checks, leading_monomials, random_poly
+from helpers import composed_checks, leading_monomials, random_poly, smoothness_equation
 
 XY = VarSet(("x", "y"))
 SPEC = FamilySpec("v3", parse("s^2 + s", VarSet(("s",))))
@@ -51,8 +51,7 @@ RECORDS = {
 
 # record -> the values it derives from its fields, read-only like them
 DERIVED = {
-    FamilySpec: ("derivation", "quad_invariants", "w_ring", "x_ideal", "b_ideal",
-                 "polarization_ideal"),
+    FamilySpec: ("derivation", "quad_invariants", "w_ring", "x_ideal", "b_ideal"),
     KTheoryRanks: ("rank_z", "rank_closure", "rank_quotient"),
     Dims: ("quotient", "codim"),
     VerificationReport: ("checks", "dims", "ranks", "boundary_codim", "m", "passed"),
@@ -216,12 +215,12 @@ def test_a_basis_rebuilt_from_its_fields_reduces_alike(order):
 @pytest.mark.parametrize("text", ["a^2 + b*c", "a^2 - 2*a + b^2 + c^2"])
 def test_artifacts_built_by_hand_have_the_built_smoothness_ideal(text):
     """A v4 spec built by hand equals the one `build_family` returns and
-    has its ring and its J', and the battery's checks on it agree,
-    smooth and singular."""
+    has its ring and its smoothness equation 1 + f, and the battery's
+    checks on it agree, smooth and singular."""
     hand = FamilySpec("v4", parse(text, VarSet(("a", "b", "c"))))
     built = build_family(FamilySpec("v4", parse(text, VarSet(("a", "b", "c")))))
     assert hand == built and hand.w_ring == built.w_ring
-    assert hand.polarization_ideal == built.polarization_ideal
+    assert smoothness_equation(hand) == smoothness_equation(built)
     assert composed_checks(hand) == composed_checks(built)
 
 
