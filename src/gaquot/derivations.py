@@ -21,15 +21,15 @@ included (the v3 presentation adjoins the trivial summands' coordinates
 itself).  Both kernel methods prune generators by subalgebra membership
 through one function, `_span`: it sorts a candidate list and builds one
 span of it, a value exposing the candidates it keeps (`kept`) and a
-membership test (`contains`).  When every candidate is homogeneous (the kernel of a
-linear derivation is graded) the engine is an echelon of products of
-generators one degree at a time (_GradedSpan); otherwise it is one
-incremental Buchberger run of the tag-variable test (Shannon and
-Sweedler, J. Symb. Comp. 6, 1988) over the graph ideal of all of them
-(groebner._GraphSpan), the general route of SAGBI theory (Robbiano and
-Sweedler, LNM 1430, 1990).  A saturation round asks the span of its
-generators alone whether a candidate is new, and the span of the round
-that adds nothing is the final filter.
+membership test (`contains`).  When every candidate is homogeneous
+(the kernel of a linear derivation is graded) the engine is an echelon
+of products of generators one degree at a time (_GradedSpan);
+otherwise each test is one Buchberger run of the tag-variable test
+(Shannon and Sweedler, J. Symb. Comp. 6, 1988) over the graph ideal of
+the candidates kept so far (groebner._GraphSpan), the general route of
+SAGBI theory (Robbiano and Sweedler, LNM 1430, 1990).  A saturation
+round asks the span of its generators alone whether a candidate is
+new, and the span of the round that adds nothing is the final filter.
 """
 
 from __future__ import annotations

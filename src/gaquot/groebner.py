@@ -10,23 +10,19 @@ pairs by the normal strategy
 from a graph ideal of homogeneous polynomials, as the tag eliminations
 of homogeneous kernels do: there a block order's smallest lcm need not
 have the least degree, and it selects by the sugar strategy (least
-sugar first, then smallest lcm; see `_Run`).  Two questions are
-settled without a run whenever an exact shortcut decides them, with
-Buchberger as the fallback: a unit-ideal test first sets each lone
-variable, a generator c*x_k, to zero in the others; and the
-squarefreeness test first looks for a modular certificate that p and p'
-are coprime, before the unit-ideal test of (p, p') over Q decides.
-One run state, `_Run`, holds the rows, the pair queue and the pair
-loop.  Its input is packed seeds: `_completed_run` seeds it once and
-completes it for `buchberger`, `is_unit_ideal`, `krull_dimension`,
-`_graph_run` and the v3 presentation, and `_GraphSpan` grows it one
-subalgebra candidate at a time over the graph ideal of all of them,
-deciding membership and eliminating the relations among the survivors.
-One read-out, `_Run.reduced`, gives `buchberger` and the graph
-relations (`_relations`) their part of a completed run's reduced basis,
-and one unpacking, `_polynomial`, makes every packed result a
-polynomial.  Pairs
-are pruned when they are formed, by the update of Gebauer and Moeller
+sugar first, then smallest lcm; see `_Run`).  One question is
+settled without a run whenever an exact shortcut decides it, with
+Buchberger as the fallback: the squarefreeness test first looks for a
+modular certificate that p and p' are coprime, before the unit-ideal
+test of (p, p') over Q decides.  One run state, `_Run`, holds the
+rows, the pair queue and the pair loop, and one function builds and
+drives it: `_completed_run` seeds it once with packed seeds and
+completes it, for `buchberger`, `is_unit_ideal`, `krull_dimension`,
+`_graph_run` and the v3 presentation.  One read-out, `_Run.reduced`,
+gives `buchberger` and the graph relations (`_relations`) their part of
+a completed run's reduced basis, and one unpacking, `_polynomial`,
+makes every packed result a polynomial.  Pairs are pruned when they
+are formed, by the update of Gebauer and Moeller
 ("On an installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988;
 UPDATE in Becker and Weispfenning, "Groebner Bases", GTM 141), run each
 time an element joins the basis: criteria M and F and the product
@@ -43,9 +39,10 @@ the ring extended by one tag y_i per g_i, is laid out once: its packing,
 and the tags in the next ones, under the block order eliminating the
 ring.  `_graph_seed` packs y_i - g_i straight from the terms of g_i, so
 no polynomial over the extended ring is built.  `_graph_run` seeds a
-run with the whole ideal, for the one-shot `subalgebra_membership` and
-the elimination `_graph_relations` of the saturation rounds, and
-`_GraphSpan` one candidate at a time.  `families.invariant_presentation`
+run with the whole ideal, for `subalgebra_membership`, which
+`_GraphSpan` asks once per candidate, and for the eliminations
+`_graph_relations` of the saturation rounds and of
+`subalgebra_presentation`.  `families.invariant_presentation`
 writes its own seeds as packed integer term dicts under
 `_graph_packing`, and reads its relations off the completed run with
 `_relations`.
@@ -487,8 +484,7 @@ class _Run:
     """The state of one Buchberger run under one packing: the packed rows
     added so far, the sugar of each if the run selects pairs by sugar, the
     pair queue and active indices of `_update`, and the S-polynomials
-    reduced, counted against `caps.max_pairs` across every `complete` of
-    the run.
+    reduced, counted against `caps.max_pairs`.
 
     Reducers are the active rows.  A retired row's leading monomial is a
     multiple of an active one, so remainders are full normal forms.
@@ -508,10 +504,8 @@ class _Run:
     slower, 64 ms against 2.2 ms (best of 5), with 27 S-polynomials
     either way; under the block order eliminating 3 of katsura-4's 5
     variables, a run of 0.24 s by smallest lcm (best of 3) had not ended
-    by sugar after 16 minutes.  `_GraphSpan` adds its seeds one at a time
-    to a run started empty, so its runs keep the smallest lcm first too.
-    Reduced bases are unique, so the selection changes the work done,
-    never the result."""
+    by sugar after 16 minutes.  Reduced bases are unique, so the
+    selection changes the work done, never the result."""
 
     def __init__(self, packing: _Packing, caps: ResourceCaps, sugared: bool = False):
         self.packing = packing
@@ -642,21 +636,11 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 def is_unit_ideal(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """True iff the ideal is the whole ring, i.e. its vanishing set is empty.
 
-    A lone-variable generator, a single term c*x_k of degree 1, is settled
-    by substitution first: the ideal is the unit ideal iff its image in
-    Q[x]/(x_k), a polynomial ring in the other variables, is, so x_k is set
-    to 0 in every generator, and again for each lone variable that
-    appears, until none does.  A nonzero constant left is the unit ideal
-    and no generator left is a proper ideal, with no Groebner run;
-    otherwise it is the unit ideal iff a constant (packed as 0) leads a
-    row of the completed grevlex run under `caps`, retiring every other."""
+    A nonzero constant generator is the unit ideal and the zero ideal is
+    proper, with no Groebner run; otherwise the ideal is the unit ideal
+    iff a constant (packed as 0) leads a row of the completed grevlex run
+    under `caps`, retiring every other."""
     gens = [g.terms for g in ideal.generators if not g.is_zero()]
-    while True:
-        lone = {m.index(1) for t in gens if len(t) == 1 for m in t if sum(m) == 1}
-        if not lone:
-            break
-        gens = [r for r in ({m: c for m, c in t.items() if not any(m[k] for k in lone)}
-                            for t in gens) if r]
     one = (0,) * len(ideal.ring)
     if any(t.keys() == {one} for t in gens):
         return True
@@ -845,68 +829,30 @@ def _graph_relations(ring: VarSet, gens: Sequence[Polynomial], extra: Sequence[P
 
 class _GraphSpan:
     """The candidates, in the order given, each kept only if it is not in
-    the subalgebra generated by those kept before it (`kept`), as one
-    incremental Buchberger run over their graph ideal under the block
-    order eliminating `ring`: the Groebner counterpart, for any
-    polynomials, of `derivations._GradedSpan`.  The run's packing covers
-    `ring` and one tag per candidate from the start, so it never changes,
-    and the whole run shares one `caps` budget.  Packing is linear and
-    `ring` holds the first variables, so a polynomial of `ring` packs
-    from its own terms, and `contains` packs its argument that way; no
-    polynomial over the big ring is built.  No tag leads a row, so the
-    normal form of a polynomial of `ring` mentions only tags (one mask of
-    the ring's exponent fields, the lowest ones) exactly when
-    subalgebra_membership calls it a member of the kept candidates'
-    subalgebra.
-
-    Each candidate p is seeded with y - p (`_graph_seed`), y the next
-    free tag field after the ring's and the kept candidates' tags.  It is
-    kept iff that seed, reduced to a multiple of y minus a normal form
-    free of y (y leads no row), is not tag-only; the kept remainder joins
-    the basis, whose pairs are completed before the next candidate.  A
-    dropped candidate's seed never joins the run, so the next candidate
-    reuses its field and the kept tags lie where `_graph_run` puts them;
-    the zero fields past them leave grevlex, and so the run, unchanged.
-    Raises RingMismatchError for a candidate not over `ring` and
+    the subalgebra generated by those kept before it (`kept`): the
+    Groebner counterpart, for any polynomials, of
+    `derivations._GradedSpan`.  Each membership test, of a candidate or
+    through `contains`, is one `subalgebra_membership` run over the kept
+    candidates under `caps`, so the budget bounds each run, not the span.
+    Raises RingMismatchError for a polynomial not over `ring` and
     ValueError for an empty candidate list."""
 
     def __init__(self, ring: VarSet, candidates: Sequence[Polynomial],
                  caps: ResourceCaps = DEFAULT_CAPS):
         if not candidates:
             raise ValueError("a subalgebra span needs at least one candidate")
-        n = len(ring)
         self._ring = ring
-        packing = _graph_packing(n, len(candidates))
-        self._run = _Run(packing, caps)
-        self._ring_fields = _first_fields(n)
+        self._caps = caps
         self.kept = []
         for p in candidates:
-            if p.ring != ring:
-                raise RingMismatchError("subalgebra candidates over the wrong ring")
-            seed = _graph_seed(packing, packing.weights[n + len(self.kept)], p)
-            reduced, member = self._tag_only_form(seed)
-            if not member:
+            if not self.contains(p):
                 self.kept.append(p)
-                self._run.append(reduced)
-                self._run.complete()
-
-    def _tag_only_form(self, work: dict) -> tuple:
-        """(normal form of the packed integer term dict `work`, up to
-        scale; whether it is tag-only)."""
-        reduced = self._run.reduce(work)
-        return reduced, not any(m & self._ring_fields for m in reduced)
 
     def contains(self, f: Polynomial) -> bool:
         """Membership of f, over `ring`, in the kept candidates' subalgebra."""
         if f.ring != self._ring:
             raise RingMismatchError("polynomial ring differs from subalgebra span ring")
-        return self._tag_only_form(_integer_terms(f.terms, self._run.packing.pack)[0])[1]
-
-    def relations(self) -> Ideal:
-        """The relations among the kept candidates, over the tags
-        y1..y<len(kept)>: the elimination ideal `_graph_relations(ring,
-        kept, (), caps)` gives, read off this run (`_relations`)."""
-        return _relations(self._run, self._ring, len(self.kept))
+        return subalgebra_membership(f, self.kept, self._caps)[0]
 
 
 def subalgebra_membership(f: Polynomial, gens: Sequence[Polynomial],
@@ -941,12 +887,12 @@ def subalgebra_presentation(ring: VarSet, candidates: Sequence[Polynomial],
     """(survivors, relations): the candidates, in the order given, each
     kept only if it is not in the subalgebra generated by those kept
     before it, and the ideal of relations among the survivors, over
-    fresh tags y1, y2, ..., one per survivor.  One `_GraphSpan`
-    over all the candidates keeps the survivors and its `relations()`
-    follow, so the filter and the elimination are one run sharing one
-    `caps` budget.  An empty candidate list raises ValueError."""
+    fresh tags y1, y2, ..., one per survivor.  A `_GraphSpan` keeps the
+    survivors, one membership run per candidate, and `_graph_relations`
+    eliminates over them in one more run; `caps` bounds each of these
+    runs on its own.  An empty candidate list raises ValueError."""
     span = _GraphSpan(ring, candidates, caps)
-    return span.kept, span.relations()
+    return span.kept, _graph_relations(ring, span.kept, (), caps)
 
 
 # -- ideal files -----------------------------------------------------------------

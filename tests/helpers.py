@@ -408,14 +408,13 @@ def restricted_w_invariants(f: Polynomial, trivial: int):
 
 def unsplit_v3_presentation(f: Polynomial, trivial: int):
     """(survivors, relations) of the v3 invariant presentation as one
-    `_GraphSpan` over the whole z-ring of X, on every restricted
-    W-invariant: the trivial coordinates are spanned with the rest
-    instead of being adjoined afterwards, and w1's image is filtered out
-    instead of never being built."""
-    from gaquot.groebner import _GraphSpan
+    `subalgebra_presentation` over the whole z-ring of X, on every
+    restricted W-invariant: the trivial coordinates are spanned with the
+    rest instead of being adjoined afterwards, and w1's image is filtered
+    out instead of never being built."""
+    from gaquot import subalgebra_presentation
 
-    span = _GraphSpan(*restricted_w_invariants(f, trivial))
-    return span.kept, span.relations()
+    return subalgebra_presentation(*restricted_w_invariants(f, trivial))
 
 
 def points_mod_p(polys, p: int) -> int:

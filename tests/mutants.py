@@ -214,8 +214,7 @@ MUTANTS = [
       PRESENTATION_TESTS + "test_the_public_presentation_takes_no_seed_forms")),
     ("graph seed without the tag's denominator", GROEBNER,
      "    seed[tag] = d\n", "    seed[tag] = 1\n",
-     (GROEBNER_TESTS + "test_graph_span_seeds_are_the_packed_graph_ideal",
-      GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",
+     (GROEBNER_TESTS + "test_subalgebra_membership_matches_the_basis_route",
       GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis")),
     ("sugar test's second block one field short", GROEBNER,
      "    outside = packing.low ^ _first_fields(packing.order.block_size)",
@@ -249,9 +248,10 @@ MUTANTS = [
      "run.packing, tags, len(ring))", "run.packing, tags, len(ring) + 1)",
      (GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
       PRESENTATION_TESTS + "test_lone_candidates_match_the_reference")),
-    ("span tag one field past the kept count", GROEBNER,
-     "packing.weights[n + len(self.kept)]", "packing.weights[n + len(self.kept) + 1]",
-     (GROEBNER_TESTS + "test_graph_span_tags_fill_the_fields_after_the_ring",
+    ("span keeps a candidate its kept generators contain", GROEBNER,
+     "            if not self.contains(p):\n", "            if True:\n",
+     (DERIVATION_TESTS + "test_spans_keep_no_constant",
+      DERIVATION_TESTS + "test_filter_falls_back_to_groebner_on_inhomogeneous_input",
       PRESENTATION_TESTS + "test_lone_candidates_match_the_reference")),
     ("quotient read from t's field", GROEBNER,
      "remainder.items(), packing, 1, denominator * scale)",

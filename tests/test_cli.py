@@ -137,10 +137,9 @@ def test_v4_verify_with_no_pair_budget_makes_no_basis_computation(monkeypatch):
 def test_v4_cap_hit_names_the_smoothness_stage(f, code, err, capsys):
     """A v4 battery's one Buchberger run is the Jacobian criterion on
     1 + f in f's variables, under the caps and named `boundarySmooth`;
-    at one pair it passes for a^2 + b*c, whose partials 2*a, c and b the
-    lone-variable step settles with no S-polynomial (B's Jacobian
-    criterion needed 9), and stops at a^5 + b*c^2 + a*b + c, whose run
-    reduces 16."""
+    at one pair it passes for a^2 + b*c, whose run reduces one
+    S-polynomial (B's Jacobian criterion needed 9), and stops at
+    a^5 + b*c^2 + a*b + c, whose run reduces 16."""
     assert run(["verify", "--family", "v4", f"--f={f}", "--max-pairs", "1"])[0] == code
     assert capsys.readouterr().err == err
 

@@ -642,8 +642,9 @@ def homogeneous_candidates(rng, ring, size=8, top=3):
 def count_groebner_calls(monkeypatch):
     """Records the Groebner subalgebra work of derivations as (name of
     the function that asked for it, what it is): the candidate list of
-    each Groebner membership run built (groebner._GraphSpan, built by
-    _span), or the polynomial of each membership test made on one."""
+    each Groebner span built (groebner._GraphSpan, built by _span), or
+    the polynomial of each membership test made on one.  The tests a
+    span makes of its own candidates are left out."""
     calls = []
 
     class Recorded(groebner._GraphSpan):
@@ -652,7 +653,9 @@ def count_groebner_calls(monkeypatch):
             super().__init__(ring, candidates, caps)
 
         def contains(self, f):
-            calls.append((sys._getframe(1).f_code.co_name, f))
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "__init__":
+                calls.append((caller, f))
             return super().contains(f)
 
     monkeypatch.setattr(derivations, "_GraphSpan", Recorded)
@@ -673,8 +676,9 @@ def test_graded_filter_matches_groebner_filter(monkeypatch):
 
 
 def test_filter_falls_back_to_groebner_on_inhomogeneous_input(monkeypatch):
-    """One incremental Groebner run filters the whole list, in (degree,
-    text) order, and keeps what one membership run per candidate keeps."""
+    """One Groebner span filters the whole list, in (degree, text)
+    order, and keeps what one from-scratch membership run per candidate
+    keeps."""
     ring = VarSet(("x", "y", "z"))
     cands = homogeneous_candidates(random.Random(8), ring)
     cands.append(parse("x^2 + y", ring))
@@ -707,10 +711,9 @@ def test_saturation_round_rejects_an_inexact_division(monkeypatch):
 def test_saturation_round_skips_known_generators(monkeypatch):
     """Round 1 finds y^2 - 2*x*z + 2*y, the one membership test; round
     2's elimination leaves only the relation of x, whose quotient by the
-    slice image x is constant, so it tests nothing.  Each
-    round tests against one run over the previous run's kept generators
-    plus the new ones, and the second round's run is the final minimality
-    filter: no other run follows."""
+    slice image x is constant, so it tests nothing.  Each round tests
+    against one span of the previous span's kept generators plus the new
+    ones, and the second round's span is the final minimality filter."""
     ring = VarSet(("x", "y", "z"))
     d = Derivation(ring, {"y": parse("x", ring), "z": parse("y + 1", ring)})
     calls = count_groebner_calls(monkeypatch)
@@ -730,13 +733,13 @@ def four_round_derivation():
                              "u": parse("z + 1", ring)})
 
 
-def test_saturation_round_builds_one_basis_per_round(monkeypatch):
-    """Each round tests its candidates against one Groebner membership run
-    over the round's generators, built by kernel_saturation, and the last
-    round's run is also the final filter: 6 tests of 5 polynomials on 4
-    runs, and no fifth run.  Round 4's run drops the degree-8 element
-    found in round 2 for the degree-7 one found in round 3; round 4
-    derives it again and tests it again, and its span contains it."""
+def test_saturation_round_builds_one_span_per_round(monkeypatch):
+    """Each round tests its candidates against one Groebner span of the
+    round's generators, built by kernel_saturation, and the last round's
+    span is also the final filter: 6 tests of 5 polynomials on 4 spans.
+    Round 4's span drops the degree-8 element found in round 2 for the
+    degree-7 one found in round 3; round 4 derives it again and tests it
+    again, and its span contains it."""
     d = four_round_derivation()
     calls = count_groebner_calls(monkeypatch)
     got = kernel_saturation(d, derivations.find_slice(d), 8)
@@ -746,13 +749,14 @@ def test_saturation_round_builds_one_basis_per_round(monkeypatch):
         " + 3*x^2*y*z^2 - 9/8*x^2*y^2*u - 15/8*x*y^3 + 6*x^2*y*z + 3/8*y^2*z^2 - x*z^3"
         " - 3/4*y^3*u + 9/4*x*y*z*u - 9/8*x^2*u^2 + 3/4*y^2*z - 3*x*z^2 + 9/4*x*y*u"
         " - 9/8*y^2"]
-    runs = [tuple(what) for caller, what in calls if caller == "kernel_saturation"]
+    spans = [tuple(what) for caller, what in calls if caller == "kernel_saturation"]
     assert {caller for caller, _ in calls} == {"kernel_saturation", "_saturation_round"}
     tests = [what for caller, what in calls if caller == "_saturation_round"]
     assert len(tests) == 6
     assert len(set(tests)) == 5
     assert [g.total_degree() for g in tests if tests.count(g) == 2] == [8, 8]
-    assert len(runs) == len(set(runs)) == 4
+    assert len(spans) == len(set(spans)) == 4
+    assert got == groebner_minimal_generators(spans[-1])
 
 
 def test_saturation_round_tags_only_the_kept_generators():
@@ -792,19 +796,24 @@ def test_graph_runs_embed_no_polynomial(monkeypatch):
 
 
 @pytest.mark.parametrize("derivation, expected", [
-    (four_round_derivation(), [3, 0, 2, 4, 8, 8, 24, 10]),
+    (four_round_derivation(), [0, 0, 0, 0, 3, 3, 0, 0, 0, 2, 2, 4, 2, 0, 0, 0, 2, 8, 9, 9,
+                               0, 0, 0, 2, 24, 24, 10, 24]),
     (lower_triangular_derivation(4), [8, 76]),
     (lower_triangular_derivation(5), [20, 425]),
     (lower_triangular_derivation(6), [40, 1205]),
 ], ids=["four-round", "V4", "V5", "V6"])
 def test_kernel_saturation_spolynomial_counts_are_pinned(derivation, expected, monkeypatch):
     """Per Buchberger run of kernel_saturation: on inhomogeneous
-    generators each round's membership run, then its elimination of (a)
-    + the graph ideal of the generators that run kept.  The membership
-    runs are incremental, and no run follows the last round (V4-V6's
-    generators are homogeneous, so they have eliminations only).  Those
-    eliminate from graph ideals of homogeneous polynomials, so they
-    select pairs by sugar; the four-round derivation's runs do not."""
+    generators each round's span makes one membership run per candidate,
+    over the candidates it kept before (over none, a run reduces
+    nothing), then the round's elimination of (a) + the graph ideal of
+    the generators the span kept, then one membership run per element
+    the round tests.  V4-V6's generators are homogeneous, so they have
+    eliminations only.  Those eliminate from graph ideals of homogeneous
+    polynomials, so they select pairs by sugar; the four-round
+    derivation's runs do not.  The four-round pin read [3, 0, 2, 4, 8,
+    8, 24, 10] while each span was one incremental run over the graph
+    ideal of all its candidates."""
     data = derivations.find_slice(derivation)
     assert spolynomials_per_run(monkeypatch, lambda: kernel_saturation(derivation, data, 8)) \
         == expected

@@ -260,33 +260,29 @@ def is_unit_by_buchberger(src):
     return len(gb.basis) == 1 and gb.basis[0] == 1
 
 
-@pytest.mark.parametrize("texts, unit, runs", [
-    (("w1 - w3", "w3", "w1*w2 - 1"), True, 0),  # w3, then w1: the constant -1 appears last
-    (("w3", "2 + w3*w4"), True, 0),
-    (("w1 - w3", "w3", "w2*w4 - w1"), False, 1),  # w2*w4 is left for the run
-    (("w1", "w2", "w3", "w4", "w5", "w6"), False, 0),
-    (("w1", "w1 - w1*w2", "3*w3"), False, 0),
+@pytest.mark.parametrize("texts, unit", [
+    (("w1 - w3", "w3", "w1*w2 - 1"), True),
+    (("w3", "2 + w3*w4"), True),
+    (("w1 - w3", "w3", "w2*w4 - w1"), False),
+    (("w1", "w2", "w3", "w4", "w5", "w6"), False),
+    (("w1", "w1 - w1*w2", "3*w3"), False),
 ])
-def test_unit_ideal_shortcut_cases(texts, unit, runs, monkeypatch):
-    """Lone variables are set to zero, round after round; a nonzero
-    constant or no generator left decides with no Groebner run."""
+def test_unit_ideal_lone_variable_cases(texts, unit, monkeypatch):
+    """Ideals with lone-variable generators c*x_k, and no constant one:
+    one grevlex run decides each, as the plain Buchberger run does."""
     src = ideal(W, *texts)
     assert is_unit_by_buchberger(src) == unit
     verdicts = []
     made = spolynomials_per_run(monkeypatch, lambda: verdicts.append(is_unit_ideal(src)))
-    assert (verdicts, len(made)) == ([unit], runs)
-
-
-def is_lone_variable(g):
-    return len(g.terms) == 1 and g.total_degree() == 1
+    assert (verdicts, len(made)) == ([unit], 1)
 
 
 def test_unit_ideal_shortcut_agrees_with_buchberger_on_seeded_ideals(monkeypatch):
     """Random generators next to lone-variable ones c*x_k: the verdict is
     the plain Buchberger run's on the whole ideal.  Then unit ideals (p,
-    1 + p*q, r), 1 = (1 + p*q) - q*p, with no lone-variable and no
-    constant generator, so no shortcut applies and the verdict is read
-    off the one run; sympy confirms each is the unit ideal."""
+    1 + p*q, r), 1 = (1 + p*q) - q*p, with no constant generator, so the
+    verdict is read off the one run; sympy confirms each is the unit
+    ideal."""
     rng = random.Random(20261018)
     ring = VarSet(("x1", "x2", "x3", "x4", "x5"))
     verdicts = []
@@ -306,8 +302,6 @@ def test_unit_ideal_shortcut_agrees_with_buchberger_on_seeded_ideals(monkeypatch
         p, q, r = (random_poly(rng, ring, max_degree=2, max_terms=2, allow_zero=False,
                                nonconstant=True, denominator_bound=3) for _ in range(3))
         gens = [p, 1 + p * q, r]
-        if any(map(is_lone_variable, gens)):
-            continue
         rng.shuffle(gens)
         assert sympy_reduced_gb(gens, ring, "grevlex") == [ring.one()]
         src = Ideal(ring, tuple(gens))
@@ -638,25 +632,6 @@ def test_no_verdict_builds_a_basis_record(monkeypatch):
         run_battery(FamilySpec("v3", parse("s^2 + 2*s", S)))
 
 
-def test_graph_span_seeds_are_the_packed_graph_ideal():
-    """The seed `_graph_seed` packs for each candidate from its terms,
-    under the packing of a span of the candidates, is the packed
-    generator of the polynomial graph ideal `graph_ideal(ring,
-    candidates)` under the packing of that ideal's ring."""
-    rng = random.Random(20261019)
-    for _ in range(40):
-        ring = VarSet(("x", "y", "z")[:rng.randint(1, 3)])
-        cands = [random_poly(rng, ring, max_terms=4, denominator_bound=6, nonconstant=True)
-                 for _ in range(rng.randint(1, 5))]
-        span = groebner._GraphSpan(ring, cands)
-        graph = graph_ideal(ring, cands)
-        packing = groebner._packing(TermOrder.block(len(ring)), len(graph.ring))
-        assert span._run.packing is packing
-        for tag, p, g in zip(packing.weights[len(ring):], cands, graph.generators):
-            assert groebner._graph_seed(packing, tag, p) \
-                == groebner._integer_terms(g.terms, packing.pack)[0]
-
-
 def test_graph_span_contains_checks_the_ring():
     """A polynomial of another ring raises instead of being embedded by
     name, as the constructor and subalgebra_membership do."""
@@ -668,22 +643,6 @@ def test_graph_span_contains_checks_the_ring():
     for ring in (VarSet(("x",)), VarSet(("y", "x"))):
         with pytest.raises(RingMismatchError):
             span.contains(ring.var("x"))
-
-
-def test_graph_span_tags_fill_the_fields_after_the_ring():
-    """A dropped candidate's tag field goes to the next candidate, so the
-    kept tags fill the fields right after the ring's, the layout of
-    `_graph_run`, and the span's relations are those `_graph_relations`
-    finds for the kept candidates."""
-    cands = [parse(text, XY) for text in ("x", "x^2", "x^3 + y", "x*y", "y^2 + x")]
-    span = groebner._GraphSpan(XY, cands)
-    assert span.kept == [cands[0], cands[2]]
-    unpack = span._run.packing.unpack
-    fields = {i for lm, lc, tail in span._run.basis for m, _ in ((lm, lc),) + tail
-              for i, e in enumerate(unpack(m)) if e}
-    assert fields == {0, 1, 2, 3}
-    assert span.relations() == groebner._graph_relations(XY, span.kept, (),
-                                                         groebner.DEFAULT_CAPS)
 
 
 # -- exact division helper -----------------------------------------------------------------
@@ -1119,12 +1078,10 @@ def test_battery_spolynomial_counts_are_pinned(monkeypatch):
     """Per Buchberger run of the v3 battery at deg f = 12, f + 1 the product
     of (1 - sign_k * k * s) with seeded signs: the invariant presentation
     is the one run.  The squarefreeness of f + 1 is certified modulo a
-    prime, and the unit-ideal test behind stability and freeness by
-    setting its lone variables w1, w3, w5 to zero, which leaves the
-    constant -1; B's smoothness is certified by polynomial identities and
-    Ybar's is B's, as Ybar is the cone over B; and the three dimensions,
-    of the hypersurfaces X, Ybar and B, are each read off its one
-    equation.  Each of these once made a run: the pin read
+    prime, and stability and freeness are read off -1 - f(0); B's
+    smoothness is certified by polynomial identities and Ybar's is B's,
+    as Ybar is the cone over B; and the three dimensions, of the
+    hypersurfaces X, Ybar and B, are each read off its one equation.  Each of these once made a run: the pin read
     [11, 1, 0, 0, 0, 7] until the dimensions were read off, then
     [11, 1, 7] (the squarefree gcd, the stability run, the presentation)
     until the two shortcuts removed the first two runs, then [7] until
@@ -1135,7 +1092,7 @@ def test_battery_spolynomial_counts_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("f, expected", [
-    ("a^2 + b*c", []),
+    ("a^2 + b*c", [1]),
     ("a*b - a - b", [1]),
     ("a^2 - 2*a + b^2 + c^2", [1]),
     ("a^5 + b*c^2 + a*b + c", [16]),
@@ -1146,8 +1103,9 @@ def test_v4_battery_spolynomial_counts_are_pinned(f, expected, monkeypatch):
     """The one Buchberger run of a v4 battery is the Jacobian criterion on
     the hypersurface 1 + f, the unit test of (1 + f, grad f) in the
     variables f involves; Ybar's smoothness is B's.  The second and third
-    shapes are singular.  a^2 + b*c needs no run, as its partials 2*a, c
-    and b are lone variables.  The pins read [0], [3], [6] and [9] for
+    shapes are singular.  a^2 + b*c read [] while `is_unit_ideal` set
+    lone variables, here its partials 2*a, c and b, to zero before any
+    run.  The pins read [0], [3], [6] and [9] for
     each a^k + b*c^2 + a*b + c while the battery tested J' = (1 + f, J_kl
     for each polarization operator E_kl), the same ideal written from
     nine generators: the singular shapes then took more pairs and the

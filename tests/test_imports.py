@@ -6,8 +6,9 @@ public method or property name but the listed ones, each
 module imports only from the modules below it in the layering, every
 process cache is private and bounded, no library module loads
 `dataclasses` (nor, through it, `inspect`), the library's
-heap-driven reduction loops are the known ones, and the Groebner engine
-turns packed terms into polynomials in one place."""
+heap-driven reduction loops are the known ones, the Groebner engine
+turns packed terms into polynomials in one place, only `_completed_run`
+builds a Buchberger run, and `is_unit_ideal` has no loop."""
 
 import ast
 import os
@@ -216,6 +217,16 @@ def callers(source: str, name: str) -> list:
         isinstance(node, ast.Attribute) and node.attr == name
         or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == name))
+
+
+def loop_lines(source: str, function: str) -> list:
+    """Line numbers of the `for` and `while` statements, at any depth, in
+    the module-level function `function`; comprehensions are no
+    statements, so they are not listed."""
+    (definition,) = [node for node in ast.parse(source).body
+                     if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [node.lineno for node in ast.walk(definition)
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While))]
 
 
 def referenced_names(source: str) -> set:
@@ -439,6 +450,24 @@ def test_detects_callers():
     assert callers(source, "Polynomial") == ["built"]
     assert callers(source, "unpack") == ["attribute", "bound", "aliased", "Packing.read",
                                          "<module>"]
+
+
+def test_one_function_builds_and_drives_a_run():
+    """`_completed_run` is the one code that constructs a `_Run`, and the
+    unit-ideal test decides with no loop of its own: a constant
+    generator, the zero ideal, or one completed run."""
+    source = (ROOT / "src" / "gaquot" / "groebner.py").read_text(encoding="utf-8")
+    assert callers(source, "_Run") == ["_completed_run"]
+    assert loop_lines(source, "is_unit_ideal") == []
+
+
+def test_detects_loops_in_a_function():
+    source = ("def flat(gens):\n    return [g for g in gens if g]\n"
+              "def looping(gens):\n    while gens:\n        gens = gens[1:]\n"
+              "    for g in gens:\n        if g:\n            for h in g:\n"
+              "                pass\n    return any(g for g in gens)\n")
+    assert loop_lines(source, "flat") == []
+    assert loop_lines(source, "looping") == [4, 6, 8]
 
 
 def test_no_source_imports_dataclasses():

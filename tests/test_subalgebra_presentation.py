@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from gaquot import Ideal, Polynomial, ResourceCaps, RingMismatchError, VarSet, monic, parse
+from gaquot import (Ideal, Polynomial, ResourceCapError, ResourceCaps, RingMismatchError, VarSet,
+                    monic, parse)
 from gaquot.poly import scan_identifiers
-from gaquot import families, groebner
+from gaquot import derivations, families, groebner
 from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation, run_battery
@@ -64,15 +65,61 @@ def inhomogeneous_candidates(rng, ring):
 @pytest.mark.parametrize("names", [("x", "y", "z"), ("x", "y1", "z"), ("y3", "x")],
                          ids=["xyz", "taken-y1", "taken-y3"])
 def test_matches_membership_then_elimination_on_seeded_lists(names):
+    """subalgebra_presentation and the span `derivations._span` builds
+    keep what the reference filter keeps, and the relations are a fresh
+    elimination over the survivors, by the library's graph run and by
+    the polynomial recipe alike."""
     ring = VarSet(names)
     rng = random.Random(f"presentation:{names}")
     dropped = 0
     for _ in range(6):
         cands = inhomogeneous_candidates(rng, ring)
         want = reference(ring, cands)
-        assert presented(ring, cands) == want
+        survivors, relations = subalgebra_presentation(ring, _sorted_gens(cands))
+        assert printed(survivors, relations) == want
+        assert survivors == groebner_minimal_generators(cands) \
+            == derivations._span(ring, cands, DEFAULT_CAPS).kept
+        assert relations == _graph_relations(ring, survivors, (), DEFAULT_CAPS)
         dropped += len(cands) - len(want[0])
     assert dropped > 12  # the constants, and members beyond them
+
+
+def shifted_monomial_lists(seed: str, count: int):
+    """(ring, lists): `count` seeded lists of five candidates over x, y,
+    z, each a monomial of degree 2 or 3 plus 0, 1 or -2, whose
+    subalgebras have several relations."""
+    rng = random.Random(seed)
+    ring = VarSet(("x", "y", "z"))
+    monomials = [m for m in (tuple(rng.randint(0, 3) for _ in ring) for _ in range(200))
+                 if 2 <= sum(m) <= 3]
+    return ring, [[Polynomial(ring, {m: 1, (0, 0, 0): rng.choice((0, 1, -2))})
+                   for m in rng.sample(monomials, 5)] for _ in range(count)]
+
+
+def test_caps_bound_each_membership_run_and_the_elimination(monkeypatch):
+    """A span tests each candidate in one membership run, and
+    subalgebra_presentation eliminates over the survivors in one more:
+    as many runs as candidates, plus one.  `caps` bounds each run on its
+    own, so a pair budget of the largest run's count passes although
+    the runs together reduce more, and one pair less raises."""
+    ring, lists = shifted_monomial_lists("caps per run", 6)
+    spread = 0
+    for cands in lists:
+        cands = _sorted_gens(cands)
+        want = subalgebra_presentation(ring, cands)
+        runs = spolynomials_per_run(monkeypatch, lambda: subalgebra_presentation(ring, cands))
+        assert len(runs) == len(cands) + 1
+        caps = ResourceCaps(max_pairs=max(runs))
+        got = []
+        capped = spolynomials_per_run(
+            monkeypatch, lambda: got.append(subalgebra_presentation(ring, cands, caps)))
+        assert capped == runs and all(count <= caps.max_pairs for count in capped)
+        assert got == [want]
+        if max(runs):
+            with pytest.raises(ResourceCapError, match="pair budget"):
+                subalgebra_presentation(ring, cands, ResourceCaps(max_pairs=max(runs) - 1))
+        spread += sum(runs) > max(runs)
+    assert spread >= 5
 
 
 def test_tags_are_named_for_the_survivors():
@@ -105,8 +152,8 @@ def assert_lone_candidates_are_exact(monkeypatch, ring, candidates):
     """subalgebra_presentation agrees with membership-then-elimination,
     string for string, and its lone candidates, single terms c*x of
     degree 1 whose x occurs in no other candidate, cost no S-polynomial:
-    the product criterion prunes their seeds' pairs, so the run reduces
-    as many as on the other candidates alone."""
+    the product criterion prunes their seeds' pairs, so the runs reduce
+    as many in all as on the other candidates alone."""
     ordered = _sorted_gens(candidates)
     got = presented(ring, candidates)
     assert got == reference(ring, candidates)
@@ -445,17 +492,11 @@ def test_v3_presentation_matches_the_unsplit_span(monkeypatch, trivial, degrees)
 def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
     """The relations are the tag-only rows of the run, interreduced among
     themselves alone; they are the tag-only rows of the whole reduced
-    basis, on spans of shifted monomials, whose subalgebras have several
-    relations, and on the v3 presentation's elimination of its seeds."""
-    rng = random.Random("tag-only")
-    ring = VarSet(("x", "y", "z"))
-    monomials = [m for m in (tuple(rng.randint(0, 3) for _ in ring) for _ in range(200))
-                 if 2 <= sum(m) <= 3]
-    runs = []
-    for _ in range(8):
-        candidates = [Polynomial(ring, {m: 1, (0, 0, 0): rng.choice((0, 1, -2))})
-                      for m in rng.sample(monomials, 5)]
-        runs.append((_GraphSpan(ring, _sorted_gens(candidates))._run, len(ring)))
+    basis, on graph ideals of shifted monomials, whose subalgebras have
+    several relations, and on the v3 presentation's elimination of its
+    seeds."""
+    ring, lists = shifted_monomial_lists("tag-only", 8)
+    runs = [(_graph_run(ring, candidates, (), DEFAULT_CAPS), len(ring)) for candidates in lists]
     for degree in (1, 3, 7, 12):
         spec = build_family(FamilySpec("v3", signed_roots_shape(degree, degree), 1))
         run = presentation_run(monkeypatch, lambda: invariant_presentation(spec))[0]
