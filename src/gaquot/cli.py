@@ -48,8 +48,6 @@ from .families import (
     FAMILIES,
     FamilySpec,
     VerificationReport,
-    build_family,
-    invariant_presentation,
     max_trivial_summands,
     run_battery,
 )
@@ -271,8 +269,7 @@ def _cmd_gb(args, out) -> int:
 
 def _cmd_present(args, out) -> int:
     spec = FamilySpec("v3", _parse_shape("v3", args.f), args.trivial)
-    caps = _caps(args)
-    gens, relations = invariant_presentation(build_family(spec, caps), caps)
+    gens, relations = run_battery(spec, _caps(args)).presentation
     tags = relations.ring.names
     for tag, g in zip(tags, gens):
         print(f"{tag} = {g}", file=out)
@@ -302,6 +299,11 @@ def main(argv: Optional[list] = None, out=None) -> int:
         # argparse exits 0 for --help, 2 for usage problems; fold the
         # latter into the documented usage code.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    # argparse reads a lone "--" joined by "=" (--f=--) as [], past `choices` and `type`
+    empty = [dest for dest, value in vars(args).items() if value == []]
+    if empty:
+        print(f"error: --{empty[0].replace('_', '-')} expected one argument", file=sys.stderr)
+        return EXIT_USAGE
     handler = _HANDLERS[args.command]
     try:
         return handler(args, out)

@@ -71,8 +71,9 @@ Ybar, are the expanded forms of these verdicts; the battery calls
 expands f(q) nowhere but in the v3 presentation, its one Buchberger run
 besides v4's Jacobian criterion on 1 + f in three variables.  A
 ResourceCapError raised in a battery stage names the stage, by its
-report key, in front of the cap.  `build_family(spec, caps)` is the
-one validation, for `run_battery` and `present` alike: it reports
+report key, in front of the cap, for `verify` and `present` alike:
+`present` prints `run_battery`'s presentation.  The battery's first
+step, `build_family(spec, caps)`, is the one validation: it reports
 f = 0's empty boundary first, caps deg f before the squarefree test
 builds its dense lists, and `_representation` checks W_COORDINATE_BOUND
 (v3 t <= 92, v4 t <= 90) before it builds W, on every path.
@@ -346,21 +347,15 @@ def check_freeness(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 def check_smooth(ideal: Ideal, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
     """Jacobian criterion for a hypersurface: smooth iff its one equation
     and the partials in every variable of `ideal.ring` generate the unit
-    ideal, i.e. the singular locus is empty.  Decided in the variables the
-    equation involves (all of `ideal.ring` if none): the partials in the
-    others are 0, and whether an ideal is the unit ideal does not depend
-    on variables its generators omit, so the run's size does not grow
-    with, say, trivial summands.  Raises NotHypersurfaceError unless the
-    ideal has exactly one generator."""
+    ideal, i.e. the singular locus is empty.  Raises NotHypersurfaceError
+    unless the ideal has exactly one generator."""
     if len(ideal.generators) != 1:
         raise NotHypersurfaceError(
             f"{len(ideal.generators)} generators; a hypersurface has one equation"
         )
     (equation,) = ideal.generators
-    ring = VarSet(equation.variables() or ideal.ring.names)
-    equation = equation.embed(ring)
-    gens = (equation, *jacobian([equation], ring.names)[0])
-    return is_unit_ideal(Ideal(ring, gens), caps=caps)
+    gens = (equation, *jacobian([equation], ideal.ring.names)[0])
+    return is_unit_ideal(Ideal(ideal.ring, gens), caps=caps)
 
 
 class KTheoryRanks(_Record):

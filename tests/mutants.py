@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/gaquot/cli.py"
 DERIVATIONS = "src/gaquot/derivations.py"
 FAMILIES = "src/gaquot/families.py"
 GROEBNER = "src/gaquot/groebner.py"
@@ -262,6 +263,12 @@ MUTANTS = [
      "                         ResourceCaps(max_degree=p.total_degree()))\n",
      "                         DEFAULT_CAPS)\n",
      (POLY_TESTS + "test_squarefree_above_the_default_degree_cap",)),
+    ("present under the default caps", CLI,
+     "run_battery(spec, _caps(args)).presentation", "run_battery(spec).presentation",
+     (CLI_TESTS + "test_verify_and_present_share_one_domain[presentation-pair-budget]",)),
+    ("an option's lone -- passed to the handler", CLI,
+     "    if empty:\n", "    if False:\n",
+     (CLI_TESTS + "test_a_lone_double_dash_value_is_a_usage_error",)),
     ("unit coefficient read off the numerator", POLY,
      '    elif mag == "1":\n', "    elif num == 1:\n",
      (POLY_TESTS + "test_printing_matches_the_fraction_arithmetic_printer",

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, file formats, deterministic reports."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -284,18 +285,23 @@ def test_present_past_the_cap_builds_no_representation(capsys):
         "resource cap: 100000 trivial summands exceed the bound 92 for v3\n")
 
 
-@pytest.mark.parametrize("shape, code, err", [
-    ("0", 2, "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n"),
-    ("3", 3, "rejected: f must vanish at the origin\n"),
-    ("(1+s)^2 - 1", 3, "rejected: f + 1 has a repeated root\n"),
-    ("s^61 + s", 4, "resource cap: f has degree 61, above the degree budget 60\n"),
-], ids=["zero", "constant", "repeated-root", "past-the-degree-budget"])
-def test_verify_and_present_share_one_domain(shape, code, err, capsys):
-    """present and verify --family v3 validate through one `build_family`:
-    a shape it refuses exits with the same code and the same stderr under
-    either command, and prints nothing."""
+@pytest.mark.parametrize("options, code, err", [
+    (["--f=0"], 2,
+     "check failed: empty boundary: the rank bookkeeping needs a nonempty complement\n"),
+    (["--f=3"], 3, "rejected: f must vanish at the origin\n"),
+    (["--f=(1+s)^2 - 1"], 3, "rejected: f + 1 has a repeated root\n"),
+    (["--f=s^61 + s"], 4, "resource cap: f has degree 61, above the degree budget 60\n"),
+    (["--f=s", "--max-pairs", "4"], 4, "resource cap: presentation: pair budget 4 exhausted\n"),
+    (["--f=s^60 + s"], 4, "resource cap: presentation: degree budget 60 exhausted\n"),
+], ids=["zero", "constant", "repeated-root", "past-the-degree-budget",
+        "presentation-pair-budget", "presentation-degree-budget"])
+def test_verify_and_present_share_one_domain(options, code, err, capsys):
+    """present and verify --family v3 run one `run_battery`: a shape its
+    validation refuses, or whose presentation hits a cap, exits with the
+    same code and the same stderr under either command, the stage named,
+    and prints nothing."""
     for command in (["present"], ["verify", "--family", "v3"]):
-        assert run(command + [f"--f={shape}"]) == (code, "")
+        assert run(command + options) == (code, "")
         assert capsys.readouterr().err == err
 
 
@@ -659,6 +665,38 @@ def test_negative_budgets_are_usage_errors(argv, message, tmp_path, capsys):
     code, text = run(argv[:1] + inputs.get(argv[0], []) + argv[1:])
     assert (code, text) == (1, "")
     assert f"{message} must be nonnegative" in capsys.readouterr().err
+
+
+def value_options() -> list:
+    """(command, option, the command's required options) for each option
+    of each subcommand that takes a value, read off the parser."""
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    cases = []
+    for command, sub in commands.items():
+        actions = [action for action in sub._actions if action.nargs != 0]  # not --help
+        required = [action.option_strings[0] for action in actions if action.required]
+        cases += [pytest.param(command, option, required, id=f"{command} {option}")
+                  for action in actions for option in action.option_strings]
+    return cases
+
+
+@pytest.mark.parametrize("command, option, required", value_options())
+def test_a_lone_double_dash_value_is_a_usage_error(command, option, required, tmp_path,
+                                                   capsys):
+    """argparse reads `--opt=--` as an empty list, past `choices` and
+    `type`: it exits 1 naming the option, before any handler runs, for
+    every option the parser has, a required one given twice included (the
+    last value counts).  Without it, the same argv exits 0."""
+    derivation = tmp_path / "derivation.txt"
+    derivation.write_text(V3_DERIVATION, encoding="utf-8")
+    ideal = tmp_path / "parabola.txt"
+    ideal.write_text(PARABOLA_IDEAL, encoding="utf-8")
+    values = {"--family": "v3", "--f": "s", "--derivation": derivation, "--ideal": ideal}
+    argv = [command] + [f"{o}={values[o]}" for o in required]
+    assert run(argv + [f"{option}=--"]) == (1, "")
+    assert capsys.readouterr().err == f"error: {option} expected one argument\n"
+    assert run(argv)[0] == 0
 
 
 # -- present ------------------------------------------------------------------------

@@ -320,14 +320,16 @@ def recorded_unit_ideal_rings(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("trivial", [0, 50])
-def test_jacobian_criterion_runs_in_the_variables_of_the_equation(trivial, monkeypatch):
-    """v4's B with f = a + b + c involves w3..w8 alone, so its Jacobian
-    criterion runs in those 6 variables whatever the trivial summands;
-    the battery's criterion on 1 + f runs in f's variables a, b, c."""
+def test_jacobian_criterion_runs_in_the_ring_it_is_given(trivial, monkeypatch):
+    """v4's B with f = a + b + c involves w3..w8 alone, yet its Jacobian
+    criterion runs in all of W's ring, trivial summands included; the
+    battery's criterion on 1 + f runs in f's ring a, b, c."""
     rings = recorded_unit_ideal_rings(monkeypatch)
-    assert check_smooth(build_family(v4("a + b + c", trivial)).b_ideal)
-    assert run_battery(v4("a + b + c", trivial)).passed
-    assert rings == [tuple(f"w{i}" for i in range(3, 9)), ABC.names]
+    spec = build_family(v4("a + b + c", trivial))
+    assert check_smooth(spec.b_ideal)
+    assert run_battery(spec).passed
+    assert rings == [spec.w_ring.names, ABC.names]
+    assert len(rings[0]) == 8 + trivial
 
 
 def test_jacobian_criterion_of_a_constant_runs_in_the_full_ring(monkeypatch):
