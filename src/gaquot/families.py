@@ -24,12 +24,13 @@ minors' images read one table of coefficients, and each candidate's
 leading monomial is known, so z2, z4 and q' lead and the minors sort
 by leading text with no search.  They are minimal, so one Groebner run
 eliminates the coordinates from their graph ideal, and its one nonzero
-relation is checked to leave none redundant.  Its seeds are packed
-integer term dicts written from the closed form, naming the
-quadratic invariant's tag instead of expanding its powers, so no
-polynomial over the tag ring is built.  The run covers only the
-generators free of the trivial summands' coordinates, which Ga fixes;
-those join afterwards as free generators.
+relation is checked to leave none redundant.  z2 and z4 are survivors,
+so the run writes them as their own tags and eliminates only z1, z3
+and z5.  Its seeds are packed integer term dicts written from the
+closed form, naming the quadratic invariant's tag instead of expanding
+its powers, so no polynomial over the tag ring is built.  The run
+covers only the generators free of the trivial summands' coordinates,
+which Ga fixes; those join afterwards as free generators.
 
 W is certified once, where it is built (`_representation`), by the
 Weitzenboeck identities (Freudenburg, "Algebraic Theory of Locally
@@ -145,6 +146,10 @@ FAMILIES = {"v3": (3, ("s",)), "v4": (4, ("a", "b", "c"))}
 # The affine coordinates z1..z5 of v3's X without trivial summands, read
 # off w2..w6 (X is a graph in w1): the ring the presentation spans in.
 _CORE = VarSet(tuple(f"z{i}" for i in range(1, 2 * FAMILIES["v3"][0])))
+
+# The coordinates the presentation's run eliminates: z2 and z4 are
+# survivors, so their tags y1 and y2 stand for them in its seeds.
+_ELIMINATED = VarSet(("z1", "z3", "z5"))
 
 
 class FamilySpec(_Record):
@@ -414,17 +419,23 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
     rejects have, raises ValueError.  So the survivors are z2, z4, q'
     and the two monic minors sorted by leading text, with no search of
     their terms: as no two leading monomials agree, this is
-    `derivations._sorted_gens`'s order.  One Groebner run (`groebner._completed_run`, under `caps`)
-    eliminates z1..z5 from the survivors' graph ideal, and
-    `groebner._relations` reads r off it.  Its seeds are packed integer
-    term dicts (`groebner._graph_packing`) written from the closed form:
-    y_i - p for p = z2, z4 and q', and for each minor the positive
-    multiple of lc*y_i - (1 + f(c*y))*z3 + z1*z2, or with z5 and z4,
-    that clears f's denominators, y the tag of q'.  That is
-    lc*(y_i - image) plus a multiple of y - q', so the run adds the rows
-    `groebner._graph_run` adds from the survivors, but never reduces
-    expanded powers of q back to powers of y: each minor seeds
-    deg f + 3 terms, z3 + e*y packed as a sum of packed monomials.
+    `derivations._sorted_gens`'s order.  One Groebner run
+    (`groebner._completed_run`, under `caps`) eliminates the coordinates
+    from the survivors' graph ideal, and `groebner._relations` reads r
+    off it.  z2 and z4 are survivors 1 and 2, with graph generators
+    y1 - z2 and y2 - z4, so the seeds write z2 as y1 and z4 as y2 and
+    leave those two out: Q[z, y]/(y1 - z2, y2 - z4) is Q[z1, z3, z5, y],
+    and the elimination ideal, hence r, is unchanged.  The run packs z1,
+    z3, z5 and then y1..y5 (`groebner._graph_packing(3, 5)`), and its
+    seeds are packed integer term dicts written from the closed form:
+    y3 - q', and for each minor the positive multiple of lc*y_i -
+    (1 + f(c*y))*z3 + z1*y1, or with z5 and y2, that clears f's
+    denominators, y the tag of q'.  That is lc*(y_i - image) plus a
+    multiple of y - q', so the run adds the rows `groebner._graph_run`
+    adds from the survivors after y1 - z2 and y2 - z4, z2 and z4 read
+    as y1 and y2, but never reduces expanded powers of q back to powers
+    of y: each minor seeds deg f + 3 terms, z3 + e*y and z1 + y1 packed
+    as sums of packed monomials.
 
     Minimality is read off the relations (ROADMAP item 1, step 3): they
     are one nonzero r, the restriction of w1*q - w3*d13 + w5*d12 = 0,
@@ -469,19 +480,23 @@ def invariant_presentation(spec: FamilySpec, caps: ResourceCaps = DEFAULT_CAPS):
                        (z_k, pair)))
     minors.sort(key=itemgetter(0))
     survivors = [_CORE.var("z2"), _CORE.var("z4"), q_monic, *(p for _, p, _ in minors)]
-    packing = _graph_packing(len(_CORE), len(survivors))
-    pack, tags = packing.pack, packing.weights[len(_CORE):]
+    packing = _graph_packing(len(_ELIMINATED), len(survivors))
+    tags = packing.weights[len(_ELIMINATED):]
+    fields = itemgetter(0, 2, 4, 1, 3)  # z1..z5 -> z1, z3, z5, y1, y2: z2 is y1, z4 is y2
+
+    def pack(m):
+        return packing.pack(fields(m))
+
     y = tags[2]  # q's tag
     clear = lcm(*(g.denominator for g in shape.values())) * (1 if lc > 0 else -1)
     cleared = {e: g.numerator * (clear // g.denominator) for e, g in shape.items()}  # clear*g_e
-    seeds = [{tag: 1, **{pack(m): -a for m, a in p.terms.items()}}  # y_i - p, p integral
-             for tag, p in zip(tags, survivors[:3])]
+    seeds = [{y: 1, **{pack(m): -a for m, a in q_monic.terms.items()}}]  # y3 - q', q' integral
     for tag, (_, _, minor) in zip(tags[3:], minors):
-        # clear*(lc*y_i - sum of g_e*y^e*z_k + z1*z_pair), clear*lc > 0
+        # clear*(lc*y_i - sum of g_e*y^e*z_k + z1*z_pair), clear*lc > 0, z_pair = y1 or y2
         z_k, pair = map(pack, minor)
         seeds.append({tag: int(clear * lc), pair: clear,
                       **{z_k + e * y: -g for e, g in cleared.items()}})
-    relations = _relations(_completed_run(packing, seeds, caps), _CORE, len(survivors))
+    relations = _relations(_completed_run(packing, seeds, caps), _ELIMINATED, len(survivors))
     r, *more = relations.generators
     named = Counter(i for m in r.terms for i, e in enumerate(m) if e)  # terms naming each tag
     if more or r.is_zero() or any(sum(m) == 1 and named[m.index(1)] == 1 for m in r.terms):

@@ -44,7 +44,8 @@ run with the whole ideal, for `subalgebra_membership`, which
 `_graph_relations` of the saturation rounds and of
 `subalgebra_presentation`.  `families.invariant_presentation`
 writes its own seeds as packed integer term dicts under
-`_graph_packing`, and reads its relations off the completed run with
+`_graph_packing`, over z1, z3 and z5 alone, as its survivors z2 and z4
+are their own tags, and reads its relations off the completed run with
 `_relations`.
 
 Buchberger, normal forms and the pair update work on packed monomials:

@@ -251,13 +251,17 @@ class Polynomial:
         clean = {}
         width = len(ring)
         for exps, coeff in terms.items():
-            if type(coeff) is not int:
-                coeff = _coefficient(coeff)
-            if not coeff:
-                continue
             if len(exps) != width:
                 raise ValueError(f"exponent tuple {exps} has wrong arity for ring {ring.names}")
-            clean[exps] = coeff
+            if type(coeff) is int:
+                if coeff:
+                    clean[exps] = coeff
+            elif type(coeff) is Fraction and coeff.denominator != 1:
+                clean[exps] = coeff  # canonical and nonzero already
+            else:
+                coeff = _coefficient(coeff)
+                if coeff:
+                    clean[exps] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 

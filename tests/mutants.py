@@ -1,13 +1,16 @@
 """A kept catalogue of mutants of the library, each with the tier-1 tests
 that must fail on it.
 
-    python tests/mutants.py
+    python tests/mutants.py [LABEL_SUBSTRING ...]
 
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 and there, never in the checkout, applies one mutant at a time: one
-exact snippet of a library file replaced.  It runs the mutant's node ids
+exact snippet of a library file replaced.  With arguments it runs only
+the mutants whose labels contain one of them (`python tests/mutants.py
+"seed" "fast path"`), so a change can rerun the mutants of the lines it
+touched; with none, the whole catalogue.  It runs the mutant's node ids
 in one sequential pytest process, restores the file, and prints a line
-per mutant:
+per mutant, its verdict, its own wall time and its label:
 
   killed    every listed test failed (a parametrized test fails when
             one of its cases does);
@@ -18,10 +21,10 @@ per mutant:
             not collected: the table no longer matches the code.
 
 It ends with the killed count and the wall time, and exits 1 unless
-every mutant is killed.  pytest does not collect this file (no `test_`
-prefix), so it adds nothing to the tier-1 run.  A mutant's tests should
-fail fast: one that removes a resource bound must list only tests that
-reach the bound with small inputs.
+every mutant run is killed, or 2 if no label matches.  pytest does not
+collect this file (no `test_` prefix), so it adds nothing to the tier-1
+run.  A mutant's tests should fail fast: one that removes a resource
+bound must list only tests that reach the bound with small inputs.
 """
 
 import os
@@ -174,6 +177,11 @@ MUTANTS = [
      "    clear = 1 if lc > 0 else -1\n",
      (PRESENTATION_TESTS + "test_packed_seeds_match_the_graph_run_of_the_candidates",
       PRESENTATION_TESTS + "test_v3_presentation_matches_membership_then_elimination")),
+    ("z2 and z4 swapped in the seed field map", FAMILIES,
+     "    fields = itemgetter(0, 2, 4, 1, 3)  #", "    fields = itemgetter(0, 2, 4, 3, 1)  #",
+     (PRESENTATION_TESTS + "test_packed_seeds_match_the_graph_run_of_the_candidates",
+      PRESENTATION_TESTS + "test_v3_presentation_matches_membership_then_elimination",
+      CLI_TESTS + "test_cli_outputs_are_golden")),
     ("smoothness equation f instead of 1 + f", FAMILIES,
      "check_smooth(Ideal(spec.f.ring, (spec.f + 1,)), caps)",
      "check_smooth(Ideal(spec.f.ring, (spec.f,)), caps)",
@@ -269,6 +277,11 @@ MUTANTS = [
     ("an option's lone -- passed to the handler", CLI,
      "    if empty:\n", "    if False:\n",
      (CLI_TESTS + "test_a_lone_double_dash_value_is_a_usage_error",)),
+    ("the Fraction fast path without its denominator test", POLY,
+     "            elif type(coeff) is Fraction and coeff.denominator != 1:\n",
+     "            elif type(coeff) is Fraction:\n",
+     (POLY_TESTS + "test_every_coefficient_branch_of_the_constructor",
+      CLI_TESTS + "test_present_rational_shape_output")),
     ("unit coefficient read off the numerator", POLY,
      '    elif mag == "1":\n', "    elif num == 1:\n",
      (POLY_TESTS + "test_printing_matches_the_fraction_arithmetic_printer",
@@ -321,7 +334,13 @@ def verdict(tree: Path, file: str, snippet: str, replacement: str, node_ids) -> 
     return "killed" if caught == len(node_ids) else "PARTIAL" if caught else "SURVIVED"
 
 
-def main() -> int:
+def main(words) -> int:
+    """Run the mutants whose labels contain one of `words`, every mutant
+    if there are none."""
+    chosen = [m for m in MUTANTS if not words or any(w in m[0] for w in words)]
+    if not chosen:
+        print(f"no mutant label contains any of {words}")
+        return 2
     start = time.perf_counter()
     verdicts = []
     with tempfile.TemporaryDirectory() as scratch:
@@ -330,13 +349,14 @@ def main() -> int:
             shutil.copytree(ROOT / name, tree / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
-        for label, file, snippet, replacement, node_ids in MUTANTS:
+        for label, file, snippet, replacement, node_ids in chosen:
+            began = time.perf_counter()
             verdicts.append(verdict(tree, file, snippet, replacement, node_ids))
-            print(f"{verdicts[-1]:<9} {label}", flush=True)
+            print(f"{verdicts[-1]:<9} {time.perf_counter() - began:5.1f} s  {label}", flush=True)
     killed = verdicts.count("killed")
-    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
-    return 0 if killed == len(MUTANTS) else 1
+    print(f"{killed} of {len(chosen)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(chosen) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -384,13 +384,15 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
     on a warm cache, next to its S-polynomial pin: it builds one ring
     (the ring of the relations), runs the modular coprimality loop once
     (in the validation, whose verdict the smoothness certificate reads),
-    and packs the five graph-ideal seeds (w3, w5, q and the two minors;
-    w1's image is never built) itself, from 8 packed monomials, with no
-    `_graph_seed`; the other 5 `pack` calls are the pair update's.  The
-    first two read 7 and 2 while the rings were rebuilt around a
-    subalgebra span and the certificate ran the loop again, and 2 while
-    the seeds were forms over a tag ring; `_graph_seed` packed the forms'
-    five seeds, at 37 `pack` calls in all.  It multiplies no term dicts
+    and packs the three graph-ideal seeds (q and the two minors; w3 and
+    w5 are their own tags, and w1's image is never built) itself, from 6
+    packed monomials, with no `_graph_seed`; the other 5 `pack` calls are
+    the pair update's.  The first two read 7 and 2 while the rings were
+    rebuilt around a subalgebra span and the certificate ran the loop
+    again, and 2 while the seeds were forms over a tag ring;
+    `_graph_seed` packed the forms' five seeds, at 37 `pack` calls in
+    all, and `pack` read 13 while the run eliminated z1..z5 from five
+    seeds, w3's and w5's among them.  It multiplies no term dicts
     (`poly._product`, under every module that binds it) and sorts no
     polynomials by search (`derivations._sorted_gens`): the candidates,
     their seeds and their order are written in closed form."""
@@ -401,7 +403,7 @@ def test_v3_battery_fixed_cost_is_pinned(monkeypatch):
     counts = counted_calls(monkeypatch, (VarSet, "__init__"), (groebner, "_coprime_mod"),
                            (groebner, "_graph_seed"), (groebner._Packing, "pack"), *bound)
     assert run_battery(spec).passed
-    assert counts == {"__init__": 1, "_coprime_mod": 1, "_graph_seed": 0, "pack": 13,
+    assert counts == {"__init__": 1, "_coprime_mod": 1, "_graph_seed": 0, "pack": 11,
                       "_product": 0, "_sorted_gens": 0}
 
 

@@ -663,6 +663,33 @@ def test_a_constant_hashes_as_the_number_it_equals():
     assert hash(p) == hash((ring.names, frozenset({(1, 0), (0, 0)})))
 
 
+def test_every_coefficient_branch_of_the_constructor():
+    """Each kind of coefficient the constructor meets: an int is kept as
+    it is, 0 dropped; a Fraction with denominator above 1 is kept as it
+    is, one with denominator 1 becomes its int numerator, 0 included, and
+    is dropped at 0; True and any other numbers.Rational (here sympy's)
+    become the int or Fraction of their value; a float raises TypeError.
+    The arity of every exponent tuple is checked before its coefficient,
+    so a wrong arity raises ValueError even where the coefficient is 0."""
+    ring = VarSet(("s",))
+    cases = [(0, None), (5, 5), (Fraction(4, 2), 2), (Fraction(0), None),
+             (Fraction(1, 3), Fraction(1, 3)), (True, 1), (sp.Rational(-2, 6), Fraction(-1, 3)),
+             (sp.Integer(7), 7)]
+    for value, stored in cases:
+        terms = Polynomial(ring, {(1,): value}).terms
+        assert terms == ({} if stored is None else {(1,): stored}), repr(value)
+        assert_canonical(terms)
+        if stored is not None:
+            assert type(terms[(1,)]) is type(stored), repr(value)
+    third = Fraction(1, 3)
+    assert Polynomial(ring, {(1,): third}).terms[(1,)] is third
+    with pytest.raises(TypeError):
+        Polynomial(ring, {(1,): 0.5})
+    for value in (0, 1, Fraction(0), Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            Polynomial(ring, {(1, 2, 3): value})
+
+
 def test_non_rational_coefficients_are_rejected():
     ring = VarSet(("x",))
     for value in (0.1, 1.0, complex(1, 0), "1"):

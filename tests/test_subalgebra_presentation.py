@@ -18,8 +18,9 @@ from gaquot import derivations, families, groebner
 from gaquot.cli import main
 from gaquot.derivations import _sorted_gens
 from gaquot.families import FamilySpec, build_family, invariant_presentation, run_battery
-from gaquot.groebner import (DEFAULT_CAPS, _GraphSpan, _first_fields, _graph_relations,
-                             _graph_run, _relations, subalgebra_presentation)
+from gaquot.groebner import (DEFAULT_CAPS, _GraphSpan, _first_fields, _graph_packing,
+                             _graph_relations, _graph_run, _relations,
+                             subalgebra_presentation)
 from helpers import (eliminate, graph_ideal, groebner_minimal_generators, points_mod_p,
                      random_poly, restricted_w_invariants, signed_roots_shape,
                      spolynomials_per_run, tag_ring, unsplit_v3_presentation)
@@ -281,12 +282,32 @@ def test_v3_presentation_matches_membership_then_elimination(monkeypatch, label,
     assert printed(*presentation) == reference(*restricted_w_invariants(spec.f, trivial))
 
 
+def substituted_rows(expanded):
+    """The rows of `expanded`, the graph run of the five candidates over
+    z1..z5, after its two linear seed rows y1 - z2 and y2 - z4, repacked
+    under `_graph_packing(3, 5)` with z2 read as y1 and z4 as y2: the
+    rows of the run over z1, z3 and z5 that the substitution leaves."""
+    packing, substituted = expanded.packing, _graph_packing(3, 5)
+    assert [packing.unpack(lm)[:5] for lm, _, _ in expanded.basis[:2]] == \
+        [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)]
+
+    def repack(m):
+        z1, z2, z3, z4, z5, y1, y2, *rest = packing.unpack(m)
+        return substituted.pack((z1, z3, z5, y1 + z2, y2 + z4, *rest))
+
+    return [(repack(lm), lc, tuple((repack(m), c) for m, c in tail))
+            for lm, lc, tail in expanded.basis[2:]]
+
+
 def assert_seeds_match_the_candidates(monkeypatch, spec, candidates, expanded):
-    """The run invariant_presentation seeds with packed term dicts adds the
-    rows, reduces the S-polynomials and yields the relations of
-    `expanded`, the graph run of the candidates its seeds stand for."""
+    """The run invariant_presentation seeds with packed term dicts over z1,
+    z3 and z5 adds the rows of `expanded`, the graph run of the candidates
+    its seeds stand for, after its two linear seed rows and with z2 and z4
+    read as their tags y1 and y2; it reduces as many S-polynomials and
+    yields the same relations."""
     run, relations, _ = presentation_run(monkeypatch, lambda: invariant_presentation(spec))
-    assert (run.basis, run.reductions) == (expanded.basis, expanded.reductions)
+    assert run.basis == substituted_rows(expanded)
+    assert run.reductions == expanded.reductions
     assert relations == _relations(expanded, families._CORE, len(candidates))
 
 
@@ -301,10 +322,11 @@ def test_packed_seeds_match_the_graph_run_of_the_candidates(monkeypatch, label, 
     """The seeds invariant_presentation packs from the closed form, with
     q's tag in the minors' seeds and f's denominators cleared once, are
     positive multiples of the graph generators y_i - g_i of the
-    candidates g_i, up to a multiple of q's: its run equals `_graph_run`
-    of the expanded candidates row for row, at t = 0, 1 and 5, on
-    signed-roots shapes of degree 1-24 and on the rational shapes of
-    V3_CASES."""
+    candidates g_i, up to a multiple of q's, once y1 - z2 and y2 - z4
+    have substituted z2 and z4 away: its run equals `_graph_run` of the
+    expanded candidates row for row after those two rows, at t = 0, 1
+    and 5, on signed-roots shapes of degree 1-24 and on the rational
+    shapes of V3_CASES."""
     candidates = core_candidates(f)
     expanded = _graph_run(families._CORE, candidates, (), DEFAULT_CAPS)
     assert len(candidates) == 5 and expanded.reductions == 5
@@ -500,7 +522,7 @@ def test_tag_only_rows_interreduce_among_themselves(monkeypatch):
     for degree in (1, 3, 7, 12):
         spec = build_family(FamilySpec("v3", signed_roots_shape(degree, degree), 1))
         run = presentation_run(monkeypatch, lambda: invariant_presentation(spec))[0]
-        runs.append((run, len(families._CORE)))
+        runs.append((run, len(families._ELIMINATED)))
     relations = []
     for run, n in runs:
         whole = [row for row in run.reduced() if not row[0] & _first_fields(n)]
@@ -531,7 +553,10 @@ def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
     reduction starts from those 15 terms, also with trivial summands,
     which are adjoined after the elimination.  The pins list each seed's
     size and its remainder's, in seed order; w1's own image, 1 + f(q)
-    without its constant, is a polynomial in q and is never built."""
+    without its constant, is a polynomial in q and is never built, and
+    z2 and z4 are their own tags y1 and y2, so the packed run has no
+    seeds y1 - z2 and y2 - z4 (the first four sizes of the expanded
+    run)."""
     spec = build_family(FamilySpec("v3", signed_roots_shape(12, 7), trivial))
     candidates = core_candidates(spec.f)
     sizes = []
@@ -546,10 +571,32 @@ def test_v3_seeds_are_reduced_through_the_tag_of_q(monkeypatch, trivial):
 
     monkeypatch.setattr(groebner, "_Run", Recorded)
     invariant_presentation(spec)
-    assert sizes == [2, 2, 2, 2, 3, 3, 15, 15, 15, 15]
+    assert sizes == [3, 3, 15, 15, 15, 15]
     sizes.clear()
     _graph_run(families._CORE, candidates, (), DEFAULT_CAPS)
     assert sizes == [2, 2, 2, 2, 3, 3, 93, 15, 93, 15]
+
+
+@pytest.mark.parametrize("degree", [1, 6, 12, 24])
+def test_v3_run_work_counts_are_pinned(monkeypatch, degree):
+    """The deterministic work of the presentation's one run, the bulk of a
+    v3 battery: 8 exponent fields (z1, z3, z5 and the five tags), 3 seeds
+    (q's and the two minors'), 5 rows and 5 S-polynomials reduced, at
+    every degree of f and with t = 0, 1 and 5 trivial summands, which
+    join after the run.  While the run eliminated z1..z5 it packed 10
+    fields, seeded 5 and kept 7 rows, y1 - z2 and y2 - z4 among them."""
+    seeded = []
+
+    def recording(packing, seeds, caps):
+        seeded.append(len(seeds))
+        return groebner._completed_run(packing, seeds, caps)
+
+    monkeypatch.setattr(families, "_completed_run", recording)
+    for trivial in (0, 1, 5):
+        spec = build_family(FamilySpec("v3", signed_roots_shape(degree, degree + trivial), trivial))
+        run = presentation_run(monkeypatch, lambda: invariant_presentation(spec))[0]
+        assert (len(run.packing.weights), len(run.basis), run.reductions) == (8, 5, 5)
+    assert seeded == [3, 3, 3]
 
 
 def test_graph_generators_over_another_ring_are_rejected():
