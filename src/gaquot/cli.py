@@ -81,7 +81,8 @@ def _add_cap_flags(sub: argparse.ArgumentParser,
                    max_degree_help: str = "total degree cap for basis computations, "
                                           "and for deg f when f is validated"):
     sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS.max_pairs,
-                     help="S-polynomials each basis computation may reduce; the "
+                     help="S-polynomials each basis computation may reduce, save "
+                          "the squarefreeness fallback of f's validation; the "
                           "invariant presentation is one basis computation under "
                           "this budget")
     sub.add_argument("--max-degree", type=int, default=max_degree_default,

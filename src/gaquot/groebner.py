@@ -197,8 +197,6 @@ class Ideal(_Record):
         object.__setattr__(self, "generators", nonzero or (ring.zero(),))
 
     def __add__(self, other: "Ideal") -> "Ideal":
-        if other.ring != self.ring:
-            raise RingMismatchError("cannot sum ideals over different rings")
         return Ideal(self.ring, self.generators + other.generators)
 
 

@@ -62,10 +62,8 @@ def _grevlex_descending(exps: Exponents):
 
 
 def _coefficient(value) -> Scalar:
-    """The canonical form of a rational coefficient: an int when it is
-    integral, else a Fraction; TypeError for anything not rational."""
-    if type(value) is int:
-        return value
+    """The one canonicalizer of a coefficient that is not an int: an int
+    when it is integral, else a Fraction; TypeError if it is not rational."""
     if type(value) is not Fraction:
         if not isinstance(value, Rational):
             raise TypeError(f"coefficient {value!r} is not rational")
@@ -256,8 +254,6 @@ class Polynomial:
             if type(coeff) is int:
                 if coeff:
                     clean[exps] = coeff
-            elif type(coeff) is Fraction and coeff.denominator != 1:
-                clean[exps] = coeff  # canonical and nonzero already
             else:
                 coeff = _coefficient(coeff)
                 if coeff:

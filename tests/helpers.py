@@ -262,6 +262,15 @@ def coeff_list(p: Polynomial, var: str):
     return out
 
 
+def outcome(call):
+    """What `call()` gives: its value, or the type and message of the
+    exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def spolynomials_per_run(monkeypatch, compute) -> list:
     """The S-polynomials each Buchberger run made by `compute` reduced, in
     the order the runs were started."""

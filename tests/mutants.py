@@ -7,8 +7,8 @@ copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 and there, never in the checkout, applies one mutant at a time: one
 exact snippet of a library file replaced.  With arguments it runs only
 the mutants whose labels contain one of them (`python tests/mutants.py
-"seed" "fast path"`), so a change can rerun the mutants of the lines it
-touched; with none, the whole catalogue.  It runs the mutant's node ids
+"seed" "sorted by text"`), so a change can rerun the mutants of the lines
+it touched; with none, the whole catalogue.  It runs the mutant's node ids
 in one sequential pytest process, restores the file, and prints a line
 per mutant, its verdict, its own wall time and its label:
 
@@ -257,6 +257,10 @@ MUTANTS = [
      "run.packing, tags, len(ring))", "run.packing, tags, len(ring) + 1)",
      (GROEBNER_TESTS + "test_eliminate_is_the_block_free_part_of_the_reduced_basis",
       PRESENTATION_TESTS + "test_lone_candidates_match_the_reference")),
+    ("a sum of ideals built over the right summand's ring", GROEBNER,
+     "        return Ideal(self.ring, self.generators + other.generators)\n",
+     "        return Ideal(other.ring, self.generators + other.generators)\n",
+     (GROEBNER_TESTS + "test_branches_no_other_test_takes[ideal-sum-keeps-left-ring]",)),
     ("span keeps a candidate its kept generators contain", GROEBNER,
      "            if not self.contains(p):\n", "            if True:\n",
      (DERIVATION_TESTS + "test_spans_keep_no_constant",
@@ -277,11 +281,11 @@ MUTANTS = [
     ("an option's lone -- passed to the handler", CLI,
      "    if empty:\n", "    if False:\n",
      (CLI_TESTS + "test_a_lone_double_dash_value_is_a_usage_error",)),
-    ("the Fraction fast path without its denominator test", POLY,
-     "            elif type(coeff) is Fraction and coeff.denominator != 1:\n",
-     "            elif type(coeff) is Fraction:\n",
-     (POLY_TESTS + "test_every_coefficient_branch_of_the_constructor",
-      CLI_TESTS + "test_present_rational_shape_output")),
+    ("generators sorted by text before degree", POLY,
+     "    return sum(exps), _term_text(p.ring.names, exps, p.terms[exps], True)\n",
+     "    return _term_text(p.ring.names, exps, p.terms[exps], True), sum(exps)\n",
+     (DERIVATION_TESTS + "test_sorted_gens_orders_by_degree_then_printed_text",
+      DERIVATION_TESTS + "test_filter_falls_back_to_groebner_on_inhomogeneous_input")),
     ("unit coefficient read off the numerator", POLY,
      '    elif mag == "1":\n', "    elif num == 1:\n",
      (POLY_TESTS + "test_printing_matches_the_fraction_arithmetic_printer",

@@ -131,6 +131,19 @@ def test_v4_verify_with_no_pair_budget_makes_no_basis_computation(monkeypatch):
     assert json.loads(text)["checks"]["boundarySmooth"] is True
 
 
+def test_the_squarefree_fallback_is_outside_the_pair_budget(monkeypatch, capsys):
+    """For f = s^2 + 2*s, 1 + f = (1 + s)^2, which no prime certifies
+    squarefree, so the validation falls back to one Buchberger run of
+    (1 + f, f') under the degree cap deg(1 + f) and the default pair
+    budget, not `--max-pairs`: with a budget of 0 that run still reduces
+    one S-polynomial, finds the repeated root and exits 3, not 4."""
+    results = []
+    runs = spolynomials_per_run(monkeypatch, lambda: results.append(
+        run(["verify", "--family", "v3", "--f=s^2 + 2*s", "--max-pairs", "0"])))
+    assert (results, runs) == ([(3, "")], [1])
+    assert capsys.readouterr().err == "rejected: f + 1 has a repeated root\n"
+
+
 @pytest.mark.parametrize("f, code, err", [
     ("a^2 + b*c", 0, ""),
     ("a^5 + b*c^2 + a*b + c", 4, "resource cap: boundarySmooth: pair budget 1 exhausted\n"),

@@ -1,9 +1,11 @@
 """Derivations: construction, flows, invariance, fixed points, kernels."""
 
 import hashlib
+import io
 import math
 import random
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +18,7 @@ from gaquot import (
     ResourceCapError,
     ResourceCaps,
     RingMismatchError,
+    UsageError,
     VarSet,
     exp_action,
     fixed_point_ideal,
@@ -28,10 +31,12 @@ from gaquot import (
     subalgebra_membership,
 )
 from gaquot import derivations, groebner
+from gaquot.cli import main
 from helpers import (
     assert_same_subalgebra,
     brute_graded_subalgebra_membership,
     groebner_minimal_generators,
+    outcome,
     random_exponents,
     random_poly,
     spolynomials_per_run,
@@ -1016,3 +1021,34 @@ def test_sorted_gens_orders_by_degree_then_printed_text():
                                           denominator_bound=3))
         want = sorted(polys, key=lambda p: (p.total_degree(), str(p)))
         assert [id(p) for p in derivations._sorted_gens(polys)] == [id(p) for p in want]
+
+
+def kernel_command(tmp_path, *argv):
+    """(exit code, stdout, stderr) of `gaquot kernel` on the derivation D3."""
+    path = tmp_path / "derivation.txt"
+    path.write_text("".join(f"{x} -> {image}\n" for x, image in D3.images.items()),
+                    encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = main(["kernel", "--derivation", str(path), *argv], out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda tmp: kernel_linear(D3, 0), (UsageError, "max_degree must be at least 1")),
+    (lambda tmp: kernel_command(tmp, "--max-degree", "0"),
+     (1, "", "error: max_degree must be at least 1\n")),
+    (lambda tmp: Derivation(W, {"w2": VarSet(("s",)).var("s")}),
+     (RingMismatchError, "image of 'w2' lives over the wrong ring")),
+    (lambda tmp: lower_triangular_derivation(0),
+     (ValueError, "need at least one two-dimensional block")),
+    (lambda tmp: exp_action(D3, VarSet(("s",)).var("s")),
+     (RingMismatchError, "polynomial ring differs from derivation ring")),
+    (lambda tmp: exp_action(D3, P("w2"), "w1"),
+     (ValueError, "parameter 'w1' collides with a ring variable")),
+], ids=["kernel-degree-0", "cli-kernel-degree-0", "image-across-rings", "no-blocks",
+        "flow-across-rings", "flow-parameter-collision"])
+def test_branches_no_other_test_takes(call, expected, tmp_path):
+    """Each reachable branch of `derivations` that no other in-process
+    test takes, by the value it returns or the error it raises."""
+    assert outcome(lambda: call(tmp_path)) == expected

@@ -19,6 +19,7 @@ from gaquot import (
     TermOrder,
     UnitIdealError,
     VarSet,
+    ZeroPolynomialError,
     buchberger,
     divide_exact,
     is_squarefree,
@@ -40,6 +41,7 @@ from helpers import (
     in_ideal,
     independent_set_dimension,
     leading_monomials,
+    outcome,
     polynomial_selects_by_sugar,
     random_poly,
     reference_key,
@@ -1303,3 +1305,33 @@ def test_ideal_drops_zero_generators():
     assert zero.generators == (W.zero(),)
     with pytest.raises(ValueError):
         Ideal(W, ())
+
+
+# One reachable branch stays untested: `_coprime_mod`'s strip of b's
+# leading zeros.  a = d*p and b = e*p', with d and e the lcms of the
+# denominators of p and p', so e divides d, and lc(b) = e*deg(p)*lc(p)
+# is prime to every prime that lc(a) = d*lc(p) is prime to, unless the
+# prime divides deg p.  Exponents stay below 2**31, so of the two
+# primes only 2**31 - 1 can divide deg p, and only at deg p = 2**31 - 1.
+@pytest.mark.parametrize("call, expected", [
+    (lambda: is_squarefree(XY.const(3)), True),
+    (lambda: divide_exact(XY.var("x"), XY.zero()),
+     (ZeroPolynomialError, "division by the zero polynomial")),
+    (lambda: normal_form(TXY.var("x"), buchberger(Ideal(XY, (XY.var("x"),)))),
+     (RingMismatchError, "polynomial ring differs from basis ring")),
+    (lambda: Ideal(XY, (TXY.var("x"),)),
+     (RingMismatchError, "generator ring differs from ideal ring")),
+    (lambda: Ideal(XY, (XY.var("x"),)) + Ideal(TXY, (TXY.var("x"),)),
+     (RingMismatchError, "generator ring differs from ideal ring")),
+    (lambda: (Ideal(XY, (XY.var("x"),)) + Ideal(VarSet(XY.names), (XY.var("y"),))).ring is XY,
+     True),
+    (lambda: TermOrder("foo"), (ValueError, "unknown term order 'foo'")),
+], ids=["squarefree-constant", "divide-by-zero", "normal-form-across-rings",
+        "ideal-generator-across-rings", "ideal-sum-across-rings", "ideal-sum-keeps-left-ring",
+        "unknown-order"])
+def test_branches_no_other_test_takes(call, expected):
+    """Each reachable branch of `groebner` that no other in-process test
+    takes, by the value it returns or the error it raises.  A sum of
+    ideals is built over its left summand's ring, the very object, so
+    later ring checks take `_Record.__eq__`'s identity path."""
+    assert outcome(call) == expected

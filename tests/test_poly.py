@@ -21,6 +21,7 @@ from gaquot import (
     RingMismatchError,
     TermOrder,
     UnknownVariableError,
+    UsageError,
     VarSet,
     ZeroPolynomialError,
     buchberger,
@@ -42,6 +43,7 @@ from helpers import (
     coeff_list,
     euclid_gcd_coeffs,
     from_sympy,
+    outcome,
     random_poly,
     reference_parse,
     reference_str,
@@ -702,3 +704,33 @@ def test_non_rational_coefficients_are_rejected():
 def test_constant_term_defaults_to_int_zero():
     c = P("w1*w2").constant_term()
     assert c == 0 and type(c) is int
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: VarSet(("s", "s")), (UsageError, "duplicate variable names in ('s', 's')")),
+    (lambda: VarSet(("2s",)), (UsageError, "invalid variable name '2s'")),
+    (lambda: S.var("s") ** -1, (ValueError, "exponent must be a natural number")),
+    (lambda: P("w1 + w2").substitute({"w1": S.var("s"), "w2": XYS.var("s")}),
+     (RingMismatchError, "substitution images live over different rings")),
+    (lambda: S.const(3).substitute({}), S.const(3)),
+    (lambda: P("w1 + w2").embed(VarSet(("w1",))),
+     (UnknownVariableError, "target ring lacks variables ['w2']")),
+    (lambda: monic(S.zero()),
+     (ZeroPolynomialError, "the zero polynomial has no leading coefficient")),
+    (lambda: jacobian([], ("s",)), []),
+    (lambda: jacobian([S.var("s"), XYS.var("s")], ("s",)),
+     (RingMismatchError, "jacobian rows live over different rings")),
+    (lambda: S.var("s") + "s",
+     (TypeError, "unsupported operand type(s) for +: 'Polynomial' and 'str'")),
+    (lambda: S.var("s") - "s",
+     (TypeError, "unsupported operand type(s) for -: 'Polynomial' and 'str'")),
+    (lambda: S.var("s") * "s",
+     (TypeError, "can't multiply sequence by non-int of type 'Polynomial'")),
+    (lambda: S.var("s") == "s", False),
+], ids=["duplicate-names", "invalid-name", "negative-power", "images-across-rings",
+        "constant-empty-assignment", "embed-lacking-variable", "monic-zero", "empty-jacobian",
+        "jacobian-across-rings", "add-text", "subtract-text", "multiply-text", "equal-text"])
+def test_branches_no_other_test_takes(call, expected):
+    """Each reachable branch of `poly` that no other in-process test
+    takes, by the value it returns or the error it raises."""
+    assert outcome(call) == expected
